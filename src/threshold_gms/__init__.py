@@ -35,7 +35,6 @@ from .distributions import (
     Exponential,
     ModelParams,
     Pareto,
-    SurvivalUnderflowError,
     TabulatedQuantile,
     Weibull,
     distribution_from_json,

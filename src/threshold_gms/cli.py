@@ -80,7 +80,7 @@ def _cmd_simulate(args) -> int:
     horizon = float(args.horizon)
     start = float(args.start)
     rng = replication_rng(args.seed, index=0, salt=0)
-    stream = generate_stream(params, start, horizon, rng, seed=args.seed)
+    stream = generate_stream(params, start, horizon, rng)
     initial = read_initial_csv(args.initial) if args.initial else Configuration()
     trace = evolve(initial, stream)
     empty = last_empty_time(trace)
@@ -227,7 +227,6 @@ def _cmd_ladder_mc(args) -> int:
         params=params,
         replications=args.reps,
         base_seed=args.seed,
-        count_mode=args.mode,
     )
     result = run(plan)
     counts = result.samples
@@ -256,7 +255,7 @@ def _cmd_ladder_mc(args) -> int:
     _write_manifest(
         out,
         "ladder-mc",
-        {"params": params.to_json(), "seed": args.seed, "reps": args.reps, "mode": args.mode, "format": args.format},
+        {"params": params.to_json(), "seed": args.seed, "reps": args.reps, "format": args.format},
         outputs,
     )
     return 0
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     lad.add_argument("--params", required=True)
     lad.add_argument("--seed", type=int, default=DEFAULT_SEED)
     lad.add_argument("--reps", type=int, required=True)
-    lad.add_argument("--mode", choices=("per_step", "total"), default="per_step")
     lad.add_argument("--out", required=True)
     lad.add_argument("--format", choices=("csv", "json"), default="csv")
     lad.set_defaults(func=_cmd_ladder_mc)

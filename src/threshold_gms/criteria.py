@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from scipy import stats
 from scipy.integrate import quad
 
 from .distributions import (
@@ -333,8 +332,14 @@ def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float
     return ("superpolynomial", None)
 
 
-def _verdict_from_shape(shape: tuple[str, Optional[float]]) -> Optional[str]:
-    kind, gamma = shape
+def exact_verdict(params: ModelParams) -> Optional[str]:
+    """Extinction-count criterion decided by composed_survival_exponent.
+
+    Finite for a power exponent above 1 or superpolynomial decay,
+    infinite otherwise; None for tabulated laws, which have no exact
+    exponent.  Apply it to params.swapped() for the limit-count side.
+    """
+    kind, gamma = composed_survival_exponent(params)
     if kind == "power":
         return VERDICT_FINITE if gamma > 1.0 else VERDICT_INFINITE
     if kind == "superpolynomial":
@@ -396,10 +401,8 @@ def classify(params: ModelParams, ladder: CutoffLadder = CutoffLadder()) -> Clas
     cutoff-ladder quadrature decides.  The numeric integrals are always
     attached as evidence.
     """
-    m_shape = composed_survival_exponent(params)
-    n_shape = composed_survival_exponent(params.swapped())
-    m_analytic = _verdict_from_shape(m_shape)
-    n_analytic = _verdict_from_shape(n_shape)
+    m_analytic = exact_verdict(params)
+    n_analytic = exact_verdict(params.swapped())
 
     e_m = expected_extinction_count(params, ladder)
     e_n = expected_birth_count(params, ladder)
@@ -451,9 +454,13 @@ class NegBinomLaw:
     p: float
 
     def pmf(self, k):
+        from scipy import stats
+
         return stats.nbinom.pmf(k, self.r, 1.0 - self.p)
 
     def cdf(self, k):
+        from scipy import stats
+
         return stats.nbinom.cdf(k, self.r, 1.0 - self.p)
 
     def mean(self) -> float:
@@ -471,6 +478,8 @@ class GammaLaw:
     rate: float
 
     def cdf(self, x):
+        from scipy import stats
+
         return stats.gamma.cdf(x, a=self.shape, scale=1.0 / self.rate)
 
     def mean(self) -> float:

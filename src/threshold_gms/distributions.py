@@ -2,10 +2,9 @@
 
 Each law exposes its survival function, the inverse survival function
 (inf-convention generalized inverse), the cumulative hazard
-``-log(survival)``, and inverse-survival-transform sampling, including
-draws conditioned to exceed a level.  Survival values below
-``SURVIVAL_FLOOR`` are treated as an explicit error rather than silent
-zeros so that conditional sampling never divides garbage.
+``-log(survival)`` and its closed-form inverse, and inverse-transform
+sampling.  Draws conditioned to exceed a level are taken in
+cumulative-hazard space, where no survival value can underflow.
 """
 
 from __future__ import annotations
@@ -21,15 +20,9 @@ import numpy as np
 
 from .streams import open_uniform
 
-SURVIVAL_FLOOR = 1e-300
-
 
 class DistributionError(ValueError):
     """Invalid parameters, malformed input, or out-of-domain arguments."""
-
-
-class SurvivalUnderflowError(DistributionError):
-    """Survival mass below SURVIVAL_FLOOR where a positive value is required."""
 
 
 def _as_float(value, name: str) -> float:
@@ -49,6 +42,21 @@ def _check_level(x, lower: float) -> float:
     if x < lower:
         raise DistributionError(f"x={x} below support lower bound {lower}")
     return x
+
+
+def _exp(x: float) -> float:
+    """math.exp that returns inf instead of raising OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _check_hazard(h) -> float:
+    h = _as_float(h, "h")
+    if not h >= 0.0:
+        raise DistributionError(f"cumulative hazard must be non-negative, got {h}")
+    return h
 
 
 def _check_survival_prob(u) -> float:
@@ -84,6 +92,10 @@ class DistributionSpec(ABC):
         """Cumulative hazard -log(survival(x)), evaluated in closed form."""
 
     @abstractmethod
+    def inverse_hazard(self, h) -> float:
+        """Level whose cumulative hazard is h >= 0, in closed form; inf past the float range."""
+
+    @abstractmethod
     def hazard_density(self, x) -> float:
         """d/dx of the cumulative hazard (density / survival)."""
 
@@ -95,22 +107,30 @@ class DistributionSpec(ABC):
         """One inverse-survival-transform draw."""
         return self.inverse_survival(open_uniform(rng))
 
-    def sample_conditional_above(self, lower, rng: np.random.Generator) -> float:
-        """Draw conditioned on strictly exceeding ``lower``.
+    def record_above(self, h: float, lower: float, rng: np.random.Generator) -> tuple[float, float]:
+        """Cumulative hazard and level of a draw above ``lower``, whose hazard is h.
 
-        Uses inverse_survival(U * survival(lower)); the redraw guards the
-        measure-zero floating-point tie at the conditioning level.
+        Above any level the excess hazard of the law is a unit
+        exponential, so the draw sits at hazard h - log(U).  The redraw
+        guards the measure-zero floating-point tie at ``lower``; where
+        even one unit of hazard cannot move the level past ``lower`` the
+        tie is certain, and the call raises instead of looping.
         """
-        lower = _as_float(lower, "lower")
-        s = self.survival(lower)
-        if s < SURVIVAL_FLOOR:
-            raise SurvivalUnderflowError(
-                f"survival({lower}) = {s} is below {SURVIVAL_FLOOR}; cannot condition"
-            )
         while True:
-            value = self.inverse_survival(open_uniform(rng) * s)
+            h_next = h - math.log(open_uniform(rng))
+            value = self.inverse_hazard(h_next)
             if value > lower:
-                return value
+                return h_next, value
+            if not self.inverse_hazard(h + 1.0) > lower:
+                raise DistributionError(f"no level above {lower} is representable at hazard {h}")
+
+    def sample_conditional_above(self, lower, rng: np.random.Generator) -> float:
+        """Draw conditioned on strictly exceeding ``lower``."""
+        lower = _as_float(lower, "lower")
+        value = self.record_above(self.hazard_transform(lower), lower, rng)[1]
+        if math.isinf(value):
+            raise DistributionError(f"draw above {lower} overflows the float range")
+        return value
 
 
 @dataclass(frozen=True)
@@ -140,6 +160,9 @@ class Exponential(DistributionSpec):
     def hazard_transform(self, x) -> float:
         x = _check_level(x, 0.0)
         return self.rate * x
+
+    def inverse_hazard(self, h) -> float:
+        return _check_hazard(h) / self.rate
 
     def hazard_density(self, x) -> float:
         _check_level(x, 0.0)
@@ -181,6 +204,13 @@ class Weibull(DistributionSpec):
     def hazard_transform(self, x) -> float:
         x = _check_level(x, 0.0)
         return (x / self.scale) ** self.shape
+
+    def inverse_hazard(self, h) -> float:
+        h = _check_hazard(h)
+        try:
+            return self.scale * h ** (1.0 / self.shape)
+        except OverflowError:
+            return math.inf
 
     def hazard_density(self, x) -> float:
         x = _check_level(x, 0.0)
@@ -231,7 +261,7 @@ class Pareto(DistributionSpec):
         u = _check_survival_prob(u)
         value = self.minimum * u ** (-1.0 / self.index)
         if math.isinf(value):
-            raise SurvivalUnderflowError(f"quantile overflow at survival level {u}")
+            raise DistributionError(f"quantile overflow at survival level {u}")
         return value
 
     def hazard_transform(self, x) -> float:
@@ -241,6 +271,9 @@ class Pareto(DistributionSpec):
         if x <= self.minimum:
             return 0.0
         return self.index * math.log(x / self.minimum)
+
+    def inverse_hazard(self, h) -> float:
+        return self.minimum * _exp(_check_hazard(h) / self.index)
 
     def hazard_density(self, x) -> float:
         x = _as_float(x, "x")
@@ -333,6 +366,12 @@ class TabulatedQuantile(DistributionSpec):
         if x <= xs[-1]:
             return -math.log(float(np.interp(x, xs, self._us)))
         return -(self._log_us[-1] + self._tail_slope * (x - xs[-1]))
+
+    def inverse_hazard(self, h) -> float:
+        h = _check_hazard(h)
+        if h <= -self._log_us[-1]:
+            return self.inverse_survival(math.exp(-h))
+        return float(self._xs[-1] + (h + self._log_us[-1]) / -self._tail_slope)
 
     def hazard_density(self, x) -> float:
         x = _as_float(x, "x")

@@ -5,43 +5,41 @@ extinction marks landing above the current record are the events that
 wipe the whole population.  Looking backward in time from a fixed
 instant, threshold marks climb an analogous ladder, and the species
 alive in the long-run configuration are exactly the births that beat
-every later threshold record.  Both ladders are sampled directly from
-their marked-Poisson laws: a first record drawn from the mark law, then
-each next record drawn conditionally above the last, with the waiting
-gap exponential at rate (event rate) * (mark survival at the record).
+every later threshold record.
+
+Both ladders are sampled in cumulative-hazard space.  By Renyi's record
+theorem (Resnick, Extreme Values, Regular Variation and Point Processes,
+1987, section 4.1) the cumulative hazards h_k = H(record_k) of the mark
+law are the arrival times of a unit-rate Poisson process, so each record
+is H^-1(h_k) with h_k = h_{k-1} - log U.  The waiting gap at a record is
+G * e^h / (event rate) with G a unit exponential, and the opposing
+stream's mass over that gap is (opposing rate / event rate) * G *
+exp(h - H_opp(record)), which stays finite and exact where the survival
+values themselves would underflow.
 
 Ladders are infinite objects; a StopRule truncates them once the
-remaining mass is provably or heuristically negligible, and regimes
-where the mass diverges are reported through an "effectively infinite"
-sentinel rather than a silently truncated number.
+remaining mass is negligible.  Only a ladder whose mass died out counts
+as finite: one cut at max_steps or by float overflow reports the
+"effectively infinite" sentinel rather than a silently truncated number.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import (
-    SURVIVAL_FLOOR,
-    DistributionSpec,
-    Exponential,
-    ModelParams,
-    SurvivalUnderflowError,
-)
+from .distributions import DistributionSpec, Exponential, ModelParams, _exp
 
 EFFECTIVELY_INFINITE = math.inf
 
 STOP_MAX_STEPS = "max_steps"
 STOP_TAIL_BOUND = "tail_bound"
 STOP_QUIET = "quiet"
-STOP_UNDERFLOW = "underflow"
 STOP_OVERFLOW = "overflow"
-STOP_WINDOW = "window"
 
 
 class LadderError(ValueError):
@@ -56,38 +54,39 @@ class StopRule:
     bound on the expected remaining mass (available for exponential
     pairs) falls below tail_tolerance, or when the last quiet_window
     per-step masses are each below tail_tolerance / quiet_window.
-    divergence_window is the look-back length used to flag mass growth
-    at truncation.
     """
 
     max_steps: int = 10_000
     tail_tolerance: float = 1e-9
     quiet_window: int = 20
-    divergence_window: int = 100
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise LadderError("max_steps must be at least 1")
         if not 0.0 < self.tail_tolerance < math.inf:
             raise LadderError("tail_tolerance must be positive and finite")
-        if self.quiet_window < 1 or self.divergence_window < 4:
-            raise LadderError("quiet_window >= 1 and divergence_window >= 4 required")
+        if self.quiet_window < 1:
+            raise LadderError("quiet_window must be at least 1")
 
     def to_json(self) -> dict:
         return {
             "max_steps": self.max_steps,
             "tail_tolerance": self.tail_tolerance,
             "quiet_window": self.quiet_window,
-            "divergence_window": self.divergence_window,
         }
 
 
 @dataclass(frozen=True)
 class LadderStep:
-    """One record value together with the waiting gap spent at it."""
+    """One record value, the waiting gap spent at it, and the opposing-stream mass over that gap.
+
+    The gap is inf once e^h overflows (h past about 709); the mass is
+    computed in hazard space and stays exact there.
+    """
 
     value: float
     gap: float
+    mass: float
 
 
 def _check_steps(steps: Sequence[LadderStep]) -> tuple[LadderStep, ...]:
@@ -100,8 +99,10 @@ def _check_steps(steps: Sequence[LadderStep]) -> tuple[LadderStep, ...]:
             raise LadderError(
                 f"record values must be strictly increasing; got {step.value} after {prev}"
             )
-        if step.gap < 0.0 or math.isnan(step.gap):
+        if not step.gap >= 0.0:
             raise LadderError(f"gaps must be non-negative, got {step.gap}")
+        if not step.mass >= 0.0:
+            raise LadderError(f"masses must be non-negative, got {step.mass}")
         prev = step.value
     return steps
 
@@ -211,23 +212,22 @@ def _sample_ladder_core(
     stop: StopRule,
     rng: np.random.Generator,
 ) -> tuple[list[LadderStep], Optional[float], str]:
-    """Shared record-ladder sampler for both mark roles."""
+    """Shared record-ladder sampler for both mark roles, walking the cumulative hazard h."""
     tail_fn = _exponential_tail_bound(mark_dist, opp_dist, mark_rate, opp_rate)
     quiet_cap = stop.tail_tolerance / stop.quiet_window
+    ratio = opp_rate / mark_rate
     steps: list[LadderStep] = []
     tail: Optional[float] = None
     quiet = 0
-    level = mark_dist.sample(rng)
+    h, level = 0.0, -math.inf
     while True:
-        s = mark_dist.survival(level)
-        if s < SURVIVAL_FLOOR:
-            return steps, tail, STOP_UNDERFLOW
-        gap = float(rng.exponential(1.0 / (mark_rate * s)))
-        while gap <= 0.0:
-            gap = float(rng.exponential(1.0 / (mark_rate * s)))
-        steps.append(LadderStep(value=level, gap=gap))
-        mass = opp_rate * gap * opp_dist.survival(level)
-        if not math.isfinite(mass):
+        h, level = mark_dist.record_above(h, level, rng)
+        if math.isinf(level):
+            return steps, None, STOP_OVERFLOW
+        g = rng.standard_exponential()
+        mass = ratio * g * _exp(h - opp_dist.hazard_transform(level))
+        steps.append(LadderStep(value=level, gap=g * _exp(h) / mark_rate, mass=mass))
+        if math.isinf(mass):
             return steps, None, STOP_OVERFLOW
         if tail_fn is not None:
             tail = tail_fn(level)
@@ -238,10 +238,6 @@ def _sample_ladder_core(
             return steps, tail, STOP_QUIET
         if len(steps) >= stop.max_steps:
             return steps, tail, STOP_MAX_STEPS
-        try:
-            level = mark_dist.sample_conditional_above(level, rng)
-        except SurvivalUnderflowError:
-            return steps, tail, STOP_UNDERFLOW
 
 
 def sample_fitness_ladder(
@@ -266,6 +262,14 @@ def sample_fitness_ladder(
     )
 
 
+def sample_first_gap(params: ModelParams, rng: np.random.Generator) -> float:
+    """Look-back time to the most recent extinction: exponential at the extinction rate."""
+    first_gap = float(rng.exponential(1.0 / params.lambda_extinct))
+    while first_gap <= 0.0:
+        first_gap = float(rng.exponential(1.0 / params.lambda_extinct))
+    return first_gap
+
+
 def sample_threshold_ladder(
     params: ModelParams, stop: StopRule, rng: np.random.Generator
 ) -> ThresholdLadder:
@@ -275,9 +279,7 @@ def sample_threshold_ladder(
     the extinction rate; records then mirror the fitness ladder with the
     roles of the two streams exchanged.
     """
-    first_gap = float(rng.exponential(1.0 / params.lambda_extinct))
-    while first_gap <= 0.0:
-        first_gap = float(rng.exponential(1.0 / params.lambda_extinct))
+    first_gap = sample_first_gap(params, rng)
     steps, tail, reason = _sample_ladder_core(
         params.threshold_dist,
         params.lambda_extinct,
@@ -295,15 +297,14 @@ def sample_threshold_ladder(
     )
 
 
-def extinction_mass(ladder: FitnessLadder, params: ModelParams) -> LadderMass:
+def extinction_mass(ladder: FitnessLadder) -> LadderMass:
     """Extinction-stream mass above the fitness ladder.
 
-    per_step[k] = lambda_extinct * gap_k * threshold survival at
-    record k; the total uses exact compensated summation.
+    per_step[k] is the mass the sampler stored at record k,
+    lambda_extinct * gap_k * threshold survival at record k; the total
+    uses exact compensated summation.
     """
-    rate = params.lambda_extinct
-    surv = params.threshold_dist.survival
-    per_step = tuple(rate * step.gap * surv(step.value) for step in ladder.steps)
+    per_step = tuple(step.mass for step in ladder.steps)
     return LadderMass(
         value=math.fsum(per_step), per_step=per_step, truncation_tail=ladder.tail_bound
     )
@@ -313,70 +314,38 @@ def birth_mass(ladder: ThresholdLadder, params: ModelParams) -> LadderMass:
     """Birth-stream mass over the threshold ladder, band by band.
 
     per_step[0] = lambda_birth * first_gap is the unrestricted band
-    below the first record; per_step[k] for k >= 1 applies the fitness
-    survival at record k-1.
+    below the first record; per_step[k] for k >= 1 is the mass stored at
+    record k, lambda_birth * gap_k * fitness survival at record k.
     """
-    rate = params.lambda_birth
-    surv = params.fitness_dist.survival
-    per_step = [rate * ladder.first_gap]
-    per_step.extend(rate * step.gap * surv(step.value) for step in ladder.steps)
-    per_step = tuple(per_step)
+    per_step = (params.lambda_birth * ladder.first_gap, *(step.mass for step in ladder.steps))
     return LadderMass(
         value=math.fsum(per_step), per_step=per_step, truncation_tail=ladder.tail_bound
     )
 
 
-def masses_effectively_infinite(
-    per_step: Sequence[float], stop_reason: str, stop: StopRule = StopRule()
-) -> bool:
-    """Decide whether a truncated mass series is diverging.
+def masses_effectively_infinite(stop_reason: str) -> bool:
+    """Whether a ladder's mass counts as infinite, decided by why the ladder stopped.
 
-    A ladder that stopped because its mass died out (tail bound or quiet
-    run) is never flagged.  Otherwise the per-step masses over the
-    trailing divergence window are split in half and the series is
-    flagged when the recent half-sum has not decreased; raw step masses
-    are noisy, so the block comparison stands in for a per-step
-    monotonicity test.
+    Only a ladder whose mass died out (tail bound or quiet run) is
+    finite; one cut at max_steps or by float overflow is not, so no
+    finite result is ever a truncation artefact.
     """
-    if stop_reason in (STOP_TAIL_BOUND, STOP_QUIET, STOP_WINDOW):
-        return False
-    if any(not math.isfinite(m) for m in per_step):
-        return True
-    half = min(stop.divergence_window, len(per_step)) // 2
-    if half < 2:
-        return False
-    recent = math.fsum(per_step[-half:])
-    earlier = math.fsum(per_step[-2 * half : -half])
-    return recent >= earlier
+    return stop_reason not in (STOP_TAIL_BOUND, STOP_QUIET)
 
 
-def sample_extinction_count(
-    ladder: FitnessLadder,
-    params: ModelParams,
-    rng: np.random.Generator,
-    mode: str = "per_step",
-    stop: StopRule = StopRule(),
-) -> Union[int, float]:
+def sample_extinction_count(ladder: FitnessLadder, rng: np.random.Generator) -> Union[int, float]:
     """Number of extinction marks landing above the fitness ladder.
 
     Conditionally on the ladder the count is Poisson with mean equal to
-    the ladder's extinction mass; "per_step" draws one Poisson count per
-    step, "total" draws a single Poisson from the summed mass.  Returns
-    EFFECTIVELY_INFINITE when the truncated mass series is diverging.
+    the ladder's extinction mass, drawn as one Poisson count per step.
+    Returns EFFECTIVELY_INFINITE when the ladder's mass did not die out.
     """
-    mass = extinction_mass(ladder, params)
-    if masses_effectively_infinite(mass.per_step, ladder.stop_reason, stop):
+    if masses_effectively_infinite(ladder.stop_reason):
         return EFFECTIVELY_INFINITE
-    if mode == "per_step":
-        if not mass.per_step:
-            return 0
-        return int(rng.poisson(np.asarray(mass.per_step)).sum())
-    if mode == "total":
-        return int(rng.poisson(mass.value))
-    raise LadderError(f"unknown mode {mode!r}; expected 'per_step' or 'total'")
+    return int(rng.poisson(np.array([step.mass for step in ladder.steps])).sum())
 
 
-def count_extinctions_above_records(stream) -> tuple[int, FitnessLadder]:
+def count_extinctions_above_records(stream) -> int:
     """Window-restricted oracle for the ladder extinction count.
 
     Scans the stream's births for running-maximum records, forms the
@@ -394,16 +363,6 @@ def count_extinctions_above_records(stream) -> tuple[int, FitnessLadder]:
             best = ev.mark
             record_times.append(ev.time)
             record_values.append(ev.mark)
-    steps = []
-    for i, (t, x) in enumerate(zip(record_times, record_values)):
-        t_next = record_times[i + 1] if i + 1 < len(record_times) else stream.horizon
-        steps.append(LadderStep(value=x, gap=t_next - t))
-    ladder = FitnessLadder(
-        steps=tuple(steps),
-        truncated_at=len(steps),
-        tail_bound=None,
-        stop_reason=STOP_WINDOW,
-    )
     count = 0
     for ev in stream.events:
         if ev.kind != "extinction" or not record_times or ev.time < record_times[0]:
@@ -411,7 +370,7 @@ def count_extinctions_above_records(stream) -> tuple[int, FitnessLadder]:
         k = bisect_right(record_times, ev.time) - 1
         if ev.mark >= record_values[k]:
             count += 1
-    return count, ladder
+    return count
 
 
 def populate_limit_config(
@@ -422,11 +381,8 @@ def populate_limit_config(
     The band below the first record carries unrestricted fitness draws;
     band k carries draws conditioned above record k.
     """
-    lam = params.lambda_birth
     fit = params.fitness_dist
-    means = [lam * ladder.first_gap]
-    means.extend(lam * step.gap * fit.survival(step.value) for step in ladder.steps)
-    counts = rng.poisson(np.asarray(means))
+    counts = rng.poisson(np.array(birth_mass(ladder, params).per_step))
     n0 = int(counts[0])
     species = [fit.sample(rng) for _ in range(n0)]
     n_above = 0
@@ -446,70 +402,18 @@ def sample_limit_config(
     """One draw of the long-run configuration.
 
     Returns EFFECTIVELY_INFINITE when the birth mass over the sampled
-    ladder is diverging (infinite limit-count regime).
+    ladder did not die out (infinite limit-count regime).
     """
     ladder = sample_threshold_ladder(params, stop, rng)
-    mass = birth_mass(ladder, params)
-    if masses_effectively_infinite(mass.per_step[1:], ladder.stop_reason, stop):
+    if masses_effectively_infinite(ladder.stop_reason):
         return EFFECTIVELY_INFINITE
     return populate_limit_config(ladder, params, rng)
 
 
-def write_ladder_csv(ladder, mass: LadderMass, path) -> None:
-    """Ladder steps as CSV columns (k, record_value, gap, per_step_mass).
-
-    For a threshold ladder the band-0 mass is skipped so that row k
-    always pairs record k with its own mass term.
-    """
-    per_step = mass.per_step
-    if isinstance(ladder, ThresholdLadder) and len(per_step) == len(ladder.steps) + 1:
-        per_step = per_step[1:]
-    if len(per_step) != len(ladder.steps):
-        raise LadderError("mass terms do not match ladder steps")
+def write_ladder_csv(ladder, path) -> None:
+    """Ladder steps as CSV columns (k, record_value, gap, per_step_mass)."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k", "record_value", "gap", "per_step_mass"])
-        for k, (step, m) in enumerate(zip(ladder.steps, per_step), start=1):
-            writer.writerow([k, repr(step.value), repr(step.gap), repr(m)])
-
-
-def write_limit_sample_files(
-    samples: Sequence[Union[LimitConfigSample, float]],
-    counts_path,
-    species_path,
-    summary_path,
-    *,
-    extra_summary: Optional[dict] = None,
-) -> None:
-    """Replicated limit-configuration draws as counts CSV + species CSV + JSON."""
-    finite = [s for s in samples if isinstance(s, LimitConfigSample)]
-    sentinel_count = len(samples) - len(finite)
-    with open(counts_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rep", "n0", "n_above", "total"])
-        for i, s in enumerate(samples):
-            if isinstance(s, LimitConfigSample):
-                writer.writerow([i, s.n0, s.n_above, s.total])
-            else:
-                writer.writerow([i, "", "", "inf"])
-    with open(species_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rep", "fitness"])
-        for i, s in enumerate(samples):
-            if isinstance(s, LimitConfigSample):
-                for x in s.species:
-                    writer.writerow([i, repr(x)])
-    totals = [s.total for s in finite]
-    summary = {
-        "replications": len(samples),
-        "sentinel_count": sentinel_count,
-        "sentinel_fraction": sentinel_count / len(samples) if samples else 0.0,
-        "mean_total": float(np.mean(totals)) if totals else None,
-        "mean_n0": float(np.mean([s.n0 for s in finite])) if finite else None,
-        "mean_n_above": float(np.mean([s.n_above for s in finite])) if finite else None,
-    }
-    if extra_summary:
-        summary.update(extra_summary)
-    with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        for k, step in enumerate(ladder.steps, start=1):
+            writer.writerow([k, repr(step.value), repr(step.gap), repr(step.mass)])

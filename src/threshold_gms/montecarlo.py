@@ -5,6 +5,10 @@ replication index, task salt), so results are bit-identical regardless
 of worker count or chunking.  The extinction-count and extinction-mass
 tasks share a salt on purpose: they see identical ladders, which lets a
 single run serve both the count and the mass checks.
+
+A ladder task whose regime the exact tail exponent of the built-in
+families declares divergent reports sentinels without walking ladders;
+every other replication is finite only if its ladder's mass died out.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
+from .criteria import VERDICT_INFINITE, exact_verdict
 from .distributions import ModelParams, _as_float, model_params_from_json
 from .ladders import (
     EFFECTIVELY_INFINITE,
@@ -28,6 +32,7 @@ from .ladders import (
     masses_effectively_infinite,
     populate_limit_config,
     sample_extinction_count,
+    sample_first_gap,
     sample_fitness_ladder,
     sample_threshold_ladder,
 )
@@ -69,8 +74,7 @@ class ReplicationPlan:
     """Everything needed to reproduce one batch of replications.
 
     t is the evaluation time for forward_count; horizon bounds the
-    window for empty_time_scan; count_mode selects how the conditional
-    Poisson count is drawn for extinction_count.
+    window for empty_time_scan.
     """
 
     task: str
@@ -80,7 +84,6 @@ class ReplicationPlan:
     stop: StopRule = StopRule()
     t: Optional[float] = None
     horizon: Optional[float] = None
-    count_mode: str = "per_step"
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -89,8 +92,6 @@ class ReplicationPlan:
             raise MonteCarloError("replications must be a positive integer")
         if not isinstance(self.base_seed, int) or self.base_seed < 0:
             raise MonteCarloError("base_seed must be a non-negative integer")
-        if self.count_mode not in ("per_step", "total"):
-            raise MonteCarloError(f"count_mode must be 'per_step' or 'total', got {self.count_mode!r}")
         if self.task == TASK_FORWARD_COUNT:
             if self.t is None or not _as_float(self.t, "t") > 0.0 or math.isinf(self.t):
                 raise MonteCarloError("forward_count requires a finite positive t")
@@ -111,7 +112,6 @@ class ReplicationPlan:
             "stop": self.stop.to_json(),
             "t": self.t,
             "horizon": self.horizon,
-            "count_mode": self.count_mode,
         }
 
 
@@ -124,7 +124,6 @@ def plan_from_json(payload: dict) -> ReplicationPlan:
         stop=StopRule(**payload.get("stop", {})),
         t=payload.get("t"),
         horizon=payload.get("horizon"),
-        count_mode=payload.get("count_mode", "per_step"),
     )
 
 
@@ -187,29 +186,38 @@ class RunResult:
         return summarize(self.samples)
 
 
-def _replicate_one(plan: ReplicationPlan, index: int) -> tuple[float, dict[str, float]]:
+def _regime_diverges(plan: ReplicationPlan) -> bool:
+    """Whether the exact tail exponent declares the plan's ladder mass divergent."""
+    if plan.task in (TASK_EXTINCTION_COUNT, TASK_EXTINCTION_MASS):
+        return exact_verdict(plan.params) == VERDICT_INFINITE
+    if plan.task == TASK_LIMIT_CONFIG:
+        return exact_verdict(plan.params.swapped()) == VERDICT_INFINITE
+    return False
+
+
+def _replicate_one(
+    plan: ReplicationPlan, index: int, diverges: bool
+) -> tuple[float, dict[str, float]]:
     rng = replication_rng(plan.base_seed, index=index, salt=_TASK_SALTS[plan.task])
     params = plan.params
     if plan.task in (TASK_EXTINCTION_COUNT, TASK_EXTINCTION_MASS):
-        ladder = sample_fitness_ladder(params, plan.stop, rng)
-        mass = extinction_mass(ladder, params)
-        diverges = masses_effectively_infinite(mass.per_step, ladder.stop_reason, plan.stop)
-        if plan.task == TASK_EXTINCTION_MASS:
-            return (EFFECTIVELY_INFINITE if diverges else mass.value), {}
-        if diverges:
+        ladder = None if diverges else sample_fitness_ladder(params, plan.stop, rng)
+        if ladder is None or masses_effectively_infinite(ladder.stop_reason):
+            if plan.task == TASK_EXTINCTION_MASS:
+                return EFFECTIVELY_INFINITE, {}
             return EFFECTIVELY_INFINITE, {"mass": EFFECTIVELY_INFINITE}
-        count = sample_extinction_count(ladder, params, rng, mode=plan.count_mode, stop=plan.stop)
-        return float(count), {"mass": mass.value}
+        mass = extinction_mass(ladder).value
+        if plan.task == TASK_EXTINCTION_MASS:
+            return mass, {}
+        return float(sample_extinction_count(ladder, rng)), {"mass": mass}
     if plan.task == TASK_LIMIT_CONFIG:
-        ladder = sample_threshold_ladder(params, plan.stop, rng)
-        mass = birth_mass(ladder, params)
-        band0 = mass.per_step[0]
-        if masses_effectively_infinite(mass.per_step[1:], ladder.stop_reason, plan.stop):
-            return EFFECTIVELY_INFINITE, {
-                "n0": math.nan,
-                "n_above": math.nan,
-                "band0_mass": band0,
-            }
+        if diverges:
+            ladder, band0 = None, params.lambda_birth * sample_first_gap(params, rng)
+        else:
+            ladder = sample_threshold_ladder(params, plan.stop, rng)
+            band0 = birth_mass(ladder, params).per_step[0]
+        if ladder is None or masses_effectively_infinite(ladder.stop_reason):
+            return EFFECTIVELY_INFINITE, {"n0": math.nan, "n_above": math.nan, "band0_mass": band0}
         config = populate_limit_config(ladder, params, rng)
         return float(config.total), {
             "n0": float(config.n0),
@@ -217,20 +225,21 @@ def _replicate_one(plan: ReplicationPlan, index: int) -> tuple[float, dict[str, 
             "band0_mass": band0,
         }
     if plan.task == TASK_FORWARD_COUNT:
-        stream = generate_stream(params, 0.0, plan.t, rng, seed=plan.base_seed + index)
+        stream = generate_stream(params, 0.0, plan.t, rng)
         trace = evolve(Configuration(), stream)
         return float(species_count_at(trace, plan.t)), {}
-    stream = generate_stream(params, 0.0, plan.horizon, rng, seed=plan.base_seed + index)
+    stream = generate_stream(params, 0.0, plan.horizon, rng)
     trace = evolve(Configuration(), stream)
     empty = last_empty_time(trace)
     return (math.nan if empty is None else float(empty)), {}
 
 
 def _run_range(plan: ReplicationPlan, start: int, count: int):
+    diverges = _regime_diverges(plan)
     values: list[float] = []
     aux: dict[str, list[float]] = {}
     for i in range(start, start + count):
-        v, extras = _replicate_one(plan, i)
+        v, extras = _replicate_one(plan, i, diverges)
         values.append(v)
         for k, x in extras.items():
             aux.setdefault(k, []).append(x)
@@ -253,7 +262,9 @@ def run(plan: ReplicationPlan) -> RunResult:
 
     The worker count comes from the THRESHOLD_GMS_THREADS environment
     variable (default 1); per-replication seeding makes the output
-    independent of it.
+    independent of it.  A ladder task whose exact tail exponent is
+    divergent walks no ladder: every replication is a sentinel, and the
+    limit task still draws each look-back gap for its band-0 mass.
     """
     n = plan.replications
     workers = worker_count(n)
@@ -299,26 +310,31 @@ class GofReport:
         }
 
 
-def _pool_bins(observed: list[float], expected: list[float], min_expected: float):
-    """Merge adjacent count categories until every expected count clears the floor."""
-    obs = list(observed)
-    exp = list(expected)
-    while len(exp) > 1 and exp[-1] < min_expected:
-        exp[-2] += exp[-1]
-        obs[-2] += obs[-1]
-        del exp[-1], obs[-1]
+def _pool_bins(columns, weight: Callable, min_expected: float) -> list[list[float]]:
+    """Merge adjacent table columns until weight(column) reaches min_expected in each.
+
+    Each column holds one entry per table row and merges by entrywise
+    sums.  The tail is pooled first, then any sparse interior column
+    into its right neighbor (the last one into its left neighbor).
+    """
+    cols = [list(c) for c in columns]
+
+    def merge(i: int, j: int) -> None:
+        cols[j] = [a + b for a, b in zip(cols[j], cols[i])]
+        del cols[i]
+
+    while len(cols) > 1 and weight(cols[-1]) < min_expected:
+        merge(len(cols) - 1, len(cols) - 2)
     i = 0
-    while i < len(exp):
-        if exp[i] < min_expected and len(exp) > 1:
-            j = i + 1 if i + 1 < len(exp) else i - 1
-            exp[j] += exp[i]
-            obs[j] += obs[i]
-            del exp[i], obs[i]
+    while i < len(cols):
+        if len(cols) > 1 and weight(cols[i]) < min_expected:
+            j = i + 1 if i + 1 < len(cols) else i - 1
+            merge(i, j)
             if j < i:
                 i -= 1
         else:
             i += 1
-    return obs, exp
+    return cols
 
 
 def gof_chi_square(
@@ -345,6 +361,8 @@ def gof_chi_square(
         raise MonteCarloError("chi-square check expects integer-valued samples")
     if values.min() < 0:
         raise MonteCarloError("chi-square check expects non-negative samples")
+    from scipy import stats
+
     n = int(values.size)
     k_max = int(values.max())
     observed = np.bincount(values, minlength=k_max + 1).astype(float).tolist()
@@ -352,20 +370,21 @@ def gof_chi_square(
     expected = (n * np.asarray(pmf(grid), dtype=float)).tolist()
     # Probability mass beyond the largest observed value goes to the last bin.
     expected[-1] += n * float(1.0 - cdf(k_max))
-    obs, exp = _pool_bins(observed, expected, min_expected)
-    if len(exp) < 2:
+    cols = _pool_bins(zip(observed, expected), lambda col: col[1], min_expected)
+    if len(cols) < 2:
         raise MonteCarloError("chi-square check needs at least two pooled bins")
-    obs_arr = np.asarray(obs)
-    exp_arr = np.asarray(exp)
+    obs_arr, exp_arr = np.asarray(cols).T
     exp_arr *= obs_arr.sum() / exp_arr.sum()
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
-    dof = len(exp) - 1
+    dof = len(cols) - 1
     p_value = float(stats.chi2.sf(statistic, dof))
     return GofReport("chi_square", statistic, p_value, n, reference)
 
 
 def gof_ks(samples: Sequence, cdf: Callable, reference: str) -> GofReport:
     """Kolmogorov-Smirnov check of continuous samples against a cdf."""
+    from scipy import stats
+
     arr = np.asarray(samples, dtype=float)
     result = stats.kstest(arr, cdf)
     return GofReport("ks", float(result.statistic), float(result.pvalue), int(arr.size), reference)
@@ -373,6 +392,8 @@ def gof_ks(samples: Sequence, cdf: Callable, reference: str) -> GofReport:
 
 def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str, min_expected: float = 5.0) -> GofReport:
     """Homogeneity chi-square for two integer count samples on a shared binning."""
+    from scipy import stats
+
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.size < 1000 or xb.size < 1000:
@@ -384,32 +405,12 @@ def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str, min_expected
     k_max = int(max(xa.max(), xb.max()))
     ca = np.bincount(xa.astype(np.int64), minlength=k_max + 1).astype(float)
     cb = np.bincount(xb.astype(np.int64), minlength=k_max + 1).astype(float)
-    cols_a = list(ca)
-    cols_b = list(cb)
     # Pool so the smaller row's expected count clears the floor in every column.
     share = min(xa.size, xb.size) / (xa.size + xb.size)
-
-    def too_small(i: int) -> bool:
-        return (cols_a[i] + cols_b[i]) * share < min_expected
-
-    while len(cols_a) > 1 and too_small(len(cols_a) - 1):
-        cols_a[-2] += cols_a[-1]
-        cols_b[-2] += cols_b[-1]
-        del cols_a[-1], cols_b[-1]
-    i = 0
-    while i < len(cols_a):
-        if too_small(i) and len(cols_a) > 1:
-            j = i + 1 if i + 1 < len(cols_a) else i - 1
-            cols_a[j] += cols_a[i]
-            cols_b[j] += cols_b[i]
-            del cols_a[i], cols_b[i]
-            if j < i:
-                i -= 1
-        else:
-            i += 1
-    if len(cols_a) < 2:
+    cols = _pool_bins(zip(ca, cb), lambda col: (col[0] + col[1]) * share, min_expected)
+    if len(cols) < 2:
         raise MonteCarloError("two-sample check needs at least two pooled bins")
-    table = np.asarray([cols_a, cols_b])
+    table = np.asarray(cols).T
     statistic, p_value, _, _ = stats.chi2_contingency(table, correction=False)
     return GofReport(
         "two_sample_chi_square",

@@ -11,7 +11,6 @@ clock so a single generator drives the whole window.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -57,7 +56,6 @@ class EventStream:
     start: float
     horizon: float
     events: tuple[Event, ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         start = _as_float(self.start, "start")
@@ -96,7 +94,6 @@ def generate_stream(
     start: float,
     horizon: float,
     rng: np.random.Generator,
-    seed: int = 0,
 ) -> EventStream:
     """Draw the joint event stream on (start, horizon].
 
@@ -123,7 +120,7 @@ def generate_stream(
             events.append(Event(time=t, kind=BIRTH, mark=params.fitness_dist.sample(rng)))
         else:
             events.append(Event(time=t, kind=EXTINCTION, mark=params.threshold_dist.sample(rng)))
-    return EventStream(start=start, horizon=horizon, events=tuple(events), seed=seed)
+    return EventStream(start=start, horizon=horizon, events=tuple(events))
 
 
 @dataclass(frozen=True)
@@ -196,13 +193,6 @@ class PathTrace:
                 break
             _apply_event(species, ev)
         return Configuration(values=tuple(species))
-
-    def iter_snapshots(self) -> Iterator[tuple[float, Configuration]]:
-        """Yield (event time, configuration after the event) for every event."""
-        species = list(self.initial.values)
-        for ev in self.stream.events:
-            _apply_event(species, ev)
-            yield ev.time, Configuration(values=tuple(species))
 
 
 def evolve(initial: Configuration, stream: EventStream) -> PathTrace:
@@ -284,22 +274,6 @@ def write_snapshots_csv(trace: PathTrace, times: Iterable[float], path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["time", "count", "min_fitness", "max_fitness"])
         writer.writerows(rows)
-
-
-def write_run_manifest(path, *, command: str, params: ModelParams, seed: int,
-                       start: float, horizon: float, extra: Optional[dict] = None) -> None:
-    """JSON manifest holding everything needed to replay a run."""
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "params": params.to_json(),
-        "window": {"start": start, "horizon": horizon},
-    }
-    if extra:
-        manifest.update(extra)
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def read_initial_csv(path) -> Configuration:

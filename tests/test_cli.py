@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,7 +175,7 @@ def test_ladder_mc_outputs(tmp_path, transient_params):
     assert read_dir(out) == read_dir(out2)
 
 
-def test_ladder_mc_total_mode_and_json_format(tmp_path, transient_params):
+def test_ladder_mc_json_format(tmp_path, transient_params):
     out = tmp_path / "mc"
     code = cli.main(
         [
@@ -181,8 +184,6 @@ def test_ladder_mc_total_mode_and_json_format(tmp_path, transient_params):
             transient_params,
             "--reps",
             "50",
-            "--mode",
-            "total",
             "--format",
             "json",
             "--out",
@@ -193,8 +194,79 @@ def test_ladder_mc_total_mode_and_json_format(tmp_path, transient_params):
     payload = json.loads((out / "samples.json").read_text())
     assert len(payload["counts"]) == 50
     assert len(payload["masses"]) == 50
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["plan"]["count_mode"] == "total"
+
+
+def _params_file(tmp_path, name, fitness, threshold) -> str:
+    path = tmp_path / f"{name}.json"
+    payload = {"lambda_birth": 1.0, "lambda_extinct": 1.0, "fitness_dist": fitness, "threshold_dist": threshold}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _exp(rate):
+    return {"family": "exponential", "rate": rate}
+
+
+BOUNDARY_PAIRS = {
+    "exponential": (_exp(1.0), _exp(1.0)),
+    "weibull": ({"family": "weibull", "shape": 2.0, "scale": 1.0},) * 2,
+    "pareto": ({"family": "pareto", "minimum": 1.0, "index": 1.0},) * 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command,pair",
+    [
+        *(("ladder-mc", BOUNDARY_PAIRS[name]) for name in BOUNDARY_PAIRS),
+        *(("limit-mc", BOUNDARY_PAIRS[name]) for name in BOUNDARY_PAIRS),
+        # Recurrent side: the extinction count above the fitness ladder diverges.
+        ("ladder-mc", (_exp(1.0), _exp(0.99))),
+        # Its mirror has the infinite limit configuration (exp(1)/exp(0.99) has a finite one).
+        ("limit-mc", (_exp(0.99), _exp(1.0))),
+    ],
+)
+def test_divergent_regimes_report_only_sentinels(tmp_path, command, pair):
+    params = _params_file(tmp_path, "pair", *pair)
+    out = tmp_path / "out"
+    assert cli.main([command, "--params", params, "--reps", "200", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["sentinel_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("rate,mean", [(1.05, 20.0), (1.03, 1.0 / 0.03)])
+def test_near_boundary_counts_keep_their_mean(tmp_path, rate, mean):
+    """exp(1)/exp(rate) counts are NegBin(1/(rate-1), 1/2): mean 1/(rate-1)."""
+    params = _params_file(tmp_path, "near", _exp(1.0), _exp(rate))
+    out = tmp_path / "out"
+    assert cli.main(["ladder-mc", "--params", params, "--reps", "1000", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["sentinel_count"] == 0
+    assert abs(summary["mean"] - mean) < 3.0 * summary["se"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, threshold_gms.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch):
+    """Every name the benchmark's tracer patches resolves, and a traced ladder-mc runs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tr = tracing.Tracer()
+    tracing.install(tr)
+    try:
+        out = tmp_path / "mc"
+        assert cli.main(["ladder-mc", "--params", transient_params, "--reps", "20", "--out", str(out)]) == 0
+    finally:
+        tr.restore()
+    assert tr.counts["ladders.stop.tail_bound"] + tr.counts["ladders.stop.quiet"] == 20
+    assert tr.stats["cli.main"][0] == 1
+    assert not hasattr(cli.main, "__wrapped__")
 
 
 def test_limit_mc_outputs(tmp_path, finite_params):

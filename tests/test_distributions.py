@@ -13,7 +13,6 @@ from threshold_gms.distributions import (
     Exponential,
     ModelParams,
     Pareto,
-    SurvivalUnderflowError,
     TabulatedQuantile,
     Weibull,
     distribution_from_json,
@@ -153,9 +152,14 @@ def test_conditional_sampling_tail_fraction():
 
 
 def test_conditional_sampling_underflow():
+    """survival(800) underflows to 0, yet the excess above 800 is still Exp(1)."""
     rng = replication_rng(44, 0, 0)
-    with pytest.raises(SurvivalUnderflowError):
-        Exponential(1.0).sample_conditional_above(800.0, rng)
+    d = Exponential(1.0)
+    assert d.survival(800.0) == 0.0
+    excess = np.array([d.sample_conditional_above(800.0, rng) - 800.0 for _ in range(2000)])
+    assert excess.min() > 0.0
+    res = stats.kstest(excess, lambda x: 1.0 - np.exp(-x))
+    assert res.pvalue > 0.001
 
 
 def test_sample_many_matches_law():
@@ -224,9 +228,34 @@ def test_survival_is_nonincreasing(dist, a, b):
 @given(dist=any_dist, lower=st.floats(0.0, 20.0), idx=st.integers(0, 1000))
 def test_conditional_draw_exceeds_level(dist, lower, idx):
     rng = replication_rng(7, idx, 0)
-    try:
-        x = dist.sample_conditional_above(lower, rng)
-    except SurvivalUnderflowError:
-        assert dist.survival(lower) < 1e-290
-        return
-    assert x > lower
+    assert dist.sample_conditional_above(lower, rng) > lower
+
+
+tabulated_dists = st.builds(
+    lambda a, b: TabulatedQuantile(((1.0, 0.0), (0.5, a), (0.05, a + b))),
+    st.floats(0.1, 3.0),
+    st.floats(0.1, 3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=st.one_of(any_dist, tabulated_dists), h=st.floats(0.0, 100.0))
+def test_inverse_hazard_inverts_hazard_transform(dist, h):
+    x = dist.inverse_hazard(h)
+    assert x >= dist.support_lower
+    assert dist.hazard_transform(x) == pytest.approx(h, rel=1e-9, abs=1e-9)
+
+
+def test_inverse_hazard_edges():
+    assert Pareto(1.0, 1.0).inverse_hazard(800.0) == math.inf
+    assert Weibull(0.01, 1.0).inverse_hazard(2000.0) == math.inf
+    with pytest.raises(DistributionError):
+        Exponential(1.0).inverse_hazard(-1.0)
+    with pytest.raises(DistributionError):
+        Exponential(1.0).inverse_hazard(math.nan)
+    rng = replication_rng(46, 0, 0)
+    with pytest.raises(DistributionError, match="overflows"):
+        Pareto(1.0, 1.0).sample_conditional_above(1.79e308, rng)
+    # past 2**53 one unit of hazard cannot move an Exp(1) level: raise, do not loop
+    with pytest.raises(DistributionError, match="representable"):
+        Exponential(1.0).sample_conditional_above(1e17, rng)

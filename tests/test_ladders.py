@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from threshold_gms.distributions import Exponential, ModelParams
+from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
     EFFECTIVELY_INFINITE,
     FitnessLadder,
@@ -25,7 +25,7 @@ from threshold_gms.ladders import (
     sample_threshold_ladder,
     write_ladder_csv,
 )
-from threshold_gms.montecarlo import gof_chi_square, gof_two_sample_counts
+from threshold_gms.montecarlo import gof_chi_square
 from threshold_gms.process import generate_stream
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE, _pairwise_region_count
@@ -43,18 +43,20 @@ def test_stop_rule_validation():
     with pytest.raises(LadderError):
         StopRule(tail_tolerance=0.0)
     with pytest.raises(LadderError):
-        StopRule(divergence_window=2)
+        StopRule(quiet_window=0)
 
 
 def test_ladder_validation():
-    steps = (LadderStep(2.0, 1.0), LadderStep(1.0, 1.0))
+    steps = (LadderStep(2.0, 1.0, 0.5), LadderStep(1.0, 1.0, 0.5))
     with pytest.raises(LadderError):
         FitnessLadder(steps=steps, truncated_at=2, tail_bound=None, stop_reason="max_steps")
     with pytest.raises(LadderError):
-        FitnessLadder(steps=(LadderStep(1.0, 1.0),), truncated_at=2, tail_bound=None, stop_reason="max_steps")
+        FitnessLadder(steps=(LadderStep(1.0, 1.0, 0.5),), truncated_at=2, tail_bound=None, stop_reason="max_steps")
+    with pytest.raises(LadderError):
+        FitnessLadder(steps=(LadderStep(1.0, 1.0, math.nan),), truncated_at=1, tail_bound=None, stop_reason="max_steps")
     with pytest.raises(LadderError):
         ThresholdLadder(
-            steps=(LadderStep(1.0, 1.0),),
+            steps=(LadderStep(1.0, 1.0, 0.5),),
             truncated_at=1,
             tail_bound=None,
             stop_reason="max_steps",
@@ -117,17 +119,39 @@ def test_gaps_scale_with_survival_at_the_record():
 
 
 def test_single_step_mass_worked_example():
-    ladder = FitnessLadder(
-        steps=(LadderStep(value=1.5, gap=2.0),),
-        truncated_at=1,
-        tail_bound=None,
-        stop_reason="max_steps",
-    )
     params = ModelParams(1.0, 3.0, Exponential(1.0), Exponential(2.0))
-    mass = extinction_mass(ladder, params)
-    expected = 3.0 * 2.0 * math.exp(-2.0 * 1.5)
-    assert mass.per_step[0] == pytest.approx(expected)
-    assert mass.value == pytest.approx(expected)
+    ladder = sample_fitness_ladder(params, StopRule(max_steps=1), replication_rng(34, 0, 0))
+    (step,) = ladder.steps
+    mass = extinction_mass(ladder)
+    expected = 3.0 * step.gap * math.exp(-2.0 * step.value)
+    assert mass.per_step[0] == pytest.approx(expected, rel=1e-12)
+    assert mass.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fitness,threshold",
+    [
+        (Exponential(1.0), Exponential(1.5)),
+        (Weibull(2.0, 1.0), Weibull(2.0, 0.8)),
+        (Pareto(1.0, 1.0), Pareto(1.0, 1.5)),
+        (
+            TabulatedQuantile(((1.0, 0.0), (0.5, 0.7), (0.1, 2.0))),
+            TabulatedQuantile(((1.0, 0.0), (0.4, 0.7), (0.05, 2.0))),
+        ),
+    ],
+)
+def test_hazard_space_steps_match_the_survival_form(fitness, threshold):
+    """Each step's gap and mass agree with the survival-space formulas of the same ladder."""
+    params = ModelParams(1.3, 0.7, fitness, threshold)
+    for i in range(50):
+        ladder = sample_fitness_ladder(params, STOP, replication_rng(35, i, 0))
+        assert ladder.stop_reason in ("tail_bound", "quiet")
+        for step in ladder.steps:
+            s_fit = fitness.survival(step.value)
+            if s_fit < 1e-250:
+                break
+            s_thr = threshold.survival(step.value)
+            assert step.mass == pytest.approx(0.7 * step.gap * s_thr, rel=1e-9, abs=1e-300)
 
 
 def test_mass_law_is_exponential(count_run):
@@ -161,37 +185,12 @@ def test_paired_laplace_identity(count_run):
         assert abs(diff.mean()) < 3.0 * se
 
 
-def test_count_modes_agree_in_distribution():
-    per_step = []
-    total = []
-    for i in range(3000):
-        rng = replication_rng(24, i, 0)
-        ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng)
-        per_step.append(sample_extinction_count(ladder, TRANSIENT_EXAMPLE, rng, mode="per_step"))
-        rng2 = replication_rng(24, i, 1)
-        ladder2 = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng2)
-        total.append(sample_extinction_count(ladder2, TRANSIENT_EXAMPLE, rng2, mode="total"))
-    report = gof_two_sample_counts(per_step, total, reference="per_step vs total")
-    assert report.p_value > 0.001
-
-
-def test_unknown_count_mode_raises():
-    rng = replication_rng(25, 0, 0)
-    ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, StopRule(max_steps=1), rng)
-    with pytest.raises(LadderError):
-        sample_extinction_count(ladder, TRANSIENT_EXAMPLE, rng, mode="bogus")
-
-
 def test_window_count_matches_pairwise_scan():
     for i in range(300):
         rng = replication_rng(26, i, 0)
         horizon = 1.0 + 25.0 * rng.random()
         stream = generate_stream(TRANSIENT_EXAMPLE, 0.0, horizon, rng)
-        fast, ladder = count_extinctions_above_records(stream)
-        assert fast == _pairwise_region_count(stream)
-        assert ladder.stop_reason == "window"
-        values = [s.value for s in ladder.steps]
-        assert values == sorted(values)
+        assert count_extinctions_above_records(stream) == _pairwise_region_count(stream)
 
 
 def test_threshold_ladder_structure():
@@ -220,25 +219,21 @@ def test_threshold_records_follow_threshold_law():
 
 
 def test_birth_mass_band_zero():
-    ladder = ThresholdLadder(
-        steps=(LadderStep(value=1.0, gap=3.0),),
-        truncated_at=1,
-        tail_bound=None,
-        stop_reason="max_steps",
-        first_gap=2.0,
-    )
+    ladder = sample_threshold_ladder(FINITE_EXAMPLE, StopRule(max_steps=1), replication_rng(36, 0, 0))
+    (step,) = ladder.steps
     mass = birth_mass(ladder, FINITE_EXAMPLE)
     lam = FINITE_EXAMPLE.lambda_birth
-    expected0 = lam * 2.0
-    expected1 = lam * 3.0 * FINITE_EXAMPLE.fitness_dist.survival(1.0)
+    expected0 = lam * ladder.first_gap
+    expected1 = lam * step.gap * FINITE_EXAMPLE.fitness_dist.survival(step.value)
     assert mass.per_step[0] == pytest.approx(expected0)
-    assert mass.per_step[1] == pytest.approx(expected1)
+    assert mass.per_step[1] == pytest.approx(expected1, rel=1e-12)
     assert mass.value == pytest.approx(expected0 + expected1)
 
 
 def test_populate_limit_config_handcrafted():
+    band1 = 3.0 * FINITE_EXAMPLE.fitness_dist.survival(1.0)
     ladder = ThresholdLadder(
-        steps=(LadderStep(value=1.0, gap=3.0),),
+        steps=(LadderStep(value=1.0, gap=3.0, mass=band1),),
         truncated_at=1,
         tail_bound=None,
         stop_reason="max_steps",
@@ -251,7 +246,7 @@ def test_populate_limit_config_handcrafted():
         assert sample.total == sample.n0 + sample.n_above == len(sample.species)
         totals.append(sample.total)
     totals = np.array(totals, dtype=float)
-    mean_expected = 2.0 + 3.0 * FINITE_EXAMPLE.fitness_dist.survival(1.0)
+    mean_expected = 2.0 + band1
     se = totals.std(ddof=1) / math.sqrt(totals.size)
     assert abs(totals.mean() - mean_expected) < 3.0 * se
 
@@ -263,8 +258,7 @@ def test_sample_limit_config_matches_decomposed_path():
         sample_a = sample_limit_config(FINITE_EXAMPLE, STOP, rng_a)
         rng_b = replication_rng(30, i, 0)
         ladder = sample_threshold_ladder(FINITE_EXAMPLE, STOP, rng_b)
-        mass = birth_mass(ladder, FINITE_EXAMPLE)
-        assert not masses_effectively_infinite(mass.per_step[1:], ladder.stop_reason, STOP)
+        assert not masses_effectively_infinite(ladder.stop_reason)
         sample_b = populate_limit_config(ladder, FINITE_EXAMPLE, rng_b)
         assert sample_a == sample_b
 
@@ -316,47 +310,45 @@ def test_divergent_regime_yields_sentinel():
 
 
 def test_masses_effectively_infinite_rules():
-    growing = [1.01 ** k for k in range(200)]
-    decaying = [0.9 ** k for k in range(200)]
-    assert masses_effectively_infinite(growing, "max_steps")
-    assert not masses_effectively_infinite(decaying, "max_steps")
-    # a mass series that died out is never flagged, whatever its shape
-    assert not masses_effectively_infinite(growing, "tail_bound")
-    assert not masses_effectively_infinite(growing, "quiet")
-    assert not masses_effectively_infinite(growing, "window")
-    assert masses_effectively_infinite([1.0, math.inf], "max_steps")
-    assert not masses_effectively_infinite([1.0, 2.0], "underflow")
+    # only a ladder whose mass died out is finite
+    assert not masses_effectively_infinite("tail_bound")
+    assert not masses_effectively_infinite("quiet")
+    assert masses_effectively_infinite("max_steps")
+    assert masses_effectively_infinite("overflow")
+    # a boundary ladder never dies out: it is cut at max_steps and reported infinite
+    boundary = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.0))
+    rng = replication_rng(37, 0, 0)
+    ladder = sample_fitness_ladder(boundary, StopRule(max_steps=2000), rng)
+    assert ladder.stop_reason == "max_steps"
+    assert sample_extinction_count(ladder, rng) == EFFECTIVELY_INFINITE
+
+
+def test_pareto_levels_overflow_into_a_sentinel():
+    """Pareto levels e^(h/index) overflow near h = 709 * index, before a slowly dying mass is quiet."""
+    near = ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.02))
+    ladder = sample_fitness_ladder(near, STOP, replication_rng(38, 0, 0))
+    assert ladder.stop_reason == "overflow"
+    assert 600 < len(ladder.steps) < 820
+    assert all(math.isfinite(s.value) for s in ladder.steps)
 
 
 def test_write_ladder_csv(tmp_path):
     rng = replication_rng(33, 0, 0)
     ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng)
-    mass = extinction_mass(ladder, TRANSIENT_EXAMPLE)
     path = tmp_path / "ladder.csv"
-    write_ladder_csv(ladder, mass, path)
+    write_ladder_csv(ladder, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,record_value,gap,per_step_mass"
     assert len(lines) == len(ladder.steps) + 1
-
-
-ladder_steps = st.lists(
-    st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 5.0)), min_size=1, max_size=20
-)
+    assert float(lines[1].split(",")[3]) == ladder.steps[0].mass
 
 
 @settings(max_examples=150, deadline=None)
-@given(raw=ladder_steps, lam=st.floats(0.1, 5.0))
-def test_extinction_mass_matches_direct_sum(raw, lam):
-    value = 0.0
-    steps = []
-    for increment, gap in raw:
-        value += increment
-        steps.append(LadderStep(value=value, gap=gap))
-    ladder = FitnessLadder(
-        steps=tuple(steps), truncated_at=len(steps), tail_bound=None, stop_reason="max_steps"
-    )
+@given(lam=st.floats(0.1, 5.0), idx=st.integers(0, 10_000))
+def test_extinction_mass_matches_direct_sum(lam, idx):
     params = ModelParams(1.0, lam, Exponential(1.0), Exponential(2.0))
-    mass = extinction_mass(ladder, params)
-    direct = [lam * s.gap * math.exp(-2.0 * s.value) for s in steps]
-    assert list(mass.per_step) == pytest.approx(direct)
-    assert mass.value == pytest.approx(math.fsum(direct))
+    ladder = sample_fitness_ladder(params, STOP, replication_rng(39, idx, 0))
+    mass = extinction_mass(ladder)
+    direct = [lam * s.gap * math.exp(-2.0 * s.value) for s in ladder.steps]
+    assert list(mass.per_step) == pytest.approx(direct, rel=1e-12)
+    assert mass.value == pytest.approx(math.fsum(direct), rel=1e-12)

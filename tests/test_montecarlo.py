@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from threshold_gms.distributions import Exponential, ModelParams
+import threshold_gms.montecarlo as montecarlo
+from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile
+from threshold_gms.ladders import StopRule, sample_threshold_ladder
 from threshold_gms.montecarlo import (
     TASK_EMPTY_SCAN,
     TASK_EXTINCTION_COUNT,
@@ -24,6 +26,7 @@ from threshold_gms.montecarlo import (
     summarize,
     worker_count,
 )
+from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
 
@@ -80,8 +83,6 @@ def test_plan_validation():
         count_plan(0)
     with pytest.raises(MonteCarloError):
         count_plan(5, seed=-1)
-    with pytest.raises(MonteCarloError):
-        count_plan(5, count_mode="bogus")
     with pytest.raises(MonteCarloError):
         ReplicationPlan(
             task=TASK_FORWARD_COUNT, params=TRANSIENT_EXAMPLE, replications=1, base_seed=0
@@ -267,3 +268,75 @@ def test_forward_population_flags_short_horizon():
 def test_forward_vs_limit_rejects_divergent_regime():
     with pytest.raises(MonteCarloError):
         compare_forward_vs_limit(TRANSIENT_EXAMPLE, replications=1000, base_seed=5)
+
+
+def test_chi_square_pools_a_sparse_table():
+    """Tail first (bin 5 into 4), then the sparse interior bin 1 into its right neighbor."""
+    probs = np.array([0.3, 0.002, 0.3, 0.2, 0.195, 0.003])
+    samples = np.repeat(np.arange(6), [290, 5, 310, 205, 188, 2])
+    report = gof_chi_square(
+        samples,
+        lambda k: probs[np.asarray(k)],
+        lambda k: float(probs[: int(k) + 1].sum()),
+        reference="sparse table",
+    )
+    observed = np.array([290.0, 315.0, 205.0, 190.0])
+    expected = np.array([300.0, 302.0, 200.0, 198.0])
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert report.statistic == pytest.approx(statistic, rel=1e-9)
+    assert report.p_value == pytest.approx(stats.chi2.sf(statistic, 3), rel=1e-9)
+
+
+def test_two_sample_counts_pool_a_sparse_table():
+    """Same pooling on the smaller row's share of each column: bin 4 into 3, bin 1 into 2."""
+    a = np.repeat(np.arange(5), [400, 3, 300, 293, 4])
+    b = np.repeat(np.arange(5), [500, 2, 400, 294, 4])
+    report = gof_two_sample_counts(a, b, reference="sparse table")
+    statistic, p_value, dof, _ = stats.chi2_contingency(
+        [[400, 303, 297], [500, 402, 298]], correction=False
+    )
+    assert dof == 2
+    assert report.statistic == pytest.approx(statistic, rel=1e-9)
+    assert report.p_value == pytest.approx(p_value, rel=1e-9)
+
+
+def test_divergent_regime_walks_no_ladder(monkeypatch):
+    """An exactly divergent plan gives sentinels at once; the limit task still draws band-0 masses."""
+    def no_walk(*args):
+        raise AssertionError("a divergent plan walked a ladder")
+
+    limit_plan = ReplicationPlan(
+        task=TASK_LIMIT_CONFIG, params=TRANSIENT_EXAMPLE, replications=30, base_seed=12
+    )
+    walked = [
+        TRANSIENT_EXAMPLE.lambda_birth
+        * sample_threshold_ladder(TRANSIENT_EXAMPLE, StopRule(max_steps=1), replication_rng(12, i, 2)).first_gap
+        for i in range(30)
+    ]
+    monkeypatch.setattr(montecarlo, "sample_fitness_ladder", no_walk)
+    monkeypatch.setattr(montecarlo, "sample_threshold_ladder", no_walk)
+    counts = run(
+        ReplicationPlan(
+            task=TASK_EXTINCTION_COUNT, params=FINITE_EXAMPLE, replications=30, base_seed=12
+        )
+    )
+    assert np.all(np.isinf(counts.samples)) and np.all(np.isinf(counts.aux["mass"]))
+    limit = run(limit_plan)
+    assert np.all(np.isinf(limit.samples))
+    assert limit.aux["band0_mass"].tolist() == walked
+
+
+def test_boundary_ladders_without_an_exact_exponent_end_as_sentinels():
+    """A tabulated pair at the boundary walks its ladders to max_steps: every replication is a sentinel."""
+    grid = TabulatedQuantile(((1.0, 0.0), (math.exp(-1.0), 1.0), (math.exp(-2.0), 2.0)))
+    params = ModelParams(1.0, 1.0, grid, grid)
+    result = run(
+        ReplicationPlan(
+            task=TASK_EXTINCTION_COUNT,
+            params=params,
+            replications=20,
+            base_seed=13,
+            stop=StopRule(max_steps=300),
+        )
+    )
+    assert result.summary.sentinel_fraction == 1.0

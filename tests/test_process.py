@@ -25,7 +25,7 @@ PARAMS = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0))
 
 
 def _stream(events, horizon, start=0.0):
-    return EventStream(start=start, horizon=horizon, events=tuple(events), seed=0)
+    return EventStream(start=start, horizon=horizon, events=tuple(events))
 
 
 def test_empty_window_gives_empty_stream():
@@ -50,7 +50,7 @@ def test_stream_validation():
     with pytest.raises(ProcessError):
         _stream([Event(time=3.0, kind="birth", mark=0.5)], horizon=2.0)
     with pytest.raises(ProcessError):
-        EventStream(start=2.0, horizon=1.0, events=(), seed=0)
+        EventStream(start=2.0, horizon=1.0, events=())
 
 
 def test_event_count_is_poisson():
