@@ -57,6 +57,7 @@ from .ladders import (
     populate_limit_config,
     sample_extinction_count,
     sample_fitness_ladder,
+    sample_ladder_block,
     sample_limit_config,
     sample_threshold_ladder,
 )

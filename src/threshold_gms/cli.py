@@ -24,6 +24,8 @@ from .montecarlo import (
     ReplicationPlan,
     TASK_EXTINCTION_COUNT,
     TASK_LIMIT_CONFIG,
+    RunResult,
+    ladder_diagnostics,
     run,
 )
 from .process import Configuration, evolve, generate_stream, last_empty_time, read_initial_csv, species_count_at, write_trace_csv
@@ -64,6 +66,16 @@ def _write_manifest(out_dir: Path, command: str, arguments: dict, outputs: Seque
         "package": {"name": "threshold-gms", "version": __version__},
     }
     (out_dir / "manifest.json").write_text(_dump_json(manifest))
+
+
+def _write_run_summary(out_dir: Path, plan: ReplicationPlan, result: RunResult) -> None:
+    """summary.json of a ladder command: the plan, the moments and the ladder diagnostics."""
+    payload = {
+        "plan": plan.to_json(),
+        "summary": result.summary.to_json(),
+        "diagnostics": ladder_diagnostics(result),
+    }
+    (out_dir / "summary.json").write_text(_dump_json(payload))
 
 
 def _load_params(path: str) -> ModelParams:
@@ -249,9 +261,7 @@ def _cmd_ladder_mc(args) -> int:
         }
         (out / "samples.json").write_text(_dump_json(payload))
         outputs.append("samples.json")
-    (out / "summary.json").write_text(
-        _dump_json({"plan": plan.to_json(), "summary": result.summary.to_json()})
-    )
+    _write_run_summary(out, plan, result)
     _write_manifest(
         out,
         "ladder-mc",
@@ -302,9 +312,7 @@ def _cmd_limit_mc(args) -> int:
         }
         (out / "samples.json").write_text(_dump_json(payload))
         outputs.append("samples.json")
-    (out / "summary.json").write_text(
-        _dump_json({"plan": plan.to_json(), "summary": result.summary.to_json()})
-    )
+    _write_run_summary(out, plan, result)
     _write_manifest(
         out,
         "limit-mc",

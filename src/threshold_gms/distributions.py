@@ -5,6 +5,12 @@ Each law exposes its survival function, the inverse survival function
 ``-log(survival)`` and its closed-form inverse, and inverse-transform
 sampling.  Draws conditioned to exceed a level are taken in
 cumulative-hazard space, where no survival value can underflow.
+
+The cumulative hazard and its inverse also come in array forms
+(``hazard_transform_array``, ``inverse_hazard_array``) for the block
+ladder sampler: they check nothing per element and return inf where the
+float range overflows.  The scalar forms check their argument once and
+call them.
 """
 
 from __future__ import annotations
@@ -44,10 +50,10 @@ def _check_level(x, lower: float) -> float:
     return x
 
 
-def _exp(x: float) -> float:
-    """math.exp that returns inf instead of raising OverflowError."""
+def _pow(base: float, exponent: float) -> float:
+    """Float power that returns inf instead of raising OverflowError."""
     try:
-        return math.exp(x)
+        return base**exponent
     except OverflowError:
         return math.inf
 
@@ -88,12 +94,20 @@ class DistributionSpec(ABC):
         """inf{x : survival(x) <= u} for u in (0, 1]; u == 1 gives support_lower."""
 
     @abstractmethod
-    def hazard_transform(self, x) -> float:
-        """Cumulative hazard -log(survival(x)), evaluated in closed form."""
+    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+        """Cumulative hazard -log(survival(x)) of levels x >= 0 (inf allowed), unchecked; inf on overflow."""
 
     @abstractmethod
+    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+        """Levels whose cumulative hazards are h >= 0, unchecked; inf past the float range."""
+
+    def hazard_transform(self, x) -> float:
+        """Cumulative hazard of one finite level x >= 0, in closed form; inf past the float range."""
+        return float(self.hazard_transform_array(np.float64(_check_level(x, 0.0))))
+
     def inverse_hazard(self, h) -> float:
         """Level whose cumulative hazard is h >= 0, in closed form; inf past the float range."""
+        return float(self.inverse_hazard_array(np.float64(_check_hazard(h))))
 
     @abstractmethod
     def hazard_density(self, x) -> float:
@@ -157,12 +171,13 @@ class Exponential(DistributionSpec):
         u = _check_survival_prob(u)
         return -math.log(u) / self.rate
 
-    def hazard_transform(self, x) -> float:
-        x = _check_level(x, 0.0)
-        return self.rate * x
+    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.rate * x
 
-    def inverse_hazard(self, h) -> float:
-        return _check_hazard(h) / self.rate
+    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return h / self.rate
 
     def hazard_density(self, x) -> float:
         _check_level(x, 0.0)
@@ -195,22 +210,22 @@ class Weibull(DistributionSpec):
 
     def survival(self, x) -> float:
         x = _check_level(x, 0.0)
-        return math.exp(-((x / self.scale) ** self.shape)) if x > 0.0 else 1.0
+        return math.exp(-_pow(x / self.scale, self.shape)) if x > 0.0 else 1.0
 
     def inverse_survival(self, u) -> float:
         u = _check_survival_prob(u)
-        return self.scale * (-math.log(u)) ** (1.0 / self.shape)
+        value = self.scale * _pow(-math.log(u), 1.0 / self.shape)
+        if math.isinf(value):
+            raise DistributionError(f"quantile overflow at survival level {u}")
+        return value
 
-    def hazard_transform(self, x) -> float:
-        x = _check_level(x, 0.0)
-        return (x / self.scale) ** self.shape
+    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return (x / self.scale) ** self.shape
 
-    def inverse_hazard(self, h) -> float:
-        h = _check_hazard(h)
-        try:
+    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
             return self.scale * h ** (1.0 / self.shape)
-        except OverflowError:
-            return math.inf
 
     def hazard_density(self, x) -> float:
         x = _check_level(x, 0.0)
@@ -259,21 +274,18 @@ class Pareto(DistributionSpec):
 
     def inverse_survival(self, u) -> float:
         u = _check_survival_prob(u)
-        value = self.minimum * u ** (-1.0 / self.index)
+        value = self.minimum * _pow(u, -1.0 / self.index)
         if math.isinf(value):
             raise DistributionError(f"quantile overflow at survival level {u}")
         return value
 
-    def hazard_transform(self, x) -> float:
-        x = _as_float(x, "x")
-        if math.isinf(x) or x < 0.0:
-            raise DistributionError(f"x must be finite and non-negative, got {x}")
-        if x <= self.minimum:
-            return 0.0
-        return self.index * math.log(x / self.minimum)
+    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.index * np.log(np.maximum(x, self.minimum) / self.minimum)
 
-    def inverse_hazard(self, h) -> float:
-        return self.minimum * _exp(_check_hazard(h) / self.index)
+    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.minimum * np.exp(h / self.index)
 
     def hazard_density(self, x) -> float:
         x = _as_float(x, "x")
@@ -326,6 +338,8 @@ class TabulatedQuantile(DistributionSpec):
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_us", us)
         object.__setattr__(self, "_log_us", np.log(us))
+        object.__setattr__(self, "_us_rev", us[::-1].copy())
+        object.__setattr__(self, "_xs_rev", xs[::-1].copy())
         # Tail slope of log-survival per unit level, taken from the last segment.
         slope = (self._log_us[-1] - self._log_us[-2]) / (xs[-1] - xs[-2])
         object.__setattr__(self, "_tail_slope", float(slope))
@@ -353,25 +367,22 @@ class TabulatedQuantile(DistributionSpec):
         if u >= us[0]:
             return float(self._xs[0])
         if u >= us[-1]:
-            return float(np.interp(u, us[::-1], self._xs[::-1]))
+            return float(np.interp(u, self._us_rev, self._xs_rev))
         return float(self._xs[-1] + (math.log(u) - self._log_us[-1]) / self._tail_slope)
 
-    def hazard_transform(self, x) -> float:
-        x = _as_float(x, "x")
-        if math.isinf(x) or x < 0.0:
-            raise DistributionError(f"x must be finite and non-negative, got {x}")
-        xs = self._xs
-        if x <= xs[0]:
-            return 0.0
-        if x <= xs[-1]:
-            return -math.log(float(np.interp(x, xs, self._us)))
-        return -(self._log_us[-1] + self._tail_slope * (x - xs[-1]))
+    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+        # Below the grid interp clamps to survival 1, so the hazard is 0 there.
+        xs, last = self._xs, self._log_us[-1]
+        with np.errstate(over="ignore"):
+            tail = -(last + self._tail_slope * (x - xs[-1]))
+        return np.where(x <= xs[-1], 0.0 - np.log(np.interp(x, xs, self._us)), tail)
 
-    def inverse_hazard(self, h) -> float:
-        h = _check_hazard(h)
-        if h <= -self._log_us[-1]:
-            return self.inverse_survival(math.exp(-h))
-        return float(self._xs[-1] + (h + self._log_us[-1]) / -self._tail_slope)
+    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+        last = self._log_us[-1]
+        inside = np.interp(np.exp(-h), self._us_rev, self._xs_rev)
+        with np.errstate(over="ignore"):
+            tail = self._xs[-1] + (h + last) / -self._tail_slope
+        return np.where(h <= -last, inside, tail)
 
     def hazard_density(self, x) -> float:
         x = _as_float(x, "x")

@@ -11,11 +11,15 @@ Both ladders are sampled in cumulative-hazard space.  By Renyi's record
 theorem (Resnick, Extreme Values, Regular Variation and Point Processes,
 1987, section 4.1) the cumulative hazards h_k = H(record_k) of the mark
 law are the arrival times of a unit-rate Poisson process, so each record
-is H^-1(h_k) with h_k = h_{k-1} - log U.  The waiting gap at a record is
-G * e^h / (event rate) with G a unit exponential, and the opposing
-stream's mass over that gap is (opposing rate / event rate) * G *
-exp(h - H_opp(record)), which stays finite and exact where the survival
-values themselves would underflow.
+is H^-1(h_k) with h_k = h_{k-1} + E_k, E_k a unit exponential.  The
+waiting gap at a record is G * e^h / (event rate) with G a unit
+exponential, and the opposing stream's mass over that gap is
+(opposing rate / event rate) * G * exp(h - H_opp(record)), which stays
+finite and exact where the survival values themselves would underflow.
+
+Every step of every ladder is therefore a running sum of exponentials,
+and sample_ladder_block walks a whole block of ladders in lockstep with
+numpy.  The one-ladder samplers are that block sampler run at size 1.
 
 Ladders are infinite objects; a StopRule truncates them once the
 remaining mass is negligible.  Only a ladder whose mass died out counts
@@ -27,12 +31,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import DistributionSpec, Exponential, ModelParams, _exp
+from .distributions import DistributionSpec, Exponential, ModelParams
 
 EFFECTIVELY_INFINITE = math.inf
 
@@ -40,6 +44,15 @@ STOP_MAX_STEPS = "max_steps"
 STOP_TAIL_BOUND = "tail_bound"
 STOP_QUIET = "quiet"
 STOP_OVERFLOW = "overflow"
+STOP_REASONS = (STOP_TAIL_BOUND, STOP_QUIET, STOP_MAX_STEPS, STOP_OVERFLOW)
+_FINITE_STOPS = (STOP_TAIL_BOUND, STOP_QUIET)  # the mass died out
+STOP_DTYPE = "<U10"  # numpy string dtype that holds every stop reason
+
+# A block's first chunk walks FIRST_CHUNK steps per row and each later
+# chunk twice as many, capped so that one chunk holds at most CHUNK_CELLS
+# (row, step) cells: 32 kB per float array, under 1 MB in all.
+FIRST_CHUNK = 32
+CHUNK_CELLS = 4096
 
 
 class LadderError(ValueError):
@@ -181,14 +194,15 @@ def _exponential_tail_bound(
     opp_dist: DistributionSpec,
     mark_rate: float,
     opp_rate: float,
-) -> Optional[Callable[[float], float]]:
+) -> Optional[tuple[float, float]]:
     """Expected remaining mass past a record, for an exponential pair.
 
     Past a record at level x the future records sit at x plus a sum of
     exponential increments, so the expected remaining mass telescopes to
     a geometric series: (opp_rate/mark_rate) * exp(-(b-a)x) * a/(b-a)
     with a the mark rate parameter and b the opposing one.  Only
-    meaningful when b > a (otherwise the series diverges).
+    meaningful when b > a (otherwise the series diverges).  Returned as
+    (log coefficient, b - a), so the bound at x is exp(log_coef - (b-a)x).
     """
     if not (isinstance(mark_dist, Exponential) and isinstance(opp_dist, Exponential)):
         return None
@@ -196,104 +210,216 @@ def _exponential_tail_bound(
     if b <= a:
         return None
     delta = b - a
-    coef = (opp_rate / mark_rate) * (a / delta)
-
-    def bound(level: float) -> float:
-        return coef * math.exp(-delta * level)
-
-    return bound
+    return math.log(opp_rate) - math.log(mark_rate) + math.log(a) - math.log(delta), delta
 
 
-def _sample_ladder_core(
+@dataclass(frozen=True)
+class LadderBlock:
+    """Ladders walked in lockstep, one row per replication.
+
+    depth[i] counts the kept steps of row i, stop_reason[i] says why the
+    row ended, mass[i] sums the opposing-stream masses of its kept steps
+    and tail[i] is the analytic tail bound at its last record (nan when
+    there is none, as for overflow stops).  first_gap holds the
+    look-back gaps of threshold ladders (None for fitness ladders);
+    steps holds each row's (value, gap, mass) arrays when they were kept.
+    """
+
+    depth: np.ndarray
+    stop_reason: np.ndarray
+    mass: np.ndarray
+    tail: np.ndarray
+    first_gap: Optional[np.ndarray] = None
+    steps: Optional[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = None
+
+    @property
+    def finite(self) -> np.ndarray:
+        """Rows whose mass died out; every other row is a sentinel."""
+        return np.isin(self.stop_reason, _FINITE_STOPS)
+
+    def ladder_steps(self, row: int) -> tuple[LadderStep, ...]:
+        values, gaps, masses = self.steps[row]
+        return tuple(LadderStep(*step) for step in zip(values.tolist(), gaps.tolist(), masses.tolist()))
+
+    def tail_bound(self, row: int) -> Optional[float]:
+        tail = float(self.tail[row])
+        return None if math.isnan(tail) else tail
+
+
+# Stop reasons of the four stop tests of the block walk, in order of precedence.
+_TEST_REASONS = np.array([STOP_OVERFLOW, STOP_OVERFLOW, STOP_TAIL_BOUND, STOP_QUIET], dtype=STOP_DTYPE)
+
+
+def _first_true(hits: np.ndarray) -> np.ndarray:
+    """Per row, the column of the first True; the row width where there is none."""
+    first = hits.argmax(axis=1)
+    return np.where(hits[np.arange(hits.shape[0]), first], first, hits.shape[1])
+
+
+def _walk_block(
     mark_dist: DistributionSpec,
     mark_rate: float,
     opp_dist: DistributionSpec,
     opp_rate: float,
     stop: StopRule,
     rng: np.random.Generator,
-) -> tuple[list[LadderStep], Optional[float], str]:
-    """Shared record-ladder sampler for both mark roles, walking the cumulative hazard h."""
-    tail_fn = _exponential_tail_bound(mark_dist, opp_dist, mark_rate, opp_rate)
+    rows: int,
+    keep_steps: bool,
+) -> LadderBlock:
+    """Walk `rows` record ladders in cumulative-hazard space, a chunk of steps at a time.
+
+    Each chunk draws, for every row still walking, unit exponentials E
+    (hazard increments) and G (gap factors) in one call.  The row's
+    hazards are h = running sum of E, its records H^-1(h) and its step
+    masses (opp_rate/mark_rate) * G * exp(h - H_opp(record)), taken in log
+    form so that no inf - inf or 0 * inf can arise.  A row stops at the
+    first step that meets one of these tests, in this order of precedence:
+    the record overflows (the step is not kept), the mass is inf, the
+    tail bound falls below tail_tolerance, quiet_window masses in a row
+    were below tail_tolerance / quiet_window (the run carries across
+    chunks), or the step is the max_steps-th.
+    """
+    tail_form = _exponential_tail_bound(mark_dist, opp_dist, mark_rate, opp_rate)
+    if tail_form is not None:
+        # The bound exp(log_coef - delta * level) is below tail_tolerance past this level.
+        tail_level = (tail_form[0] - math.log(stop.tail_tolerance)) / tail_form[1]
+    log_ratio = math.log(opp_rate) - math.log(mark_rate)
     quiet_cap = stop.tail_tolerance / stop.quiet_window
-    ratio = opp_rate / mark_rate
-    steps: list[LadderStep] = []
-    tail: Optional[float] = None
-    quiet = 0
-    h, level = 0.0, -math.inf
-    while True:
-        h, level = mark_dist.record_above(h, level, rng)
-        if math.isinf(level):
-            return steps, None, STOP_OVERFLOW
-        g = rng.standard_exponential()
-        mass = ratio * g * _exp(h - opp_dist.hazard_transform(level))
-        steps.append(LadderStep(value=level, gap=g * _exp(h) / mark_rate, mass=mass))
-        if math.isinf(mass):
-            return steps, None, STOP_OVERFLOW
-        if tail_fn is not None:
-            tail = tail_fn(level)
-            if tail < stop.tail_tolerance:
-                return steps, tail, STOP_TAIL_BOUND
-        quiet = quiet + 1 if mass < quiet_cap else 0
-        if quiet >= stop.quiet_window:
-            return steps, tail, STOP_QUIET
-        if len(steps) >= stop.max_steps:
-            return steps, tail, STOP_MAX_STEPS
+    depth = np.zeros(rows, dtype=np.int64)
+    reason = np.full(rows, STOP_MAX_STEPS, dtype=STOP_DTYPE)
+    mass = np.zeros(rows)
+    last_level = np.full(rows, math.nan)
+    kept: list[list] = [[] for _ in range(rows)]
+    active = np.arange(rows)  # rows still walking, with their hazard and quiet run so far
+    h = np.zeros(rows)
+    quiet = np.zeros(rows, dtype=np.int64)
+    walked = 0
+    width = FIRST_CHUNK
+    while active.size:
+        n = active.size
+        c = min(width, max(CHUNK_CELLS // n, 1), stop.max_steps - walked)
+        width *= 2
+        # In-place updates below keep the chunk's working set to a few arrays.
+        hs, log_g = rng.standard_exponential((2, n, c))
+        hs[:, 0] += h
+        np.cumsum(hs, axis=1, out=hs)
+        level = mark_dist.inverse_hazard_array(hs)
+        m = hs - opp_dist.hazard_transform_array(level)  # the log of the step mass, then the mass
+        with np.errstate(over="ignore", divide="ignore"):
+            m += np.log(log_g, out=log_g)
+            m += log_ratio
+            np.exp(m, out=m)
+        col = np.arange(c)
+        # Each step's quiet run starts after the last loud step (or carries on from the last chunk).
+        run_start = np.where(m < quiet_cap, (-1 - quiet)[:, None], col)
+        np.maximum.accumulate(run_start, axis=1, out=run_start)
+        fired = np.stack([
+            _first_true(np.isinf(level)),
+            _first_true(np.isinf(m)),
+            _first_true(level > tail_level) if tail_form is not None else np.full(n, c),
+            _first_true(run_start <= col - stop.quiet_window),
+        ])
+        stop_at = fired.min(axis=0)
+        test = fired.argmin(axis=0)  # the first test in order of precedence among those firing first
+        hit = stop_at < c
+        take = np.where(hit & (test != 0), stop_at + 1, stop_at)  # steps kept in this chunk
+        row = np.arange(n)
+        with np.errstate(over="ignore"):
+            mass[active] += np.where(col < take[:, None], m, 0.0).sum(axis=1)
+        depth[active] += take
+        if keep_steps:
+            with np.errstate(over="ignore", divide="ignore"):
+                gap = np.exp(log_g + hs - math.log(mark_rate))
+            for i in range(n):
+                kept[active[i]].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
+        walked += c
+        ended = hit | (walked >= stop.max_steps)
+        reason[active[hit]] = _TEST_REASONS[test[hit]]
+        last_level[active[take > 0]] = level[row[take > 0], take[take > 0] - 1]
+        active = active[~ended]
+        h = hs[~ended, -1]
+        quiet = c - 1 - run_start[~ended, -1]
+    tail = np.full(rows, math.nan)
+    if tail_form is not None:
+        has_tail = reason != STOP_OVERFLOW
+        with np.errstate(over="ignore"):
+            tail[has_tail] = np.exp(tail_form[0] - tail_form[1] * last_level[has_tail])
+    steps = None
+    if keep_steps:
+        steps = tuple(
+            tuple(np.concatenate([piece[j] for piece in pieces]) for j in range(3)) for pieces in kept
+        )
+    return LadderBlock(depth=depth, stop_reason=reason, mass=mass, tail=tail, steps=steps)
+
+
+def sample_first_gaps(params: ModelParams, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Look-back times to the most recent extinction: exponential at the extinction rate."""
+    return rng.exponential(1.0 / params.lambda_extinct, rows)
+
+
+def sample_ladder_block(
+    params: ModelParams,
+    stop: StopRule,
+    rng: np.random.Generator,
+    rows: int,
+    threshold: bool = False,
+    keep_steps: bool = False,
+) -> LadderBlock:
+    """Draw `rows` independent ladders from one generator, walked in lockstep.
+
+    The forward fitness ladder carries the extinction stream's mass; with
+    threshold=True the backward threshold ladder carries the birth
+    stream's mass, and the look-back gaps are drawn first, one per row.
+    Results depend only on the generator and `rows`, never on how many
+    rows a caller then reads.
+    """
+    if threshold:
+        gaps = sample_first_gaps(params, rng, rows)
+        block = _walk_block(
+            params.threshold_dist, params.lambda_extinct, params.fitness_dist, params.lambda_birth,
+            stop, rng, rows, keep_steps,
+        )
+        return replace(block, first_gap=gaps)
+    return _walk_block(
+        params.fitness_dist, params.lambda_birth, params.threshold_dist, params.lambda_extinct,
+        stop, rng, rows, keep_steps,
+    )
 
 
 def sample_fitness_ladder(
     params: ModelParams, stop: StopRule, rng: np.random.Generator
 ) -> FitnessLadder:
-    """Draw the forward fitness-record ladder.
+    """Draw the forward fitness-record ladder: a block of one row, steps kept.
 
-    First record from the fitness law; each next record conditioned
-    above the last; each gap exponential at rate
-    lambda_birth * fitness survival at the record.
+    Records climb the fitness law's cumulative hazard by unit
+    exponentials; each gap is exponential at rate lambda_birth * fitness
+    survival at the record.
     """
-    steps, tail, reason = _sample_ladder_core(
-        params.fitness_dist,
-        params.lambda_birth,
-        params.threshold_dist,
-        params.lambda_extinct,
-        stop,
-        rng,
-    )
+    block = sample_ladder_block(params, stop, rng, 1, keep_steps=True)
     return FitnessLadder(
-        steps=tuple(steps), truncated_at=len(steps), tail_bound=tail, stop_reason=reason
+        steps=block.ladder_steps(0),
+        truncated_at=int(block.depth[0]),
+        tail_bound=block.tail_bound(0),
+        stop_reason=str(block.stop_reason[0]),
     )
-
-
-def sample_first_gap(params: ModelParams, rng: np.random.Generator) -> float:
-    """Look-back time to the most recent extinction: exponential at the extinction rate."""
-    first_gap = float(rng.exponential(1.0 / params.lambda_extinct))
-    while first_gap <= 0.0:
-        first_gap = float(rng.exponential(1.0 / params.lambda_extinct))
-    return first_gap
 
 
 def sample_threshold_ladder(
     params: ModelParams, stop: StopRule, rng: np.random.Generator
 ) -> ThresholdLadder:
-    """Draw the backward threshold-record ladder.
+    """Draw the backward threshold-record ladder: a block of one row, steps kept.
 
     The look-back gap to the most recent extinction is exponential at
     the extinction rate; records then mirror the fitness ladder with the
     roles of the two streams exchanged.
     """
-    first_gap = sample_first_gap(params, rng)
-    steps, tail, reason = _sample_ladder_core(
-        params.threshold_dist,
-        params.lambda_extinct,
-        params.fitness_dist,
-        params.lambda_birth,
-        stop,
-        rng,
-    )
+    block = sample_ladder_block(params, stop, rng, 1, threshold=True, keep_steps=True)
     return ThresholdLadder(
-        steps=tuple(steps),
-        first_gap=first_gap,
-        truncated_at=len(steps),
-        tail_bound=tail,
-        stop_reason=reason,
+        steps=block.ladder_steps(0),
+        first_gap=float(block.first_gap[0]),
+        truncated_at=int(block.depth[0]),
+        tail_bound=block.tail_bound(0),
+        stop_reason=str(block.stop_reason[0]),
     )
 
 
@@ -330,7 +456,7 @@ def masses_effectively_infinite(stop_reason: str) -> bool:
     finite; one cut at max_steps or by float overflow is not, so no
     finite result is ever a truncation artefact.
     """
-    return stop_reason not in (STOP_TAIL_BOUND, STOP_QUIET)
+    return stop_reason not in _FINITE_STOPS
 
 
 def sample_extinction_count(ladder: FitnessLadder, rng: np.random.Generator) -> Union[int, float]:

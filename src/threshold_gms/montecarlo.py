@@ -1,14 +1,22 @@
 """Replicated sampling plans with deterministic seeding and GOF checks.
 
-Every replication owns a counter-based RNG keyed by (base_seed,
-replication index, task salt), so results are bit-identical regardless
-of worker count or chunking.  The extinction-count and extinction-mass
-tasks share a salt on purpose: they see identical ladders, which lets a
-single run serve both the count and the mass checks.
+The three ladder tasks run in blocks of BLOCK replications: block b
+walks its BLOCK ladders in lockstep from one counter-based RNG keyed by
+(base_seed, b, task salt), and always samples all of its rows, so
+replication i does not depend on how many replications the plan asks
+for.  The forward tasks give every replication its own RNG keyed by
+(base_seed, replication index, task salt).  Either way results are
+bit-identical regardless of worker count, since workers split the work
+at block (or replication) boundaries.  The extinction-count and
+extinction-mass tasks share a salt on purpose: they see identical
+ladders, which lets a single run serve both the count and the mass
+checks.
 
 A ladder task whose regime the exact tail exponent of the built-in
 families declares divergent reports sentinels without walking ladders;
 every other replication is finite only if its ladder's mass died out.
+Each ladder replication's stop reason and depth ride along in
+RunResult.aux.
 """
 
 from __future__ import annotations
@@ -24,16 +32,20 @@ import numpy as np
 
 from .criteria import VERDICT_INFINITE, exact_verdict
 from .distributions import ModelParams, _as_float, model_params_from_json
-from .ladders import (
+# The one-ladder functions are not called here; perfbench/tracing.py wraps
+# them under this module's names, so they stay importable from it.
+from .ladders import (  # noqa: F401
     EFFECTIVELY_INFINITE,
+    STOP_DTYPE,
     StopRule,
     birth_mass,
     extinction_mass,
     masses_effectively_infinite,
     populate_limit_config,
     sample_extinction_count,
-    sample_first_gap,
+    sample_first_gaps,
     sample_fitness_ladder,
+    sample_ladder_block,
     sample_threshold_ladder,
 )
 from .process import Configuration, evolve, generate_stream, last_empty_time, species_count_at
@@ -61,6 +73,15 @@ _TASK_SALTS = {
     TASK_FORWARD_COUNT: 3,
     TASK_EMPTY_SCAN: 4,
 }
+
+_LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_EXTINCTION_MASS, TASK_LIMIT_CONFIG)
+
+# Replications per block of a ladder task; one RNG stream per block.
+BLOCK = 128
+
+# Stop reason of a replication whose plan the exact tail exponent declares
+# divergent: no ladder was walked.
+STOP_DIVERGENT = "divergent"
 
 THREADS_ENV = "THRESHOLD_GMS_THREADS"
 
@@ -195,55 +216,70 @@ def _regime_diverges(plan: ReplicationPlan) -> bool:
     return False
 
 
-def _replicate_one(
-    plan: ReplicationPlan, index: int, diverges: bool
-) -> tuple[float, dict[str, float]]:
+def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np.ndarray]:
+    """Samples and auxiliaries of the BLOCK replications of block b."""
+    rng = replication_rng(plan.base_seed, index=b, salt=_TASK_SALTS[plan.task])
+    params = plan.params
+    limit = plan.task == TASK_LIMIT_CONFIG
+    if diverges:
+        out = {
+            "samples": np.full(BLOCK, EFFECTIVELY_INFINITE),
+            "stop_reason": np.full(BLOCK, STOP_DIVERGENT, dtype=STOP_DTYPE),
+            "depth": np.zeros(BLOCK, dtype=np.int64),
+        }
+        if limit:
+            nan = np.full(BLOCK, math.nan)
+            band0 = params.lambda_birth * sample_first_gaps(params, rng, BLOCK)
+            out.update(n0=nan, n_above=nan, band0_mass=band0)
+        elif plan.task == TASK_EXTINCTION_COUNT:
+            out["mass"] = out["samples"]
+        return out
+    block = sample_ladder_block(params, plan.stop, rng, BLOCK, threshold=limit)
+    finite = block.finite
+    mass = np.where(finite, block.mass, 0.0)
+    out = {"stop_reason": block.stop_reason, "depth": block.depth}
+    # A sum of independent Poisson step counts is one Poisson count with the summed mass.
+    if limit:
+        band0 = params.lambda_birth * block.first_gap
+        n0 = rng.poisson(band0).astype(float)
+        n_above = rng.poisson(mass).astype(float)
+        out.update(
+            samples=np.where(finite, n0 + n_above, EFFECTIVELY_INFINITE),
+            n0=np.where(finite, n0, math.nan),
+            n_above=np.where(finite, n_above, math.nan),
+            band0_mass=band0,
+        )
+    else:
+        masses = np.where(finite, block.mass, EFFECTIVELY_INFINITE)
+        if plan.task == TASK_EXTINCTION_MASS:
+            out["samples"] = masses
+        else:
+            out.update(samples=np.where(finite, rng.poisson(mass), EFFECTIVELY_INFINITE), mass=masses)
+    return out
+
+
+def _run_blocks(plan: ReplicationPlan, first: int, count: int) -> tuple[int, dict[str, np.ndarray]]:
+    diverges = _regime_diverges(plan)
+    blocks = [_ladder_block(plan, b, diverges) for b in range(first, first + count)]
+    return first, {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
+
+
+def _replicate_one(plan: ReplicationPlan, index: int) -> float:
     rng = replication_rng(plan.base_seed, index=index, salt=_TASK_SALTS[plan.task])
     params = plan.params
-    if plan.task in (TASK_EXTINCTION_COUNT, TASK_EXTINCTION_MASS):
-        ladder = None if diverges else sample_fitness_ladder(params, plan.stop, rng)
-        if ladder is None or masses_effectively_infinite(ladder.stop_reason):
-            if plan.task == TASK_EXTINCTION_MASS:
-                return EFFECTIVELY_INFINITE, {}
-            return EFFECTIVELY_INFINITE, {"mass": EFFECTIVELY_INFINITE}
-        mass = extinction_mass(ladder).value
-        if plan.task == TASK_EXTINCTION_MASS:
-            return mass, {}
-        return float(sample_extinction_count(ladder, rng)), {"mass": mass}
-    if plan.task == TASK_LIMIT_CONFIG:
-        if diverges:
-            ladder, band0 = None, params.lambda_birth * sample_first_gap(params, rng)
-        else:
-            ladder = sample_threshold_ladder(params, plan.stop, rng)
-            band0 = birth_mass(ladder, params).per_step[0]
-        if ladder is None or masses_effectively_infinite(ladder.stop_reason):
-            return EFFECTIVELY_INFINITE, {"n0": math.nan, "n_above": math.nan, "band0_mass": band0}
-        config = populate_limit_config(ladder, params, rng)
-        return float(config.total), {
-            "n0": float(config.n0),
-            "n_above": float(config.n_above),
-            "band0_mass": band0,
-        }
     if plan.task == TASK_FORWARD_COUNT:
         stream = generate_stream(params, 0.0, plan.t, rng)
         trace = evolve(Configuration(), stream)
-        return float(species_count_at(trace, plan.t)), {}
+        return float(species_count_at(trace, plan.t))
     stream = generate_stream(params, 0.0, plan.horizon, rng)
     trace = evolve(Configuration(), stream)
     empty = last_empty_time(trace)
-    return (math.nan if empty is None else float(empty)), {}
+    return math.nan if empty is None else float(empty)
 
 
-def _run_range(plan: ReplicationPlan, start: int, count: int):
-    diverges = _regime_diverges(plan)
-    values: list[float] = []
-    aux: dict[str, list[float]] = {}
-    for i in range(start, start + count):
-        v, extras = _replicate_one(plan, i, diverges)
-        values.append(v)
-        for k, x in extras.items():
-            aux.setdefault(k, []).append(x)
-    return start, values, aux
+def _run_range(plan: ReplicationPlan, first: int, count: int) -> tuple[int, dict[str, np.ndarray]]:
+    values = [_replicate_one(plan, i) for i in range(first, first + count)]
+    return first, {"samples": np.asarray(values, dtype=float)}
 
 
 def worker_count(replications: int) -> int:
@@ -261,33 +297,48 @@ def run(plan: ReplicationPlan) -> RunResult:
     """Execute every replication of the plan.
 
     The worker count comes from the THRESHOLD_GMS_THREADS environment
-    variable (default 1); per-replication seeding makes the output
-    independent of it.  A ladder task whose exact tail exponent is
-    divergent walks no ladder: every replication is a sentinel, and the
-    limit task still draws each look-back gap for its band-0 mass.
+    variable (default 1); workers split ladder tasks at block boundaries
+    and forward tasks at replication boundaries, so the output does not
+    depend on it.  A ladder task whose exact tail exponent is divergent
+    walks no ladder: every replication is a sentinel, and the limit task
+    still draws each look-back gap for its band-0 mass.
     """
     n = plan.replications
-    workers = worker_count(n)
-    if workers == 1:
-        _, values, aux_lists = _run_range(plan, 0, n)
+    if plan.task in _LADDER_TASKS:
+        work, units = _run_blocks, -(-n // BLOCK)
     else:
-        chunk = -(-n // workers)
-        ranges = [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
-        pieces = []
+        work, units = _run_range, n
+    workers = worker_count(units)
+    if workers == 1:
+        pieces = [work(plan, 0, units)]
+    else:
+        chunk = -(-units // workers)
         ctx = get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_run_range, plan, s, c) for s, c in ranges]
-            pieces = [f.result() for f in futures]
-        pieces.sort(key=lambda item: item[0])
-        values = []
-        aux_lists = {}
-        for _, vals, aux in pieces:
-            values.extend(vals)
-            for k, xs in aux.items():
-                aux_lists.setdefault(k, []).extend(xs)
-    samples = np.asarray(values, dtype=float)
-    aux_arrays = {k: np.asarray(v, dtype=float) for k, v in aux_lists.items()}
-    return RunResult(plan=plan, samples=samples, aux=aux_arrays)
+            futures = [pool.submit(work, plan, s, min(chunk, units - s)) for s in range(0, units, chunk)]
+            pieces = sorted((f.result() for f in futures), key=lambda item: item[0])
+    columns = {k: np.concatenate([p[1][k] for p in pieces])[:n] for k in pieces[0][1]}
+    samples = columns.pop("samples").astype(float)
+    return RunResult(plan=plan, samples=samples, aux=columns)
+
+
+def ladder_diagnostics(result: RunResult) -> dict:
+    """Stop-reason histogram, depth quantiles and sentinel count of a ladder run.
+
+    Every figure is a function of the samples alone, so reruns write
+    identical diagnostics.
+    """
+    reasons, counts = np.unique(result.aux["stop_reason"], return_counts=True)
+    depth = result.aux["depth"]
+    return {
+        "stop_reasons": {str(r): int(c) for r, c in zip(reasons, counts)},
+        "depth": {
+            "p50": float(np.quantile(depth, 0.5)),
+            "p99": float(np.quantile(depth, 0.99)),
+            "max": int(depth.max()),
+        },
+        "sentinel_count": result.summary.sentinel_count,
+    }
 
 
 @dataclass(frozen=True)

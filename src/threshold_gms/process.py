@@ -24,6 +24,12 @@ BIRTH = "birth"
 EXTINCTION = "extinction"
 
 
+# Largest float spacing in a window, in units of the mean event gap, that
+# generate_stream accepts: about one gap in a million is then too short
+# for t += gap to move t.
+MAX_SPACING_PER_GAP = 1e-6
+
+
 class ProcessError(ValueError):
     """Malformed events, streams, or out-of-window queries."""
 
@@ -99,7 +105,10 @@ def generate_stream(
 
     The two Poisson streams are superposed: one exponential clock at the
     total rate, then a Bernoulli split by rate proportion decides the
-    kind, then the mark is drawn from that kind's law.
+    kind, then the mark is drawn from that kind's law.  A window so far
+    from 0 that the float spacing there is not small against the mean
+    gap is refused before anything is drawn, since its event times
+    would tie.
     """
     start = _as_float(start, "start")
     horizon = _as_float(horizon, "horizon")
@@ -108,6 +117,12 @@ def generate_stream(
     if horizon < start:
         raise ProcessError(f"horizon {horizon} precedes start {start}")
     total = params.lambda_birth + params.lambda_extinct
+    spacing = math.ulp(max(abs(start), abs(horizon)))
+    if spacing * total > MAX_SPACING_PER_GAP:
+        raise ProcessError(
+            f"float resolution {spacing:g} at t={max(abs(start), abs(horizon)):g} is too coarse for "
+            f"a mean event gap of {1.0 / total:g}: event times would tie; move the window toward 0"
+        )
     p_birth = params.lambda_birth / total
     scale = 1.0 / total
     events: list[Event] = []

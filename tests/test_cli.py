@@ -264,9 +264,31 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch)
         assert cli.main(["ladder-mc", "--params", transient_params, "--reps", "20", "--out", str(out)]) == 0
     finally:
         tr.restore()
-    assert tr.counts["ladders.stop.tail_bound"] + tr.counts["ladders.stop.quiet"] == 20
+    stops = json.loads((out / "summary.json").read_text())["diagnostics"]["stop_reasons"]
+    assert set(stops) <= {"tail_bound", "quiet"} and sum(stops.values()) == 20
     assert tr.stats["cli.main"][0] == 1
     assert not hasattr(cli.main, "__wrapped__")
+
+
+@pytest.mark.parametrize("command", ["ladder-mc", "limit-mc"])
+def test_summary_reports_ladder_diagnostics(tmp_path, transient_params, finite_params, command):
+    """Stop-reason histogram, depth quantiles and sentinel count; a divergent plan walks nothing."""
+    finite = transient_params if command == "ladder-mc" else finite_params
+    divergent = finite_params if command == "ladder-mc" else transient_params
+    out = tmp_path / "finite"
+    assert cli.main([command, "--params", finite, "--reps", "300", "--out", str(out)]) == 0
+    diag = json.loads((out / "summary.json").read_text())["diagnostics"]
+    assert diag["stop_reasons"] == {"tail_bound": 300}
+    assert 0 < diag["depth"]["p50"] <= diag["depth"]["p99"] <= diag["depth"]["max"] < 100
+    assert diag["sentinel_count"] == 0
+    out = tmp_path / "divergent"
+    assert cli.main([command, "--params", divergent, "--reps", "300", "--out", str(out)]) == 0
+    diag = json.loads((out / "summary.json").read_text())["diagnostics"]
+    assert diag == {
+        "stop_reasons": {"divergent": 300},
+        "depth": {"p50": 0.0, "p99": 0.0, "max": 0},
+        "sentinel_count": 300,
+    }
 
 
 def test_limit_mc_outputs(tmp_path, finite_params):
@@ -326,6 +348,8 @@ def test_validate_subset(tmp_path, capsys):
         ["classify", "--grid", "alpha_fitness=1"],
         ["validate", "--reps", "500"],
         ["ladder-mc", "--params", "PARAMS", "--reps", "0"],
+        # Event times would tie at this float resolution.
+        ["simulate", "--params", "PARAMS", "--start", "1e15", "--horizon", "1.000000000002e15"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

@@ -259,3 +259,36 @@ def test_inverse_hazard_edges():
     # past 2**53 one unit of hazard cannot move an Exp(1) level: raise, do not loop
     with pytest.raises(DistributionError, match="representable"):
         Exponential(1.0).sample_conditional_above(1e17, rng)
+
+
+def test_weibull_survival_underflows_to_zero_far_out():
+    assert Weibull(2.0, 1.0).survival(1e200) == 0.0
+
+
+def test_weibull_hazard_overflows_to_inf_far_out():
+    assert Weibull(2.0, 1.0).hazard_transform(1e200) == math.inf
+
+
+def test_pareto_quantile_overflow_is_a_distribution_error():
+    with pytest.raises(DistributionError, match="quantile overflow"):
+        Pareto(1.0, 0.2).inverse_survival(1e-300)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Exponential(0.7),
+        Weibull(1.8, 2.0),
+        Pareto(1.5, 0.25),
+        TabulatedQuantile(((1.0, 0.5), (0.5, 1.0), (0.125, 3.0))),
+    ],
+)
+def test_array_forms_match_the_survival_function(dist):
+    """One array call per form agrees with -log(survival); levels past the float range give inf."""
+    levels = np.array([0.0, dist.support_lower, 0.7, 2.9, 40.0, math.inf])
+    want = [-math.log(dist.survival(x)) for x in levels[:-1]] + [math.inf]
+    assert dist.hazard_transform_array(levels).tolist() == pytest.approx(want, rel=1e-12)
+    hazards = np.array([0.0, 0.3, 2.0, 9.0, 30.0])
+    got = [dist.survival(x) for x in dist.inverse_hazard_array(hazards)]
+    assert got == pytest.approx(np.exp(-hazards).tolist(), rel=1e-9)
+    assert math.copysign(1.0, dist.hazard_transform(0.0)) == 1.0

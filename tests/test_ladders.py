@@ -9,6 +9,7 @@ from scipy import stats
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
     EFFECTIVELY_INFINITE,
+    STOP_REASONS,
     FitnessLadder,
     LadderError,
     LadderStep,
@@ -21,11 +22,12 @@ from threshold_gms.ladders import (
     populate_limit_config,
     sample_extinction_count,
     sample_fitness_ladder,
+    sample_ladder_block,
     sample_limit_config,
     sample_threshold_ladder,
     write_ladder_csv,
 )
-from threshold_gms.montecarlo import gof_chi_square
+from threshold_gms.montecarlo import TASK_EXTINCTION_COUNT, ReplicationPlan, gof_chi_square, gof_ks, run
 from threshold_gms.process import generate_stream
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE, _pairwise_region_count
@@ -352,3 +354,154 @@ def test_extinction_mass_matches_direct_sum(lam, idx):
     direct = [lam * s.gap * math.exp(-2.0 * s.value) for s in ladder.steps]
     assert list(mass.per_step) == pytest.approx(direct, rel=1e-12)
     assert mass.value == pytest.approx(math.fsum(direct), rel=1e-12)
+
+
+class FixedDraws:
+    """Generator stand-in for a one-row block: serves fixed hazard increments and gap factors."""
+
+    def __init__(self, increments, gap_factors):
+        self.e, self.g = list(increments), list(gap_factors)
+
+    def standard_exponential(self, size):
+        _, rows, c = size
+        assert rows == 1 and c <= len(self.e)
+        e, self.e = self.e[:c], self.e[c:]
+        g, self.g = self.g[:c], self.g[c:]
+        return np.array([[e], [g]])
+
+
+def reference_ladder(params, stop, increments, gap_factors):
+    """The stop rules one step at a time, in their order: (step masses, stop reason)."""
+    mark, opp = params.fitness_dist, params.threshold_dist
+    ratio = params.lambda_extinct / params.lambda_birth
+    exponential = isinstance(mark, Exponential) and isinstance(opp, Exponential) and opp.rate > mark.rate
+    masses, h, quiet = [], 0.0, 0
+    for e, g in zip(increments, gap_factors):
+        h += e
+        level = mark.inverse_hazard(h)
+        if math.isinf(level):
+            return masses, "overflow"
+        try:  # ratio * g * e^(h - H_opp), inf only where the product itself overflows
+            masses.append(math.exp(math.log(ratio * g) + h - opp.hazard_transform(level)))
+        except OverflowError:
+            masses.append(math.inf)
+        if math.isinf(masses[-1]):
+            return masses, "overflow"
+        if exponential and ratio * mark.rate / (opp.rate - mark.rate) * math.exp(
+            -(opp.rate - mark.rate) * level
+        ) < stop.tail_tolerance:
+            return masses, "tail_bound"
+        quiet = quiet + 1 if masses[-1] < stop.tail_tolerance / stop.quiet_window else 0
+        if quiet >= stop.quiet_window:
+            return masses, "quiet"
+        if len(masses) >= stop.max_steps:
+            return masses, "max_steps"
+
+
+PARITY_CASES = {
+    "tail_bound": (ModelParams(1.3, 0.7, Exponential(1.0), Exponential(2.0)), STOP),
+    "quiet": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.8)), STOP),
+    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05)), StopRule(max_steps=150)),
+    "overflow at the record": (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.06)), STOP),
+    "overflow of the mass": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(0.5)), STOP),
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_block_of_one_matches_the_step_loop(case):
+    """Fed fixed draws, a one-row block stops where the step loop stops, with the same masses."""
+    params, stop = PARITY_CASES[case]
+    for seed in range(10):
+        draws = np.random.default_rng(seed).standard_exponential((2, 4000))
+        want, reason = reference_ladder(params, stop, *draws)
+        assert reason == case.split()[0]
+        block = sample_ladder_block(params, stop, FixedDraws(*draws), 1, keep_steps=True)
+        assert block.stop_reason[0] == reason
+        assert block.depth[0] == len(want)
+        np.testing.assert_allclose(block.steps[0][2], want, rtol=1e-12, atol=0.0)
+        with np.errstate(over="ignore"):
+            assert block.mass[0] == pytest.approx(np.sum(want), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params,increments,gap_factor,depth,reason",
+    [
+        # Step 20 both overflows its record (h = 39 > 709.8 * 0.05) and ends a quiet run of 20.
+        (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 5.0)), [1.0] * 19 + [20.0], 1.0, 19, "overflow"),
+        # Step 20 both passes the tail level (h = 21 > 20.7) and ends a quiet run of tiny masses.
+        (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)), [1.05] * 20, 1e-30, 20, "tail_bound"),
+    ],
+)
+def test_stop_tests_firing_at_one_step_keep_their_order(params, increments, gap_factor, depth, reason):
+    draws = (increments + [1.0] * 100, [gap_factor] * 120)
+    assert reference_ladder(params, STOP, *draws)[1] == reason
+    block = sample_ladder_block(params, STOP, FixedDraws(*draws), 1)
+    assert (block.depth[0], block.stop_reason[0]) == (depth, reason)
+
+
+TABULATED_FIT = TabulatedQuantile(tuple((math.exp(-x), x) for x in (0.0, 0.5, 1.0, 2.0)))
+TABULATED_THR = TabulatedQuantile(tuple((math.exp(-1.05 * x), x) for x in (0.0, 0.5, 1.0, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "fitness,threshold,seed",
+    [
+        (Exponential(1.0), Exponential(1.05), 41),
+        (Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5), 42),
+        (Pareto(1.0, 1.0), Pareto(1.0, 1.05), 43),
+        # Exact at the nodes and in the log-linear tail; the interior
+        # interpolation moves the mean mass by about 0.01, far below 0.1 (one se).
+        (TABULATED_FIT, TABULATED_THR, 44),
+    ],
+)
+def test_block_ladders_follow_the_near_boundary_law(fitness, threshold, seed):
+    """H_thr = 1.05 H_fit in every family: counts NegBin(20, 1/2), masses Gamma(20, 1).
+
+    At one seed all four families walk the same hazard-space ladders, so
+    each family gets its own seed and the four samples are independent.
+    """
+    params = ModelParams(1.0, 1.0, fitness, threshold)
+    result = run(ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=params, replications=2048, base_seed=seed))
+    assert result.summary.sentinel_count == 0
+    counts = gof_chi_square(
+        result.samples, lambda k: stats.nbinom.pmf(k, 20, 0.5), lambda k: stats.nbinom.cdf(k, 20, 0.5), "NegBin"
+    )
+    masses = gof_ks(result.aux["mass"], stats.gamma(20.0).cdf, "Gamma(20, 1)")
+    assert counts.p_value > 0.001 and masses.p_value > 0.001
+
+
+extreme_marks = st.one_of(
+    st.builds(Exponential, st.sampled_from([1e-300, 1e-12, 1.0, 1e12, 1e300])),
+    st.builds(Pareto, st.floats(0.5, 2.0), st.floats(1e-6, 0.05)),
+    st.builds(Weibull, st.floats(10.0, 200.0), st.floats(0.1, 10.0)),
+    st.builds(
+        lambda a, b: TabulatedQuantile(((1.0, 0.0), (0.5, a), (1e-200, a + b))),
+        st.floats(0.1, 3.0),
+        st.floats(1e-6, 1e-2),
+    ),
+)
+extreme_rates = st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300])
+
+
+@settings(max_examples=60, deadline=5000)
+@given(
+    fitness=extreme_marks,
+    threshold=extreme_marks,
+    lam_b=extreme_rates,
+    lam_e=extreme_rates,
+    backward=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_block_sampler_at_extreme_parameters(fitness, threshold, lam_b, lam_e, backward, seed):
+    """No hang, no NaN let through, byte-identical reruns."""
+    params = ModelParams(lam_b, lam_e, fitness, threshold)
+    stop = StopRule(max_steps=2000)
+    runs = [sample_ladder_block(params, stop, replication_rng(seed, 0, 0), 8, threshold=backward) for _ in range(2)]
+    a, b = runs
+    assert not np.isnan(a.mass).any() and np.all(a.mass >= 0.0)
+    assert np.all((a.depth >= 0) & (a.depth <= stop.max_steps))
+    assert set(a.stop_reason) <= set(STOP_REASONS)
+    assert np.all(a.mass[a.finite] < math.inf)
+    for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes()

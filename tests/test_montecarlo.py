@@ -7,8 +7,9 @@ from scipy import stats
 
 import threshold_gms.montecarlo as montecarlo
 from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile
-from threshold_gms.ladders import StopRule, sample_threshold_ladder
+from threshold_gms.ladders import StopRule, sample_ladder_block
 from threshold_gms.montecarlo import (
+    BLOCK,
     TASK_EMPTY_SCAN,
     TASK_EXTINCTION_COUNT,
     TASK_EXTINCTION_MASS,
@@ -302,28 +303,26 @@ def test_two_sample_counts_pool_a_sparse_table():
 
 def test_divergent_regime_walks_no_ladder(monkeypatch):
     """An exactly divergent plan gives sentinels at once; the limit task still draws band-0 masses."""
-    def no_walk(*args):
+    def no_walk(*args, **kwargs):
         raise AssertionError("a divergent plan walked a ladder")
 
     limit_plan = ReplicationPlan(
         task=TASK_LIMIT_CONFIG, params=TRANSIENT_EXAMPLE, replications=30, base_seed=12
     )
-    walked = [
-        TRANSIENT_EXAMPLE.lambda_birth
-        * sample_threshold_ladder(TRANSIENT_EXAMPLE, StopRule(max_steps=1), replication_rng(12, i, 2)).first_gap
-        for i in range(30)
-    ]
-    monkeypatch.setattr(montecarlo, "sample_fitness_ladder", no_walk)
-    monkeypatch.setattr(montecarlo, "sample_threshold_ladder", no_walk)
+    walked = sample_ladder_block(
+        TRANSIENT_EXAMPLE, StopRule(max_steps=1), replication_rng(12, 0, 2), BLOCK, threshold=True
+    ).first_gap[:30] * TRANSIENT_EXAMPLE.lambda_birth
+    monkeypatch.setattr(montecarlo, "sample_ladder_block", no_walk)
     counts = run(
         ReplicationPlan(
             task=TASK_EXTINCTION_COUNT, params=FINITE_EXAMPLE, replications=30, base_seed=12
         )
     )
     assert np.all(np.isinf(counts.samples)) and np.all(np.isinf(counts.aux["mass"]))
+    assert set(counts.aux["stop_reason"]) == {"divergent"}
     limit = run(limit_plan)
     assert np.all(np.isinf(limit.samples))
-    assert limit.aux["band0_mass"].tolist() == walked
+    assert limit.aux["band0_mass"].tolist() == walked.tolist()
 
 
 def test_boundary_ladders_without_an_exact_exponent_end_as_sentinels():
@@ -340,3 +339,36 @@ def test_boundary_ladders_without_an_exact_exponent_end_as_sentinels():
         )
     )
     assert result.summary.sentinel_fraction == 1.0
+
+
+@pytest.mark.parametrize(
+    "task,params", [(TASK_EXTINCTION_COUNT, TRANSIENT_EXAMPLE), (TASK_LIMIT_CONFIG, FINITE_EXAMPLE)]
+)
+def test_replications_do_not_depend_on_the_plan_size(task, params):
+    """Blocks always sample all their rows: 300 replications are the first 300 of 1000."""
+    short, long = (
+        run(ReplicationPlan(task=task, params=params, replications=n, base_seed=14)) for n in (300, 1000)
+    )
+    assert short.samples.tobytes() == long.samples[:300].tobytes()
+    assert set(short.aux) == set(long.aux)
+    for key in short.aux:
+        assert short.aux[key].tobytes() == long.aux[key][:300].tobytes()
+
+
+def test_limit_run_is_worker_count_invariant(monkeypatch):
+    plan = ReplicationPlan(task=TASK_LIMIT_CONFIG, params=FINITE_EXAMPLE, replications=3 * BLOCK + 5, base_seed=15)
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    serial = run(plan)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    parallel = run(plan)
+    assert serial.samples.tobytes() == parallel.samples.tobytes()
+    for key in serial.aux:
+        assert serial.aux[key].tobytes() == parallel.aux[key].tobytes()
+
+
+def test_ladder_runs_carry_stop_reasons_and_depths():
+    result = run(count_plan(200))
+    reasons, depth = result.aux["stop_reason"], result.aux["depth"]
+    assert reasons.shape == depth.shape == (200,)
+    assert set(reasons) == {"tail_bound"}
+    assert depth.min() >= 1

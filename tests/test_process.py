@@ -150,6 +150,17 @@ def test_generate_stream_is_deterministic():
     assert a.events != c.events
 
 
+def test_window_too_far_out_for_the_float_resolution_is_refused():
+    """Past about 1e15 the float spacing approaches the mean event gap, and event times would tie."""
+    rng = replication_rng(1)
+    with pytest.raises(ProcessError, match="resolution"):
+        generate_stream(PARAMS, 1e15, 1e15 + 2000, rng)
+    with pytest.raises(ProcessError, match="resolution"):
+        generate_stream(PARAMS, 1e15, 1.000000000002e15, rng)
+    assert rng.random() == replication_rng(1).random()  # refused before drawing anything
+    assert generate_stream(PARAMS, 1e6, 1e6 + 20.0, rng).events
+
+
 def _naive_replay(initial_values, events):
     values = sorted(initial_values)
     counts = []
