@@ -1,12 +1,16 @@
-"""Seconds per replication of the three ladder tasks, as one JSON object.
+"""Seconds per replication of the Monte Carlo tasks, as one JSON object.
 
     PYTHONPATH=src python3 scripts/bench_ladders.py [--repeat 3]
 
 Each figure is the best of ``--repeat`` timed ``run()`` calls on one
-worker, in microseconds per replication.  The shallow pairs are the
-acceptance suite's (exp(1)/exp(2) for the count and mass tasks,
+worker, in microseconds per replication.  The shallow ladder pairs are
+the acceptance suite's (exp(1)/exp(2) for the count and mass tasks,
 exp(2)/exp(1) for the limit task); the deep pairs sit at gamma = 1.05,
-where ladders are about 500 steps deep.
+where ladders are about 500 steps deep.  The forward tasks use the
+benchmark's windows: the forward count of exp(2)/exp(1) at t = 50 and
+the last-empty scan of exp(1)/exp(2) on (0, 50].  ``simulate_s`` is the
+best time of one in-process ``simulate`` of exp(1)/exp(2) to horizon
+20 000, trace.csv included.
 """
 
 from __future__ import annotations
@@ -15,24 +19,40 @@ import argparse
 import json
 import os
 import platform
+import tempfile
 import time
 
 import numpy as np
 
+from threshold_gms import cli
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, Weibull
 from threshold_gms.montecarlo import ReplicationPlan, run
 
 CASES = {
-    "extinction_count/exp(1)/exp(2)": ("extinction_count", Exponential(1.0), Exponential(2.0), 4000),
-    "extinction_mass/exp(1)/exp(2)": ("extinction_mass", Exponential(1.0), Exponential(2.0), 4000),
-    "limit_config/exp(2)/exp(1)": ("limit_config", Exponential(2.0), Exponential(1.0), 4000),
-    "extinction_count/exp(1)/exp(1.05)": ("extinction_count", Exponential(1.0), Exponential(1.05), 480),
+    "extinction_count/exp(1)/exp(2)": ("extinction_count", Exponential(1.0), Exponential(2.0), 4000, {}),
+    "extinction_mass/exp(1)/exp(2)": ("extinction_mass", Exponential(1.0), Exponential(2.0), 4000, {}),
+    "limit_config/exp(2)/exp(1)": ("limit_config", Exponential(2.0), Exponential(1.0), 4000, {}),
+    "extinction_count/exp(1)/exp(1.05)": ("extinction_count", Exponential(1.0), Exponential(1.05), 480, {}),
     "extinction_count/weibull(2)/gamma=1.05": (
-        "extinction_count", Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5), 480),
+        "extinction_count", Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5), 480, {}),
     "extinction_count/pareto(1)/pareto(1.05)": (
-        "extinction_count", Pareto(1.0, 1.0), Pareto(1.0, 1.05), 480),
-    "limit_config/exp(1.05)/exp(1)": ("limit_config", Exponential(1.05), Exponential(1.0), 480),
+        "extinction_count", Pareto(1.0, 1.0), Pareto(1.0, 1.05), 480, {}),
+    "limit_config/exp(1.05)/exp(1)": ("limit_config", Exponential(1.05), Exponential(1.0), 480, {}),
+    "forward_count/exp(2)/exp(1)/t=50": (
+        "forward_count", Exponential(2.0), Exponential(1.0), 1200, {"t": 50.0}),
+    "empty_time_scan/exp(1)/exp(2)/horizon=50": (
+        "empty_time_scan", Exponential(1.0), Exponential(2.0), 500, {"horizon": 50.0}),
 }
+SIMULATE_HORIZON = 20000.0
+
+
+def best_of(repeat: int, fn) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def main() -> None:
@@ -44,15 +64,17 @@ def main() -> None:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
         "us_per_rep": {},
     }
-    for label, (task, fit, thr, reps) in CASES.items():
+    for label, (task, fit, thr, reps, window) in CASES.items():
         plan = ReplicationPlan(task=task, params=ModelParams(1.0, 1.0, fit, thr), replications=reps,
-                               base_seed=20261018)
-        best = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            run(plan)
-            best = min(best, time.perf_counter() - t0)
-        out["us_per_rep"][label] = round(1e6 * best / reps, 2)
+                               base_seed=20261018, **window)
+        out["us_per_rep"][label] = round(1e6 * best_of(args.repeat, lambda: run(plan)) / reps, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        params = os.path.join(tmp, "params.json")
+        with open(params, "w") as handle:
+            json.dump(ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)).to_json(), handle)
+        argv = ["simulate", "--params", params, "--seed", "7", "--horizon", repr(SIMULATE_HORIZON),
+                "--out", os.path.join(tmp, "sim")]
+        out["simulate_s"] = round(best_of(args.repeat, lambda: cli.main(argv)), 4)
     print(json.dumps(out, indent=2))
 
 

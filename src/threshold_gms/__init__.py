@@ -86,6 +86,7 @@ from .process import (
     EventStream,
     PathTrace,
     ProcessError,
+    count_alive,
     evolve,
     generate_stream,
     last_empty_time,

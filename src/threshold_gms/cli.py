@@ -28,7 +28,16 @@ from .montecarlo import (
     ladder_diagnostics,
     run,
 )
-from .process import Configuration, evolve, generate_stream, last_empty_time, read_initial_csv, species_count_at, write_trace_csv
+from .process import (
+    Configuration,
+    evolve,
+    generate_stream,
+    last_empty_time,
+    read_initial_csv,
+    species_count_at,
+    trace_rows,
+    write_trace_csv,
+)
 from .streams import replication_rng
 from .validation import CHECK_NAMES, SuiteConfig, format_result, run_suite
 
@@ -96,12 +105,13 @@ def _cmd_simulate(args) -> int:
     initial = read_initial_csv(args.initial) if args.initial else Configuration()
     trace = evolve(initial, stream)
     empty = last_empty_time(trace)
+    births = int(stream.birth.sum())
     summary = {
         "final_count": species_count_at(trace, horizon),
         "last_empty_time": _encode_float(empty if empty is not None else math.nan),
-        "events": len(stream.events),
-        "births": len(stream.births()),
-        "extinctions": len(stream.extinctions()),
+        "events": len(stream),
+        "births": births,
+        "extinctions": len(stream) - births,
     }
 
     out = _out_dir(args)
@@ -112,8 +122,8 @@ def _cmd_simulate(args) -> int:
         outputs.append("trace.csv")
     else:
         rows = [
-            {"time": ev.time, "kind": ev.kind, "mark": ev.mark, "count_after": count}
-            for ev, count in zip(stream.events, trace.counts_after)
+            {"time": t, "kind": kind, "mark": mark, "count_after": count}
+            for t, kind, mark, count in trace_rows(trace)
         ]
         (out / "trace.json").write_text(_dump_json({"events": rows}))
         outputs.append("trace.json")
@@ -349,6 +359,7 @@ def _cmd_validate(args) -> int:
     )
     for r in results:
         print(format_result(r))
+        print(f"{r.name}: {r.seconds:.2f} s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 

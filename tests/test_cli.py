@@ -244,6 +244,32 @@ def test_near_boundary_counts_keep_their_mean(tmp_path, rate, mean):
     assert abs(summary["mean"] - mean) < 3.0 * summary["se"]
 
 
+def test_huge_ladder_masses_still_give_counts(tmp_path):
+    """Poisson means past numpy's limit (about 1e19) take the normal approximation."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**TRANSIENT_EXAMPLE.to_json(), "lambda_extinct": 1e25}))
+    out = tmp_path / "ladder"
+    assert cli.main(["ladder-mc", "--params", str(path), "--reps", "200", "--out", str(out)]) == 0
+    with open(out / "samples.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 200
+    for row in rows:
+        count, mass = float(row["count"]), float(row["mass"])
+        assert mass > 1e18 and abs(count - mass) <= 1e-6 * mass
+
+    path = tmp_path / "huge-limit.json"
+    path.write_text(json.dumps({**FINITE_EXAMPLE.to_json(), "lambda_birth": 1e25}))
+    out = tmp_path / "limit"
+    assert cli.main(["limit-mc", "--params", str(path), "--reps", "200", "--out", str(out)]) == 0
+    with open(out / "samples.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 200
+    for row in rows:
+        n0, band0 = float(row["n0"]), float(row["band0_mass"])
+        assert abs(n0 - band0) <= 1e-6 * band0
+        assert float(row["total"]) == n0 + float(row["n_above"])
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, threshold_gms.cli; print('scipy.stats' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -253,7 +279,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch):
-    """Every name the benchmark's tracer patches resolves, and a traced ladder-mc runs."""
+    """Every name the benchmark's tracer patches resolves, and a traced ladder-mc and simulate run."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -262,11 +288,17 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch)
     try:
         out = tmp_path / "mc"
         assert cli.main(["ladder-mc", "--params", transient_params, "--reps", "20", "--out", str(out)]) == 0
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--params", transient_params, "--horizon", "30", "--out", str(sim)]) == 0
     finally:
         tr.restore()
     stops = json.loads((out / "summary.json").read_text())["diagnostics"]["stop_reasons"]
     assert set(stops) <= {"tail_bound", "quiet"} and sum(stops.values()) == 20
-    assert tr.stats["cli.main"][0] == 1
+    assert tr.stats["cli.main"][0] == 2
+    # The stream hook counted the events through len(stream.events).
+    events = json.loads((sim / "summary.json").read_text())["events"]
+    assert events > 0 and tr.counts["process.events"] == events
+    assert tr.stats["process.generate"][0] == tr.stats["process.evolve"][0] == 1
     assert not hasattr(cli.main, "__wrapped__")
 
 
@@ -332,12 +364,16 @@ def test_validate_subset(tmp_path, capsys):
         ]
     )
     assert code == 0
-    printed = capsys.readouterr().out
-    assert "PASS quadrature" in printed
-    assert "PASS phase-map" in printed
+    captured = capsys.readouterr()
+    assert "PASS quadrature" in captured.out
+    assert "PASS phase-map" in captured.out
+    # Seconds per check go to stderr only, never into the output files.
+    timings = [line.split(": ") for line in captured.err.splitlines()]
+    assert [name for name, _ in timings] == ["quadrature", "phase-map"]
+    assert all(sec.endswith(" s") and float(sec[:-2]) >= 0.0 for _, sec in timings)
     payload = json.loads((out / "validation.json").read_text())
     assert [c["name"] for c in payload["checks"]] == ["quadrature", "phase-map"]
-    assert all(c["passed"] for c in payload["checks"])
+    assert all(c["passed"] and set(c) == {"name", "passed", "details"} for c in payload["checks"])
 
 
 @pytest.mark.parametrize(
