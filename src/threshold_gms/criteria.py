@@ -1,29 +1,31 @@
 """Integral criteria separating the process regimes.
 
-Everything reduces to improper integrals of a survival composition
-against the record-arrival intensity.  With u denoting a fitness
-survival level, the composition
+Everything reduces to improper integrals over the cumulative hazard h of
+the fitness law, the same coordinate the ladder samplers walk.  The
+composition
 
-    composed_survival(u) = threshold survival at the fitness level
-                           whose survival equals u
+    C(h) = H_thr(H_fit^-1(h))
 
-drives both the expected number of extinction marks above the fitness
-ladder (finite iff the process is transient) and, after swapping the
-two roles, the expected number of birth marks above the threshold
-ladder (finite iff the long-run configuration is finite).  Integrals
-are evaluated in u-space, where the only singularity sits at u -> 0,
-over a dyadic cutoff ladder with a three-way verdict: finite, infinite,
-or inconclusive.  Built-in family pairs short-circuit to an exact
-power-exponent analysis of the composition near zero.
+is the threshold hazard at the fitness level whose hazard is h.  The
+mean number of extinction marks above the fitness ladder integrates the
+ladder's per-step mass density exp(h - C(h)) over h in [0, inf) (finite
+iff the process is transient); after swapping the two roles the same
+integral gives the mean number of birth marks above the threshold
+ladder (finite iff the long-run configuration is finite).  The integrals
+are evaluated on dyadic panels [n ln2, (n+1) ln2], one array pass of
+Gauss-Legendre nodes for all of them, with a three-way verdict: finite,
+infinite, or inconclusive.  Built-in family pairs short-circuit to an
+exact power-exponent analysis of the composition as h -> inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from scipy.integrate import quad
+import numpy as np
 
 from .distributions import (
     DistributionSpec,
@@ -54,14 +56,22 @@ class CriteriaError(ValueError):
     """Invalid arguments or internally inconsistent classification."""
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use to keep it off the import path."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 @dataclass(frozen=True)
 class CutoffLadder:
     """Dyadic refinement policy for the improper integrals.
 
-    Panel n covers [2^-(n+1), 2^-n].  Divergence is declared after
-    divergence_run consecutive non-decreasing panel increments above
-    panel_atol; convergence once two consecutive increments fall below
-    panel_atol while shrinking.
+    Panel n covers hazards [n ln2, (n+1) ln2], survival levels
+    [2^-(n+1), 2^-n].  Divergence is declared after divergence_run
+    consecutive non-decreasing panel increments above panel_atol;
+    convergence once two consecutive increments fall below panel_atol
+    while shrinking.
     """
 
     max_refinements: int = 60
@@ -79,11 +89,11 @@ class CutoffLadder:
 
 @dataclass(frozen=True)
 class ImproperIntegral:
-    """Outcome of one improper integral on (0, 1].
+    """Outcome of one improper integral on h in [0, inf).
 
     value is the finite integral, math.inf for detected divergence, or
     None when the verdict is inconclusive.  evidence holds the partial
-    integrals over the shrinking cutoffs and is non-decreasing.
+    integrals over the growing cutoffs and is non-decreasing.
     """
 
     verdict: str
@@ -122,33 +132,75 @@ def _geometric_tail(panels: Sequence[float]) -> Optional[float]:
     return p0 * q0 / (1.0 - q0)
 
 
-def hazard_weighted_integral(
-    integrand: Callable[[float], float], ladder: CutoffLadder = CutoffLadder()
-) -> ImproperIntegral:
-    """Evaluate the improper integral of integrand(u)/u over (0, 1].
+_LN2 = math.log(2.0)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Panel 0 is graded toward h = 0, where compositions such as c * h^p
+# with p not an integer (Weibull pairs of unequal shapes) are not smooth.
+_PANEL0_BREAKS = _LN2 * 2.0 ** -np.arange(1.0, 21.0)
 
-    In level space this equals the integral of the same quantity against
-    the record-arrival intensity (the cumulative-hazard measure of the
-    mark law), which is how every criterion integral below arises.
-    Panels are integrated by adaptive Gauss-Kronrod quadrature; the
-    integrand must be non-negative.  Eventually-geometric panel decay
-    (every power-exponent case) is finished by summing the geometric
-    tail, which keeps slowly decaying exponents inside the refinement
-    budget.
+
+@lru_cache(maxsize=64)
+def _panel_nodes(
+    max_refinements: int, breaks: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature nodes h, their weights, and the dyadic panel of each sub-panel row.
+
+    The dyadic panels are split at every break inside them, and each
+    sub-panel gets its own Gauss-Legendre rule.  The arrays are read-only,
+    so one node array can be shared by every integral over the same
+    panels.
     """
+    top = max_refinements * _LN2
+    inner = np.asarray(breaks, dtype=float)
+    edges = np.unique(
+        np.concatenate(
+            [_LN2 * np.arange(max_refinements + 1), _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]]
+        )
+    )
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    h = mid[:, None] + half[:, None] * _GL_NODES
+    w = half[:, None] * _GL_WEIGHTS
+    panel = np.minimum(mid // _LN2, max_refinements - 1).astype(np.intp)
+    for a in (h, w, panel):
+        a.flags.writeable = False
+    return h, w, panel
+
+
+def hazard_weighted_integral(
+    integrand: Callable[[np.ndarray], np.ndarray],
+    ladder: CutoffLadder = CutoffLadder(),
+    breaks: Sequence[float] = (),
+) -> ImproperIntegral:
+    """Evaluate the improper integral of integrand(h) over h in [0, inf).
+
+    With u = e^-h this is the integral of f(u)/u over u in (0, 1] for
+    f(u) = integrand(-log u), the integral against the record-arrival
+    intensity (the cumulative-hazard measure of the mark law) from which
+    every criterion integral below arises.  integrand takes an array of
+    hazards and must be non-negative; it is called once, on the nodes of
+    all max_refinements panels.  Each dyadic panel is integrated by
+    24-node Gauss-Legendre rules on sub-panels split at ``breaks`` (the
+    hazards where the integrand has a kink) and graded toward h = 0.
+    The panels are then read in order: a non-finite or negative panel
+    raises, a run of non-decreasing panels means divergence, and
+    eventually-geometric panel decay (every power-exponent case) is
+    finished by summing the geometric tail, which keeps slowly decaying
+    exponents inside the refinement budget.  Panels past the stopping
+    one are never inspected.
+    """
+    h, w, panel = _panel_nodes(ladder.max_refinements, tuple(breaks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.broadcast_to(integrand(h), h.shape)
+        pieces = np.bincount(panel, weights=(values * w).sum(axis=1), minlength=ladder.max_refinements)
     panels: list[float] = []
     partial: list[float] = []
     nondecreasing = 0
     quiet = 0
     prev: Optional[float] = None
-    for n in range(ladder.max_refinements):
-        hi = 2.0 ** (-n)
-        lo = hi / 2.0
-        piece, _ = quad(
-            lambda u: integrand(u) / u, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200
-        )
+    for n, piece in enumerate(pieces.tolist()):
         if not math.isfinite(piece) or piece < -1e-9:
-            raise CriteriaError(f"panel [{lo}, {hi}] evaluated to {piece}")
+            raise CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {piece}")
         piece = max(piece, 0.0)
         panels.append(piece)
         partial.append(math.fsum(panels))
@@ -177,7 +229,8 @@ def hazard_weighted_integral_xspace(
     """Level-space cross-check of hazard_weighted_integral.
 
     Integrates integrand(x) against the cumulative-hazard density of
-    ``dist`` over [support_lower, upper).  Intended for finite cases
+    ``dist`` over [support_lower, upper) with adaptive scalar quadrature,
+    an independent route to the same values.  Intended for finite cases
     only; no divergence detection is attempted.
     """
     value, _ = quad(
@@ -189,6 +242,45 @@ def hazard_weighted_integral_xspace(
         limit=500,
     )
     return value
+
+
+def hazard_breaks(params: ModelParams) -> tuple[float, ...]:
+    """Fitness hazards in (0, inf) where the composition C(h) has a kink.
+
+    These are the kink levels of both laws (support edges, tabulated
+    nodes) mapped through the fitness hazard, sorted.
+    """
+    fit = params.fitness_dist
+    levels = np.concatenate([fit.kink_levels(), params.threshold_dist.kink_levels()])
+    h = fit.hazard_transform_array(levels)
+    return tuple(np.unique(h[(h > 0.0) & np.isfinite(h)]).tolist())
+
+
+class _Composition:
+    """C(h) = H_thr(H_fit^-1(h)) of one side, kept for the last node array."""
+
+    def __init__(self, params: ModelParams) -> None:
+        self.fitness = params.fitness_dist
+        self.threshold = params.threshold_dist
+        self.breaks = hazard_breaks(params)
+        self._h: Optional[np.ndarray] = None
+        self._c: Optional[np.ndarray] = None
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        if h is not self._h:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._c = self.threshold.hazard_transform_array(self.fitness.inverse_hazard_array(h))
+            self._c.flags.writeable = False
+            self._h = h
+        return self._c
+
+
+@lru_cache(maxsize=8)
+def _composition(params: ModelParams) -> _Composition:
+    # Shared by e_m and phi_inf of one side (and by every t of the
+    # Laplace exponent): the panel node arrays are cached, so these
+    # integrals pass the same array and C(h) is computed once.
+    return _Composition(params)
 
 
 def composed_survival(params: ModelParams, u) -> float:
@@ -209,13 +301,15 @@ def expected_extinction_count(
 ) -> ImproperIntegral:
     """Mean number of extinction marks above the fitness-record ladder.
 
-    Equals (lambda_extinct / lambda_birth) times the integral of
-    composed_survival(u)/u^2 over (0, 1]; finite exactly in the
+    Equals (lambda_extinct / lambda_birth) times the integral of the
+    ladder's per-step mass density exp(h - C(h)) over h in [0, inf)
+    (composed_survival(u)/u^2 over u in (0, 1]); finite exactly in the
     transient regime.  The prefactor is applied to both the value and
     the evidence trail.
     """
     prefactor = params.lambda_extinct / params.lambda_birth
-    base = hazard_weighted_integral(lambda u: composed_survival(params, u) / u, ladder)
+    comp = _composition(params)
+    base = hazard_weighted_integral(lambda h: np.exp(h - comp(h)), ladder, comp.breaks)
     value = base.value
     if value is not None and math.isfinite(value):
         value *= prefactor
@@ -245,19 +339,19 @@ def extinction_count_exponent(
     The count's Laplace transform is exp(-exponent).  t = math.inf is
     accepted and gives the exponent of the survival probability at
     infinity; the integrand is monotone in t, so so is the exponent.
+    The integrand is 1/(1 + r exp(C(h) - h)) with
+    r = lambda_birth / ((1 - e^-t) lambda_extinct), taken through
+    logaddexp so that it never forms inf/inf.
     """
     t = _as_float(t, "t")
     if not t > 0.0:
         raise CriteriaError(f"t must be positive (math.inf allowed), got {t}")
     shrink = 1.0 if math.isinf(t) else -math.expm1(-t)
-    lam_birth = params.lambda_birth
-    lam_ext = params.lambda_extinct
-
-    def integrand(u: float) -> float:
-        num = shrink * lam_ext * composed_survival(params, u)
-        return num / (lam_birth * u + num) if num > 0.0 else 0.0
-
-    return hazard_weighted_integral(integrand, ladder)
+    log_r = math.log(params.lambda_birth) - math.log(shrink) - math.log(params.lambda_extinct)
+    comp = _composition(params)
+    return hazard_weighted_integral(
+        lambda h: np.exp(-np.logaddexp(0.0, log_r + comp(h) - h)), ladder, comp.breaks
+    )
 
 
 def birth_count_exponent(

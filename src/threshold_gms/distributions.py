@@ -113,6 +113,10 @@ class DistributionSpec(ABC):
     def hazard_density(self, x) -> float:
         """d/dx of the cumulative hazard (density / survival)."""
 
+    def kink_levels(self) -> np.ndarray:
+        """Levels where the cumulative hazard is not smooth: the support edge."""
+        return np.array([self.support_lower])
+
     @abstractmethod
     def to_json(self) -> dict:
         """JSON-serializable description of this law."""
@@ -397,6 +401,10 @@ class TabulatedQuantile(DistributionSpec):
         i = max(i, 0)
         drop = (us[i] - us[i + 1]) / (xs[i + 1] - xs[i])
         return float(drop / self.survival(x))
+
+    def kink_levels(self) -> np.ndarray:
+        """Every grid node: interpolation and the log-linear tail join there."""
+        return self._xs.copy()
 
     def to_json(self) -> dict:
         return {

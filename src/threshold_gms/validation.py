@@ -9,6 +9,8 @@ run_suite, sharing the heavyweight Monte Carlo runs via SuiteContext.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -23,9 +25,9 @@ import numpy as np
 from .criteria import (
     GammaLaw,
     classify,
-    composed_survival,
     expected_extinction_count,
     exponential_closed_forms,
+    hazard_breaks,
     hazard_weighted_integral,
     hazard_weighted_integral_xspace,
     laplace_extinction_count,
@@ -403,7 +405,11 @@ def check_quadrature(ctx: SuiteContext) -> CheckResult:
             fitness_dist=fitness,
             threshold_dist=threshold,
         )
-        u_side = hazard_weighted_integral(lambda u: composed_survival(params, u) / u)
+        # The ladder's per-step mass density exp(h - H_thr(H_fit^-1(h))).
+        h_side = hazard_weighted_integral(
+            lambda h: np.exp(h - threshold.hazard_transform_array(fitness.inverse_hazard_array(h))),
+            breaks=hazard_breaks(params),
+        )
 
         def ratio(x: float) -> float:
             denom = fitness.survival(x)
@@ -412,12 +418,12 @@ def check_quadrature(ctx: SuiteContext) -> CheckResult:
             return threshold.survival(x) / denom
 
         x_side = hazard_weighted_integral_xspace(ratio, fitness)
-        gap = abs(u_side.value - x_side)
-        err = abs(u_side.value - expected)
-        ok = ok and u_side.is_finite and gap <= 1e-8 and err <= 1e-6
+        gap = abs(h_side.value - x_side)
+        err = abs(h_side.value - expected)
+        ok = ok and h_side.is_finite and gap <= 1e-8 and err <= 1e-6
         parts.append(
             f"{type(fitness).__name__}/{type(threshold).__name__}: "
-            f"u {u_side.value:.10f} vs x {x_side:.10f} (gap {gap:.1e}, value err {err:.1e})"
+            f"h {h_side.value:.10f} vs x {x_side:.10f} (gap {gap:.1e}, value err {err:.1e})"
         )
     return CheckResult("quadrature", ok, "; ".join(parts))
 
@@ -444,6 +450,16 @@ def _dir_bytes(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def _cli_in_process(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of cli.main(argv); its stdout is discarded."""
+    from . import cli
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
 
 
 def check_properties(ctx: SuiteContext) -> CheckResult:
@@ -499,21 +515,31 @@ def check_properties(ctx: SuiteContext) -> CheckResult:
     nondeterministic = []
     with tempfile.TemporaryDirectory() as tmpname:
         tmp = Path(tmpname)
-        for argv in _cli_determinism_commands(tmp):
-            snapshots = []
+        commands = _cli_determinism_commands(tmp)
+        for argv in commands:
+            runs = []
             for attempt in range(2):
                 out_dir = tmp / f"{argv[0]}-{attempt}"
-                cmd = [sys.executable, "-m", "threshold_gms.cli", *argv, "--out", str(out_dir)]
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-                if proc.returncode != 0:
-                    nondeterministic.append(f"{argv[0]} exited {proc.returncode}: {proc.stderr.strip()[:200]}")
+                code, stderr = _cli_in_process([*argv, "--out", str(out_dir)])
+                if code != 0:
+                    nondeterministic.append(f"{argv[0]} exited {code}: {stderr.strip()[:200]}")
                     break
-                snapshots.append(_dir_bytes(out_dir))
-            if len(snapshots) == 2 and snapshots[0] != snapshots[1]:
+                runs.append(_dir_bytes(out_dir))
+            if len(runs) == 2 and runs[0] != runs[1]:
                 nondeterministic.append(f"{argv[0]} outputs differ between reruns")
+        # One process-level rerun: a fresh interpreter must reproduce the
+        # in-process bytes (hash seeds, import-time state).
+        argv = commands[1]
+        out_dir = tmp / f"{argv[0]}-subprocess"
+        cmd = [sys.executable, "-m", "threshold_gms.cli", *argv, "--out", str(out_dir)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            nondeterministic.append(f"{argv[0]} subprocess exited {proc.returncode}: {proc.stderr.strip()[:200]}")
+        elif _dir_bytes(out_dir) != _dir_bytes(tmp / f"{argv[0]}-0"):
+            nondeterministic.append(f"{argv[0]} subprocess output differs from the in-process run")
     ok = ok and not nondeterministic
     parts.append(
-        "all five commands rerun bit-identically"
+        f"all {len(commands)} commands rerun bit-identically in-process, and {commands[1][0]} in a subprocess"
         if not nondeterministic
         else "determinism failures: " + "; ".join(nondeterministic)
     )

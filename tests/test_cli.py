@@ -270,8 +270,8 @@ def test_huge_ladder_masses_still_give_counts(tmp_path):
         assert float(row["total"]) == n0 + float(row["n_above"])
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, threshold_gms.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    code = "import sys, threshold_gms.cli; print('scipy.stats' in sys.modules or 'scipy.integrate' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)

@@ -145,29 +145,30 @@ def test_exponent_dominated_by_expected_count():
 
 
 def test_hazard_weighted_integral_of_identity():
-    res = hazard_weighted_integral(lambda u: u)
+    # u = e^-h: the integral of u/u over (0, 1] is that of e^-h over [0, inf).
+    res = hazard_weighted_integral(lambda h: np.exp(-h))
     assert res.is_finite
     assert res.value == pytest.approx(1.0, rel=1e-8)
 
 
 def test_hazard_weighted_integral_of_constant_diverges():
-    res = hazard_weighted_integral(lambda u: 0.5)
+    res = hazard_weighted_integral(lambda h: 0.5)
     assert res.is_infinite
 
 
 def test_hazard_weighted_integral_log_divergence_is_inconclusive():
-    # integrand/u = 1/(u (1 - log u)) diverges only logarithmically: the
-    # panel trend is neither clearly summable nor clearly growing.
-    res = hazard_weighted_integral(lambda u: 1.0 / (1.0 - math.log(u)))
+    # 1/(1 + h) diverges only logarithmically: the panel trend is neither
+    # clearly summable nor clearly growing.
+    res = hazard_weighted_integral(lambda h: 1.0 / (1.0 + h))
     assert res.verdict == "inconclusive"
     assert res.value is None
 
 
 def test_hazard_weighted_integral_rejects_bad_integrand():
     with pytest.raises(CriteriaError):
-        hazard_weighted_integral(lambda u: -1.0)
+        hazard_weighted_integral(lambda h: -1.0)
     with pytest.raises(CriteriaError):
-        hazard_weighted_integral(lambda u: math.nan)
+        hazard_weighted_integral(lambda h: math.nan)
 
 
 def test_cutoff_ladder_validation():
@@ -179,22 +180,84 @@ def test_cutoff_ladder_validation():
         CutoffLadder(panel_atol=0.0)
 
 
-def test_xspace_integral_matches_uspace():
+def test_xspace_integral_matches_hspace():
     cases = [
         (Exponential(1.0), Exponential(2.0), 1.0),
         (Pareto(1.0, 1.0), Exponential(1.0), math.exp(-1.0)),
     ]
     for fitness, threshold, expected in cases:
         params = ModelParams(1.0, 1.0, fitness, threshold)
-        u_side = hazard_weighted_integral(lambda u: composed_survival(params, u) / u)
+
+        def mass_density(h):
+            return np.exp(h - threshold.hazard_transform_array(fitness.inverse_hazard_array(h)))
+
+        h_side = hazard_weighted_integral(mass_density)
 
         def ratio(x):
             denom = fitness.survival(x)
             return threshold.survival(x) / denom if denom > 0.0 else 0.0
 
         x_side = hazard_weighted_integral_xspace(ratio, fitness)
-        assert u_side.value == pytest.approx(expected, abs=1e-6)
-        assert x_side == pytest.approx(u_side.value, abs=1e-8)
+        assert h_side.value == pytest.approx(expected, abs=1e-6)
+        assert x_side == pytest.approx(h_side.value, abs=1e-8)
+        assert expected_extinction_count(params).value == pytest.approx(h_side.value, rel=1e-12)
+
+
+# Nodes off the dyadic grid of survival levels (powers of 1/2).
+KINKED_TABULATED = TabulatedQuantile(grid=((1.0, 0.0), (0.6, 0.37), (0.3, 1.3), (0.11, 2.9), (0.02, 5.1)))
+KINKED_TABULATED_STEEP = TabulatedQuantile(
+    grid=((1.0, 0.0), (0.5, 0.23), (0.2, 0.81), (0.05, 1.7), (0.004, 3.3))
+)
+
+
+@pytest.mark.parametrize(
+    "fitness, threshold",
+    [
+        # The threshold support edge sits at h = ln 3, off the dyadic grid; e_m = 8.
+        (Pareto(1.0, 1.0), Pareto(3.0, 1.5)),
+        # C(h) = h^p with p not an integer: not smooth at h = 0.
+        (Exponential(1.0), Weibull(1.3, 1.0)),
+        (Weibull(0.5, 1.0), Weibull(0.9, 1.0)),
+        (KINKED_TABULATED, KINKED_TABULATED_STEEP),
+        (KINKED_TABULATED, Exponential(1.0)),
+    ],
+)
+def test_hspace_integrals_resolve_kinks_and_the_endpoint(fitness, threshold):
+    """Hazard-space panels split at kinks and graded at h = 0 match level-space quadrature.
+
+    e_m is compared whole.  Both are also compared panel-wise, through
+    the partial integral over the first eight panels (h < 8 ln2, past
+    every kink here): phi's geometric-tail completion is accurate only to
+    the ratio tolerance, which is not what this test measures.
+    """
+    params = ModelParams(1.0, 1.0, fitness, threshold)
+
+    def ratio(x):
+        s_fit = fitness.survival(x)
+        return threshold.survival(x) / s_fit if s_fit > 0.0 else 0.0
+
+    def exponent_integrand(x):
+        s_fit, s_thr = fitness.survival(x), threshold.survival(x)
+        return s_thr / (s_fit + s_thr) if s_thr > 0.0 else 0.0
+
+    e_m = expected_extinction_count(params)
+    phi = extinction_count_exponent(params, math.inf)
+    assert e_m.is_finite and phi.is_finite
+    assert e_m.value == pytest.approx(hazard_weighted_integral_xspace(ratio, fitness), rel=1e-9)
+    upper = fitness.inverse_hazard(8 * math.log(2.0))
+    for res, integrand in ((e_m, ratio), (phi, exponent_integrand)):
+        assert len(res.evidence) >= 8
+        x_partial = hazard_weighted_integral_xspace(integrand, fitness, upper)
+        assert res.evidence[7] == pytest.approx(x_partial, rel=1e-9)
+    if isinstance(threshold, Pareto):
+        assert e_m.value == pytest.approx(8.0, rel=1e-12)
+
+
+def test_expected_count_closed_form_exponential_weibull():
+    # e_m = integral of exp(h - h^2) over [0, inf) = e^(1/4) (sqrt(pi)/2) (1 + erf(1/2)).
+    params = ModelParams(1.0, 1.0, Exponential(1.0), Weibull(2.0, 1.0))
+    exact = math.exp(0.25) * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(0.5))
+    assert expected_extinction_count(params).value == pytest.approx(exact, rel=1e-12)
 
 
 def test_composed_survival_exponent_table():
