@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python3 scripts/bench_ladders.py [--repeat 3]
 
-Each figure is the best of ``--repeat`` timed ``run()`` calls on one
-worker, in microseconds per replication.  The shallow ladder pairs are
-the acceptance suite's (exp(1)/exp(2) for the count and mass tasks,
+Each figure is the best of ``--repeat`` timed ``run()`` calls, in
+microseconds per replication.  The shallow ladder pairs are the
+acceptance suite's (exp(1)/exp(2) for the count and mass tasks,
 exp(2)/exp(1) for the limit task); the deep pairs sit at gamma = 1.05,
 where ladders are about 500 steps deep.  The forward tasks use the
 benchmark's windows: the forward count of exp(2)/exp(1) at t = 50 and
@@ -59,7 +59,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
-    os.environ.pop("THRESHOLD_GMS_THREADS", None)
     out = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
         "us_per_rep": {},

@@ -291,11 +291,6 @@ def composed_survival(params: ModelParams, u) -> float:
     return params.threshold_dist.survival(params.fitness_dist.inverse_survival(u))
 
 
-def composed_survival_swapped(params: ModelParams, u) -> float:
-    """Fitness survival at the threshold level with survival u."""
-    return composed_survival(params.swapped(), u)
-
-
 def expected_extinction_count(
     params: ModelParams, ladder: CutoffLadder = CutoffLadder()
 ) -> ImproperIntegral:

@@ -2,9 +2,10 @@
 
 Each law exposes its survival function, the inverse survival function
 (inf-convention generalized inverse), the cumulative hazard
-``-log(survival)`` and its closed-form inverse, and inverse-transform
-sampling.  Draws conditioned to exceed a level are taken in
-cumulative-hazard space, where no survival value can underflow.
+``-log(survival)`` and its closed-form inverse.  Every draw is taken in
+cumulative-hazard space: the hazard of a draw is a unit exponential,
+and so is its excess hazard above any level, so no survival value can
+underflow.
 
 The cumulative hazard and its inverse also come in array forms
 (``hazard_transform_array``, ``inverse_hazard_array``) for the block
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .streams import open_uniform
 
 
 class DistributionError(ValueError):
@@ -122,30 +121,30 @@ class DistributionSpec(ABC):
         """JSON-serializable description of this law."""
 
     def sample(self, rng: np.random.Generator) -> float:
-        """One inverse-survival-transform draw."""
-        return self.inverse_survival(open_uniform(rng))
-
-    def record_above(self, h: float, lower: float, rng: np.random.Generator) -> tuple[float, float]:
-        """Cumulative hazard and level of a draw above ``lower``, whose hazard is h.
-
-        Above any level the excess hazard of the law is a unit
-        exponential, so the draw sits at hazard h - log(U).  The redraw
-        guards the measure-zero floating-point tie at ``lower``; where
-        even one unit of hazard cannot move the level past ``lower`` the
-        tie is certain, and the call raises instead of looping.
-        """
-        while True:
-            h_next = h - math.log(open_uniform(rng))
-            value = self.inverse_hazard(h_next)
-            if value > lower:
-                return h_next, value
-            if not self.inverse_hazard(h + 1.0) > lower:
-                raise DistributionError(f"no level above {lower} is representable at hazard {h}")
+        """One draw H^-1(E) of a unit exponential E: the cumulative hazard of a draw is Exp(1)."""
+        e = rng.standard_exponential()
+        value = float(self.inverse_hazard_array(np.float64(e)))
+        if math.isinf(value):
+            raise DistributionError(f"quantile overflow at hazard {e}")
+        return value
 
     def sample_conditional_above(self, lower, rng: np.random.Generator) -> float:
-        """Draw conditioned on strictly exceeding ``lower``."""
+        """Draw conditioned on strictly exceeding ``lower``, at hazard H(lower) + E.
+
+        Above any level the excess hazard of the law is a unit
+        exponential.  The redraw guards the measure-zero floating-point
+        tie at ``lower``; where even one unit of hazard cannot move the
+        level past ``lower`` the tie is certain, and the call raises
+        instead of looping.
+        """
         lower = _as_float(lower, "lower")
-        value = self.record_above(self.hazard_transform(lower), lower, rng)[1]
+        h = self.hazard_transform(lower)
+        while True:
+            value = float(self.inverse_hazard_array(np.float64(h + rng.standard_exponential())))
+            if value > lower:
+                break
+            if not self.inverse_hazard(h + 1.0) > lower:
+                raise DistributionError(f"no level above {lower} is representable at hazard {h}")
         if math.isinf(value):
             raise DistributionError(f"draw above {lower} overflows the float range")
         return value
@@ -317,8 +316,12 @@ class TabulatedQuantile(DistributionSpec):
     grid: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        try:
+            pairs = [tuple(pair) for pair in self.grid]
+        except TypeError:
+            raise DistributionError("grid must be a sequence of (survival, level) pairs") from None
         rows = []
-        for i, pair in enumerate(self.grid):
+        for i, pair in enumerate(pairs):
             if len(pair) != 2:
                 raise DistributionError(f"grid row {i} must be a (survival, level) pair")
             u = _as_float(pair[0], f"grid[{i}].survival")
@@ -465,10 +468,12 @@ def distribution_from_json(obj) -> DistributionSpec:
                 raise DistributionError(f"pareto spec requires {key!r}")
         return Pareto(minimum=obj["minimum"], index=obj["index"])
     if "csv" in obj:
+        if not isinstance(obj["csv"], str):
+            raise DistributionError(f"tabulated 'csv' must be a file path, got {obj['csv']!r}")
         return TabulatedQuantile.from_csv(obj["csv"])
     if "grid" not in obj:
         raise DistributionError("tabulated spec requires 'grid' or 'csv'")
-    return TabulatedQuantile(grid=tuple(tuple(row) for row in obj["grid"]))
+    return TabulatedQuantile(grid=obj["grid"])
 
 
 @dataclass(frozen=True)
@@ -528,9 +533,3 @@ def model_params_from_json(obj) -> ModelParams:
         threshold_dist=distribution_from_json(obj["threshold_dist"]),
     )
 
-
-def sample_many(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws as a float array."""
-    if n < 0:
-        raise DistributionError("n must be non-negative")
-    return np.array([dist.sample(rng) for _ in range(n)], dtype=float)

@@ -29,7 +29,6 @@ as finite: one cut at max_steps or by float overflow reports the
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -74,12 +73,14 @@ class StopRule:
     quiet_window: int = 20
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise LadderError("max_steps must be at least 1")
+        for name in ("max_steps", "quiet_window"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise LadderError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise LadderError(f"{name} must be at least 1")
         if not 0.0 < self.tail_tolerance < math.inf:
             raise LadderError("tail_tolerance must be positive and finite")
-        if self.quiet_window < 1:
-            raise LadderError("quiet_window must be at least 1")
 
     def to_json(self) -> dict:
         return {
@@ -535,11 +536,3 @@ def sample_limit_config(
         return EFFECTIVELY_INFINITE
     return populate_limit_config(ladder, params, rng)
 
-
-def write_ladder_csv(ladder, path) -> None:
-    """Ladder steps as CSV columns (k, record_value, gap, per_step_mass)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "record_value", "gap", "per_step_mass"])
-        for k, step in enumerate(ladder.steps, start=1):
-            writer.writerow([k, repr(step.value), repr(step.gap), repr(step.mass)])

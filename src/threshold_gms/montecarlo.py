@@ -5,9 +5,7 @@ walks its BLOCK ladders in lockstep from one counter-based RNG keyed by
 (base_seed, b, task salt), and always samples all of its rows, so
 replication i does not depend on how many replications the plan asks
 for.  The forward tasks give every replication its own RNG keyed by
-(base_seed, replication index, task salt).  Either way results are
-bit-identical regardless of worker count, since workers split the work
-at block (or replication) boundaries.  The extinction-count and
+(base_seed, replication index, task salt).  The extinction-count and
 extinction-mass tasks share a salt on purpose: they see identical
 ladders, which lets a single run serve both the count and the mass
 checks.
@@ -22,10 +20,7 @@ RunResult.aux.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -90,8 +85,6 @@ BLOCK = 128
 # Stop reason of a replication whose plan the exact tail exponent declares
 # divergent: no ladder was walked.
 STOP_DIVERGENT = "divergent"
-
-THREADS_ENV = "THRESHOLD_GMS_THREADS"
 
 # Smallest Poisson mean drawn from the normal approximation.
 POISSON_NORMAL_FROM = 1e18
@@ -285,12 +278,6 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
     return out
 
 
-def _run_blocks(plan: ReplicationPlan, first: int, count: int) -> tuple[int, dict[str, np.ndarray]]:
-    diverges = _regime_diverges(plan)
-    blocks = [_ladder_block(plan, b, diverges) for b in range(first, first + count)]
-    return first, {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
-
-
 def _replicate_one(plan: ReplicationPlan, index: int) -> float:
     rng = replication_rng(plan.base_seed, index=index, salt=_TASK_SALTS[plan.task])
     params = plan.params
@@ -302,47 +289,22 @@ def _replicate_one(plan: ReplicationPlan, index: int) -> float:
     return math.nan if empty is None else float(empty)
 
 
-def _run_range(plan: ReplicationPlan, first: int, count: int) -> tuple[int, dict[str, np.ndarray]]:
-    values = [_replicate_one(plan, i) for i in range(first, first + count)]
-    return first, {"samples": np.asarray(values, dtype=float)}
-
-
-def worker_count(replications: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise MonteCarloError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise MonteCarloError(f"{THREADS_ENV} must be at least 1, got {workers}")
-    return min(workers, replications)
-
-
 def run(plan: ReplicationPlan) -> RunResult:
     """Execute every replication of the plan.
 
-    The worker count comes from the THRESHOLD_GMS_THREADS environment
-    variable (default 1); workers split ladder tasks at block boundaries
-    and forward tasks at replication boundaries, so the output does not
-    depend on it.  A ladder task whose exact tail exponent is divergent
-    walks no ladder: every replication is a sentinel, and the limit task
-    still draws each look-back gap for its band-0 mass.
+    Ladder tasks run blocks 0 .. ceil(n / BLOCK) - 1 and keep the first
+    n rows; forward tasks run replications 0 .. n - 1.  A ladder task
+    whose exact tail exponent is divergent walks no ladder: every
+    replication is a sentinel, and the limit task still draws each
+    look-back gap for its band-0 mass.
     """
     n = plan.replications
     if plan.task in _LADDER_TASKS:
-        work, units = _run_blocks, -(-n // BLOCK)
+        diverges = _regime_diverges(plan)
+        blocks = [_ladder_block(plan, b, diverges) for b in range(-(-n // BLOCK))]
+        columns = {k: np.concatenate([blk[k] for blk in blocks])[:n] for k in blocks[0]}
     else:
-        work, units = _run_range, n
-    workers = worker_count(units)
-    if workers == 1:
-        pieces = [work(plan, 0, units)]
-    else:
-        chunk = -(-units // workers)
-        ctx = get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(work, plan, s, min(chunk, units - s)) for s in range(0, units, chunk)]
-            pieces = sorted((f.result() for f in futures), key=lambda item: item[0])
-    columns = {k: np.concatenate([p[1][k] for p in pieces])[:n] for k in pieces[0][1]}
+        columns = {"samples": np.asarray([_replicate_one(plan, i) for i in range(n)], dtype=float)}
     samples = columns.pop("samples").astype(float)
     return RunResult(plan=plan, samples=samples, aux=columns)
 

@@ -230,20 +230,6 @@ class Configuration:
     def __iter__(self) -> Iterator[float]:
         return iter(self.values)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.values
-
-    def min(self) -> float:
-        if not self.values:
-            raise ProcessError("empty configuration has no minimum")
-        return self.values[0]
-
-    def max(self) -> float:
-        if not self.values:
-            raise ProcessError("empty configuration has no maximum")
-        return self.values[-1]
-
 
 @dataclass(frozen=True)
 class PathTrace:
@@ -348,21 +334,6 @@ def write_trace_csv(trace: PathTrace, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["time", "kind", "mark", "count_after"])
         writer.writerows((repr(t), kind, repr(mark), count) for t, kind, mark, count in trace_rows(trace))
-
-
-def write_snapshots_csv(trace: PathTrace, times: Iterable[float], path) -> None:
-    """Sampled configurations as CSV columns (time, count, min_fitness, max_fitness)."""
-    rows = []
-    for t in times:
-        config = trace.configuration_at(t)
-        if config.is_empty:
-            rows.append([repr(float(t)), 0, "", ""])
-        else:
-            rows.append([repr(float(t)), len(config), repr(config.min()), repr(config.max())])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "count", "min_fitness", "max_fitness"])
-        writer.writerows(rows)
 
 
 def read_initial_csv(path) -> Configuration:

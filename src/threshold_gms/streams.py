@@ -1,9 +1,10 @@
 """Deterministic random-stream construction.
 
-Every replication draws from its own counter-based generator derived
-from (base_seed, replication_index, salt).  Streams built this way are
-independent of scheduling, so concurrent runs reproduce serial runs
-bit for bit.
+Every unit of sampling work (a block of ladder replications, or one
+forward replication) draws from its own counter-based generator derived
+from (base_seed, index, salt).  A stream depends on nothing but those
+three numbers, so a unit draws the same values however many others a
+run asks for, and reruns reproduce each other bit for bit.
 """
 
 from __future__ import annotations
@@ -29,14 +30,3 @@ def replication_rng(base_seed: int, index: int = 0, salt: int = 0) -> np.random.
     counter = [0, 0, 0, int(index) & _MASK64]
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
-
-def open_uniform(rng: np.random.Generator) -> float:
-    """Uniform draw from the open interval (0, 1).
-
-    numpy's ``random()`` includes 0.0; redrawing keeps inverse-survival
-    sampling away from the infinite quantile.
-    """
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return float(u)

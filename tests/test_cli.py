@@ -425,6 +425,31 @@ def test_malformed_params_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "tabulated", "grid": 5},
+        {"family": "tabulated", "grid": [[1.0, 0.0], 3]},
+        {"family": "tabulated", "csv": 7},
+    ],
+    ids=["grid-not-a-sequence", "grid-row-not-a-pair", "csv-not-a-path"],
+)
+def test_malformed_tabulated_spec_is_a_usage_error(tmp_path, capsys, spec):
+    params = {
+        "lambda_birth": 1.0,
+        "lambda_extinct": 1.0,
+        "fitness_dist": spec,
+        "threshold_dist": {"family": "exponential", "rate": 1.0},
+    }
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "never"
+    code = cli.main(["classify", "--params", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -12,7 +12,6 @@ from threshold_gms.criteria import (
     classify,
     composed_survival,
     composed_survival_exponent,
-    composed_survival_swapped,
     expected_birth_count,
     expected_extinction_count,
     exponential_closed_forms,
@@ -40,7 +39,7 @@ def test_composed_survival_exponential_pair_is_a_power():
     params = exp_params(1.0, 2.0)
     for u in (1.0, 0.7, 0.2, 1e-4, 1e-12):
         assert composed_survival(params, u) == pytest.approx(u**2, rel=1e-12)
-        assert composed_survival_swapped(params, u) == pytest.approx(u**0.5, rel=1e-12)
+        assert composed_survival(params.swapped(), u) == pytest.approx(u**0.5, rel=1e-12)
 
 
 def test_composed_survival_weibull_equal_shape():

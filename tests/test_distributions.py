@@ -17,7 +17,6 @@ from threshold_gms.distributions import (
     Weibull,
     distribution_from_json,
     model_params_from_json,
-    sample_many,
 )
 from threshold_gms.streams import replication_rng
 
@@ -162,10 +161,9 @@ def test_conditional_sampling_underflow():
     assert res.pvalue > 0.001
 
 
-def test_sample_many_matches_law():
+def test_sample_matches_law():
     rng = replication_rng(45, 0, 0)
-    draws = sample_many(Exponential(2.0), 5000, rng)
-    assert draws.shape == (5000,)
+    draws = np.array([Exponential(2.0).sample(rng) for _ in range(5000)])
     res = stats.kstest(draws, lambda x: 1.0 - np.exp(-2.0 * x))
     assert res.pvalue > 0.001
 

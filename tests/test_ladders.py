@@ -25,7 +25,6 @@ from threshold_gms.ladders import (
     sample_ladder_block,
     sample_limit_config,
     sample_threshold_ladder,
-    write_ladder_csv,
 )
 from threshold_gms.montecarlo import TASK_EXTINCTION_COUNT, ReplicationPlan, gof_chi_square, gof_ks, run
 from threshold_gms.process import generate_stream
@@ -46,6 +45,9 @@ def test_stop_rule_validation():
         StopRule(tail_tolerance=0.0)
     with pytest.raises(LadderError):
         StopRule(quiet_window=0)
+    for bad in ({"max_steps": 100.0}, {"max_steps": 50.5}, {"max_steps": True}, {"quiet_window": 2.5}):
+        with pytest.raises(LadderError, match="integer"):
+            StopRule(**bad)
 
 
 def test_ladder_validation():
@@ -332,17 +334,6 @@ def test_pareto_levels_overflow_into_a_sentinel():
     assert ladder.stop_reason == "overflow"
     assert 600 < len(ladder.steps) < 820
     assert all(math.isfinite(s.value) for s in ladder.steps)
-
-
-def test_write_ladder_csv(tmp_path):
-    rng = replication_rng(33, 0, 0)
-    ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng)
-    path = tmp_path / "ladder.csv"
-    write_ladder_csv(ladder, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,record_value,gap,per_step_mass"
-    assert len(lines) == len(ladder.steps) + 1
-    assert float(lines[1].split(",")[3]) == ladder.steps[0].mass
 
 
 @settings(max_examples=150, deadline=None)

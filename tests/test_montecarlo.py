@@ -15,7 +15,6 @@ from threshold_gms.montecarlo import (
     TASK_EXTINCTION_MASS,
     TASK_FORWARD_COUNT,
     TASK_LIMIT_CONFIG,
-    THREADS_ENV,
     MonteCarloError,
     ReplicationPlan,
     compare_forward_vs_limit,
@@ -25,7 +24,6 @@ from threshold_gms.montecarlo import (
     plan_from_json,
     run,
     summarize,
-    worker_count,
 )
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
@@ -98,35 +96,11 @@ def test_plan_validation():
         )
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count(10) == 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert worker_count(10) == 3
-    assert worker_count(2) == 2
-    monkeypatch.setenv(THREADS_ENV, "abc")
-    with pytest.raises(MonteCarloError):
-        worker_count(10)
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(MonteCarloError):
-        worker_count(10)
-
-
-def test_run_is_deterministic(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_run_is_deterministic():
     a = run(count_plan(300))
     b = run(count_plan(300))
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.aux["mass"], b.aux["mass"])
-
-
-def test_run_is_worker_count_invariant(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    serial = run(count_plan(300))
-    monkeypatch.setenv(THREADS_ENV, "2")
-    parallel = run(count_plan(300))
-    assert np.array_equal(serial.samples, parallel.samples)
-    assert np.array_equal(serial.aux["mass"], parallel.aux["mass"])
 
 
 def test_mass_task_sees_the_same_ladders():
@@ -353,17 +327,6 @@ def test_replications_do_not_depend_on_the_plan_size(task, params):
     assert set(short.aux) == set(long.aux)
     for key in short.aux:
         assert short.aux[key].tobytes() == long.aux[key][:300].tobytes()
-
-
-def test_limit_run_is_worker_count_invariant(monkeypatch):
-    plan = ReplicationPlan(task=TASK_LIMIT_CONFIG, params=FINITE_EXAMPLE, replications=3 * BLOCK + 5, base_seed=15)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    serial = run(plan)
-    monkeypatch.setenv(THREADS_ENV, "2")
-    parallel = run(plan)
-    assert serial.samples.tobytes() == parallel.samples.tobytes()
-    for key in serial.aux:
-        assert serial.aux[key].tobytes() == parallel.aux[key].tobytes()
 
 
 def test_ladder_runs_carry_stop_reasons_and_depths():

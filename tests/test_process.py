@@ -17,7 +17,6 @@ from threshold_gms.process import (
     last_empty_time,
     read_initial_csv,
     species_count_at,
-    write_snapshots_csv,
     write_trace_csv,
 )
 from threshold_gms.streams import replication_rng
@@ -224,10 +223,6 @@ def test_csv_writers_round_trip(tmp_path):
     lines = trace_path.read_text().strip().splitlines()
     assert lines[0] == "time,kind,mark,count_after"
     assert len(lines) == 3
-
-    snap_path = tmp_path / "snaps.csv"
-    write_snapshots_csv(trace, [0.5, 2.5], snap_path)
-    assert len(snap_path.read_text().strip().splitlines()) == 3
 
     init_path = tmp_path / "init.csv"
     init_path.write_text("fitness\n0.5\n1.5\n")

@@ -1,0 +1,37 @@
+"""The experiment scripts and the README's library example run against the package namespace."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_scripts_and_readme_example_run():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    commands = {
+        "limit_law_demo": ["scripts/limit_law_demo.py", "--reps", "1000", "--forward-reps", "1000"],
+        "bench_ladders": ["scripts/bench_ladders.py", "--repeat", "1"],
+    }
+    procs = {
+        name: subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env, text=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for name, argv in commands.items()
+    }
+
+    readme = (ROOT / "README.md").read_text()
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert namespace["report"].recurrence == "Transient"
+    assert namespace["report"].integrals.e_m == 1.0
+
+    outputs = {name: proc.communicate() for name, proc in procs.items()}
+    for name, proc in procs.items():
+        assert proc.returncode == 0, (name, outputs[name][1])
+    assert "total species count vs negative binomial closed form" in outputs["limit_law_demo"][0]
+    bench = json.loads(outputs["bench_ladders"][0])
+    assert len(bench["us_per_rep"]) == 9 and bench["simulate_s"] > 0.0
