@@ -4,7 +4,7 @@
 
 Each figure is the best of ``--repeat`` timed ``run()`` calls, in
 microseconds per replication.  The shallow ladder pairs are the
-acceptance suite's (exp(1)/exp(2) for the count and mass tasks,
+acceptance suite's (exp(1)/exp(2) for the count task,
 exp(2)/exp(1) for the limit task); the deep pairs sit at gamma = 1.05,
 where ladders are about 500 steps deep.  The forward tasks use the
 benchmark's windows: the forward count of exp(2)/exp(1) at t = 50 and
@@ -30,7 +30,6 @@ from threshold_gms.montecarlo import ReplicationPlan, run
 
 CASES = {
     "extinction_count/exp(1)/exp(2)": ("extinction_count", Exponential(1.0), Exponential(2.0), 4000, {}),
-    "extinction_mass/exp(1)/exp(2)": ("extinction_mass", Exponential(1.0), Exponential(2.0), 4000, {}),
     "limit_config/exp(2)/exp(1)": ("limit_config", Exponential(2.0), Exponential(1.0), 4000, {}),
     "extinction_count/exp(1)/exp(1.05)": ("extinction_count", Exponential(1.0), Exponential(1.05), 480, {}),
     "extinction_count/weibull(2)/gamma=1.05": (

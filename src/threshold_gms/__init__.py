@@ -23,7 +23,6 @@ from .ladders import (
 from .montecarlo import (
     TASK_EMPTY_SCAN,
     TASK_EXTINCTION_COUNT,
-    TASK_EXTINCTION_MASS,
     TASK_FORWARD_COUNT,
     TASK_LIMIT_CONFIG,
     ReplicationPlan,
@@ -47,7 +46,6 @@ __all__ = [
     "StopRule",
     "TASK_EMPTY_SCAN",
     "TASK_EXTINCTION_COUNT",
-    "TASK_EXTINCTION_MASS",
     "TASK_FORWARD_COUNT",
     "TASK_LIMIT_CONFIG",
     "TabulatedQuantile",

@@ -24,7 +24,6 @@ from .montecarlo import (
     ReplicationPlan,
     TASK_EXTINCTION_COUNT,
     TASK_LIMIT_CONFIG,
-    RunResult,
     ladder_diagnostics,
     run,
 )
@@ -75,16 +74,6 @@ def _write_manifest(out_dir: Path, command: str, arguments: dict, outputs: Seque
         "package": {"name": "threshold-gms", "version": __version__},
     }
     (out_dir / "manifest.json").write_text(_dump_json(manifest))
-
-
-def _write_run_summary(out_dir: Path, plan: ReplicationPlan, result: RunResult) -> None:
-    """summary.json of a ladder command: the plan, the moments and the ladder diagnostics."""
-    payload = {
-        "plan": plan.to_json(),
-        "summary": result.summary.to_json(),
-        "diagnostics": ladder_diagnostics(result),
-    }
-    (out_dir / "summary.json").write_text(_dump_json(payload))
 
 
 def _load_params(path: str) -> ModelParams:
@@ -242,17 +231,34 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_ladder_mc(args) -> int:
+# The two ladder commands: help text, Monte Carlo task, and the sample
+# columns as (CSV header, JSON key, result column), where "samples" names
+# RunResult.samples and every other column is an entry of RunResult.aux.
+_LADDER_COMMANDS = {
+    "ladder-mc": (
+        "replicate the fitness-record ladder and its extinction counts",
+        TASK_EXTINCTION_COUNT,
+        (("count", "counts", "samples"), ("mass", "masses", "mass")),
+    ),
+    "limit-mc": (
+        "replicate draws of the long-run configuration",
+        TASK_LIMIT_CONFIG,
+        (
+            ("n0", "n0", "n0"),
+            ("n_above", "n_above", "n_above"),
+            ("total", "totals", "samples"),
+            ("band0_mass", "band0_mass", "band0_mass"),
+        ),
+    ),
+}
+
+
+def _cmd_ladder(args) -> int:
+    _, task, columns = _LADDER_COMMANDS[args.command]
     params = _load_params(args.params)
-    plan = ReplicationPlan(
-        task=TASK_EXTINCTION_COUNT,
-        params=params,
-        replications=args.reps,
-        base_seed=args.seed,
-    )
+    plan = ReplicationPlan(task=task, params=params, replications=args.reps, base_seed=args.seed)
     result = run(plan)
-    counts = result.samples
-    masses = result.aux["mass"]
+    values = [result.samples if column == "samples" else result.aux[column] for _, _, column in columns]
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,72 +266,23 @@ def _cmd_ladder_mc(args) -> int:
     if args.format == "csv":
         with open(out / "samples.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["rep", "count", "mass"])
-            for i, (c, m) in enumerate(zip(counts, masses)):
-                writer.writerow([i, _csv_cell(c), _csv_cell(m)])
+            writer.writerow(["rep", *(header for header, _, _ in columns)])
+            for i, row in enumerate(zip(*values)):
+                writer.writerow([i, *map(_csv_cell, row)])
         outputs.append("samples.csv")
     else:
-        payload = {
-            "counts": [_encode_float(float(c)) for c in counts],
-            "masses": [_encode_float(float(m)) for m in masses],
-        }
+        payload = {key: [_encode_float(float(v)) for v in column] for (_, key, _), column in zip(columns, values)}
         (out / "samples.json").write_text(_dump_json(payload))
         outputs.append("samples.json")
-    _write_run_summary(out, plan, result)
+    summary = {
+        "plan": plan.to_json(),
+        "summary": result.summary.to_json(),
+        "diagnostics": ladder_diagnostics(result),
+    }
+    (out / "summary.json").write_text(_dump_json(summary))
     _write_manifest(
         out,
-        "ladder-mc",
-        {"params": params.to_json(), "seed": args.seed, "reps": args.reps, "format": args.format},
-        outputs,
-    )
-    return 0
-
-
-def _cmd_limit_mc(args) -> int:
-    params = _load_params(args.params)
-    plan = ReplicationPlan(
-        task=TASK_LIMIT_CONFIG,
-        params=params,
-        replications=args.reps,
-        base_seed=args.seed,
-    )
-    result = run(plan)
-    totals = result.samples
-    n0 = result.aux["n0"]
-    n_above = result.aux["n_above"]
-    band0 = result.aux["band0_mass"]
-
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = ["summary.json", "manifest.json"]
-    if args.format == "csv":
-        with open(out / "samples.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["rep", "n0", "n_above", "total", "band0_mass"])
-            for i in range(totals.size):
-                writer.writerow(
-                    [
-                        i,
-                        _csv_cell(n0[i]),
-                        _csv_cell(n_above[i]),
-                        _csv_cell(totals[i]),
-                        _csv_cell(band0[i]),
-                    ]
-                )
-        outputs.append("samples.csv")
-    else:
-        payload = {
-            "n0": [_encode_float(float(v)) for v in n0],
-            "n_above": [_encode_float(float(v)) for v in n_above],
-            "totals": [_encode_float(float(v)) for v in totals],
-            "band0_mass": [_encode_float(float(v)) for v in band0],
-        }
-        (out / "samples.json").write_text(_dump_json(payload))
-        outputs.append("samples.json")
-    _write_run_summary(out, plan, result)
-    _write_manifest(
-        out,
-        "limit-mc",
+        args.command,
         {"params": params.to_json(), "seed": args.seed, "reps": args.reps, "format": args.format},
         outputs,
     )
@@ -387,21 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--out", required=True)
     cls.set_defaults(func=_cmd_classify)
 
-    lad = sub.add_parser("ladder-mc", help="replicate the fitness-record ladder and its extinction counts")
-    lad.add_argument("--params", required=True)
-    lad.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    lad.add_argument("--reps", type=int, required=True)
-    lad.add_argument("--out", required=True)
-    lad.add_argument("--format", choices=("csv", "json"), default="csv")
-    lad.set_defaults(func=_cmd_ladder_mc)
-
-    lim = sub.add_parser("limit-mc", help="replicate draws of the long-run configuration")
-    lim.add_argument("--params", required=True)
-    lim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    lim.add_argument("--reps", type=int, required=True)
-    lim.add_argument("--out", required=True)
-    lim.add_argument("--format", choices=("csv", "json"), default="csv")
-    lim.set_defaults(func=_cmd_limit_mc)
+    for name, (help_text, _, _) in _LADDER_COMMANDS.items():
+        lad = sub.add_parser(name, help=help_text)
+        lad.add_argument("--params", required=True)
+        lad.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        lad.add_argument("--reps", type=int, required=True)
+        lad.add_argument("--out", required=True)
+        lad.add_argument("--format", choices=("csv", "json"), default="csv")
+        lad.set_defaults(func=_cmd_ladder)
 
     val = sub.add_parser("validate", help="run the acceptance checks")
     val.add_argument("--only", help="comma-separated subset of check names: " + ", ".join(CHECK_NAMES))

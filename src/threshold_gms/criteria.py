@@ -64,30 +64,6 @@ def quad(func, a, b, **kwargs):
 
 
 @dataclass(frozen=True)
-class CutoffLadder:
-    """Dyadic refinement policy for the improper integrals.
-
-    Panel n covers hazards [n ln2, (n+1) ln2], survival levels
-    [2^-(n+1), 2^-n].  Divergence is declared after divergence_run
-    consecutive non-decreasing panel increments above panel_atol;
-    convergence once two consecutive increments fall below panel_atol
-    while shrinking.
-    """
-
-    max_refinements: int = 60
-    divergence_run: int = 10
-    panel_atol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_refinements < 4:
-            raise CriteriaError("max_refinements must be at least 4")
-        if self.divergence_run < 2:
-            raise CriteriaError("divergence_run must be at least 2")
-        if not 0.0 < self.panel_atol < 1.0:
-            raise CriteriaError("panel_atol must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class ImproperIntegral:
     """Outcome of one improper integral on h in [0, inf).
 
@@ -108,6 +84,15 @@ class ImproperIntegral:
     def is_infinite(self) -> bool:
         return self.verdict == VERDICT_INFINITE
 
+
+# Dyadic refinement policy of the improper integrals.  Panel n covers
+# hazards [n ln2, (n+1) ln2], survival levels [2^-(n+1), 2^-n]; there are
+# _MAX_REFINEMENTS of them.  Divergence is declared after _DIVERGENCE_RUN
+# consecutive non-decreasing panels above _PANEL_ATOL, convergence once
+# two consecutive panels fall below _PANEL_ATOL.
+_MAX_REFINEMENTS = 60
+_DIVERGENCE_RUN = 10
+_PANEL_ATOL = 1e-10
 
 # Geometric tail completion: once the panel ratio has stabilized to this
 # relative agreement (and stays clearly below 1), the remaining panels are
@@ -140,9 +125,7 @@ _PANEL0_BREAKS = _LN2 * 2.0 ** -np.arange(1.0, 21.0)
 
 
 @lru_cache(maxsize=64)
-def _panel_nodes(
-    max_refinements: int, breaks: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _panel_nodes(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature nodes h, their weights, and the dyadic panel of each sub-panel row.
 
     The dyadic panels are split at every break inside them, and each
@@ -150,27 +133,25 @@ def _panel_nodes(
     so one node array can be shared by every integral over the same
     panels.
     """
-    top = max_refinements * _LN2
+    top = _MAX_REFINEMENTS * _LN2
     inner = np.asarray(breaks, dtype=float)
     edges = np.unique(
         np.concatenate(
-            [_LN2 * np.arange(max_refinements + 1), _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]]
+            [_LN2 * np.arange(_MAX_REFINEMENTS + 1), _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]]
         )
     )
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     h = mid[:, None] + half[:, None] * _GL_NODES
     w = half[:, None] * _GL_WEIGHTS
-    panel = np.minimum(mid // _LN2, max_refinements - 1).astype(np.intp)
+    panel = np.minimum(mid // _LN2, _MAX_REFINEMENTS - 1).astype(np.intp)
     for a in (h, w, panel):
         a.flags.writeable = False
     return h, w, panel
 
 
 def hazard_weighted_integral(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    ladder: CutoffLadder = CutoffLadder(),
-    breaks: Sequence[float] = (),
+    integrand: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float] = ()
 ) -> ImproperIntegral:
     """Evaluate the improper integral of integrand(h) over h in [0, inf).
 
@@ -179,7 +160,7 @@ def hazard_weighted_integral(
     intensity (the cumulative-hazard measure of the mark law) from which
     every criterion integral below arises.  integrand takes an array of
     hazards and must be non-negative; it is called once, on the nodes of
-    all max_refinements panels.  Each dyadic panel is integrated by
+    all _MAX_REFINEMENTS panels.  Each dyadic panel is integrated by
     24-node Gauss-Legendre rules on sub-panels split at ``breaks`` (the
     hazards where the integrand has a kink) and graded toward h = 0.
     The panels are then read in order: a non-finite or negative panel
@@ -189,10 +170,10 @@ def hazard_weighted_integral(
     exponents inside the refinement budget.  Panels past the stopping
     one are never inspected.
     """
-    h, w, panel = _panel_nodes(ladder.max_refinements, tuple(breaks))
+    h, w, panel = _panel_nodes(tuple(breaks))
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.broadcast_to(integrand(h), h.shape)
-        pieces = np.bincount(panel, weights=(values * w).sum(axis=1), minlength=ladder.max_refinements)
+        pieces = np.bincount(panel, weights=(values * w).sum(axis=1), minlength=_MAX_REFINEMENTS)
     panels: list[float] = []
     partial: list[float] = []
     nondecreasing = 0
@@ -208,13 +189,13 @@ def hazard_weighted_integral(
             nondecreasing += 1
         elif prev is not None:
             nondecreasing = 0
-        if nondecreasing >= ladder.divergence_run and piece > ladder.panel_atol:
+        if nondecreasing >= _DIVERGENCE_RUN and piece > _PANEL_ATOL:
             return ImproperIntegral(VERDICT_INFINITE, math.inf, tuple(partial))
         tail = _geometric_tail(panels)
         if tail is not None:
             value = math.fsum(panels) + tail
             return ImproperIntegral(VERDICT_FINITE, value, tuple(partial))
-        quiet = quiet + 1 if piece < ladder.panel_atol else 0
+        quiet = quiet + 1 if piece < _PANEL_ATOL else 0
         if quiet >= 2 and n >= 2:
             return ImproperIntegral(VERDICT_FINITE, math.fsum(panels), tuple(partial))
         prev = piece
@@ -291,9 +272,7 @@ def composed_survival(params: ModelParams, u) -> float:
     return params.threshold_dist.survival(params.fitness_dist.inverse_survival(u))
 
 
-def expected_extinction_count(
-    params: ModelParams, ladder: CutoffLadder = CutoffLadder()
-) -> ImproperIntegral:
+def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
     """Mean number of extinction marks above the fitness-record ladder.
 
     Equals (lambda_extinct / lambda_birth) times the integral of the
@@ -304,7 +283,7 @@ def expected_extinction_count(
     """
     prefactor = params.lambda_extinct / params.lambda_birth
     comp = _composition(params)
-    base = hazard_weighted_integral(lambda h: np.exp(h - comp(h)), ladder, comp.breaks)
+    base = hazard_weighted_integral(lambda h: np.exp(h - comp(h)), comp.breaks)
     value = base.value
     if value is not None and math.isfinite(value):
         value *= prefactor
@@ -315,20 +294,16 @@ def expected_extinction_count(
     )
 
 
-def expected_birth_count(
-    params: ModelParams, ladder: CutoffLadder = CutoffLadder()
-) -> ImproperIntegral:
+def expected_birth_count(params: ModelParams) -> ImproperIntegral:
     """Mean number of birth marks above the threshold-record ladder.
 
     Role-swapped twin of expected_extinction_count; finite exactly when
     the long-run configuration is finite.
     """
-    return expected_extinction_count(params.swapped(), ladder)
+    return expected_extinction_count(params.swapped())
 
 
-def extinction_count_exponent(
-    params: ModelParams, t, ladder: CutoffLadder = CutoffLadder()
-) -> ImproperIntegral:
+def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     """Cumulant exponent of the ladder extinction count at argument t.
 
     The count's Laplace transform is exp(-exponent).  t = math.inf is
@@ -345,26 +320,22 @@ def extinction_count_exponent(
     log_r = math.log(params.lambda_birth) - math.log(shrink) - math.log(params.lambda_extinct)
     comp = _composition(params)
     return hazard_weighted_integral(
-        lambda h: np.exp(-np.logaddexp(0.0, log_r + comp(h) - h)), ladder, comp.breaks
+        lambda h: np.exp(-np.logaddexp(0.0, log_r + comp(h) - h)), comp.breaks
     )
 
 
-def birth_count_exponent(
-    params: ModelParams, t, ladder: CutoffLadder = CutoffLadder()
-) -> ImproperIntegral:
+def birth_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     """Role-swapped twin of extinction_count_exponent."""
-    return extinction_count_exponent(params.swapped(), t, ladder)
+    return extinction_count_exponent(params.swapped(), t)
 
 
-def laplace_extinction_count(
-    params: ModelParams, t, ladder: CutoffLadder = CutoffLadder()
-) -> Optional[float]:
+def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
     """E[exp(-t * ladder extinction count)].
 
     Returns exp(-exponent); 0.0 when the exponent diverges (the count
     is infinite with positive probability); None when inconclusive.
     """
-    res = extinction_count_exponent(params, t, ladder)
+    res = extinction_count_exponent(params, t)
     if res.is_finite:
         return math.exp(-res.value)
     if res.is_infinite:
@@ -372,11 +343,9 @@ def laplace_extinction_count(
     return None
 
 
-def laplace_birth_count(
-    params: ModelParams, t, ladder: CutoffLadder = CutoffLadder()
-) -> Optional[float]:
+def laplace_birth_count(params: ModelParams, t) -> Optional[float]:
     """Role-swapped twin of laplace_extinction_count."""
-    return laplace_extinction_count(params.swapped(), t, ladder)
+    return laplace_extinction_count(params.swapped(), t)
 
 
 def _tail_shape(dist: DistributionSpec) -> Optional[tuple]:
@@ -482,21 +451,21 @@ class ClassificationReport:
         }
 
 
-def classify(params: ModelParams, ladder: CutoffLadder = CutoffLadder()) -> ClassificationReport:
+def classify(params: ModelParams) -> ClassificationReport:
     """Recurrence and limit-count verdicts with supporting integrals.
 
     Built-in family pairs are decided by the exact decay exponent of the
     survival composition; otherwise the numeric three-way verdict of the
-    cutoff-ladder quadrature decides.  The numeric integrals are always
+    dyadic-panel quadrature decides.  The numeric integrals are always
     attached as evidence.
     """
     m_analytic = exact_verdict(params)
     n_analytic = exact_verdict(params.swapped())
 
-    e_m = expected_extinction_count(params, ladder)
-    e_n = expected_birth_count(params, ladder)
-    phi_inf = extinction_count_exponent(params, math.inf, ladder)
-    phi_bar_inf = birth_count_exponent(params, math.inf, ladder)
+    e_m = expected_extinction_count(params)
+    e_n = expected_birth_count(params)
+    phi_inf = extinction_count_exponent(params, math.inf)
+    phi_bar_inf = birth_count_exponent(params, math.inf)
 
     def resolve(analytic: Optional[str], numeric: ImproperIntegral, side: str) -> str:
         if analytic is None:

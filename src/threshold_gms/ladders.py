@@ -53,6 +53,9 @@ STOP_DTYPE = "<U10"  # numpy string dtype that holds every stop reason
 FIRST_CHUNK = 32
 CHUNK_CELLS = 4096
 
+# Smallest Poisson mean drawn from the normal approximation.
+POISSON_NORMAL_FROM = 1e18
+
 
 class LadderError(ValueError):
     """Invalid ladder structure or sampler arguments."""
@@ -353,6 +356,22 @@ def _walk_block(
     return LadderBlock(depth=depth, stop_reason=reason, mass=mass, tail=tail, steps=steps)
 
 
+def _poisson(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+    """Poisson counts with the given means, as floats.
+
+    numpy refuses means from about 1e19 on; rows whose mean reaches
+    POISSON_NORMAL_FROM take round(normal(mean, sqrt(mean))) instead,
+    whose relative error there is below 1e-9.  Only those rows draw a
+    normal, so a block without them keeps its random stream.
+    """
+    big = mean >= POISSON_NORMAL_FROM
+    if not big.any():
+        return rng.poisson(mean).astype(float)
+    counts = rng.poisson(np.where(big, 0.0, mean)).astype(float)
+    counts[big] = np.round(rng.normal(mean[big], np.sqrt(mean[big])))
+    return counts
+
+
 def sample_first_gaps(params: ModelParams, rng: np.random.Generator, rows: int) -> np.ndarray:
     """Look-back times to the most recent extinction: exponential at the extinction rate."""
     return rng.exponential(1.0 / params.lambda_extinct, rows)
@@ -464,12 +483,13 @@ def sample_extinction_count(ladder: FitnessLadder, rng: np.random.Generator) -> 
     """Number of extinction marks landing above the fitness ladder.
 
     Conditionally on the ladder the count is Poisson with mean equal to
-    the ladder's extinction mass, drawn as one Poisson count per step.
+    the ladder's extinction mass (a sum of independent Poisson step
+    counts is one Poisson count), drawn as the block tasks draw it.
     Returns EFFECTIVELY_INFINITE when the ladder's mass did not die out.
     """
     if masses_effectively_infinite(ladder.stop_reason):
         return EFFECTIVELY_INFINITE
-    return int(rng.poisson(np.array([step.mass for step in ladder.steps])).sum())
+    return int(_poisson(rng, np.array([extinction_mass(ladder).value]))[0])
 
 
 def count_extinctions_above_records(stream) -> int:

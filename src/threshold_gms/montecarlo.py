@@ -1,14 +1,13 @@
 """Replicated sampling plans with deterministic seeding and GOF checks.
 
-The three ladder tasks run in blocks of BLOCK replications: block b
+The two ladder tasks run in blocks of BLOCK replications: block b
 walks its BLOCK ladders in lockstep from one counter-based RNG keyed by
 (base_seed, b, task salt), and always samples all of its rows, so
 replication i does not depend on how many replications the plan asks
 for.  The forward tasks give every replication its own RNG keyed by
-(base_seed, replication index, task salt).  The extinction-count and
-extinction-mass tasks share a salt on purpose: they see identical
-ladders, which lets a single run serve both the count and the mass
-checks.
+(base_seed, replication index, task salt).  The extinction-count task
+carries each ladder's mass in RunResult.aux["mass"], so a single run
+serves both the count and the mass checks.
 
 A ladder task whose regime the exact tail exponent of the built-in
 families declares divergent reports sentinels without walking ladders;
@@ -33,6 +32,7 @@ from .ladders import (  # noqa: F401
     EFFECTIVELY_INFINITE,
     STOP_DTYPE,
     StopRule,
+    _poisson,
     birth_mass,
     extinction_mass,
     masses_effectively_infinite,
@@ -55,29 +55,25 @@ from .process import (  # noqa: F401
 from .streams import replication_rng
 
 TASK_EXTINCTION_COUNT = "extinction_count"
-TASK_EXTINCTION_MASS = "extinction_mass"
 TASK_LIMIT_CONFIG = "limit_config"
 TASK_FORWARD_COUNT = "forward_count"
 TASK_EMPTY_SCAN = "empty_time_scan"
 
 TASKS = (
     TASK_EXTINCTION_COUNT,
-    TASK_EXTINCTION_MASS,
     TASK_LIMIT_CONFIG,
     TASK_FORWARD_COUNT,
     TASK_EMPTY_SCAN,
 )
 
-# The count and mass tasks deliberately share a salt (identical ladders).
 _TASK_SALTS = {
     TASK_EXTINCTION_COUNT: 1,
-    TASK_EXTINCTION_MASS: 1,
     TASK_LIMIT_CONFIG: 2,
     TASK_FORWARD_COUNT: 3,
     TASK_EMPTY_SCAN: 4,
 }
 
-_LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_EXTINCTION_MASS, TASK_LIMIT_CONFIG)
+_LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_LIMIT_CONFIG)
 
 # Replications per block of a ladder task; one RNG stream per block.
 BLOCK = 128
@@ -86,8 +82,8 @@ BLOCK = 128
 # divergent: no ladder was walked.
 STOP_DIVERGENT = "divergent"
 
-# Smallest Poisson mean drawn from the normal approximation.
-POISSON_NORMAL_FROM = 1e18
+# Pooling floor of the chi-square checks: every pooled bin's expected count reaches it.
+MIN_EXPECTED = 5.0
 
 
 class MonteCarloError(ValueError):
@@ -213,27 +209,11 @@ class RunResult:
 
 def _regime_diverges(plan: ReplicationPlan) -> bool:
     """Whether the exact tail exponent declares the plan's ladder mass divergent."""
-    if plan.task in (TASK_EXTINCTION_COUNT, TASK_EXTINCTION_MASS):
+    if plan.task == TASK_EXTINCTION_COUNT:
         return exact_verdict(plan.params) == VERDICT_INFINITE
     if plan.task == TASK_LIMIT_CONFIG:
         return exact_verdict(plan.params.swapped()) == VERDICT_INFINITE
     return False
-
-
-def _poisson(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
-    """Poisson counts with the given means, as floats.
-
-    numpy refuses means from about 1e19 on; rows whose mean reaches
-    POISSON_NORMAL_FROM take round(normal(mean, sqrt(mean))) instead,
-    whose relative error there is below 1e-9.  Only those rows draw a
-    normal, so a block without them keeps its random stream.
-    """
-    big = mean >= POISSON_NORMAL_FROM
-    if not big.any():
-        return rng.poisson(mean).astype(float)
-    counts = rng.poisson(np.where(big, 0.0, mean)).astype(float)
-    counts[big] = np.round(rng.normal(mean[big], np.sqrt(mean[big])))
-    return counts
 
 
 def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np.ndarray]:
@@ -251,7 +231,7 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
             nan = np.full(BLOCK, math.nan)
             band0 = params.lambda_birth * sample_first_gaps(params, rng, BLOCK)
             out.update(n0=nan, n_above=nan, band0_mass=band0)
-        elif plan.task == TASK_EXTINCTION_COUNT:
+        else:
             out["mass"] = out["samples"]
         return out
     block = sample_ladder_block(params, plan.stop, rng, BLOCK, threshold=limit)
@@ -270,11 +250,10 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
             band0_mass=band0,
         )
     else:
-        masses = np.where(finite, block.mass, EFFECTIVELY_INFINITE)
-        if plan.task == TASK_EXTINCTION_MASS:
-            out["samples"] = masses
-        else:
-            out.update(samples=np.where(finite, _poisson(rng, mass), EFFECTIVELY_INFINITE), mass=masses)
+        out.update(
+            samples=np.where(finite, _poisson(rng, mass), EFFECTIVELY_INFINITE),
+            mass=np.where(finite, block.mass, EFFECTIVELY_INFINITE),
+        )
     return out
 
 
@@ -348,8 +327,8 @@ class GofReport:
         }
 
 
-def _pool_bins(columns, weight: Callable, min_expected: float) -> list[list[float]]:
-    """Merge adjacent table columns until weight(column) reaches min_expected in each.
+def _pool_bins(columns, weight: Callable) -> list[list[float]]:
+    """Merge adjacent table columns until weight(column) reaches MIN_EXPECTED in each.
 
     Each column holds one entry per table row and merges by entrywise
     sums.  The tail is pooled first, then any sparse interior column
@@ -361,11 +340,11 @@ def _pool_bins(columns, weight: Callable, min_expected: float) -> list[list[floa
         cols[j] = [a + b for a, b in zip(cols[j], cols[i])]
         del cols[i]
 
-    while len(cols) > 1 and weight(cols[-1]) < min_expected:
+    while len(cols) > 1 and weight(cols[-1]) < MIN_EXPECTED:
         merge(len(cols) - 1, len(cols) - 2)
     i = 0
     while i < len(cols):
-        if len(cols) > 1 and weight(cols[i]) < min_expected:
+        if len(cols) > 1 and weight(cols[i]) < MIN_EXPECTED:
             j = i + 1 if i + 1 < len(cols) else i - 1
             merge(i, j)
             if j < i:
@@ -375,18 +354,12 @@ def _pool_bins(columns, weight: Callable, min_expected: float) -> list[list[floa
     return cols
 
 
-def gof_chi_square(
-    samples: Sequence,
-    pmf: Callable,
-    cdf: Callable,
-    reference: str,
-    min_expected: float = 5.0,
-) -> GofReport:
+def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: str) -> GofReport:
     """Pearson chi-square of integer samples against a fully specified pmf.
 
     Count categories are pooled (tail first, then any sparse interior
     bin into its neighbor) until every expected count reaches
-    min_expected; the degrees of freedom are bins - 1 since no
+    MIN_EXPECTED; the degrees of freedom are bins - 1 since no
     parameter is estimated from the data.
     """
     arr = np.asarray(samples)
@@ -408,7 +381,7 @@ def gof_chi_square(
     expected = (n * np.asarray(pmf(grid), dtype=float)).tolist()
     # Probability mass beyond the largest observed value goes to the last bin.
     expected[-1] += n * float(1.0 - cdf(k_max))
-    cols = _pool_bins(zip(observed, expected), lambda col: col[1], min_expected)
+    cols = _pool_bins(zip(observed, expected), lambda col: col[1])
     if len(cols) < 2:
         raise MonteCarloError("chi-square check needs at least two pooled bins")
     obs_arr, exp_arr = np.asarray(cols).T
@@ -428,7 +401,7 @@ def gof_ks(samples: Sequence, cdf: Callable, reference: str) -> GofReport:
     return GofReport("ks", float(result.statistic), float(result.pvalue), int(arr.size), reference)
 
 
-def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str, min_expected: float = 5.0) -> GofReport:
+def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str) -> GofReport:
     """Homogeneity chi-square for two integer count samples on a shared binning."""
     from scipy import stats
 
@@ -445,7 +418,7 @@ def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str, min_expected
     cb = np.bincount(xb.astype(np.int64), minlength=k_max + 1).astype(float)
     # Pool so the smaller row's expected count clears the floor in every column.
     share = min(xa.size, xb.size) / (xa.size + xb.size)
-    cols = _pool_bins(zip(ca, cb), lambda col: (col[0] + col[1]) * share, min_expected)
+    cols = _pool_bins(zip(ca, cb), lambda col: (col[0] + col[1]) * share)
     if len(cols) < 2:
         raise MonteCarloError("two-sample check needs at least two pooled bins")
     table = np.asarray(cols).T
@@ -464,7 +437,6 @@ def compare_forward_vs_limit(
     replications: int,
     base_seed: int,
     t: Optional[float] = None,
-    stop: StopRule = StopRule(),
 ) -> GofReport:
     """Two-sample check: forward population size at large t vs the limit law.
 
@@ -483,7 +455,6 @@ def compare_forward_vs_limit(
             params=params,
             replications=replications,
             base_seed=base_seed,
-            stop=stop,
             t=t,
         )
     )
@@ -493,7 +464,6 @@ def compare_forward_vs_limit(
             params=params,
             replications=replications,
             base_seed=base_seed,
-            stop=stop,
         )
     )
     if limit.summary.sentinel_count > 0:

@@ -75,22 +75,16 @@ QUADRATURE_CASES = (
     (Pareto(1.0, 1.0), Exponential(1.0), math.exp(-1.0)),
 )
 
+# Significance level of every goodness-of-fit check.
+ALPHA = 0.01
+# Random windows of the oracle check, ladder pairs of the properties check.
+ORACLE_WINDOWS = 1000
+PROPERTY_LADDERS = 200
+# Evaluation time of the forward-vs-limit check.
+COMPARE_T = 1000.0
+
 _ORACLE_SALT = 5
 _PROPERTY_SALT = 6
-
-CHECK_NAMES = (
-    "expected-count",
-    "count-law",
-    "mass-law",
-    "laplace",
-    "limit-law",
-    "band0-mass",
-    "phase-map",
-    "oracle",
-    "forward-vs-limit",
-    "quadrature",
-    "properties",
-)
 
 
 @dataclass(frozen=True)
@@ -111,11 +105,7 @@ def format_result(result: CheckResult) -> str:
 class SuiteConfig:
     replications: int = 100_000
     compare_replications: int = 10_000
-    oracle_windows: int = 1000
-    property_ladders: int = 200
     base_seed: int = 123456789
-    alpha: float = 0.01
-    compare_t: float = 1000.0
 
 
 class SuiteContext:
@@ -190,8 +180,8 @@ def check_count_law(ctx: SuiteContext) -> CheckResult:
         law.cdf,
         reference=f"negative binomial r={law.r:g}, p={law.p:g}",
     )
-    passed = report.p_value > ctx.config.alpha
-    details = f"chi-square stat {report.statistic:.2f}, p {report.p_value:.4f} (need > {ctx.config.alpha})"
+    passed = report.p_value > ALPHA
+    details = f"chi-square stat {report.statistic:.2f}, p {report.p_value:.4f} (need > {ALPHA})"
     return CheckResult("count-law", passed, details)
 
 
@@ -200,8 +190,8 @@ def check_mass_law(ctx: SuiteContext) -> CheckResult:
     law = forms.extinction_mass_law
     masses = ctx.count_run().aux["mass"]
     report = gof_ks(masses, law.cdf, reference=f"gamma shape {law.shape:g}, rate {law.rate:g}")
-    passed = report.p_value > ctx.config.alpha
-    details = f"KS stat {report.statistic:.5f}, p {report.p_value:.4f} (need > {ctx.config.alpha})"
+    passed = report.p_value > ALPHA
+    details = f"KS stat {report.statistic:.5f}, p {report.p_value:.4f} (need > {ALPHA})"
     return CheckResult("mass-law", passed, details)
 
 
@@ -254,8 +244,8 @@ def check_limit_law(ctx: SuiteContext) -> CheckResult:
     corr = float(np.corrcoef(n0, n_above)[0, 1])
     corr_limit = 3.0 / math.sqrt(totals.size)
     passed = (
-        total_report.p_value > ctx.config.alpha
-        and n0_report.p_value > ctx.config.alpha
+        total_report.p_value > ALPHA
+        and n0_report.p_value > ALPHA
         and abs(corr) < corr_limit
     )
     details = (
@@ -270,8 +260,8 @@ def check_band0_mass(ctx: SuiteContext) -> CheckResult:
     law = GammaLaw(shape=1.0, rate=rate)
     masses = ctx.limit_run().aux["band0_mass"]
     report = gof_ks(masses, law.cdf, reference=f"exponential rate {rate:g}")
-    passed = report.p_value > ctx.config.alpha
-    details = f"KS stat {report.statistic:.5f}, p {report.p_value:.4f} (need > {ctx.config.alpha})"
+    passed = report.p_value > ALPHA
+    details = f"KS stat {report.statistic:.5f}, p {report.p_value:.4f} (need > {ALPHA})"
     return CheckResult("band0-mass", passed, details)
 
 
@@ -348,10 +338,9 @@ def _brute_force_counts(initial: Configuration, stream) -> tuple[list[int], tupl
 def check_oracle(ctx: SuiteContext) -> CheckResult:
     from .ladders import count_extinctions_above_records
 
-    windows = ctx.config.oracle_windows
     count_bad = 0
     evolve_bad = 0
-    for i in range(windows):
+    for i in range(ORACLE_WINDOWS):
         rng = replication_rng(ctx.config.base_seed, index=i, salt=_ORACLE_SALT)
         horizon = float(1.0 + 29.0 * rng.random())
         stream = generate_stream(TRANSIENT_EXAMPLE, 0.0, horizon, rng)
@@ -373,9 +362,9 @@ def check_oracle(ctx: SuiteContext) -> CheckResult:
             evolve_bad += 1
     passed = count_bad == 0 and evolve_bad == 0
     details = (
-        f"count oracle matched {windows - count_bad}/{windows} windows; "
+        f"count oracle matched {ORACLE_WINDOWS - count_bad}/{ORACLE_WINDOWS} windows; "
         f"array path (replay counts, suffix-maximum count, last-empty time) matched the "
-        f"event-by-event replay on {windows - evolve_bad}/{windows}"
+        f"event-by-event replay on {ORACLE_WINDOWS - evolve_bad}/{ORACLE_WINDOWS}"
     )
     return CheckResult("oracle", passed, details)
 
@@ -385,12 +374,12 @@ def check_forward_vs_limit(ctx: SuiteContext) -> CheckResult:
         FINITE_EXAMPLE,
         replications=ctx.config.compare_replications,
         base_seed=ctx.config.base_seed,
-        t=ctx.config.compare_t,
+        t=COMPARE_T,
     )
-    passed = report.p_value > ctx.config.alpha
+    passed = report.p_value > ALPHA
     details = (
         f"two-sample chi-square stat {report.statistic:.2f}, p {report.p_value:.4f} "
-        f"(need > {ctx.config.alpha}) at t={ctx.config.compare_t:g}"
+        f"(need > {ALPHA}) at t={COMPARE_T:g}"
     )
     return CheckResult("forward-vs-limit", passed, details)
 
@@ -468,7 +457,7 @@ def check_properties(ctx: SuiteContext) -> CheckResult:
 
     stop = StopRule()
     monotone_bad = 0
-    for i in range(ctx.config.property_ladders):
+    for i in range(PROPERTY_LADDERS):
         rng = replication_rng(ctx.config.base_seed, index=i, salt=_PROPERTY_SALT)
         fit_ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, stop, rng)
         thr_ladder = sample_threshold_ladder(FINITE_EXAMPLE, stop, rng)
@@ -480,7 +469,7 @@ def check_properties(ctx: SuiteContext) -> CheckResult:
         if thr_ladder.first_gap <= 0.0:
             monotone_bad += 1
     ok = ok and monotone_bad == 0
-    parts.append(f"record monotonicity: {monotone_bad} violations in {ctx.config.property_ladders} ladder pairs")
+    parts.append(f"record monotonicity: {monotone_bad} violations in {PROPERTY_LADDERS} ladder pairs")
 
     domination_bad = []
     duality_bad = []
@@ -559,6 +548,7 @@ _CHECKS: dict[str, Callable[[SuiteContext], CheckResult]] = {
     "quadrature": check_quadrature,
     "properties": check_properties,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_suite(

@@ -5,7 +5,6 @@ import pytest
 
 from threshold_gms.criteria import (
     CriteriaError,
-    CutoffLadder,
     GammaLaw,
     NegBinomLaw,
     birth_count_exponent,
@@ -168,15 +167,6 @@ def test_hazard_weighted_integral_rejects_bad_integrand():
         hazard_weighted_integral(lambda h: -1.0)
     with pytest.raises(CriteriaError):
         hazard_weighted_integral(lambda h: math.nan)
-
-
-def test_cutoff_ladder_validation():
-    with pytest.raises(CriteriaError):
-        CutoffLadder(max_refinements=3)
-    with pytest.raises(CriteriaError):
-        CutoffLadder(divergence_run=1)
-    with pytest.raises(CriteriaError):
-        CutoffLadder(panel_atol=0.0)
 
 
 def test_xspace_integral_matches_hspace():

@@ -69,14 +69,10 @@ def test_ladder_validation():
 
 
 def test_first_record_follows_the_mark_law():
-    stop = StopRule(max_steps=1)
-    firsts = []
-    for i in range(4000):
-        rng = replication_rng(20, i, 0)
-        ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, stop, rng)
-        assert ladder.truncated_at == 1
-        firsts.append(ladder.steps[0].value)
-    res = stats.kstest(np.array(firsts), lambda x: 1.0 - np.exp(-x))
+    block = sample_ladder_block(TRANSIENT_EXAMPLE, StopRule(max_steps=1), replication_rng(20), 4000, keep_steps=True)
+    assert np.all(block.depth == 1)
+    firsts = np.array([values[0] for values, _, _ in block.steps])
+    res = stats.kstest(firsts, lambda x: 1.0 - np.exp(-x))
     assert res.pvalue > 0.001
 
 
@@ -96,12 +92,8 @@ def test_record_count_intensity():
     """Mean number of records at or below x equals the cumulative hazard."""
     x = 2.0
     n = 4000
-    counts = []
-    for i in range(n):
-        rng = replication_rng(22, i, 0)
-        ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng)
-        counts.append(sum(1 for s in ladder.steps if s.value <= x))
-    counts = np.array(counts, dtype=float)
+    block = sample_ladder_block(TRANSIENT_EXAMPLE, STOP, replication_rng(22), n, keep_steps=True)
+    counts = np.array([(values <= x).sum() for values, _, _ in block.steps], dtype=float)
     target = TRANSIENT_EXAMPLE.fitness_dist.hazard_transform(x)
     se = counts.std(ddof=1) / math.sqrt(n)
     assert abs(counts.mean() - target) < 3.0 * se
@@ -110,14 +102,13 @@ def test_record_count_intensity():
 def test_gaps_scale_with_survival_at_the_record():
     """Gap at a record near level v has conditional mean 1/(rate * survival(v))."""
     lo, hi = 1.0, 1.2
-    gaps = []
-    for i in range(4000):
-        rng = replication_rng(23, i, 0)
-        ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng)
-        for s in ladder.steps:
-            if lo <= s.value <= hi:
-                gaps.append(s.gap * TRANSIENT_EXAMPLE.fitness_dist.survival(s.value))
-    gaps = np.array(gaps)
+    block = sample_ladder_block(TRANSIENT_EXAMPLE, STOP, replication_rng(23), 4000, keep_steps=True)
+    gaps = np.array([
+        gap * TRANSIENT_EXAMPLE.fitness_dist.survival(value)
+        for values, step_gaps, _ in block.steps
+        for value, gap in zip(values.tolist(), step_gaps.tolist())
+        if lo <= value <= hi
+    ])
     res = stats.kstest(gaps, lambda x: 1.0 - np.exp(-x))
     assert res.pvalue > 0.001
 
@@ -198,27 +189,21 @@ def test_window_count_matches_pairwise_scan():
 
 
 def test_threshold_ladder_structure():
-    first_gaps = []
-    for i in range(3000):
-        rng = replication_rng(27, i, 0)
-        ladder = sample_threshold_ladder(FINITE_EXAMPLE, STOP, rng)
-        first_gaps.append(ladder.first_gap)
-        values = [s.value for s in ladder.steps]
-        assert values == sorted(values)
+    block = sample_ladder_block(FINITE_EXAMPLE, STOP, replication_rng(27), 3000, threshold=True, keep_steps=True)
+    for values, _, _ in block.steps:
+        assert values.tolist() == sorted(values.tolist())
     rate = FINITE_EXAMPLE.lambda_extinct
-    res = stats.kstest(np.array(first_gaps), lambda x: 1.0 - np.exp(-rate * x))
+    res = stats.kstest(block.first_gap, lambda x: 1.0 - np.exp(-rate * x))
     assert res.pvalue > 0.001
 
 
 def test_threshold_records_follow_threshold_law():
-    stop = StopRule(max_steps=1)
-    firsts = []
-    for i in range(4000):
-        rng = replication_rng(28, i, 0)
-        ladder = sample_threshold_ladder(FINITE_EXAMPLE, stop, rng)
-        firsts.append(ladder.steps[0].value)
+    block = sample_ladder_block(
+        FINITE_EXAMPLE, StopRule(max_steps=1), replication_rng(28), 4000, threshold=True, keep_steps=True
+    )
+    firsts = np.array([values[0] for values, _, _ in block.steps])
     rate = FINITE_EXAMPLE.threshold_dist.rate
-    res = stats.kstest(np.array(firsts), lambda x: 1.0 - np.exp(-rate * x))
+    res = stats.kstest(firsts, lambda x: 1.0 - np.exp(-rate * x))
     assert res.pvalue > 0.001
 
 
@@ -325,6 +310,17 @@ def test_masses_effectively_infinite_rules():
     ladder = sample_fitness_ladder(boundary, StopRule(max_steps=2000), rng)
     assert ladder.stop_reason == "max_steps"
     assert sample_extinction_count(ladder, rng) == EFFECTIVELY_INFINITE
+
+
+def test_huge_ladder_mass_still_gives_a_count():
+    """A one-ladder count whose mass is past numpy's Poisson limit (about 1e19) takes the normal draw."""
+    huge = ModelParams(1.0, 1e25, Exponential(1.0), Exponential(2.0))
+    ladder = sample_fitness_ladder(huge, STOP, replication_rng(1))
+    assert ladder.stop_reason == "tail_bound"
+    assert max(s.mass for s in ladder.steps) > 1e19
+    mass = extinction_mass(ladder).value
+    count = sample_extinction_count(ladder, replication_rng(2))
+    assert isinstance(count, int) and abs(count - mass) <= 1e-6 * mass
 
 
 def test_pareto_levels_overflow_into_a_sentinel():

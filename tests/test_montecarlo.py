@@ -12,7 +12,6 @@ from threshold_gms.montecarlo import (
     BLOCK,
     TASK_EMPTY_SCAN,
     TASK_EXTINCTION_COUNT,
-    TASK_EXTINCTION_MASS,
     TASK_FORWARD_COUNT,
     TASK_LIMIT_CONFIG,
     MonteCarloError,
@@ -101,19 +100,6 @@ def test_run_is_deterministic():
     b = run(count_plan(300))
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.aux["mass"], b.aux["mass"])
-
-
-def test_mass_task_sees_the_same_ladders():
-    counts = run(count_plan(200))
-    masses = run(
-        ReplicationPlan(
-            task=TASK_EXTINCTION_MASS,
-            params=TRANSIENT_EXAMPLE,
-            replications=200,
-            base_seed=99,
-        )
-    )
-    assert np.array_equal(counts.aux["mass"], masses.samples)
 
 
 def test_empty_scan_stays_inside_window():

@@ -34,4 +34,4 @@ def test_scripts_and_readme_example_run():
         assert proc.returncode == 0, (name, outputs[name][1])
     assert "total species count vs negative binomial closed form" in outputs["limit_law_demo"][0]
     bench = json.loads(outputs["bench_ladders"][0])
-    assert len(bench["us_per_rep"]) == 9 and bench["simulate_s"] > 0.0
+    assert len(bench["us_per_rep"]) == 8 and bench["simulate_s"] > 0.0
