@@ -526,10 +526,20 @@ def populate_limit_config(
     """Fill the bands of a threshold ladder with Poisson species counts.
 
     The band below the first record carries unrestricted fitness draws;
-    band k carries draws conditioned above record k.
+    band k carries draws conditioned above record k.  A band whose mass
+    reaches POISSON_NORMAL_FROM, far too many species to draw one by
+    one, is refused before anything is drawn.
     """
     fit = params.fitness_dist
-    counts = rng.poisson(np.array(birth_mass(ladder, params).per_step))
+    masses = np.array(birth_mass(ladder, params).per_step)
+    huge = np.flatnonzero(masses >= POISSON_NORMAL_FROM)
+    if huge.size:
+        band = int(huge[0])
+        raise LadderError(
+            f"band {band} has birth mass {masses[band]:g}, past {POISSON_NORMAL_FROM:g}: "
+            "too many species to draw one by one"
+        )
+    counts = rng.poisson(masses)
     n0 = int(counts[0])
     species = [fit.sample(rng) for _ in range(n0)]
     n_above = 0

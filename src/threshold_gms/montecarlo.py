@@ -1,11 +1,11 @@
 """Replicated sampling plans with deterministic seeding and GOF checks.
 
-The two ladder tasks run in blocks of BLOCK replications: block b
-walks its BLOCK ladders in lockstep from one counter-based RNG keyed by
-(base_seed, b, task salt), and always samples all of its rows, so
-replication i does not depend on how many replications the plan asks
-for.  The forward tasks give every replication its own RNG keyed by
-(base_seed, replication index, task salt).  The extinction-count task
+Every task runs in blocks of BLOCK replications, each block from one
+counter-based RNG keyed by (base_seed, b, task salt): the two ladder
+tasks walk their BLOCK ladders in lockstep, and the two forward tasks
+draw BLOCK windows as padded rows and read them with row kernels.  A block
+always samples all of its rows, so replication i does not depend on
+how many replications the plan asks for.  The extinction-count task
 carries each ladder's mass in RunResult.aux["mass"], so a single run
 serves both the count and the mass checks.
 
@@ -43,12 +43,15 @@ from .ladders import (  # noqa: F401
     sample_ladder_block,
     sample_threshold_ladder,
 )
-# species_count_at is not called here; perfbench/tracing.py wraps it under this module's name.
+# The one-window functions (evolve, generate_stream, last_empty_time,
+# species_count_at) are not called here; perfbench/tracing.py wraps them
+# under this module's names, so they stay importable from it.
 from .process import (  # noqa: F401
-    Configuration,
-    count_alive,
+    count_alive_rows,
     evolve,
+    generate_block,
     generate_stream,
+    last_empty_rows,
     last_empty_time,
     species_count_at,
 )
@@ -75,7 +78,7 @@ _TASK_SALTS = {
 
 _LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_LIMIT_CONFIG)
 
-# Replications per block of a ladder task; one RNG stream per block.
+# Replications per block of every task; one RNG stream per block.
 BLOCK = 128
 
 # Stop reason of a replication whose plan the exact tail exponent declares
@@ -257,33 +260,37 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
     return out
 
 
-def _replicate_one(plan: ReplicationPlan, index: int) -> float:
-    rng = replication_rng(plan.base_seed, index=index, salt=_TASK_SALTS[plan.task])
-    params = plan.params
+def _forward_block(plan: ReplicationPlan, b: int) -> dict[str, np.ndarray]:
+    """Samples of the BLOCK forward windows of block b, drawn in row chunks.
+
+    The count at t needs no event times: the (kind, mark) sequence of a
+    window does not depend on them.
+    """
+    rng = replication_rng(plan.base_seed, index=b, salt=_TASK_SALTS[plan.task])
     if plan.task == TASK_FORWARD_COUNT:
-        return float(count_alive(generate_stream(params, 0.0, plan.t, rng)))
-    stream = generate_stream(params, 0.0, plan.horizon, rng)
-    trace = evolve(Configuration(), stream)
-    empty = last_empty_time(trace)
-    return math.nan if empty is None else float(empty)
+        chunks = generate_block(plan.params, 0.0, plan.t, rng, BLOCK, with_times=False)
+        parts = [count_alive_rows(birth, marks, valid) for _, birth, marks, valid in chunks]
+    else:
+        chunks = generate_block(plan.params, 0.0, plan.horizon, rng, BLOCK)
+        parts = [last_empty_rows(*chunk, plan.horizon) for chunk in chunks]
+    return {"samples": np.concatenate(parts)}
 
 
 def run(plan: ReplicationPlan) -> RunResult:
     """Execute every replication of the plan.
 
-    Ladder tasks run blocks 0 .. ceil(n / BLOCK) - 1 and keep the first
-    n rows; forward tasks run replications 0 .. n - 1.  A ladder task
-    whose exact tail exponent is divergent walks no ladder: every
-    replication is a sentinel, and the limit task still draws each
-    look-back gap for its band-0 mass.
+    Every task runs blocks 0 .. ceil(n / BLOCK) - 1 and keeps the first
+    n rows.  A ladder task whose exact tail exponent is divergent walks
+    no ladder: every replication is a sentinel, and the limit task
+    still draws each look-back gap for its band-0 mass.
     """
     n = plan.replications
-    if plan.task in _LADDER_TASKS:
-        diverges = _regime_diverges(plan)
-        blocks = [_ladder_block(plan, b, diverges) for b in range(-(-n // BLOCK))]
-        columns = {k: np.concatenate([blk[k] for blk in blocks])[:n] for k in blocks[0]}
-    else:
-        columns = {"samples": np.asarray([_replicate_one(plan, i) for i in range(n)], dtype=float)}
+    diverges = _regime_diverges(plan)
+    blocks = [
+        _ladder_block(plan, b, diverges) if plan.task in _LADDER_TASKS else _forward_block(plan, b)
+        for b in range(-(-n // BLOCK))
+    ]
+    columns = {k: np.concatenate([blk[k] for blk in blocks])[:n] for k in blocks[0]}
     samples = columns.pop("samples").astype(float)
     return RunResult(plan=plan, samples=samples, aux=columns)
 

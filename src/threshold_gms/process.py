@@ -13,6 +13,11 @@ least every threshold in (s, t], so the count at the horizon is read
 off the backward running maximum of the thresholds (``count_alive``).
 The count after every event and the empty intervals come from one
 replay over plain float lists (``evolve``).
+
+The forward Monte Carlo tasks draw many windows at once as padded 2-D
+blocks (``generate_block``) and read each row's count at the horizon
+(``count_alive_rows``) or last empty time (``last_empty_rows``) without
+building a stream or a replay.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ EXTINCTION = "extinction"
 # generate_stream accepts: about one gap in a million is then too short
 # to separate two event times.
 MAX_SPACING_PER_GAP = 1e-6
+
+# Cells (row, event) in one chunk of a block of windows: 256 kB per float array.
+BLOCK_CHUNK_CELLS = 1 << 15
 
 
 class ProcessError(ValueError):
@@ -153,24 +161,8 @@ class EventView(Sequence):
             yield Event(t, BIRTH if is_birth else EXTINCTION, mark)
 
 
-def generate_stream(
-    params: ModelParams,
-    start: float,
-    horizon: float,
-    rng: np.random.Generator,
-) -> EventStream:
-    """Draw the joint event stream on (start, horizon].
-
-    The two Poisson streams are superposed: a Poisson number of events
-    at the total rate, placed at sorted uniform times, then a Bernoulli
-    split by rate proportion decides each kind, and each mark is the
-    inverse cumulative hazard of a unit exponential under its kind's
-    law.  A window so far from 0 that the float spacing there is not
-    small against the mean gap is refused before anything is drawn,
-    since its event times would tie; a mark past the float range is
-    refused by the stream's checks.
-    """
-    start, horizon = _window(start, horizon)
+def _check_resolution(params: ModelParams, start: float, horizon: float) -> None:
+    """Refuse a window so far from 0 that its event times would tie."""
     total = params.lambda_birth + params.lambda_extinct
     spacing = math.ulp(max(abs(start), abs(horizon)))
     if spacing * total > MAX_SPACING_PER_GAP:
@@ -178,35 +170,157 @@ def generate_stream(
             f"float resolution {spacing:g} at t={max(abs(start), abs(horizon)):g} is too coarse for "
             f"a mean event gap of {1.0 / total:g}: event times would tie; move the window toward 0"
         )
+
+
+def generate_block(
+    params: ModelParams,
+    start: float,
+    horizon: float,
+    rng: np.random.Generator,
+    rows: int,
+    with_times: bool = True,
+) -> Iterator[tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw `rows` independent windows (start, horizon] as padded 2-D arrays.
+
+    The two Poisson streams are superposed: each row holds a Poisson
+    number of events at the total rate, placed at sorted uniform times,
+    then a Bernoulli split by rate proportion decides each kind, and
+    each mark is the inverse cumulative hazard of a unit exponential
+    under its kind's law (both laws map every draw, which is cheaper
+    than splitting the draws by kind).  The Poisson event counts of all
+    rows come first; then consecutive rows go in chunks of at most
+    BLOCK_CHUNK_CELLS (row, event) cells, each padded to its longest
+    row.  Yields (times, birth, marks, valid) per chunk, where ``valid``
+    marks the cells that hold an event and times is None without
+    ``with_times``.  A window so far from 0 that the float spacing there
+    is not small against the mean gap is refused before anything is
+    drawn, since its event times would tie; a mark that is not finite
+    or is below 0, or times that do not strictly increase, on a valid
+    cell raise ProcessError.
+    """
+    start, horizon = _window(start, horizon)
+    _check_resolution(params, start, horizon)
+    total = params.lambda_birth + params.lambda_extinct
+    counts = rng.poisson(total * (horizon - start), rows)
+    return _block_chunks(params, start, horizon, rng, counts, with_times)
+
+
+def _block_chunks(params, start, horizon, rng, counts, with_times):
+    # Apart from generate_block, so that its checks and counts run at the call, not at the first chunk.
     length = horizon - start
-    n = int(rng.poisson(total * length))
-    times = np.sort(start + length * (1.0 - rng.random(n)))
-    np.minimum(times, horizon, out=times)  # start + length may round past the horizon
-    birth = rng.random(n) < params.lambda_birth / total
-    # Both laws map every draw, which is cheaper than splitting the draws by kind.
-    hazards = rng.standard_exponential(n)
-    marks = np.where(
-        birth,
-        params.fitness_dist.inverse_hazard_array(hazards),
-        params.threshold_dist.inverse_hazard_array(hazards),
-    )
-    return EventStream(start, horizon, times, birth, marks)
+    share = params.lambda_birth / (params.lambda_birth + params.lambda_extinct)
+    per_chunk = max(BLOCK_CHUNK_CELLS // max(int(counts.max(initial=0)), 1), 1)
+    for lo in range(0, counts.size, per_chunk):
+        n = counts[lo : lo + per_chunk]
+        valid = np.arange(n.max(initial=0)) < n[:, None]
+        times = None
+        if with_times:
+            times = start + length * (1.0 - rng.random(valid.shape))
+            times = np.sort(np.where(valid, times, np.inf), axis=1)  # padding sorts to the end of its row
+            np.minimum(times, horizon, out=times)
+            steps = np.diff(times, axis=1, prepend=start)
+            bad = valid & ~(steps > 0.0)
+            if bad.any():
+                r, i = np.argwhere(bad)[0]
+                raise ProcessError(
+                    f"event times must be strictly increasing within the window; "
+                    f"got {times[r, i]} in row {lo + r}"
+                )
+        birth = rng.random(valid.shape) < share
+        hazards = rng.standard_exponential(valid.shape)
+        marks = np.where(
+            birth,
+            params.fitness_dist.inverse_hazard_array(hazards),
+            params.threshold_dist.inverse_hazard_array(hazards),
+        )
+        bad = valid & ~((marks >= 0.0) & (marks < np.inf))
+        if bad.any():
+            r, i = np.argwhere(bad)[0]
+            raise ProcessError(
+                f"mark {marks[r, i]} in row {lo + r}: marks must be finite and non-negative"
+            )
+        yield times, birth, marks, valid
+
+
+def generate_stream(
+    params: ModelParams,
+    start: float,
+    horizon: float,
+    rng: np.random.Generator,
+) -> EventStream:
+    """Draw the joint event stream on (start, horizon]: a one-row generate_block."""
+    [(times, birth, marks, _)] = generate_block(params, start, horizon, rng, 1)
+    return EventStream(start, horizon, times[0], birth[0], marks[0])
 
 
 def count_alive(stream: EventStream, initial: Iterable[float] = ()) -> int:
     """Species alive at the horizon, without a replay.
 
-    A species is alive at the horizon exactly when its fitness is at
-    least every later threshold: the birth's mark against the suffix
-    maximum of the thresholds after it, an initial species against the
-    largest threshold of the window.
+    The window's births are counted as a one-row block by
+    count_alive_rows; an initial species is alive exactly when its
+    fitness is at least the largest threshold of the window.
     """
-    thresholds = np.where(stream.birth, -np.inf, stream.marks)
-    # At a birth its own entry is -inf, so the suffix maximum there is that of the later thresholds.
-    later = np.maximum.accumulate(thresholds[::-1])[::-1]
-    alive = int(np.count_nonzero(stream.birth & (stream.marks >= later)))
-    top = later[0] if later.size else -np.inf
+    birth, marks = stream.birth[None], stream.marks[None]
+    alive = int(count_alive_rows(birth, marks, np.ones(birth.shape, dtype=bool))[0])
+    top = stream.marks[~stream.birth].max(initial=-np.inf)
     return alive + sum(1 for v in initial if v >= top)
+
+
+def _alive_at_horizon(birth: np.ndarray, marks: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Mask of the births of a padded block alive at the horizon, from an empty start.
+
+    Each birth against the suffix maximum of the later thresholds.
+    """
+    thresholds = np.where(valid & ~birth, marks, -np.inf)
+    later = np.maximum.accumulate(thresholds[:, ::-1], axis=1)[:, ::-1]
+    return valid & birth & (marks >= later)
+
+
+def count_alive_rows(birth: np.ndarray, marks: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """count_alive of every row of a padded block, from an empty start.
+
+    Cells outside ``valid`` are ignored.
+    """
+    return np.count_nonzero(_alive_at_horizon(birth, marks, valid), axis=1)
+
+
+def last_empty_rows(
+    times: np.ndarray, birth: np.ndarray, marks: np.ndarray, valid: np.ndarray, horizon: float
+) -> np.ndarray:
+    """last_empty_time of every row of a padded block, from an empty start.
+
+    A row with no birth alive at the horizon ends empty: its last empty
+    time is the horizon.  Otherwise the first such birth stays alive to
+    the horizon, so the row is never empty after it, and one pass over
+    the row's events up to it keeps ``top``, the largest living fitness,
+    or -inf while the configuration is empty: a birth x raises it to
+    max(top, x), and an extinction y > top empties the configuration (a
+    fitness equal to y survives, so while top >= y the maximum does).
+    The last empty time is that of the last birth finding the
+    configuration empty.  Cells outside ``valid`` are ignored.
+    """
+    alive = _alive_at_horizon(birth, marks, valid)
+    # The cells of a row with a survivor that have no survivor before them.
+    scan = valid & alive.any(axis=1, keepdims=True) & (np.cumsum(alive, axis=1) - alive == 0)
+    # A Python pass per row over plain float lists: a lockstep pass over
+    # the columns pays several numpy calls per column, and long windows
+    # leave one row per chunk.
+    ts, births, ms = times[scan].tolist(), birth[scan].tolist(), marks[scan].tolist()
+    out = []
+    end = 0
+    for n in np.count_nonzero(scan, axis=1).tolist():
+        lo, end = end, end + n
+        top, last = -math.inf, horizon
+        for t, is_birth, mark in zip(ts[lo:end], births[lo:end], ms[lo:end]):
+            if is_birth:
+                if top == -math.inf:
+                    last = t
+                if mark > top:
+                    top = mark
+            elif mark > top:
+                top = -math.inf
+        out.append(last)
+    return np.array(out, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -330,10 +444,12 @@ def trace_rows(trace: PathTrace) -> Iterator[tuple[float, str, float, int]]:
 
 def write_trace_csv(trace: PathTrace, path) -> None:
     """Event log as CSV columns (time, kind, mark, count_after)."""
+    # The rows csv.writer would write (no field needs quoting), without its per-row cost.
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "kind", "mark", "count_after"])
-        writer.writerows((repr(t), kind, repr(mark), count) for t, kind, mark, count in trace_rows(trace))
+        handle.write("time,kind,mark,count_after\r\n")
+        handle.writelines(
+            f"{t!r},{kind},{mark!r},{count}\r\n" for t, kind, mark, count in trace_rows(trace)
+        )
 
 
 def read_initial_csv(path) -> Configuration:

@@ -1,10 +1,11 @@
 """Deterministic random-stream construction.
 
-Every unit of sampling work (a block of ladder replications, or one
-forward replication) draws from its own counter-based generator derived
-from (base_seed, index, salt).  A stream depends on nothing but those
-three numbers, so a unit draws the same values however many others a
-run asks for, and reruns reproduce each other bit for bit.
+Every unit of sampling work (a block of Monte Carlo replications, a
+simulated path, or one window or ladder pair of a validation check)
+draws from its own counter-based generator derived from (base_seed,
+index, salt).  A stream depends on nothing but those three numbers, so
+a unit draws the same values however many others a run asks for, and
+reruns reproduce each other bit for bit.
 """
 
 from __future__ import annotations

@@ -43,7 +43,15 @@ from .montecarlo import (
     gof_ks,
     run,
 )
-from .process import Configuration, count_alive, evolve, generate_stream, last_empty_time
+from .process import (
+    Configuration,
+    count_alive,
+    count_alive_rows,
+    evolve,
+    generate_stream,
+    last_empty_rows,
+    last_empty_time,
+)
 from .streams import replication_rng
 
 # Exponential pair with the heavier threshold tail: transient regime
@@ -340,6 +348,7 @@ def check_oracle(ctx: SuiteContext) -> CheckResult:
 
     count_bad = 0
     evolve_bad = 0
+    block_bad = 0
     for i in range(ORACLE_WINDOWS):
         rng = replication_rng(ctx.config.base_seed, index=i, salt=_ORACLE_SALT)
         horizon = float(1.0 + 29.0 * rng.random())
@@ -360,11 +369,22 @@ def check_oracle(ctx: SuiteContext) -> CheckResult:
             or last_empty_time(trace) != brute_empty
         ):
             evolve_bad += 1
-    passed = count_bad == 0 and evolve_bad == 0
+        # The forward tasks' block kernels, on the window as a one-row block from an empty start.
+        _, empty_final, empty_last = _brute_force_counts(Configuration(), stream)
+        times, birth, marks = stream.times[None], stream.birth[None], stream.marks[None]
+        valid = np.ones(birth.shape, dtype=bool)
+        if (
+            count_alive_rows(birth, marks, valid)[0] != len(empty_final)
+            or last_empty_rows(times, birth, marks, valid, horizon)[0] != empty_last
+        ):
+            block_bad += 1
+    passed = count_bad == 0 and evolve_bad == 0 and block_bad == 0
     details = (
         f"count oracle matched {ORACLE_WINDOWS - count_bad}/{ORACLE_WINDOWS} windows; "
         f"array path (replay counts, suffix-maximum count, last-empty time) matched the "
-        f"event-by-event replay on {ORACLE_WINDOWS - evolve_bad}/{ORACLE_WINDOWS}"
+        f"event-by-event replay on {ORACLE_WINDOWS - evolve_bad}/{ORACLE_WINDOWS}; "
+        f"block kernels (row-wise count, row-wise last-empty scan) matched the empty-start "
+        f"replay on {ORACLE_WINDOWS - block_bad}/{ORACLE_WINDOWS}"
     )
     return CheckResult("oracle", passed, details)
 

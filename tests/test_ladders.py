@@ -323,6 +323,13 @@ def test_huge_ladder_mass_still_gives_a_count():
     assert isinstance(count, int) and abs(count - mass) <= 1e-6 * mass
 
 
+def test_huge_band_mass_is_refused_by_name():
+    """A limit configuration with a band mass past 1e18 would need that many single draws."""
+    huge = ModelParams(1e25, 1.0, Exponential(2.0), Exponential(1.0))
+    with pytest.raises(LadderError, match=r"band 0 has birth mass [\d.]+e\+24"):
+        sample_limit_config(huge, StopRule(), replication_rng(1))
+
+
 def test_pareto_levels_overflow_into_a_sentinel():
     """Pareto levels e^(h/index) overflow near h = 709 * index, before a slowly dying mass is quiet."""
     near = ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.02))

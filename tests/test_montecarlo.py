@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import threshold_gms.montecarlo as montecarlo
-from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile
+from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile, Weibull
 from threshold_gms.ladders import StopRule, sample_ladder_block
 from threshold_gms.montecarlo import (
     BLOCK,
@@ -24,6 +24,7 @@ from threshold_gms.montecarlo import (
     run,
     summarize,
 )
+from threshold_gms.process import ProcessError
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
@@ -302,12 +303,20 @@ def test_boundary_ladders_without_an_exact_exponent_end_as_sentinels():
 
 
 @pytest.mark.parametrize(
-    "task,params", [(TASK_EXTINCTION_COUNT, TRANSIENT_EXAMPLE), (TASK_LIMIT_CONFIG, FINITE_EXAMPLE)]
+    "task,params",
+    [
+        (TASK_EXTINCTION_COUNT, TRANSIENT_EXAMPLE),
+        (TASK_LIMIT_CONFIG, FINITE_EXAMPLE),
+        (TASK_FORWARD_COUNT, FINITE_EXAMPLE),
+        (TASK_EMPTY_SCAN, TRANSIENT_EXAMPLE),
+    ],
 )
 def test_replications_do_not_depend_on_the_plan_size(task, params):
     """Blocks always sample all their rows: 300 replications are the first 300 of 1000."""
+    window = {TASK_FORWARD_COUNT: {"t": 30.0}, TASK_EMPTY_SCAN: {"horizon": 30.0}}.get(task, {})
     short, long = (
-        run(ReplicationPlan(task=task, params=params, replications=n, base_seed=14)) for n in (300, 1000)
+        run(ReplicationPlan(task=task, params=params, replications=n, base_seed=14, **window))
+        for n in (300, 1000)
     )
     assert short.samples.tobytes() == long.samples[:300].tobytes()
     assert set(short.aux) == set(long.aux)
@@ -321,3 +330,32 @@ def test_ladder_runs_carry_stop_reasons_and_depths():
     assert reasons.shape == depth.shape == (200,)
     assert set(reasons) == {"tail_bound"}
     assert depth.min() >= 1
+
+
+@pytest.mark.parametrize("task,window", [(TASK_FORWARD_COUNT, "t"), (TASK_EMPTY_SCAN, "horizon")])
+def test_forward_blocks_refuse_bad_marks_and_windows(task, window, monkeypatch):
+    """A mark past the float range, and a window past the float resolution, raise through run."""
+
+    def plan(params, at):
+        return ReplicationPlan(task=task, params=params, replications=10, base_seed=1, **{window: at})
+
+    with pytest.raises(ProcessError, match="finite"):
+        run(plan(ModelParams(1.0, 1.0, Weibull(0.001, 1.0), Exponential(1.0)), 50.0))
+    rngs = []
+
+    def recording_rng(*args, **kwargs):
+        rngs.append(replication_rng(*args, **kwargs))
+        return rngs[-1]
+
+    monkeypatch.setattr(montecarlo, "replication_rng", recording_rng)
+    with pytest.raises(ProcessError, match="resolution"):
+        run(plan(TRANSIENT_EXAMPLE, 1e10))
+    # Refused before the first block drew anything.
+    assert [g.random() for g in rngs] == [replication_rng(1, 0, montecarlo._TASK_SALTS[task]).random()]
+
+
+@pytest.mark.parametrize("task,window,expect", [(TASK_FORWARD_COUNT, "t", 0.0), (TASK_EMPTY_SCAN, "horizon", 1e-12)])
+def test_forward_blocks_of_windows_without_events(task, window, expect):
+    """Windows so short that no block row holds an event: nothing is alive, and every window ends empty."""
+    plan = ReplicationPlan(task=task, params=TRANSIENT_EXAMPLE, replications=200, base_seed=1, **{window: 1e-12})
+    assert run(plan).samples.tolist() == [expect] * 200

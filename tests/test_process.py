@@ -12,8 +12,11 @@ from threshold_gms.process import (
     EventStream,
     ProcessError,
     count_alive,
+    count_alive_rows,
     evolve,
+    generate_block,
     generate_stream,
+    last_empty_rows,
     last_empty_time,
     read_initial_csv,
     species_count_at,
@@ -323,3 +326,106 @@ def test_events_view_reads_the_arrays():
     assert stream.birth.tolist() == [True, False]
     with pytest.raises(ValueError):
         stream.marks[0] = 2.0  # the checked arrays are read-only
+
+
+def _pad(streams):
+    """The streams as one padded block, whose padding would change every result if it were read."""
+    shape = (len(streams), max(len(s) for s in streams) + 2)
+    times, marks = np.full(shape, math.nan), np.full(shape, 1e300)
+    # Every row pads at least one birth and one extinction.
+    birth = np.broadcast_to(np.arange(shape[1]) % 2 == 0, shape).copy()
+    valid = np.zeros(shape, dtype=bool)
+    for r, s in enumerate(streams):
+        k = len(s)
+        times[r, :k], birth[r, :k], marks[r, :k], valid[r, :k] = s.times, s.birth, s.marks, True
+    return times, birth, marks, valid
+
+
+def _check_block_kernels(streams, horizon):
+    times, birth, marks, valid = _pad(streams)
+    assert count_alive_rows(birth, marks, valid).tolist() == [count_alive(s) for s in streams]
+    last = last_empty_rows(times, birth, marks, valid, horizon).tolist()
+    assert last == [last_empty_time(evolve(Configuration(), s)) for s in streams]
+    return last
+
+
+def test_block_kernels_match_the_one_window_path():
+    """Rows with no events, rows that end empty and tied marks, padded into one block."""
+    horizon = 20.0
+    quiet = ModelParams(0.2, 3.0, Exponential(1.0), Exponential(1.0))
+    streams = [
+        generate_stream(params, 0.0, horizon, replication_rng(31, i))
+        for i, params in enumerate([PARAMS, PARAMS.swapped(), quiet, quiet, PARAMS])
+    ]
+    tied = [(1.0, "birth", 2.0), (2.0, "extinction", 2.0), (3.0, "birth", 1.0), (4.0, "extinction", 2.0),
+            (5.0, "extinction", 2.5), (6.0, "birth", 1.0), (7.0, "extinction", 1.0)]
+    streams += [
+        _stream([], horizon),
+        _stream([Event(t, kind, mark) for t, kind, mark in tied], horizon),
+        _stream([Event(t, kind, mark) for t, kind, mark in tied[:5]], horizon),
+    ]
+    last = _check_block_kernels(streams, horizon)
+    assert last[-3:] == [horizon, 6.0, horizon]
+    assert last.count(horizon) > 3  # the quiet windows end empty too
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.tuples(st.floats(0.01, 1.0), st.booleans(), st.integers(0, 3)), max_size=20),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_block_kernels_on_marks_that_tie(rows):
+    """Marks on four levels, so thresholds often equal a living fitness, which survives."""
+    horizon = 21.0
+    streams = []
+    for events in rows:
+        times = np.cumsum([gap for gap, _, _ in events])
+        birth = [is_birth for _, is_birth, _ in events]
+        streams.append(EventStream(0.0, horizon, times, birth, [float(m) for _, _, m in events]))
+    _check_block_kernels(streams, horizon)
+
+
+def test_generate_block_layout():
+    """Counts first, then row chunks padded to their longest row; valid times lie in the window."""
+    chunks = list(generate_block(PARAMS, 1.0, 201.0, replication_rng(32), 300))
+    counts = replication_rng(32).poisson(400.0, 300)
+    assert len(chunks) > 1 and sum(valid.shape[0] for *_, valid in chunks) == 300
+    assert np.concatenate([valid.sum(axis=1) for *_, valid in chunks]).tolist() == counts.tolist()
+    for times, birth, marks, valid in chunks:
+        assert valid.size <= 1 << 15 and valid[:, -1].any()
+        assert np.all((times[valid] > 1.0) & (times[valid] <= 201.0)) and np.all(marks[valid] >= 0.0)
+    untimed = generate_block(PARAMS, 1.0, 201.0, replication_rng(32), 300, with_times=False)
+    assert all(times is None for times, *_ in untimed)
+
+
+def test_generate_block_refuses_tied_times():
+    class TiedTimes:
+        """Every uniform is 0, so every event lands on the horizon."""
+
+        poisson = replication_rng(33).poisson
+
+        def random(self, shape):
+            return np.zeros(shape)
+
+    with pytest.raises(ProcessError, match="strictly increasing"):
+        list(generate_block(PARAMS, 0.0, 5.0, TiedTimes(), 4))
+
+
+def test_generate_stream_is_a_one_row_block():
+    """simulate and the forward tasks draw through one path: the same seed gives the same window."""
+    stream = generate_stream(PARAMS, 2.0, 300.0, replication_rng(34))
+    [(times, birth, marks, valid)] = generate_block(PARAMS, 2.0, 300.0, replication_rng(34), 1)
+    assert valid.all() and len(stream) == valid.size > 0
+    assert stream.times.tolist() == times[0].tolist() and stream.marks.tolist() == marks[0].tolist()
+    assert stream.birth.tolist() == birth[0].tolist()
+
+
+def test_block_kernels_on_windows_without_events():
+    """A chunk whose rows all hold no event has no columns; every row ends empty."""
+    none = np.empty((3, 0))
+    never = np.empty((3, 0), dtype=bool)
+    assert count_alive_rows(never, none, never).tolist() == [0, 0, 0]
+    assert last_empty_rows(none, never, none, never, 5.0).tolist() == [5.0, 5.0, 5.0]
