@@ -11,7 +11,7 @@ importable from its module.
 
 __version__ = "0.1.0"
 
-from .criteria import classify, exponential_closed_forms
+from .criteria import classify, classify_many, exponential_closed_forms
 from .distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from .ladders import (
     StopRule,
@@ -51,6 +51,7 @@ __all__ = [
     "TabulatedQuantile",
     "Weibull",
     "classify",
+    "classify_many",
     "compare_forward_vs_limit",
     "count_alive",
     "evolve",

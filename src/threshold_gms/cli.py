@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .criteria import classify
+from .criteria import classify, classify_many
 from .distributions import ModelParams, model_params_from_json
 from .montecarlo import (
     ReplicationPlan,
@@ -38,7 +39,7 @@ from .process import (
     write_trace_csv,
 )
 from .streams import replication_rng
-from .validation import CHECK_NAMES, SuiteConfig, format_result, run_suite
+from .validation import CHECK_NAMES, SuiteConfig, SuiteContext, format_result, run_suite
 
 DEFAULT_SEED = 123456789
 
@@ -173,33 +174,32 @@ def _cmd_classify(args) -> int:
         return 0
 
     grid = _parse_grid(args.grid)
-    rows = []
-    for a_fit, a_thr, l_birth, l_ext in product(
-        grid["alpha_fitness"], grid["alpha_threshold"], grid["lambda_birth"], grid["lambda_extinct"]
-    ):
-        params = ModelParams(
+    combos = list(
+        product(grid["alpha_fitness"], grid["alpha_threshold"], grid["lambda_birth"], grid["lambda_extinct"])
+    )
+    points = [
+        ModelParams(
             lambda_birth=l_birth,
             lambda_extinct=l_ext,
             fitness_dist=Exponential(a_fit),
             threshold_dist=Exponential(a_thr),
         )
-        report = classify(params)
-        rows.append(
-            (
-                a_fit,
-                a_thr,
-                l_birth,
-                l_ext,
-                report.recurrence,
-                report.limit_count,
-                report.method,
-                report.null_recurrent_like,
-                report.integrals.e_m,
-                report.integrals.e_n,
-                report.integrals.phi_inf,
-                report.integrals.phi_bar_inf,
-            )
+        for a_fit, a_thr, l_birth, l_ext in combos
+    ]
+    rows = [
+        (
+            *combo,
+            report.recurrence,
+            report.limit_count,
+            report.method,
+            report.null_recurrent_like,
+            report.integrals.e_m,
+            report.integrals.e_n,
+            report.integrals.phi_inf,
+            report.integrals.phi_bar_inf,
         )
+        for combo, report in zip(combos, classify_many(points))
+    ]
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,7 +300,8 @@ def _cmd_validate(args) -> int:
         compare_replications=min(10_000, args.reps),
         base_seed=args.seed,
     )
-    results = run_suite(config=config, only=only)
+    context = SuiteContext(config)
+    results = run_suite(only=only, context=context)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,6 +315,8 @@ def _cmd_validate(args) -> int:
         {"only": only, "reps": args.reps, "seed": args.seed},
         ["validation.json", "manifest.json"],
     )
+    if context.setup_seconds:
+        print(f"set-up: {context.setup_seconds:.2f} s", file=sys.stderr)
     for r in results:
         print(format_result(r))
         print(f"{r.name}: {r.seconds:.2f} s", file=sys.stderr)
@@ -363,9 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import: importing the CLI is part of
+    # every start-up, and building the parser costs more than parsing.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -12,10 +12,16 @@ ladder's per-step mass density exp(h - C(h)) over h in [0, inf) (finite
 iff the process is transient); after swapping the two roles the same
 integral gives the mean number of birth marks above the threshold
 ladder (finite iff the long-run configuration is finite).  The integrals
-are evaluated on dyadic panels [n ln2, (n+1) ln2], one array pass of
-Gauss-Legendre nodes for all of them, with a three-way verdict: finite,
-infinite, or inconclusive.  Built-in family pairs short-circuit to an
-exact power-exponent analysis of the composition as h -> inf.
+are evaluated on dyadic panels [n ln2, (n+1) ln2] of Gauss-Legendre
+nodes, with a three-way verdict: finite, infinite, or inconclusive.
+classify_many evaluates every integral of a batch of points as rows of
+one padded array, in chunks of bounded size, and reads the panels of
+all rows with one vectorised copy of the panel rules; C(h) and the
+mass-density integral depend only on the mark pair, so points that
+differ only in their rates share them.  classify is the batch of one
+point, hazard_weighted_integral the rules' one-row front.  Built-in
+family pairs short-circuit to an exact power-exponent analysis of the
+composition as h -> inf.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .distributions import (
     Weibull,
     _as_float,
 )
+from .process import BLOCK_CHUNK_CELLS
 
 VERDICT_FINITE = "finite"
 VERDICT_INFINITE = "infinite"
@@ -101,22 +108,6 @@ _RATIO_RTOL = 1e-4
 _COMPLETION_MIN_PANELS = 8
 
 
-def _geometric_tail(panels: Sequence[float]) -> Optional[float]:
-    if len(panels) < _COMPLETION_MIN_PANELS:
-        return None
-    p3, p2, p1, p0 = panels[-4:]
-    if not p3 > 0.0 or not p2 > 0.0 or not p1 > 0.0 or not p0 > 0.0:
-        return None
-    q0 = p0 / p1
-    q1 = p1 / p2
-    q2 = p2 / p3
-    if q0 >= 0.999:
-        return None
-    if abs(q0 - q1) > _RATIO_RTOL * q0 or abs(q1 - q2) > _RATIO_RTOL * q0:
-        return None
-    return p0 * q0 / (1.0 - q0)
-
-
 _LN2 = math.log(2.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # Panel 0 is graded toward h = 0, where compositions such as c * h^p
@@ -150,6 +141,104 @@ def _panel_nodes(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.
     return h, w, panel
 
 
+def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndarray:
+    """Dyadic panel integrals of rows of integrand values on one node array.
+
+    Each sub-panel's weighted nodes are summed along the last axis; one
+    bincount over row * _MAX_REFINEMENTS + panel then adds the sub-panels
+    of each row into its panels, in sub-panel order.
+    """
+    rows = values.shape[0]
+    index = (np.arange(rows)[:, None] * _MAX_REFINEMENTS + panel).ravel()
+    sums = (values * w).sum(axis=-1).ravel()
+    pieces = np.bincount(index, weights=sums, minlength=rows * _MAX_REFINEMENTS)
+    return pieces.reshape(rows, _MAX_REFINEMENTS)
+
+
+# Rule codes of _read_panels, in the order the rules are checked at a panel.
+_BAD_PANEL, _DIVERGES, _GEOMETRIC_TAIL, _QUIET = 4, 3, 2, 1
+
+
+def _read_panels(pieces: np.ndarray) -> list:
+    """Verdicts of rows of dyadic panel integrals, one improper integral per row.
+
+    Each row is read panel by panel up to the first panel where a rule
+    fires.  At panel n the rules are checked in this order: a non-finite
+    or negative panel is an error; the _DIVERGENCE_RUN-th consecutive
+    non-decreasing panel above _PANEL_ATOL means divergence; from panel
+    _COMPLETION_MIN_PANELS - 1 on, a stable ratio of the last four panels
+    is finished by summing the geometric tail, which keeps slowly decaying
+    exponents inside the refinement budget; from panel 2 on, two quiet
+    panels end a finite integral.  A row where no rule fires is
+    inconclusive.  The rules are evaluated for all rows and panels at
+    once, each reading panels up to n only, so panels past a row's stop
+    never affect it.  Returns per row an ImproperIntegral, whose evidence
+    holds the exactly rounded partial sums up to the stop, or the
+    CriteriaError of a bad panel at or before the stop.
+    """
+    rows, count = pieces.shape
+    k = _COMPLETION_MIN_PANELS - 1
+    # rule[r, n] is the code of the first rule that fires at panel n;
+    # rules are written in increasing precedence, each over the last.
+    rule = np.zeros((rows, count), dtype=np.int8)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(pieces < 0.0, 0.0, pieces)
+        quiet = p < _PANEL_ATOL
+        rule[:, 2:] = quiet[:, 2:] & quiet[:, 1:-1]
+        # The tail test at panel n >= k reads panels n-3, ..., n through
+        # q0 = p[n]/p[n-1], q1 = p[n-1]/p[n-2] and q2 = p[n-2]/p[n-3].  On
+        # positive finite panels no ratio is NaN, so these comparisons are
+        # the exact negations of the float tests of the scalar rule.
+        positive = p > 0.0
+        ratio = p[:, 1:] / p[:, :-1]
+        q0, q1, q2 = ratio[:, k - 1 :], ratio[:, k - 2 : -1], ratio[:, k - 3 : -2]
+        tol = _RATIO_RTOL * q0
+        tails = (
+            positive[:, k - 3 : -3]
+            & positive[:, k - 2 : -2]
+            & positive[:, k - 1 : -1]
+            & positive[:, k:]
+            & (q0 < 0.999)
+            & (np.abs(q0 - q1) <= tol)
+            & (np.abs(q1 - q2) <= tol)
+        )
+        rule[:, k:][tails] = _GEOMETRIC_TAIL
+        # Length of the run of non-decreasing panels ending at panel n >= 1.
+        n = np.arange(1, count)
+        grows = p[:, 1:] >= p[:, :-1] * (1.0 - 1e-12)
+        run = n - np.maximum.accumulate(np.where(grows, 0, n), axis=1)
+        rule[:, 1:][(run >= _DIVERGENCE_RUN) & (p[:, 1:] > _PANEL_ATOL)] = _DIVERGES
+        rule[~np.isfinite(pieces) | (pieces < -1e-9)] = _BAD_PANEL
+    fired = rule != 0
+    stops = np.where(fired.any(axis=1), fired.argmax(axis=1), count).tolist()
+    results: list = []
+    for r, (row, stop) in enumerate(zip(p.tolist(), stops)):
+        code = int(rule[r, stop]) if stop < count else 0
+        if code == _BAD_PANEL:
+            piece = float(pieces[r, stop])
+            results.append(CriteriaError(f"panel [{stop * _LN2}, {(stop + 1) * _LN2}] evaluated to {piece}"))
+            continue
+        panels = row[: stop + 1]
+        partial = tuple(math.fsum(panels[: i + 1]) for i in range(len(panels)))
+        if code == _DIVERGES:
+            results.append(ImproperIntegral(VERDICT_INFINITE, math.inf, partial))
+        elif code == _GEOMETRIC_TAIL:
+            p0, p1 = panels[-1], panels[-2]
+            q = p0 / p1
+            results.append(ImproperIntegral(VERDICT_FINITE, partial[-1] + p0 * q / (1.0 - q), partial))
+        elif code == _QUIET:
+            results.append(ImproperIntegral(VERDICT_FINITE, partial[-1], partial))
+        else:
+            results.append(ImproperIntegral(VERDICT_INCONCLUSIVE, None, partial))
+    return results
+
+
+def _checked(result):
+    if isinstance(result, CriteriaError):
+        raise result
+    return result
+
+
 def hazard_weighted_integral(
     integrand: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float] = ()
 ) -> ImproperIntegral:
@@ -163,43 +252,18 @@ def hazard_weighted_integral(
     all _MAX_REFINEMENTS panels.  Each dyadic panel is integrated by
     24-node Gauss-Legendre rules on sub-panels split at ``breaks`` (the
     hazards where the integrand has a kink) and graded toward h = 0.
-    The panels are then read in order: a non-finite or negative panel
+    The panels are then read in order by the rules of classify_many, of
+    which this is the one-row case: a non-finite or negative panel
     raises, a run of non-decreasing panels means divergence, and
     eventually-geometric panel decay (every power-exponent case) is
-    finished by summing the geometric tail, which keeps slowly decaying
-    exponents inside the refinement budget.  Panels past the stopping
+    finished by summing the geometric tail.  Panels past the stopping
     one are never inspected.
     """
     h, w, panel = _panel_nodes(tuple(breaks))
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.broadcast_to(integrand(h), h.shape)
-        pieces = np.bincount(panel, weights=(values * w).sum(axis=1), minlength=_MAX_REFINEMENTS)
-    panels: list[float] = []
-    partial: list[float] = []
-    nondecreasing = 0
-    quiet = 0
-    prev: Optional[float] = None
-    for n, piece in enumerate(pieces.tolist()):
-        if not math.isfinite(piece) or piece < -1e-9:
-            raise CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {piece}")
-        piece = max(piece, 0.0)
-        panels.append(piece)
-        partial.append(math.fsum(panels))
-        if prev is not None and piece >= prev * (1.0 - 1e-12):
-            nondecreasing += 1
-        elif prev is not None:
-            nondecreasing = 0
-        if nondecreasing >= _DIVERGENCE_RUN and piece > _PANEL_ATOL:
-            return ImproperIntegral(VERDICT_INFINITE, math.inf, tuple(partial))
-        tail = _geometric_tail(panels)
-        if tail is not None:
-            value = math.fsum(panels) + tail
-            return ImproperIntegral(VERDICT_FINITE, value, tuple(partial))
-        quiet = quiet + 1 if piece < _PANEL_ATOL else 0
-        if quiet >= 2 and n >= 2:
-            return ImproperIntegral(VERDICT_FINITE, math.fsum(panels), tuple(partial))
-        prev = piece
-    return ImproperIntegral(VERDICT_INCONCLUSIVE, None, tuple(partial))
+        pieces = _panel_sums(values[None], w, panel)
+    return _checked(_read_panels(pieces)[0])
 
 
 def hazard_weighted_integral_xspace(
@@ -237,31 +301,91 @@ def hazard_breaks(params: ModelParams) -> tuple[float, ...]:
     return tuple(np.unique(h[(h > 0.0) & np.isfinite(h)]).tolist())
 
 
-class _Composition:
-    """C(h) = H_thr(H_fit^-1(h)) of one side, kept for the last node array."""
-
-    def __init__(self, params: ModelParams) -> None:
-        self.fitness = params.fitness_dist
-        self.threshold = params.threshold_dist
-        self.breaks = hazard_breaks(params)
-        self._h: Optional[np.ndarray] = None
-        self._c: Optional[np.ndarray] = None
-
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        if h is not self._h:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._c = self.threshold.hazard_transform_array(self.fitness.inverse_hazard_array(h))
-            self._c.flags.writeable = False
-            self._h = h
-        return self._c
-
-
 @lru_cache(maxsize=8)
-def _composition(params: ModelParams) -> _Composition:
-    # Shared by e_m and phi_inf of one side (and by every t of the
-    # Laplace exponent): the panel node arrays are cached, so these
-    # integrals pass the same array and C(h) is computed once.
-    return _Composition(params)
+def _composition(
+    fitness: DistributionSpec, threshold: DistributionSpec, breaks: tuple[float, ...]
+) -> np.ndarray:
+    """C(h) = H_thr(H_fit^-1(h)) on the nodes of the pair's breaks, read-only.
+
+    Keyed on the mark pair (its breaks follow from it), not on the
+    rates: the integrals of one pair at any rates and any t share it.
+    """
+    h = _panel_nodes(breaks)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = threshold.hazard_transform_array(fitness.inverse_hazard_array(h))
+    c.flags.writeable = False
+    return c
+
+
+def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) -> list:
+    """Criterion integrals of one side each, as rows of padded node arrays.
+
+    A row (params, None) is the integral of the ladder's per-step mass
+    density exp(h - C(h)), without its rate prefactor; a row
+    (params, log_r) the count exponent's integrand 1/(1 + r exp(C(h) - h)),
+    taken through logaddexp so that it never forms inf/inf.  Only the
+    mark pair of params and log_r enter, so equal rows are evaluated once.
+    Rows are grouped by the pair's hazard_breaks (one node array each)
+    and go in chunks of at most BLOCK_CHUNK_CELLS nodes, ordered by mark
+    pair; each chunk takes C(h) once per pair in it.  Returns per row what
+    _read_panels gives.
+    """
+    first: dict = {}
+    sides: list[ModelParams] = []
+    keys = []
+    for params, log_r in rows:
+        pair = first.setdefault((params.fitness_dist, params.threshold_dist), len(first))
+        if pair == len(sides):
+            sides.append(params)
+        keys.append((pair, log_r))
+    breaks = [hazard_breaks(params) for params in sides]
+    groups: dict[tuple, list] = {}
+    for key in sorted(dict.fromkeys(keys), key=lambda key: key[0]):
+        groups.setdefault(breaks[key[0]], []).append(key)
+    results: dict = {}
+    for group_breaks, members in groups.items():
+        h, w, panel = _panel_nodes(group_breaks)
+        step = max(BLOCK_CHUNK_CELLS // h.size, 1)
+        for start in range(0, len(members), step):
+            # Mass-density rows first; rows are read back by key.
+            chunk = sorted(members[start : start + step], key=lambda key: key[1] is not None)
+            n_base = sum(log_r is None for _, log_r in chunk)
+            log_r = np.array([log_r for _, log_r in chunk[n_base:]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                comps = {
+                    pair: _composition(sides[pair].fitness_dist, sides[pair].threshold_dist, breaks[pair])
+                    for pair in dict.fromkeys(pair for pair, _ in chunk)
+                }
+                # C(h) of each row, turned into its integrand in place, which
+                # keeps one chunk-sized array alive besides the weighted one.
+                values = np.stack([comps[pair] for pair, _ in chunk])
+                base, exponent = values[:n_base], values[n_base:]
+                np.exp(np.subtract(h, base, out=base), out=base)
+                exponent += log_r[:, None, None]
+                exponent -= h
+                np.logaddexp(0.0, exponent, out=exponent)
+                np.exp(np.negative(exponent, out=exponent), out=exponent)
+                pieces = _panel_sums(values, w, panel)
+            results.update(zip(chunk, _read_panels(pieces)))
+    return [results[key] for key in keys]
+
+
+def _scaled(base: ImproperIntegral, prefactor: float) -> ImproperIntegral:
+    """base with its finite value and its evidence trail multiplied by prefactor."""
+    value = base.value
+    if value is not None and math.isfinite(value):
+        value *= prefactor
+    return ImproperIntegral(
+        verdict=base.verdict,
+        value=value,
+        evidence=tuple(prefactor * e for e in base.evidence),
+    )
+
+
+def _log_r(params: ModelParams, t: float) -> float:
+    """log r of the count exponent at argument t, r = lambda_birth / ((1 - e^-t) lambda_extinct)."""
+    shrink = 1.0 if math.isinf(t) else -math.expm1(-t)
+    return math.log(params.lambda_birth) - math.log(shrink) - math.log(params.lambda_extinct)
 
 
 def composed_survival(params: ModelParams, u) -> float:
@@ -281,17 +405,8 @@ def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
     transient regime.  The prefactor is applied to both the value and
     the evidence trail.
     """
-    prefactor = params.lambda_extinct / params.lambda_birth
-    comp = _composition(params)
-    base = hazard_weighted_integral(lambda h: np.exp(h - comp(h)), comp.breaks)
-    value = base.value
-    if value is not None and math.isfinite(value):
-        value *= prefactor
-    return ImproperIntegral(
-        verdict=base.verdict,
-        value=value,
-        evidence=tuple(prefactor * e for e in base.evidence),
-    )
+    base = _checked(_criterion_integrals([(params, None)])[0])
+    return _scaled(base, params.lambda_extinct / params.lambda_birth)
 
 
 def expected_birth_count(params: ModelParams) -> ImproperIntegral:
@@ -316,12 +431,7 @@ def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     t = _as_float(t, "t")
     if not t > 0.0:
         raise CriteriaError(f"t must be positive (math.inf allowed), got {t}")
-    shrink = 1.0 if math.isinf(t) else -math.expm1(-t)
-    log_r = math.log(params.lambda_birth) - math.log(shrink) - math.log(params.lambda_extinct)
-    comp = _composition(params)
-    return hazard_weighted_integral(
-        lambda h: np.exp(-np.logaddexp(0.0, log_r + comp(h) - h)), comp.breaks
-    )
+    return _checked(_criterion_integrals([(params, _log_r(params, t))])[0])
 
 
 def birth_count_exponent(params: ModelParams, t) -> ImproperIntegral:
@@ -457,15 +567,48 @@ def classify(params: ModelParams) -> ClassificationReport:
     Built-in family pairs are decided by the exact decay exponent of the
     survival composition; otherwise the numeric three-way verdict of the
     dyadic-panel quadrature decides.  The numeric integrals are always
-    attached as evidence.
+    attached as evidence.  This is classify_many of one point.
     """
-    m_analytic = exact_verdict(params)
-    n_analytic = exact_verdict(params.swapped())
+    return classify_many([params])[0]
 
-    e_m = expected_extinction_count(params)
-    e_n = expected_birth_count(params)
-    phi_inf = extinction_count_exponent(params, math.inf)
-    phi_bar_inf = birth_count_exponent(params, math.inf)
+
+def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
+    """classify of every point of a batch, in one array pass.
+
+    The four criterion integrals of all points are rows of the same
+    padded node arrays, read by one vectorised copy of the panel rules.
+    The mass-density integral and C(h) depend only on the mark pair (the
+    rate prefactor multiplies value and evidence afterwards), so points
+    that differ only in their rates share them; the count exponents keep
+    one row per point and side.  Each report equals classify of its
+    point bit for bit, and the first point, in order, that classify
+    would refuse raises the same CriteriaError.
+    """
+    sides = [(params, params.swapped()) for params in points]
+    rows = []
+    for params, swapped in sides:
+        rows += [
+            (params, None),
+            (swapped, None),
+            (params, _log_r(params, math.inf)),
+            (swapped, _log_r(swapped, math.inf)),
+        ]
+    integrals = _criterion_integrals(rows)
+    return [
+        _report(params, swapped, *integrals[4 * i : 4 * i + 4]) for i, (params, swapped) in enumerate(sides)
+    ]
+
+
+def _report(
+    params: ModelParams, swapped: ModelParams, base_m, base_n, phi_inf, phi_bar_inf
+) -> ClassificationReport:
+    m_analytic = exact_verdict(params)
+    n_analytic = exact_verdict(swapped)
+
+    e_m = _scaled(_checked(base_m), params.lambda_extinct / params.lambda_birth)
+    e_n = _scaled(_checked(base_n), swapped.lambda_extinct / swapped.lambda_birth)
+    phi_inf = _checked(phi_inf)
+    phi_bar_inf = _checked(phi_bar_inf)
 
     def resolve(analytic: Optional[str], numeric: ImproperIntegral, side: str) -> str:
         if analytic is None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from threshold_gms import cli
+from threshold_gms.criteria import classify
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
 
@@ -147,6 +148,56 @@ def test_classify_grid_phase_map(tmp_path):
     assert read_dir(out) == read_dir(out2)
 
 
+def test_classify_grid_matches_per_point_classify(tmp_path, monkeypatch):
+    grid = "alpha_fitness=0.5,1,1.7,2.5;alpha_threshold=0.5,1,1.7,2.5;lambda_birth=1,1.3;lambda_extinct=1,0.7"
+    batch = tmp_path / "batch"
+    assert cli.main(["classify", "--grid", grid, "--out", str(batch)]) == 0
+    monkeypatch.setattr(cli, "classify_many", lambda points: [classify(p) for p in points])
+    per_point = tmp_path / "per-point"
+    assert cli.main(["classify", "--grid", grid, "--out", str(per_point)]) == 0
+    assert read_dir(batch) == read_dir(per_point)
+    assert len((batch / "phase_map.csv").read_text().splitlines()) == 65
+
+
+def _src_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_cached_parser_matches_a_fresh_process(tmp_path, transient_params, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    with pytest.raises(SystemExit):
+        cli.main(["classify", "--no-such-flag"])
+    capsys.readouterr()
+    out = tmp_path / "in-process"
+    assert cli.main(["classify", "--params", transient_params, "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    cmd = [sys.executable, "-m", "threshold_gms.cli", "classify", "--params", transient_params, "--out", str(fresh)]
+    subprocess.run(cmd, capture_output=True, check=True, env=_src_env())
+    assert read_dir(out) == read_dir(fresh)
+
+
+def test_run_suite_loads_scipy_stats_before_the_first_gof_check():
+    code = """
+import sys
+from threshold_gms import validation
+seen = []
+def probe(ctx):
+    seen.append("scipy.stats" in sys.modules)
+    return validation.CheckResult("probe", True, "")
+validation._CHECKS["probe"] = validation._CHECKS["plain-probe"] = probe
+validation._GOF_CHECKS = validation._GOF_CHECKS | {"probe"}
+ctx = validation.SuiteContext()
+validation.run_suite(only=["plain-probe"], context=ctx)
+plain = ctx.setup_seconds
+validation.run_suite(only=["plain-probe", "probe"], context=ctx)
+print(seen, plain, ctx.setup_seconds > 0.0)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env())
+    assert proc.stdout.strip() == "[False, True, True] 0.0 True"
+
+
 def test_ladder_mc_outputs(tmp_path, transient_params):
     out = tmp_path / "mc"
     argv = [
@@ -272,9 +323,7 @@ def test_huge_ladder_masses_still_give_counts(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
     code = "import sys, threshold_gms.cli; print('scipy.stats' in sys.modules or 'scipy.integrate' in sys.modules)"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == "False"
 
 
@@ -374,6 +423,13 @@ def test_validate_subset(tmp_path, capsys):
     payload = json.loads((out / "validation.json").read_text())
     assert [c["name"] for c in payload["checks"]] == ["quadrature", "phase-map"]
     assert all(c["passed"] and set(c) == {"name", "passed", "details"} for c in payload["checks"])
+
+
+def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--only", "count-law", "--reps", "1000", "--out", str(out)]) == 0
+    timings = [line.split(": ")[0] for line in capsys.readouterr().err.splitlines()]
+    assert timings == ["set-up", "count-law"]
 
 
 @pytest.mark.parametrize(

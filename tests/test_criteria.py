@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 
 from threshold_gms.criteria import (
+    _COMPLETION_MIN_PANELS,
+    _DIVERGENCE_RUN,
+    _LN2,
+    _MAX_REFINEMENTS,
+    _PANEL_ATOL,
+    _RATIO_RTOL,
     CriteriaError,
     GammaLaw,
+    ImproperIntegral,
     NegBinomLaw,
+    _read_panels,
     birth_count_exponent,
     classify,
+    classify_many,
     composed_survival,
     composed_survival_exponent,
     expected_birth_count,
     expected_extinction_count,
     exponential_closed_forms,
     extinction_count_exponent,
+    hazard_breaks,
     hazard_weighted_integral,
     hazard_weighted_integral_xspace,
     laplace_birth_count,
@@ -169,6 +179,112 @@ def test_hazard_weighted_integral_rejects_bad_integrand():
         hazard_weighted_integral(lambda h: math.nan)
 
 
+def _geometric_tail_reference(panels):
+    if len(panels) < _COMPLETION_MIN_PANELS:
+        return None
+    p3, p2, p1, p0 = panels[-4:]
+    if not p3 > 0.0 or not p2 > 0.0 or not p1 > 0.0 or not p0 > 0.0:
+        return None
+    q0 = p0 / p1
+    q1 = p1 / p2
+    q2 = p2 / p3
+    if q0 >= 0.999:
+        return None
+    if abs(q0 - q1) > _RATIO_RTOL * q0 or abs(q1 - q2) > _RATIO_RTOL * q0:
+        return None
+    return p0 * q0 / (1.0 - q0)
+
+
+def _read_panels_reference(pieces):
+    """The scalar panel loop: one row, read panel by panel until a rule fires."""
+    panels = []
+    partial = []
+    nondecreasing = 0
+    quiet = 0
+    prev = None
+    for n, piece in enumerate(pieces):
+        if not math.isfinite(piece) or piece < -1e-9:
+            raise CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {piece}")
+        piece = max(piece, 0.0)
+        panels.append(piece)
+        partial.append(math.fsum(panels))
+        if prev is not None and piece >= prev * (1.0 - 1e-12):
+            nondecreasing += 1
+        elif prev is not None:
+            nondecreasing = 0
+        if nondecreasing >= _DIVERGENCE_RUN and piece > _PANEL_ATOL:
+            return ImproperIntegral("infinite", math.inf, tuple(partial))
+        tail = _geometric_tail_reference(panels)
+        if tail is not None:
+            return ImproperIntegral("finite", math.fsum(panels) + tail, tuple(partial))
+        quiet = quiet + 1 if piece < _PANEL_ATOL else 0
+        if quiet >= 2 and n >= 2:
+            return ImproperIntegral("finite", math.fsum(panels), tuple(partial))
+        prev = piece
+    return ImproperIntegral("inconclusive", None, tuple(partial))
+
+
+def _panel_rows():
+    n = np.arange(_MAX_REFINEMENTS, dtype=float)
+    geometric = 0.5**n
+    rows = {
+        "geometric tail": geometric,
+        "divergence": np.full(_MAX_REFINEMENTS, 0.25),
+        "growth": 1.0 + n,
+        "quiet": np.concatenate([[1.0, 0.3], np.full(_MAX_REFINEMENTS - 2, 1e-12)]),
+        "quiet at once": np.zeros(_MAX_REFINEMENTS),
+        "slightly negative clamps to quiet": np.concatenate(
+            [[1.0, -1e-12], np.full(_MAX_REFINEMENTS - 2, -5e-10)]
+        ),
+        # Panels 6 and 7 are both quiet and 4..7 decay by exactly 1/2: the tail wins.
+        "tail and quiet at one panel": 1.5e-10 * 0.5 ** (n - 5),
+        "never stops": 1.0 / (1.0 + n),
+        "decay then plateau": np.maximum(0.5**n, 1e-3),
+        "nan after stop": np.where(n == 20, np.nan, geometric),
+        "negative after stop": np.where(n == 30, -1.0, np.full(_MAX_REFINEMENTS, 0.25)),
+        "nan before stop": np.where(n == 3, np.nan, geometric),
+        "negative before stop": np.where(n == 5, -1e-3, geometric),
+        "inf at panel 0": np.where(n == 0, np.inf, geometric),
+        "bad at the stopping panel": np.where(n == 7, -np.inf, geometric),
+    }
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        ratio = rng.uniform(0.2, 1.05)
+        noise = np.exp(rng.normal(0.0, rng.choice([0.0, 1e-6, 1e-3, 0.3]), _MAX_REFINEMENTS))
+        row = rng.uniform(1e-12, 2.0) * ratio**n * noise
+        if i % 5 == 0:
+            row[rng.integers(0, _MAX_REFINEMENTS)] = rng.choice([np.nan, -1.0, 0.0, np.inf])
+        if i % 7 == 0:
+            row[rng.integers(0, _MAX_REFINEMENTS, 3)] = 0.0
+        rows[f"random {i}"] = row
+    return rows
+
+
+def test_vectorised_panel_rules_match_the_scalar_loop():
+    rows = _panel_rows()
+    got = _read_panels(np.stack(list(rows.values())))
+    verdicts = set()
+    for (label, row), result in zip(rows.items(), got):
+        try:
+            want = _read_panels_reference(row.tolist())
+        except CriteriaError as exc:
+            assert isinstance(result, CriteriaError), label
+            assert str(result) == str(exc), label
+            verdicts.add("error")
+            continue
+        assert isinstance(result, ImproperIntegral), label
+        assert result.verdict == want.verdict, label
+        assert result.value == want.value or (result.value is None and want.value is None), label
+        assert result.evidence == want.evidence, label
+        verdicts.add(result.verdict)
+    assert verdicts == {"finite", "infinite", "inconclusive", "error"}
+    named = dict(zip(rows, got))
+    assert len(named["tail and quiet at one panel"].evidence) == 8
+    assert named["tail and quiet at one panel"].value > named["tail and quiet at one panel"].evidence[-1]
+    assert named["nan after stop"].is_finite and named["negative after stop"].is_infinite
+    assert str(named["nan before stop"]).endswith("evaluated to nan")
+
+
 def test_xspace_integral_matches_hspace():
     cases = [
         (Exponential(1.0), Exponential(2.0), 1.0),
@@ -321,6 +437,65 @@ def test_classify_report_json_shape():
     assert payload["integrals"]["e_n"] == "inf"
     assert set(payload["evidence"]) == {"e_m", "e_n", "phi_inf", "phi_bar_inf"}
     assert all(isinstance(v, list) for v in payload["evidence"].values())
+
+
+def _mixed_batch():
+    tab_a = TabulatedQuantile(grid=((1.0, 0.0), (0.6, 0.37), (0.3, 1.3), (0.11, 2.9), (0.02, 5.1)))
+    tab_b = TabulatedQuantile(grid=((1.0, 0.0), (0.5, 0.23), (0.2, 0.81), (0.05, 1.7), (0.004, 3.3)))
+    marks = [
+        (Weibull(1.5, 1.0), Weibull(2.4, 1.0)),
+        (Weibull(0.5, 1.0), Weibull(0.9, 1.0)),
+        (Pareto(1.0, 1.0), Pareto(3.0, 1.5)),
+        (Pareto(2.0, 1.4), Pareto(1.0, 2.0)),
+        (tab_a, tab_b),
+        (tab_b, tab_a),
+        (tab_a, Exponential(1.0)),
+    ]
+    points = [
+        exp_params(a, b, l_birth, l_ext)
+        for a in (0.5, 1.0, 2.0)
+        for b in (1.0, 2.0)
+        for l_birth, l_ext in ((1.0, 1.0), (1.3, 0.7))
+    ]
+    points += [ModelParams(l_birth, l_ext, fit, thr) for fit, thr in marks for l_birth, l_ext in ((1.0, 1.0), (0.4, 2.5))]
+    # Repeated points share every row.
+    return points + points[:3]
+
+
+def test_classify_many_matches_classify_bit_for_bit():
+    points = _mixed_batch()
+    # The exponential and Weibull rows share one node array and fill
+    # more than one chunk; the Pareto and tabulated pairs each have
+    # their own breaks.
+    reports = classify_many(points)
+    assert len(reports) == len(points)
+    assert {r.method for r in reports} == {"AnalyticExponent", "NumericCauchy"}
+    for params, report in zip(points, reports):
+        single = classify(params)
+        assert report == single
+        assert report.to_json() == single.to_json()
+    assert classify_many([]) == []
+
+
+def test_classify_many_rows_match_the_one_row_integral():
+    """Each batch row equals hazard_weighted_integral of its integrand written out."""
+    points = _mixed_batch()
+    for params, report in zip(points, classify_many(points)):
+        for side, swapped in (("e_m", params), ("e_n", params.swapped())):
+            fit, thr = swapped.fitness_dist, swapped.threshold_dist
+
+            def comp(h, fit=fit, thr=thr):
+                return thr.hazard_transform_array(fit.inverse_hazard_array(h))
+
+            breaks = hazard_breaks(swapped)
+            base = hazard_weighted_integral(lambda h: np.exp(h - comp(h)), breaks)
+            prefactor = swapped.lambda_extinct / swapped.lambda_birth
+            assert report.integrals.evidence[side] == tuple(prefactor * e for e in base.evidence)
+            log_r = math.log(swapped.lambda_birth) - math.log(swapped.lambda_extinct)
+            phi = hazard_weighted_integral(lambda h: np.exp(-np.logaddexp(0.0, log_r + comp(h) - h)), breaks)
+            phi_side = "phi_inf" if side == "e_m" else "phi_bar_inf"
+            assert report.integrals.evidence[phi_side] == phi.evidence
+            assert getattr(report.integrals, phi_side) == phi.value
 
 
 def test_count_criterion_agrees_with_exponent_criterion():
