@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .criteria import classify, classify_many, exponential_closed_forms
 from .distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from .ladders import (
-    StopRule,
     sample_fitness_ladder,
     sample_ladder_block,
     sample_limit_config,
@@ -43,7 +42,6 @@ __all__ = [
     "Pareto",
     "ReplicationPlan",
     "RunResult",
-    "StopRule",
     "TASK_EMPTY_SCAN",
     "TASK_EXTINCTION_COUNT",
     "TASK_FORWARD_COUNT",

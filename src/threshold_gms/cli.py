@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .criteria import classify, classify_many
-from .distributions import ModelParams, model_params_from_json
+from .distributions import ModelParams, _encode_float, model_params_from_json
 from .montecarlo import (
     ReplicationPlan,
     TASK_EXTINCTION_COUNT,
@@ -46,14 +46,6 @@ DEFAULT_SEED = 123456789
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _encode_float(v: float):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return None
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
 
 
 def _csv_cell(v: float) -> str:
@@ -145,6 +137,8 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
         key = key.strip()
         if not sep or key not in allowed:
             raise ValueError(f"grid entries must look like 'name=v1,v2' with name in {allowed}")
+        if key in grid:
+            raise ValueError(f"grid entry {key!r} is given more than once")
         values = [float(tok) for tok in rest.split(",") if tok.strip()]
         if not values:
             raise ValueError(f"grid entry {key!r} lists no values")
@@ -291,16 +285,13 @@ def _cmd_ladder(args) -> int:
 
 def _cmd_validate(args) -> int:
     only: Optional[list[str]] = None
-    if args.only:
+    if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
+        if not only:
+            raise ValueError(f"--only names no check; expected a subset of {CHECK_NAMES}")
     if args.reps < 1000:
         raise ValueError("validate needs --reps >= 1000 for the distributional checks")
-    config = SuiteConfig(
-        replications=args.reps,
-        compare_replications=min(10_000, args.reps),
-        base_seed=args.seed,
-    )
-    context = SuiteContext(config)
+    context = SuiteContext(SuiteConfig(replications=args.reps, base_seed=args.seed))
     results = run_suite(only=only, context=context)
 
     out = _out_dir(args)

@@ -40,6 +40,7 @@ from .distributions import (
     Pareto,
     Weibull,
     _as_float,
+    _encode_float,
 )
 from .process import BLOCK_CHUNK_CELLS
 
@@ -409,15 +410,6 @@ def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
     return _scaled(base, params.lambda_extinct / params.lambda_birth)
 
 
-def expected_birth_count(params: ModelParams) -> ImproperIntegral:
-    """Mean number of birth marks above the threshold-record ladder.
-
-    Role-swapped twin of expected_extinction_count; finite exactly when
-    the long-run configuration is finite.
-    """
-    return expected_extinction_count(params.swapped())
-
-
 def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     """Cumulant exponent of the ladder extinction count at argument t.
 
@@ -434,11 +426,6 @@ def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     return _checked(_criterion_integrals([(params, _log_r(params, t))])[0])
 
 
-def birth_count_exponent(params: ModelParams, t) -> ImproperIntegral:
-    """Role-swapped twin of extinction_count_exponent."""
-    return extinction_count_exponent(params.swapped(), t)
-
-
 def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
     """E[exp(-t * ladder extinction count)].
 
@@ -451,11 +438,6 @@ def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
     if res.is_infinite:
         return 0.0
     return None
-
-
-def laplace_birth_count(params: ModelParams, t) -> Optional[float]:
-    """Role-swapped twin of laplace_extinction_count."""
-    return laplace_extinction_count(params.swapped(), t)
 
 
 def _tail_shape(dist: DistributionSpec) -> Optional[tuple]:
@@ -539,23 +521,16 @@ class ClassificationReport:
     null_recurrent_like: bool
 
     def to_json(self) -> dict:
-        def encode(v: Optional[float]):
-            if v is None:
-                return None
-            if math.isinf(v):
-                return "inf"
-            return v
-
         return {
             "recurrence": self.recurrence,
             "limit_count": self.limit_count,
             "method": self.method,
             "null_recurrent_like": self.null_recurrent_like,
             "integrals": {
-                "e_m": encode(self.integrals.e_m),
-                "e_n": encode(self.integrals.e_n),
-                "phi_inf": encode(self.integrals.phi_inf),
-                "phi_bar_inf": encode(self.integrals.phi_bar_inf),
+                "e_m": _encode_float(self.integrals.e_m),
+                "e_n": _encode_float(self.integrals.e_n),
+                "phi_inf": _encode_float(self.integrals.phi_inf),
+                "phi_bar_inf": _encode_float(self.integrals.phi_bar_inf),
             },
             "evidence": {k: list(v) for k, v in self.integrals.evidence.items()},
         }

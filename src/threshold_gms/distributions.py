@@ -40,6 +40,15 @@ def _as_float(value, name: str) -> float:
     return x
 
 
+def _encode_float(v):
+    """A float for JSON output: None or NaN -> null, +-inf -> "inf"."""
+    if v is None or math.isnan(v):
+        return None
+    if math.isinf(v):
+        return "inf"
+    return v
+
+
 def _check_level(x, lower: float) -> float:
     x = _as_float(x, "x")
     if math.isinf(x):

@@ -21,10 +21,11 @@ Every step of every ladder is therefore a running sum of exponentials,
 and sample_ladder_block walks a whole block of ladders in lockstep with
 numpy.  The one-ladder samplers are that block sampler run at size 1.
 
-Ladders are infinite objects; a StopRule truncates them once the
-remaining mass is negligible.  Only a ladder whose mass died out counts
-as finite: one cut at max_steps or by float overflow reports the
-"effectively infinite" sentinel rather than a silently truncated number.
+Ladders are infinite objects; one fixed rule (MAX_STEPS, TAIL_TOLERANCE,
+QUIET_WINDOW) truncates them once the remaining mass is negligible.
+Only a ladder whose mass died out counts as finite: one cut at MAX_STEPS
+or by float overflow reports the "effectively infinite" sentinel rather
+than a silently truncated number.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ STOP_DTYPE = "<U10"  # numpy string dtype that holds every stop reason
 FIRST_CHUNK = 32
 CHUNK_CELLS = 4096
 
+# The truncation rule of every ladder.  A walk stops at step k when k
+# reaches MAX_STEPS, when an analytic bound on the expected remaining mass
+# (available for exponential pairs) falls below TAIL_TOLERANCE, or when the
+# last QUIET_WINDOW per-step masses are each below
+# TAIL_TOLERANCE / QUIET_WINDOW.
+MAX_STEPS = 10_000
+TAIL_TOLERANCE = 1e-9
+QUIET_WINDOW = 20
+
 # Smallest Poisson mean drawn from the normal approximation.
 POISSON_NORMAL_FROM = 1e18
 
@@ -61,36 +71,9 @@ class LadderError(ValueError):
     """Invalid ladder structure or sampler arguments."""
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """Truncation policy for ladder generation.
-
-    Generation stops at step k when k reaches max_steps, when an analytic
-    bound on the expected remaining mass (available for exponential
-    pairs) falls below tail_tolerance, or when the last quiet_window
-    per-step masses are each below tail_tolerance / quiet_window.
-    """
-
-    max_steps: int = 10_000
-    tail_tolerance: float = 1e-9
-    quiet_window: int = 20
-
-    def __post_init__(self) -> None:
-        for name in ("max_steps", "quiet_window"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise LadderError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise LadderError(f"{name} must be at least 1")
-        if not 0.0 < self.tail_tolerance < math.inf:
-            raise LadderError("tail_tolerance must be positive and finite")
-
-    def to_json(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "tail_tolerance": self.tail_tolerance,
-            "quiet_window": self.quiet_window,
-        }
+def stop_rule_json() -> dict:
+    """The truncation rule, as plans record it next to their samples."""
+    return {"max_steps": MAX_STEPS, "tail_tolerance": TAIL_TOLERANCE, "quiet_window": QUIET_WINDOW}
 
 
 @dataclass(frozen=True)
@@ -265,7 +248,6 @@ def _walk_block(
     mark_rate: float,
     opp_dist: DistributionSpec,
     opp_rate: float,
-    stop: StopRule,
     rng: np.random.Generator,
     rows: int,
     keep_steps: bool,
@@ -279,16 +261,16 @@ def _walk_block(
     form so that no inf - inf or 0 * inf can arise.  A row stops at the
     first step that meets one of these tests, in this order of precedence:
     the record overflows (the step is not kept), the mass is inf, the
-    tail bound falls below tail_tolerance, quiet_window masses in a row
-    were below tail_tolerance / quiet_window (the run carries across
-    chunks), or the step is the max_steps-th.
+    tail bound falls below TAIL_TOLERANCE, QUIET_WINDOW masses in a row
+    were below TAIL_TOLERANCE / QUIET_WINDOW (the run carries across
+    chunks), or the step is the MAX_STEPS-th.
     """
     tail_form = _exponential_tail_bound(mark_dist, opp_dist, mark_rate, opp_rate)
     if tail_form is not None:
-        # The bound exp(log_coef - delta * level) is below tail_tolerance past this level.
-        tail_level = (tail_form[0] - math.log(stop.tail_tolerance)) / tail_form[1]
+        # The bound exp(log_coef - delta * level) is below TAIL_TOLERANCE past this level.
+        tail_level = (tail_form[0] - math.log(TAIL_TOLERANCE)) / tail_form[1]
     log_ratio = math.log(opp_rate) - math.log(mark_rate)
-    quiet_cap = stop.tail_tolerance / stop.quiet_window
+    quiet_cap = TAIL_TOLERANCE / QUIET_WINDOW
     depth = np.zeros(rows, dtype=np.int64)
     reason = np.full(rows, STOP_MAX_STEPS, dtype=STOP_DTYPE)
     mass = np.zeros(rows)
@@ -301,7 +283,7 @@ def _walk_block(
     width = FIRST_CHUNK
     while active.size:
         n = active.size
-        c = min(width, max(CHUNK_CELLS // n, 1), stop.max_steps - walked)
+        c = min(width, max(CHUNK_CELLS // n, 1), MAX_STEPS - walked)
         width *= 2
         # In-place updates below keep the chunk's working set to a few arrays.
         hs, log_g = rng.standard_exponential((2, n, c))
@@ -321,7 +303,7 @@ def _walk_block(
             _first_true(np.isinf(level)),
             _first_true(np.isinf(m)),
             _first_true(level > tail_level) if tail_form is not None else np.full(n, c),
-            _first_true(run_start <= col - stop.quiet_window),
+            _first_true(run_start <= col - QUIET_WINDOW),
         ])
         stop_at = fired.min(axis=0)
         test = fired.argmin(axis=0)  # the first test in order of precedence among those firing first
@@ -337,7 +319,7 @@ def _walk_block(
             for i in range(n):
                 kept[active[i]].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
         walked += c
-        ended = hit | (walked >= stop.max_steps)
+        ended = hit | (walked >= MAX_STEPS)
         reason[active[hit]] = _TEST_REASONS[test[hit]]
         last_level[active[take > 0]] = level[row[take > 0], take[take > 0] - 1]
         active = active[~ended]
@@ -379,7 +361,6 @@ def sample_first_gaps(params: ModelParams, rng: np.random.Generator, rows: int) 
 
 def sample_ladder_block(
     params: ModelParams,
-    stop: StopRule,
     rng: np.random.Generator,
     rows: int,
     threshold: bool = False,
@@ -397,25 +378,23 @@ def sample_ladder_block(
         gaps = sample_first_gaps(params, rng, rows)
         block = _walk_block(
             params.threshold_dist, params.lambda_extinct, params.fitness_dist, params.lambda_birth,
-            stop, rng, rows, keep_steps,
+            rng, rows, keep_steps,
         )
         return replace(block, first_gap=gaps)
     return _walk_block(
         params.fitness_dist, params.lambda_birth, params.threshold_dist, params.lambda_extinct,
-        stop, rng, rows, keep_steps,
+        rng, rows, keep_steps,
     )
 
 
-def sample_fitness_ladder(
-    params: ModelParams, stop: StopRule, rng: np.random.Generator
-) -> FitnessLadder:
+def sample_fitness_ladder(params: ModelParams, rng: np.random.Generator) -> FitnessLadder:
     """Draw the forward fitness-record ladder: a block of one row, steps kept.
 
     Records climb the fitness law's cumulative hazard by unit
     exponentials; each gap is exponential at rate lambda_birth * fitness
     survival at the record.
     """
-    block = sample_ladder_block(params, stop, rng, 1, keep_steps=True)
+    block = sample_ladder_block(params, rng, 1, keep_steps=True)
     return FitnessLadder(
         steps=block.ladder_steps(0),
         truncated_at=int(block.depth[0]),
@@ -424,16 +403,14 @@ def sample_fitness_ladder(
     )
 
 
-def sample_threshold_ladder(
-    params: ModelParams, stop: StopRule, rng: np.random.Generator
-) -> ThresholdLadder:
+def sample_threshold_ladder(params: ModelParams, rng: np.random.Generator) -> ThresholdLadder:
     """Draw the backward threshold-record ladder: a block of one row, steps kept.
 
     The look-back gap to the most recent extinction is exponential at
     the extinction rate; records then mirror the fitness ladder with the
     roles of the two streams exchanged.
     """
-    block = sample_ladder_block(params, stop, rng, 1, threshold=True, keep_steps=True)
+    block = sample_ladder_block(params, rng, 1, threshold=True, keep_steps=True)
     return ThresholdLadder(
         steps=block.ladder_steps(0),
         first_gap=float(block.first_gap[0]),
@@ -473,7 +450,7 @@ def masses_effectively_infinite(stop_reason: str) -> bool:
     """Whether a ladder's mass counts as infinite, decided by why the ladder stopped.
 
     Only a ladder whose mass died out (tail bound or quiet run) is
-    finite; one cut at max_steps or by float overflow is not, so no
+    finite; one cut at MAX_STEPS or by float overflow is not, so no
     finite result is ever a truncation artefact.
     """
     return stop_reason not in _FINITE_STOPS
@@ -554,14 +531,14 @@ def populate_limit_config(
 
 
 def sample_limit_config(
-    params: ModelParams, stop: StopRule, rng: np.random.Generator
+    params: ModelParams, rng: np.random.Generator
 ) -> Union[LimitConfigSample, float]:
     """One draw of the long-run configuration.
 
     Returns EFFECTIVELY_INFINITE when the birth mass over the sampled
     ladder did not die out (infinite limit-count regime).
     """
-    ladder = sample_threshold_ladder(params, stop, rng)
+    ladder = sample_threshold_ladder(params, rng)
     if masses_effectively_infinite(ladder.stop_reason):
         return EFFECTIVELY_INFINITE
     return populate_limit_config(ladder, params, rng)

@@ -11,7 +11,9 @@ serves both the count and the mass checks.
 
 A ladder task whose regime the exact tail exponent of the built-in
 families declares divergent reports sentinels without walking ladders;
-every other replication is finite only if its ladder's mass died out.
+every other replication is finite only if its ladder's mass died out
+under the one truncation rule of the ladders module (MAX_STEPS,
+TAIL_TOLERANCE, QUIET_WINDOW), which each plan's to_json records.
 Each ladder replication's stop reason and depth ride along in
 RunResult.aux.
 """
@@ -25,13 +27,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .criteria import VERDICT_INFINITE, exact_verdict
-from .distributions import ModelParams, _as_float, model_params_from_json
+from .distributions import ModelParams, _as_float, _encode_float
 # The one-ladder functions are not called here; perfbench/tracing.py wraps
 # them under this module's names, so they stay importable from it.
 from .ladders import (  # noqa: F401
     EFFECTIVELY_INFINITE,
     STOP_DTYPE,
-    StopRule,
     _poisson,
     birth_mass,
     extinction_mass,
@@ -42,6 +43,7 @@ from .ladders import (  # noqa: F401
     sample_fitness_ladder,
     sample_ladder_block,
     sample_threshold_ladder,
+    stop_rule_json,
 )
 # The one-window functions (evolve, generate_stream, last_empty_time,
 # species_count_at) are not called here; perfbench/tracing.py wraps them
@@ -105,7 +107,6 @@ class ReplicationPlan:
     params: ModelParams
     replications: int
     base_seed: int
-    stop: StopRule = StopRule()
     t: Optional[float] = None
     horizon: Optional[float] = None
 
@@ -133,22 +134,10 @@ class ReplicationPlan:
             "params": self.params.to_json(),
             "replications": self.replications,
             "base_seed": self.base_seed,
-            "stop": self.stop.to_json(),
+            "stop": stop_rule_json(),
             "t": self.t,
             "horizon": self.horizon,
         }
-
-
-def plan_from_json(payload: dict) -> ReplicationPlan:
-    return ReplicationPlan(
-        task=payload["task"],
-        params=model_params_from_json(payload["params"]),
-        replications=int(payload["replications"]),
-        base_seed=int(payload["base_seed"]),
-        stop=StopRule(**payload.get("stop", {})),
-        t=payload.get("t"),
-        horizon=payload.get("horizon"),
-    )
 
 
 @dataclass(frozen=True)
@@ -163,18 +152,11 @@ class RunSummary:
     sentinel_fraction: float
 
     def to_json(self) -> dict:
-        def encode(v: float):
-            if math.isnan(v):
-                return None
-            if math.isinf(v):
-                return "inf"
-            return v
-
         return {
             "n": self.n,
-            "mean": encode(self.mean),
-            "variance": encode(self.variance),
-            "se": encode(self.se),
+            "mean": _encode_float(self.mean),
+            "variance": _encode_float(self.variance),
+            "se": _encode_float(self.se),
             "sentinel_count": self.sentinel_count,
             "sentinel_fraction": self.sentinel_fraction,
         }
@@ -237,7 +219,7 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
         else:
             out["mass"] = out["samples"]
         return out
-    block = sample_ladder_block(params, plan.stop, rng, BLOCK, threshold=limit)
+    block = sample_ladder_block(params, rng, BLOCK, threshold=limit)
     finite = block.finite
     mass = np.where(finite, block.mass, 0.0)
     out = {"stop_reason": block.stop_reason, "depth": block.depth}
@@ -443,19 +425,17 @@ def compare_forward_vs_limit(
     params: ModelParams,
     replications: int,
     base_seed: int,
-    t: Optional[float] = None,
+    t: float,
 ) -> GofReport:
-    """Two-sample check: forward population size at large t vs the limit law.
+    """Two-sample check: forward population size at time t vs the limit law.
 
-    The default t is 1000 / min(rate): the forward count from an empty
-    start approaches the limit law from below (for the exponential pair
-    exp(2)/exp(1) its mean is 2 - 2/t + 2 exp(-t)/t against the limit's
-    2), and that far out the gap is small against the check's
+    The forward count from an empty start approaches the limit law from
+    below (for the exponential pair exp(2)/exp(1) its mean is
+    2 - 2/t + 2 exp(-t)/t against the limit's 2), so t must be large
+    against 1 / min(rate) for the gap to be small against the check's
     resolution.  Only meaningful in the finite-limit regime; raises when
     the sampled limit run produced divergence sentinels.
     """
-    if t is None:
-        t = 1000.0 / min(params.lambda_birth, params.lambda_extinct)
     forward = run(
         ReplicationPlan(
             task=TASK_FORWARD_COUNT,

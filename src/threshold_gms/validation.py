@@ -36,7 +36,7 @@ from .criteria import (  # noqa: F401
     laplace_extinction_count,
 )
 from .distributions import Exponential, ModelParams, Pareto, Weibull
-from .ladders import StopRule, sample_fitness_ladder, sample_threshold_ladder
+from .ladders import sample_fitness_ladder, sample_threshold_ladder
 from .montecarlo import (
     ReplicationPlan,
     TASK_EXTINCTION_COUNT,
@@ -91,8 +91,9 @@ ALPHA = 0.01
 # Random windows of the oracle check, ladder pairs of the properties check.
 ORACLE_WINDOWS = 1000
 PROPERTY_LADDERS = 200
-# Evaluation time of the forward-vs-limit check.
+# Evaluation time of the forward-vs-limit check, and the most replications it runs.
 COMPARE_T = 1000.0
+COMPARE_REPLICATIONS = 10_000
 
 _ORACLE_SALT = 5
 _PROPERTY_SALT = 6
@@ -115,7 +116,6 @@ def format_result(result: CheckResult) -> str:
 @dataclass(frozen=True)
 class SuiteConfig:
     replications: int = 100_000
-    compare_replications: int = 10_000
     base_seed: int = 123456789
 
 
@@ -217,17 +217,18 @@ def check_laplace(ctx: SuiteContext) -> CheckResult:
         return CheckResult("laplace", False, "divergence sentinels in a transient-regime run")
     parts = []
     ok = True
+    preds = {}
     for t in (0.5, 1.0, 2.0):
         transformed = np.exp(-t * counts)
         emp = float(transformed.mean())
         se = float(transformed.std(ddof=1)) / math.sqrt(transformed.size)
-        pred = laplace_extinction_count(TRANSIENT_EXAMPLE, t)
+        pred = preds[t] = laplace_extinction_count(TRANSIENT_EXAMPLE, t)
         dev = abs(emp - pred)
         ok = ok and dev <= 3.0 * se
         parts.append(f"t={t:g}: emp {emp:.5f} vs {pred:.5f} ({dev / se:.2f} se)")
     law = exponential_closed_forms(1.0, 2.0, 1.0, 1.0).extinction_count_law
     closed = law.laplace(1.0)
-    pred1 = laplace_extinction_count(TRANSIENT_EXAMPLE, 1.0)
+    pred1 = preds[1.0]
     closed_err = abs(pred1 - closed)
     ok = ok and closed_err <= 1e-6
     parts.append(f"closed form at t=1: {pred1:.8f} vs {closed:.8f} (err {closed_err:.2e})")
@@ -400,7 +401,7 @@ def check_oracle(ctx: SuiteContext) -> CheckResult:
 def check_forward_vs_limit(ctx: SuiteContext) -> CheckResult:
     report = compare_forward_vs_limit(
         FINITE_EXAMPLE,
-        replications=ctx.config.compare_replications,
+        replications=min(COMPARE_REPLICATIONS, ctx.config.replications),
         base_seed=ctx.config.base_seed,
         t=COMPARE_T,
     )
@@ -483,12 +484,11 @@ def check_properties(ctx: SuiteContext) -> CheckResult:
     parts = []
     ok = True
 
-    stop = StopRule()
     monotone_bad = 0
     for i in range(PROPERTY_LADDERS):
         rng = replication_rng(ctx.config.base_seed, index=i, salt=_PROPERTY_SALT)
-        fit_ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, stop, rng)
-        thr_ladder = sample_threshold_ladder(FINITE_EXAMPLE, stop, rng)
+        fit_ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, rng)
+        thr_ladder = sample_threshold_ladder(FINITE_EXAMPLE, rng)
         for ladder in (fit_ladder, thr_ladder):
             values = [s.value for s in ladder.steps]
             gaps = [s.gap for s in ladder.steps]

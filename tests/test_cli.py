@@ -442,6 +442,11 @@ def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
         ["ladder-mc", "--params", "PARAMS", "--reps", "0"],
         # Event times would tie at this float resolution.
         ["simulate", "--params", "PARAMS", "--start", "1e15", "--horizon", "1.000000000002e15"],
+        # A repeated grid key would silently keep only its last values.
+        ["classify", "--grid", "alpha_fitness=1;alpha_fitness=2;alpha_threshold=1"],
+        # An --only that names no check would pass by running nothing.
+        ["validate", "--only", ",", "--reps", "1000"],
+        ["validate", "--only", "", "--reps", "1000"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

@@ -15,19 +15,16 @@ from threshold_gms.criteria import (
     ImproperIntegral,
     NegBinomLaw,
     _read_panels,
-    birth_count_exponent,
     classify,
     classify_many,
     composed_survival,
     composed_survival_exponent,
-    expected_birth_count,
     expected_extinction_count,
     exponential_closed_forms,
     extinction_count_exponent,
     hazard_breaks,
     hazard_weighted_integral,
     hazard_weighted_integral_xspace,
-    laplace_birth_count,
     laplace_extinction_count,
 )
 from threshold_gms.distributions import (
@@ -92,10 +89,10 @@ def test_expected_extinction_count_divergent():
 
 
 def test_expected_birth_count_mirrors_swap():
-    res = expected_birth_count(FINITE_EXAMPLE)
+    """The birth count above the threshold ladder is the extinction count of the swapped roles."""
+    res = expected_extinction_count(FINITE_EXAMPLE.swapped())
     assert res.is_finite
     assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert expected_extinction_count(FINITE_EXAMPLE.swapped()).value == pytest.approx(res.value)
 
 
 def test_count_exponent_at_infinity():
@@ -135,13 +132,13 @@ def test_laplace_transform_small_t_tends_to_one():
 
 def test_laplace_transform_vanishes_when_count_diverges():
     assert laplace_extinction_count(FINITE_EXAMPLE, 1.0) == 0.0
-    assert laplace_birth_count(TRANSIENT_EXAMPLE, 1.0) == 0.0
+    assert laplace_extinction_count(TRANSIENT_EXAMPLE.swapped(), 1.0) == 0.0
 
 
 def test_laplace_birth_count_closed_form():
     # swapped roles of FINITE_EXAMPLE give the same NegBinom(1, 1/2) count
     expected = 0.5 / (1.0 - 0.5 * math.exp(-1.0))
-    assert laplace_birth_count(FINITE_EXAMPLE, 1.0) == pytest.approx(expected, abs=1e-6)
+    assert laplace_extinction_count(FINITE_EXAMPLE.swapped(), 1.0) == pytest.approx(expected, abs=1e-6)
 
 
 def test_exponent_dominated_by_expected_count():
@@ -506,8 +503,8 @@ def test_count_criterion_agrees_with_exponent_criterion():
             e_m = expected_extinction_count(params)
             phi = extinction_count_exponent(params, math.inf)
             assert e_m.verdict == phi.verdict
-            phi_bar = birth_count_exponent(params, math.inf)
-            e_n = expected_birth_count(params)
+            phi_bar = extinction_count_exponent(params.swapped(), math.inf)
+            e_n = expected_extinction_count(params.swapped())
             assert e_n.verdict == phi_bar.verdict
 
 

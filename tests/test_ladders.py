@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from threshold_gms import ladders
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
     EFFECTIVELY_INFINITE,
@@ -13,7 +15,6 @@ from threshold_gms.ladders import (
     FitnessLadder,
     LadderError,
     LadderStep,
-    StopRule,
     ThresholdLadder,
     birth_mass,
     count_extinctions_above_records,
@@ -31,23 +32,15 @@ from threshold_gms.process import generate_stream
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE, _pairwise_region_count
 
-STOP = StopRule()
+
+
+def max_steps(n):
+    """Cut every ladder walked inside the block at n steps."""
+    return mock.patch.object(ladders, "MAX_STEPS", n)
 
 
 def test_effectively_infinite_sentinel_is_math_inf():
     assert EFFECTIVELY_INFINITE == math.inf
-
-
-def test_stop_rule_validation():
-    with pytest.raises(LadderError):
-        StopRule(max_steps=0)
-    with pytest.raises(LadderError):
-        StopRule(tail_tolerance=0.0)
-    with pytest.raises(LadderError):
-        StopRule(quiet_window=0)
-    for bad in ({"max_steps": 100.0}, {"max_steps": 50.5}, {"max_steps": True}, {"quiet_window": 2.5}):
-        with pytest.raises(LadderError, match="integer"):
-            StopRule(**bad)
 
 
 def test_ladder_validation():
@@ -69,7 +62,8 @@ def test_ladder_validation():
 
 
 def test_first_record_follows_the_mark_law():
-    block = sample_ladder_block(TRANSIENT_EXAMPLE, StopRule(max_steps=1), replication_rng(20), 4000, keep_steps=True)
+    with max_steps(1):
+        block = sample_ladder_block(TRANSIENT_EXAMPLE, replication_rng(20), 4000, keep_steps=True)
     assert np.all(block.depth == 1)
     firsts = np.array([values[0] for values, _, _ in block.steps])
     res = stats.kstest(firsts, lambda x: 1.0 - np.exp(-x))
@@ -81,7 +75,7 @@ def test_record_increments_are_memoryless():
     increments = []
     for i in range(800):
         rng = replication_rng(21, i, 0)
-        ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, STOP, rng)
+        ladder = sample_fitness_ladder(TRANSIENT_EXAMPLE, rng)
         values = [s.value for s in ladder.steps]
         increments.extend(np.diff(values))
     res = stats.kstest(np.array(increments), lambda x: 1.0 - np.exp(-x))
@@ -92,7 +86,7 @@ def test_record_count_intensity():
     """Mean number of records at or below x equals the cumulative hazard."""
     x = 2.0
     n = 4000
-    block = sample_ladder_block(TRANSIENT_EXAMPLE, STOP, replication_rng(22), n, keep_steps=True)
+    block = sample_ladder_block(TRANSIENT_EXAMPLE, replication_rng(22), n, keep_steps=True)
     counts = np.array([(values <= x).sum() for values, _, _ in block.steps], dtype=float)
     target = TRANSIENT_EXAMPLE.fitness_dist.hazard_transform(x)
     se = counts.std(ddof=1) / math.sqrt(n)
@@ -102,7 +96,7 @@ def test_record_count_intensity():
 def test_gaps_scale_with_survival_at_the_record():
     """Gap at a record near level v has conditional mean 1/(rate * survival(v))."""
     lo, hi = 1.0, 1.2
-    block = sample_ladder_block(TRANSIENT_EXAMPLE, STOP, replication_rng(23), 4000, keep_steps=True)
+    block = sample_ladder_block(TRANSIENT_EXAMPLE, replication_rng(23), 4000, keep_steps=True)
     gaps = np.array([
         gap * TRANSIENT_EXAMPLE.fitness_dist.survival(value)
         for values, step_gaps, _ in block.steps
@@ -115,7 +109,8 @@ def test_gaps_scale_with_survival_at_the_record():
 
 def test_single_step_mass_worked_example():
     params = ModelParams(1.0, 3.0, Exponential(1.0), Exponential(2.0))
-    ladder = sample_fitness_ladder(params, StopRule(max_steps=1), replication_rng(34, 0, 0))
+    with max_steps(1):
+        ladder = sample_fitness_ladder(params, replication_rng(34, 0, 0))
     (step,) = ladder.steps
     mass = extinction_mass(ladder)
     expected = 3.0 * step.gap * math.exp(-2.0 * step.value)
@@ -139,7 +134,7 @@ def test_hazard_space_steps_match_the_survival_form(fitness, threshold):
     """Each step's gap and mass agree with the survival-space formulas of the same ladder."""
     params = ModelParams(1.3, 0.7, fitness, threshold)
     for i in range(50):
-        ladder = sample_fitness_ladder(params, STOP, replication_rng(35, i, 0))
+        ladder = sample_fitness_ladder(params, replication_rng(35, i, 0))
         assert ladder.stop_reason in ("tail_bound", "quiet")
         for step in ladder.steps:
             s_fit = fitness.survival(step.value)
@@ -189,7 +184,7 @@ def test_window_count_matches_pairwise_scan():
 
 
 def test_threshold_ladder_structure():
-    block = sample_ladder_block(FINITE_EXAMPLE, STOP, replication_rng(27), 3000, threshold=True, keep_steps=True)
+    block = sample_ladder_block(FINITE_EXAMPLE, replication_rng(27), 3000, threshold=True, keep_steps=True)
     for values, _, _ in block.steps:
         assert values.tolist() == sorted(values.tolist())
     rate = FINITE_EXAMPLE.lambda_extinct
@@ -198,9 +193,8 @@ def test_threshold_ladder_structure():
 
 
 def test_threshold_records_follow_threshold_law():
-    block = sample_ladder_block(
-        FINITE_EXAMPLE, StopRule(max_steps=1), replication_rng(28), 4000, threshold=True, keep_steps=True
-    )
+    with max_steps(1):
+        block = sample_ladder_block(FINITE_EXAMPLE, replication_rng(28), 4000, threshold=True, keep_steps=True)
     firsts = np.array([values[0] for values, _, _ in block.steps])
     rate = FINITE_EXAMPLE.threshold_dist.rate
     res = stats.kstest(firsts, lambda x: 1.0 - np.exp(-rate * x))
@@ -208,7 +202,8 @@ def test_threshold_records_follow_threshold_law():
 
 
 def test_birth_mass_band_zero():
-    ladder = sample_threshold_ladder(FINITE_EXAMPLE, StopRule(max_steps=1), replication_rng(36, 0, 0))
+    with max_steps(1):
+        ladder = sample_threshold_ladder(FINITE_EXAMPLE, replication_rng(36, 0, 0))
     (step,) = ladder.steps
     mass = birth_mass(ladder, FINITE_EXAMPLE)
     lam = FINITE_EXAMPLE.lambda_birth
@@ -244,9 +239,9 @@ def test_sample_limit_config_matches_decomposed_path():
     """The one-shot sampler and the ladder/populate pipeline share draws."""
     for i in range(50):
         rng_a = replication_rng(30, i, 0)
-        sample_a = sample_limit_config(FINITE_EXAMPLE, STOP, rng_a)
+        sample_a = sample_limit_config(FINITE_EXAMPLE, rng_a)
         rng_b = replication_rng(30, i, 0)
-        ladder = sample_threshold_ladder(FINITE_EXAMPLE, STOP, rng_b)
+        ladder = sample_threshold_ladder(FINITE_EXAMPLE, rng_b)
         assert not masses_effectively_infinite(ladder.stop_reason)
         sample_b = populate_limit_config(ladder, FINITE_EXAMPLE, rng_b)
         assert sample_a == sample_b
@@ -282,7 +277,7 @@ def test_band_zero_mass_is_exponential(limit_run):
 
 def test_species_draws_lie_above_their_bands():
     rng = replication_rng(31, 0, 0)
-    sample = sample_limit_config(FINITE_EXAMPLE, STOP, rng)
+    sample = sample_limit_config(FINITE_EXAMPLE, rng)
     assert sample.total == len(sample.species)
     assert all(v >= 0.0 for v in sample.species)
     assert sample.species == tuple(sorted(sample.species))
@@ -292,7 +287,7 @@ def test_divergent_regime_yields_sentinel():
     hits = 0
     for i in range(40):
         rng = replication_rng(32, i, 0)
-        out = sample_limit_config(TRANSIENT_EXAMPLE, STOP, rng)
+        out = sample_limit_config(TRANSIENT_EXAMPLE, rng)
         if out == EFFECTIVELY_INFINITE:
             hits += 1
     assert hits == 40
@@ -307,7 +302,8 @@ def test_masses_effectively_infinite_rules():
     # a boundary ladder never dies out: it is cut at max_steps and reported infinite
     boundary = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.0))
     rng = replication_rng(37, 0, 0)
-    ladder = sample_fitness_ladder(boundary, StopRule(max_steps=2000), rng)
+    with max_steps(2000):
+        ladder = sample_fitness_ladder(boundary, rng)
     assert ladder.stop_reason == "max_steps"
     assert sample_extinction_count(ladder, rng) == EFFECTIVELY_INFINITE
 
@@ -315,7 +311,7 @@ def test_masses_effectively_infinite_rules():
 def test_huge_ladder_mass_still_gives_a_count():
     """A one-ladder count whose mass is past numpy's Poisson limit (about 1e19) takes the normal draw."""
     huge = ModelParams(1.0, 1e25, Exponential(1.0), Exponential(2.0))
-    ladder = sample_fitness_ladder(huge, STOP, replication_rng(1))
+    ladder = sample_fitness_ladder(huge, replication_rng(1))
     assert ladder.stop_reason == "tail_bound"
     assert max(s.mass for s in ladder.steps) > 1e19
     mass = extinction_mass(ladder).value
@@ -327,13 +323,13 @@ def test_huge_band_mass_is_refused_by_name():
     """A limit configuration with a band mass past 1e18 would need that many single draws."""
     huge = ModelParams(1e25, 1.0, Exponential(2.0), Exponential(1.0))
     with pytest.raises(LadderError, match=r"band 0 has birth mass [\d.]+e\+24"):
-        sample_limit_config(huge, StopRule(), replication_rng(1))
+        sample_limit_config(huge, replication_rng(1))
 
 
 def test_pareto_levels_overflow_into_a_sentinel():
     """Pareto levels e^(h/index) overflow near h = 709 * index, before a slowly dying mass is quiet."""
     near = ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.02))
-    ladder = sample_fitness_ladder(near, STOP, replication_rng(38, 0, 0))
+    ladder = sample_fitness_ladder(near, replication_rng(38, 0, 0))
     assert ladder.stop_reason == "overflow"
     assert 600 < len(ladder.steps) < 820
     assert all(math.isfinite(s.value) for s in ladder.steps)
@@ -343,7 +339,7 @@ def test_pareto_levels_overflow_into_a_sentinel():
 @given(lam=st.floats(0.1, 5.0), idx=st.integers(0, 10_000))
 def test_extinction_mass_matches_direct_sum(lam, idx):
     params = ModelParams(1.0, lam, Exponential(1.0), Exponential(2.0))
-    ladder = sample_fitness_ladder(params, STOP, replication_rng(39, idx, 0))
+    ladder = sample_fitness_ladder(params, replication_rng(39, idx, 0))
     mass = extinction_mass(ladder)
     direct = [lam * s.gap * math.exp(-2.0 * s.value) for s in ladder.steps]
     assert list(mass.per_step) == pytest.approx(direct, rel=1e-12)
@@ -364,8 +360,12 @@ class FixedDraws:
         return np.array([[e], [g]])
 
 
-def reference_ladder(params, stop, increments, gap_factors):
-    """The stop rules one step at a time, in their order: (step masses, stop reason)."""
+def reference_ladder(params, increments, gap_factors):
+    """The stop rules one step at a time, in their order: (step masses, stop reason).
+
+    Reads the rule's constants at call time, so a patched MAX_STEPS applies here too.
+    """
+    tolerance, window = ladders.TAIL_TOLERANCE, ladders.QUIET_WINDOW
     mark, opp = params.fitness_dist, params.threshold_dist
     ratio = params.lambda_extinct / params.lambda_birth
     exponential = isinstance(mark, Exponential) and isinstance(opp, Exponential) and opp.rate > mark.rate
@@ -383,33 +383,34 @@ def reference_ladder(params, stop, increments, gap_factors):
             return masses, "overflow"
         if exponential and ratio * mark.rate / (opp.rate - mark.rate) * math.exp(
             -(opp.rate - mark.rate) * level
-        ) < stop.tail_tolerance:
+        ) < tolerance:
             return masses, "tail_bound"
-        quiet = quiet + 1 if masses[-1] < stop.tail_tolerance / stop.quiet_window else 0
-        if quiet >= stop.quiet_window:
+        quiet = quiet + 1 if masses[-1] < tolerance / window else 0
+        if quiet >= window:
             return masses, "quiet"
-        if len(masses) >= stop.max_steps:
+        if len(masses) >= ladders.MAX_STEPS:
             return masses, "max_steps"
 
 
 PARITY_CASES = {
-    "tail_bound": (ModelParams(1.3, 0.7, Exponential(1.0), Exponential(2.0)), STOP),
-    "quiet": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.8)), STOP),
-    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05)), StopRule(max_steps=150)),
-    "overflow at the record": (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.06)), STOP),
-    "overflow of the mass": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(0.5)), STOP),
+    "tail_bound": (ModelParams(1.3, 0.7, Exponential(1.0), Exponential(2.0)), ladders.MAX_STEPS),
+    "quiet": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.8)), ladders.MAX_STEPS),
+    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05)), 150),
+    "overflow at the record": (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.06)), ladders.MAX_STEPS),
+    "overflow of the mass": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(0.5)), ladders.MAX_STEPS),
 }
 
 
 @pytest.mark.parametrize("case", PARITY_CASES)
 def test_block_of_one_matches_the_step_loop(case):
     """Fed fixed draws, a one-row block stops where the step loop stops, with the same masses."""
-    params, stop = PARITY_CASES[case]
+    params, steps = PARITY_CASES[case]
     for seed in range(10):
         draws = np.random.default_rng(seed).standard_exponential((2, 4000))
-        want, reason = reference_ladder(params, stop, *draws)
+        with max_steps(steps):
+            want, reason = reference_ladder(params, *draws)
+            block = sample_ladder_block(params, FixedDraws(*draws), 1, keep_steps=True)
         assert reason == case.split()[0]
-        block = sample_ladder_block(params, stop, FixedDraws(*draws), 1, keep_steps=True)
         assert block.stop_reason[0] == reason
         assert block.depth[0] == len(want)
         np.testing.assert_allclose(block.steps[0][2], want, rtol=1e-12, atol=0.0)
@@ -428,8 +429,8 @@ def test_block_of_one_matches_the_step_loop(case):
 )
 def test_stop_tests_firing_at_one_step_keep_their_order(params, increments, gap_factor, depth, reason):
     draws = (increments + [1.0] * 100, [gap_factor] * 120)
-    assert reference_ladder(params, STOP, *draws)[1] == reason
-    block = sample_ladder_block(params, STOP, FixedDraws(*draws), 1)
+    assert reference_ladder(params, *draws)[1] == reason
+    block = sample_ladder_block(params, FixedDraws(*draws), 1)
     assert (block.depth[0], block.stop_reason[0]) == (depth, reason)
 
 
@@ -489,11 +490,10 @@ extreme_rates = st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300])
 def test_block_sampler_at_extreme_parameters(fitness, threshold, lam_b, lam_e, backward, seed):
     """No hang, no NaN let through, byte-identical reruns."""
     params = ModelParams(lam_b, lam_e, fitness, threshold)
-    stop = StopRule(max_steps=2000)
-    runs = [sample_ladder_block(params, stop, replication_rng(seed, 0, 0), 8, threshold=backward) for _ in range(2)]
-    a, b = runs
+    with max_steps(2000):
+        a, b = (sample_ladder_block(params, replication_rng(seed, 0, 0), 8, threshold=backward) for _ in range(2))
     assert not np.isnan(a.mass).any() and np.all(a.mass >= 0.0)
-    assert np.all((a.depth >= 0) & (a.depth <= stop.max_steps))
+    assert np.all((a.depth >= 0) & (a.depth <= 2000))
     assert set(a.stop_reason) <= set(STOP_REASONS)
     assert np.all(a.mass[a.finite] < math.inf)
     for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):

@@ -1,13 +1,14 @@
-import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import threshold_gms.montecarlo as montecarlo
+from threshold_gms import ladders
 from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile, Weibull
-from threshold_gms.ladders import StopRule, sample_ladder_block
+from threshold_gms.ladders import sample_ladder_block
 from threshold_gms.montecarlo import (
     BLOCK,
     TASK_EMPTY_SCAN,
@@ -20,7 +21,6 @@ from threshold_gms.montecarlo import (
     gof_chi_square,
     gof_ks,
     gof_two_sample_counts,
-    plan_from_json,
     run,
     summarize,
 )
@@ -63,16 +63,10 @@ def test_summarize_all_sentinels():
     assert s.to_json()["mean"] == "inf"
 
 
-def test_plan_json_round_trip():
-    plan = ReplicationPlan(
-        task=TASK_FORWARD_COUNT,
-        params=TRANSIENT_EXAMPLE,
-        replications=10,
-        base_seed=7,
-        t=2.5,
-    )
-    payload = json.loads(json.dumps(plan.to_json()))
-    assert plan_from_json(payload) == plan
+def test_plans_record_the_stop_rule_they_ran_under():
+    assert count_plan(10).to_json()["stop"] == {"max_steps": 10_000, "tail_tolerance": 1e-9, "quiet_window": 20}
+    with mock.patch.object(ladders, "MAX_STEPS", 300):
+        assert count_plan(10).to_json()["stop"]["max_steps"] == 300
 
 
 def test_plan_validation():
@@ -218,7 +212,7 @@ def test_gof_two_sample_counts_behaviour():
 
 
 def test_forward_population_matches_limit_law():
-    report = compare_forward_vs_limit(FINITE_EXAMPLE, replications=2000, base_seed=2024)
+    report = compare_forward_vs_limit(FINITE_EXAMPLE, replications=2000, base_seed=2024, t=1000.0)
     assert report.p_value > 0.001
 
 
@@ -229,7 +223,7 @@ def test_forward_population_flags_short_horizon():
 
 def test_forward_vs_limit_rejects_divergent_regime():
     with pytest.raises(MonteCarloError):
-        compare_forward_vs_limit(TRANSIENT_EXAMPLE, replications=1000, base_seed=5)
+        compare_forward_vs_limit(TRANSIENT_EXAMPLE, replications=1000, base_seed=5, t=1000.0)
 
 
 def test_chi_square_pools_a_sparse_table():
@@ -270,9 +264,9 @@ def test_divergent_regime_walks_no_ladder(monkeypatch):
     limit_plan = ReplicationPlan(
         task=TASK_LIMIT_CONFIG, params=TRANSIENT_EXAMPLE, replications=30, base_seed=12
     )
-    walked = sample_ladder_block(
-        TRANSIENT_EXAMPLE, StopRule(max_steps=1), replication_rng(12, 0, 2), BLOCK, threshold=True
-    ).first_gap[:30] * TRANSIENT_EXAMPLE.lambda_birth
+    with mock.patch.object(ladders, "MAX_STEPS", 1):
+        walked = sample_ladder_block(TRANSIENT_EXAMPLE, replication_rng(12, 0, 2), BLOCK, threshold=True)
+    walked = walked.first_gap[:30] * TRANSIENT_EXAMPLE.lambda_birth
     monkeypatch.setattr(montecarlo, "sample_ladder_block", no_walk)
     counts = run(
         ReplicationPlan(
@@ -290,15 +284,8 @@ def test_boundary_ladders_without_an_exact_exponent_end_as_sentinels():
     """A tabulated pair at the boundary walks its ladders to max_steps: every replication is a sentinel."""
     grid = TabulatedQuantile(((1.0, 0.0), (math.exp(-1.0), 1.0), (math.exp(-2.0), 2.0)))
     params = ModelParams(1.0, 1.0, grid, grid)
-    result = run(
-        ReplicationPlan(
-            task=TASK_EXTINCTION_COUNT,
-            params=params,
-            replications=20,
-            base_seed=13,
-            stop=StopRule(max_steps=300),
-        )
-    )
+    with mock.patch.object(ladders, "MAX_STEPS", 300):
+        result = run(ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=params, replications=20, base_seed=13))
     assert result.summary.sentinel_fraction == 1.0
 
 

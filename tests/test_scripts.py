@@ -35,3 +35,20 @@ def test_scripts_and_readme_example_run():
     assert "total species count vs negative binomial closed form" in outputs["limit_law_demo"][0]
     bench = json.loads(outputs["bench_ladders"][0])
     assert len(bench["us_per_rep"]) == 8 and bench["simulate_s"] > 0.0
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    """perfbench's tracer patches package names by lookup: a deleted or renamed one fails here, not only in a traced run."""
+    from threshold_gms import montecarlo
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    original = montecarlo.run
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert montecarlo.run.__wrapped__ is original
+    finally:
+        tracer.restore()
+    assert montecarlo.run is original
