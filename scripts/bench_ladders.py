@@ -10,7 +10,11 @@ where ladders are about 500 steps deep.  The forward tasks use the
 benchmark's windows: the forward count of exp(2)/exp(1) at t = 50 and
 the last-empty scan of exp(1)/exp(2) on (0, 50].  ``simulate_s`` is the
 best time of one in-process ``simulate`` of exp(1)/exp(2) to horizon
-20 000, trace.csv included.
+20 000, trace.csv included.  ``gof_ms`` holds the best milliseconds of
+one goodness-of-fit test at n = 100 000 on seeded samples of the
+acceptance suite's laws: the chi-square of NegBin(1, 1/2) counts, the
+KS test of unit exponential masses against Gamma(1, 1), and the
+two-sample chi-square of two NegBin(2, 1/2) samples of 100 000 each.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import time
 import numpy as np
 
 from threshold_gms import cli
+from threshold_gms.criteria import GammaLaw, NegBinomLaw
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, Weibull
-from threshold_gms.montecarlo import ReplicationPlan, run
+from threshold_gms.montecarlo import ReplicationPlan, gof_chi_square, gof_ks, gof_two_sample_counts, run
 
 CASES = {
     "extinction_count/exp(1)/exp(2)": ("extinction_count", Exponential(1.0), Exponential(2.0), 4000, {}),
@@ -43,6 +48,7 @@ CASES = {
         "empty_time_scan", Exponential(1.0), Exponential(2.0), 500, {"horizon": 50.0}),
 }
 SIMULATE_HORIZON = 20000.0
+GOF_N = 100_000
 
 
 def best_of(repeat: int, fn) -> float:
@@ -73,6 +79,16 @@ def main() -> None:
         argv = ["simulate", "--params", params, "--seed", "7", "--horizon", repr(SIMULATE_HORIZON),
                 "--out", os.path.join(tmp, "sim")]
         out["simulate_s"] = round(best_of(args.repeat, lambda: cli.main(argv)), 4)
+    rng = np.random.default_rng(20261018)
+    counts, masses = rng.negative_binomial(1, 0.5, GOF_N), rng.exponential(1.0, GOF_N)
+    a, b = rng.negative_binomial(2, 0.5, GOF_N), rng.negative_binomial(2, 0.5, GOF_N)
+    count_law, mass_law = NegBinomLaw(1.0, 0.5), GammaLaw(1.0, 1.0)
+    gof = {
+        "chi_square": lambda: gof_chi_square(counts, count_law.pmf, count_law.cdf, "NegBin(1, 1/2)"),
+        "ks": lambda: gof_ks(masses, mass_law.cdf, "Gamma(1, 1)"),
+        "two_sample": lambda: gof_two_sample_counts(a, b, "NegBin(2, 1/2) twice"),
+    }
+    out["gof_ms"] = {name: round(1e3 * best_of(args.repeat, fn), 3) for name, fn in gof.items()}
     print(json.dumps(out, indent=2))
 
 

@@ -629,15 +629,18 @@ class NegBinomLaw:
     r: float
     p: float
 
+    # scipy.stats.nbinom's Boost kernels, called directly: zero off the support.
     def pmf(self, k):
-        from scipy import stats
+        from scipy.special._ufuncs import _nbinom_pmf
 
-        return stats.nbinom.pmf(k, self.r, 1.0 - self.p)
+        k = np.asarray(k)
+        return np.where((k < 0) | (k != np.floor(k)), 0.0, _nbinom_pmf(k, self.r, 1.0 - self.p))[()]
 
     def cdf(self, k):
-        from scipy import stats
+        from scipy.special._ufuncs import _nbinom_cdf
 
-        return stats.nbinom.cdf(k, self.r, 1.0 - self.p)
+        k = np.floor(k)
+        return np.where(k < 0, 0.0, _nbinom_cdf(k, self.r, 1.0 - self.p))[()]
 
     def mean(self) -> float:
         return self.r * self.p / (1.0 - self.p)
@@ -654,9 +657,10 @@ class GammaLaw:
     rate: float
 
     def cdf(self, x):
-        from scipy import stats
+        from scipy.special import gammainc
 
-        return stats.gamma.cdf(x, a=self.shape, scale=1.0 / self.rate)
+        # scipy.stats.gamma's scaling, to the bit; zero below the support.
+        return gammainc(self.shape, np.maximum(x, 0.0) / (1.0 / self.rate))
 
     def mean(self) -> float:
         return self.shape / self.rate

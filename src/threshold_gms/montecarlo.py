@@ -351,18 +351,19 @@ def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: s
     MIN_EXPECTED; the degrees of freedom are bins - 1 since no
     parameter is estimated from the data.
     """
+    from scipy.special import chdtrc
+
     arr = np.asarray(samples)
     if arr.size < 1000:
         raise MonteCarloError(f"chi-square check needs at least 1000 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr.astype(float))):
+    as_float = arr.astype(float)
+    if not np.all(np.isfinite(as_float)):
         raise MonteCarloError("chi-square check expects finite samples; drop sentinels first")
     values = arr.astype(np.int64)
-    if not np.array_equal(values, arr.astype(float)):
+    if not np.array_equal(values, as_float):
         raise MonteCarloError("chi-square check expects integer-valued samples")
     if values.min() < 0:
         raise MonteCarloError("chi-square check expects non-negative samples")
-    from scipy import stats
-
     n = int(values.size)
     k_max = int(values.max())
     observed = np.bincount(values, minlength=k_max + 1).astype(float).tolist()
@@ -377,22 +378,36 @@ def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: s
     exp_arr *= obs_arr.sum() / exp_arr.sum()
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = len(cols) - 1
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return GofReport("chi_square", statistic, p_value, n, reference)
 
 
 def gof_ks(samples: Sequence, cdf: Callable, reference: str) -> GofReport:
-    """Kolmogorov-Smirnov check of continuous samples against a cdf."""
-    from scipy import stats
+    """Two-sided Kolmogorov-Smirnov check of continuous samples against a cdf.
 
-    arr = np.asarray(samples, dtype=float)
-    result = stats.kstest(arr, cdf)
-    return GofReport("ks", float(result.statistic), float(result.pvalue), int(arr.size), reference)
+    The statistic is max(D+, D-) over the sorted samples and the p-value
+    the exact law of D_n, as scipy.stats.kstest computes them, bit for bit.
+    """
+    from ._kolmogorov import kolmogorov_sf
+
+    arr = np.sort(np.asarray(samples, dtype=float))
+    if arr.size < 1000:
+        raise MonteCarloError(f"KS check needs at least 1000 samples, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise MonteCarloError("KS check expects finite samples; drop sentinels first")
+    n = int(arr.size)
+    cdfvals = np.asarray(cdf(arr), dtype=float)
+    if not np.all((cdfvals >= 0.0) & (cdfvals <= 1.0)):
+        raise MonteCarloError("KS check needs a cdf with values in [0, 1] at every sample")
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    statistic = float(d_plus if d_plus > d_minus else d_minus)
+    return GofReport("ks", statistic, kolmogorov_sf(n, statistic), n, reference)
 
 
 def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str) -> GofReport:
     """Homogeneity chi-square for two integer count samples on a shared binning."""
-    from scipy import stats
+    from scipy.special import chdtrc
 
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
@@ -411,14 +426,12 @@ def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str) -> GofReport
     if len(cols) < 2:
         raise MonteCarloError("two-sample check needs at least two pooled bins")
     table = np.asarray(cols).T
-    statistic, p_value, _, _ = stats.chi2_contingency(table, correction=False)
-    return GofReport(
-        "two_sample_chi_square",
-        float(statistic),
-        float(p_value),
-        int(xa.size + xb.size),
-        reference,
-    )
+    # Pearson statistic against the independence table, in scipy's
+    # chi2_contingency order: row sums times column sums over the total.
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
+    statistic = float(((table - expected) ** 2 / expected).ravel().sum())
+    p_value = float(chdtrc(len(cols) - 1, statistic))
+    return GofReport("two_sample_chi_square", statistic, p_value, int(xa.size + xb.size), reference)
 
 
 def compare_forward_vs_limit(

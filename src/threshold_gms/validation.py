@@ -578,7 +578,7 @@ _CHECKS: dict[str, Callable[[SuiteContext], CheckResult]] = {
     "properties": check_properties,
 }
 CHECK_NAMES = tuple(_CHECKS)
-# Checks that run a goodness-of-fit test, and so need scipy.stats.
+# Checks that run a goodness-of-fit test, and so need scipy.special.
 _GOF_CHECKS = frozenset({"count-law", "mass-law", "limit-law", "band0-mass", "forward-vs-limit"})
 
 
@@ -589,11 +589,12 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run the acceptance checks, newest failure details included.
 
-    only restricts to a subset of CHECK_NAMES (order preserved); an
-    exception inside a check is reported as a failure of that check
-    rather than aborting the suite.  Each result carries the seconds
-    its check took, shared runs built on first use included.  When a
-    selected check runs a goodness-of-fit test, scipy.stats is loaded
+    only restricts to a subset of CHECK_NAMES (order preserved, each
+    name at most once); an exception inside a check is reported as a
+    failure of that check rather than aborting the suite.  Each result
+    carries the seconds its check took, shared runs built on first use
+    included.  When a selected check runs a goodness-of-fit test,
+    scipy.special (and the KS survival function built on it) is loaded
     before the first check and its seconds go to the context's
     setup_seconds, so that no check is charged for loading it.
     """
@@ -604,10 +605,13 @@ def run_suite(
         unknown = [name for name in only if name not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown check names {unknown}; expected subset of {CHECK_NAMES}")
+        repeated = sorted({name for name in only if only.count(name) > 1})
+        if repeated:
+            raise ValueError(f"check names {repeated} are given more than once")
         selected = tuple(only)
     if _GOF_CHECKS.intersection(selected):
         t0 = perf_counter()
-        import scipy.stats  # noqa: F401
+        from . import _kolmogorov  # noqa: F401  (imports scipy.special)
 
         ctx.setup_seconds += perf_counter() - t0
     results = []

@@ -178,24 +178,27 @@ def test_cached_parser_matches_a_fresh_process(tmp_path, transient_params, capsy
     assert read_dir(out) == read_dir(fresh)
 
 
-def test_run_suite_loads_scipy_stats_before_the_first_gof_check():
+def test_run_suite_loads_scipy_special_for_gof_checks_and_never_scipy_stats():
+    """The set-up loads scipy.special before the first GOF check; the five GOF checks never load scipy.stats."""
     code = """
 import sys
 from threshold_gms import validation
 seen = []
 def probe(ctx):
-    seen.append("scipy.stats" in sys.modules)
+    seen.append("scipy.special" in sys.modules)
     return validation.CheckResult("probe", True, "")
 validation._CHECKS["probe"] = validation._CHECKS["plain-probe"] = probe
+gof = sorted(validation._GOF_CHECKS)
 validation._GOF_CHECKS = validation._GOF_CHECKS | {"probe"}
-ctx = validation.SuiteContext()
+ctx = validation.SuiteContext(validation.SuiteConfig(replications=1000))
 validation.run_suite(only=["plain-probe"], context=ctx)
 plain = ctx.setup_seconds
-validation.run_suite(only=["plain-probe", "probe"], context=ctx)
-print(seen, plain, ctx.setup_seconds > 0.0)
+results = validation.run_suite(only=["plain-probe", "probe", *gof], context=ctx)
+print(seen, plain, ctx.setup_seconds > 0.0, len(gof), all(r.passed for r in results))
+print("scipy.stats" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env())
-    assert proc.stdout.strip() == "[False, True, True] 0.0 True"
+    assert proc.stdout.splitlines() == ["[False, True, True] 0.0 True 5 True", "False"]
 
 
 def test_ladder_mc_outputs(tmp_path, transient_params):
@@ -447,6 +450,8 @@ def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
         # An --only that names no check would pass by running nothing.
         ["validate", "--only", ",", "--reps", "1000"],
         ["validate", "--only", "", "--reps", "1000"],
+        # A repeated check name would run the check twice and write it twice.
+        ["validate", "--only", "phase-map,phase-map", "--reps", "1000"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from threshold_gms.criteria import (
     _COMPLETION_MIN_PANELS,
@@ -529,6 +530,27 @@ def test_gamma_law_consistency():
     assert law.laplace(3.0) == pytest.approx(0.25)
     exp_law = GammaLaw(shape=1.0, rate=1.0)
     assert exp_law.cdf(1.0) == pytest.approx(1.0 - math.exp(-1.0))
+
+
+def test_laws_match_scipy_stats_on_the_suite_parameters():
+    """NegBinomLaw and GammaLaw call scipy.special kernels; they equal scipy.stats' laws bit for bit."""
+    count_side = exponential_closed_forms(1.0, 2.0, 1.0, 1.0)
+    limit_side = exponential_closed_forms(2.0, 1.0, 1.0, 1.0)
+    negbins = {
+        count_side.extinction_count_law,
+        count_side.band0_count_law,
+        limit_side.total_count_law,
+        limit_side.band0_count_law,
+    }
+    ks = np.concatenate([np.arange(-3, 200), [-0.5, 0.5, 2.5, 7.25, np.inf]])
+    for law in negbins:
+        assert np.array_equal(law.pmf(ks), stats.nbinom.pmf(ks, law.r, 1.0 - law.p), equal_nan=True)
+        assert np.array_equal(law.cdf(ks), stats.nbinom.cdf(ks, law.r, 1.0 - law.p))
+        assert law.cdf(7) == stats.nbinom.cdf(7, law.r, 1.0 - law.p)
+    gammas = {count_side.extinction_mass_law, limit_side.band0_mass_law, GammaLaw(2.5, 0.7), GammaLaw(20.0, 1.0)}
+    xs = np.concatenate([[-1.0, 0.0, np.inf], np.random.default_rng(3).gamma(2.0, 1.5, size=2000)])
+    for law in gammas:
+        assert np.array_equal(law.cdf(xs), stats.gamma.cdf(xs, a=law.shape, scale=1.0 / law.rate))
 
 
 def test_closed_forms_transient_side():

@@ -194,6 +194,119 @@ def test_gof_ks_detects_scale_error():
     assert wrong.p_value < 1e-4
 
 
+def test_gof_ks_guards():
+    rng = np.random.default_rng(11)
+    good = rng.exponential(1.0, size=1000)
+    assert gof_ks(good, stats.expon.cdf, "unit exponential").n == 1000
+    with pytest.raises(MonteCarloError):
+        gof_ks(good[:999], stats.expon.cdf, "short")
+    for sentinel in (math.inf, math.nan):
+        bad = good.copy()
+        bad[0] = sentinel
+        with pytest.raises(MonteCarloError):
+            gof_ks(bad, stats.expon.cdf, "sentinel")
+    with pytest.raises(MonteCarloError):
+        gof_ks(good, lambda x: 2.0 * stats.expon.cdf(x), "not a cdf")
+
+
+def _ks_branch(n, d):
+    """The branch of the exact KS survival function that (n, d) takes."""
+    t = n * d
+    if d <= 0.5 / n or d >= 1.0:
+        return "outside the support"
+    if t <= 1.0:
+        return "Ruben-Gambino, t <= 1"
+    if t >= n - 1:
+        return "Ruben-Gambino, t >= n - 1"
+    if d >= 0.5:
+        return "smirnov, d >= 0.5"
+    if t * d >= 370.0:
+        return "zero, n d^2 >= 370"
+    if t * d >= 2.2:
+        return "smirnov, n d^2 >= 2.2"
+    if n <= 100_000 and n * d**1.5 <= 1.4:
+        return "Durbin matrix"
+    return "Pelz-Good, n > 100 000" if n > 100_000 else "Pelz-Good"
+
+
+def test_kolmogorov_sf_matches_kstwo_on_every_branch():
+    from threshold_gms._kolmogorov import kolmogorov_sf
+
+    grid = []
+    for n in (141, 1000, 4000):
+        ds = [0.3 / n, 0.5 / n, 0.75 / n, 1.0 / n, 1.5 / n, (n - 1.0) / n, 0.5, 0.7, 0.99, 1.0]
+        grid += [(n, d) for d in ds]
+        grid += [(n, z / math.sqrt(n)) for z in (0.3, 0.5, 0.8, 1.0, 1.2, 1.48, 1.5, 2.0, 3.0, 10.0, 19.3)]
+    # Large n: scipy's smirnov costs 0.1-0.4 s there, so only the cheap branches and one Durbin point.
+    for n in (100_000, 250_000):
+        grid += [(n, d) for d in (0.3 / n, 0.75 / n, 1.0 / n)]
+        grid += [(n, z / math.sqrt(n)) for z in (0.5, 1.0, 1.2, 19.3)]
+    grid.append((100_000, 0.1 / math.sqrt(100_000)))
+    # Pelz-Good where q = exp(-pi^2 / 8z^2) underflows: z = 0.02, t = 10.
+    grid.append((250_000, 0.02 / math.sqrt(250_000)))
+    assert {_ks_branch(n, d) for n, d in grid} == {
+        "outside the support",
+        "Ruben-Gambino, t <= 1",
+        "Ruben-Gambino, t >= n - 1",
+        "smirnov, d >= 0.5",
+        "zero, n d^2 >= 370",
+        "smirnov, n d^2 >= 2.2",
+        "Durbin matrix",
+        "Pelz-Good",
+        "Pelz-Good, n > 100 000",
+    }
+    for n, d in grid:
+        assert kolmogorov_sf(n, d) == float(stats.kstwo.sf(d, n)), (n, d, _ks_branch(n, d))
+    with pytest.raises(ValueError):
+        kolmogorov_sf(140, 0.1)
+
+
+def _reference_chi_square(samples, law):
+    """gof_chi_square's statistic and p-value, pooled the same way, from scipy.stats."""
+    n = samples.size
+    k_max = int(samples.max())
+    observed = np.bincount(samples, minlength=k_max + 1).astype(float).tolist()
+    expected = (n * stats.nbinom.pmf(np.arange(k_max + 1), law.r, 1.0 - law.p)).tolist()
+    expected[-1] += n * float(1.0 - stats.nbinom.cdf(k_max, law.r, 1.0 - law.p))
+    obs_arr, exp_arr = np.asarray(montecarlo._pool_bins(zip(observed, expected), lambda col: col[1])).T
+    exp_arr *= obs_arr.sum() / exp_arr.sum()
+    statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
+    return statistic, float(stats.chi2.sf(statistic, obs_arr.size - 1))
+
+
+def _reference_two_sample(a, b):
+    """gof_two_sample_counts' statistic and p-value, pooled the same way, from scipy.stats."""
+    k_max = int(max(a.max(), b.max()))
+    ca = np.bincount(a, minlength=k_max + 1).astype(float)
+    cb = np.bincount(b, minlength=k_max + 1).astype(float)
+    share = min(a.size, b.size) / (a.size + b.size)
+    table = np.asarray(montecarlo._pool_bins(zip(ca, cb), lambda col: (col[0] + col[1]) * share)).T
+    statistic, p_value, _, _ = stats.chi2_contingency(table, correction=False)
+    return float(statistic), float(p_value)
+
+
+@pytest.mark.parametrize("n", [1000, 4000, 100_000])
+def test_gof_tests_match_scipy_stats_bit_for_bit(n):
+    """The suite's laws, and laws a few percent off them: every statistic and p-value to the bit."""
+    from threshold_gms.criteria import GammaLaw, NegBinomLaw
+
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1.03):
+        masses = rng.gamma(1.0, scale, size=n)
+        law = GammaLaw(1.0, 1.0)
+        report = gof_ks(masses, law.cdf, "gamma")
+        reference = stats.kstest(masses, stats.gamma(1.0).cdf)
+        assert (report.statistic, report.p_value) == (float(reference.statistic), float(reference.pvalue))
+    for r in (1.0, 2.0, 2.2):
+        counts = rng.negative_binomial(r, 0.5, size=n)
+        law = NegBinomLaw(r=2.0, p=0.5)
+        report = gof_chi_square(counts, law.pmf, law.cdf, "negative binomial")
+        assert (report.statistic, report.p_value) == _reference_chi_square(counts, law)
+        other = rng.negative_binomial(2.0, 0.5, size=max(1000, n // 2))
+        report = gof_two_sample_counts(counts, other, "two samples")
+        assert (report.statistic, report.p_value) == _reference_two_sample(counts, other)
+
+
 def test_gof_two_sample_counts_behaviour():
     rng = np.random.default_rng(10)
     a = rng.negative_binomial(1, 0.5, size=5000)

@@ -35,6 +35,8 @@ def test_scripts_and_readme_example_run():
     assert "total species count vs negative binomial closed form" in outputs["limit_law_demo"][0]
     bench = json.loads(outputs["bench_ladders"][0])
     assert len(bench["us_per_rep"]) == 8 and bench["simulate_s"] > 0.0
+    assert sorted(bench["gof_ms"]) == ["chi_square", "ks", "two_sample"]
+    assert all(ms > 0.0 for ms in bench["gof_ms"].values())
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
