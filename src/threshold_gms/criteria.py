@@ -14,6 +14,9 @@ integral gives the mean number of birth marks above the threshold
 ladder (finite iff the long-run configuration is finite).  The integrals
 are evaluated on dyadic panels [n ln2, (n+1) ln2] of Gauss-Legendre
 nodes, with a three-way verdict: finite, infinite, or inconclusive.
+No rule reads a panel past the one where it fires, so each integral is
+evaluated in at most two passes: panels 0 .. _DIVERGENCE_RUN for every
+row, the rest only for the rows that no rule stopped there.
 classify_many evaluates every integral of a batch of points as rows of
 one padded array, in chunks of bounded size, and reads the panels of
 all rows with one vectorised copy of the panel rules; C(h) and the
@@ -156,12 +159,15 @@ def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndar
     return pieces.reshape(rows, _MAX_REFINEMENTS)
 
 
-# Rule codes of _read_panels, in the order the rules are checked at a panel.
+# Rule codes of _panel_rules, in the order the rules are checked at a panel.
 _BAD_PANEL, _DIVERGES, _GEOMETRIC_TAIL, _QUIET = 4, 3, 2, 1
+# Panels of the first evaluation pass: panel _DIVERGENCE_RUN is the first
+# at which every rule can fire.
+_FIRST_PASS_PANELS = _DIVERGENCE_RUN + 1
 
 
-def _read_panels(pieces: np.ndarray) -> list:
-    """Verdicts of rows of dyadic panel integrals, one improper integral per row.
+def _panel_rules(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping panel and rule code of rows of dyadic panel integrals.
 
     Each row is read panel by panel up to the first panel where a rule
     fires.  At panel n the rules are checked in this order: a non-finite
@@ -170,57 +176,59 @@ def _read_panels(pieces: np.ndarray) -> list:
     _COMPLETION_MIN_PANELS - 1 on, a stable ratio of the last four panels
     is finished by summing the geometric tail, which keeps slowly decaying
     exponents inside the refinement budget; from panel 2 on, two quiet
-    panels end a finite integral.  A row where no rule fires is
-    inconclusive.  The rules are evaluated for all rows and panels at
-    once, each reading panels up to n only, so panels past a row's stop
-    never affect it.  Returns per row an ImproperIntegral, whose evidence
-    holds the exactly rounded partial sums up to the stop, or the
-    CriteriaError of a bad panel at or before the stop.
+    panels end a finite integral.  The rules are evaluated for all rows
+    and panels at once, each reading panels up to n only, so the codes of
+    a row's first panels do not depend on the panels after them.  A row
+    where no rule fires gets stop pieces.shape[1] and code 0.  Callers
+    ignore invalid and divide floating-point errors.
     """
     rows, count = pieces.shape
     k = _COMPLETION_MIN_PANELS - 1
+    p = np.where(pieces < 0.0, 0.0, pieces)
+    later, earlier = p[:, 1:], p[:, :-1]
+    quiet = p < _PANEL_ATOL
+    # The tail test at panel n >= k reads panels n-3, ..., n through
+    # q0 = p[n]/p[n-1], q1 = p[n-1]/p[n-2] and q2 = p[n-2]/p[n-3], and
+    # step holds |q0 - q1| and |q1 - q2|.  On positive finite panels no
+    # ratio is NaN, so these comparisons are the exact negations of the
+    # float tests of the scalar rule (the larger step within tolerance
+    # means both are, and a NaN step fails like its comparison); a zero
+    # among the four panels makes one of them false (a ratio of inf, or
+    # q0 = 0 with a nonzero q1), as the scalar rule's positivity test
+    # does, and a non-finite panel has stopped the row already.
+    ratio = later / earlier
+    step = np.abs(ratio[:, 1:] - ratio[:, :-1])
+    q0 = ratio[:, k - 1 :]
+    # Length of the run of non-decreasing panels ending at panel n >= 1.
+    n = np.arange(1, count)
+    run = n - np.maximum.accumulate(np.where(later >= earlier * (1.0 - 1e-12), 0, n), axis=1)
     # rule[r, n] is the code of the first rule that fires at panel n;
     # rules are written in increasing precedence, each over the last.
     rule = np.zeros((rows, count), dtype=np.int8)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(pieces < 0.0, 0.0, pieces)
-        quiet = p < _PANEL_ATOL
-        rule[:, 2:] = quiet[:, 2:] & quiet[:, 1:-1]
-        # The tail test at panel n >= k reads panels n-3, ..., n through
-        # q0 = p[n]/p[n-1], q1 = p[n-1]/p[n-2] and q2 = p[n-2]/p[n-3].  On
-        # positive finite panels no ratio is NaN, so these comparisons are
-        # the exact negations of the float tests of the scalar rule.
-        positive = p > 0.0
-        ratio = p[:, 1:] / p[:, :-1]
-        q0, q1, q2 = ratio[:, k - 1 :], ratio[:, k - 2 : -1], ratio[:, k - 3 : -2]
-        tol = _RATIO_RTOL * q0
-        tails = (
-            positive[:, k - 3 : -3]
-            & positive[:, k - 2 : -2]
-            & positive[:, k - 1 : -1]
-            & positive[:, k:]
-            & (q0 < 0.999)
-            & (np.abs(q0 - q1) <= tol)
-            & (np.abs(q1 - q2) <= tol)
-        )
-        rule[:, k:][tails] = _GEOMETRIC_TAIL
-        # Length of the run of non-decreasing panels ending at panel n >= 1.
-        n = np.arange(1, count)
-        grows = p[:, 1:] >= p[:, :-1] * (1.0 - 1e-12)
-        run = n - np.maximum.accumulate(np.where(grows, 0, n), axis=1)
-        rule[:, 1:][(run >= _DIVERGENCE_RUN) & (p[:, 1:] > _PANEL_ATOL)] = _DIVERGES
-        rule[~np.isfinite(pieces) | (pieces < -1e-9)] = _BAD_PANEL
-    fired = rule != 0
-    stops = np.where(fired.any(axis=1), fired.argmax(axis=1), count).tolist()
+    rule[:, 2:] = quiet[:, 2:] & quiet[:, 1:-1]
+    rule[:, k:][(q0 < 0.999) & (np.maximum(step[:, k - 2 :], step[:, k - 3 : -1]) <= _RATIO_RTOL * q0)] = _GEOMETRIC_TAIL
+    rule[:, 1:][(run >= _DIVERGENCE_RUN) & (later > _PANEL_ATOL)] = _DIVERGES
+    rule[~np.isfinite(pieces) | (pieces < -1e-9)] = _BAD_PANEL
+    first = (rule != 0).argmax(axis=1)
+    codes = rule[np.arange(rows), first]
+    return np.where(codes != 0, first, count), codes
+
+
+def _panel_results(pieces: np.ndarray, stops: np.ndarray, codes: np.ndarray) -> list:
+    """Per row, the ImproperIntegral that its rule code gives at its stopping panel.
+
+    The evidence holds the exactly rounded partial sums up to the stop,
+    with negative panels clamped to 0; a bad panel gives its CriteriaError
+    instead.  Panels past a row's stop are never read.
+    """
     results: list = []
-    for r, (row, stop) in enumerate(zip(p.tolist(), stops)):
-        code = int(rule[r, stop]) if stop < count else 0
+    for r, (stop, code) in enumerate(zip(stops.tolist(), codes.tolist())):
         if code == _BAD_PANEL:
             piece = float(pieces[r, stop])
             results.append(CriteriaError(f"panel [{stop * _LN2}, {(stop + 1) * _LN2}] evaluated to {piece}"))
             continue
-        panels = row[: stop + 1]
-        partial = tuple(math.fsum(panels[: i + 1]) for i in range(len(panels)))
+        panels = [0.0 if piece < 0.0 else piece for piece in pieces[r, : stop + 1].tolist()]
+        partial = tuple([math.fsum(panels[: i + 1]) for i in range(len(panels))])
         if code == _DIVERGES:
             results.append(ImproperIntegral(VERDICT_INFINITE, math.inf, partial))
         elif code == _GEOMETRIC_TAIL:
@@ -232,6 +240,55 @@ def _read_panels(pieces: np.ndarray) -> list:
         else:
             results.append(ImproperIntegral(VERDICT_INCONCLUSIVE, None, partial))
     return results
+
+
+def _read_panels(pieces: np.ndarray) -> list:
+    """Verdicts of rows of dyadic panel integrals, one improper integral per row.
+
+    The rules of _panel_rules stop each row; a row where no rule fires is
+    inconclusive.  Returns per row an ImproperIntegral, whose evidence
+    holds the exactly rounded partial sums up to the stop, or the
+    CriteriaError of a bad panel at or before the stop.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _panel_results(pieces, *_panel_rules(pieces))
+
+
+def _read_in_passes(integrands: Callable, rows: int, w: np.ndarray, panel: np.ndarray) -> list:
+    """_read_panels of rows of integrands on one node array, evaluated in at most two passes.
+
+    integrands(index, nodes) gives the integrand values of the rows in
+    ``index`` (ascending) on the sub-panels ``nodes`` (a slice), shaped
+    (len(index), sub-panels, nodes).  The first pass evaluates every row
+    on panels 0 .. _DIVERGENCE_RUN; the second only the rows that no rule
+    stopped there, on the remaining panels.  Each pass goes in chunks of
+    at most BLOCK_CHUNK_CELLS nodes.  A rule at panel n reads panels up to
+    n only, and each panel's sub-panels are summed in the same order
+    either way, so the results equal _read_panels of all
+    _MAX_REFINEMENTS panels, bit for bit.
+    """
+    split = int(np.searchsorted(panel, _FIRST_PASS_PANELS))
+    pieces = np.zeros((rows, _MAX_REFINEMENTS))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _fill_panels(pieces, integrands, np.arange(rows), slice(0, split), w, panel)
+        stops, codes = _panel_rules(pieces[:, :_FIRST_PASS_PANELS])
+        todo = np.flatnonzero(stops == _FIRST_PASS_PANELS)
+        if todo.size:
+            _fill_panels(pieces, integrands, todo, slice(split, None), w, panel)
+            stops[todo], codes[todo] = _panel_rules(pieces[todo])
+    return _panel_results(pieces, stops, codes)
+
+
+def _fill_panels(
+    pieces: np.ndarray, integrands: Callable, index: np.ndarray, nodes: slice, w: np.ndarray, panel: np.ndarray
+) -> None:
+    """Write the panel integrals of the rows in index on the sub-panels nodes into pieces."""
+    w, panel = w[nodes], panel[nodes]
+    panels = slice(panel[0], panel[-1] + 1)
+    step = max(BLOCK_CHUNK_CELLS // w.size, 1)
+    for start in range(0, index.size, step):
+        chunk = index[start : start + step]
+        pieces[chunk, panels] = _panel_sums(integrands(chunk, nodes), w, panel)[:, panels]
 
 
 def _checked(result):
@@ -249,22 +306,24 @@ def hazard_weighted_integral(
     f(u) = integrand(-log u), the integral against the record-arrival
     intensity (the cumulative-hazard measure of the mark law) from which
     every criterion integral below arises.  integrand takes an array of
-    hazards and must be non-negative; it is called once, on the nodes of
-    all _MAX_REFINEMENTS panels.  Each dyadic panel is integrated by
+    hazards and must be non-negative.  Each dyadic panel is integrated by
     24-node Gauss-Legendre rules on sub-panels split at ``breaks`` (the
     hazards where the integrand has a kink) and graded toward h = 0.
     The panels are then read in order by the rules of classify_many, of
     which this is the one-row case: a non-finite or negative panel
     raises, a run of non-decreasing panels means divergence, and
     eventually-geometric panel decay (every power-exponent case) is
-    finished by summing the geometric tail.  Panels past the stopping
-    one are never inspected.
+    finished by summing the geometric tail.  integrand is called at most
+    twice: once on the nodes of panels 0 .. _DIVERGENCE_RUN, and once on
+    those of the remaining panels if no rule stopped the integral there.
+    Panels past the stopping one are never inspected.
     """
     h, w, panel = _panel_nodes(tuple(breaks))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.broadcast_to(integrand(h), h.shape)
-        pieces = _panel_sums(values[None], w, panel)
-    return _checked(_read_panels(pieces)[0])
+
+    def integrands(index, nodes):
+        return np.broadcast_to(integrand(h[nodes]), h[nodes].shape)[None]
+
+    return _checked(_read_in_passes(integrands, 1, w, panel)[0])
 
 
 def hazard_weighted_integral_xspace(
@@ -298,24 +357,35 @@ def hazard_breaks(params: ModelParams) -> tuple[float, ...]:
     """
     fit = params.fitness_dist
     levels = np.concatenate([fit.kink_levels(), params.threshold_dist.kink_levels()])
-    h = fit.hazard_transform_array(levels)
-    return tuple(np.unique(h[(h > 0.0) & np.isfinite(h)]).tolist())
+    return tuple(sorted({h for h in fit.hazard_transform_array(levels).tolist() if 0.0 < h < math.inf}))
 
 
-@lru_cache(maxsize=8)
-def _composition(
-    fitness: DistributionSpec, threshold: DistributionSpec, breaks: tuple[float, ...]
-) -> np.ndarray:
-    """C(h) = H_thr(H_fit^-1(h)) on the nodes of the pair's breaks, read-only.
+def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarray:
+    """Integrand rows of criterion row keys, mass-density rows first, on the nodes h.
 
-    Keyed on the mark pair (its breaks follow from it), not on the
-    rates: the integrals of one pair at any rates and any t share it.
+    C(h) = H_thr(H_fit^-1(h)) is taken once per mark pair among the keys,
+    copied to the pair's other rows, and turned into each row's integrand
+    in place, which keeps one array of the rows' size alive besides the
+    weighted one.
     """
-    h = _panel_nodes(breaks)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = threshold.hazard_transform_array(fitness.inverse_hazard_array(h))
-    c.flags.writeable = False
-    return c
+    n_base = sum(log_r is None for _, log_r in keys)
+    log_r = np.array([log_r for _, log_r in keys[n_base:]])
+    values = np.empty((len(keys),) + h.shape)
+    first: dict = {}
+    for i, (pair, _) in enumerate(keys):
+        j = first.setdefault(pair, i)
+        if j < i:
+            values[i] = values[j]
+        else:
+            params = sides[pair]
+            values[i] = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
+    base, exponent = values[:n_base], values[n_base:]
+    np.exp(np.subtract(h, base, out=base), out=base)
+    exponent += log_r[:, None, None]
+    exponent -= h
+    np.logaddexp(0.0, exponent, out=exponent)
+    np.exp(np.negative(exponent, out=exponent), out=exponent)
+    return values
 
 
 def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) -> list:
@@ -326,10 +396,10 @@ def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) ->
     (params, log_r) the count exponent's integrand 1/(1 + r exp(C(h) - h)),
     taken through logaddexp so that it never forms inf/inf.  Only the
     mark pair of params and log_r enter, so equal rows are evaluated once.
-    Rows are grouped by the pair's hazard_breaks (one node array each)
-    and go in chunks of at most BLOCK_CHUNK_CELLS nodes, ordered by mark
-    pair; each chunk takes C(h) once per pair in it.  Returns per row what
-    _read_panels gives.
+    Rows are grouped by the pair's hazard_breaks (one node array each),
+    and each group is read in the two passes of _read_in_passes, whose
+    chunks take C(h) once per pair in them, on that pass's nodes only.
+    Returns per row what _read_panels gives.
     """
     first: dict = {}
     sides: list[ModelParams] = []
@@ -346,28 +416,13 @@ def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) ->
     results: dict = {}
     for group_breaks, members in groups.items():
         h, w, panel = _panel_nodes(group_breaks)
-        step = max(BLOCK_CHUNK_CELLS // h.size, 1)
-        for start in range(0, len(members), step):
-            # Mass-density rows first; rows are read back by key.
-            chunk = sorted(members[start : start + step], key=lambda key: key[1] is not None)
-            n_base = sum(log_r is None for _, log_r in chunk)
-            log_r = np.array([log_r for _, log_r in chunk[n_base:]])
-            with np.errstate(over="ignore", invalid="ignore"):
-                comps = {
-                    pair: _composition(sides[pair].fitness_dist, sides[pair].threshold_dist, breaks[pair])
-                    for pair in dict.fromkeys(pair for pair, _ in chunk)
-                }
-                # C(h) of each row, turned into its integrand in place, which
-                # keeps one chunk-sized array alive besides the weighted one.
-                values = np.stack([comps[pair] for pair, _ in chunk])
-                base, exponent = values[:n_base], values[n_base:]
-                np.exp(np.subtract(h, base, out=base), out=base)
-                exponent += log_r[:, None, None]
-                exponent -= h
-                np.logaddexp(0.0, exponent, out=exponent)
-                np.exp(np.negative(exponent, out=exponent), out=exponent)
-                pieces = _panel_sums(values, w, panel)
-            results.update(zip(chunk, _read_panels(pieces)))
+        # Mass-density rows first, each kind in mark-pair order; rows are read back by key.
+        members.sort(key=lambda key: key[1] is not None)
+
+        def integrands(index, nodes, members=members, h=h):
+            return _integrands([members[i] for i in index.tolist()], sides, h[nodes])
+
+        results.update(zip(members, _read_in_passes(integrands, len(members), w, panel)))
     return [results[key] for key in keys]
 
 

@@ -14,8 +14,8 @@ families declares divergent reports sentinels without walking ladders;
 every other replication is finite only if its ladder's mass died out
 under the one truncation rule of the ladders module (MAX_STEPS,
 TAIL_TOLERANCE, QUIET_WINDOW), which each plan's to_json records.
-Each ladder replication's stop reason and depth ride along in
-RunResult.aux.
+Each ladder replication's stop reason, depth and analytic tail bound
+ride along in RunResult.aux.
 """
 
 from __future__ import annotations
@@ -211,6 +211,7 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
             "samples": np.full(BLOCK, EFFECTIVELY_INFINITE),
             "stop_reason": np.full(BLOCK, STOP_DIVERGENT, dtype=STOP_DTYPE),
             "depth": np.zeros(BLOCK, dtype=np.int64),
+            "tail": np.full(BLOCK, math.nan),
         }
         if limit:
             nan = np.full(BLOCK, math.nan)
@@ -222,7 +223,7 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
     block = sample_ladder_block(params, rng, BLOCK, threshold=limit)
     finite = block.finite
     mass = np.where(finite, block.mass, 0.0)
-    out = {"stop_reason": block.stop_reason, "depth": block.depth}
+    out = {"stop_reason": block.stop_reason, "depth": block.depth, "tail": block.tail}
     # A sum of independent Poisson step counts is one Poisson count with the summed mass.
     if limit:
         band0 = params.lambda_birth * block.first_gap
@@ -278,13 +279,17 @@ def run(plan: ReplicationPlan) -> RunResult:
 
 
 def ladder_diagnostics(result: RunResult) -> dict:
-    """Stop-reason histogram, depth quantiles and sentinel count of a ladder run.
+    """Stop-reason histogram, depth quantiles, largest tail bound and sentinel count of a ladder run.
 
-    Every figure is a function of the samples alone, so reruns write
-    identical diagnostics.
+    tail_bound_max is the largest finite analytic tail bound of any
+    replication, None when no replication has one (non-exponential
+    pairs, divergent plans).  Every figure is a function of the samples
+    alone, so reruns write identical diagnostics.
     """
     reasons, counts = np.unique(result.aux["stop_reason"], return_counts=True)
     depth = result.aux["depth"]
+    tails = result.aux["tail"]
+    tails = tails[np.isfinite(tails)]
     return {
         "stop_reasons": {str(r): int(c) for r, c in zip(reasons, counts)},
         "depth": {
@@ -292,6 +297,7 @@ def ladder_diagnostics(result: RunResult) -> dict:
             "p99": float(np.quantile(depth, 0.99)),
             "max": int(depth.max()),
         },
+        "tail_bound_max": float(tails.max()) if tails.size else None,
         "sentinel_count": result.summary.sentinel_count,
     }
 
@@ -353,14 +359,13 @@ def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: s
     """
     from scipy.special import chdtrc
 
-    arr = np.asarray(samples)
+    arr = np.asarray(samples, dtype=float)
     if arr.size < 1000:
         raise MonteCarloError(f"chi-square check needs at least 1000 samples, got {arr.size}")
-    as_float = arr.astype(float)
-    if not np.all(np.isfinite(as_float)):
+    if not np.all(np.isfinite(arr)):
         raise MonteCarloError("chi-square check expects finite samples; drop sentinels first")
     values = arr.astype(np.int64)
-    if not np.array_equal(values, as_float):
+    if not np.array_equal(values, arr):
         raise MonteCarloError("chi-square check expects integer-valued samples")
     if values.min() < 0:
         raise MonteCarloError("chi-square check expects non-negative samples")

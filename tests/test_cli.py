@@ -9,6 +9,7 @@ import pytest
 
 from threshold_gms import cli
 from threshold_gms.criteria import classify
+from threshold_gms.ladders import TAIL_TOLERANCE
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
 
@@ -356,7 +357,7 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch)
 
 @pytest.mark.parametrize("command", ["ladder-mc", "limit-mc"])
 def test_summary_reports_ladder_diagnostics(tmp_path, transient_params, finite_params, command):
-    """Stop-reason histogram, depth quantiles and sentinel count; a divergent plan walks nothing."""
+    """Stop-reason histogram, depth quantiles, tail bound and sentinel count; a divergent plan walks nothing."""
     finite = transient_params if command == "ladder-mc" else finite_params
     divergent = finite_params if command == "ladder-mc" else transient_params
     out = tmp_path / "finite"
@@ -364,6 +365,7 @@ def test_summary_reports_ladder_diagnostics(tmp_path, transient_params, finite_p
     diag = json.loads((out / "summary.json").read_text())["diagnostics"]
     assert diag["stop_reasons"] == {"tail_bound": 300}
     assert 0 < diag["depth"]["p50"] <= diag["depth"]["p99"] <= diag["depth"]["max"] < 100
+    assert 0.0 < diag["tail_bound_max"] <= TAIL_TOLERANCE
     assert diag["sentinel_count"] == 0
     out = tmp_path / "divergent"
     assert cli.main([command, "--params", divergent, "--reps", "300", "--out", str(out)]) == 0
@@ -371,6 +373,7 @@ def test_summary_reports_ladder_diagnostics(tmp_path, transient_params, finite_p
     assert diag == {
         "stop_reasons": {"divergent": 300},
         "depth": {"p50": 0.0, "p99": 0.0, "max": 0},
+        "tail_bound_max": None,
         "sentinel_count": 300,
     }
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from threshold_gms.criteria import (
     GammaLaw,
     ImproperIntegral,
     NegBinomLaw,
+    _criterion_integrals,
+    _panel_nodes,
+    _panel_sums,
     _read_panels,
     classify,
     classify_many,
@@ -168,6 +172,26 @@ def test_hazard_weighted_integral_log_divergence_is_inconclusive():
     res = hazard_weighted_integral(lambda h: 1.0 / (1.0 + h))
     assert res.verdict == "inconclusive"
     assert res.value is None
+
+
+def test_hazard_weighted_integral_evaluates_past_panel_ten_only_when_needed():
+    """The integrand sees panels 0.._DIVERGENCE_RUN first, and the rest only if no rule stopped there."""
+    h, _, panel = _panel_nodes(())
+    first = int(np.count_nonzero(panel <= _DIVERGENCE_RUN)) * h.shape[1]
+    cases = {
+        "tail at panel 7": (lambda h: np.exp(-h), [first]),
+        "divergence at panel 10": (lambda h: 0.5, [first]),
+        "inconclusive": (lambda h: 1.0 / (1.0 + h), [first, h.size - first]),
+    }
+    for label, (integrand, want) in cases.items():
+        seen = []
+
+        def counting(h, integrand=integrand, seen=seen):
+            seen.append(h.size)
+            return integrand(h)
+
+        hazard_weighted_integral(counting)
+        assert seen == want, label
 
 
 def test_hazard_weighted_integral_rejects_bad_integrand():
@@ -494,6 +518,89 @@ def test_classify_many_rows_match_the_one_row_integral():
             phi_side = "phi_inf" if side == "e_m" else "phi_bar_inf"
             assert report.integrals.evidence[phi_side] == phi.evidence
             assert getattr(report.integrals, phi_side) == phi.value
+
+
+def _on_panels(h, panels):
+    """Mask of the hazards h that lie in the given dyadic panels."""
+    return np.isin(np.floor(h / _LN2), panels)
+
+
+def _halved_from(h, *panels):
+    """exp(-h), halved from the start of each of the given dyadic panels on."""
+    return np.exp(-h) * 0.5 ** sum(h >= n * _LN2 for n in panels)
+
+
+# Mass densities g(h) of the rows of the two-pass tests, with the panel
+# at which the rules stop each.  A halving at panel k breaks the run of
+# equal panel ratios that the geometric tail needs at panels k .. k + 2,
+# and a step down at panel k resets the run of non-decreasing panels
+# that divergence needs, so it fires at k + 10.
+TWO_PASS_DENSITIES = {
+    "tail at 9": (lambda h: _halved_from(h, 6), 9),
+    "tail at 11": (lambda h: _halved_from(h, 5, 8), 11),
+    "tail at 12": (lambda h: _halved_from(h, 5, 7, 9), 12),
+    "divergence at 10": (lambda h: np.full_like(h, 0.5), 10),
+    "divergence at 11": (lambda h: 0.5 + (h < _LN2), 11),
+    "divergence at 12": (lambda h: 0.5 + (h < 2 * _LN2), 12),
+    "inconclusive": (lambda h: 1.0 / (1.0 + h), 59),
+    "nan after the stop in pass 1": (lambda h: np.where(_on_panels(h, [8, 9]), np.nan, np.exp(-h)), 7),
+    "nan after the stop in pass 2": (lambda h: np.where(_on_panels(h, [20]), np.nan, np.full_like(h, 0.5)), 10),
+    "inf after the stop in pass 2": (lambda h: np.where(_on_panels(h, [11]), np.inf, _halved_from(h, 6)), 9),
+    "nan in pass 2 before the stop": (lambda h: np.where(_on_panels(h, [30]), np.nan, 1.0 / (1.0 + h)), 30),
+}
+
+
+@dataclass(frozen=True)
+class DensityThreshold(Exponential):
+    """Threshold law whose composition with an exp(1) fitness law has mass density TWO_PASS_DENSITIES[label]."""
+
+    label: str = ""
+
+    def hazard_transform_array(self, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return x - np.log(TWO_PASS_DENSITIES[self.label][0](x))
+
+
+def _all_panel_reference(params, log_r):
+    """One criterion row on all _MAX_REFINEMENTS panels, read by _read_panels."""
+    h, w, panel = _panel_nodes(hazard_breaks(params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
+        if log_r is None:
+            values = np.exp(h - comp)
+        else:
+            values = np.exp(-np.logaddexp(0.0, log_r + comp - h))
+        return _read_panels(_panel_sums(values[None], w, panel))[0]
+
+
+def test_two_pass_reader_matches_all_panels_bit_for_bit():
+    """Rows stopped in either pass, and bad panels past or before a stop, read as on all 60 panels."""
+    density_rows = [
+        (ModelParams(lb, 1.0, Exponential(1.0), DensityThreshold(1.0, label)), log_r)
+        for label in TWO_PASS_DENSITIES
+        for lb, log_r in ((1.0, None), (2.0, None), (1.0, math.log(0.01)))
+    ]
+    # Mixed pairs: node arrays with and without breaks, mass-density and
+    # count-exponent rows, repeated rows.
+    mixed = [
+        (params, log_r)
+        for params in _mixed_batch()[::3]
+        for log_r in (None, 0.0, math.log(1.3 / 0.7))
+    ]
+    rows = density_rows + mixed + density_rows[:4]
+    got = _criterion_integrals(rows)
+    assert len(got) == len(rows)
+    for (params, log_r), result in zip(rows, got):
+        want = _all_panel_reference(params, log_r)
+        if isinstance(want, CriteriaError):
+            assert isinstance(result, CriteriaError) and str(result) == str(want)
+            continue
+        assert result == want
+        if log_r is None and isinstance(params.threshold_dist, DensityThreshold):
+            label = params.threshold_dist.label
+            assert len(result.evidence) == TWO_PASS_DENSITIES[label][1] + 1, label
+    error = got[[p.threshold_dist for p, _ in rows].index(DensityThreshold(1.0, "nan in pass 2 before the stop"))]
+    assert str(error) == f"panel [{30 * _LN2}, {31 * _LN2}] evaluated to nan"
 
 
 def test_count_criterion_agrees_with_exponent_criterion():

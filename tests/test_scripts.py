@@ -15,6 +15,7 @@ def test_scripts_and_readme_example_run():
     commands = {
         "limit_law_demo": ["scripts/limit_law_demo.py", "--reps", "1000", "--forward-reps", "1000"],
         "bench_ladders": ["scripts/bench_ladders.py", "--repeat", "1"],
+        "bench_criteria": ["scripts/bench_criteria.py", "--repeat", "1"],
     }
     procs = {
         name: subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env, text=True,
@@ -37,6 +38,12 @@ def test_scripts_and_readme_example_run():
     assert len(bench["us_per_rep"]) == 8 and bench["simulate_s"] > 0.0
     assert sorted(bench["gof_ms"]) == ["chi_square", "ks", "two_sample"]
     assert all(ms > 0.0 for ms in bench["gof_ms"].values())
+    bench = json.loads(outputs["bench_criteria"][0])
+    assert len(bench["classify_ms"]) == 9 and all(ms > 0.0 for ms in bench["classify_ms"].values())
+    assert sorted(bench["grid_ms"]) == ["classify", "classify_many"]
+    assert all(ms > 0.0 for ms in bench["grid_ms"].values())
+    # README: importing the package loads no scipy module.
+    assert bench["scipy_modules_after_import"] == 0
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
