@@ -55,10 +55,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20240901)
     args = parser.parse_args(argv)
 
-    forms = exponential_closed_forms(
-        args.alpha_fitness, args.alpha_threshold, args.lambda_birth, args.lambda_extinct
+    params = ModelParams(
+        lambda_birth=args.lambda_birth,
+        lambda_extinct=args.lambda_extinct,
+        fitness_dist=Exponential(args.alpha_fitness),
+        threshold_dist=Exponential(args.alpha_threshold),
     )
-    if forms.birth_count_diverges:
+    forms = exponential_closed_forms(params)
+    if forms.total_count_law is None:
         print(
             "the long-run configuration diverges for these parameters; "
             "pick alpha_fitness > alpha_threshold",
@@ -66,12 +70,6 @@ def main(argv=None) -> int:
         )
         return 1
 
-    params = ModelParams(
-        lambda_birth=args.lambda_birth,
-        lambda_extinct=args.lambda_extinct,
-        fitness_dist=Exponential(args.alpha_fitness),
-        threshold_dist=Exponential(args.alpha_threshold),
-    )
     result = run(
         ReplicationPlan(
             task=TASK_LIMIT_CONFIG,
@@ -89,19 +87,15 @@ def main(argv=None) -> int:
     print()
     print("total species count vs negative binomial closed form")
     print(frequency_table(totals, forms.total_count_law, k_max=8))
-    report = gof_chi_square(
-        totals, forms.total_count_law.pmf, forms.total_count_law.cdf, "total count"
-    )
+    report = gof_chi_square(totals, forms.total_count_law.pmf, forms.total_count_law.cdf)
     print(f"  chi-square p = {report.p_value:.4f}")
     print()
     print("band-0 count (species born since the last extinction)")
     print(frequency_table(n0, forms.band0_count_law, k_max=6))
-    report = gof_chi_square(
-        n0, forms.band0_count_law.pmf, forms.band0_count_law.cdf, "band-0 count"
-    )
+    report = gof_chi_square(n0, forms.band0_count_law.pmf, forms.band0_count_law.cdf)
     print(f"  chi-square p = {report.p_value:.4f}")
     print()
-    ks = gof_ks(band0_mass, forms.band0_mass_law.cdf, "band-0 mass")
+    ks = gof_ks(band0_mass, forms.band0_mass_law.cdf)
     print(f"band-0 fitness mass vs exponential: KS stat {ks.statistic:.5f}, p = {ks.p_value:.4f}")
 
     print()

@@ -444,22 +444,13 @@ def _log_r(params: ModelParams, t: float) -> float:
     return math.log(params.lambda_birth) - math.log(shrink) - math.log(params.lambda_extinct)
 
 
-def composed_survival(params: ModelParams, u) -> float:
-    """Threshold survival at the fitness level with survival u."""
-    u = _as_float(u, "u")
-    if not 0.0 < u <= 1.0:
-        raise CriteriaError(f"u must lie in (0, 1], got {u}")
-    return params.threshold_dist.survival(params.fitness_dist.inverse_survival(u))
-
-
 def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
     """Mean number of extinction marks above the fitness-record ladder.
 
     Equals (lambda_extinct / lambda_birth) times the integral of the
-    ladder's per-step mass density exp(h - C(h)) over h in [0, inf)
-    (composed_survival(u)/u^2 over u in (0, 1]); finite exactly in the
-    transient regime.  The prefactor is applied to both the value and
-    the evidence trail.
+    ladder's per-step mass density exp(h - C(h)) over h in [0, inf);
+    finite exactly in the transient regime.  The prefactor is applied to
+    both the value and the evidence trail.
     """
     base = _checked(_criterion_integrals([(params, None)])[0])
     return _scaled(base, params.lambda_extinct / params.lambda_birth)
@@ -507,7 +498,7 @@ def _tail_shape(dist: DistributionSpec) -> Optional[tuple]:
 
 
 def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float]]:
-    """Decay class of composed_survival near u = 0.
+    """Decay class of the composed survival S_thr(S_fit^-1(u)) near u = 0.
 
     Returns ("power", gamma) when the composition behaves like a
     constant times u**gamma, ("superpolynomial", None) when it decays
@@ -717,91 +708,43 @@ class GammaLaw:
         # scipy.stats.gamma's scaling, to the bit; zero below the support.
         return gammainc(self.shape, np.maximum(x, 0.0) / (1.0 / self.rate))
 
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    def laplace(self, t: float) -> float:
-        return (1.0 + t / self.rate) ** (-self.shape)
-
 
 @dataclass(frozen=True)
 class ExponentialClosedForms:
-    """Exact laws for an exponential fitness/threshold pair.
+    """Exact laws for an exponential fitness/threshold pair; None where the count diverges.
 
-    The extinction-count side (count above the fitness ladder and its
-    mass) exists when the threshold parameter exceeds the fitness one;
-    the birth-count side (limit-configuration counts) in the opposite
-    case.  The band-0 laws hold in every regime.
+    The extinction count above the fitness ladder and its mass exist
+    when the threshold rate exceeds the fitness one, the limit
+    configuration's total in the opposite case.  The band-0 laws hold in
+    every regime.  The birth count above the threshold ladder is the
+    extinction_count_law of params.swapped().
     """
 
-    alpha_fitness: float
-    alpha_threshold: float
-    lambda_birth: float
-    lambda_extinct: float
-    extinction_count_diverges: bool
-    birth_count_diverges: bool
-    expected_extinctions: float
-    expected_births: float
     extinction_count_law: Optional[NegBinomLaw]
     extinction_mass_law: Optional[GammaLaw]
-    birth_count_law: Optional[NegBinomLaw]
     total_count_law: Optional[NegBinomLaw]
     band0_count_law: NegBinomLaw
     band0_mass_law: GammaLaw
 
 
-def exponential_closed_forms(
-    alpha_fitness, alpha_threshold, lambda_birth, lambda_extinct
-) -> ExponentialClosedForms:
+def exponential_closed_forms(params: ModelParams) -> ExponentialClosedForms:
     """Closed-form laws for exponential marks on both streams."""
-    a_fit = _as_float(alpha_fitness, "alpha_fitness")
-    a_thr = _as_float(alpha_threshold, "alpha_threshold")
-    l_birth = _as_float(lambda_birth, "lambda_birth")
-    l_ext = _as_float(lambda_extinct, "lambda_extinct")
-    for name, v in (
-        ("alpha_fitness", a_fit),
-        ("alpha_threshold", a_thr),
-        ("lambda_birth", l_birth),
-        ("lambda_extinct", l_ext),
-    ):
-        if not 0.0 < v < math.inf:
-            raise CriteriaError(f"{name} must be positive and finite, got {v}")
-
+    fit, thr = params.fitness_dist, params.threshold_dist
+    if not (isinstance(fit, Exponential) and isinstance(thr, Exponential)):
+        raise CriteriaError("closed forms need exponential fitness and threshold laws")
+    l_birth, l_ext = params.lambda_birth, params.lambda_extinct
     birth_share = l_birth / (l_birth + l_ext)
-    band0_count = NegBinomLaw(r=1.0, p=birth_share)
-    band0_mass = GammaLaw(shape=1.0, rate=l_ext / l_birth)
-
-    ext_law = mass_law = None
-    birth_law = total_law = None
-    if a_thr > a_fit:
-        r = a_fit / (a_thr - a_fit)
+    ext_law = mass_law = total_law = None
+    if thr.rate > fit.rate:
+        r = fit.rate / (thr.rate - fit.rate)
         ext_law = NegBinomLaw(r=r, p=l_ext / (l_birth + l_ext))
         mass_law = GammaLaw(shape=r, rate=l_birth / l_ext)
-        expected_ext = (l_ext / l_birth) * r
-        expected_birth = math.inf
-    elif a_fit > a_thr:
-        r = a_thr / (a_fit - a_thr)
-        birth_law = NegBinomLaw(r=r, p=birth_share)
-        total_law = NegBinomLaw(r=a_fit / (a_fit - a_thr), p=birth_share)
-        expected_birth = (l_birth / l_ext) * r
-        expected_ext = math.inf
-    else:
-        expected_ext = math.inf
-        expected_birth = math.inf
-
+    elif fit.rate > thr.rate:
+        total_law = NegBinomLaw(r=fit.rate / (fit.rate - thr.rate), p=birth_share)
     return ExponentialClosedForms(
-        alpha_fitness=a_fit,
-        alpha_threshold=a_thr,
-        lambda_birth=l_birth,
-        lambda_extinct=l_ext,
-        extinction_count_diverges=not a_thr > a_fit,
-        birth_count_diverges=not a_fit > a_thr,
-        expected_extinctions=expected_ext,
-        expected_births=expected_birth,
         extinction_count_law=ext_law,
         extinction_mass_law=mass_law,
-        birth_count_law=birth_law,
         total_count_law=total_law,
-        band0_count_law=band0_count,
-        band0_mass_law=band0_mass,
+        band0_count_law=NegBinomLaw(r=1.0, p=birth_share),
+        band0_mass_law=GammaLaw(shape=1.0, rate=l_ext / l_birth),
     )

@@ -49,6 +49,29 @@ def _encode_float(v):
     return v
 
 
+def _read_numeric_csv(path, columns: int, error: type) -> list[tuple[float, ...]]:
+    """The first `columns` cells of every row of a numeric CSV file, as floats.
+
+    Blank rows are skipped, and a non-numeric first row is treated as a
+    header; a row with fewer cells, or a later non-numeric row, raises
+    error.
+    """
+    rows: list[tuple[float, ...]] = []
+    with open(path, newline="") as handle:
+        for lineno, rec in enumerate(csv.reader(handle)):
+            if not rec or all(not cell.strip() for cell in rec):
+                continue
+            if len(rec) < columns:
+                raise error(f"{path}: line {lineno + 1} needs {columns} columns")
+            try:
+                rows.append(tuple(float(cell) for cell in rec[:columns]))
+            except ValueError:
+                if lineno == 0:
+                    continue
+                raise error(f"{path}: line {lineno + 1} is not numeric") from None
+    return rows
+
+
 def _check_level(x, lower: float) -> float:
     x = _as_float(x, "x")
     if math.isinf(x):
@@ -431,23 +454,7 @@ class TabulatedQuantile(DistributionSpec):
 
         A non-numeric first row is treated as a header and skipped.
         """
-        rows: list[tuple[float, float]] = []
-        with open(path, newline="") as handle:
-            for lineno, rec in enumerate(csv.reader(handle)):
-                if not rec or all(not cell.strip() for cell in rec):
-                    continue
-                if len(rec) < 2:
-                    raise DistributionError(f"{path}: line {lineno + 1} needs two columns")
-                try:
-                    u, x = float(rec[0]), float(rec[1])
-                except ValueError:
-                    if lineno == 0:
-                        continue
-                    raise DistributionError(
-                        f"{path}: line {lineno + 1} is not numeric"
-                    ) from None
-                rows.append((u, x))
-        return cls(grid=tuple(rows))
+        return cls(grid=tuple(_read_numeric_csv(path, 2, DistributionError)))
 
 
 _FAMILIES = {"exponential", "weibull", "pareto", "tabulated"}

@@ -172,9 +172,6 @@ class LimitConfigSample:
         if self.total != self.n0 + self.n_above or self.total != len(self.species):
             raise LadderError("total must equal n0 + n_above and the species count")
 
-    def to_json(self) -> dict:
-        return {"n0": self.n0, "n_above": self.n_above, "total": self.total}
-
 
 def _exponential_tail_bound(
     mark_dist: DistributionSpec,

@@ -183,7 +183,6 @@ def summarize(samples: np.ndarray) -> RunSummary:
 class RunResult:
     """Samples plus per-replication auxiliaries from one executed plan."""
 
-    plan: ReplicationPlan
     samples: np.ndarray
     aux: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -275,7 +274,7 @@ def run(plan: ReplicationPlan) -> RunResult:
     ]
     columns = {k: np.concatenate([blk[k] for blk in blocks])[:n] for k in blocks[0]}
     samples = columns.pop("samples").astype(float)
-    return RunResult(plan=plan, samples=samples, aux=columns)
+    return RunResult(samples=samples, aux=columns)
 
 
 def ladder_diagnostics(result: RunResult) -> dict:
@@ -304,22 +303,10 @@ def ladder_diagnostics(result: RunResult) -> dict:
 
 @dataclass(frozen=True)
 class GofReport:
-    """One goodness-of-fit verdict against a stated reference law."""
+    """Statistic and p-value of one goodness-of-fit test."""
 
-    test: str
     statistic: float
     p_value: float
-    n: int
-    reference: str
-
-    def to_json(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n": self.n,
-            "reference": self.reference,
-        }
 
 
 def _pool_bins(columns, weight: Callable) -> list[list[float]]:
@@ -349,7 +336,22 @@ def _pool_bins(columns, weight: Callable) -> list[list[float]]:
     return cols
 
 
-def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: str) -> GofReport:
+def _integer_samples(samples: Sequence, check: str) -> np.ndarray:
+    """samples as int64 counts, refused unless at least 1000 finite non-negative integers."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.size < 1000:
+        raise MonteCarloError(f"{check} needs at least 1000 samples, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise MonteCarloError(f"{check} expects finite samples; drop sentinels first")
+    values = arr.astype(np.int64)
+    if not np.array_equal(values, arr):
+        raise MonteCarloError(f"{check} expects integer-valued samples")
+    if values.min() < 0:
+        raise MonteCarloError(f"{check} expects non-negative samples")
+    return values
+
+
+def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable) -> GofReport:
     """Pearson chi-square of integer samples against a fully specified pmf.
 
     Count categories are pooled (tail first, then any sparse interior
@@ -359,16 +361,7 @@ def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: s
     """
     from scipy.special import chdtrc
 
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < 1000:
-        raise MonteCarloError(f"chi-square check needs at least 1000 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise MonteCarloError("chi-square check expects finite samples; drop sentinels first")
-    values = arr.astype(np.int64)
-    if not np.array_equal(values, arr):
-        raise MonteCarloError("chi-square check expects integer-valued samples")
-    if values.min() < 0:
-        raise MonteCarloError("chi-square check expects non-negative samples")
+    values = _integer_samples(samples, "chi-square check")
     n = int(values.size)
     k_max = int(values.max())
     observed = np.bincount(values, minlength=k_max + 1).astype(float).tolist()
@@ -384,10 +377,10 @@ def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable, reference: s
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = len(cols) - 1
     p_value = float(chdtrc(dof, statistic))
-    return GofReport("chi_square", statistic, p_value, n, reference)
+    return GofReport(statistic, p_value)
 
 
-def gof_ks(samples: Sequence, cdf: Callable, reference: str) -> GofReport:
+def gof_ks(samples: Sequence, cdf: Callable) -> GofReport:
     """Two-sided Kolmogorov-Smirnov check of continuous samples against a cdf.
 
     The statistic is max(D+, D-) over the sorted samples and the p-value
@@ -407,24 +400,18 @@ def gof_ks(samples: Sequence, cdf: Callable, reference: str) -> GofReport:
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     statistic = float(d_plus if d_plus > d_minus else d_minus)
-    return GofReport("ks", statistic, kolmogorov_sf(n, statistic), n, reference)
+    return GofReport(statistic, kolmogorov_sf(n, statistic))
 
 
-def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str) -> GofReport:
+def gof_two_sample_counts(a: Sequence, b: Sequence) -> GofReport:
     """Homogeneity chi-square for two integer count samples on a shared binning."""
     from scipy.special import chdtrc
 
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    if xa.size < 1000 or xb.size < 1000:
-        raise MonteCarloError("two-sample check needs at least 1000 samples per side")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise MonteCarloError("two-sample check expects finite samples; drop sentinels first")
-    if xa.min() < 0 or xb.min() < 0:
-        raise MonteCarloError("two-sample check expects non-negative counts")
+    xa = _integer_samples(a, "two-sample check")
+    xb = _integer_samples(b, "two-sample check")
     k_max = int(max(xa.max(), xb.max()))
-    ca = np.bincount(xa.astype(np.int64), minlength=k_max + 1).astype(float)
-    cb = np.bincount(xb.astype(np.int64), minlength=k_max + 1).astype(float)
+    ca = np.bincount(xa, minlength=k_max + 1).astype(float)
+    cb = np.bincount(xb, minlength=k_max + 1).astype(float)
     # Pool so the smaller row's expected count clears the floor in every column.
     share = min(xa.size, xb.size) / (xa.size + xb.size)
     cols = _pool_bins(zip(ca, cb), lambda col: (col[0] + col[1]) * share)
@@ -436,7 +423,7 @@ def gof_two_sample_counts(a: Sequence, b: Sequence, reference: str) -> GofReport
     expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
     statistic = float(((table - expected) ** 2 / expected).ravel().sum())
     p_value = float(chdtrc(len(cols) - 1, statistic))
-    return GofReport("two_sample_chi_square", statistic, p_value, int(xa.size + xb.size), reference)
+    return GofReport(statistic, p_value)
 
 
 def compare_forward_vs_limit(
@@ -476,8 +463,4 @@ def compare_forward_vs_limit(
             "limit-configuration run produced divergence sentinels; "
             "the forward-vs-limit comparison needs a finite-limit regime"
         )
-    return gof_two_sample_counts(
-        forward.samples,
-        limit.samples,
-        reference=f"forward population size at t={t:g} vs limit-configuration total",
-    )
+    return gof_two_sample_counts(forward.samples, limit.samples)

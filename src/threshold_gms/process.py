@@ -22,7 +22,6 @@ building a stream or a replay.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, insort
 from collections.abc import Sequence
@@ -31,7 +30,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .distributions import ModelParams, _as_float
+from .distributions import ModelParams, _as_float, _read_numeric_csv
 
 BIRTH = "birth"
 EXTINCTION = "extinction"
@@ -454,15 +453,4 @@ def write_trace_csv(trace: PathTrace, path) -> None:
 
 def read_initial_csv(path) -> Configuration:
     """Initial configuration from a one-column CSV of fitness values."""
-    values: list[float] = []
-    with open(path, newline="") as handle:
-        for lineno, rec in enumerate(csv.reader(handle)):
-            if not rec or all(not cell.strip() for cell in rec):
-                continue
-            try:
-                values.append(float(rec[0]))
-            except ValueError:
-                if lineno == 0:
-                    continue
-                raise ProcessError(f"{path}: line {lineno + 1} is not numeric") from None
-    return Configuration(values=tuple(values))
+    return Configuration(values=tuple(row[0] for row in _read_numeric_csv(path, 1, ProcessError)))

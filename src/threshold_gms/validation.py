@@ -25,7 +25,6 @@ import numpy as np
 # classify is not called here; perfbench/tracing.py wraps it under this
 # module's name, so it stays importable from it.
 from .criteria import (  # noqa: F401
-    GammaLaw,
     classify,
     classify_many,
     expected_extinction_count,
@@ -55,7 +54,7 @@ from .process import (
     last_empty_rows,
     last_empty_time,
 )
-from .streams import replication_rng
+from .streams import check_seed, replication_rng
 
 # Exponential pair with the heavier threshold tail: transient regime
 # with unit expected extinction count above the fitness ladder.
@@ -118,6 +117,9 @@ class SuiteConfig:
     replications: int = 100_000
     base_seed: int = 123456789
 
+    def __post_init__(self) -> None:
+        check_seed(self.base_seed)
+
 
 class SuiteContext:
     """Lazily built shared inputs for the acceptance checks."""
@@ -171,12 +173,13 @@ def _grid_params(alpha_fitness: float, alpha_threshold: float) -> ModelParams:
 
 
 def check_expected_count(ctx: SuiteContext) -> CheckResult:
+    exact = exponential_closed_forms(TRANSIENT_EXAMPLE).extinction_count_law.mean()
     integral = expected_extinction_count(TRANSIENT_EXAMPLE)
-    quad_err = abs((integral.value or math.nan) - 1.0)
+    quad_err = abs((integral.value or math.nan) - exact)
     quad_ok = integral.is_finite and quad_err <= 1e-6
     result = ctx.count_run()
     summary = result.summary
-    mc_dev = abs(summary.mean - 1.0)
+    mc_dev = abs(summary.mean - exact)
     mc_ok = summary.sentinel_count == 0 and mc_dev <= 3.0 * summary.se
     details = (
         f"quadrature {integral.value:.9f} (err {quad_err:.2e}, tol 1e-06); "
@@ -186,25 +189,16 @@ def check_expected_count(ctx: SuiteContext) -> CheckResult:
 
 
 def check_count_law(ctx: SuiteContext) -> CheckResult:
-    forms = exponential_closed_forms(1.0, 2.0, 1.0, 1.0)
-    law = forms.extinction_count_law
-    result = ctx.count_run()
-    report = gof_chi_square(
-        result.samples,
-        law.pmf,
-        law.cdf,
-        reference=f"negative binomial r={law.r:g}, p={law.p:g}",
-    )
+    law = exponential_closed_forms(TRANSIENT_EXAMPLE).extinction_count_law
+    report = gof_chi_square(ctx.count_run().samples, law.pmf, law.cdf)
     passed = report.p_value > ALPHA
     details = f"chi-square stat {report.statistic:.2f}, p {report.p_value:.4f} (need > {ALPHA})"
     return CheckResult("count-law", passed, details)
 
 
 def check_mass_law(ctx: SuiteContext) -> CheckResult:
-    forms = exponential_closed_forms(1.0, 2.0, 1.0, 1.0)
-    law = forms.extinction_mass_law
-    masses = ctx.count_run().aux["mass"]
-    report = gof_ks(masses, law.cdf, reference=f"gamma shape {law.shape:g}, rate {law.rate:g}")
+    law = exponential_closed_forms(TRANSIENT_EXAMPLE).extinction_mass_law
+    report = gof_ks(ctx.count_run().aux["mass"], law.cdf)
     passed = report.p_value > ALPHA
     details = f"KS stat {report.statistic:.5f}, p {report.p_value:.4f} (need > {ALPHA})"
     return CheckResult("mass-law", passed, details)
@@ -226,8 +220,7 @@ def check_laplace(ctx: SuiteContext) -> CheckResult:
         dev = abs(emp - pred)
         ok = ok and dev <= 3.0 * se
         parts.append(f"t={t:g}: emp {emp:.5f} vs {pred:.5f} ({dev / se:.2f} se)")
-    law = exponential_closed_forms(1.0, 2.0, 1.0, 1.0).extinction_count_law
-    closed = law.laplace(1.0)
+    closed = exponential_closed_forms(TRANSIENT_EXAMPLE).extinction_count_law.laplace(1.0)
     pred1 = preds[1.0]
     closed_err = abs(pred1 - closed)
     ok = ok and closed_err <= 1e-6
@@ -236,27 +229,15 @@ def check_laplace(ctx: SuiteContext) -> CheckResult:
 
 
 def check_limit_law(ctx: SuiteContext) -> CheckResult:
-    forms = exponential_closed_forms(2.0, 1.0, 1.0, 1.0)
+    forms = exponential_closed_forms(FINITE_EXAMPLE)
     result = ctx.limit_run()
     if result.summary.sentinel_count:
         return CheckResult("limit-law", False, "divergence sentinels in a finite-limit run")
     totals = result.samples
     n0 = result.aux["n0"]
     n_above = result.aux["n_above"]
-    total_law = forms.total_count_law
-    total_report = gof_chi_square(
-        totals,
-        total_law.pmf,
-        total_law.cdf,
-        reference=f"negative binomial r={total_law.r:g}, p={total_law.p:g}",
-    )
-    band0_law = forms.band0_count_law
-    n0_report = gof_chi_square(
-        n0,
-        band0_law.pmf,
-        band0_law.cdf,
-        reference=f"negative binomial r={band0_law.r:g}, p={band0_law.p:g}",
-    )
+    total_report = gof_chi_square(totals, forms.total_count_law.pmf, forms.total_count_law.cdf)
+    n0_report = gof_chi_square(n0, forms.band0_count_law.pmf, forms.band0_count_law.cdf)
     corr = float(np.corrcoef(n0, n_above)[0, 1])
     corr_limit = 3.0 / math.sqrt(totals.size)
     passed = (
@@ -272,10 +253,8 @@ def check_limit_law(ctx: SuiteContext) -> CheckResult:
 
 
 def check_band0_mass(ctx: SuiteContext) -> CheckResult:
-    rate = FINITE_EXAMPLE.lambda_extinct / FINITE_EXAMPLE.lambda_birth
-    law = GammaLaw(shape=1.0, rate=rate)
-    masses = ctx.limit_run().aux["band0_mass"]
-    report = gof_ks(masses, law.cdf, reference=f"exponential rate {rate:g}")
+    law = exponential_closed_forms(FINITE_EXAMPLE).band0_mass_law
+    report = gof_ks(ctx.limit_run().aux["band0_mass"], law.cdf)
     passed = report.p_value > ALPHA
     details = f"KS stat {report.statistic:.5f}, p {report.p_value:.4f} (need > {ALPHA})"
     return CheckResult("band0-mass", passed, details)
@@ -583,7 +562,6 @@ _GOF_CHECKS = frozenset({"count-law", "mass-law", "limit-law", "band0-mass", "fo
 
 
 def run_suite(
-    config: Optional[SuiteConfig] = None,
     only: Optional[Sequence[str]] = None,
     context: Optional[SuiteContext] = None,
 ) -> list[CheckResult]:
@@ -598,7 +576,7 @@ def run_suite(
     before the first check and its seconds go to the context's
     setup_seconds, so that no check is charged for loading it.
     """
-    ctx = context if context is not None else SuiteContext(config)
+    ctx = context if context is not None else SuiteContext()
     if only is None:
         selected = CHECK_NAMES
     else:

@@ -455,6 +455,10 @@ def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
         ["validate", "--only", "", "--reps", "1000"],
         # A repeated check name would run the check twice and write it twice.
         ["validate", "--only", "phase-map,phase-map", "--reps", "1000"],
+        # A seed outside [0, 2**128) keys no stream of its own.
+        ["simulate", "--params", "PARAMS", "--seed", "-3", "--horizon", "5"],
+        ["ladder-mc", "--params", "PARAMS", "--seed", "-3", "--reps", "10"],
+        ["validate", "--seed", "-3", "--only", "phase-map"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

@@ -22,7 +22,7 @@ from threshold_gms.criteria import (
     _read_panels,
     classify,
     classify_many,
-    composed_survival,
+    _integrands,
     composed_survival_exponent,
     expected_extinction_count,
     exponential_closed_forms,
@@ -33,6 +33,7 @@ from threshold_gms.criteria import (
     laplace_extinction_count,
 )
 from threshold_gms.distributions import (
+    DistributionError,
     Exponential,
     ModelParams,
     Pareto,
@@ -46,31 +47,29 @@ def exp_params(a_fit, a_thr, l_birth=1.0, l_ext=1.0):
     return ModelParams(l_birth, l_ext, Exponential(a_fit), Exponential(a_thr))
 
 
+def _composition(params, h):
+    """C(h) = H_thr(H_fit^-1(h)), read off the mass-density row exp(h - C(h)) that _integrands evaluates."""
+    h = np.asarray(h, dtype=float)[None, :]
+    return (h - np.log(_integrands([(0, None)], [params], h)[0]))[0]
+
+
+HAZARDS = np.array([0.0, 0.36, 1.6, 9.2, 27.6])
+
+
 def test_composed_survival_exponential_pair_is_a_power():
     params = exp_params(1.0, 2.0)
-    for u in (1.0, 0.7, 0.2, 1e-4, 1e-12):
-        assert composed_survival(params, u) == pytest.approx(u**2, rel=1e-12)
-        assert composed_survival(params.swapped(), u) == pytest.approx(u**0.5, rel=1e-12)
+    np.testing.assert_allclose(_composition(params, HAZARDS), 2.0 * HAZARDS, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_composition(params.swapped(), HAZARDS), 0.5 * HAZARDS, rtol=1e-12, atol=1e-12)
 
 
 def test_composed_survival_weibull_equal_shape():
     params = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
-    for u in (0.9, 0.5, 1e-3):
-        assert composed_survival(params, u) == pytest.approx(u**4.0, rel=1e-9)
+    np.testing.assert_allclose(_composition(params, HAZARDS), 4.0 * HAZARDS, rtol=1e-9, atol=1e-12)
 
 
 def test_composed_survival_pareto_pair():
     params = ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 3.0))
-    for u in (1.0, 0.3, 1e-5):
-        assert composed_survival(params, u) == pytest.approx(u**3.0, rel=1e-9)
-
-
-def test_composed_survival_rejects_bad_argument():
-    params = exp_params(1.0, 2.0)
-    with pytest.raises(CriteriaError):
-        composed_survival(params, 0.0)
-    with pytest.raises(CriteriaError):
-        composed_survival(params, 1.5)
+    np.testing.assert_allclose(_composition(params, HAZARDS), 3.0 * HAZARDS, rtol=1e-9, atol=1e-12)
 
 
 def test_expected_extinction_count_worked_value():
@@ -631,18 +630,17 @@ def test_negbinom_law_consistency():
 
 def test_gamma_law_consistency():
     law = GammaLaw(shape=2.0, rate=3.0)
-    assert law.mean() == pytest.approx(2.0 / 3.0)
     assert law.cdf(0.0) == pytest.approx(0.0)
-    # Laplace transform of Gamma(shape, rate) is (1 + t/rate)^-shape
-    assert law.laplace(3.0) == pytest.approx(0.25)
+    # Gamma(2, rate 3): P(X <= x) = 1 - e^{-3x} (1 + 3x)
+    assert law.cdf(0.5) == pytest.approx(1.0 - math.exp(-1.5) * 2.5)
     exp_law = GammaLaw(shape=1.0, rate=1.0)
     assert exp_law.cdf(1.0) == pytest.approx(1.0 - math.exp(-1.0))
 
 
 def test_laws_match_scipy_stats_on_the_suite_parameters():
     """NegBinomLaw and GammaLaw call scipy.special kernels; they equal scipy.stats' laws bit for bit."""
-    count_side = exponential_closed_forms(1.0, 2.0, 1.0, 1.0)
-    limit_side = exponential_closed_forms(2.0, 1.0, 1.0, 1.0)
+    count_side = exponential_closed_forms(TRANSIENT_EXAMPLE)
+    limit_side = exponential_closed_forms(FINITE_EXAMPLE)
     negbins = {
         count_side.extinction_count_law,
         count_side.band0_count_law,
@@ -661,58 +659,63 @@ def test_laws_match_scipy_stats_on_the_suite_parameters():
 
 
 def test_closed_forms_transient_side():
-    forms = exponential_closed_forms(1.0, 2.0, 1.0, 1.0)
-    assert not forms.extinction_count_diverges
-    assert forms.birth_count_diverges
-    assert forms.expected_extinctions == pytest.approx(1.0)
-    assert forms.expected_births == math.inf
+    forms = exponential_closed_forms(TRANSIENT_EXAMPLE)
     assert forms.extinction_count_law == NegBinomLaw(r=1.0, p=0.5)
+    assert forms.extinction_count_law.mean() == 1.0
     assert forms.extinction_mass_law == GammaLaw(shape=1.0, rate=1.0)
-    assert forms.birth_count_law is None
     assert forms.total_count_law is None
     assert forms.band0_count_law == NegBinomLaw(r=1.0, p=0.5)
     assert forms.band0_mass_law == GammaLaw(shape=1.0, rate=1.0)
 
 
 def test_closed_forms_finite_limit_side():
-    forms = exponential_closed_forms(2.0, 1.0, 1.0, 1.0)
-    assert forms.extinction_count_diverges
-    assert not forms.birth_count_diverges
-    assert forms.expected_births == pytest.approx(1.0)
-    assert forms.birth_count_law == NegBinomLaw(r=1.0, p=0.5)
+    forms = exponential_closed_forms(FINITE_EXAMPLE)
     assert forms.total_count_law == NegBinomLaw(r=2.0, p=0.5)
     assert forms.total_count_law.mean() == pytest.approx(2.0)
     assert forms.extinction_count_law is None
     assert forms.extinction_mass_law is None
+    # The birth count above the threshold ladder: the swap's extinction count.
+    assert exponential_closed_forms(FINITE_EXAMPLE.swapped()).extinction_count_law == NegBinomLaw(r=1.0, p=0.5)
 
 
 def test_closed_forms_balanced_rates():
-    forms = exponential_closed_forms(1.0, 1.0, 5.0, 7.0)
-    assert forms.extinction_count_diverges and forms.birth_count_diverges
-    assert forms.expected_extinctions == math.inf
-    assert forms.expected_births == math.inf
+    forms = exponential_closed_forms(exp_params(1.0, 1.0, 5.0, 7.0))
     assert forms.extinction_count_law is None
-    assert forms.birth_count_law is None
+    assert forms.extinction_mass_law is None
+    assert forms.total_count_law is None
     assert forms.band0_count_law == NegBinomLaw(r=1.0, p=5.0 / 12.0)
     assert forms.band0_mass_law == GammaLaw(shape=1.0, rate=7.0 / 5.0)
 
 
 def test_closed_forms_validation():
     with pytest.raises(CriteriaError):
-        exponential_closed_forms(0.0, 1.0, 1.0, 1.0)
+        exponential_closed_forms(ModelParams(1.0, 1.0, Weibull(1.0, 1.0), Exponential(2.0)))
     with pytest.raises(CriteriaError):
-        exponential_closed_forms(1.0, 1.0, 1.0, math.inf)
+        exponential_closed_forms(ModelParams(1.0, 1.0, Exponential(1.0), Pareto(1.0, 2.0)))
+    # The rates are checked where the params are built.
+    with pytest.raises(DistributionError):
+        exp_params(0.0, 1.0)
+    with pytest.raises(DistributionError):
+        exp_params(1.0, 1.0, 1.0, math.inf)
 
 
 def test_closed_forms_match_quadrature_across_rates():
+    """Both sides through the role swap: each pair has a finite extinction count, its swap a finite limit."""
     for a_fit, a_thr, l_birth, l_ext in (
         (1.0, 2.0, 1.0, 1.0),
         (0.5, 1.5, 2.0, 0.5),
         (1.0, 4.0 / 3.0, 1.0, 1.0),
         (1.0, 1.5, 0.7, 1.3),
     ):
-        forms = exponential_closed_forms(a_fit, a_thr, l_birth, l_ext)
         params = exp_params(a_fit, a_thr, l_birth, l_ext)
+        forms = exponential_closed_forms(params)
+        swapped = exponential_closed_forms(params.swapped())
         res = expected_extinction_count(params)
         assert res.is_finite
-        assert res.value == pytest.approx(forms.expected_extinctions, abs=1e-6)
+        assert forms.extinction_count_law.mean() == pytest.approx(res.value, abs=1e-6)
+        assert expected_extinction_count(params.swapped()).is_infinite
+        assert swapped.extinction_count_law is None and forms.total_count_law is None
+        # The swap's limit total is the count above its threshold ladder plus one geometric band 0.
+        total = swapped.total_count_law
+        assert total.r == pytest.approx(forms.extinction_count_law.r + 1.0, rel=1e-12)
+        assert total.p == forms.extinction_count_law.p
