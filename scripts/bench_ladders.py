@@ -10,7 +10,9 @@ where ladders are about 500 steps deep.  The forward tasks use the
 benchmark's windows: the forward count of exp(2)/exp(1) at t = 50 and
 the last-empty scan of exp(1)/exp(2) on (0, 50].  ``simulate_s`` is the
 best time of one in-process ``simulate`` of exp(1)/exp(2) to horizon
-20 000, trace.csv included.  ``gof_ms`` holds the best milliseconds of
+20 000, trace.csv included, and ``simulate_ms`` the best milliseconds
+of its three layers on that path: ``generate_stream``, ``evolve`` and
+``write_trace_csv``.  ``gof_ms`` holds the best milliseconds of
 one goodness-of-fit test at n = 100 000 on seeded samples of the
 acceptance suite's laws: the chi-square of NegBin(1, 1/2) counts, the
 KS test of unit exponential masses against Gamma(1, 1), and the
@@ -32,6 +34,8 @@ from threshold_gms import cli
 from threshold_gms.criteria import GammaLaw, NegBinomLaw
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, Weibull
 from threshold_gms.montecarlo import ReplicationPlan, gof_chi_square, gof_ks, gof_two_sample_counts, run
+from threshold_gms.process import Configuration, evolve, generate_stream, write_trace_csv
+from threshold_gms.streams import replication_rng
 
 CASES = {
     "extinction_count/exp(1)/exp(2)": ("extinction_count", Exponential(1.0), Exponential(2.0), 4000, {}),
@@ -72,13 +76,23 @@ def main() -> None:
         plan = ReplicationPlan(task=task, params=ModelParams(1.0, 1.0, fit, thr), replications=reps,
                                base_seed=20261018, **window)
         out["us_per_rep"][label] = round(1e6 * best_of(args.repeat, lambda: run(plan)) / reps, 2)
+    path_params = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0))
     with tempfile.TemporaryDirectory() as tmp:
         params = os.path.join(tmp, "params.json")
         with open(params, "w") as handle:
-            json.dump(ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)).to_json(), handle)
+            json.dump(path_params.to_json(), handle)
         argv = ["simulate", "--params", params, "--seed", "7", "--horizon", repr(SIMULATE_HORIZON),
                 "--out", os.path.join(tmp, "sim")]
         out["simulate_s"] = round(best_of(args.repeat, lambda: cli.main(argv)), 4)
+        # The same path as simulate draws it (seed 7, index 0, salt 0), layer by layer.
+        stream = generate_stream(path_params, 0.0, SIMULATE_HORIZON, replication_rng(7, 0, 0))
+        trace = evolve(Configuration(), stream)
+        layers = {
+            "generate_stream": lambda: generate_stream(path_params, 0.0, SIMULATE_HORIZON, replication_rng(7, 0, 0)),
+            "evolve": lambda: evolve(Configuration(), stream),
+            "write_trace_csv": lambda: write_trace_csv(trace, os.path.join(tmp, "trace.csv")),
+        }
+        out["simulate_ms"] = {name: round(1e3 * best_of(args.repeat, fn), 3) for name, fn in layers.items()}
     rng = np.random.default_rng(20261018)
     counts, masses = rng.negative_binomial(1, 0.5, GOF_N), rng.exponential(1.0, GOF_N)
     a, b = rng.negative_binomial(2, 0.5, GOF_N), rng.negative_binomial(2, 0.5, GOF_N)

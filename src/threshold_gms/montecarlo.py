@@ -343,11 +343,14 @@ def _integer_samples(samples: Sequence, check: str) -> np.ndarray:
         raise MonteCarloError(f"{check} needs at least 1000 samples, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise MonteCarloError(f"{check} expects finite samples; drop sentinels first")
+    # On the floats, before the cast, which has no int64 for a value from 2^63 up.
+    if arr.min() < 0:
+        raise MonteCarloError(f"{check} expects non-negative samples")
+    if arr.max() >= 2.0**63:
+        raise MonteCarloError(f"{check} expects samples below 2^63, got {arr.max():g}")
     values = arr.astype(np.int64)
     if not np.array_equal(values, arr):
         raise MonteCarloError(f"{check} expects integer-valued samples")
-    if values.min() < 0:
-        raise MonteCarloError(f"{check} expects non-negative samples")
     return values
 
 

@@ -11,8 +11,14 @@ whole window at once.
 A species born at s with fitness x is alive at t exactly when x is at
 least every threshold in (s, t], so the count at the horizon is read
 off the backward running maximum of the thresholds (``count_alive``).
-The count after every event and the empty intervals come from one
-replay over plain float lists (``evolve``).
+The count after every event and the empty intervals come from each
+species' killer, the first later extinction with a threshold strictly
+above its fitness, found for all species at once by binary lifting on
+a range-maximum table of the thresholds (``evolve``).  It runs over
+segments of SEGMENT_EVENTS events, each handing its survivors to the
+next, so the table's size does not grow with the horizon.
+``PathTrace.configuration_at`` rebuilds a configuration by an
+independent sorted-list replay, against which the tests check it.
 
 The forward Monte Carlo tasks draw many windows at once as padded 2-D
 blocks (``generate_block``) and read each row's count at the horizon
@@ -43,6 +49,10 @@ MAX_SPACING_PER_GAP = 1e-6
 
 # Cells (row, event) in one chunk of a block of windows: 256 kB per float array.
 BLOCK_CHUNK_CELLS = 1 << 15
+
+# Events in one segment of evolve and one slice of write_trace_csv: a
+# segment's killer table is 13 levels of 4097 floats, about 430 kB.
+SEGMENT_EVENTS = 1 << 12
 
 
 class ProcessError(ValueError):
@@ -371,39 +381,71 @@ class PathTrace:
         return Configuration(values=tuple(species))
 
 
+def first_above(thresholds: np.ndarray, starts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each query i, the first j >= starts[i] with thresholds[j] > values[i], else len(thresholds).
+
+    Binary lifting on a range-maximum table: level l holds the maximum
+    of every run of 2**l consecutive thresholds (+inf where the run
+    passes the end), and each query, from the top level down, jumps a
+    run when no threshold in it exceeds its value.  The starts lie in
+    [0, len(thresholds)].
+    """
+    n = thresholds.size
+    pos = np.array(starts, dtype=np.int64)
+    if n == 0:
+        return pos
+    top = n.bit_length() - 1
+    table = np.full((top + 1, n + 1), np.inf)
+    table[0, :n] = thresholds
+    for level in range(1, top + 1):
+        half = 1 << (level - 1)
+        below = table[level - 1]
+        np.maximum(below[: n + 1 - half], below[half:], out=table[level, : n + 1 - half])
+    for level in range(top, -1, -1):
+        pos += (table[level][pos] <= values) << level
+    return pos
+
+
 def evolve(initial: Configuration, stream: EventStream) -> PathTrace:
     """Apply every event of the stream to the initial configuration.
 
-    One replay over plain float lists: a birth inserts its fitness into
-    the sorted living values, an extinction cuts every value below its
-    threshold off the front.
+    Every species, initial or born, dies at its killer: the first later
+    extinction whose threshold is strictly above its fitness
+    (``first_above``).  The count after each event is the number alive
+    at the start, plus the births, minus the deaths so far.  The stream
+    goes in segments of SEGMENT_EVENTS events, each handing its
+    survivors' fitness values to the next as its initial configuration,
+    so the killer table stays the same size at any horizon.  The empty
+    intervals open where the count falls to 0 and close at the births
+    that find it at 0.
     """
     if not isinstance(initial, Configuration):
         initial = Configuration(values=tuple(initial))
-    species = list(initial.values)
-    counts: list[int] = []
-    empties: list[tuple[float, float]] = []
-    open_at: Optional[float] = stream.start if not species else None
-    for t, is_birth, mark in zip(stream.times.tolist(), stream.birth.tolist(), stream.marks.tolist()):
-        if is_birth:
-            if open_at is not None:
-                empties.append((open_at, t))
-                open_at = None
-            insort(species, mark)
-        elif species:
-            cut = bisect_left(species, mark)
-            if cut:
-                del species[:cut]
-                if not species:
-                    open_at = t
-        counts.append(len(species))
-    if open_at is not None:
-        empties.append((open_at, stream.horizon))
+    n = len(stream)
+    counts = np.empty(n, dtype=np.int64)
+    alive = np.array(initial.values, dtype=np.float64)
+    for lo in range(0, n, SEGMENT_EVENTS):
+        birth, marks = stream.birth[lo : lo + SEGMENT_EVENTS], stream.marks[lo : lo + SEGMENT_EVENTS]
+        m = birth.size
+        born = np.flatnonzero(birth)
+        fitness = np.concatenate([alive, marks[born]])
+        starts = np.concatenate([np.zeros(alive.size, dtype=np.int64), born + 1])
+        killers = first_above(np.where(birth, -np.inf, marks), starts, fitness)
+        deaths = np.bincount(killers, minlength=m + 1)[:m]
+        counts[lo : lo + m] = alive.size + np.cumsum(birth - deaths)
+        alive = fitness[killers == m]
+    # Emptiness before every event and after the last; the times where it flips bound the intervals.
+    empty = np.concatenate(([len(initial) == 0], counts == 0))
+    bounds = stream.times[empty[1:] != empty[:-1]].tolist()
+    if empty[0]:
+        bounds.insert(0, stream.start)
+    if empty[-1]:
+        bounds.append(stream.horizon)
     return PathTrace(
         stream=stream,
         initial=initial,
-        counts_after=tuple(counts),
-        empty_intervals=tuple(empties),
+        counts_after=tuple(counts.tolist()),
+        empty_intervals=tuple(zip(bounds[::2], bounds[1::2])),
     )
 
 
@@ -434,21 +476,25 @@ def last_empty_time(trace: PathTrace) -> Optional[float]:
     return trace.empty_intervals[-1][1]
 
 
-def trace_rows(trace: PathTrace) -> Iterator[tuple[float, str, float, int]]:
-    """(time, kind, mark, count_after) of every event, as plain Python values."""
+def trace_rows(
+    trace: PathTrace, lo: int = 0, hi: Optional[int] = None
+) -> Iterator[tuple[float, str, float, int]]:
+    """(time, kind, mark, count_after) of events lo to hi, as plain Python values."""
     stream = trace.stream
-    kinds = [BIRTH if b else EXTINCTION for b in stream.birth.tolist()]
-    return zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+    kinds = [BIRTH if b else EXTINCTION for b in stream.birth[lo:hi].tolist()]
+    return zip(stream.times[lo:hi].tolist(), kinds, stream.marks[lo:hi].tolist(), trace.counts_after[lo:hi])
 
 
 def write_trace_csv(trace: PathTrace, path) -> None:
-    """Event log as CSV columns (time, kind, mark, count_after)."""
+    """Event log as CSV columns (time, kind, mark, count_after), SEGMENT_EVENTS rows at a time."""
     # The rows csv.writer would write (no field needs quoting), without its per-row cost.
     with open(path, "w", newline="") as handle:
         handle.write("time,kind,mark,count_after\r\n")
-        handle.writelines(
-            f"{t!r},{kind},{mark!r},{count}\r\n" for t, kind, mark, count in trace_rows(trace)
-        )
+        for lo in range(0, len(trace.stream), SEGMENT_EVENTS):
+            handle.writelines(
+                f"{t!r},{kind},{mark!r},{count}\r\n"
+                for t, kind, mark, count in trace_rows(trace, lo, lo + SEGMENT_EVENTS)
+            )
 
 
 def read_initial_csv(path) -> Configuration:

@@ -331,6 +331,19 @@ def test_gof_two_sample_counts_behaviour():
         gof_chi_square(shifted, stats.poisson(2.0).pmf, stats.poisson(2.0).cdf)
 
 
+@pytest.mark.parametrize("huge, message", [(1e19, "below 2\\^63"), (-1e19, "non-negative"), (2.0**63, "below 2\\^63")])
+def test_chi_square_guard_refuses_counts_past_int64(huge, message):
+    """Checked on the floats, so the int64 cast never sees them (a RuntimeWarning is an error here)."""
+    samples = np.zeros(1000)
+    samples[500] = huge
+    with pytest.raises(MonteCarloError, match=message):
+        gof_chi_square(samples, stats.poisson(2.0).pmf, stats.poisson(2.0).cdf)
+    with pytest.raises(MonteCarloError, match=message):
+        gof_two_sample_counts(np.zeros(1000), samples)
+    with pytest.raises(MonteCarloError, match=message):
+        gof_two_sample_counts(samples, np.zeros(1000))
+
+
 def test_forward_population_matches_limit_law():
     report = compare_forward_vs_limit(FINITE_EXAMPLE, replications=2000, base_seed=2024, t=1000.0)
     assert report.p_value > 0.001

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshold_gms import process
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import (
     Configuration,
@@ -14,6 +16,7 @@ from threshold_gms.process import (
     count_alive,
     count_alive_rows,
     evolve,
+    first_above,
     generate_block,
     generate_stream,
     last_empty_rows,
@@ -429,3 +432,78 @@ def test_block_kernels_on_windows_without_events():
     never = np.empty((3, 0), dtype=bool)
     assert count_alive_rows(never, none, never).tolist() == [0, 0, 0]
     assert last_empty_rows(none, never, none, never, 5.0).tolist() == [5.0, 5.0, 5.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.sampled_from([-math.inf, 0.0, 1.0, 2.0]), max_size=40),
+    queries=st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.0, 1.0, 2.0, 0.5])), max_size=20),
+)
+def test_first_above_matches_a_scan(levels, queries):
+    """Thresholds on four levels, so a value often equals one (and is not exceeded by it)."""
+    thresholds = np.array(levels, dtype=np.float64)
+    n = thresholds.size
+    starts = [min(s, n) for s, _ in queries]
+    values = [v for _, v in queries]
+    want = [next((j for j in range(s, n) if levels[j] > v), n) for s, v in zip(starts, values)]
+    assert first_above(thresholds, np.array(starts, dtype=np.int64), np.array(values)).tolist() == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 16, 33])
+def test_first_above_at_table_edges(n):
+    """Sizes that are and are not powers of two; queries from every start, the end included."""
+    thresholds = np.arange(n, dtype=np.float64)[::-1].copy()
+    thresholds[::3] = -math.inf
+    starts = np.repeat(np.arange(n + 1), 3)
+    values = np.tile([-1.0, n / 2, float(n)], n + 1)
+    want = [next((j for j in range(s, n) if thresholds[j] > v), n) for s, v in zip(starts, values)]
+    assert first_above(thresholds, starts, values).tolist() == want
+
+
+def _tied_stream(seed, size):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 1.0, size))
+    return EventStream(0.0, float(times[-1]) + 1.0 if size else 1.0, times, rng.random(size) < 0.5,
+                       rng.integers(0, 4, size).astype(float))
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 7])
+def test_evolve_carries_survivors_across_segments(segment):
+    """Survivors pass from segment to segment; configuration_at replays the whole stream independently."""
+    streams = [generate_stream(PARAMS.swapped(), 0.0, 40.0, replication_rng(35, i)) for i in range(4)]
+    streams += [_tied_stream(i, size) for i, size in enumerate([0, 1, 5, 23, 60])]
+    initials = [(), (0.5,), (3.0, 1.0, 1.0, 2.0, 0.0)]
+    with mock.patch.object(process, "SEGMENT_EVENTS", segment):
+        for stream in streams:
+            for initial in initials:
+                _check_against_brute_force(Configuration(initial), stream)
+
+
+@pytest.mark.parametrize("params", [PARAMS, PARAMS.swapped()], ids=["growing", "finite-limit"])
+def test_evolve_on_a_stream_longer_than_a_segment(params):
+    stream = generate_stream(params, 0.0, 3000.0, replication_rng(36))
+    assert len(stream) > 1.4 * process.SEGMENT_EVENTS
+    _check_against_brute_force(Configuration((0.2, 1.0, 4.0)), stream)
+
+
+def _one_shot_trace_csv(trace):
+    stream = trace.stream
+    kinds = ["birth" if b else "extinction" for b in stream.birth.tolist()]
+    rows = zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+    return "time,kind,mark,count_after\r\n" + "".join(
+        f"{t!r},{kind},{mark!r},{count}\r\n" for t, kind, mark, count in rows
+    )
+
+
+def test_trace_csv_slices_write_the_one_shot_rows(tmp_path):
+    stream = generate_stream(PARAMS, 0.0, 2500.0, replication_rng(37))
+    assert len(stream) > process.SEGMENT_EVENTS
+    trace = evolve(Configuration((1.0,)), stream)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == _one_shot_trace_csv(trace).encode()
+    with mock.patch.object(process, "SEGMENT_EVENTS", 7):
+        write_trace_csv(trace, path)
+    assert path.read_bytes() == _one_shot_trace_csv(trace).encode()
+    write_trace_csv(evolve(Configuration(), _stream([], horizon=1.0)), path)
+    assert path.read_bytes() == b"time,kind,mark,count_after\r\n"
