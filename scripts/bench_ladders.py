@@ -8,7 +8,10 @@ acceptance suite's (exp(1)/exp(2) for the count task,
 exp(2)/exp(1) for the limit task); the deep pairs sit at gamma = 1.05,
 where ladders are about 500 steps deep.  The forward tasks use the
 benchmark's windows: the forward count of exp(2)/exp(1) at t = 50 and
-the last-empty scan of exp(1)/exp(2) on (0, 50].  ``simulate_s`` is the
+the last-empty scan of exp(1)/exp(2) on (0, 50].  ``peak_rss_mb`` is
+the process's peak resident set (``ru_maxrss``) read right after those
+``run()`` cases: the imports and the Monte Carlo working set, not yet
+the simulate path.  ``simulate_s`` is the
 best time of one in-process ``simulate`` of exp(1)/exp(2) to horizon
 20 000, trace.csv included, and ``simulate_ms`` the best milliseconds
 of its three layers on that path: ``generate_stream``, ``evolve`` and
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import tempfile
 import time
 
@@ -76,6 +80,7 @@ def main() -> None:
         plan = ReplicationPlan(task=task, params=ModelParams(1.0, 1.0, fit, thr), replications=reps,
                                base_seed=20261018, **window)
         out["us_per_rep"][label] = round(1e6 * best_of(args.repeat, lambda: run(plan)) / reps, 2)
+    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
     path_params = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0))
     with tempfile.TemporaryDirectory() as tmp:
         params = os.path.join(tmp, "params.json")

@@ -18,8 +18,10 @@ exponential, and the opposing stream's mass over that gap is
 finite and exact where the survival values themselves would underflow.
 
 Every step of every ladder is therefore a running sum of exponentials,
-and sample_ladder_block walks a whole block of ladders in lockstep with
-numpy.  The one-ladder samplers are that block sampler run at size 1.
+and sample_ladder_blocks walks several blocks of ladders in lockstep with
+numpy, each block on its own generator and in the draw order it would
+take alone.  sample_ladder_block is that walk with one block, and the
+one-ladder samplers are a block of one row.
 
 Ladders are infinite objects; one fixed rule (MAX_STEPS, TAIL_TOLERANCE,
 QUIET_WINDOW) truncates them once the remaining mass is negligible.
@@ -49,8 +51,9 @@ _FINITE_STOPS = (STOP_TAIL_BOUND, STOP_QUIET)  # the mass died out
 STOP_DTYPE = "<U10"  # numpy string dtype that holds every stop reason
 
 # A block's first chunk walks FIRST_CHUNK steps per row and each later
-# chunk twice as many, capped so that one chunk holds at most CHUNK_CELLS
-# (row, step) cells: 32 kB per float array, under 1 MB in all.
+# chunk twice as many, capped so that one block's chunk holds at most
+# CHUNK_CELLS (row, step) cells.  Blocks walked together stack their
+# chunks, so k blocks hold at most k * CHUNK_CELLS cells per array.
 FIRST_CHUNK = 32
 CHUNK_CELLS = 4096
 
@@ -230,37 +233,39 @@ class LadderBlock:
         return None if math.isnan(tail) else tail
 
 
-# Stop reasons of the four stop tests of the block walk, in order of precedence.
-_TEST_REASONS = np.array([STOP_OVERFLOW, STOP_OVERFLOW, STOP_TAIL_BOUND, STOP_QUIET], dtype=STOP_DTYPE)
+# Stop reasons as the walk records them: int8 indices into STOP_REASONS.
+_TAIL_CODE, _QUIET_CODE, _MAX_STEPS_CODE, _OVERFLOW_CODE = (
+    STOP_REASONS.index(reason) for reason in (STOP_TAIL_BOUND, STOP_QUIET, STOP_MAX_STEPS, STOP_OVERFLOW)
+)
+_REASON_NAMES = np.array(STOP_REASONS, dtype=STOP_DTYPE)
 
 
-def _first_true(hits: np.ndarray) -> np.ndarray:
-    """Per row, the column of the first True; the row width where there is none."""
-    first = hits.argmax(axis=1)
-    return np.where(hits[np.arange(hits.shape[0]), first], first, hits.shape[1])
-
-
-def _walk_block(
+def _walk_blocks(
     mark_dist: DistributionSpec,
     mark_rate: float,
     opp_dist: DistributionSpec,
     opp_rate: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     rows: int,
     keep_steps: bool,
 ) -> LadderBlock:
-    """Walk `rows` record ladders in cumulative-hazard space, a chunk of steps at a time.
+    """Walk `rows` record ladders per generator in cumulative-hazard space, a chunk of steps at a time.
 
-    Each chunk draws, for every row still walking, unit exponentials E
-    (hazard increments) and G (gap factors) in one call.  The row's
-    hazards are h = running sum of E, its records H^-1(h) and its step
-    masses (opp_rate/mark_rate) * G * exp(h - H_opp(record)), taken in log
-    form so that no inf - inf or 0 * inf can arise.  A row stops at the
-    first step that meets one of these tests, in this order of precedence:
-    the record overflows (the step is not kept), the mass is inf, the
-    tail bound falls below TAIL_TOLERANCE, QUIET_WINDOW masses in a row
-    were below TAIL_TOLERANCE / QUIET_WINDOW (the run carries across
-    chunks), or the step is the MAX_STEPS-th.
+    Block b, rows b * rows to (b + 1) * rows - 1, draws from rngs[b] alone.
+    Each chunk draws, for every row of the block still walking, unit
+    exponentials E (hazard increments) and G (gap factors) in one call, c
+    steps per row with c set by the block's own walk.  The row's hazards
+    are h = running sum of E, its records H^-1(h) and its step masses
+    (opp_rate/mark_rate) * G * exp(h - H_opp(record)), taken in log form so
+    that no inf - inf or 0 * inf can arise.  Blocks that take the same c in
+    a round stack their draws along the row axis and share the arithmetic,
+    which is elementwise or per row, so no row depends on the blocks
+    walking beside it.  A row stops at the first step that meets one of
+    these tests, in this order of precedence: the record overflows (the
+    step is not kept), the mass is inf, the tail bound falls below
+    TAIL_TOLERANCE, QUIET_WINDOW masses in a row were below TAIL_TOLERANCE
+    / QUIET_WINDOW (the run carries across chunks), or the step is the
+    MAX_STEPS-th.
     """
     tail_form = _exponential_tail_bound(mark_dist, opp_dist, mark_rate, opp_rate)
     if tail_form is not None:
@@ -268,63 +273,95 @@ def _walk_block(
         tail_level = (tail_form[0] - math.log(TAIL_TOLERANCE)) / tail_form[1]
     log_ratio = math.log(opp_rate) - math.log(mark_rate)
     quiet_cap = TAIL_TOLERANCE / QUIET_WINDOW
-    depth = np.zeros(rows, dtype=np.int64)
-    reason = np.full(rows, STOP_MAX_STEPS, dtype=STOP_DTYPE)
-    mass = np.zeros(rows)
-    last_level = np.full(rows, math.nan)
-    kept: list[list] = [[] for _ in range(rows)]
-    active = np.arange(rows)  # rows still walking, with their hazard and quiet run so far
-    h = np.zeros(rows)
-    quiet = np.zeros(rows, dtype=np.int64)
-    walked = 0
+    blocks = len(rngs)
+    total = blocks * rows
+    depth = np.zeros(total, dtype=np.int64)
+    code = np.full(total, _MAX_STEPS_CODE, dtype=np.int8)
+    mass = np.zeros(total)
+    last_level = np.full(total, math.nan)
+    kept: list[list] = [[] for _ in range(total)] if keep_steps else []
+    active = np.arange(total)  # rows still walking, in block order, with their hazard and quiet run so far
+    h = np.zeros(total)
+    quiet = np.zeros(total, dtype=np.int64)
+    walked = [0] * blocks
     width = FIRST_CHUNK
     while active.size:
-        n = active.size
-        c = min(width, max(CHUNK_CELLS // n, 1), MAX_STEPS - walked)
+        block_of = active // rows
+        widths = [0] * blocks
+        members: dict[int, list[tuple[int, int]]] = {}  # chunk width -> (block, walking rows) taking it
+        for b, n in enumerate(np.bincount(block_of, minlength=blocks).tolist()):
+            if n:
+                widths[b] = c = min(width, max(CHUNK_CELLS // n, 1), MAX_STEPS - walked[b])
+                walked[b] += c
+                members.setdefault(c, []).append((b, n))
         width *= 2
-        # In-place updates below keep the chunk's working set to a few arrays.
-        hs, log_g = rng.standard_exponential((2, n, c))
-        hs[:, 0] += h
-        np.cumsum(hs, axis=1, out=hs)
-        level = mark_dist.inverse_hazard_array(hs)
-        m = hs - opp_dist.hazard_transform_array(level)  # the log of the step mass, then the mass
-        with np.errstate(over="ignore", divide="ignore"):
-            m += np.log(log_g, out=log_g)
-            m += log_ratio
-            np.exp(m, out=m)
-        col = np.arange(c)
-        # Each step's quiet run starts after the last loud step (or carries on from the last chunk).
-        run_start = np.where(m < quiet_cap, (-1 - quiet)[:, None], col)
-        np.maximum.accumulate(run_start, axis=1, out=run_start)
-        fired = np.stack([
-            _first_true(np.isinf(level)),
-            _first_true(np.isinf(m)),
-            _first_true(level > tail_level) if tail_form is not None else np.full(n, c),
-            _first_true(run_start <= col - QUIET_WINDOW),
-        ])
-        stop_at = fired.min(axis=0)
-        test = fired.argmin(axis=0)  # the first test in order of precedence among those firing first
-        hit = stop_at < c
-        take = np.where(hit & (test != 0), stop_at + 1, stop_at)  # steps kept in this chunk
-        row = np.arange(n)
-        with np.errstate(over="ignore"):
-            mass[active] += np.where(col < take[:, None], m, 0.0).sum(axis=1)
-        depth[active] += take
-        if keep_steps:
+        if len(members) > 1:
+            row_width = np.array(widths)[block_of]
+        ended = np.zeros(active.size, dtype=bool)
+        for c, group in members.items():
+            at = slice(None) if len(members) == 1 else row_width == c
+            on = active[at]
+            if len(group) == 1:
+                hs, log_g = rngs[group[0][0]].standard_exponential((2, on.size, c))
+            else:  # stacked block by block along the row axis
+                hs, log_g = np.empty((2, on.size, c))
+                o = 0
+                for b, n in group:
+                    hs[o : o + n], log_g[o : o + n] = rngs[b].standard_exponential((2, n, c))
+                    o += n
+            # In-place updates below keep the chunk's working set to a few arrays.
+            hs[:, 0] += h[at]
+            np.cumsum(hs, axis=1, out=hs)
+            level = mark_dist.inverse_hazard_array(hs)
+            m = hs - opp_dist.hazard_transform_array(level)  # the log of the step mass, then the mass
             with np.errstate(over="ignore", divide="ignore"):
-                gap = np.exp(log_g + hs - math.log(mark_rate))
-            for i in range(n):
-                kept[active[i]].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
-        walked += c
-        ended = hit | (walked >= MAX_STEPS)
-        reason[active[hit]] = _TEST_REASONS[test[hit]]
-        last_level[active[take > 0]] = level[row[take > 0], take[take > 0] - 1]
-        active = active[~ended]
-        h = hs[~ended, -1]
-        quiet = c - 1 - run_start[~ended, -1]
-    tail = np.full(rows, math.nan)
+                m += np.log(log_g, out=log_g)
+                m += log_ratio
+                np.exp(m, out=m)
+            col = np.arange(c)
+            # Each step's quiet run starts after the last loud step (or carries on from the last chunk).
+            run_start = np.where(m < quiet_cap, (-1 - quiet[at])[:, None], col)
+            np.maximum.accumulate(run_start, axis=1, out=run_start)
+            stop = run_start <= col - QUIET_WINDOW
+            stop |= np.isinf(level)
+            stop |= np.isinf(m)
+            if tail_form is not None:
+                stop |= level > tail_level
+            first = stop.argmax(axis=1)
+            row = np.arange(first.size)
+            hit = stop[row, first]
+            take = np.where(hit, first, c)  # steps kept in this chunk
+            hits = np.flatnonzero(hit)
+            if hits.size:
+                # Precedence only where a row stops: later tests are overwritten by earlier ones.
+                stop_level, stop_mass = level[hits, first[hits]], m[hits, first[hits]]
+                why = np.full(hits.size, _QUIET_CODE, dtype=np.int8)
+                if tail_form is not None:
+                    why[stop_level > tail_level] = _TAIL_CODE
+                record_overflow = np.isinf(stop_level)
+                why[record_overflow | np.isinf(stop_mass)] = _OVERFLOW_CODE
+                take[hits] += ~record_overflow
+                code[on[hits]] = why
+            np.copyto(m, 0.0, where=col >= take[:, None])  # the steps past the stop carry no mass
+            with np.errstate(over="ignore"):
+                mass[on] += m.sum(axis=1)
+            depth[on] += take
+            if keep_steps:
+                with np.errstate(over="ignore", divide="ignore"):
+                    gap = np.exp(log_g + hs - math.log(mark_rate))
+                for i, r in enumerate(on.tolist()):
+                    kept[r].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
+            cut = [b for b, _ in group if walked[b] >= MAX_STEPS]
+            ended[at] = hit | np.isin(block_of[at], cut) if cut else hit
+            some = take > 0
+            last_level[on[some]] = level[row[some], take[some] - 1]
+            h[at] = hs[:, -1]
+            quiet[at] = c - 1 - run_start[:, -1]
+        going = ~ended
+        active, h, quiet = active[going], h[going], quiet[going]
+    tail = np.full(total, math.nan)
     if tail_form is not None:
-        has_tail = reason != STOP_OVERFLOW
+        has_tail = code != _OVERFLOW_CODE
         with np.errstate(over="ignore"):
             tail[has_tail] = np.exp(tail_form[0] - tail_form[1] * last_level[has_tail])
     steps = None
@@ -332,7 +369,7 @@ def _walk_block(
         steps = tuple(
             tuple(np.concatenate([piece[j] for piece in pieces]) for j in range(3)) for pieces in kept
         )
-    return LadderBlock(depth=depth, stop_reason=reason, mass=mass, tail=tail, steps=steps)
+    return LadderBlock(depth=depth, stop_reason=_REASON_NAMES[code], mass=mass, tail=tail, steps=steps)
 
 
 def _poisson(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
@@ -356,6 +393,35 @@ def sample_first_gaps(params: ModelParams, rng: np.random.Generator, rows: int) 
     return rng.exponential(1.0 / params.lambda_extinct, rows)
 
 
+def sample_ladder_blocks(
+    params: ModelParams,
+    rngs: Sequence[np.random.Generator],
+    rows: int,
+    threshold: bool = False,
+    keep_steps: bool = False,
+) -> LadderBlock:
+    """Draw `rows` independent ladders from each generator, all blocks walked together.
+
+    The forward fitness ladder carries the extinction stream's mass; with
+    threshold=True the backward threshold ladder carries the birth
+    stream's mass, and each block draws its look-back gaps first, one per
+    row.  Rows b * rows to (b + 1) * rows - 1 depend only on rngs[b] and
+    `rows`: they are sample_ladder_block(params, rngs[b], rows, ...) bit
+    for bit, whatever other blocks walk beside them.
+    """
+    if threshold:
+        gaps = np.concatenate([sample_first_gaps(params, rng, rows) for rng in rngs])
+        block = _walk_blocks(
+            params.threshold_dist, params.lambda_extinct, params.fitness_dist, params.lambda_birth,
+            rngs, rows, keep_steps,
+        )
+        return replace(block, first_gap=gaps)
+    return _walk_blocks(
+        params.fitness_dist, params.lambda_birth, params.threshold_dist, params.lambda_extinct,
+        rngs, rows, keep_steps,
+    )
+
+
 def sample_ladder_block(
     params: ModelParams,
     rng: np.random.Generator,
@@ -363,25 +429,12 @@ def sample_ladder_block(
     threshold: bool = False,
     keep_steps: bool = False,
 ) -> LadderBlock:
-    """Draw `rows` independent ladders from one generator, walked in lockstep.
+    """Draw `rows` independent ladders from one generator: sample_ladder_blocks with one block.
 
-    The forward fitness ladder carries the extinction stream's mass; with
-    threshold=True the backward threshold ladder carries the birth
-    stream's mass, and the look-back gaps are drawn first, one per row.
     Results depend only on the generator and `rows`, never on how many
     rows a caller then reads.
     """
-    if threshold:
-        gaps = sample_first_gaps(params, rng, rows)
-        block = _walk_block(
-            params.threshold_dist, params.lambda_extinct, params.fitness_dist, params.lambda_birth,
-            rng, rows, keep_steps,
-        )
-        return replace(block, first_gap=gaps)
-    return _walk_block(
-        params.fitness_dist, params.lambda_birth, params.threshold_dist, params.lambda_extinct,
-        rng, rows, keep_steps,
-    )
+    return sample_ladder_blocks(params, [rng], rows, threshold, keep_steps)
 
 
 def sample_fitness_ladder(params: ModelParams, rng: np.random.Generator) -> FitnessLadder:

@@ -1,13 +1,15 @@
 """Replicated sampling plans with deterministic seeding and GOF checks.
 
 Every task runs in blocks of BLOCK replications, each block from one
-counter-based RNG keyed by (base_seed, b, task salt): the two ladder
-tasks walk their BLOCK ladders in lockstep, and the two forward tasks
-draw BLOCK windows as padded rows and read them with row kernels.  A block
-always samples all of its rows, so replication i does not depend on
-how many replications the plan asks for.  The extinction-count task
-carries each ladder's mass in RunResult.aux["mass"], so a single run
-serves both the count and the mass checks.
+counter-based RNG keyed by (base_seed, b, task salt).  The two ladder
+tasks walk the blocks of a plan together, LADDER_GROUP at a time, each
+block on its own stream and in the draw order it would take alone; the
+two forward tasks draw BLOCK windows as padded rows and read them with
+row kernels.  A block always samples all of its rows, so replication i
+does not depend on how many replications the plan asks for.  The
+extinction-count task carries each ladder's mass in
+RunResult.aux["mass"], so a single run serves both the count and the
+mass checks.
 
 A ladder task whose regime the exact tail exponent of the built-in
 families declares divergent reports sentinels without walking ladders;
@@ -41,7 +43,7 @@ from .ladders import (  # noqa: F401
     sample_extinction_count,
     sample_first_gaps,
     sample_fitness_ladder,
-    sample_ladder_block,
+    sample_ladder_blocks,
     sample_threshold_ladder,
     stop_rule_json,
 )
@@ -82,6 +84,10 @@ _LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_LIMIT_CONFIG)
 
 # Replications per block of every task; one RNG stream per block.
 BLOCK = 128
+
+# Ladder blocks walked together: up to LADDER_GROUP * CHUNK_CELLS
+# (row, step) cells per array of the walk.
+LADDER_GROUP = 8
 
 # Stop reason of a replication whose plan the exact tail exponent declares
 # divergent: no ladder was walked.
@@ -200,34 +206,42 @@ def _regime_diverges(plan: ReplicationPlan) -> bool:
     return False
 
 
-def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np.ndarray]:
-    """Samples and auxiliaries of the BLOCK replications of block b."""
-    rng = replication_rng(plan.base_seed, index=b, salt=_TASK_SALTS[plan.task])
+def _ladder_group(plan: ReplicationPlan, blocks: range, diverges: bool) -> dict[str, np.ndarray]:
+    """Samples and auxiliaries of the BLOCK replications of each block in `blocks`, walked together.
+
+    Each block draws from its own stream in the order it would alone:
+    look-back gaps (limit task), ladders, then Poisson counts.
+    """
+    rngs = [replication_rng(plan.base_seed, index=b, salt=_TASK_SALTS[plan.task]) for b in blocks]
     params = plan.params
     limit = plan.task == TASK_LIMIT_CONFIG
+    size = BLOCK * len(rngs)
     if diverges:
         out = {
-            "samples": np.full(BLOCK, EFFECTIVELY_INFINITE),
-            "stop_reason": np.full(BLOCK, STOP_DIVERGENT, dtype=STOP_DTYPE),
-            "depth": np.zeros(BLOCK, dtype=np.int64),
-            "tail": np.full(BLOCK, math.nan),
+            "samples": np.full(size, EFFECTIVELY_INFINITE),
+            "stop_reason": np.full(size, STOP_DIVERGENT, dtype=STOP_DTYPE),
+            "depth": np.zeros(size, dtype=np.int64),
+            "tail": np.full(size, math.nan),
         }
         if limit:
-            nan = np.full(BLOCK, math.nan)
-            band0 = params.lambda_birth * sample_first_gaps(params, rng, BLOCK)
+            nan = np.full(size, math.nan)
+            band0 = params.lambda_birth * np.concatenate([sample_first_gaps(params, rng, BLOCK) for rng in rngs])
             out.update(n0=nan, n_above=nan, band0_mass=band0)
         else:
             out["mass"] = out["samples"]
         return out
-    block = sample_ladder_block(params, rng, BLOCK, threshold=limit)
+    block = sample_ladder_blocks(params, rngs, BLOCK, threshold=limit)
     finite = block.finite
     mass = np.where(finite, block.mass, 0.0)
     out = {"stop_reason": block.stop_reason, "depth": block.depth, "tail": block.tail}
+    rows = [slice(i * BLOCK, (i + 1) * BLOCK) for i in range(len(rngs))]
     # A sum of independent Poisson step counts is one Poisson count with the summed mass.
     if limit:
         band0 = params.lambda_birth * block.first_gap
-        n0 = _poisson(rng, band0)
-        n_above = _poisson(rng, mass)
+        n0, n_above = np.empty(size), np.empty(size)
+        for rng, at in zip(rngs, rows):
+            n0[at] = _poisson(rng, band0[at])
+            n_above[at] = _poisson(rng, mass[at])
         out.update(
             samples=np.where(finite, n0 + n_above, EFFECTIVELY_INFINITE),
             n0=np.where(finite, n0, math.nan),
@@ -235,8 +249,9 @@ def _ladder_block(plan: ReplicationPlan, b: int, diverges: bool) -> dict[str, np
             band0_mass=band0,
         )
     else:
+        counts = np.concatenate([_poisson(rng, mass[at]) for rng, at in zip(rngs, rows)])
         out.update(
-            samples=np.where(finite, _poisson(rng, mass), EFFECTIVELY_INFINITE),
+            samples=np.where(finite, counts, EFFECTIVELY_INFINITE),
             mass=np.where(finite, block.mass, EFFECTIVELY_INFINITE),
         )
     return out
@@ -262,17 +277,22 @@ def run(plan: ReplicationPlan) -> RunResult:
     """Execute every replication of the plan.
 
     Every task runs blocks 0 .. ceil(n / BLOCK) - 1 and keeps the first
-    n rows.  A ladder task whose exact tail exponent is divergent walks
-    no ladder: every replication is a sentinel, and the limit task
-    still draws each look-back gap for its band-0 mass.
+    n rows; a ladder task walks them in groups of LADDER_GROUP.  A
+    ladder task whose exact tail exponent is divergent walks no ladder:
+    every replication is a sentinel, and the limit task still draws each
+    look-back gap for its band-0 mass.
     """
     n = plan.replications
-    diverges = _regime_diverges(plan)
-    blocks = [
-        _ladder_block(plan, b, diverges) if plan.task in _LADDER_TASKS else _forward_block(plan, b)
-        for b in range(-(-n // BLOCK))
-    ]
-    columns = {k: np.concatenate([blk[k] for blk in blocks])[:n] for k in blocks[0]}
+    blocks = -(-n // BLOCK)
+    if plan.task in _LADDER_TASKS:
+        diverges = _regime_diverges(plan)
+        parts = [
+            _ladder_group(plan, range(g, min(g + LADDER_GROUP, blocks)), diverges)
+            for g in range(0, blocks, LADDER_GROUP)
+        ]
+    else:
+        parts = [_forward_block(plan, b) for b in range(blocks)]
+    columns = {k: np.concatenate([part[k] for part in parts])[:n] for k in parts[0]}
     samples = columns.pop("samples").astype(float)
     return RunResult(samples=samples, aux=columns)
 

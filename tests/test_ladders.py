@@ -24,6 +24,7 @@ from threshold_gms.ladders import (
     sample_extinction_count,
     sample_fitness_ladder,
     sample_ladder_block,
+    sample_ladder_blocks,
     sample_limit_config,
     sample_threshold_ladder,
 )
@@ -429,6 +430,62 @@ def test_stop_tests_firing_at_one_step_keep_their_order(params, increments, gap_
     assert reference_ladder(params, *draws)[1] == reason
     block = sample_ladder_block(params, FixedDraws(*draws), 1)
     assert (block.depth[0], block.stop_reason[0]) == (depth, reason)
+
+
+class WidthLog:
+    """A generator that records the chunk width of each ladder draw it serves."""
+
+    def __init__(self, rng):
+        self.rng, self.widths = rng, []
+
+    def standard_exponential(self, size):
+        self.widths.append(size[2])
+        return self.rng.standard_exponential(size)
+
+    def exponential(self, *args):
+        return self.rng.exponential(*args)
+
+
+GROUP_CASES = {
+    "tail_bound": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)), False, None),
+    "tail_bound, threshold side": (ModelParams(1.0, 1.0, Exponential(2.0), Exponential(1.0)), True, None),
+    "quiet, Weibull": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5)), False, None),
+    "quiet, Pareto": (ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.05)), False, None),
+    "overflow": (ModelParams(1.0, 1.0, Exponential(2.0), Exponential(1.0)), False, None),
+    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.0)), False, 90),
+}
+
+
+@pytest.mark.parametrize("case", GROUP_CASES)
+def test_blocks_walked_together_match_each_block_walked_alone(case):
+    """Every block of a group walk is its one-block walk, bit for bit, steps included."""
+    params, threshold, steps = GROUP_CASES[case]
+    rows, blocks = 96, 5
+    with max_steps(steps or ladders.MAX_STEPS):
+        logs = [WidthLog(replication_rng(31, b, 1)) for b in range(blocks)]
+        together = sample_ladder_blocks(params, logs, rows, threshold=threshold, keep_steps=True)
+        lean = sample_ladder_blocks(params, [replication_rng(31, b, 1) for b in range(blocks)], rows, threshold)
+        alone = [
+            sample_ladder_block(params, replication_rng(31, b, 1), rows, threshold, keep_steps=True)
+            for b in range(blocks)
+        ]
+    assert case.split(",")[0] in set(together.stop_reason)
+    for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):
+        want = [getattr(block, field) for block in alone]
+        if threshold or field != "first_gap":
+            want = np.concatenate(want).tobytes()
+            assert getattr(together, field).tobytes() == want and getattr(lean, field).tobytes() == want
+        else:
+            assert together.first_gap is None and lean.first_gap is None
+    assert lean.steps is None
+    for b, block in enumerate(alone):
+        for row in range(rows):
+            for mine, theirs in zip(together.steps[b * rows + row], block.steps[row]):
+                assert mine.tobytes() == theirs.tobytes()
+    if case == "quiet, Weibull":
+        # Deep ladders: blocks with different walking rows take different widths in one chunk.
+        rounds = max(len(log.widths) for log in logs)
+        assert any(len({log.widths[k] for log in logs if len(log.widths) > k}) > 1 for k in range(rounds))
 
 
 TABULATED_FIT = TabulatedQuantile(tuple((math.exp(-x), x) for x in (0.0, 0.5, 1.0, 2.0)))

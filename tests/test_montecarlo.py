@@ -8,9 +8,10 @@ from scipy import stats
 import threshold_gms.montecarlo as montecarlo
 from threshold_gms import ladders
 from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile, Weibull
-from threshold_gms.ladders import sample_ladder_block
+from threshold_gms.ladders import _poisson, sample_ladder_block
 from threshold_gms.montecarlo import (
     BLOCK,
+    LADDER_GROUP,
     TASK_EMPTY_SCAN,
     TASK_EXTINCTION_COUNT,
     TASK_FORWARD_COUNT,
@@ -399,7 +400,7 @@ def test_divergent_regime_walks_no_ladder(monkeypatch):
     with mock.patch.object(ladders, "MAX_STEPS", 1):
         walked = sample_ladder_block(TRANSIENT_EXAMPLE, replication_rng(12, 0, 2), BLOCK, threshold=True)
     walked = walked.first_gap[:30] * TRANSIENT_EXAMPLE.lambda_birth
-    monkeypatch.setattr(montecarlo, "sample_ladder_block", no_walk)
+    monkeypatch.setattr(montecarlo, "sample_ladder_blocks", no_walk)
     counts = run(
         ReplicationPlan(
             task=TASK_EXTINCTION_COUNT, params=FINITE_EXAMPLE, replications=30, base_seed=12
@@ -410,6 +411,53 @@ def test_divergent_regime_walks_no_ladder(monkeypatch):
     limit = run(limit_plan)
     assert np.all(np.isinf(limit.samples))
     assert limit.aux["band0_mass"].tolist() == walked.tolist()
+
+
+def ladder_run_block_by_block(plan):
+    """run() of a ladder plan rebuilt one block at a time from sample_ladder_block and _poisson."""
+    limit = plan.task == TASK_LIMIT_CONFIG
+    parts = []
+    for b in range(-(-plan.replications // BLOCK)):
+        rng = replication_rng(plan.base_seed, b, montecarlo._TASK_SALTS[plan.task])
+        block = sample_ladder_block(plan.params, rng, BLOCK, threshold=limit)
+        finite = block.finite
+        mass = np.where(finite, block.mass, 0.0)
+        part = {"stop_reason": block.stop_reason, "depth": block.depth, "tail": block.tail}
+        if limit:
+            band0 = plan.params.lambda_birth * block.first_gap
+            n0, n_above = _poisson(rng, band0), _poisson(rng, mass)
+            part.update(
+                samples=np.where(finite, n0 + n_above, math.inf),
+                n0=np.where(finite, n0, math.nan),
+                n_above=np.where(finite, n_above, math.nan),
+                band0_mass=band0,
+            )
+        else:
+            part.update(
+                samples=np.where(finite, _poisson(rng, mass), math.inf),
+                mass=np.where(finite, block.mass, math.inf),
+            )
+        parts.append(part)
+    return {k: np.concatenate([part[k] for part in parts])[: plan.replications] for k in parts[0]}
+
+
+@pytest.mark.parametrize(
+    "task,params",
+    [
+        (TASK_EXTINCTION_COUNT, TRANSIENT_EXAMPLE),
+        (TASK_LIMIT_CONFIG, FINITE_EXAMPLE),
+        (TASK_EXTINCTION_COUNT, ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5))),
+    ],
+)
+def test_ladder_groups_match_blocks_walked_one_by_one(task, params):
+    """Three groups, the last one short, and n not a multiple of BLOCK: every column bit for bit."""
+    n = (2 * LADDER_GROUP + 3) * BLOCK - 37
+    result = run(ReplicationPlan(task=task, params=params, replications=n, base_seed=77))
+    want = ladder_run_block_by_block(ReplicationPlan(task=task, params=params, replications=n, base_seed=77))
+    assert result.samples.tobytes() == want.pop("samples").astype(float).tobytes()
+    assert list(result.aux) == list(want)
+    for key, column in want.items():
+        assert result.aux[key].dtype == column.dtype and result.aux[key].tobytes() == column.tobytes(), key
 
 
 def test_boundary_ladders_without_an_exact_exponent_end_as_sentinels():
