@@ -204,25 +204,30 @@ def _exponential_tail_bound(
 class LadderBlock:
     """Ladders walked in lockstep, one row per replication.
 
-    depth[i] counts the kept steps of row i, stop_reason[i] says why the
-    row ended, mass[i] sums the opposing-stream masses of its kept steps
-    and tail[i] is the analytic tail bound at its last record (nan when
-    there is none, as for overflow stops).  first_gap holds the
-    look-back gaps of threshold ladders (None for fitness ladders);
-    steps holds each row's (value, gap, mass) arrays when they were kept.
+    depth[i] counts the kept steps of row i, stop_code[i] says why the
+    row ended (an index into STOP_REASONS, named by stop_reason), mass[i]
+    sums the opposing-stream masses of its kept steps and tail[i] is the
+    analytic tail bound at its last record (nan when there is none, as
+    for overflow stops).  first_gap holds the look-back gaps of
+    threshold ladders (None for fitness ladders); steps holds each row's
+    (value, gap, mass) arrays when they were kept.
     """
 
     depth: np.ndarray
-    stop_reason: np.ndarray
+    stop_code: np.ndarray
     mass: np.ndarray
     tail: np.ndarray
     first_gap: Optional[np.ndarray] = None
     steps: Optional[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = None
 
     @property
+    def stop_reason(self) -> np.ndarray:
+        return _REASON_NAMES[self.stop_code]
+
+    @property
     def finite(self) -> np.ndarray:
         """Rows whose mass died out; every other row is a sentinel."""
-        return np.isin(self.stop_reason, _FINITE_STOPS)
+        return (self.stop_code == _TAIL_CODE) | (self.stop_code == _QUIET_CODE)
 
     def ladder_steps(self, row: int) -> tuple[LadderStep, ...]:
         values, gaps, masses = self.steps[row]
@@ -369,7 +374,7 @@ def _walk_blocks(
         steps = tuple(
             tuple(np.concatenate([piece[j] for piece in pieces]) for j in range(3)) for pieces in kept
         )
-    return LadderBlock(depth=depth, stop_reason=_REASON_NAMES[code], mass=mass, tail=tail, steps=steps)
+    return LadderBlock(depth=depth, stop_code=code, mass=mass, tail=tail, steps=steps)
 
 
 def _poisson(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:

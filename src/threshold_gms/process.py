@@ -267,8 +267,11 @@ def count_alive(stream: EventStream, initial: Iterable[float] = ()) -> int:
 
     The window's births are counted as a one-row block by
     count_alive_rows; an initial species is alive exactly when its
-    fitness is at least the largest threshold of the window.
+    fitness is at least the largest threshold of the window.  The
+    initial values are checked as evolve checks them, by Configuration.
     """
+    if not isinstance(initial, Configuration):
+        initial = Configuration(values=tuple(initial))
     birth, marks = stream.birth[None], stream.marks[None]
     alive = int(count_alive_rows(birth, marks, np.ones(birth.shape, dtype=bool))[0])
     top = stream.marks[~stream.birth].max(initial=-np.inf)

@@ -30,11 +30,16 @@ def replication_rng(base_seed: int, index: int = 0, salt: int = 0) -> np.random.
     replication index lands in the top counter word, which spaces
     replications 2**192 draws apart, far beyond any single run.  Key and
     counter go to Philox as uint64 words: numpy would turn a list mixing
-    a word of 2**63 or more with a smaller one into float64.
+    a word of 2**63 or more with a smaller one into float64.  An index
+    or salt outside [0, 2**64) is refused rather than wrapped onto the
+    stream of another.
     """
     seed = check_seed(base_seed)
-    if index < 0:
-        raise ValueError("replication index must be non-negative")
-    key = np.array([seed & _MASK64, ((seed >> 64) ^ int(salt)) & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, 0, int(index) & _MASK64], dtype=np.uint64)
+    index, salt = int(index), int(salt)
+    if not 0 <= index <= _MASK64:
+        raise ValueError(f"replication index must lie in [0, 2**64), got {index}")
+    if not 0 <= salt <= _MASK64:
+        raise ValueError(f"salt must lie in [0, 2**64), got {salt}")
+    key = np.array([seed & _MASK64, (seed >> 64) ^ salt], dtype=np.uint64)
+    counter = np.array([0, 0, 0, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))

@@ -572,9 +572,9 @@ def run_suite(
     failure of that check rather than aborting the suite.  Each result
     carries the seconds its check took, shared runs built on first use
     included.  When a selected check runs a goodness-of-fit test,
-    scipy.special (and the KS survival function built on it) is loaded
-    before the first check and its seconds go to the context's
-    setup_seconds, so that no check is charged for loading it.
+    scipy.special, the source of every p-value, is loaded before the
+    first check and its seconds go to the context's setup_seconds, so
+    that no check is charged for loading it.
     """
     ctx = context if context is not None else SuiteContext()
     if only is None:
@@ -589,7 +589,7 @@ def run_suite(
         selected = tuple(only)
     if _GOF_CHECKS.intersection(selected):
         t0 = perf_counter()
-        from . import _kolmogorov  # noqa: F401  (imports scipy.special)
+        import scipy.special  # noqa: F401
 
         ctx.setup_seconds += perf_counter() - t0
     results = []

@@ -470,6 +470,7 @@ def test_blocks_walked_together_match_each_block_walked_alone(case):
             for b in range(blocks)
         ]
     assert case.split(",")[0] in set(together.stop_reason)
+    assert together.finite.tolist() == [reason in ladders._FINITE_STOPS for reason in together.stop_reason.tolist()]
     for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):
         want = [getattr(block, field) for block in alone]
         if threshold or field != "first_gap":

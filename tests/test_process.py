@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_gms import process
-from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
+from threshold_gms.distributions import DistributionError, Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import (
     Configuration,
     Event,
@@ -294,6 +294,20 @@ def test_a_fitness_equal_to_a_later_threshold_survives():
     stream = _stream(events, horizon=4.0)
     assert count_alive(stream, (2.0, 1.5)) == 2
     assert evolve(Configuration((2.0, 1.5)), stream).counts_after == (3, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "initial, error",
+    [([-1.0, math.nan, math.inf], ProcessError), ([math.inf], ProcessError), ([math.nan], DistributionError)],
+)
+def test_count_alive_checks_the_initial_values_as_evolve_does(initial, error):
+    """Negative, infinite and NaN fitness values are refused by both, through Configuration."""
+    stream = _stream([], horizon=1.0)
+    with pytest.raises(error):
+        count_alive(stream, initial)
+    with pytest.raises(error):
+        evolve(initial, stream)
+    assert count_alive(stream, [0.0, 2.0]) == len(evolve([0.0, 2.0], stream).initial) == 2
 
 
 @pytest.mark.parametrize(
