@@ -457,7 +457,13 @@ class TabulatedQuantile(DistributionSpec):
         return cls(grid=tuple(_read_numeric_csv(path, 2, DistributionError)))
 
 
-_FAMILIES = {"exponential", "weibull", "pareto", "tabulated"}
+# Each parametric family's class and the keys its JSON spec must carry.
+_PARAMETRIC = {
+    "exponential": (Exponential, ("rate",)),
+    "weibull": (Weibull, ("shape", "scale")),
+    "pareto": (Pareto, ("minimum", "index")),
+}
+_FAMILIES = {*_PARAMETRIC, "tabulated"}
 
 
 def distribution_from_json(obj) -> DistributionSpec:
@@ -469,20 +475,12 @@ def distribution_from_json(obj) -> DistributionSpec:
     family = obj.get("family")
     if family not in _FAMILIES:
         raise DistributionError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
-    if family == "exponential":
-        if "rate" not in obj:
-            raise DistributionError("exponential spec requires 'rate'")
-        return Exponential(rate=obj["rate"])
-    if family == "weibull":
-        for key in ("shape", "scale"):
+    if family in _PARAMETRIC:
+        cls, keys = _PARAMETRIC[family]
+        for key in keys:
             if key not in obj:
-                raise DistributionError(f"weibull spec requires {key!r}")
-        return Weibull(shape=obj["shape"], scale=obj["scale"])
-    if family == "pareto":
-        for key in ("minimum", "index"):
-            if key not in obj:
-                raise DistributionError(f"pareto spec requires {key!r}")
-        return Pareto(minimum=obj["minimum"], index=obj["index"])
+                raise DistributionError(f"{family} spec requires {key!r}")
+        return cls(**{key: obj[key] for key in keys})
     if "csv" in obj:
         if not isinstance(obj["csv"], str):
             raise DistributionError(f"tabulated 'csv' must be a file path, got {obj['csv']!r}")

@@ -46,16 +46,16 @@ STOP_MAX_STEPS = "max_steps"
 STOP_TAIL_BOUND = "tail_bound"
 STOP_QUIET = "quiet"
 STOP_OVERFLOW = "overflow"
-STOP_REASONS = (STOP_TAIL_BOUND, STOP_QUIET, STOP_MAX_STEPS, STOP_OVERFLOW)
+STOP_DIVERGENT = "divergent"  # no ladder was walked: the exact tail exponent declares the mass divergent
+STOP_REASONS = (STOP_TAIL_BOUND, STOP_QUIET, STOP_MAX_STEPS, STOP_OVERFLOW, STOP_DIVERGENT)
 _FINITE_STOPS = (STOP_TAIL_BOUND, STOP_QUIET)  # the mass died out
-STOP_DTYPE = "<U10"  # numpy string dtype that holds every stop reason
 
-# A block's first chunk walks FIRST_CHUNK steps per row and each later
-# chunk twice as many, capped so that one block's chunk holds at most
-# CHUNK_CELLS (row, step) cells.  Blocks walked together stack their
-# chunks, so k blocks hold at most k * CHUNK_CELLS cells per array.
+# Round k of a walk takes min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows) steps
+# per row in every block, so a chunk of one block of `rows` rows holds at
+# most CHUNK_CELLS (row, step) cells (128 rows: 64 steps), and k blocks
+# walked together hold at most k * CHUNK_CELLS cells per array.
 FIRST_CHUNK = 32
-CHUNK_CELLS = 4096
+CHUNK_CELLS = 8192
 
 # The truncation rule of every ladder.  A walk stops at step k when k
 # reaches MAX_STEPS, when an analytic bound on the expected remaining mass
@@ -239,10 +239,8 @@ class LadderBlock:
 
 
 # Stop reasons as the walk records them: int8 indices into STOP_REASONS.
-_TAIL_CODE, _QUIET_CODE, _MAX_STEPS_CODE, _OVERFLOW_CODE = (
-    STOP_REASONS.index(reason) for reason in (STOP_TAIL_BOUND, STOP_QUIET, STOP_MAX_STEPS, STOP_OVERFLOW)
-)
-_REASON_NAMES = np.array(STOP_REASONS, dtype=STOP_DTYPE)
+_TAIL_CODE, _QUIET_CODE, _MAX_STEPS_CODE, _OVERFLOW_CODE, _DIVERGENT_CODE = range(len(STOP_REASONS))
+_REASON_NAMES = np.array(STOP_REASONS)  # "<U10", the width of the longest name
 
 
 def _walk_blocks(
@@ -257,17 +255,18 @@ def _walk_blocks(
     """Walk `rows` record ladders per generator in cumulative-hazard space, a chunk of steps at a time.
 
     Block b, rows b * rows to (b + 1) * rows - 1, draws from rngs[b] alone.
-    Each chunk draws, for every row of the block still walking, unit
-    exponentials E (hazard increments) and G (gap factors) in one call, c
-    steps per row with c set by the block's own walk.  The row's hazards
-    are h = running sum of E, its records H^-1(h) and its step masses
-    (opp_rate/mark_rate) * G * exp(h - H_opp(record)), taken in log form so
-    that no inf - inf or 0 * inf can arise.  Blocks that take the same c in
-    a round stack their draws along the row axis and share the arithmetic,
-    which is elementwise or per row, so no row depends on the blocks
-    walking beside it.  A row stops at the first step that meets one of
-    these tests, in this order of precedence: the record overflows (the
-    step is not kept), the mass is inf, the tail bound falls below
+    Round k takes c = min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, MAX_STEPS
+    - steps walked) steps per row in every block, a width set by k and
+    `rows` alone.  Each block draws, for its rows still walking, unit
+    exponentials E (hazard increments) and G (gap factors) in one call.
+    The row's hazards are h = running sum of E, its records H^-1(h) and
+    its step masses (opp_rate/mark_rate) * G * exp(h - H_opp(record)),
+    taken in log form so that no inf - inf or 0 * inf can arise.  The
+    blocks' draws stack along the row axis and share one pass of the
+    arithmetic, which is elementwise or per row, so no row depends on the
+    blocks walking beside it.  A row stops at the first step that meets
+    one of these tests, in this order of precedence: the record overflows
+    (the step is not kept), the mass is inf, the tail bound falls below
     TAIL_TOLERANCE, QUIET_WINDOW masses in a row were below TAIL_TOLERANCE
     / QUIET_WINDOW (the run carries across chunks), or the step is the
     MAX_STEPS-th.
@@ -288,82 +287,64 @@ def _walk_blocks(
     active = np.arange(total)  # rows still walking, in block order, with their hazard and quiet run so far
     h = np.zeros(total)
     quiet = np.zeros(total, dtype=np.int64)
-    walked = [0] * blocks
-    width = FIRST_CHUNK
-    while active.size:
-        block_of = active // rows
-        widths = [0] * blocks
-        members: dict[int, list[tuple[int, int]]] = {}  # chunk width -> (block, walking rows) taking it
-        for b, n in enumerate(np.bincount(block_of, minlength=blocks).tolist()):
-            if n:
-                widths[b] = c = min(width, max(CHUNK_CELLS // n, 1), MAX_STEPS - walked[b])
-                walked[b] += c
-                members.setdefault(c, []).append((b, n))
+    walked, width, most = 0, FIRST_CHUNK, max(CHUNK_CELLS // rows, 1)
+    while active.size and walked < MAX_STEPS:
+        c = min(width, most, MAX_STEPS - walked)
+        walked += c
         width *= 2
-        if len(members) > 1:
-            row_width = np.array(widths)[block_of]
-        ended = np.zeros(active.size, dtype=bool)
-        for c, group in members.items():
-            at = slice(None) if len(members) == 1 else row_width == c
-            on = active[at]
-            if len(group) == 1:
-                hs, log_g = rngs[group[0][0]].standard_exponential((2, on.size, c))
-            else:  # stacked block by block along the row axis
-                hs, log_g = np.empty((2, on.size, c))
-                o = 0
-                for b, n in group:
-                    hs[o : o + n], log_g[o : o + n] = rngs[b].standard_exponential((2, n, c))
-                    o += n
-            # In-place updates below keep the chunk's working set to a few arrays.
-            hs[:, 0] += h[at]
-            np.cumsum(hs, axis=1, out=hs)
-            level = mark_dist.inverse_hazard_array(hs)
-            m = hs - opp_dist.hazard_transform_array(level)  # the log of the step mass, then the mass
-            with np.errstate(over="ignore", divide="ignore"):
-                m += np.log(log_g, out=log_g)
-                m += log_ratio
-                np.exp(m, out=m)
-            col = np.arange(c)
-            # Each step's quiet run starts after the last loud step (or carries on from the last chunk).
-            run_start = np.where(m < quiet_cap, (-1 - quiet[at])[:, None], col)
-            np.maximum.accumulate(run_start, axis=1, out=run_start)
-            stop = run_start <= col - QUIET_WINDOW
-            stop |= np.isinf(level)
-            stop |= np.isinf(m)
+        # Each block draws its walking rows' chunk from its own generator, stacked in block order.
+        hs, log_g = np.empty((2, active.size, c))
+        o = 0
+        for b, n in enumerate(np.bincount(active // rows, minlength=blocks).tolist()):
+            if n:
+                hs[o : o + n], log_g[o : o + n] = rngs[b].standard_exponential((2, n, c))
+                o += n
+        # In-place updates below keep the chunk's working set to a few arrays.
+        hs[:, 0] += h
+        np.cumsum(hs, axis=1, out=hs)
+        level = mark_dist.inverse_hazard_array(hs)
+        m = hs - opp_dist.hazard_transform_array(level)  # the log of the step mass, then the mass
+        with np.errstate(over="ignore", divide="ignore"):
+            m += np.log(log_g, out=log_g)
+            m += log_ratio
+            np.exp(m, out=m)
+        col = np.arange(c)
+        # Each step's quiet run starts after the last loud step (or carries on from the last chunk).
+        run_start = np.where(m < quiet_cap, (-1 - quiet)[:, None], col)
+        np.maximum.accumulate(run_start, axis=1, out=run_start)
+        stop = run_start <= col - QUIET_WINDOW
+        stop |= np.isinf(level)
+        stop |= np.isinf(m)
+        if tail_form is not None:
+            stop |= level > tail_level
+        first = stop.argmax(axis=1)
+        row = np.arange(first.size)
+        hit = stop[row, first]
+        take = np.where(hit, first, c)  # steps kept in this chunk
+        hits = np.flatnonzero(hit)
+        if hits.size:
+            # Precedence only where a row stops: later tests are overwritten by earlier ones.
+            stop_level, stop_mass = level[hits, first[hits]], m[hits, first[hits]]
+            why = np.full(hits.size, _QUIET_CODE, dtype=np.int8)
             if tail_form is not None:
-                stop |= level > tail_level
-            first = stop.argmax(axis=1)
-            row = np.arange(first.size)
-            hit = stop[row, first]
-            take = np.where(hit, first, c)  # steps kept in this chunk
-            hits = np.flatnonzero(hit)
-            if hits.size:
-                # Precedence only where a row stops: later tests are overwritten by earlier ones.
-                stop_level, stop_mass = level[hits, first[hits]], m[hits, first[hits]]
-                why = np.full(hits.size, _QUIET_CODE, dtype=np.int8)
-                if tail_form is not None:
-                    why[stop_level > tail_level] = _TAIL_CODE
-                record_overflow = np.isinf(stop_level)
-                why[record_overflow | np.isinf(stop_mass)] = _OVERFLOW_CODE
-                take[hits] += ~record_overflow
-                code[on[hits]] = why
-            np.copyto(m, 0.0, where=col >= take[:, None])  # the steps past the stop carry no mass
-            with np.errstate(over="ignore"):
-                mass[on] += m.sum(axis=1)
-            depth[on] += take
-            if keep_steps:
-                with np.errstate(over="ignore", divide="ignore"):
-                    gap = np.exp(log_g + hs - math.log(mark_rate))
-                for i, r in enumerate(on.tolist()):
-                    kept[r].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
-            cut = [b for b, _ in group if walked[b] >= MAX_STEPS]
-            ended[at] = hit | np.isin(block_of[at], cut) if cut else hit
-            some = take > 0
-            last_level[on[some]] = level[row[some], take[some] - 1]
-            h[at] = hs[:, -1]
-            quiet[at] = c - 1 - run_start[:, -1]
-        going = ~ended
-        active, h, quiet = active[going], h[going], quiet[going]
+                why[stop_level > tail_level] = _TAIL_CODE
+            record_overflow = np.isinf(stop_level)
+            why[record_overflow | np.isinf(stop_mass)] = _OVERFLOW_CODE
+            take[hits] += ~record_overflow
+            code[active[hits]] = why
+        np.copyto(m, 0.0, where=col >= take[:, None])  # the steps past the stop carry no mass
+        with np.errstate(over="ignore"):
+            mass[active] += m.sum(axis=1)
+        depth[active] += take
+        if keep_steps:
+            with np.errstate(over="ignore", divide="ignore"):
+                gap = np.exp(log_g + hs - math.log(mark_rate))
+            for i, r in enumerate(active.tolist()):
+                kept[r].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
+        some = take > 0
+        last_level[active[some]] = level[row[some], take[some] - 1]
+        going = ~hit
+        active, h, quiet = active[going], hs[going, -1], c - 1 - run_start[going, -1]
     tail = np.full(total, math.nan)
     if tail_form is not None:
         has_tail = code != _OVERFLOW_CODE
@@ -424,6 +405,28 @@ def sample_ladder_blocks(
     return _walk_blocks(
         params.fitness_dist, params.lambda_birth, params.threshold_dist, params.lambda_extinct,
         rngs, rows, keep_steps,
+    )
+
+
+def unwalked_blocks(
+    params: ModelParams,
+    rngs: Sequence[np.random.Generator],
+    rows: int,
+    threshold: bool = False,
+) -> LadderBlock:
+    """sample_ladder_blocks where the exact tail exponent declares the mass divergent: no ladder is walked.
+
+    Every row has depth 0, mass 0, tail nan and stop reason
+    STOP_DIVERGENT.  With threshold=True each block still draws its
+    look-back gaps, the draws sample_ladder_blocks would make first.
+    """
+    total = len(rngs) * rows
+    return LadderBlock(
+        depth=np.zeros(total, dtype=np.int64),
+        stop_code=np.full(total, _DIVERGENT_CODE, dtype=np.int8),
+        mass=np.zeros(total),
+        tail=np.full(total, math.nan),
+        first_gap=np.concatenate([sample_first_gaps(params, rng, rows) for rng in rngs]) if threshold else None,
     )
 
 

@@ -12,8 +12,10 @@ RunResult.aux["mass"], so a single run serves both the count and the
 mass checks.
 
 A ladder task whose regime the exact tail exponent of the built-in
-families declares divergent reports sentinels without walking ladders;
-every other replication is finite only if its ladder's mass died out
+families declares divergent walks no ladder: its blocks come from
+ladders.unwalked_blocks, every row stopped as "divergent", and take the
+same path to samples and auxiliaries as walked blocks.  Every other
+replication is finite only if its ladder's mass died out
 under the one truncation rule of the ladders module (MAX_STEPS,
 TAIL_TOLERANCE, QUIET_WINDOW), which each plan's to_json records.
 Each ladder replication's stop reason, depth and analytic tail bound
@@ -34,18 +36,17 @@ from .distributions import ModelParams, _as_float, _encode_float
 # them under this module's names, so they stay importable from it.
 from .ladders import (  # noqa: F401
     EFFECTIVELY_INFINITE,
-    STOP_DTYPE,
     _poisson,
     birth_mass,
     extinction_mass,
     masses_effectively_infinite,
     populate_limit_config,
     sample_extinction_count,
-    sample_first_gaps,
     sample_fitness_ladder,
     sample_ladder_blocks,
     sample_threshold_ladder,
     stop_rule_json,
+    unwalked_blocks,
 )
 # The one-window functions (evolve, generate_stream, last_empty_time,
 # species_count_at) are not called here; perfbench/tracing.py wraps them
@@ -85,13 +86,9 @@ _LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_LIMIT_CONFIG)
 # Replications per block of every task; one RNG stream per block.
 BLOCK = 128
 
-# Ladder blocks walked together: up to LADDER_GROUP * CHUNK_CELLS
-# (row, step) cells per array of the walk.
+# Ladder blocks walked together: up to LADDER_GROUP * ladders.CHUNK_CELLS
+# (row, step) cells per array of the walk, 8 * 8192 for 8 blocks of 128.
 LADDER_GROUP = 8
-
-# Stop reason of a replication whose plan the exact tail exponent declares
-# divergent: no ladder was walked.
-STOP_DIVERGENT = "divergent"
 
 # Pooling floor of the chi-square checks: every pooled bin's expected count reaches it.
 MIN_EXPECTED = 5.0
@@ -216,21 +213,7 @@ def _ladder_group(plan: ReplicationPlan, blocks: range, diverges: bool) -> dict[
     params = plan.params
     limit = plan.task == TASK_LIMIT_CONFIG
     size = BLOCK * len(rngs)
-    if diverges:
-        out = {
-            "samples": np.full(size, EFFECTIVELY_INFINITE),
-            "stop_reason": np.full(size, STOP_DIVERGENT, dtype=STOP_DTYPE),
-            "depth": np.zeros(size, dtype=np.int64),
-            "tail": np.full(size, math.nan),
-        }
-        if limit:
-            nan = np.full(size, math.nan)
-            band0 = params.lambda_birth * np.concatenate([sample_first_gaps(params, rng, BLOCK) for rng in rngs])
-            out.update(n0=nan, n_above=nan, band0_mass=band0)
-        else:
-            out["mass"] = out["samples"]
-        return out
-    block = sample_ladder_blocks(params, rngs, BLOCK, threshold=limit)
+    block = (unwalked_blocks if diverges else sample_ladder_blocks)(params, rngs, BLOCK, threshold=limit)
     finite = block.finite
     mass = np.where(finite, block.mass, 0.0)
     out = {"stop_reason": block.stop_reason, "depth": block.depth, "tail": block.tail}
@@ -279,8 +262,8 @@ def run(plan: ReplicationPlan) -> RunResult:
     Every task runs blocks 0 .. ceil(n / BLOCK) - 1 and keeps the first
     n rows; a ladder task walks them in groups of LADDER_GROUP.  A
     ladder task whose exact tail exponent is divergent walks no ladder:
-    every replication is a sentinel, and the limit task still draws each
-    look-back gap for its band-0 mass.
+    every replication is a "divergent" sentinel, and the limit task still
+    draws each look-back gap for its band-0 mass.
     """
     n = plan.replications
     blocks = -(-n // BLOCK)

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .distributions import ModelParams, _as_float, _read_numeric_csv
+from .distributions import DistributionError, ModelParams, _as_float, _read_numeric_csv
 
 BIRTH = "birth"
 EXTINCTION = "extinction"
@@ -59,6 +59,14 @@ class ProcessError(ValueError):
     """Malformed events, streams, or out-of-window queries."""
 
 
+def _real(value, name: str) -> float:
+    """value as a float; a non-number or NaN is refused as a ProcessError with _as_float's message."""
+    try:
+        return _as_float(value, name)
+    except DistributionError as exc:
+        raise ProcessError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class Event:
     """One timestamped birth (fitness mark) or extinction (threshold mark).
@@ -72,12 +80,12 @@ class Event:
     mark: float
 
     def __post_init__(self) -> None:
-        t = _as_float(self.time, "time")
+        t = _real(self.time, "time")
         if math.isinf(t):
             raise ProcessError("event time must be finite")
         if self.kind not in (BIRTH, EXTINCTION):
             raise ProcessError(f"kind must be '{BIRTH}' or '{EXTINCTION}', got {self.kind!r}")
-        mark = _as_float(self.mark, "mark")
+        mark = _real(self.mark, "mark")
         if math.isinf(mark) or mark < 0.0:
             raise ProcessError(f"mark must be finite and non-negative, got {mark}")
         object.__setattr__(self, "time", t)
@@ -85,8 +93,8 @@ class Event:
 
 
 def _window(start, horizon) -> tuple[float, float]:
-    start = _as_float(start, "start")
-    horizon = _as_float(horizon, "horizon")
+    start = _real(start, "start")
+    horizon = _real(horizon, "horizon")
     if math.isinf(start) or math.isinf(horizon):
         raise ProcessError("window endpoints must be finite")
     if horizon < start:
@@ -344,7 +352,7 @@ class Configuration:
     def __post_init__(self) -> None:
         vals = []
         for v in self.values:
-            v = _as_float(v, "fitness")
+            v = _real(v, "fitness")
             if math.isinf(v) or v < 0.0:
                 raise ProcessError(f"fitness values must be finite and >= 0, got {v}")
             vals.append(v)
@@ -453,7 +461,7 @@ def evolve(initial: Configuration, stream: EventStream) -> PathTrace:
 
 
 def _query_time(stream: EventStream, t) -> float:
-    t = _as_float(t, "t")
+    t = _real(t, "t")
     if not stream.start <= t <= stream.horizon:
         raise ProcessError(f"t={t} outside window [{stream.start}, {stream.horizon}]")
     return t

@@ -182,6 +182,22 @@ def test_json_round_trip(dist):
     assert clone == dist
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"family": "exponential"}, "exponential spec requires 'rate'"),
+        ({"family": "weibull", "scale": 1.0}, "weibull spec requires 'shape'"),
+        ({"family": "weibull", "shape": 2.0}, "weibull spec requires 'scale'"),
+        ({"family": "pareto", "index": 1.0}, "pareto spec requires 'minimum'"),
+        ({"family": "pareto", "minimum": 1.0}, "pareto spec requires 'index'"),
+    ],
+)
+def test_json_spec_missing_a_key_is_refused_by_name(spec, message):
+    with pytest.raises(DistributionError) as err:
+        distribution_from_json(spec)
+    assert str(err.value) == message
+
+
 def test_model_params_round_trip_and_swap():
     params = ModelParams(2.0, 3.0, Exponential(1.0), Pareto(1.0, 2.0))
     clone = model_params_from_json(json.dumps(params.to_json()))

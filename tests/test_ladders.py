@@ -483,10 +483,16 @@ def test_blocks_walked_together_match_each_block_walked_alone(case):
         for row in range(rows):
             for mine, theirs in zip(together.steps[b * rows + row], block.steps[row]):
                 assert mine.tobytes() == theirs.tobytes()
-    if case == "quiet, Weibull":
-        # Deep ladders: blocks with different walking rows take different widths in one chunk.
-        rounds = max(len(log.widths) for log in logs)
-        assert any(len({log.widths[k] for log in logs if len(log.widths) > k}) > 1 for k in range(rounds))
+    # In round k every block that draws takes c_k = min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, steps left).
+    schedule, walked, cap = [], 0, ladders.CHUNK_CELLS // rows
+    for k in range(max(len(log.widths) for log in logs)):
+        schedule.append(min(ladders.FIRST_CHUNK * 2**k, cap, (steps or ladders.MAX_STEPS) - walked))
+        walked += schedule[-1]
+    assert all(log.widths == schedule[: len(log.widths)] for log in logs)
+    if steps:  # ladders cut at MAX_STEPS end on the steps left
+        assert walked == steps
+    if case == "quiet, Weibull":  # deep ladders reach the width cap
+        assert cap in schedule
 
 
 TABULATED_FIT = TabulatedQuantile(tuple((math.exp(-x), x) for x in (0.0, 0.5, 1.0, 2.0)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_gms import process
-from threshold_gms.distributions import DistributionError, Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
+from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import (
     Configuration,
     Event,
@@ -298,7 +298,7 @@ def test_a_fitness_equal_to_a_later_threshold_survives():
 
 @pytest.mark.parametrize(
     "initial, error",
-    [([-1.0, math.nan, math.inf], ProcessError), ([math.inf], ProcessError), ([math.nan], DistributionError)],
+    [([-1.0, math.nan, math.inf], ProcessError), ([math.inf], ProcessError), ([math.nan], ProcessError)],
 )
 def test_count_alive_checks_the_initial_values_as_evolve_does(initial, error):
     """Negative, infinite and NaN fitness values are refused by both, through Configuration."""
@@ -308,6 +308,28 @@ def test_count_alive_checks_the_initial_values_as_evolve_does(initial, error):
     with pytest.raises(error):
         evolve(initial, stream)
     assert count_alive(stream, [0.0, 2.0]) == len(evolve([0.0, 2.0], stream).initial) == 2
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda stream: count_alive(stream, [math.nan]),
+        lambda stream: evolve([1.0, math.nan], stream),
+        lambda stream: Event(math.nan, "birth", 1.0),
+        lambda stream: Event(1.0, "extinction", math.nan),
+        lambda stream: EventStream(math.nan, 1.0, [], [], []),
+        lambda stream: EventStream(0.0, math.nan, [], [], []),
+        lambda stream: evolve([], stream).configuration_at(math.nan),
+        lambda stream: species_count_at(evolve([], stream), math.nan),
+    ],
+    ids=["count_alive", "evolve", "Event time", "Event mark", "EventStream start", "EventStream horizon",
+         "configuration_at", "species_count_at"],
+)
+def test_nan_is_refused_as_a_process_error(refuse):
+    """A NaN value raises ProcessError, as a negative or infinite one does, with _as_float's message."""
+    stream = _stream([Event(1.0, "birth", 2.0)], horizon=2.0)
+    with pytest.raises(ProcessError, match="must not be NaN"):
+        refuse(stream)
 
 
 @pytest.mark.parametrize(
