@@ -10,12 +10,15 @@ another.  ``grid_ms`` is the best of ``--repeat`` classifications of a
 400-point grid shaped like the benchmark's criteria sweep (10 x 10
 exponential rates from 0.5 to 3, lambda_birth in {1, 1.3},
 lambda_extinct in {1, 0.7}), once point by point through ``classify``
-and once in one ``classify_many`` call.  ``import_s`` is the best time
-of ``import threshold_gms.cli`` in a fresh interpreter, measured inside
-it, and ``cli_classify_s`` the best wall time of one
-``python -m threshold_gms.cli classify`` process, start-up included.
-``scipy_modules_after_import`` counts the scipy modules that importing
-the CLI loads.
+and once in one ``classify_many`` call.  ``integrand_us`` is the best
+per-node time, in microseconds, of forming the mass-density and the
+count-exponent integrand rows (composition included) on one chunk of the
+first-pass nodes of the breakless node array, one GRID mark pair per
+row.  ``import_s`` is the best time of ``import threshold_gms.cli`` in a
+fresh interpreter, measured inside it, and ``cli_classify_s`` the best
+wall time of one ``python -m threshold_gms.cli classify`` process,
+start-up included.  ``scipy_modules_after_import`` counts the scipy
+modules that importing the CLI loads.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ import time
 
 import numpy as np
 
-from threshold_gms.criteria import classify, classify_many
+from threshold_gms.criteria import _FIRST_PASS_PANELS, _integrands, _panel_nodes, classify, classify_many
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
+from threshold_gms.process import BLOCK_CHUNK_CELLS
 
 
 def _tabulated(rate: float, rows: int, top: float) -> TabulatedQuantile:
@@ -75,6 +79,21 @@ def best_of(repeat: int, fn) -> float:
     return best
 
 
+def integrand_us(repeat: int) -> dict[str, float]:
+    """Best per-node microseconds of each integrand kind on one chunk of first-pass nodes."""
+    h, _, panel = _panel_nodes(())
+    nodes = h[: int(np.searchsorted(panel, _FIRST_PASS_PANELS))]
+    rows = BLOCK_CHUNK_CELLS // nodes.size
+    # Every fourth GRID point starts a new mark pair, all at lambda_birth = lambda_extinct = 1.
+    sides = GRID[::4][:rows]
+    out = {}
+    for kind, log_r in (("mass_density", None), ("count_exponent", 0.0)):
+        keys = [(i, log_r) for i in range(rows)]
+        seconds = best_of(repeat, lambda: _integrands(keys, sides, nodes))
+        out[kind] = round(1e6 * seconds / (rows * nodes.size), 5)
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
@@ -91,6 +110,8 @@ def main() -> None:
         "classify": round(1e3 * best_of(args.repeat, lambda: [classify(p) for p in GRID]), 1),
         "classify_many": round(1e3 * best_of(args.repeat, lambda: classify_many(GRID)), 1),
     }
+
+    out["integrand_us"] = integrand_us(args.repeat)
 
     def python(code: str) -> str:
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout

@@ -366,7 +366,10 @@ def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarr
     C(h) = H_thr(H_fit^-1(h)) is taken once per mark pair among the keys,
     copied to the pair's other rows, and turned into each row's integrand
     in place, which keeps one array of the rows' size alive besides the
-    weighted one.
+    weighted one.  A count-exponent row is the logistic 1/(1 + e^x) of
+    x = log r + C(h) - h, formed by vector exp, add and reciprocal: where
+    e^x overflows to inf the value is 0, the integrand's limit, and a NaN
+    stays NaN, so no inf/inf arises and a bad panel is still reported.
     """
     n_base = sum(log_r is None for _, log_r in keys)
     log_r = np.array([log_r for _, log_r in keys[n_base:]])
@@ -383,8 +386,9 @@ def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarr
     np.exp(np.subtract(h, base, out=base), out=base)
     exponent += log_r[:, None, None]
     exponent -= h
-    np.logaddexp(0.0, exponent, out=exponent)
-    np.exp(np.negative(exponent, out=exponent), out=exponent)
+    np.exp(exponent, out=exponent)
+    exponent += 1.0
+    np.reciprocal(exponent, out=exponent)
     return values
 
 
@@ -394,8 +398,9 @@ def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) ->
     A row (params, None) is the integral of the ladder's per-step mass
     density exp(h - C(h)), without its rate prefactor; a row
     (params, log_r) the count exponent's integrand 1/(1 + r exp(C(h) - h)),
-    taken through logaddexp so that it never forms inf/inf.  Only the
-    mark pair of params and log_r enter, so equal rows are evaluated once.
+    formed as the logistic of log r + C(h) - h (see _integrands), so that
+    it never forms inf/inf.  Only the mark pair of params and log_r
+    enter, so equal rows are evaluated once.
     Rows are grouped by the pair's hazard_breaks (one node array each),
     and each group is read in the two passes of _read_in_passes, whose
     chunks take C(h) once per pair in them, on that pass's nodes only.
@@ -463,8 +468,9 @@ def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     accepted and gives the exponent of the survival probability at
     infinity; the integrand is monotone in t, so so is the exponent.
     The integrand is 1/(1 + r exp(C(h) - h)) with
-    r = lambda_birth / ((1 - e^-t) lambda_extinct), taken through
-    logaddexp so that it never forms inf/inf.
+    r = lambda_birth / ((1 - e^-t) lambda_extinct), formed as
+    1/(1 + exp(log r + C(h) - h)): an overflowing exp gives the limit 0,
+    so it never forms inf/inf.
     """
     t = _as_float(t, "t")
     if not t > 0.0:

@@ -220,10 +220,16 @@ def _ladder_group(plan: ReplicationPlan, blocks: range, diverges: bool) -> dict[
     rows = [slice(i * BLOCK, (i + 1) * BLOCK) for i in range(len(rngs))]
     # A sum of independent Poisson step counts is one Poisson count with the summed mass.
     if limit:
-        band0 = params.lambda_birth * block.first_gap
+        # lambda_birth * gap overflows only past the float range: such a
+        # row is a sentinel, and its band-0 count is drawn with mean 0.
+        with np.errstate(over="ignore"):
+            band0 = params.lambda_birth * block.first_gap
+        band0_finite = np.isfinite(band0)
+        band0_mean = np.where(band0_finite, band0, 0.0)
+        finite = finite & band0_finite
         n0, n_above = np.empty(size), np.empty(size)
         for rng, at in zip(rngs, rows):
-            n0[at] = _poisson(rng, band0[at])
+            n0[at] = _poisson(rng, band0_mean[at])
             n_above[at] = _poisson(rng, mass[at])
         out.update(
             samples=np.where(finite, n0 + n_above, EFFECTIVELY_INFINITE),

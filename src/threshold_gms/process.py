@@ -92,6 +92,14 @@ class Event:
         object.__setattr__(self, "mark", mark)
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """values as a new float64 array; entries that are not numbers are refused as a ProcessError."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ProcessError(f"{name} must be numbers: {exc}") from None
+
+
 def _window(start, horizon) -> tuple[float, float]:
     start = _real(start, "start")
     horizon = _real(horizon, "horizon")
@@ -113,9 +121,9 @@ class EventStream:
 
     def __init__(self, start, horizon, times, birth, marks) -> None:
         self.start, self.horizon = _window(start, horizon)
-        times = np.array(times, dtype=np.float64)
+        times = _float_array(times, "times")
         birth = np.array(birth, dtype=bool)
-        marks = np.array(marks, dtype=np.float64)
+        marks = _float_array(marks, "marks")
         if not times.ndim == birth.ndim == marks.ndim == 1 or not times.size == birth.size == marks.size:
             raise ProcessError("times, birth and marks must be 1-d arrays of one length")
         # NaN fails every comparison, so it is refused with the ties and the negative marks.

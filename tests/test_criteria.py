@@ -1,10 +1,14 @@
+import decimal
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from threshold_gms import criteria
 from threshold_gms.criteria import (
     _COMPLETION_MIN_PANELS,
     _DIVERGENCE_RUN,
@@ -41,6 +45,8 @@ from threshold_gms.distributions import (
     Weibull,
 )
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def exp_params(a_fit, a_thr, l_birth=1.0, l_ext=1.0):
@@ -513,7 +519,7 @@ def test_classify_many_rows_match_the_one_row_integral():
             prefactor = swapped.lambda_extinct / swapped.lambda_birth
             assert report.integrals.evidence[side] == tuple(prefactor * e for e in base.evidence)
             log_r = math.log(swapped.lambda_birth) - math.log(swapped.lambda_extinct)
-            phi = hazard_weighted_integral(lambda h: np.exp(-np.logaddexp(0.0, log_r + comp(h) - h)), breaks)
+            phi = hazard_weighted_integral(lambda h: 1.0 / (1.0 + np.exp(log_r + comp(h) - h)), breaks)
             phi_side = "phi_inf" if side == "e_m" else "phi_bar_inf"
             assert report.integrals.evidence[phi_side] == phi.evidence
             assert getattr(report.integrals, phi_side) == phi.value
@@ -568,7 +574,7 @@ def _all_panel_reference(params, log_r):
         if log_r is None:
             values = np.exp(h - comp)
         else:
-            values = np.exp(-np.logaddexp(0.0, log_r + comp - h))
+            values = 1.0 / (1.0 + np.exp(log_r + comp - h))
         return _read_panels(_panel_sums(values[None], w, panel))[0]
 
 
@@ -600,6 +606,63 @@ def test_two_pass_reader_matches_all_panels_bit_for_bit():
             assert len(result.evidence) == TWO_PASS_DENSITIES[label][1] + 1, label
     error = got[[p.threshold_dist for p, _ in rows].index(DensityThreshold(1.0, "nan in pass 2 before the stop"))]
     assert str(error) == f"panel [{30 * _LN2}, {31 * _LN2}] evaluated to nan"
+
+
+# Arguments x = log r + C(h) - h of the count-exponent logistic: a grid
+# over the whole float range of e^x, and the points where the logistic
+# changes form (0, +-1e-300, 1 + e^x rounding to 1 near -36.7, the
+# overflow of e^x between 709.78 and 710).
+LOGISTIC_X = np.concatenate([np.linspace(-745.0, 745.0, 2981), [0.0, 1e-300, -1e-300, 36.7, -36.7, 709.78, 710.0]])
+
+
+def test_count_integrand_matches_a_40_digit_logistic():
+    """Count rows are 1/(1 + e^x) to 1e-15 relative down to 1e-300, and in [0, 1e-300] below."""
+    # At h = 0 an exp(1)/exp(1) pair has C(h) = 0, so the row's x is its log r, exactly.
+    params = exp_params(1.0, 1.0)
+    with np.errstate(over="ignore"):
+        got = _integrands([(0, x) for x in LOGISTIC_X.tolist()], [params], np.zeros((1, 1)))[:, 0, 0]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = [1 / (1 + decimal.Decimal(x).exp()) for x in LOGISTIC_X.tolist()]
+        for x, value, want in zip(LOGISTIC_X.tolist(), got.tolist(), exact):
+            if want >= decimal.Decimal("1e-300"):
+                assert abs(decimal.Decimal(value) - want) <= decimal.Decimal("1e-15") * want, x
+            else:
+                assert 0.0 <= value <= 1e-300, x
+
+
+def _logaddexp_integrands(keys, sides, h):
+    """Integrand rows of _integrands, with the count rows taken as exp(-logaddexp(0, x))."""
+    rows = []
+    for pair, log_r in keys:
+        params = sides[pair]
+        comp = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
+        rows.append(np.exp(h - comp) if log_r is None else np.exp(-np.logaddexp(0.0, log_r + comp - h)))
+    return np.stack(rows)
+
+
+def test_classify_many_matches_the_logaddexp_integrand_on_the_bench_grid(monkeypatch):
+    """On bench_criteria's GRID, verdicts and evidence lengths equal the logaddexp form's, values to 1e-13."""
+    spec = importlib.util.spec_from_file_location("bench_criteria", ROOT / "scripts" / "bench_criteria.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    got = classify_many(bench.GRID)
+    monkeypatch.setattr(criteria, "_integrands", _logaddexp_integrands)
+    want = classify_many(bench.GRID)
+    for params, report, oracle in zip(bench.GRID, got, want):
+        assert (report.recurrence, report.limit_count, report.method) == (
+            oracle.recurrence,
+            oracle.limit_count,
+            oracle.method,
+        ), params
+        for name, evidence in report.integrals.evidence.items():
+            expected = oracle.integrals.evidence[name]
+            assert len(evidence) == len(expected), (params, name)
+            assert evidence == pytest.approx(expected, rel=1e-13, abs=0.0), (params, name)
+            value, expected = getattr(report.integrals, name), getattr(oracle.integrals, name)
+            assert (value is None) == (expected is None), (params, name)
+            if value is not None:
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0), (params, name)
 
 
 def test_count_criterion_agrees_with_exponent_criterion():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -388,6 +389,18 @@ def test_divergent_regime_walks_no_ladder(monkeypatch):
     limit = run(limit_plan)
     assert np.all(np.isinf(limit.samples))
     assert limit.aux["band0_mass"].tolist() == walked.tolist()
+
+
+@pytest.mark.parametrize("fitness", [Exponential(1000.0), Exponential(2.0)])
+def test_band0_mass_past_the_float_range_is_a_sentinel(fitness):
+    """lambda_birth * gap overflowing to inf gives a sentinel row: no warning, no NaN sample, no inf Poisson mean."""
+    params = ModelParams(1e300, 1e-300, fitness, Exponential(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(ReplicationPlan(task=TASK_LIMIT_CONFIG, params=params, replications=256, base_seed=7))
+    assert np.isinf(result.aux["band0_mass"]).all()
+    assert np.isinf(result.samples).all()
+    assert np.isnan(result.aux["n0"]).all() and np.isnan(result.aux["n_above"]).all()
 
 
 def ladder_run_block_by_block(plan):

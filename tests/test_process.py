@@ -349,6 +349,21 @@ def test_stream_refuses_bad_marks_and_times(times, marks):
         EventStream(0.0, 5.0, times, [True, False], marks)
 
 
+@pytest.mark.parametrize(
+    "times, marks, field",
+    [
+        (["a"], [1.0], "times"),
+        ([1.0], ["a"], "marks"),
+        ([object()], [1.0], "times"),
+        ([1.0], [{}], "marks"),
+    ],
+)
+def test_stream_refuses_entries_that_are_not_numbers(times, marks, field):
+    """A time or mark that is not a number is a ProcessError naming its field, not numpy's bare error."""
+    with pytest.raises(ProcessError, match=f"^{field} must be numbers"):
+        EventStream(0.0, 1.0, times, [True], marks)
+
+
 def test_a_mark_past_the_float_range_is_refused():
     """Weibull shape 0.001 sends every unit exponential above about 2 past the float range."""
     params = ModelParams(1.0, 1.0, Weibull(0.001, 1.0), Exponential(1.0))

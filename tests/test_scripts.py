@@ -46,6 +46,8 @@ def test_scripts_and_readme_example_run():
     assert len(bench["classify_ms"]) == 9 and all(ms > 0.0 for ms in bench["classify_ms"].values())
     assert sorted(bench["grid_ms"]) == ["classify", "classify_many"]
     assert all(ms > 0.0 for ms in bench["grid_ms"].values())
+    assert sorted(bench["integrand_us"]) == ["count_exponent", "mass_density"]
+    assert all(us > 0.0 for us in bench["integrand_us"].values())
     # README: importing the package loads no scipy module.
     assert bench["scipy_modules_after_import"] == 0
 
