@@ -100,6 +100,19 @@ def _float_array(values, name: str) -> np.ndarray:
         raise ProcessError(f"{name} must be numbers: {exc}") from None
 
 
+def _flag_array(values, name: str) -> np.ndarray:
+    """values as a new bool array; entries other than bools and the integers 0 and 1 are a ProcessError."""
+    try:
+        flags = np.array(values)
+    except (TypeError, ValueError) as exc:
+        raise ProcessError(f"{name} must be bools: {exc}") from None
+    # An empty list arrives as float64; numpy takes any object's truth value, so only bool and 0/1 pass.
+    flag_like = flags.dtype == bool or (flags.dtype.kind in "iu" and ((flags == 0) | (flags == 1)).all())
+    if flags.size and not flag_like:
+        raise ProcessError(f"{name} must be bools or the integers 0 and 1, got {flags.dtype} entries")
+    return flags.astype(bool, copy=False)
+
+
 def _window(start, horizon) -> tuple[float, float]:
     start = _real(start, "start")
     horizon = _real(horizon, "horizon")
@@ -122,7 +135,7 @@ class EventStream:
     def __init__(self, start, horizon, times, birth, marks) -> None:
         self.start, self.horizon = _window(start, horizon)
         times = _float_array(times, "times")
-        birth = np.array(birth, dtype=bool)
+        birth = _flag_array(birth, "birth")
         marks = _float_array(marks, "marks")
         if not times.ndim == birth.ndim == marks.ndim == 1 or not times.size == birth.size == marks.size:
             raise ProcessError("times, birth and marks must be 1-d arrays of one length")
@@ -495,25 +508,44 @@ def last_empty_time(trace: PathTrace) -> Optional[float]:
     return trace.empty_intervals[-1][1]
 
 
-def trace_rows(
-    trace: PathTrace, lo: int = 0, hi: Optional[int] = None
-) -> Iterator[tuple[float, str, float, int]]:
-    """(time, kind, mark, count_after) of events lo to hi, as plain Python values."""
+def trace_rows(trace: PathTrace) -> Iterator[tuple[float, str, float, int]]:
+    """(time, kind, mark, count_after) of every event, as plain Python values."""
     stream = trace.stream
-    kinds = [BIRTH if b else EXTINCTION for b in stream.birth[lo:hi].tolist()]
-    return zip(stream.times[lo:hi].tolist(), kinds, stream.marks[lo:hi].tolist(), trace.counts_after[lo:hi])
+    kinds = [BIRTH if b else EXTINCTION for b in stream.birth.tolist()]
+    return zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+
+
+def _float_texts(values) -> list[bytes]:
+    """repr(float(v)) of every value, as bytes, from one call to orjson's Ryu formatter.
+
+    Ryu gives the same shortest round-trip digits as repr; only its
+    notation differs, outside [1e-4, 1e16) in magnitude (5.58e-6 against
+    5.58e-06, 0.000015 against 1.5e-05, 1e16 against 1e+16), so the
+    non-zero values there, and the non-finite ones, keep repr.
+    """
+    import orjson
+
+    values = np.ascontiguousarray(values, dtype=np.float64)  # orjson refuses strided arrays
+    body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    texts = body.split(b",") if body else []
+    size = np.abs(values)
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0.0)).tolist():
+        texts[i] = repr(float(values[i])).encode()
+    return texts
 
 
 def write_trace_csv(trace: PathTrace, path) -> None:
     """Event log as CSV columns (time, kind, mark, count_after), SEGMENT_EVENTS rows at a time."""
     # The rows csv.writer would write (no field needs quoting), without its per-row cost.
-    with open(path, "w", newline="") as handle:
-        handle.write("time,kind,mark,count_after\r\n")
-        for lo in range(0, len(trace.stream), SEGMENT_EVENTS):
-            handle.writelines(
-                f"{t!r},{kind},{mark!r},{count}\r\n"
-                for t, kind, mark, count in trace_rows(trace, lo, lo + SEGMENT_EVENTS)
-            )
+    stream = trace.stream
+    with open(path, "wb") as handle:
+        handle.write(b"time,kind,mark,count_after\r\n")
+        for lo in range(0, len(stream), SEGMENT_EVENTS):
+            hi = lo + SEGMENT_EVENTS
+            kinds = [b",birth," if b else b",extinction," for b in stream.birth[lo:hi].tolist()]
+            rows = zip(_float_texts(stream.times[lo:hi]), kinds, _float_texts(stream.marks[lo:hi]),
+                       trace.counts_after[lo:hi])
+            handle.writelines(b"%s%s%s,%d\r\n" % row for row in rows)
 
 
 def read_initial_csv(path) -> Configuration:

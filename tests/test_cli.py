@@ -331,6 +331,13 @@ def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_orjson_unloaded():
+    """Only write_trace_csv needs orjson, so it loads on the first trace.csv, not with the CLI."""
+    code = "import sys, threshold_gms.cli; print('orjson' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env())
+    assert proc.stdout.strip() == "False"
+
+
 def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch):
     """Every name the benchmark's tracer patches resolves, and a traced ladder-mc and simulate run."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -364,6 +365,19 @@ def test_stream_refuses_entries_that_are_not_numbers(times, marks, field):
         EventStream(0.0, 1.0, times, [True], marks)
 
 
+@pytest.mark.parametrize("birth", [["a"], [object()], [""], [None], [2], [-1], [1.0], [True, None]])
+def test_stream_refuses_birth_flags_that_are_not_bools(birth):
+    """numpy would take any object's truth value; only bools and the integers 0 and 1 are flags."""
+    with pytest.raises(ProcessError, match="^birth must be"):
+        EventStream(0.0, 5.0, [1.0, 2.0][: len(birth)], birth, [0.5, 0.5][: len(birth)])
+
+
+@pytest.mark.parametrize("birth", [[True, False], [np.True_, np.False_], [1, 0], np.array([1, 0], dtype=np.uint8)])
+def test_stream_takes_bools_and_the_integers_0_and_1_as_birth_flags(birth):
+    stream = EventStream(0.0, 5.0, [1.0, 2.0], birth, [0.5, 0.5])
+    assert stream.birth.dtype == bool and stream.birth.tolist() == [True, False]
+
+
 def test_a_mark_past_the_float_range_is_refused():
     """Weibull shape 0.001 sends every unit exponential above about 2 past the float range."""
     params = ModelParams(1.0, 1.0, Weibull(0.001, 1.0), Exponential(1.0))
@@ -558,3 +572,58 @@ def test_trace_csv_slices_write_the_one_shot_rows(tmp_path):
     assert path.read_bytes() == _one_shot_trace_csv(trace).encode()
     write_trace_csv(evolve(Configuration(), _stream([], horizon=1.0)), path)
     assert path.read_bytes() == b"time,kind,mark,count_after\r\n"
+
+
+# Around the edges of the range where Ryu's notation matches repr's, and at the ends of the doubles.
+FLOAT_PANEL = [
+    0.0,
+    -0.0,
+    5e-324,
+    math.nextafter(1e-4, 0.0),
+    1e-4,
+    math.nextafter(1e16, 0.0),
+    1e16,
+    2.0**53,
+    sys.float_info.max,
+    -1.5e-5,
+    -1e16,
+    0.1,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_float_texts_are_the_reprs(values):
+    assert process._float_texts(np.array(values, dtype=np.float64)) == [repr(v).encode() for v in values]
+
+
+def test_float_texts_on_a_fixed_panel():
+    values = np.array(FLOAT_PANEL)
+    assert process._float_texts(values) == [repr(v).encode() for v in FLOAT_PANEL]
+    strided = np.repeat(values, 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert process._float_texts(strided) == [repr(v).encode() for v in FLOAT_PANEL]
+    assert process._float_texts(np.array([])) == []
+
+
+def _far_stream():
+    """Times from 1e14 past 1e16, marks from 0 through the subnormals to the largest double."""
+    times = np.geomspace(1e14, 3e17, 40)
+    marks = np.resize(np.array([abs(v) for v in FLOAT_PANEL] + [3.5e-7, 1e20]), times.size)
+    return EventStream(0.0, 1e18, times, np.arange(times.size) % 3 != 1, marks)
+
+
+@pytest.mark.parametrize("segment", [process.SEGMENT_EVENTS, 7])
+def test_trace_csv_keeps_repr_outside_the_ryu_range(tmp_path, segment):
+    """Marks below 1e-4 and times past 1e16 write the one-shot repr rows, in whole and in slices."""
+    tiny = ModelParams(1.0, 1.0, Exponential(3e4), Exponential(2.0))
+    traces = [
+        evolve(Configuration((2e-5,)), generate_stream(tiny, 0.0, 500.0, replication_rng(38))),
+        evolve(Configuration((1e-300, 1e300)), _far_stream()),
+    ]
+    assert (traces[0].stream.marks < 1e-4).any() and (traces[1].stream.times > 1e16).any()
+    path = tmp_path / "trace.csv"
+    with mock.patch.object(process, "SEGMENT_EVENTS", segment):
+        for trace in traces:
+            write_trace_csv(trace, path)
+            assert path.read_bytes() == _one_shot_trace_csv(trace).encode()
