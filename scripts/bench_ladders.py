@@ -16,8 +16,9 @@ the process's peak resident set (``ru_maxrss``) read right after those
 the simulate path.  ``simulate_s`` is the
 best time of one in-process ``simulate`` of exp(1)/exp(2) to horizon
 20 000, trace.csv included, and ``simulate_ms`` the best milliseconds
-of its three layers on that path: ``generate_stream``, ``evolve`` and
-``write_trace_csv``.  ``gof_ms`` holds the best milliseconds of
+of its layers on that path: ``generate_stream``, ``evolve``,
+``write_trace_csv``, and ``write_trace_json``, the writer of
+``simulate --format json``.  ``gof_ms`` holds the best milliseconds of
 one goodness-of-fit test at n = 100 000 on seeded samples of the
 acceptance suite's laws: the chi-square of NegBin(1, 1/2) counts, the
 KS test of unit exponential masses against Gamma(1, 1), and the
@@ -40,7 +41,7 @@ from threshold_gms import cli
 from threshold_gms.criteria import GammaLaw, NegBinomLaw
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, Weibull
 from threshold_gms.montecarlo import ReplicationPlan, gof_chi_square, gof_ks, gof_two_sample_counts, run
-from threshold_gms.process import Configuration, evolve, generate_stream, write_trace_csv
+from threshold_gms.process import Configuration, evolve, generate_stream, write_trace_csv, write_trace_json
 from threshold_gms.streams import replication_rng
 
 CASES = {
@@ -102,6 +103,7 @@ def main() -> None:
             "generate_stream": lambda: generate_stream(path_params, 0.0, SIMULATE_HORIZON, replication_rng(7, 0, 0)),
             "evolve": lambda: evolve(Configuration(), stream),
             "write_trace_csv": lambda: write_trace_csv(trace, os.path.join(tmp, "trace.csv")),
+            "write_trace_json": lambda: write_trace_json(trace, os.path.join(tmp, "trace.json")),
         }
         out["simulate_ms"] = {name: round(1e3 * best_of(args.repeat, fn), 3) for name, fn in layers.items()}
     rng = np.random.default_rng(20261018)

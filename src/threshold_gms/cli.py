@@ -35,8 +35,8 @@ from .process import (
     last_empty_time,
     read_initial_csv,
     species_count_at,
-    trace_rows,
     write_trace_csv,
+    write_trace_json,
 )
 from .streams import replication_rng
 from .validation import CHECK_NAMES, SuiteConfig, SuiteContext, format_result, run_suite
@@ -103,11 +103,7 @@ def _cmd_simulate(args) -> int:
         write_trace_csv(trace, out / "trace.csv")
         outputs.append("trace.csv")
     else:
-        rows = [
-            {"time": t, "kind": kind, "mark": mark, "count_after": count}
-            for t, kind, mark, count in trace_rows(trace)
-        ]
-        (out / "trace.json").write_text(_dump_json({"events": rows}))
+        write_trace_json(trace, out / "trace.json")
         outputs.append("trace.json")
     (out / "summary.json").write_text(_dump_json(summary))
     _write_manifest(

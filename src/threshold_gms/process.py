@@ -47,10 +47,16 @@ EXTINCTION = "extinction"
 # to separate two event times.
 MAX_SPACING_PER_GAP = 1e-6
 
+# Largest expected event count, (lambda_b + lambda_e) * (horizon - start),
+# of a window that generate_block accepts.  Drawing and evolving a stream
+# takes about 70 bytes an event at its peak, so about 1.2 GB at the budget;
+# a longer window is refused before anything is drawn, not at allocation.
+MAX_WINDOW_EVENTS = 1 << 24
+
 # Cells (row, event) in one chunk of a block of windows: 256 kB per float array.
 BLOCK_CHUNK_CELLS = 1 << 15
 
-# Events in one segment of evolve and one slice of write_trace_csv: a
+# Events in one segment of evolve and of the trace writers: a
 # segment's killer table is 13 levels of 4097 floats, about 430 kB.
 SEGMENT_EVENTS = 1 << 12
 
@@ -93,11 +99,18 @@ class Event:
 
 
 def _float_array(values, name: str) -> np.ndarray:
-    """values as a new float64 array; entries that are not numbers are refused as a ProcessError."""
+    """values as a new float64 array; entries that are not numbers, bools among them, are refused as a ProcessError."""
+    # numpy casts a bool to 0.0 or 1.0, so a list goes through an object array that keeps its entries'
+    # types; an array of another dtype holds bools only if its dtype is bool.
     try:
-        return np.array(values, dtype=np.float64)
+        if not isinstance(values, np.ndarray) or values.dtype == object:
+            values = np.array(values, dtype=object)
+        array = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ProcessError(f"{name} must be numbers: {exc}") from None
+    if values.dtype == bool or (values.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in values.flat)):
+        raise ProcessError(f"{name} must be numbers, not bools")
+    return array
 
 
 def _flag_array(values, name: str) -> np.ndarray:
@@ -199,14 +212,20 @@ class EventView(Sequence):
             yield Event(t, BIRTH if is_birth else EXTINCTION, mark)
 
 
-def _check_resolution(params: ModelParams, start: float, horizon: float) -> None:
-    """Refuse a window so far from 0 that its event times would tie."""
+def _check_window(params: ModelParams, start: float, horizon: float) -> None:
+    """Refuse a window so far from 0 that its event times would tie, or expecting more than MAX_WINDOW_EVENTS events."""
     total = params.lambda_birth + params.lambda_extinct
     spacing = math.ulp(max(abs(start), abs(horizon)))
     if spacing * total > MAX_SPACING_PER_GAP:
         raise ProcessError(
             f"float resolution {spacing:g} at t={max(abs(start), abs(horizon)):g} is too coarse for "
             f"a mean event gap of {1.0 / total:g}: event times would tie; move the window toward 0"
+        )
+    expected = total * (horizon - start)
+    if expected > MAX_WINDOW_EVENTS:
+        raise ProcessError(
+            f"the window expects {expected:g} events, past the event budget of {MAX_WINDOW_EVENTS} "
+            f"per window (MAX_WINDOW_EVENTS); shorten the window or lower the rates"
         )
 
 
@@ -232,12 +251,13 @@ def generate_block(
     marks the cells that hold an event and times is None without
     ``with_times``.  A window so far from 0 that the float spacing there
     is not small against the mean gap is refused before anything is
-    drawn, since its event times would tie; a mark that is not finite
+    drawn, since its event times would tie, and so is a window expecting
+    more than MAX_WINDOW_EVENTS events; a mark that is not finite
     or is below 0, or times that do not strictly increase, on a valid
     cell raise ProcessError.
     """
     start, horizon = _window(start, horizon)
-    _check_resolution(params, start, horizon)
+    _check_window(params, start, horizon)
     total = params.lambda_birth + params.lambda_extinct
     counts = rng.poisson(total * (horizon - start), rows)
     return _block_chunks(params, start, horizon, rng, counts, with_times)
@@ -508,44 +528,120 @@ def last_empty_time(trace: PathTrace) -> Optional[float]:
     return trace.empty_intervals[-1][1]
 
 
-def trace_rows(trace: PathTrace) -> Iterator[tuple[float, str, float, int]]:
-    """(time, kind, mark, count_after) of every event, as plain Python values."""
-    stream = trace.stream
-    kinds = [BIRTH if b else EXTINCTION for b in stream.birth.tolist()]
-    return zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+def _number_texts(values) -> list[str]:
+    """The JSON text of every number, from one call to orjson."""
+    import orjson
+
+    body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    return body.split(",") if body else []
 
 
-def _float_texts(values) -> list[bytes]:
-    """repr(float(v)) of every value, as bytes, from one call to orjson's Ryu formatter.
+def _float_texts(values) -> list[str]:
+    """repr(float(v)) of every value, from one call to orjson's Ryu formatter.
 
     Ryu gives the same shortest round-trip digits as repr; only its
     notation differs, outside [1e-4, 1e16) in magnitude (5.58e-6 against
     5.58e-06, 0.000015 against 1.5e-05, 1e16 against 1e+16), so the
     non-zero values there, and the non-finite ones, keep repr.
     """
-    import orjson
-
     values = np.ascontiguousarray(values, dtype=np.float64)  # orjson refuses strided arrays
-    body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    texts = body.split(b",") if body else []
+    texts = _number_texts(values)
     size = np.abs(values)
     for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0.0)).tolist():
-        texts[i] = repr(float(values[i])).encode()
+        texts[i] = repr(float(values[i]))
     return texts
 
 
-def write_trace_csv(trace: PathTrace, path) -> None:
-    """Event log as CSV columns (time, kind, mark, count_after), SEGMENT_EVENTS rows at a time."""
-    # The rows csv.writer would write (no field needs quoting), without its per-row cost.
+# The fields of a trace row, as they stand in a _TraceLayout's row.
+_TIME, _KIND, _MARK, _COUNT = range(4)
+
+
+@dataclass(frozen=True)
+class _TraceLayout:
+    """The text a trace format puts around the fields of its rows.
+
+    A file is ``head``, then every row as ``row`` with each field
+    (_TIME, _KIND, _MARK, _COUNT) replaced by the row's text, each row
+    followed by ``sep`` but the last, which ``tail`` follows.  The
+    kind's text is ``kinds[0]`` for an extinction and ``kinds[1]`` for a
+    birth, with the constant text on both sides of it folded in.  A
+    stream with no events is the file ``empty``.
+    """
+
+    head: str
+    row: tuple
+    sep: str
+    tail: str
+    kinds: tuple[str, str]
+    empty: str
+
+
+# The rows csv.writer would write: no field needs quoting.
+_CSV = _TraceLayout(
+    head="time,kind,mark,count_after\r\n",
+    row=(_TIME, _KIND, _MARK, ",", _COUNT),
+    sep="\r\n",
+    tail="\r\n",
+    kinds=(",extinction,", ",birth,"),
+    empty="time,kind,mark,count_after\r\n",
+)
+
+# json.dumps({"events": [...]}, indent=2, sort_keys=True) + "\n", with each
+# event's keys in sorted order: count_after, kind, mark, time.
+_JSON = _TraceLayout(
+    head='{\n  "events": [\n    {\n      "count_after": ',
+    row=(_COUNT, _KIND, _MARK, ',\n      "time": ', _TIME),
+    sep='\n    },\n    {\n      "count_after": ',
+    tail="\n    }\n  ]\n}\n",
+    kinds=(',\n      "kind": "extinction",\n      "mark": ', ',\n      "kind": "birth",\n      "mark": '),
+    empty='{\n  "events": []\n}\n',
+)
+
+
+def _segment_rows(trace: PathTrace, lo: int, hi: int, layout: _TraceLayout) -> str:
+    """Rows lo to hi of the event log in one layout, as one join of a list of pieces.
+
+    The list holds the row's constant pieces, row after row, and each
+    field's column of texts goes in by one slice assignment.  The pieces
+    are str, not bytes: bytes.join takes an 80-byte buffer view of every
+    piece, 2 MB for a segment's 24 576 pieces.
+    """
     stream = trace.stream
-    with open(path, "wb") as handle:
-        handle.write(b"time,kind,mark,count_after\r\n")
-        for lo in range(0, len(stream), SEGMENT_EVENTS):
-            hi = lo + SEGMENT_EVENTS
-            kinds = [b",birth," if b else b",extinction," for b in stream.birth[lo:hi].tolist()]
-            rows = zip(_float_texts(stream.times[lo:hi]), kinds, _float_texts(stream.marks[lo:hi]),
-                       trace.counts_after[lo:hi])
-            handle.writelines(b"%s%s%s,%d\r\n" % row for row in rows)
+    fields = (
+        _float_texts(stream.times[lo:hi]),
+        np.array(layout.kinds, dtype=object)[stream.birth[lo:hi].view(np.uint8)].tolist(),
+        _float_texts(stream.marks[lo:hi]),
+        _number_texts(trace.counts_after[lo:hi]),
+    )
+    width = len(layout.row) + 1
+    pieces = [None if isinstance(item, int) else item for item in layout.row] + [layout.sep]
+    pieces *= hi - lo
+    for j, item in enumerate(layout.row):
+        if isinstance(item, int):
+            pieces[j::width] = fields[item]
+    if hi == len(stream):
+        pieces[-1] = layout.tail
+    return "".join(pieces)
+
+
+def _write_trace(trace: PathTrace, path, layout: _TraceLayout) -> None:
+    """The event log in one layout, SEGMENT_EVENTS rows at a time, each segment one join and one write."""
+    n = len(trace.stream)
+    with open(path, "w", encoding="ascii", newline="") as handle:
+        handle.write(layout.head if n else layout.empty)
+        for lo in range(0, n, SEGMENT_EVENTS):
+            # A call of its own, so that a segment's texts are freed before the next segment's are made.
+            handle.write(_segment_rows(trace, lo, min(lo + SEGMENT_EVENTS, n), layout))
+
+
+def write_trace_csv(trace: PathTrace, path) -> None:
+    """Event log as CSV columns (time, kind, mark, count_after)."""
+    _write_trace(trace, path, _CSV)
+
+
+def write_trace_json(trace: PathTrace, path) -> None:
+    """Event log as json.dumps({"events": [{count_after, kind, mark, time}, ...]}, indent=2, sort_keys=True) + "\n"."""
+    _write_trace(trace, path, _JSON)
 
 
 def read_initial_csv(path) -> Configuration:

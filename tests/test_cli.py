@@ -91,6 +91,26 @@ def test_simulate_json_format(tmp_path, transient_params):
         assert set(trace["events"][0]) == {"time", "kind", "mark", "count_after"}
 
 
+def test_simulate_json_and_csv_carry_the_same_rows(tmp_path, transient_params):
+    initial = tmp_path / "initial.csv"
+    initial.write_text("fitness\n0.5\n2.5\n")
+    rows = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        argv = ["simulate", "--params", transient_params, "--horizon", "300", "--seed", "11",
+                "--initial", str(initial), "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 0
+        if fmt == "csv":
+            with open(out / "trace.csv", newline="") as handle:
+                events = list(csv.DictReader(handle))
+        else:
+            events = json.loads((out / "trace.json").read_text())["events"]
+        rows[fmt] = [(float(e["time"]), e["kind"], float(e["mark"]), int(e["count_after"])) for e in events]
+    assert len(rows["csv"]) > 100 and {kind for _, kind, _, _ in rows["csv"]} == {"birth", "extinction"}
+    assert rows["json"] == rows["csv"]
+    assert (tmp_path / "json" / "summary.json").read_bytes() == (tmp_path / "csv" / "summary.json").read_bytes()
+
+
 def test_simulate_accepts_initial_configuration(tmp_path, transient_params):
     initial = tmp_path / "initial.csv"
     initial.write_text("fitness\n0.5\n2.5\n")
@@ -332,7 +352,7 @@ def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
 
 
 def test_cli_import_leaves_orjson_unloaded():
-    """Only write_trace_csv needs orjson, so it loads on the first trace.csv, not with the CLI."""
+    """Only write_trace_csv and write_trace_json need orjson, so it loads on the first trace, not with the CLI."""
     code = "import sys, threshold_gms.cli; print('orjson' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == "False"
@@ -466,6 +486,8 @@ def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
         ["simulate", "--params", "PARAMS", "--seed", "-3", "--horizon", "5"],
         ["ladder-mc", "--params", "PARAMS", "--seed", "-3", "--reps", "10"],
         ["validate", "--seed", "-3", "--only", "phase-map"],
+        # More expected events than the window budget: refused before drawing, not at allocation.
+        ["simulate", "--params", "PARAMS", "--horizon", "1e8"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from unittest import mock
@@ -25,6 +26,7 @@ from threshold_gms.process import (
     read_initial_csv,
     species_count_at,
     write_trace_csv,
+    write_trace_json,
 )
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import _brute_force_counts
@@ -170,6 +172,17 @@ def test_window_too_far_out_for_the_float_resolution_is_refused():
         generate_stream(PARAMS, 1e15, 1.000000000002e15, rng)
     assert rng.random() == replication_rng(1).random()  # refused before drawing anything
     assert len(generate_stream(PARAMS, 1e6, 1e6 + 20.0, rng).events)
+
+
+def test_window_past_the_event_budget_is_refused():
+    """A window expecting more than MAX_WINDOW_EVENTS events is refused before drawing, not at allocation."""
+    rng = replication_rng(1)
+    horizon = 1e8  # 2e8 expected events, fine for the float resolution
+    with pytest.raises(ProcessError, match="event budget of 16777216"):
+        generate_stream(PARAMS, 0.0, horizon, rng)
+    with pytest.raises(ProcessError, match="event budget"):
+        generate_block(PARAMS, -horizon, 0.0, rng, 3)
+    assert rng.random() == replication_rng(1).random()  # refused before drawing anything
 
 
 def test_evolve_matches_naive_replay_on_random_windows():
@@ -363,6 +376,23 @@ def test_stream_refuses_entries_that_are_not_numbers(times, marks, field):
     """A time or mark that is not a number is a ProcessError naming its field, not numpy's bare error."""
     with pytest.raises(ProcessError, match=f"^{field} must be numbers"):
         EventStream(0.0, 1.0, times, [True], marks)
+
+
+@pytest.mark.parametrize(
+    "times, marks, field",
+    [
+        ([True, 1.5], [1.0, 1.0], "times"),
+        ([1.0, 1.5], [1.0, False], "marks"),
+        ([np.True_, 1.5], [1.0, 1.0], "times"),
+        (np.array([True, True]), [1.0, 1.0], "times"),
+        ([1.0, 1.5], np.array([1.0, True], dtype=object), "marks"),
+        ([[True], [1.5]], [1.0, 1.0], "times"),
+    ],
+)
+def test_stream_refuses_bools_as_times_and_marks(times, marks, field):
+    """numpy would cast a bool to 0.0 or 1.0; as a time or a mark it is a ProcessError naming the field."""
+    with pytest.raises(ProcessError, match=f"^{field} must be numbers, not bools"):
+        EventStream(0.0, 2.0, times, [True, False], marks)
 
 
 @pytest.mark.parametrize("birth", [["a"], [object()], [""], [None], [2], [-1], [1.0], [True, None]])
@@ -594,16 +624,24 @@ FLOAT_PANEL = [
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
 def test_float_texts_are_the_reprs(values):
-    assert process._float_texts(np.array(values, dtype=np.float64)) == [repr(v).encode() for v in values]
+    assert process._float_texts(np.array(values, dtype=np.float64)) == [repr(v) for v in values]
 
 
 def test_float_texts_on_a_fixed_panel():
     values = np.array(FLOAT_PANEL)
-    assert process._float_texts(values) == [repr(v).encode() for v in FLOAT_PANEL]
+    assert process._float_texts(values) == [repr(v) for v in FLOAT_PANEL]
     strided = np.repeat(values, 2)[::2]
     assert not strided.flags.c_contiguous
-    assert process._float_texts(strided) == [repr(v).encode() for v in FLOAT_PANEL]
+    assert process._float_texts(strided) == [repr(v) for v in FLOAT_PANEL]
     assert process._float_texts(np.array([])) == []
+
+
+def _one_shot_trace_json(trace):
+    stream = trace.stream
+    kinds = ["birth" if b else "extinction" for b in stream.birth.tolist()]
+    rows = zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+    events = [{"time": t, "kind": kind, "mark": mark, "count_after": count} for t, kind, mark, count in rows]
+    return json.dumps({"events": events}, indent=2, sort_keys=True) + "\n"
 
 
 def _far_stream():
@@ -613,6 +651,12 @@ def _far_stream():
     return EventStream(0.0, 1e18, times, np.arange(times.size) % 3 != 1, marks)
 
 
+def _panel_stream():
+    """FLOAT_PANEL's values as times (-0.0 standing for both zeros, which would tie), their sizes as marks."""
+    times = sorted({-0.0 if v == 0.0 else v for v in FLOAT_PANEL})
+    return EventStream(-2e16, sys.float_info.max, times, np.arange(len(times)) % 2 == 0, np.abs(times))
+
+
 @pytest.mark.parametrize("segment", [process.SEGMENT_EVENTS, 7])
 def test_trace_csv_keeps_repr_outside_the_ryu_range(tmp_path, segment):
     """Marks below 1e-4 and times past 1e16 write the one-shot repr rows, in whole and in slices."""
@@ -620,6 +664,7 @@ def test_trace_csv_keeps_repr_outside_the_ryu_range(tmp_path, segment):
     traces = [
         evolve(Configuration((2e-5,)), generate_stream(tiny, 0.0, 500.0, replication_rng(38))),
         evolve(Configuration((1e-300, 1e300)), _far_stream()),
+        evolve(Configuration((2e-5,)), _panel_stream()),
     ]
     assert (traces[0].stream.marks < 1e-4).any() and (traces[1].stream.times > 1e16).any()
     path = tmp_path / "trace.csv"
@@ -627,3 +672,24 @@ def test_trace_csv_keeps_repr_outside_the_ryu_range(tmp_path, segment):
         for trace in traces:
             write_trace_csv(trace, path)
             assert path.read_bytes() == _one_shot_trace_csv(trace).encode()
+
+
+@pytest.mark.parametrize("segment", [process.SEGMENT_EVENTS, 7])
+def test_trace_json_writes_the_json_dumps_bytes(tmp_path, segment):
+    """trace.json is json.dumps(indent=2, sort_keys=True) of the rows: in slices, empty, and at the float edges."""
+    tiny = ModelParams(1.0, 1.0, Exponential(3e4), Exponential(2.0))
+    traces = [
+        evolve(Configuration((1.0,)), generate_stream(PARAMS, 0.0, 2500.0, replication_rng(37))),
+        evolve(Configuration(), _stream([], horizon=1.0)),
+        evolve(Configuration((0.5,)), _tied_stream(3, 14)),  # two whole segments of 7
+        evolve(Configuration((2e-5,)), generate_stream(tiny, 0.0, 500.0, replication_rng(38))),
+        evolve(Configuration((1e-300, 1e300)), _far_stream()),
+        evolve(Configuration((2e-5,)), _panel_stream()),
+    ]
+    assert len(traces[0].stream) > process.SEGMENT_EVENTS
+    path = tmp_path / "trace.json"
+    with mock.patch.object(process, "SEGMENT_EVENTS", segment):
+        for trace in traces:
+            write_trace_json(trace, path)
+            assert path.read_bytes() == _one_shot_trace_json(trace).encode()
+    assert _one_shot_trace_json(traces[1]) == '{\n  "events": []\n}\n'
