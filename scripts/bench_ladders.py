@@ -97,10 +97,10 @@ def main() -> None:
                 "--out", os.path.join(tmp, "sim")]
         out["simulate_s"] = round(best_of(args.repeat, lambda: cli.main(argv)), 4)
         # The same path as simulate draws it (seed 7, index 0, salt 0), layer by layer.
-        stream = generate_stream(path_params, 0.0, SIMULATE_HORIZON, replication_rng(7, 0, 0))
+        stream = generate_stream(path_params, SIMULATE_HORIZON, replication_rng(7, 0, 0))
         trace = evolve(Configuration(), stream)
         layers = {
-            "generate_stream": lambda: generate_stream(path_params, 0.0, SIMULATE_HORIZON, replication_rng(7, 0, 0)),
+            "generate_stream": lambda: generate_stream(path_params, SIMULATE_HORIZON, replication_rng(7, 0, 0)),
             "evolve": lambda: evolve(Configuration(), stream),
             "write_trace_csv": lambda: write_trace_csv(trace, os.path.join(tmp, "trace.csv")),
             "write_trace_json": lambda: write_trace_json(trace, os.path.join(tmp, "trace.json")),

@@ -81,9 +81,8 @@ def _out_dir(args) -> Path:
 def _cmd_simulate(args) -> int:
     params = _load_params(args.params)
     horizon = float(args.horizon)
-    start = float(args.start)
     rng = replication_rng(args.seed, index=0, salt=0)
-    stream = generate_stream(params, start, horizon, rng)
+    stream = generate_stream(params, horizon, rng)
     initial = read_initial_csv(args.initial) if args.initial else Configuration()
     trace = evolve(initial, stream)
     empty = last_empty_time(trace)
@@ -112,7 +111,6 @@ def _cmd_simulate(args) -> int:
         {
             "params": params.to_json(),
             "seed": args.seed,
-            "start": start,
             "horizon": horizon,
             "initial": args.initial,
             "format": args.format,
@@ -322,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--params", required=True, help="JSON file with rates and mark laws")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--horizon", type=float, required=True)
-    sim.add_argument("--start", type=float, default=0.0)
     sim.add_argument("--initial", help="optional CSV of initial fitness values")
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")

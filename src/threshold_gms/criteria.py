@@ -37,6 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .distributions import (
+    DistributionError,
     DistributionSpec,
     Exponential,
     ModelParams,
@@ -472,7 +473,10 @@ def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     1/(1 + exp(log r + C(h) - h)): an overflowing exp gives the limit 0,
     so it never forms inf/inf.
     """
-    t = _as_float(t, "t")
+    try:
+        t = _as_float(t, "t")
+    except DistributionError as exc:
+        raise CriteriaError(str(exc)) from None
     if not t > 0.0:
         raise CriteriaError(f"t must be positive (math.inf allowed), got {t}")
     return _checked(_criterion_integrals([(params, _log_r(params, t))])[0])

@@ -31,6 +31,10 @@ class DistributionError(ValueError):
 
 
 def _as_float(value, name: str) -> float:
+    """value as a float; bools and text, which float() would take, are refused with non-numbers and NaN."""
+    # An exact float skips the isinstance test, which costs more than the conversion.
+    if type(value) is not float and isinstance(value, (bool, np.bool_, str, bytes)):
+        raise DistributionError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:

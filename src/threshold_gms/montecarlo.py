@@ -60,7 +60,7 @@ from .process import (  # noqa: F401
     last_empty_time,
     species_count_at,
 )
-from .streams import replication_rng
+from .streams import _as_int, replication_rng
 
 TASK_EXTINCTION_COUNT = "extinction_count"
 TASK_LIMIT_CONFIG = "limit_config"
@@ -98,6 +98,14 @@ class MonteCarloError(ValueError):
     """Invalid plan arguments or incompatible comparison requests."""
 
 
+def _plan_field(convert, value, name: str):
+    """convert(value, name), its ValueError raised again as a MonteCarloError with the same message."""
+    try:
+        return convert(value, name)
+    except ValueError as exc:
+        raise MonteCarloError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ReplicationPlan:
     """Everything needed to reproduce one batch of replications.
@@ -116,19 +124,17 @@ class ReplicationPlan:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise MonteCarloError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if not isinstance(self.replications, int) or self.replications < 1:
+        for name in ("replications", "base_seed"):
+            object.__setattr__(self, name, _plan_field(_as_int, getattr(self, name), name))
+        if self.replications < 1:
             raise MonteCarloError("replications must be a positive integer")
-        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+        if self.base_seed < 0:
             raise MonteCarloError("base_seed must be a non-negative integer")
         if self.task == TASK_FORWARD_COUNT:
-            if self.t is None or not _as_float(self.t, "t") > 0.0 or math.isinf(self.t):
+            if self.t is None or not 0.0 < _plan_field(_as_float, self.t, "t") < math.inf:
                 raise MonteCarloError("forward_count requires a finite positive t")
         if self.task == TASK_EMPTY_SCAN:
-            if (
-                self.horizon is None
-                or not _as_float(self.horizon, "horizon") > 0.0
-                or math.isinf(self.horizon)
-            ):
+            if self.horizon is None or not 0.0 < _plan_field(_as_float, self.horizon, "horizon") < math.inf:
                 raise MonteCarloError("empty_time_scan requires a finite positive horizon")
 
     def to_json(self) -> dict:
@@ -254,10 +260,10 @@ def _forward_block(plan: ReplicationPlan, b: int) -> dict[str, np.ndarray]:
     """
     rng = replication_rng(plan.base_seed, index=b, salt=_TASK_SALTS[plan.task])
     if plan.task == TASK_FORWARD_COUNT:
-        chunks = generate_block(plan.params, 0.0, plan.t, rng, BLOCK, with_times=False)
+        chunks = generate_block(plan.params, plan.t, rng, BLOCK, with_times=False)
         parts = [count_alive_rows(birth, marks, valid) for _, birth, marks, valid in chunks]
     else:
-        chunks = generate_block(plan.params, 0.0, plan.horizon, rng, BLOCK)
+        chunks = generate_block(plan.params, plan.horizon, rng, BLOCK)
         parts = [last_empty_rows(*chunk, plan.horizon) for chunk in chunks]
     return {"samples": np.concatenate(parts)}
 

@@ -6,15 +6,16 @@ i.i.d. threshold marks.  An extinction with threshold y removes every
 species whose fitness is strictly below y (a fitness equal to y
 survives).  Both streams are generated jointly from one superposed
 clock, as a struct of arrays (times, birth flags, marks) drawn for the
-whole window at once.
+whole window at once.  Both are time-homogeneous, so every window is
+(0, horizon]: a window (s, s + T] is (0, T] with every time shifted by s.
 
 A species born at s with fitness x is alive at t exactly when x is at
 least every threshold in (s, t], so the count at the horizon is read
 off the backward running maximum of the thresholds (``count_alive``).
-The count after every event and the empty intervals come from each
-species' killer, the first later extinction with a threshold strictly
-above its fitness, found for all species at once by binary lifting on
-a range-maximum table of the thresholds (``evolve``).  It runs over
+The count after every event comes from each species' killer, the
+first later extinction with a threshold strictly above its fitness,
+found for all species at once by binary lifting on a range-maximum
+table of the thresholds (``evolve``).  It runs over
 segments of SEGMENT_EVENTS events, each handing its survivors to the
 next, so the table's size does not grow with the horizon.
 ``PathTrace.configuration_at`` rebuilds a configuration by an
@@ -42,13 +43,8 @@ BIRTH = "birth"
 EXTINCTION = "extinction"
 
 
-# Largest float spacing in a window, in units of the mean event gap, that
-# generate_stream accepts: about one gap in a million is then too short
-# to separate two event times.
-MAX_SPACING_PER_GAP = 1e-6
-
-# Largest expected event count, (lambda_b + lambda_e) * (horizon - start),
-# of a window that generate_block accepts.  Drawing and evolving a stream
+# Largest expected event count, (lambda_b + lambda_e) * horizon, of a
+# window that generate_block accepts.  Drawing and evolving a stream
 # takes about 70 bytes an event at its peak, so about 1.2 GB at the budget;
 # a longer window is refused before anything is drawn, not at allocation.
 MAX_WINDOW_EVENTS = 1 << 24
@@ -99,17 +95,19 @@ class Event:
 
 
 def _float_array(values, name: str) -> np.ndarray:
-    """values as a new float64 array; entries that are not numbers, bools among them, are refused as a ProcessError."""
-    # numpy casts a bool to 0.0 or 1.0, so a list goes through an object array that keeps its entries'
-    # types; an array of another dtype holds bools only if its dtype is bool.
+    """values as a new float64 array; entries that are not numbers, bools and text among them, are refused as a ProcessError."""
+    # numpy casts a bool to 0.0 or 1.0 and parses numeric text, so a list goes through an object array that
+    # keeps its entries' types; an array of another dtype holds bools or text only if its dtype is of that kind.
     try:
         if not isinstance(values, np.ndarray) or values.dtype == object:
             values = np.array(values, dtype=object)
         array = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ProcessError(f"{name} must be numbers: {exc}") from None
-    if values.dtype == bool or (values.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in values.flat)):
-        raise ProcessError(f"{name} must be numbers, not bools")
+    if values.dtype.kind in "bSU" or (
+        values.dtype == object and any(isinstance(v, (bool, np.bool_, str, bytes)) for v in values.flat)
+    ):
+        raise ProcessError(f"{name} must be numbers, not bools or text")
     return array
 
 
@@ -126,18 +124,40 @@ def _flag_array(values, name: str) -> np.ndarray:
     return flags.astype(bool, copy=False)
 
 
-def _window(start, horizon) -> tuple[float, float]:
-    start = _real(start, "start")
+def _horizon(horizon) -> float:
     horizon = _real(horizon, "horizon")
-    if math.isinf(start) or math.isinf(horizon):
-        raise ProcessError("window endpoints must be finite")
-    if horizon < start:
-        raise ProcessError(f"horizon {horizon} precedes start {start}")
-    return start, horizon
+    if not 0.0 <= horizon < math.inf:
+        raise ProcessError(f"horizon must be finite and >= 0, got {horizon}")
+    return horizon
+
+
+def _check_events(times: Optional[np.ndarray], marks: np.ndarray, valid: np.ndarray, first_row=None) -> None:
+    """Refuse the first valid cell of padded rows whose time or mark is bad, naming its event.
+
+    Times (None for rows drawn without them) must strictly increase
+    from 0, and marks must be finite and >= 0.  NaN fails every
+    comparison, so it is refused with the ties and the negative marks.
+    A block's rows pass first_row, the block row of their row 0, and the
+    message also names the cell's block row; a stream's one row passes
+    None.
+    """
+    bad = ~((marks >= 0.0) & (marks < np.inf))
+    if times is not None:
+        bad |= ~(np.diff(times, axis=1, prepend=0.0) > 0.0)
+    bad &= valid
+    if not bad.any():
+        return
+    r, i = np.argwhere(bad)[0].tolist()
+    where = f"at event {i}" if first_row is None else f"at event {i} in row {first_row + r}"
+    if times is not None:
+        prev = times[r, i - 1] if i else 0.0
+        if not times[r, i] > prev:
+            raise ProcessError(f"event times must be strictly increasing from 0; got {times[r, i]} after {prev} {where}")
+    raise ProcessError(f"marks must be finite and non-negative; got {marks[r, i]} {where}")
 
 
 class EventStream:
-    """Time-ordered events on the window (start, horizon], as three arrays.
+    """Time-ordered events on the window (0, horizon], as three arrays.
 
     ``times`` (float64, strictly increasing inside the window), ``birth``
     (bool: a birth, else an extinction) and ``marks`` (float64, finite
@@ -145,40 +165,26 @@ class EventStream:
     The arrays are checked once, here, and made read-only.
     """
 
-    def __init__(self, start, horizon, times, birth, marks) -> None:
-        self.start, self.horizon = _window(start, horizon)
+    def __init__(self, horizon, times, birth, marks) -> None:
+        self.horizon = _horizon(horizon)
         times = _float_array(times, "times")
         birth = _flag_array(birth, "birth")
         marks = _float_array(marks, "marks")
         if not times.ndim == birth.ndim == marks.ndim == 1 or not times.size == birth.size == marks.size:
             raise ProcessError("times, birth and marks must be 1-d arrays of one length")
-        # NaN fails every comparison, so it is refused with the ties and the negative marks.
-        if times.size and not (
-            times[0] > self.start and times[-1] <= self.horizon and (times[1:] > times[:-1]).all()
-        ):
-            steps = np.diff(times, prepend=self.start)
-            if (steps > 0.0).all():
-                raise ProcessError(f"event at {times[-1]} beyond the window horizon {self.horizon}")
-            i = int(np.flatnonzero(~(steps > 0.0))[0])
-            prev = self.start if i == 0 else times[i - 1]
-            raise ProcessError(
-                f"event times must be strictly increasing within the window; got {times[i]} after {prev}"
-            )
-        ok = (marks >= 0.0) & (marks < np.inf)
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            raise ProcessError(f"mark {marks[i]} at time {times[i]}: marks must be finite and non-negative")
+        _check_events(times[None], marks[None], np.ones((1, times.size), dtype=bool))
+        if times.size and not times[-1] <= self.horizon:
+            raise ProcessError(f"event at {times[-1]} beyond the window horizon {self.horizon}")
         for a in (times, birth, marks):
             a.flags.writeable = False
         self.times, self.birth, self.marks = times, birth, marks
 
     @classmethod
-    def from_events(cls, start, horizon, events: Iterable[Event]) -> "EventStream":
+    def from_events(cls, horizon, events: Iterable[Event]) -> "EventStream":
         events = tuple(events)
         if not all(isinstance(ev, Event) for ev in events):
             raise ProcessError("stream entries must be Event instances")
         return cls(
-            start,
             horizon,
             [ev.time for ev in events],
             [ev.kind == BIRTH for ev in events],
@@ -212,32 +218,14 @@ class EventView(Sequence):
             yield Event(t, BIRTH if is_birth else EXTINCTION, mark)
 
 
-def _check_window(params: ModelParams, start: float, horizon: float) -> None:
-    """Refuse a window so far from 0 that its event times would tie, or expecting more than MAX_WINDOW_EVENTS events."""
-    total = params.lambda_birth + params.lambda_extinct
-    spacing = math.ulp(max(abs(start), abs(horizon)))
-    if spacing * total > MAX_SPACING_PER_GAP:
-        raise ProcessError(
-            f"float resolution {spacing:g} at t={max(abs(start), abs(horizon)):g} is too coarse for "
-            f"a mean event gap of {1.0 / total:g}: event times would tie; move the window toward 0"
-        )
-    expected = total * (horizon - start)
-    if expected > MAX_WINDOW_EVENTS:
-        raise ProcessError(
-            f"the window expects {expected:g} events, past the event budget of {MAX_WINDOW_EVENTS} "
-            f"per window (MAX_WINDOW_EVENTS); shorten the window or lower the rates"
-        )
-
-
 def generate_block(
     params: ModelParams,
-    start: float,
     horizon: float,
     rng: np.random.Generator,
     rows: int,
     with_times: bool = True,
 ) -> Iterator[tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw `rows` independent windows (start, horizon] as padded 2-D arrays.
+    """Draw `rows` independent windows (0, horizon] as padded 2-D arrays.
 
     The two Poisson streams are superposed: each row holds a Poisson
     number of events at the total rate, placed at sorted uniform times,
@@ -249,23 +237,26 @@ def generate_block(
     BLOCK_CHUNK_CELLS (row, event) cells, each padded to its longest
     row.  Yields (times, birth, marks, valid) per chunk, where ``valid``
     marks the cells that hold an event and times is None without
-    ``with_times``.  A window so far from 0 that the float spacing there
-    is not small against the mean gap is refused before anything is
-    drawn, since its event times would tie, and so is a window expecting
-    more than MAX_WINDOW_EVENTS events; a mark that is not finite
-    or is below 0, or times that do not strictly increase, on a valid
-    cell raise ProcessError.
+    ``with_times``.  A window expecting more than MAX_WINDOW_EVENTS
+    events is refused before anything is drawn.  Every chunk's valid
+    cells are checked as EventStream checks its one row: a mark that is
+    not finite or is below 0, or times that do not strictly increase,
+    raise ProcessError naming the row.
     """
-    start, horizon = _window(start, horizon)
-    _check_window(params, start, horizon)
+    horizon = _horizon(horizon)
     total = params.lambda_birth + params.lambda_extinct
-    counts = rng.poisson(total * (horizon - start), rows)
-    return _block_chunks(params, start, horizon, rng, counts, with_times)
+    expected = total * horizon
+    if expected > MAX_WINDOW_EVENTS:
+        raise ProcessError(
+            f"the window expects {expected:g} events, past the event budget of {MAX_WINDOW_EVENTS} "
+            f"per window (MAX_WINDOW_EVENTS); shorten the window or lower the rates"
+        )
+    counts = rng.poisson(expected, rows)
+    return _block_chunks(params, horizon, rng, counts, with_times)
 
 
-def _block_chunks(params, start, horizon, rng, counts, with_times):
+def _block_chunks(params, horizon, rng, counts, with_times):
     # Apart from generate_block, so that its checks and counts run at the call, not at the first chunk.
-    length = horizon - start
     share = params.lambda_birth / (params.lambda_birth + params.lambda_extinct)
     per_chunk = max(BLOCK_CHUNK_CELLS // max(int(counts.max(initial=0)), 1), 1)
     for lo in range(0, counts.size, per_chunk):
@@ -273,17 +264,9 @@ def _block_chunks(params, start, horizon, rng, counts, with_times):
         valid = np.arange(n.max(initial=0)) < n[:, None]
         times = None
         if with_times:
-            times = start + length * (1.0 - rng.random(valid.shape))
+            times = horizon * (1.0 - rng.random(valid.shape))
             times = np.sort(np.where(valid, times, np.inf), axis=1)  # padding sorts to the end of its row
             np.minimum(times, horizon, out=times)
-            steps = np.diff(times, axis=1, prepend=start)
-            bad = valid & ~(steps > 0.0)
-            if bad.any():
-                r, i = np.argwhere(bad)[0]
-                raise ProcessError(
-                    f"event times must be strictly increasing within the window; "
-                    f"got {times[r, i]} in row {lo + r}"
-                )
         birth = rng.random(valid.shape) < share
         hazards = rng.standard_exponential(valid.shape)
         marks = np.where(
@@ -291,24 +274,14 @@ def _block_chunks(params, start, horizon, rng, counts, with_times):
             params.fitness_dist.inverse_hazard_array(hazards),
             params.threshold_dist.inverse_hazard_array(hazards),
         )
-        bad = valid & ~((marks >= 0.0) & (marks < np.inf))
-        if bad.any():
-            r, i = np.argwhere(bad)[0]
-            raise ProcessError(
-                f"mark {marks[r, i]} in row {lo + r}: marks must be finite and non-negative"
-            )
+        _check_events(times, marks, valid, lo)
         yield times, birth, marks, valid
 
 
-def generate_stream(
-    params: ModelParams,
-    start: float,
-    horizon: float,
-    rng: np.random.Generator,
-) -> EventStream:
-    """Draw the joint event stream on (start, horizon]: a one-row generate_block."""
-    [(times, birth, marks, _)] = generate_block(params, start, horizon, rng, 1)
-    return EventStream(start, horizon, times[0], birth[0], marks[0])
+def generate_stream(params: ModelParams, horizon: float, rng: np.random.Generator) -> EventStream:
+    """Draw the joint event stream on (0, horizon]: a one-row generate_block."""
+    [(times, birth, marks, _)] = generate_block(params, horizon, rng, 1)
+    return EventStream(horizon, times[0], birth[0], marks[0])
 
 
 def count_alive(stream: EventStream, initial: Iterable[float] = ()) -> int:
@@ -406,19 +379,18 @@ class Configuration:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathTrace:
     """Evolution of a configuration along one event stream.
 
-    Only the post-event population sizes and the empty intervals are
-    stored; a configuration is rebuilt on demand by replaying the
+    Only the post-event population sizes are stored, as a read-only
+    int64 array; a configuration is rebuilt on demand by replaying the
     events up to its time.
     """
 
     stream: EventStream
     initial: Configuration
-    counts_after: tuple[int, ...]
-    empty_intervals: tuple[tuple[float, float], ...]
+    counts_after: np.ndarray
 
     def configuration_at(self, t: float) -> Configuration:
         """Configuration immediately after the last event at or before t."""
@@ -467,9 +439,7 @@ def evolve(initial: Configuration, stream: EventStream) -> PathTrace:
     at the start, plus the births, minus the deaths so far.  The stream
     goes in segments of SEGMENT_EVENTS events, each handing its
     survivors' fitness values to the next as its initial configuration,
-    so the killer table stays the same size at any horizon.  The empty
-    intervals open where the count falls to 0 and close at the births
-    that find it at 0.
+    so the killer table stays the same size at any horizon.
     """
     if not isinstance(initial, Configuration):
         initial = Configuration(values=tuple(initial))
@@ -486,25 +456,14 @@ def evolve(initial: Configuration, stream: EventStream) -> PathTrace:
         deaths = np.bincount(killers, minlength=m + 1)[:m]
         counts[lo : lo + m] = alive.size + np.cumsum(birth - deaths)
         alive = fitness[killers == m]
-    # Emptiness before every event and after the last; the times where it flips bound the intervals.
-    empty = np.concatenate(([len(initial) == 0], counts == 0))
-    bounds = stream.times[empty[1:] != empty[:-1]].tolist()
-    if empty[0]:
-        bounds.insert(0, stream.start)
-    if empty[-1]:
-        bounds.append(stream.horizon)
-    return PathTrace(
-        stream=stream,
-        initial=initial,
-        counts_after=tuple(counts.tolist()),
-        empty_intervals=tuple(zip(bounds[::2], bounds[1::2])),
-    )
+    counts.flags.writeable = False
+    return PathTrace(stream=stream, initial=initial, counts_after=counts)
 
 
 def _query_time(stream: EventStream, t) -> float:
     t = _real(t, "t")
-    if not stream.start <= t <= stream.horizon:
-        raise ProcessError(f"t={t} outside window [{stream.start}, {stream.horizon}]")
+    if not 0.0 <= t <= stream.horizon:
+        raise ProcessError(f"t={t} outside window [0.0, {stream.horizon}]")
     return t
 
 
@@ -513,19 +472,23 @@ def species_count_at(trace: PathTrace, t: float) -> int:
     idx = int(np.searchsorted(trace.stream.times, _query_time(trace.stream, t), side="right")) - 1
     if idx < 0:
         return len(trace.initial)
-    return trace.counts_after[idx]
+    return int(trace.counts_after[idx])
 
 
 def last_empty_time(trace: PathTrace) -> Optional[float]:
     """Supremum of times in the window with an empty configuration.
 
-    Returns None when the configuration never empties.  Between an
-    emptying extinction and the next birth the empty set is a
-    right-open interval, so the supremum is the closing time itself.
+    The horizon if the configuration ends empty.  Otherwise an empty
+    stretch runs from an emptying extinction (or from 0) up to the next
+    birth, right-open, so the supremum is the time of the last birth
+    that finds the configuration empty; None if no birth does.
     """
-    if not trace.empty_intervals:
-        return None
-    return trace.empty_intervals[-1][1]
+    stream, counts = trace.stream, trace.counts_after
+    before = np.concatenate(([len(trace.initial)], counts))
+    if before[-1] == 0:
+        return stream.horizon
+    found = np.flatnonzero(stream.birth & (before[:-1] == 0))
+    return float(stream.times[found[-1]]) if found.size else None
 
 
 def _number_texts(values) -> list[str]:

@@ -10,14 +10,26 @@ reruns reproduce each other bit for bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int through operator.index; bools, floats and text are refused as a ValueError naming name."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(base_seed: int) -> int:
-    """base_seed, refused unless it lies in [0, 2**128), the span of a Philox key."""
-    seed = int(base_seed)
+    """base_seed, refused unless it is an integer in [0, 2**128), the span of a Philox key."""
+    seed = _as_int(base_seed, "seed")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {base_seed}")
     return seed
@@ -35,7 +47,7 @@ def replication_rng(base_seed: int, index: int = 0, salt: int = 0) -> np.random.
     stream of another.
     """
     seed = check_seed(base_seed)
-    index, salt = int(index), int(salt)
+    index, salt = _as_int(index, "replication index"), _as_int(salt, "salt")
     if not 0 <= index <= _MASK64:
         raise ValueError(f"replication index must lie in [0, 2**64), got {index}")
     if not 0 <= salt <= _MASK64:

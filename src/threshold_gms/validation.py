@@ -340,7 +340,7 @@ def check_oracle(ctx: SuiteContext) -> CheckResult:
     for i in range(ORACLE_WINDOWS):
         rng = replication_rng(ctx.config.base_seed, index=i, salt=_ORACLE_SALT)
         horizon = float(1.0 + 29.0 * rng.random())
-        stream = generate_stream(TRANSIENT_EXAMPLE, 0.0, horizon, rng)
+        stream = generate_stream(TRANSIENT_EXAMPLE, horizon, rng)
         fast_count = count_extinctions_above_records(stream)
         if fast_count != _pairwise_region_count(stream):
             count_bad += 1
@@ -351,7 +351,7 @@ def check_oracle(ctx: SuiteContext) -> CheckResult:
         trace = evolve(initial, stream)
         brute_counts, brute_final, brute_empty = _brute_force_counts(initial, stream)
         if (
-            list(trace.counts_after) != brute_counts
+            trace.counts_after.tolist() != brute_counts
             or trace.configuration_at(horizon).values != brute_final
             or count_alive(stream, initial) != len(brute_final)
             or last_empty_time(trace) != brute_empty

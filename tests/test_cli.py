@@ -473,8 +473,8 @@ def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
         ["classify", "--grid", "alpha_fitness=1"],
         ["validate", "--reps", "500"],
         ["ladder-mc", "--params", "PARAMS", "--reps", "0"],
-        # Event times would tie at this float resolution.
-        ["simulate", "--params", "PARAMS", "--start", "1e15", "--horizon", "1.000000000002e15"],
+        # Every window is (0, horizon].
+        ["simulate", "--params", "PARAMS", "--horizon", "-1"],
         # A repeated grid key would silently keep only its last values.
         ["classify", "--grid", "alpha_fitness=1;alpha_fitness=2;alpha_threshold=1"],
         # An --only that names no check would pass by running nothing.
@@ -533,8 +533,10 @@ def test_malformed_params_file(tmp_path, capsys):
         {"family": "tabulated", "grid": 5},
         {"family": "tabulated", "grid": [[1.0, 0.0], 3]},
         {"family": "tabulated", "csv": 7},
+        {"family": "exponential", "rate": "2"},
+        {"family": "exponential", "rate": True},
     ],
-    ids=["grid-not-a-sequence", "grid-row-not-a-pair", "csv-not-a-path"],
+    ids=["grid-not-a-sequence", "grid-row-not-a-pair", "csv-not-a-path", "rate-a-string", "rate-a-bool"],
 )
 def test_malformed_tabulated_spec_is_a_usage_error(tmp_path, capsys, spec):
     params = {
@@ -555,3 +557,13 @@ def test_malformed_tabulated_spec_is_a_usage_error(tmp_path, capsys, spec):
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_simulate_has_no_start_option(tmp_path, transient_params, capsys):
+    """Every window is (0, horizon]: --start is an unknown option, a usage error."""
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", "--params", transient_params, "--start", "0", "--horizon", "5", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--start" in capsys.readouterr().err
+    assert not out.exists()

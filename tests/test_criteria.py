@@ -125,6 +125,8 @@ def test_count_exponent_rejects_nonpositive_t():
         extinction_count_exponent(TRANSIENT_EXAMPLE, 0.0)
     with pytest.raises(CriteriaError):
         extinction_count_exponent(TRANSIENT_EXAMPLE, -1.0)
+    with pytest.raises(CriteriaError, match="^t must not be NaN$"):
+        extinction_count_exponent(TRANSIENT_EXAMPLE, math.nan)
 
 
 def test_laplace_transform_closed_form():

@@ -60,6 +60,12 @@ def test_pareto_pointwise():
 def test_pareto_requires_positive_minimum():
     with pytest.raises(DistributionError):
         Pareto(0.0, 1.0)
+    # float() would take a bool or a numeric string; neither is a parameter.
+    for value in (True, np.True_, "2", b"2"):
+        with pytest.raises(DistributionError, match="^minimum must be a real number"):
+            Pareto(value, 1.0)
+        with pytest.raises(DistributionError, match="^rate must be a real number"):
+            Exponential(value)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +219,11 @@ def test_model_params_validation():
         ModelParams(0.0, 1.0, Exponential(1.0), Exponential(1.0))
     with pytest.raises(DistributionError):
         ModelParams(1.0, math.inf, Exponential(1.0), Exponential(1.0))
+    with pytest.raises(DistributionError, match="^lambda_birth must be a real number, got True$"):
+        ModelParams(True, 1.0, Exponential(1.0), Exponential(1.0))
+    exp1 = {"family": "exponential", "rate": 1.0}
+    with pytest.raises(DistributionError, match="^lambda_extinct must be a real number, got '1.0'$"):
+        model_params_from_json({"lambda_birth": 1.0, "lambda_extinct": "1.0", "fitness_dist": exp1, "threshold_dist": exp1})
     with pytest.raises(DistributionError):
         model_params_from_json({"lambda_birth": 1.0})
 

@@ -179,7 +179,7 @@ def test_window_count_matches_pairwise_scan():
     for i in range(300):
         rng = replication_rng(26, i, 0)
         horizon = 1.0 + 25.0 * rng.random()
-        stream = generate_stream(TRANSIENT_EXAMPLE, 0.0, horizon, rng)
+        stream = generate_stream(TRANSIENT_EXAMPLE, horizon, rng)
         assert count_extinctions_above_records(stream) == _pairwise_region_count(stream)
 
 

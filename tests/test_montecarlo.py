@@ -27,7 +27,7 @@ from threshold_gms.montecarlo import (
     summarize,
 )
 from threshold_gms.process import ProcessError
-from threshold_gms.streams import replication_rng
+from threshold_gms.streams import check_seed, replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
 
@@ -78,6 +78,16 @@ def test_plan_validation():
         count_plan(0)
     with pytest.raises(MonteCarloError):
         count_plan(5, seed=-1)
+    # Bools and floats are not integers; a NaN window is the plan's own error, not DistributionError.
+    with pytest.raises(MonteCarloError, match="^replications must be an integer, got True$"):
+        ReplicationPlan(TASK_EXTINCTION_COUNT, TRANSIENT_EXAMPLE, True, True)
+    with pytest.raises(MonteCarloError, match="^base_seed must be an integer, got 2.0$"):
+        ReplicationPlan(TASK_EXTINCTION_COUNT, TRANSIENT_EXAMPLE, 5, 2.0)
+    with pytest.raises(MonteCarloError, match="^t must not be NaN$"):
+        ReplicationPlan(TASK_FORWARD_COUNT, TRANSIENT_EXAMPLE, 5, 1, t=math.nan)
+    with pytest.raises(MonteCarloError, match="^horizon must be a real number"):
+        ReplicationPlan(TASK_EMPTY_SCAN, TRANSIENT_EXAMPLE, 5, 1, horizon="5")
+    assert count_plan(np.int64(5)).replications == 5
     with pytest.raises(MonteCarloError):
         ReplicationPlan(
             task=TASK_FORWARD_COUNT, params=TRANSIENT_EXAMPLE, replications=1, base_seed=0
@@ -491,7 +501,7 @@ def test_ladder_runs_carry_stop_reasons_and_depths():
 
 @pytest.mark.parametrize("task,window", [(TASK_FORWARD_COUNT, "t"), (TASK_EMPTY_SCAN, "horizon")])
 def test_forward_blocks_refuse_bad_marks_and_windows(task, window, monkeypatch):
-    """A mark past the float range, and a window past the float resolution, raise through run."""
+    """A mark past the float range, and a window past the event budget, raise through run."""
 
     def plan(params, at):
         return ReplicationPlan(task=task, params=params, replications=10, base_seed=1, **{window: at})
@@ -505,7 +515,7 @@ def test_forward_blocks_refuse_bad_marks_and_windows(task, window, monkeypatch):
         return rngs[-1]
 
     monkeypatch.setattr(montecarlo, "replication_rng", recording_rng)
-    with pytest.raises(ProcessError, match="resolution"):
+    with pytest.raises(ProcessError, match="event budget"):
         run(plan(TRANSIENT_EXAMPLE, 1e10))
     # Refused before the first block drew anything.
     assert [g.random() for g in rngs] == [replication_rng(1, 0, montecarlo._TASK_SALTS[task]).random()]
@@ -529,6 +539,9 @@ def test_seeds_from_2_63_up_key_distinct_streams():
     for seed in (-3, 2**128):
         with pytest.raises(ValueError, match="2\\*\\*128"):
             replication_rng(seed)
+    for seed in (2.7, True, "5"):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            check_seed(seed)
 
 
 def test_index_and_salt_outside_64_bits_are_refused():
@@ -539,3 +552,7 @@ def test_index_and_salt_outside_64_bits_are_refused():
     for index, salt in ((2**64, 0), (-1, 0), (0, 2**64), (0, -1)):
         with pytest.raises(ValueError, match="2\\*\\*64"):
             replication_rng(3, index, salt)
+    for index, salt, name in ((1.9, 0, "replication index"), (True, 0, "replication index"), (0, np.True_, "salt")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            replication_rng(3, index, salt)
+    assert replication_rng(3, np.uint64(1)).random() == replication_rng(3, 1).random()

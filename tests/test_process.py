@@ -34,13 +34,13 @@ from threshold_gms.validation import _brute_force_counts
 PARAMS = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0))
 
 
-def _stream(events, horizon, start=0.0):
-    return EventStream.from_events(start, horizon, events)
+def _stream(events, horizon):
+    return EventStream.from_events(horizon, events)
 
 
 def test_empty_window_gives_empty_stream():
     rng = replication_rng(1, 0, 0)
-    stream = generate_stream(PARAMS, 5.0, 5.0, rng)
+    stream = generate_stream(PARAMS, 0.0, rng)
     assert len(stream.events) == 0 and stream.times.size == stream.birth.size == stream.marks.size == 0
 
 
@@ -60,7 +60,7 @@ def test_stream_validation():
     with pytest.raises(ProcessError):
         _stream([Event(time=3.0, kind="birth", mark=0.5)], horizon=2.0)
     with pytest.raises(ProcessError):
-        _stream([], start=2.0, horizon=1.0)
+        _stream([], horizon=-1.0)
     with pytest.raises(ProcessError):
         _stream([ev, "not an event"], horizon=2.0)
 
@@ -73,7 +73,7 @@ def test_event_count_is_poisson():
     counts = []
     for i in range(n_reps):
         rng = replication_rng(2, i, 0)
-        counts.append(len(generate_stream(params, 0.0, horizon, rng).events))
+        counts.append(len(generate_stream(params, horizon, rng).events))
     counts = np.array(counts)
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(n_reps)
@@ -85,7 +85,7 @@ def test_event_count_is_poisson():
 def test_kind_split_matches_rates():
     params = ModelParams(3.0, 1.0, Exponential(1.0), Exponential(1.0))
     rng = replication_rng(3, 0, 0)
-    stream = generate_stream(params, 0.0, 5000.0, rng)
+    stream = generate_stream(params, 5000.0, rng)
     n = len(stream.events)
     frac = np.count_nonzero(stream.birth) / n
     se = math.sqrt(0.75 * 0.25 / n)
@@ -105,7 +105,9 @@ def test_evolve_worked_example():
         Event(time=3.0, kind="extinction", mark=2.0),
     ]
     trace = evolve(Configuration(), _stream(events, horizon=4.0))
-    assert trace.counts_after == (1, 2, 1)
+    assert trace.counts_after.tolist() == [1, 2, 1]
+    assert trace.counts_after.dtype == np.int64 and not trace.counts_after.flags.writeable
+    assert type(species_count_at(trace, 4.0)) is int
     assert trace.configuration_at(4.0).values == (5.0,)
     assert trace.configuration_at(2.5).values == (1.0, 5.0)
 
@@ -116,27 +118,28 @@ def test_total_extinction_opens_empty_interval():
         Event(time=2.0, kind="birth", mark=0.5),
     ]
     trace = evolve(Configuration((2.0,)), _stream(events, horizon=5.0))
-    assert trace.empty_intervals == ((1.0, 2.0),)
+    assert trace.counts_after.tolist() == [0, 1]
     assert last_empty_time(trace) == 2.0
 
 
 def test_trailing_empty_interval_closes_at_horizon():
     events = [Event(time=1.0, kind="extinction", mark=10.0)]
     trace = evolve(Configuration((2.0, 3.0)), _stream(events, horizon=5.0))
-    assert trace.empty_intervals == ((1.0, 5.0),)
+    assert trace.counts_after.tolist() == [0]
     assert last_empty_time(trace) == 5.0
 
 
 def test_initially_empty_interval_starts_at_window_start():
     events = [Event(time=2.0, kind="birth", mark=1.0)]
     trace = evolve(Configuration(), _stream(events, horizon=5.0))
-    assert trace.empty_intervals == ((0.0, 2.0),)
+    assert species_count_at(trace, 0.0) == species_count_at(trace, 1.9) == 0
+    assert last_empty_time(trace) == 2.0
 
 
 def test_never_empty_returns_none():
     events = [Event(time=1.0, kind="birth", mark=1.0)]
     trace = evolve(Configuration((2.0,)), _stream(events, horizon=5.0))
-    assert trace.empty_intervals == ()
+    assert trace.counts_after.tolist() == [2]
     assert last_empty_time(trace) is None
 
 
@@ -155,33 +158,22 @@ def test_species_count_at_boundaries():
 
 
 def test_generate_stream_is_deterministic():
-    a = generate_stream(PARAMS, 0.0, 30.0, replication_rng(9, 5, 0))
-    b = generate_stream(PARAMS, 0.0, 30.0, replication_rng(9, 5, 0))
+    a = generate_stream(PARAMS, 30.0, replication_rng(9, 5, 0))
+    b = generate_stream(PARAMS, 30.0, replication_rng(9, 5, 0))
     for name in ("times", "birth", "marks"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    c = generate_stream(PARAMS, 0.0, 30.0, replication_rng(9, 6, 0))
+    c = generate_stream(PARAMS, 30.0, replication_rng(9, 6, 0))
     assert a.times.tobytes() != c.times.tobytes()
-
-
-def test_window_too_far_out_for_the_float_resolution_is_refused():
-    """Past about 1e15 the float spacing approaches the mean event gap, and event times would tie."""
-    rng = replication_rng(1)
-    with pytest.raises(ProcessError, match="resolution"):
-        generate_stream(PARAMS, 1e15, 1e15 + 2000, rng)
-    with pytest.raises(ProcessError, match="resolution"):
-        generate_stream(PARAMS, 1e15, 1.000000000002e15, rng)
-    assert rng.random() == replication_rng(1).random()  # refused before drawing anything
-    assert len(generate_stream(PARAMS, 1e6, 1e6 + 20.0, rng).events)
 
 
 def test_window_past_the_event_budget_is_refused():
     """A window expecting more than MAX_WINDOW_EVENTS events is refused before drawing, not at allocation."""
     rng = replication_rng(1)
-    horizon = 1e8  # 2e8 expected events, fine for the float resolution
+    horizon = 1e8  # 2e8 expected events
     with pytest.raises(ProcessError, match="event budget of 16777216"):
-        generate_stream(PARAMS, 0.0, horizon, rng)
+        generate_stream(PARAMS, horizon, rng)
     with pytest.raises(ProcessError, match="event budget"):
-        generate_block(PARAMS, -horizon, 0.0, rng, 3)
+        generate_block(PARAMS, horizon, rng, 3)
     assert rng.random() == replication_rng(1).random()  # refused before drawing anything
 
 
@@ -189,12 +181,12 @@ def test_evolve_matches_naive_replay_on_random_windows():
     for i in range(300):
         rng = replication_rng(10, i, 0)
         horizon = 1.0 + 25.0 * rng.random()
-        stream = generate_stream(PARAMS, 0.0, horizon, rng)
+        stream = generate_stream(PARAMS, horizon, rng)
         n_init = int(rng.integers(0, 5))
         initial = Configuration(tuple(PARAMS.fitness_dist.sample(rng) for _ in range(n_init)))
         trace = evolve(initial, stream)
         counts, final, _ = _brute_force_counts(initial, stream)
-        assert list(trace.counts_after) == counts
+        assert trace.counts_after.tolist() == counts
         assert trace.configuration_at(horizon).values == final
 
 
@@ -228,8 +220,8 @@ def test_evolution_structure_properties(gaps_kinds_marks, n_init):
             assert count <= prev
         assert count >= 0
         prev = count
-    for lo, hi in trace.empty_intervals:
-        assert stream.start <= lo < hi <= stream.horizon
+    last = last_empty_time(trace)
+    assert last is None or 0.0 <= last <= stream.horizon
 
 
 def test_csv_writers_round_trip(tmp_path):
@@ -261,7 +253,7 @@ MARK_LAWS = {
 def _check_against_brute_force(initial, stream):
     trace = evolve(initial, stream)
     counts, final, last_empty = _brute_force_counts(initial, stream)
-    assert list(trace.counts_after) == counts
+    assert trace.counts_after.tolist() == counts
     assert trace.configuration_at(stream.horizon).values == final
     assert species_count_at(trace, stream.horizon) == len(final)
     assert count_alive(stream, initial) == len(final)
@@ -280,7 +272,7 @@ def _check_against_brute_force(initial, stream):
 def test_array_path_matches_event_by_event_replay(seed, fitness, threshold, rates, length, initial):
     """Replay counts, suffix-maximum count and last-empty time agree with the list filter."""
     params = ModelParams(rates[0], rates[1], MARK_LAWS[fitness], MARK_LAWS[threshold])
-    stream = generate_stream(params, 2.0, 2.0 + length, replication_rng(seed))
+    stream = generate_stream(params, length, replication_rng(seed))
     _check_against_brute_force(Configuration(tuple(initial)), stream)
 
 
@@ -307,15 +299,21 @@ def test_a_fitness_equal_to_a_later_threshold_survives():
     ]
     stream = _stream(events, horizon=4.0)
     assert count_alive(stream, (2.0, 1.5)) == 2
-    assert evolve(Configuration((2.0, 1.5)), stream).counts_after == (3, 2, 2)
+    assert evolve(Configuration((2.0, 1.5)), stream).counts_after.tolist() == [3, 2, 2]
 
 
 @pytest.mark.parametrize(
     "initial, error",
-    [([-1.0, math.nan, math.inf], ProcessError), ([math.inf], ProcessError), ([math.nan], ProcessError)],
+    [
+        ([-1.0, math.nan, math.inf], ProcessError),
+        ([math.inf], ProcessError),
+        ([math.nan], ProcessError),
+        ([True], ProcessError),
+        (["1.0"], ProcessError),
+    ],
 )
 def test_count_alive_checks_the_initial_values_as_evolve_does(initial, error):
-    """Negative, infinite and NaN fitness values are refused by both, through Configuration."""
+    """Negative, infinite, NaN, bool and text fitness values are refused by both, through Configuration."""
     stream = _stream([], horizon=1.0)
     with pytest.raises(error):
         count_alive(stream, initial)
@@ -331,12 +329,11 @@ def test_count_alive_checks_the_initial_values_as_evolve_does(initial, error):
         lambda stream: evolve([1.0, math.nan], stream),
         lambda stream: Event(math.nan, "birth", 1.0),
         lambda stream: Event(1.0, "extinction", math.nan),
-        lambda stream: EventStream(math.nan, 1.0, [], [], []),
-        lambda stream: EventStream(0.0, math.nan, [], [], []),
+        lambda stream: EventStream(math.nan, [], [], []),
         lambda stream: evolve([], stream).configuration_at(math.nan),
         lambda stream: species_count_at(evolve([], stream), math.nan),
     ],
-    ids=["count_alive", "evolve", "Event time", "Event mark", "EventStream start", "EventStream horizon",
+    ids=["count_alive", "evolve", "Event time", "Event mark", "EventStream horizon",
          "configuration_at", "species_count_at"],
 )
 def test_nan_is_refused_as_a_process_error(refuse):
@@ -358,9 +355,9 @@ def test_nan_is_refused_as_a_process_error(refuse):
     ],
 )
 def test_stream_refuses_bad_marks_and_times(times, marks):
-    """Marks must be finite and >= 0; times strictly increasing inside (start, horizon]."""
+    """Marks must be finite and >= 0; times strictly increasing inside (0, horizon]."""
     with pytest.raises(ProcessError):
-        EventStream(0.0, 5.0, times, [True, False], marks)
+        EventStream(5.0, times, [True, False], marks)
 
 
 @pytest.mark.parametrize(
@@ -370,12 +367,15 @@ def test_stream_refuses_bad_marks_and_times(times, marks):
         ([1.0], ["a"], "marks"),
         ([object()], [1.0], "times"),
         ([1.0], [{}], "marks"),
+        (["0.5"], [1.0], "times"),
+        ([0.5], np.array(["1.0"]), "marks"),
+        ([0.5], [b"1.0"], "marks"),
     ],
 )
 def test_stream_refuses_entries_that_are_not_numbers(times, marks, field):
     """A time or mark that is not a number is a ProcessError naming its field, not numpy's bare error."""
     with pytest.raises(ProcessError, match=f"^{field} must be numbers"):
-        EventStream(0.0, 1.0, times, [True], marks)
+        EventStream(1.0, times, [True], marks)
 
 
 @pytest.mark.parametrize(
@@ -392,19 +392,19 @@ def test_stream_refuses_entries_that_are_not_numbers(times, marks, field):
 def test_stream_refuses_bools_as_times_and_marks(times, marks, field):
     """numpy would cast a bool to 0.0 or 1.0; as a time or a mark it is a ProcessError naming the field."""
     with pytest.raises(ProcessError, match=f"^{field} must be numbers, not bools"):
-        EventStream(0.0, 2.0, times, [True, False], marks)
+        EventStream(2.0, times, [True, False], marks)
 
 
 @pytest.mark.parametrize("birth", [["a"], [object()], [""], [None], [2], [-1], [1.0], [True, None]])
 def test_stream_refuses_birth_flags_that_are_not_bools(birth):
     """numpy would take any object's truth value; only bools and the integers 0 and 1 are flags."""
     with pytest.raises(ProcessError, match="^birth must be"):
-        EventStream(0.0, 5.0, [1.0, 2.0][: len(birth)], birth, [0.5, 0.5][: len(birth)])
+        EventStream(5.0, [1.0, 2.0][: len(birth)], birth, [0.5, 0.5][: len(birth)])
 
 
 @pytest.mark.parametrize("birth", [[True, False], [np.True_, np.False_], [1, 0], np.array([1, 0], dtype=np.uint8)])
 def test_stream_takes_bools_and_the_integers_0_and_1_as_birth_flags(birth):
-    stream = EventStream(0.0, 5.0, [1.0, 2.0], birth, [0.5, 0.5])
+    stream = EventStream(5.0, [1.0, 2.0], birth, [0.5, 0.5])
     assert stream.birth.dtype == bool and stream.birth.tolist() == [True, False]
 
 
@@ -412,7 +412,7 @@ def test_a_mark_past_the_float_range_is_refused():
     """Weibull shape 0.001 sends every unit exponential above about 2 past the float range."""
     params = ModelParams(1.0, 1.0, Weibull(0.001, 1.0), Exponential(1.0))
     with pytest.raises(ProcessError, match="finite"):
-        generate_stream(params, 0.0, 50.0, replication_rng(1))
+        generate_stream(params, 50.0, replication_rng(1))
 
 
 def test_events_view_reads_the_arrays():
@@ -452,7 +452,7 @@ def test_block_kernels_match_the_one_window_path():
     horizon = 20.0
     quiet = ModelParams(0.2, 3.0, Exponential(1.0), Exponential(1.0))
     streams = [
-        generate_stream(params, 0.0, horizon, replication_rng(31, i))
+        generate_stream(params, horizon, replication_rng(31, i))
         for i, params in enumerate([PARAMS, PARAMS.swapped(), quiet, quiet, PARAMS])
     ]
     tied = [(1.0, "birth", 2.0), (2.0, "extinction", 2.0), (3.0, "birth", 1.0), (4.0, "extinction", 2.0),
@@ -482,20 +482,20 @@ def test_block_kernels_on_marks_that_tie(rows):
     for events in rows:
         times = np.cumsum([gap for gap, _, _ in events])
         birth = [is_birth for _, is_birth, _ in events]
-        streams.append(EventStream(0.0, horizon, times, birth, [float(m) for _, _, m in events]))
+        streams.append(EventStream(horizon, times, birth, [float(m) for _, _, m in events]))
     _check_block_kernels(streams, horizon)
 
 
 def test_generate_block_layout():
     """Counts first, then row chunks padded to their longest row; valid times lie in the window."""
-    chunks = list(generate_block(PARAMS, 1.0, 201.0, replication_rng(32), 300))
+    chunks = list(generate_block(PARAMS, 200.0, replication_rng(32), 300))
     counts = replication_rng(32).poisson(400.0, 300)
     assert len(chunks) > 1 and sum(valid.shape[0] for *_, valid in chunks) == 300
     assert np.concatenate([valid.sum(axis=1) for *_, valid in chunks]).tolist() == counts.tolist()
     for times, birth, marks, valid in chunks:
         assert valid.size <= 1 << 15 and valid[:, -1].any()
-        assert np.all((times[valid] > 1.0) & (times[valid] <= 201.0)) and np.all(marks[valid] >= 0.0)
-    untimed = generate_block(PARAMS, 1.0, 201.0, replication_rng(32), 300, with_times=False)
+        assert np.all((times[valid] > 0.0) & (times[valid] <= 200.0)) and np.all(marks[valid] >= 0.0)
+    untimed = generate_block(PARAMS, 200.0, replication_rng(32), 300, with_times=False)
     assert all(times is None for times, *_ in untimed)
 
 
@@ -504,18 +504,47 @@ def test_generate_block_refuses_tied_times():
         """Every uniform is 0, so every event lands on the horizon."""
 
         poisson = replication_rng(33).poisson
+        standard_exponential = replication_rng(33).standard_exponential
 
         def random(self, shape):
             return np.zeros(shape)
 
     with pytest.raises(ProcessError, match="strictly increasing"):
-        list(generate_block(PARAMS, 0.0, 5.0, TiedTimes(), 4))
+        list(generate_block(PARAMS, 5.0, TiedTimes(), 4))
+
+
+class _BadCellDraws:
+    """Rows of 0, 2 and 2 events, every uniform 0 (every time on the horizon, every event a birth) and every hazard 1."""
+
+    def poisson(self, lam, size):
+        return np.array([0, 2, 2])
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+    def standard_exponential(self, shape):
+        return np.ones(shape)
+
+
+@pytest.mark.parametrize(
+    "times, mark",
+    [([5.0, 5.0], 1.0), ([5.0], -1.0), ([5.0], math.inf), ([5.0], math.nan)],
+    ids=["tied times", "mark -1", "mark inf", "mark nan"],
+)
+def test_streams_and_blocks_refuse_bad_cells_alike(times, mark, monkeypatch):
+    """EventStream and generate_block check their cells through one routine: one message, the block's naming its row."""
+    with pytest.raises(ProcessError) as stream_error:
+        EventStream(5.0, times, [True] * len(times), [mark] * len(times))
+    monkeypatch.setattr(Exponential, "inverse_hazard_array", lambda self, h: np.full(h.shape, mark))
+    with pytest.raises(ProcessError) as block_error:
+        list(generate_block(PARAMS, 5.0, _BadCellDraws(), 3))
+    assert str(block_error.value) == f"{stream_error.value} in row 1"
 
 
 def test_generate_stream_is_a_one_row_block():
     """simulate and the forward tasks draw through one path: the same seed gives the same window."""
-    stream = generate_stream(PARAMS, 2.0, 300.0, replication_rng(34))
-    [(times, birth, marks, valid)] = generate_block(PARAMS, 2.0, 300.0, replication_rng(34), 1)
+    stream = generate_stream(PARAMS, 300.0, replication_rng(34))
+    [(times, birth, marks, valid)] = generate_block(PARAMS, 300.0, replication_rng(34), 1)
     assert valid.all() and len(stream) == valid.size > 0
     assert stream.times.tolist() == times[0].tolist() and stream.marks.tolist() == marks[0].tolist()
     assert stream.birth.tolist() == birth[0].tolist()
@@ -558,14 +587,14 @@ def test_first_above_at_table_edges(n):
 def _tied_stream(seed, size):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.01, 1.0, size))
-    return EventStream(0.0, float(times[-1]) + 1.0 if size else 1.0, times, rng.random(size) < 0.5,
+    return EventStream(float(times[-1]) + 1.0 if size else 1.0, times, rng.random(size) < 0.5,
                        rng.integers(0, 4, size).astype(float))
 
 
 @pytest.mark.parametrize("segment", [1, 2, 3, 7])
 def test_evolve_carries_survivors_across_segments(segment):
     """Survivors pass from segment to segment; configuration_at replays the whole stream independently."""
-    streams = [generate_stream(PARAMS.swapped(), 0.0, 40.0, replication_rng(35, i)) for i in range(4)]
+    streams = [generate_stream(PARAMS.swapped(), 40.0, replication_rng(35, i)) for i in range(4)]
     streams += [_tied_stream(i, size) for i, size in enumerate([0, 1, 5, 23, 60])]
     initials = [(), (0.5,), (3.0, 1.0, 1.0, 2.0, 0.0)]
     with mock.patch.object(process, "SEGMENT_EVENTS", segment):
@@ -576,7 +605,7 @@ def test_evolve_carries_survivors_across_segments(segment):
 
 @pytest.mark.parametrize("params", [PARAMS, PARAMS.swapped()], ids=["growing", "finite-limit"])
 def test_evolve_on_a_stream_longer_than_a_segment(params):
-    stream = generate_stream(params, 0.0, 3000.0, replication_rng(36))
+    stream = generate_stream(params, 3000.0, replication_rng(36))
     assert len(stream) > 1.4 * process.SEGMENT_EVENTS
     _check_against_brute_force(Configuration((0.2, 1.0, 4.0)), stream)
 
@@ -584,14 +613,14 @@ def test_evolve_on_a_stream_longer_than_a_segment(params):
 def _one_shot_trace_csv(trace):
     stream = trace.stream
     kinds = ["birth" if b else "extinction" for b in stream.birth.tolist()]
-    rows = zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+    rows = zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after.tolist())
     return "time,kind,mark,count_after\r\n" + "".join(
         f"{t!r},{kind},{mark!r},{count}\r\n" for t, kind, mark, count in rows
     )
 
 
 def test_trace_csv_slices_write_the_one_shot_rows(tmp_path):
-    stream = generate_stream(PARAMS, 0.0, 2500.0, replication_rng(37))
+    stream = generate_stream(PARAMS, 2500.0, replication_rng(37))
     assert len(stream) > process.SEGMENT_EVENTS
     trace = evolve(Configuration((1.0,)), stream)
     path = tmp_path / "trace.csv"
@@ -639,7 +668,7 @@ def test_float_texts_on_a_fixed_panel():
 def _one_shot_trace_json(trace):
     stream = trace.stream
     kinds = ["birth" if b else "extinction" for b in stream.birth.tolist()]
-    rows = zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after)
+    rows = zip(stream.times.tolist(), kinds, stream.marks.tolist(), trace.counts_after.tolist())
     events = [{"time": t, "kind": kind, "mark": mark, "count_after": count} for t, kind, mark, count in rows]
     return json.dumps({"events": events}, indent=2, sort_keys=True) + "\n"
 
@@ -648,13 +677,14 @@ def _far_stream():
     """Times from 1e14 past 1e16, marks from 0 through the subnormals to the largest double."""
     times = np.geomspace(1e14, 3e17, 40)
     marks = np.resize(np.array([abs(v) for v in FLOAT_PANEL] + [3.5e-7, 1e20]), times.size)
-    return EventStream(0.0, 1e18, times, np.arange(times.size) % 3 != 1, marks)
+    return EventStream(1e18, times, np.arange(times.size) % 3 != 1, marks)
 
 
 def _panel_stream():
-    """FLOAT_PANEL's values as times (-0.0 standing for both zeros, which would tie), their sizes as marks."""
-    times = sorted({-0.0 if v == 0.0 else v for v in FLOAT_PANEL})
-    return EventStream(-2e16, sys.float_info.max, times, np.arange(len(times)) % 2 == 0, np.abs(times))
+    """FLOAT_PANEL's positive values as times, the sizes of all its values as marks."""
+    times = sorted(v for v in FLOAT_PANEL if v > 0.0)
+    marks = np.resize(np.abs(FLOAT_PANEL), len(times))
+    return EventStream(sys.float_info.max, times, np.arange(len(times)) % 2 == 0, marks)
 
 
 @pytest.mark.parametrize("segment", [process.SEGMENT_EVENTS, 7])
@@ -662,7 +692,7 @@ def test_trace_csv_keeps_repr_outside_the_ryu_range(tmp_path, segment):
     """Marks below 1e-4 and times past 1e16 write the one-shot repr rows, in whole and in slices."""
     tiny = ModelParams(1.0, 1.0, Exponential(3e4), Exponential(2.0))
     traces = [
-        evolve(Configuration((2e-5,)), generate_stream(tiny, 0.0, 500.0, replication_rng(38))),
+        evolve(Configuration((2e-5,)), generate_stream(tiny, 500.0, replication_rng(38))),
         evolve(Configuration((1e-300, 1e300)), _far_stream()),
         evolve(Configuration((2e-5,)), _panel_stream()),
     ]
@@ -679,10 +709,10 @@ def test_trace_json_writes_the_json_dumps_bytes(tmp_path, segment):
     """trace.json is json.dumps(indent=2, sort_keys=True) of the rows: in slices, empty, and at the float edges."""
     tiny = ModelParams(1.0, 1.0, Exponential(3e4), Exponential(2.0))
     traces = [
-        evolve(Configuration((1.0,)), generate_stream(PARAMS, 0.0, 2500.0, replication_rng(37))),
+        evolve(Configuration((1.0,)), generate_stream(PARAMS, 2500.0, replication_rng(37))),
         evolve(Configuration(), _stream([], horizon=1.0)),
         evolve(Configuration((0.5,)), _tied_stream(3, 14)),  # two whole segments of 7
-        evolve(Configuration((2e-5,)), generate_stream(tiny, 0.0, 500.0, replication_rng(38))),
+        evolve(Configuration((2e-5,)), generate_stream(tiny, 500.0, replication_rng(38))),
         evolve(Configuration((1e-300, 1e300)), _far_stream()),
         evolve(Configuration((2e-5,)), _panel_stream()),
     ]
