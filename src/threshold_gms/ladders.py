@@ -23,11 +23,17 @@ numpy, each block on its own generator and in the draw order it would
 take alone.  sample_ladder_block is that walk with one block, and the
 one-ladder samplers are a block of one row.
 
-Ladders are infinite objects; one fixed rule (MAX_STEPS, TAIL_TOLERANCE,
-QUIET_WINDOW) truncates them once the remaining mass is negligible.
-Only a ladder whose mass died out counts as finite: one cut at MAX_STEPS
-or by float overflow reports the "effectively infinite" sentinel rather
-than a silently truncated number.
+Ladders are infinite objects; one fixed rule (MAX_STEPS, TAIL_TOLERANCE)
+truncates them once a bound on the remaining mass is negligible.  With
+C(h) = H_opp(H^-1(h)) the composition of the two hazards, the expected
+mass past record k is (opposing rate / event rate) times the integral of
+exp(s - C(s)) over s > h_k.  Where C is convex from h_{k-1} on, its
+secant slope over the last step bounds every later slope, so that mass
+is at most (opposing rate / event rate) * exp(d_k) * E_k / (d_{k-1} - d_k)
+with d = h - C(h); every built-in pair is linear or convex past its last
+kink, or divergent.  Only a ladder stopped by that bound counts as
+finite: one cut at MAX_STEPS or by float overflow reports the
+"effectively infinite" sentinel rather than a silently truncated number.
 """
 
 from __future__ import annotations
@@ -38,17 +44,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import DistributionSpec, Exponential, ModelParams
+from .criteria import hazard_breaks
+from .distributions import ModelParams
 
 EFFECTIVELY_INFINITE = math.inf
 
 STOP_MAX_STEPS = "max_steps"
-STOP_TAIL_BOUND = "tail_bound"
-STOP_QUIET = "quiet"
+STOP_TAIL_BOUND = "tail_bound"  # the mass died out: the only finite stop
 STOP_OVERFLOW = "overflow"
 STOP_DIVERGENT = "divergent"  # no ladder was walked: the exact tail exponent declares the mass divergent
-STOP_REASONS = (STOP_TAIL_BOUND, STOP_QUIET, STOP_MAX_STEPS, STOP_OVERFLOW, STOP_DIVERGENT)
-_FINITE_STOPS = (STOP_TAIL_BOUND, STOP_QUIET)  # the mass died out
+STOP_REASONS = (STOP_TAIL_BOUND, STOP_MAX_STEPS, STOP_OVERFLOW, STOP_DIVERGENT)
 
 # Round k of a walk takes min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows) steps
 # per row in every block, so a chunk of one block of `rows` rows holds at
@@ -58,13 +63,10 @@ FIRST_CHUNK = 32
 CHUNK_CELLS = 8192
 
 # The truncation rule of every ladder.  A walk stops at step k when k
-# reaches MAX_STEPS, when an analytic bound on the expected remaining mass
-# (available for exponential pairs) falls below TAIL_TOLERANCE, or when the
-# last QUIET_WINDOW per-step masses are each below
-# TAIL_TOLERANCE / QUIET_WINDOW.
+# reaches MAX_STEPS, or when the secant bound on the expected remaining
+# mass falls below TAIL_TOLERANCE with record k - 1 at or past the last kink.
 MAX_STEPS = 10_000
 TAIL_TOLERANCE = 1e-9
-QUIET_WINDOW = 20
 
 # Smallest Poisson mean drawn from the normal approximation.
 POISSON_NORMAL_FROM = 1e18
@@ -76,7 +78,7 @@ class LadderError(ValueError):
 
 def stop_rule_json() -> dict:
     """The truncation rule, as plans record it next to their samples."""
-    return {"max_steps": MAX_STEPS, "tail_tolerance": TAIL_TOLERANCE, "quiet_window": QUIET_WINDOW}
+    return {"max_steps": MAX_STEPS, "tail_tolerance": TAIL_TOLERANCE}
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ def _check_steps(steps: Sequence[LadderStep]) -> tuple[LadderStep, ...]:
 class FitnessLadder:
     """Forward fitness-record ladder with truncation diagnostics.
 
-    tail_bound is the expected mass remaining past the truncation point
-    when an analytic bound exists, None otherwise ("unknown").
+    tail_bound bounds the expected mass remaining past the last record
+    of a ladder stopped by it, None for every other stop ("unknown").
     """
 
     steps: tuple[LadderStep, ...]
@@ -176,30 +178,6 @@ class LimitConfigSample:
             raise LadderError("total must equal n0 + n_above and the species count")
 
 
-def _exponential_tail_bound(
-    mark_dist: DistributionSpec,
-    opp_dist: DistributionSpec,
-    mark_rate: float,
-    opp_rate: float,
-) -> Optional[tuple[float, float]]:
-    """Expected remaining mass past a record, for an exponential pair.
-
-    Past a record at level x the future records sit at x plus a sum of
-    exponential increments, so the expected remaining mass telescopes to
-    a geometric series: (opp_rate/mark_rate) * exp(-(b-a)x) * a/(b-a)
-    with a the mark rate parameter and b the opposing one.  Only
-    meaningful when b > a (otherwise the series diverges).  Returned as
-    (log coefficient, b - a), so the bound at x is exp(log_coef - (b-a)x).
-    """
-    if not (isinstance(mark_dist, Exponential) and isinstance(opp_dist, Exponential)):
-        return None
-    a, b = mark_dist.rate, opp_dist.rate
-    if b <= a:
-        return None
-    delta = b - a
-    return math.log(opp_rate) - math.log(mark_rate) + math.log(a) - math.log(delta), delta
-
-
 @dataclass(frozen=True)
 class LadderBlock:
     """Ladders walked in lockstep, one row per replication.
@@ -207,8 +185,8 @@ class LadderBlock:
     depth[i] counts the kept steps of row i, stop_code[i] says why the
     row ended (an index into STOP_REASONS, named by stop_reason), mass[i]
     sums the opposing-stream masses of its kept steps and tail[i] is the
-    analytic tail bound at its last record (nan when there is none, as
-    for overflow stops).  first_gap holds the look-back gaps of
+    secant tail bound at its last record (nan unless the row stopped by
+    it).  first_gap holds the look-back gaps of
     threshold ladders (None for fitness ladders); steps holds each row's
     (value, gap, mass) arrays when they were kept.
     """
@@ -227,7 +205,7 @@ class LadderBlock:
     @property
     def finite(self) -> np.ndarray:
         """Rows whose mass died out; every other row is a sentinel."""
-        return (self.stop_code == _TAIL_CODE) | (self.stop_code == _QUIET_CODE)
+        return self.stop_code == _TAIL_CODE
 
     def ladder_steps(self, row: int) -> tuple[LadderStep, ...]:
         values, gaps, masses = self.steps[row]
@@ -239,117 +217,122 @@ class LadderBlock:
 
 
 # Stop reasons as the walk records them: int8 indices into STOP_REASONS.
-_TAIL_CODE, _QUIET_CODE, _MAX_STEPS_CODE, _OVERFLOW_CODE, _DIVERGENT_CODE = range(len(STOP_REASONS))
+_TAIL_CODE, _MAX_STEPS_CODE, _OVERFLOW_CODE, _DIVERGENT_CODE = range(len(STOP_REASONS))
 _REASON_NAMES = np.array(STOP_REASONS)  # "<U10", the width of the longest name
 
 
 def _walk_blocks(
-    mark_dist: DistributionSpec,
-    mark_rate: float,
-    opp_dist: DistributionSpec,
-    opp_rate: float,
+    params: ModelParams,
     rngs: Sequence[np.random.Generator],
     rows: int,
     keep_steps: bool,
 ) -> LadderBlock:
-    """Walk `rows` record ladders per generator in cumulative-hazard space, a chunk of steps at a time.
+    """Walk `rows` record ladders of params' fitness law per generator, in cumulative-hazard space.
 
-    Block b, rows b * rows to (b + 1) * rows - 1, draws from rngs[b] alone.
-    Round k takes c = min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, MAX_STEPS
-    - steps walked) steps per row in every block, a width set by k and
-    `rows` alone.  Each block draws, for its rows still walking, unit
-    exponentials E (hazard increments) and G (gap factors) in one call.
-    The row's hazards are h = running sum of E, its records H^-1(h) and
-    its step masses (opp_rate/mark_rate) * G * exp(h - H_opp(record)),
-    taken in log form so that no inf - inf or 0 * inf can arise.  The
-    blocks' draws stack along the row axis and share one pass of the
-    arithmetic, which is elementwise or per row, so no row depends on the
-    blocks walking beside it.  A row stops at the first step that meets
-    one of these tests, in this order of precedence: the record overflows
-    (the step is not kept), the mass is inf, the tail bound falls below
-    TAIL_TOLERANCE, QUIET_WINDOW masses in a row were below TAIL_TOLERANCE
-    / QUIET_WINDOW (the run carries across chunks), or the step is the
-    MAX_STEPS-th.
+    The marks are params.fitness_dist at rate lambda_birth and the
+    opposing stream params.threshold_dist at rate lambda_extinct (the
+    threshold ladder walks params.swapped()).  Block b, rows b * rows to
+    (b + 1) * rows - 1, draws from rngs[b] alone.  Round k takes c =
+    min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, MAX_STEPS - steps walked)
+    steps per row in every block, a width set by k and `rows` alone.  Each
+    block draws, for its rows still walking, unit exponentials (hazard
+    increments) and G (gap factors) in one call.  The row's hazards h_k are
+    the running sums of the increments, its records H^-1(h_k), d_k = h_k -
+    H_opp(record_k) (d before the first record is -H_opp(H^-1(0))) and its
+    step masses (opp_rate/mark_rate) * G * exp(d_k), taken in log form so
+    that no inf - inf or 0 * inf can arise.  The blocks' draws stack along
+    the row axis and share one pass of the arithmetic, which is elementwise
+    or per row, so no row depends on the blocks walking beside it.  A row
+    stops at the first step that meets one of these tests, in this order
+    of precedence: the record overflows (the step is not kept), the mass
+    is inf, the tail bound (opp_rate/mark_rate) * exp(d_k) * E_k / (d_{k-1}
+    - d_k) with E_k = h_k - h_{k-1} is below TAIL_TOLERANCE and h_{k-1} is
+    at or past the last kink of hazard_breaks(params), or the step is the
+    MAX_STEPS-th.  Multiplied through by G the bound test reads E_k * mass
+    < TAIL_TOLERANCE * (d_{k-1} - d_k) * G, so it takes no exp or log of
+    its own; a NaN there (d = -inf on both sides: no mass is left) meets it.
     """
-    tail_form = _exponential_tail_bound(mark_dist, opp_dist, mark_rate, opp_rate)
-    if tail_form is not None:
-        # The bound exp(log_coef - delta * level) is below TAIL_TOLERANCE past this level.
-        tail_level = (tail_form[0] - math.log(TAIL_TOLERANCE)) / tail_form[1]
-    log_ratio = math.log(opp_rate) - math.log(mark_rate)
-    quiet_cap = TAIL_TOLERANCE / QUIET_WINDOW
+    mark_dist, opp_dist, mark_rate = params.fitness_dist, params.threshold_dist, params.lambda_birth
+    log_ratio = math.log(params.lambda_extinct) - math.log(mark_rate)
+    h_kink = max(hazard_breaks(params), default=0.0)
+    d_start = -float(opp_dist.hazard_transform_array(mark_dist.inverse_hazard_array(np.float64(0.0))))
     blocks = len(rngs)
     total = blocks * rows
     depth = np.zeros(total, dtype=np.int64)
     code = np.full(total, _MAX_STEPS_CODE, dtype=np.int8)
     mass = np.zeros(total)
-    last_level = np.full(total, math.nan)
+    tail = np.full(total, math.nan)
     kept: list[list] = [[] for _ in range(total)] if keep_steps else []
-    active = np.arange(total)  # rows still walking, in block order, with their hazard and quiet run so far
+    active = np.arange(total)  # rows still walking, in block order, with their last h and d so far
     h = np.zeros(total)
-    quiet = np.zeros(total, dtype=np.int64)
+    d = np.full(total, d_start)
     walked, width, most = 0, FIRST_CHUNK, max(CHUNK_CELLS // rows, 1)
     while active.size and walked < MAX_STEPS:
         c = min(width, most, MAX_STEPS - walked)
         walked += c
         width *= 2
         # Each block draws its walking rows' chunk from its own generator, stacked in block order.
-        hs, log_g = np.empty((2, active.size, c))
+        hs, g = np.empty((2, active.size, c))
         o = 0
         for b, n in enumerate(np.bincount(active // rows, minlength=blocks).tolist()):
             if n:
-                hs[o : o + n], log_g[o : o + n] = rngs[b].standard_exponential((2, n, c))
+                hs[o : o + n], g[o : o + n] = rngs[b].standard_exponential((2, n, c))
                 o += n
-        # In-place updates below keep the chunk's working set to a few arrays.
+        # In-place updates below keep the chunk's working set to the five arrays
+        # hs, g, level, m and drop: m holds d, then the mass; drop holds H_opp,
+        # then d_{k-1} - d_k, then the bound test's right side; g holds G, then
+        # log G, then the test's left side.  Flat passes pair each row's end
+        # with the next row's start, and column 0 is then set from the carry.
         hs[:, 0] += h
         np.cumsum(hs, axis=1, out=hs)
         level = mark_dist.inverse_hazard_array(hs)
-        m = hs - opp_dist.hazard_transform_array(level)  # the log of the step mass, then the mass
-        with np.errstate(over="ignore", divide="ignore"):
-            m += np.log(log_g, out=log_g)
+        drop = opp_dist.hazard_transform_array(level)
+        m = hs - drop
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.subtract(m.reshape(-1)[:-1], m.reshape(-1)[1:], out=drop.reshape(-1)[1:])
+            np.subtract(d, m[:, 0], out=drop[:, 0])
+            d = m[:, -1].copy()
+            drop *= g
+            drop *= TAIL_TOLERANCE
+            m += np.log(g, out=g)
             m += log_ratio
             np.exp(m, out=m)
-        col = np.arange(c)
-        # Each step's quiet run starts after the last loud step (or carries on from the last chunk).
-        run_start = np.where(m < quiet_cap, (-1 - quiet)[:, None], col)
-        np.maximum.accumulate(run_start, axis=1, out=run_start)
-        stop = run_start <= col - QUIET_WINDOW
+            if keep_steps:
+                gap = np.exp(g + hs - math.log(mark_rate))
+            np.subtract(hs.reshape(-1)[1:], hs.reshape(-1)[:-1], out=g.reshape(-1)[1:])  # E = h_k - h_{k-1}
+            np.subtract(hs[:, 0], h, out=g[:, 0])
+            g *= m
+        stop = np.greater_equal(g, drop)
+        np.logical_not(stop, out=stop)
+        if h_kink > 0.0:  # the secant bounds later slopes only where C is convex from h_{k-1} on
+            stop[:, 0] &= h >= h_kink
+            stop[:, 1:] &= hs[:, :-1] >= h_kink
         stop |= np.isinf(level)
         stop |= np.isinf(m)
-        if tail_form is not None:
-            stop |= level > tail_level
         first = stop.argmax(axis=1)
         row = np.arange(first.size)
         hit = stop[row, first]
         take = np.where(hit, first, c)  # steps kept in this chunk
         hits = np.flatnonzero(hit)
         if hits.size:
-            # Precedence only where a row stops: later tests are overwritten by earlier ones.
-            stop_level, stop_mass = level[hits, first[hits]], m[hits, first[hits]]
-            why = np.full(hits.size, _QUIET_CODE, dtype=np.int8)
-            if tail_form is not None:
-                why[stop_level > tail_level] = _TAIL_CODE
-            record_overflow = np.isinf(stop_level)
-            why[record_overflow | np.isinf(stop_mass)] = _OVERFLOW_CODE
+            # Precedence only where a row stops: the tail bound is overwritten by the overflow tests.
+            at = hits, first[hits]
+            record_overflow = np.isinf(level[at])
+            bounded = ~(record_overflow | np.isinf(m[at]))
             take[hits] += ~record_overflow
-            code[active[hits]] = why
-        np.copyto(m, 0.0, where=col >= take[:, None])  # the steps past the stop carry no mass
+            code[active[hits]] = np.where(bounded, _TAIL_CODE, _OVERFLOW_CODE)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = np.where(g[at] > 0.0, TAIL_TOLERANCE * g[at] / drop[at], 0.0)
+            tail[active[hits]] = np.where(bounded, bound, math.nan)
+        np.copyto(m, 0.0, where=np.arange(c) >= take[:, None])  # the steps past the stop carry no mass
         with np.errstate(over="ignore"):
             mass[active] += m.sum(axis=1)
         depth[active] += take
         if keep_steps:
-            with np.errstate(over="ignore", divide="ignore"):
-                gap = np.exp(log_g + hs - math.log(mark_rate))
             for i, r in enumerate(active.tolist()):
                 kept[r].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
-        some = take > 0
-        last_level[active[some]] = level[row[some], take[some] - 1]
         going = ~hit
-        active, h, quiet = active[going], hs[going, -1], c - 1 - run_start[going, -1]
-    tail = np.full(total, math.nan)
-    if tail_form is not None:
-        has_tail = code != _OVERFLOW_CODE
-        with np.errstate(over="ignore"):
-            tail[has_tail] = np.exp(tail_form[0] - tail_form[1] * last_level[has_tail])
+        active, h, d = active[going], hs[going, -1], d[going]
     steps = None
     if keep_steps:
         steps = tuple(
@@ -397,15 +380,8 @@ def sample_ladder_blocks(
     """
     if threshold:
         gaps = np.concatenate([sample_first_gaps(params, rng, rows) for rng in rngs])
-        block = _walk_blocks(
-            params.threshold_dist, params.lambda_extinct, params.fitness_dist, params.lambda_birth,
-            rngs, rows, keep_steps,
-        )
-        return replace(block, first_gap=gaps)
-    return _walk_blocks(
-        params.fitness_dist, params.lambda_birth, params.threshold_dist, params.lambda_extinct,
-        rngs, rows, keep_steps,
-    )
+        return replace(_walk_blocks(params.swapped(), rngs, rows, keep_steps), first_gap=gaps)
+    return _walk_blocks(params, rngs, rows, keep_steps)
 
 
 def unwalked_blocks(
@@ -507,11 +483,11 @@ def birth_mass(ladder: ThresholdLadder, params: ModelParams) -> LadderMass:
 def masses_effectively_infinite(stop_reason: str) -> bool:
     """Whether a ladder's mass counts as infinite, decided by why the ladder stopped.
 
-    Only a ladder whose mass died out (tail bound or quiet run) is
+    Only a ladder whose mass died out (stopped by the tail bound) is
     finite; one cut at MAX_STEPS or by float overflow is not, so no
     finite result is ever a truncation artefact.
     """
-    return stop_reason not in _FINITE_STOPS
+    return stop_reason != STOP_TAIL_BOUND
 
 
 def sample_extinction_count(ladder: FitnessLadder, rng: np.random.Generator) -> Union[int, float]:

@@ -15,11 +15,11 @@ A ladder task whose regime the exact tail exponent of the built-in
 families declares divergent walks no ladder: its blocks come from
 ladders.unwalked_blocks, every row stopped as "divergent", and take the
 same path to samples and auxiliaries as walked blocks.  Every other
-replication is finite only if its ladder's mass died out
-under the one truncation rule of the ladders module (MAX_STEPS,
-TAIL_TOLERANCE, QUIET_WINDOW), which each plan's to_json records.
-Each ladder replication's stop reason, depth and analytic tail bound
-ride along in RunResult.aux.
+replication is finite only if its ladder stopped by the tail bound of
+the one truncation rule of the ladders module (MAX_STEPS,
+TAIL_TOLERANCE), which each plan's to_json records.  Each ladder
+replication's stop reason, depth and tail bound ride along in
+RunResult.aux.
 """
 
 from __future__ import annotations
@@ -126,16 +126,17 @@ class ReplicationPlan:
             raise MonteCarloError(f"unknown task {self.task!r}; expected one of {TASKS}")
         for name in ("replications", "base_seed"):
             object.__setattr__(self, name, _plan_field(_as_int, getattr(self, name), name))
+        for name in ("t", "horizon"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _plan_field(_as_float, getattr(self, name), name))
         if self.replications < 1:
             raise MonteCarloError("replications must be a positive integer")
         if self.base_seed < 0:
             raise MonteCarloError("base_seed must be a non-negative integer")
-        if self.task == TASK_FORWARD_COUNT:
-            if self.t is None or not 0.0 < _plan_field(_as_float, self.t, "t") < math.inf:
-                raise MonteCarloError("forward_count requires a finite positive t")
-        if self.task == TASK_EMPTY_SCAN:
-            if self.horizon is None or not 0.0 < _plan_field(_as_float, self.horizon, "horizon") < math.inf:
-                raise MonteCarloError("empty_time_scan requires a finite positive horizon")
+        if self.task == TASK_FORWARD_COUNT and (self.t is None or not 0.0 < self.t < math.inf):
+            raise MonteCarloError("forward_count requires a finite positive t")
+        if self.task == TASK_EMPTY_SCAN and (self.horizon is None or not 0.0 < self.horizon < math.inf):
+            raise MonteCarloError("empty_time_scan requires a finite positive horizon")
 
     def to_json(self) -> dict:
         return {
@@ -295,10 +296,10 @@ def run(plan: ReplicationPlan) -> RunResult:
 def ladder_diagnostics(result: RunResult) -> dict:
     """Stop-reason histogram, depth quantiles, largest tail bound and sentinel count of a ladder run.
 
-    tail_bound_max is the largest finite analytic tail bound of any
-    replication, None when no replication has one (non-exponential
-    pairs, divergent plans).  Every figure is a function of the samples
-    alone, so reruns write identical diagnostics.
+    tail_bound_max is the largest tail bound of any replication, each at
+    most TAIL_TOLERANCE, None when no replication stopped by it (every
+    replication is a sentinel).  Every figure is a function of the
+    samples alone, so reruns write identical diagnostics.
     """
     reasons, counts = np.unique(result.aux["stop_reason"], return_counts=True)
     depth = result.aux["depth"]

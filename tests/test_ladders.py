@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from threshold_gms import ladders
+from threshold_gms.criteria import classify, hazard_breaks
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
     EFFECTIVELY_INFINITE,
@@ -28,7 +29,14 @@ from threshold_gms.ladders import (
     sample_limit_config,
     sample_threshold_ladder,
 )
-from threshold_gms.montecarlo import TASK_EXTINCTION_COUNT, ReplicationPlan, gof_chi_square, gof_ks, run
+from threshold_gms.montecarlo import (
+    TASK_EXTINCTION_COUNT,
+    ReplicationPlan,
+    gof_chi_square,
+    gof_ks,
+    ladder_diagnostics,
+    run,
+)
 from threshold_gms.process import generate_stream
 from threshold_gms.streams import replication_rng
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE, _pairwise_region_count
@@ -136,7 +144,7 @@ def test_hazard_space_steps_match_the_survival_form(fitness, threshold):
     params = ModelParams(1.3, 0.7, fitness, threshold)
     for i in range(50):
         ladder = sample_fitness_ladder(params, replication_rng(35, i, 0))
-        assert ladder.stop_reason in ("tail_bound", "quiet")
+        assert ladder.stop_reason == "tail_bound"
         for step in ladder.steps:
             s_fit = fitness.survival(step.value)
             if s_fit < 1e-250:
@@ -294,7 +302,6 @@ def test_divergent_regime_yields_sentinel():
 def test_masses_effectively_infinite_rules():
     # only a ladder whose mass died out is finite
     assert not masses_effectively_infinite("tail_bound")
-    assert not masses_effectively_infinite("quiet")
     assert masses_effectively_infinite("max_steps")
     assert masses_effectively_infinite("overflow")
     # a boundary ladder never dies out: it is cut at max_steps and reported infinite
@@ -325,7 +332,7 @@ def test_huge_band_mass_is_refused_by_name():
 
 
 def test_pareto_levels_overflow_into_a_sentinel():
-    """Pareto levels e^(h/index) overflow near h = 709 * index, before a slowly dying mass is quiet."""
+    """Pareto levels e^(h/index) overflow near h = 709 * index, before a slowly dying mass meets its bound."""
     near = ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.02))
     ladder = sample_fitness_ladder(near, replication_rng(38, 0, 0))
     assert ladder.stop_reason == "overflow"
@@ -361,75 +368,99 @@ class FixedDraws:
 def reference_ladder(params, increments, gap_factors):
     """The stop rules one step at a time, in their order: (step masses, stop reason).
 
-    Reads the rule's constants at call time, so a patched MAX_STEPS applies here too.
+    With d = h - C(h) and C(h) = H_opp(H_fit^-1(h)), the tail bound at step
+    k is ratio * e^(d_k) * E_k / (d_{k-1} - d_k), taken only where the step
+    starts at or past the last kink of C and d falls.  Reads the rule's
+    constants at call time, so a patched MAX_STEPS applies here too.
     """
-    tolerance, window = ladders.TAIL_TOLERANCE, ladders.QUIET_WINDOW
     mark, opp = params.fitness_dist, params.threshold_dist
     ratio = params.lambda_extinct / params.lambda_birth
-    exponential = isinstance(mark, Exponential) and isinstance(opp, Exponential) and opp.rate > mark.rate
-    masses, h, quiet = [], 0.0, 0
+    h_kink = max(hazard_breaks(params), default=0.0)
+    masses, h, d = [], 0.0, -opp.hazard_transform(mark.inverse_hazard(0.0))
     for e, g in zip(increments, gap_factors):
-        h += e
+        h_prev, d_prev, h = h, d, h + e
         level = mark.inverse_hazard(h)
         if math.isinf(level):
             return masses, "overflow"
-        try:  # ratio * g * e^(h - H_opp), inf only where the product itself overflows
-            masses.append(math.exp(math.log(ratio * g) + h - opp.hazard_transform(level)))
+        d = h - opp.hazard_transform(level)
+        try:  # ratio * g * e^d, inf only where the product itself overflows
+            masses.append(math.exp(math.log(ratio * g) + d))
         except OverflowError:
             masses.append(math.inf)
         if math.isinf(masses[-1]):
             return masses, "overflow"
-        if exponential and ratio * mark.rate / (opp.rate - mark.rate) * math.exp(
-            -(opp.rate - mark.rate) * level
-        ) < tolerance:
-            return masses, "tail_bound"
-        quiet = quiet + 1 if masses[-1] < tolerance / window else 0
-        if quiet >= window:
-            return masses, "quiet"
+        if h_prev >= h_kink and d < d_prev:
+            bound = 0.0 if d == -math.inf else ratio * math.exp(d) * e / (d_prev - d)
+            if bound < ladders.TAIL_TOLERANCE:
+                return masses, "tail_bound"
         if len(masses) >= ladders.MAX_STEPS:
             return masses, "max_steps"
 
 
-PARITY_CASES = {
-    "tail_bound": (ModelParams(1.3, 0.7, Exponential(1.0), Exponential(2.0)), ladders.MAX_STEPS),
-    "quiet": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.8)), ladders.MAX_STEPS),
-    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05)), 150),
-    "overflow at the record": (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.06)), ladders.MAX_STEPS),
-    "overflow of the mass": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(0.5)), ladders.MAX_STEPS),
+# exp(1) fitness against a threshold law with kinks at fitness hazards 1,
+# 48 and 53, nearly flat from 1 to 48: most of its mass lies past h = 48.
+PROBE = ModelParams(
+    1.0,
+    1.0,
+    Exponential(1.0),
+    TabulatedQuantile(((1.0, 0.0), (1e-22, 1.0), (1e-22 * (1.0 - 1e-9), 48.0), (1e-22 * math.exp(-10.0), 53.0))),
+)
+
+PARITY_CASES = {  # name: (params, MAX_STEPS, stop reason)
+    "tail_bound": (ModelParams(1.3, 0.7, Exponential(1.0), Exponential(2.0)), ladders.MAX_STEPS, "tail_bound"),
+    "tail_bound, equal-shape Weibull": (
+        ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.8)), ladders.MAX_STEPS, "tail_bound"
+    ),
+    "tail_bound, Weibull(1.5)/Weibull(2.4)": (
+        ModelParams(1.0, 1.0, Weibull(1.5, 1.0), Weibull(2.4, 1.0)), ladders.MAX_STEPS, "tail_bound"
+    ),
+    "tail_bound, Pareto/exp": (ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Exponential(1.0)), ladders.MAX_STEPS, "tail_bound"),
+    "tail_bound, tabulated past its last kink": (PROBE, ladders.MAX_STEPS, "tail_bound"),
+    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05)), 150, "max_steps"),
+    "overflow at the record": (
+        ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.06)), ladders.MAX_STEPS, "overflow"
+    ),
+    "overflow of the mass": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(0.5)), ladders.MAX_STEPS, "overflow"),
 }
 
 
 @pytest.mark.parametrize("case", PARITY_CASES)
 def test_block_of_one_matches_the_step_loop(case):
     """Fed fixed draws, a one-row block stops where the step loop stops, with the same masses."""
-    params, steps = PARITY_CASES[case]
+    params, steps, stop = PARITY_CASES[case]
     for seed in range(10):
         draws = np.random.default_rng(seed).standard_exponential((2, 4000))
         with max_steps(steps):
             want, reason = reference_ladder(params, *draws)
             block = sample_ladder_block(params, FixedDraws(*draws), 1, keep_steps=True)
-        assert reason == case.split()[0]
+        assert reason == stop
         assert block.stop_reason[0] == reason
         assert block.depth[0] == len(want)
         np.testing.assert_allclose(block.steps[0][2], want, rtol=1e-12, atol=0.0)
         with np.errstate(over="ignore"):
             assert block.mass[0] == pytest.approx(np.sum(want), rel=1e-12)
+        if params is PROBE:  # no step before the last kink, fitness hazard 53, meets the bound
+            assert len(want) > 40
 
 
 @pytest.mark.parametrize(
     "params,increments,gap_factor,depth,reason",
     [
-        # Step 20 both overflows its record (h = 39 > 709.8 * 0.05) and ends a quiet run of 20.
-        (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 5.0)), [1.0] * 19 + [20.0], 1.0, 19, "overflow"),
-        # Step 20 both passes the tail level (h = 21 > 20.7) and ends a quiet run of tiny masses.
+        # Step 20 overflows its record (h = 39 > 709.8 * 0.05), meets the
+        # tail bound (e^-39 < 1e-9 for C(h) = 2h) and is the MAX_STEPS-th.
+        (ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.1)), [1.0] * 19 + [20.0], 1.0, 19, "overflow"),
+        # Step 20 meets the tail bound (e^-21 < 1e-9 at h = 21) and is the MAX_STEPS-th.
         (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)), [1.05] * 20, 1e-30, 20, "tail_bound"),
     ],
 )
 def test_stop_tests_firing_at_one_step_keep_their_order(params, increments, gap_factor, depth, reason):
     draws = (increments + [1.0] * 100, [gap_factor] * 120)
-    assert reference_ladder(params, *draws)[1] == reason
-    block = sample_ladder_block(params, FixedDraws(*draws), 1)
+    with max_steps(20):
+        assert reference_ladder(params, *draws)[1] == reason
+        block = sample_ladder_block(params, FixedDraws(*draws), 1)
     assert (block.depth[0], block.stop_reason[0]) == (depth, reason)
+    with max_steps(19):  # one step earlier, no test but the cut fires
+        assert sample_ladder_block(params, FixedDraws(*draws), 1).stop_reason[0] == "max_steps"
 
 
 class WidthLog:
@@ -449,8 +480,8 @@ class WidthLog:
 GROUP_CASES = {
     "tail_bound": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)), False, None),
     "tail_bound, threshold side": (ModelParams(1.0, 1.0, Exponential(2.0), Exponential(1.0)), True, None),
-    "quiet, Weibull": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5)), False, None),
-    "quiet, Pareto": (ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.05)), False, None),
+    "tail_bound, Weibull": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5)), False, None),
+    "tail_bound, Pareto": (ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.05)), False, None),
     "overflow": (ModelParams(1.0, 1.0, Exponential(2.0), Exponential(1.0)), False, None),
     "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.0)), False, 90),
 }
@@ -470,7 +501,7 @@ def test_blocks_walked_together_match_each_block_walked_alone(case):
             for b in range(blocks)
         ]
     assert case.split(",")[0] in set(together.stop_reason)
-    assert together.finite.tolist() == [reason in ladders._FINITE_STOPS for reason in together.stop_reason.tolist()]
+    assert together.finite.tolist() == [reason == "tail_bound" for reason in together.stop_reason.tolist()]
     for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):
         want = [getattr(block, field) for block in alone]
         if threshold or field != "first_gap":
@@ -491,7 +522,7 @@ def test_blocks_walked_together_match_each_block_walked_alone(case):
     assert all(log.widths == schedule[: len(log.widths)] for log in logs)
     if steps:  # ladders cut at MAX_STEPS end on the steps left
         assert walked == steps
-    if case == "quiet, Weibull":  # deep ladders reach the width cap
+    if case == "tail_bound, Weibull":  # deep ladders reach the width cap
         assert cap in schedule
 
 
@@ -524,6 +555,39 @@ def test_block_ladders_follow_the_near_boundary_law(fitness, threshold, seed):
     )
     masses = gof_ks(result.aux["mass"], stats.gamma(20.0).cdf)
     assert counts.p_value > 0.001 and masses.p_value > 0.001
+
+
+def test_kinked_tabulated_ladder_mean_matches_the_quadrature():
+    """e_m of the kinked pair is 2.78785 (scipy quad split at the kinks: 0.71828 + 0.07017 + 1.99893 + 0.00047)."""
+    result = run(ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=PROBE, replications=20_000, base_seed=7))
+    assert ladder_diagnostics(result)["stop_reasons"] == {"tail_bound": 20_000}
+    summary = result.summary
+    assert abs(summary.mean - 2.78785) < 3.0 * summary.se
+
+
+FINITE_PAIRS = {
+    "equal-shape Weibull": ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.8)),
+    "Weibull(1.5)/Weibull(2.4)": ModelParams(1.0, 1.0, Weibull(1.5, 1.0), Weibull(2.4, 1.0)),
+    "Pareto/Pareto": ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.5)),
+    "Pareto/exp": ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Exponential(1.0)),
+    "Pareto/Weibull": ModelParams(1.0, 1.0, Pareto(2.0, 1.0), Weibull(0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", FINITE_PAIRS)
+def test_non_exponential_ladders_stop_by_the_tail_bound(case):
+    """Every row of a finite parametric pair is certified, and the count mean is classify's e_m.
+
+    All pairs share one seed, so they walk the same hazard-space draws
+    and their deviations from e_m are correlated.
+    """
+    params = FINITE_PAIRS[case]
+    result = run(ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=params, replications=20_000, base_seed=23))
+    diagnostics = ladder_diagnostics(result)
+    assert diagnostics["stop_reasons"] == {"tail_bound": 20_000}
+    assert 0.0 < diagnostics["tail_bound_max"] <= ladders.TAIL_TOLERANCE
+    summary = result.summary
+    assert abs(summary.mean - classify(params).integrals.e_m) < 3.0 * summary.se
 
 
 extreme_marks = st.one_of(

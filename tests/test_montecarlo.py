@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from unittest import mock
@@ -66,7 +67,7 @@ def test_summarize_all_sentinels():
 
 
 def test_plans_record_the_stop_rule_they_ran_under():
-    assert count_plan(10).to_json()["stop"] == {"max_steps": 10_000, "tail_tolerance": 1e-9, "quiet_window": 20}
+    assert count_plan(10).to_json()["stop"] == {"max_steps": 10_000, "tail_tolerance": 1e-9}
     with mock.patch.object(ladders, "MAX_STEPS", 300):
         assert count_plan(10).to_json()["stop"]["max_steps"] == 300
 
@@ -88,6 +89,13 @@ def test_plan_validation():
     with pytest.raises(MonteCarloError, match="^horizon must be a real number"):
         ReplicationPlan(TASK_EMPTY_SCAN, TRANSIENT_EXAMPLE, 5, 1, horizon="5")
     assert count_plan(np.int64(5)).replications == 5
+    # A window is stored as the float it was checked as, so every spelling writes one plan.
+    want = json.dumps(ReplicationPlan(TASK_FORWARD_COUNT, TRANSIENT_EXAMPLE, 5, 1, t=50.0).to_json())
+    for t in (np.float32(50.0), 50):
+        plan = ReplicationPlan(TASK_FORWARD_COUNT, TRANSIENT_EXAMPLE, 5, 1, t=t)
+        assert type(plan.t) is float and json.dumps(plan.to_json()) == want
+    plan = ReplicationPlan(TASK_EMPTY_SCAN, TRANSIENT_EXAMPLE, 5, 1, horizon=np.float32(5.0))
+    assert type(plan.horizon) is float and json.loads(json.dumps(plan.to_json()))["horizon"] == 5.0
     with pytest.raises(MonteCarloError):
         ReplicationPlan(
             task=TASK_FORWARD_COUNT, params=TRANSIENT_EXAMPLE, replications=1, base_seed=0
