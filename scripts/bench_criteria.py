@@ -13,8 +13,13 @@ lambda_extinct in {1, 0.7}), once point by point through ``classify``
 and once in one ``classify_many`` call.  ``integrand_us`` is the best
 per-node time, in microseconds, of forming the mass-density and the
 count-exponent integrand rows (composition included) on one chunk of the
-first-pass nodes of the breakless node array, one GRID mark pair per
-row.  ``import_s`` is the best time of ``import threshold_gms.cli`` in a
+nodes of panel 0 of the breakless node array, one GRID mark pair per
+row.  ``accuracy.max_rel_error`` holds, per criterion integral, the
+largest relative error over GRID against the exponential closed forms
+(the negative binomial mean for e_m and e_n, -r log(1 - p) for phi_inf
+and phi_bar_inf), and ``accuracy.none_on_finite_sides`` the number of
+GRID values that are None where the closed form is finite.
+``import_s`` is the best time of ``import threshold_gms.cli`` in a
 fresh interpreter, measured inside it, and ``cli_classify_s`` the best
 wall time of one ``python -m threshold_gms.cli classify`` process,
 start-up included.  ``scipy_modules_after_import`` counts the scipy
@@ -35,7 +40,7 @@ import time
 
 import numpy as np
 
-from threshold_gms.criteria import _FIRST_PASS_PANELS, _integrands, _panel_nodes, classify, classify_many
+from threshold_gms.criteria import _integrands, _panel_nodes, classify, classify_many, exponential_closed_forms
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import BLOCK_CHUNK_CELLS
 
@@ -80,9 +85,9 @@ def best_of(repeat: int, fn) -> float:
 
 
 def integrand_us(repeat: int) -> dict[str, float]:
-    """Best per-node microseconds of each integrand kind on one chunk of first-pass nodes."""
-    h, _, panel = _panel_nodes(())
-    nodes = h[: int(np.searchsorted(panel, _FIRST_PASS_PANELS))]
+    """Best per-node microseconds of each integrand kind on one chunk of panel 0's nodes."""
+    _, h, _, panel = _panel_nodes(())
+    nodes = h[panel == 0]
     rows = BLOCK_CHUNK_CELLS // nodes.size
     # Every fourth GRID point starts a new mark pair, all at lambda_birth = lambda_extinct = 1.
     sides = GRID[::4][:rows]
@@ -92,6 +97,32 @@ def integrand_us(repeat: int) -> dict[str, float]:
         seconds = best_of(repeat, lambda: _integrands(keys, sides, nodes))
         out[kind] = round(1e6 * seconds / (rows * nodes.size), 5)
     return out
+
+
+def exact_integrals(params: ModelParams) -> dict[str, float]:
+    """e_m, e_n, phi_inf and phi_bar_inf of an exponential pair from its negative binomial laws; inf where divergent."""
+    out = {}
+    for mean, exponent, side in (("e_m", "phi_inf", params), ("e_n", "phi_bar_inf", params.swapped())):
+        law = exponential_closed_forms(side).extinction_count_law
+        out[mean] = math.inf if law is None else law.mean()
+        out[exponent] = math.inf if law is None else -law.r * math.log1p(-law.p)
+    return out
+
+
+def accuracy() -> dict:
+    """Largest relative error of each criterion integral over GRID, and the None values on finite sides."""
+    worst = {"e_m": 0.0, "e_n": 0.0, "phi_inf": 0.0, "phi_bar_inf": 0.0}
+    nones = 0
+    for params, report in zip(GRID, classify_many(GRID)):
+        for name, want in exact_integrals(params).items():
+            got = getattr(report.integrals, name)
+            if math.isinf(want):
+                continue
+            if got is None:
+                nones += 1
+            else:
+                worst[name] = max(worst[name], abs(got - want) / want)
+    return {"max_rel_error": worst, "none_on_finite_sides": nones}
 
 
 def main() -> None:
@@ -112,6 +143,7 @@ def main() -> None:
     }
 
     out["integrand_us"] = integrand_us(args.repeat)
+    out["accuracy"] = accuracy()
 
     def python(code: str) -> str:
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout

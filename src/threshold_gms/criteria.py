@@ -11,20 +11,21 @@ mean number of extinction marks above the fitness ladder integrates the
 ladder's per-step mass density exp(h - C(h)) over h in [0, inf) (finite
 iff the process is transient); after swapping the two roles the same
 integral gives the mean number of birth marks above the threshold
-ladder (finite iff the long-run configuration is finite).  The integrals
-are evaluated on dyadic panels [n ln2, (n+1) ln2] of Gauss-Legendre
-nodes, with a three-way verdict: finite, infinite, or inconclusive.
-No rule reads a panel past the one where it fires, so each integral is
-evaluated in at most two passes: panels 0 .. _DIVERGENCE_RUN for every
-row, the rest only for the rows that no rule stopped there.
-classify_many evaluates every integral of a batch of points as rows of
-one padded array, in chunks of bounded size, and reads the panels of
-all rows with one vectorised copy of the panel rules; C(h) and the
-mass-density integral depend only on the mark pair, so points that
-differ only in their rates share them.  classify is the batch of one
-point, hazard_weighted_integral the rules' one-row front.  Built-in
-family pairs short-circuit to an exact power-exponent analysis of the
-composition as h -> inf.
+ladder (finite iff the long-run configuration is finite).
+
+Whether an integral is finite, and how it behaves past the last kink h*
+of its mark pair, depend only on the pair's tail class
+(composed_survival_exponent), which also gives the verdicts.  Each row is
+evaluated once, on dyadic panels [n ln2, (n+1) ln2] of Gauss-Legendre
+nodes through the first panel that starts past h*.  Past that panel a
+power pair's C is exactly linear, so the row is finished in closed form;
+a superpolynomial pair's C is convex, so the row reads on until the
+secant bound on the rest is negligible.  classify_many evaluates every
+integral of a batch of points as rows of shared node arrays, in chunks
+of bounded size; C(h) and the mass-density integral depend only on the
+mark pair, so points that differ only in their rates share them.
+classify is the batch of one point, hazard_weighted_integral the one
+mass-density row.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ from .distributions import (
     Exponential,
     ModelParams,
     Pareto,
+    TabulatedQuantile,
     Weibull,
     _as_float,
     _encode_float,
+    _pow,
 )
 from .process import BLOCK_CHUNK_CELLS
 
@@ -52,16 +55,8 @@ VERDICT_FINITE = "finite"
 VERDICT_INFINITE = "infinite"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-RECURRENCE_LABEL = {
-    VERDICT_FINITE: "Transient",
-    VERDICT_INFINITE: "Recurrent",
-    VERDICT_INCONCLUSIVE: "Inconclusive",
-}
-LIMIT_COUNT_LABEL = {
-    VERDICT_FINITE: "Finite",
-    VERDICT_INFINITE: "Infinite",
-    VERDICT_INCONCLUSIVE: "Inconclusive",
-}
+RECURRENCE_LABEL = {VERDICT_FINITE: "Transient", VERDICT_INFINITE: "Recurrent"}
+LIMIT_COUNT_LABEL = {VERDICT_FINITE: "Finite", VERDICT_INFINITE: "Infinite"}
 
 
 class CriteriaError(ValueError):
@@ -79,9 +74,9 @@ def quad(func, a, b, **kwargs):
 class ImproperIntegral:
     """Outcome of one improper integral on h in [0, inf).
 
-    value is the finite integral, math.inf for detected divergence, or
-    None when the verdict is inconclusive.  evidence holds the partial
-    integrals over the growing cutoffs and is non-decreasing.
+    value is the finite integral, math.inf for a divergent one, or None
+    when the verdict is inconclusive.  evidence holds the partial
+    integrals over the panels read and is non-decreasing.
     """
 
     verdict: str
@@ -97,21 +92,16 @@ class ImproperIntegral:
         return self.verdict == VERDICT_INFINITE
 
 
-# Dyadic refinement policy of the improper integrals.  Panel n covers
-# hazards [n ln2, (n+1) ln2], survival levels [2^-(n+1), 2^-n]; there are
-# _MAX_REFINEMENTS of them.  Divergence is declared after _DIVERGENCE_RUN
-# consecutive non-decreasing panels above _PANEL_ATOL, convergence once
-# two consecutive panels fall below _PANEL_ATOL.
+# Dyadic panels.  Panel n covers hazards [n ln2, (n+1) ln2], survival
+# levels [2^-(n+1), 2^-n].  A row reads the panels through n*, the first
+# that starts past the last kink of its pair; a superpolynomial row reads
+# on, at most _MAX_REFINEMENTS panels past n*, until its secant tail bound
+# falls below _TAIL_ATOL, where dropping the rest changes an integral of
+# order one by at most one rounding.  No grid reaches past survival
+# 2^-_MAX_PANELS, the smallest double.
 _MAX_REFINEMENTS = 60
-_DIVERGENCE_RUN = 10
-_PANEL_ATOL = 1e-10
-
-# Geometric tail completion: once the panel ratio has stabilized to this
-# relative agreement (and stays clearly below 1), the remaining panels are
-# summed as a geometric series instead of being refined further.
-_RATIO_RTOL = 1e-4
-_COMPLETION_MIN_PANELS = 8
-
+_MAX_PANELS = 1074
+_TAIL_ATOL = float(np.finfo(float).eps)
 
 _LN2 = math.log(2.0)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -121,175 +111,97 @@ _PANEL0_BREAKS = _LN2 * 2.0 ** -np.arange(1.0, 21.0)
 
 
 @lru_cache(maxsize=64)
-def _panel_nodes(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature nodes h, their weights, and the dyadic panel of each sub-panel row.
+def _panel_nodes(breaks: tuple[float, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Panel n* of the breaks, and the quadrature nodes h, their weights and the dyadic panel of each sub-panel row.
 
-    The dyadic panels are split at every break inside them, and each
-    sub-panel gets its own Gauss-Legendre rule.  The arrays are read-only,
-    so one node array can be shared by every integral over the same
-    panels.
+    The grid holds the panels through n* and _MAX_REFINEMENTS more, at
+    most _MAX_PANELS.  The dyadic panels are split at every break inside
+    them, and each sub-panel gets its own Gauss-Legendre rule.  The
+    arrays are read-only, so one node array can be shared by every
+    integral over the same panels.
     """
-    top = _MAX_REFINEMENTS * _LN2
+    first = min(int(max(breaks, default=0.0) // _LN2) + 1, _MAX_PANELS)
+    count = min(first + _MAX_REFINEMENTS, _MAX_PANELS)
+    top = count * _LN2
     inner = np.asarray(breaks, dtype=float)
     edges = np.unique(
-        np.concatenate(
-            [_LN2 * np.arange(_MAX_REFINEMENTS + 1), _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]]
-        )
+        np.concatenate([_LN2 * np.arange(count + 1), _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]])
     )
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     h = mid[:, None] + half[:, None] * _GL_NODES
     w = half[:, None] * _GL_WEIGHTS
-    panel = np.minimum(mid // _LN2, _MAX_REFINEMENTS - 1).astype(np.intp)
+    panel = np.minimum(mid // _LN2, count - 1).astype(np.intp)
     for a in (h, w, panel):
         a.flags.writeable = False
-    return h, w, panel
+    return first, h, w, panel
 
 
 def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndarray:
-    """Dyadic panel integrals of rows of integrand values on one node array.
+    """Dyadic panel integrals of rows of integrand values on the sub-panels of panels 0 .. panel[-1].
 
     Each sub-panel's weighted nodes are summed along the last axis; one
-    bincount over row * _MAX_REFINEMENTS + panel then adds the sub-panels
-    of each row into its panels, in sub-panel order.
+    bincount over row * panels + panel then adds the sub-panels of each
+    row into its panels, in sub-panel order.
     """
-    rows = values.shape[0]
-    index = (np.arange(rows)[:, None] * _MAX_REFINEMENTS + panel).ravel()
+    rows, count = values.shape[0], int(panel[-1]) + 1
+    index = (np.arange(rows)[:, None] * count + panel).ravel()
     sums = (values * w).sum(axis=-1).ravel()
-    pieces = np.bincount(index, weights=sums, minlength=rows * _MAX_REFINEMENTS)
-    return pieces.reshape(rows, _MAX_REFINEMENTS)
+    return np.bincount(index, weights=sums, minlength=rows * count).reshape(rows, count)
 
 
-# Rule codes of _panel_rules, in the order the rules are checked at a panel.
-_BAD_PANEL, _DIVERGES, _GEOMETRIC_TAIL, _QUIET = 4, 3, 2, 1
-# Panels of the first evaluation pass: panel _DIVERGENCE_RUN is the first
-# at which every rule can fire.
-_FIRST_PASS_PANELS = _DIVERGENCE_RUN + 1
+def _row_read(kind: str, gamma: Optional[float], d: np.ndarray, first: int, log_r: Optional[float]) -> tuple:
+    """Last panel a row reads, its verdict, and its rest: the integral past that panel, or inf or None.
 
-
-def _panel_rules(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stopping panel and rule code of rows of dyadic panel integrals.
-
-    Each row is read panel by panel up to the first panel where a rule
-    fires.  At panel n the rules are checked in this order: a non-finite
-    or negative panel is an error; the _DIVERGENCE_RUN-th consecutive
-    non-decreasing panel above _PANEL_ATOL means divergence; from panel
-    _COMPLETION_MIN_PANELS - 1 on, a stable ratio of the last four panels
-    is finished by summing the geometric tail, which keeps slowly decaying
-    exponents inside the refinement budget; from panel 2 on, two quiet
-    panels end a finite integral.  The rules are evaluated for all rows
-    and panels at once, each reading panels up to n only, so the codes of
-    a row's first panels do not depend on the panels after them.  A row
-    where no rule fires gets stop pieces.shape[1] and code 0.  Callers
-    ignore invalid and divide floating-point errors.
+    d = h - C(h) on the panel edges 0, ln2, ..., the grid's top.  With
+    F(y) = e^y for a mass-density row and log1p(e^y / r) for a
+    count-exponent row, the integral of the row's integrand past an edge
+    b where d falls at least at slope s is at most F(d(b)) / s, with
+    equality where d falls at exactly s.  Past the last kink a power
+    pair's d falls at exactly gamma - 1 (a divergent row for gamma <= 1),
+    a subpolynomial pair's d grows (divergent), and a superpolynomial
+    pair's d is concave, so its secant slope over panel n bounds every
+    later slope: the row stops at the first panel n >= n* whose bound
+    F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below _TAIL_ATOL, or where
+    C has overflowed to inf, and drops the rest.  A row that cannot finish
+    within the grid is inconclusive.  The rest of a finite row is added to
+    its panels; a divergent row's rest is its value inf, an inconclusive
+    row's None.  Callers ignore overflow and invalid floating-point errors.
     """
-    rows, count = pieces.shape
-    k = _COMPLETION_MIN_PANELS - 1
-    p = np.where(pieces < 0.0, 0.0, pieces)
-    later, earlier = p[:, 1:], p[:, :-1]
-    quiet = p < _PANEL_ATOL
-    # The tail test at panel n >= k reads panels n-3, ..., n through
-    # q0 = p[n]/p[n-1], q1 = p[n-1]/p[n-2] and q2 = p[n-2]/p[n-3], and
-    # step holds |q0 - q1| and |q1 - q2|.  On positive finite panels no
-    # ratio is NaN, so these comparisons are the exact negations of the
-    # float tests of the scalar rule (the larger step within tolerance
-    # means both are, and a NaN step fails like its comparison); a zero
-    # among the four panels makes one of them false (a ratio of inf, or
-    # q0 = 0 with a nonzero q1), as the scalar rule's positivity test
-    # does, and a non-finite panel has stopped the row already.
-    ratio = later / earlier
-    step = np.abs(ratio[:, 1:] - ratio[:, :-1])
-    q0 = ratio[:, k - 1 :]
-    # Length of the run of non-decreasing panels ending at panel n >= 1.
-    n = np.arange(1, count)
-    run = n - np.maximum.accumulate(np.where(later >= earlier * (1.0 - 1e-12), 0, n), axis=1)
-    # rule[r, n] is the code of the first rule that fires at panel n;
-    # rules are written in increasing precedence, each over the last.
-    rule = np.zeros((rows, count), dtype=np.int8)
-    rule[:, 2:] = quiet[:, 2:] & quiet[:, 1:-1]
-    rule[:, k:][(q0 < 0.999) & (np.maximum(step[:, k - 2 :], step[:, k - 3 : -1]) <= _RATIO_RTOL * q0)] = _GEOMETRIC_TAIL
-    rule[:, 1:][(run >= _DIVERGENCE_RUN) & (later > _PANEL_ATOL)] = _DIVERGES
-    rule[~np.isfinite(pieces) | (pieces < -1e-9)] = _BAD_PANEL
-    first = (rule != 0).argmax(axis=1)
-    codes = rule[np.arange(rows), first]
-    return np.where(codes != 0, first, count), codes
+    last = d.size - 2
+    if kind == "subpolynomial" or (kind == "power" and not gamma > 1.0):
+        return min(first, last), VERDICT_INFINITE, math.inf
+    if first > last:
+        return last, VERDICT_INCONCLUSIVE, None
+    def f(y):
+        return np.exp(y) if log_r is None else np.logaddexp(0.0, y - log_r)
+
+    if kind == "power":
+        return first, VERDICT_FINITE, float(f(d[first + 1])) / (gamma - 1.0)
+    a, b = d[first:-1], d[first + 1 :]
+    done = np.isneginf(b) | (f(b) * _LN2 < _TAIL_ATOL * (a - b))
+    if done.any():
+        return first + int(done.argmax()), VERDICT_FINITE, 0.0
+    return last, VERDICT_INCONCLUSIVE, None
 
 
-def _panel_results(pieces: np.ndarray, stops: np.ndarray, codes: np.ndarray) -> list:
-    """Per row, the ImproperIntegral that its rule code gives at its stopping panel.
+def _row_result(pieces: np.ndarray, verdict: str, rest: Optional[float]):
+    """The ImproperIntegral of a row's panel integrals and _row_read's rest, or the CriteriaError of a bad panel.
 
-    The evidence holds the exactly rounded partial sums up to the stop,
-    with negative panels clamped to 0; a bad panel gives its CriteriaError
-    instead.  Panels past a row's stop are never read.
+    The evidence holds the exactly rounded partial sums of the panels.
     """
-    results: list = []
-    for r, (stop, code) in enumerate(zip(stops.tolist(), codes.tolist())):
-        if code == _BAD_PANEL:
-            piece = float(pieces[r, stop])
-            results.append(CriteriaError(f"panel [{stop * _LN2}, {(stop + 1) * _LN2}] evaluated to {piece}"))
-            continue
-        panels = [0.0 if piece < 0.0 else piece for piece in pieces[r, : stop + 1].tolist()]
-        partial = tuple([math.fsum(panels[: i + 1]) for i in range(len(panels))])
-        if code == _DIVERGES:
-            results.append(ImproperIntegral(VERDICT_INFINITE, math.inf, partial))
-        elif code == _GEOMETRIC_TAIL:
-            p0, p1 = panels[-1], panels[-2]
-            q = p0 / p1
-            results.append(ImproperIntegral(VERDICT_FINITE, partial[-1] + p0 * q / (1.0 - q), partial))
-        elif code == _QUIET:
-            results.append(ImproperIntegral(VERDICT_FINITE, partial[-1], partial))
-        else:
-            results.append(ImproperIntegral(VERDICT_INCONCLUSIVE, None, partial))
-    return results
-
-
-def _read_panels(pieces: np.ndarray) -> list:
-    """Verdicts of rows of dyadic panel integrals, one improper integral per row.
-
-    The rules of _panel_rules stop each row; a row where no rule fires is
-    inconclusive.  Returns per row an ImproperIntegral, whose evidence
-    holds the exactly rounded partial sums up to the stop, or the
-    CriteriaError of a bad panel at or before the stop.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _panel_results(pieces, *_panel_rules(pieces))
-
-
-def _read_in_passes(integrands: Callable, rows: int, w: np.ndarray, panel: np.ndarray) -> list:
-    """_read_panels of rows of integrands on one node array, evaluated in at most two passes.
-
-    integrands(index, nodes) gives the integrand values of the rows in
-    ``index`` (ascending) on the sub-panels ``nodes`` (a slice), shaped
-    (len(index), sub-panels, nodes).  The first pass evaluates every row
-    on panels 0 .. _DIVERGENCE_RUN; the second only the rows that no rule
-    stopped there, on the remaining panels.  Each pass goes in chunks of
-    at most BLOCK_CHUNK_CELLS nodes.  A rule at panel n reads panels up to
-    n only, and each panel's sub-panels are summed in the same order
-    either way, so the results equal _read_panels of all
-    _MAX_REFINEMENTS panels, bit for bit.
-    """
-    split = int(np.searchsorted(panel, _FIRST_PASS_PANELS))
-    pieces = np.zeros((rows, _MAX_REFINEMENTS))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _fill_panels(pieces, integrands, np.arange(rows), slice(0, split), w, panel)
-        stops, codes = _panel_rules(pieces[:, :_FIRST_PASS_PANELS])
-        todo = np.flatnonzero(stops == _FIRST_PASS_PANELS)
-        if todo.size:
-            _fill_panels(pieces, integrands, todo, slice(split, None), w, panel)
-            stops[todo], codes[todo] = _panel_rules(pieces[todo])
-    return _panel_results(pieces, stops, codes)
-
-
-def _fill_panels(
-    pieces: np.ndarray, integrands: Callable, index: np.ndarray, nodes: slice, w: np.ndarray, panel: np.ndarray
-) -> None:
-    """Write the panel integrals of the rows in index on the sub-panels nodes into pieces."""
-    w, panel = w[nodes], panel[nodes]
-    panels = slice(panel[0], panel[-1] + 1)
-    step = max(BLOCK_CHUNK_CELLS // w.size, 1)
-    for start in range(0, index.size, step):
-        chunk = index[start : start + step]
-        pieces[chunk, panels] = _panel_sums(integrands(chunk, nodes), w, panel)[:, panels]
+    bad = ~np.isfinite(pieces)
+    if bad.any():
+        n = int(bad.argmax())
+        return CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {pieces[n]}")
+    panels = pieces.tolist()
+    partial = tuple([math.fsum(panels[: i + 1]) for i in range(len(panels))])
+    value = rest
+    if verdict == VERDICT_FINITE:
+        value = math.fsum([*panels, rest])
+        if not math.isfinite(value):
+            return CriteriaError(f"tail past h = {len(panels) * _LN2} evaluated to {rest}")
+    return ImproperIntegral(verdict, value, partial)
 
 
 def _checked(result):
@@ -298,33 +210,16 @@ def _checked(result):
     return result
 
 
-def hazard_weighted_integral(
-    integrand: Callable[[np.ndarray], np.ndarray], breaks: Sequence[float] = ()
-) -> ImproperIntegral:
-    """Evaluate the improper integral of integrand(h) over h in [0, inf).
+def hazard_weighted_integral(params: ModelParams) -> ImproperIntegral:
+    """Integral of the ladder's per-step mass density exp(h - C(h)) over h in [0, inf).
 
-    With u = e^-h this is the integral of f(u)/u over u in (0, 1] for
-    f(u) = integrand(-log u), the integral against the record-arrival
-    intensity (the cumulative-hazard measure of the mark law) from which
-    every criterion integral below arises.  integrand takes an array of
-    hazards and must be non-negative.  Each dyadic panel is integrated by
-    24-node Gauss-Legendre rules on sub-panels split at ``breaks`` (the
-    hazards where the integrand has a kink) and graded toward h = 0.
-    The panels are then read in order by the rules of classify_many, of
-    which this is the one-row case: a non-finite or negative panel
-    raises, a run of non-decreasing panels means divergence, and
-    eventually-geometric panel decay (every power-exponent case) is
-    finished by summing the geometric tail.  integrand is called at most
-    twice: once on the nodes of panels 0 .. _DIVERGENCE_RUN, and once on
-    those of the remaining panels if no rule stopped the integral there.
-    Panels past the stopping one are never inspected.
+    With u = e^-h it is the integral of R(u)/u over u in (0, 1], where
+    R(u) = S_thr(S_fit^-1(u))/u is the survival ratio at the fitness
+    level of survival u and du/u the record-arrival intensity of the
+    fitness law.  It is the mass-density row of classify, without the
+    rate prefactor of expected_extinction_count.
     """
-    h, w, panel = _panel_nodes(tuple(breaks))
-
-    def integrands(index, nodes):
-        return np.broadcast_to(integrand(h[nodes]), h[nodes].shape)[None]
-
-    return _checked(_read_in_passes(integrands, 1, w, panel)[0])
+    return _checked(_criterion_integrals([(params, None)])[0])
 
 
 def hazard_weighted_integral_xspace(
@@ -361,6 +256,11 @@ def hazard_breaks(params: ModelParams) -> tuple[float, ...]:
     return tuple(sorted({h for h in fit.hazard_transform_array(levels).tolist() if 0.0 < h < math.inf}))
 
 
+def _composition(params: ModelParams, h: np.ndarray) -> np.ndarray:
+    """C(h) = H_thr(H_fit^-1(h)) on the hazards h."""
+    return params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
+
+
 def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarray:
     """Integrand rows of criterion row keys, mass-density rows first, on the nodes h.
 
@@ -381,8 +281,7 @@ def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarr
         if j < i:
             values[i] = values[j]
         else:
-            params = sides[pair]
-            values[i] = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
+            values[i] = _composition(sides[pair], h)
     base, exponent = values[:n_base], values[n_base:]
     np.exp(np.subtract(h, base, out=base), out=base)
     exponent += log_r[:, None, None]
@@ -394,18 +293,19 @@ def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarr
 
 
 def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) -> list:
-    """Criterion integrals of one side each, as rows of padded node arrays.
+    """Criterion integrals of one side each, one row per distinct (mark pair, log r).
 
     A row (params, None) is the integral of the ladder's per-step mass
     density exp(h - C(h)), without its rate prefactor; a row
     (params, log_r) the count exponent's integrand 1/(1 + r exp(C(h) - h)),
     formed as the logistic of log r + C(h) - h (see _integrands), so that
     it never forms inf/inf.  Only the mark pair of params and log_r
-    enter, so equal rows are evaluated once.
-    Rows are grouped by the pair's hazard_breaks (one node array each),
-    and each group is read in the two passes of _read_in_passes, whose
-    chunks take C(h) once per pair in them, on that pass's nodes only.
-    Returns per row what _read_panels gives.
+    enter, so equal rows are evaluated once.  _row_read decides from the
+    pair's tail class and C on the panel edges which panels each row
+    reads; rows that read the same panels of the same node array are
+    evaluated together, in chunks of at most BLOCK_CHUNK_CELLS nodes that
+    take C(h) once per pair in them.  Returns per row an ImproperIntegral
+    or the CriteriaError of a bad panel.
     """
     first: dict = {}
     sides: list[ModelParams] = []
@@ -416,19 +316,36 @@ def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) ->
             sides.append(params)
         keys.append((pair, log_r))
     breaks = [hazard_breaks(params) for params in sides]
-    groups: dict[tuple, list] = {}
-    for key in sorted(dict.fromkeys(keys), key=lambda key: key[0]):
-        groups.setdefault(breaks[key[0]], []).append(key)
+    shapes = [composed_survival_exponent(params) for params in sides]
+    edge_d: dict = {}
+    reads: dict[tuple, list] = {}
+    ends = {}
     results: dict = {}
-    for group_breaks, members in groups.items():
-        h, w, panel = _panel_nodes(group_breaks)
-        # Mass-density rows first, each kind in mark-pair order; rows are read back by key.
-        members.sort(key=lambda key: key[1] is not None)
-
-        def integrands(index, nodes, members=members, h=h):
-            return _integrands([members[i] for i in index.tolist()], sides, h[nodes])
-
-        results.update(zip(members, _read_in_passes(integrands, len(members), w, panel)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for key in dict.fromkeys(keys):
+            pair, log_r = key
+            n_star, _, _, panel = _panel_nodes(breaks[pair])
+            if pair not in edge_d:
+                edges = _LN2 * np.arange(panel[-1] + 2.0)
+                edge_d[pair] = edges - _composition(sides[pair], edges)
+            last, verdict, rest = _row_read(*shapes[pair], edge_d[pair], n_star, log_r)
+            ends[key] = (verdict, rest)
+            reads.setdefault((breaks[pair], last), []).append(key)
+        for (group_breaks, last), members in reads.items():
+            _, h, w, panel = _panel_nodes(group_breaks)
+            nodes = int(np.searchsorted(panel, last, side="right"))
+            h, w, panel = h[:nodes], w[:nodes], panel[:nodes]
+            # Mass-density rows first, as _integrands takes them.
+            members.sort(key=lambda key: key[1] is not None)
+            step = max(BLOCK_CHUNK_CELLS // h.size, 1)
+            pieces = np.concatenate(
+                [
+                    _panel_sums(_integrands(members[start : start + step], sides, h), w, panel)
+                    for start in range(0, len(members), step)
+                ]
+            )
+            for key, row in zip(members, pieces):
+                results[key] = _row_result(row, *ends[key])
     return [results[key] for key in keys]
 
 
@@ -458,8 +375,7 @@ def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
     finite exactly in the transient regime.  The prefactor is applied to
     both the value and the evidence trail.
     """
-    base = _checked(_criterion_integrals([(params, None)])[0])
-    return _scaled(base, params.lambda_extinct / params.lambda_birth)
+    return _scaled(hazard_weighted_integral(params), params.lambda_extinct / params.lambda_birth)
 
 
 def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
@@ -496,15 +412,21 @@ def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
     return None
 
 
-def _tail_shape(dist: DistributionSpec) -> Optional[tuple]:
-    """Canonical tail description: ("exp", shape, scale) or ("power", index)."""
+def _tail_shape(dist: DistributionSpec) -> tuple:
+    """Canonical tail description: ("exp", shape, scale) or ("power", index).
+
+    A tabulated law's log-linear tail past its last node is an
+    exponential one, at the rate of its last segment.
+    """
     if isinstance(dist, Exponential):
         return ("exp", 1.0, 1.0 / dist.rate)
     if isinstance(dist, Weibull):
         return ("exp", dist.shape, dist.scale)
     if isinstance(dist, Pareto):
         return ("power", dist.index)
-    return None
+    if isinstance(dist, TabulatedQuantile):
+        return ("exp", 1.0, -1.0 / dist._tail_slope)
+    raise CriteriaError(f"no tail shape for {type(dist).__name__}")
 
 
 def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float]]:
@@ -512,13 +434,12 @@ def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float
 
     Returns ("power", gamma) when the composition behaves like a
     constant times u**gamma, ("superpolynomial", None) when it decays
-    faster than any power, ("subpolynomial", None) when slower, and
-    ("unknown", None) for tabulated inputs.
+    faster than any power, and ("subpolynomial", None) when slower.
+    For a power pair C(h) = gamma h + c holds exactly past the last
+    kink (hazard_breaks); for a superpolynomial pair C is convex there.
     """
     fit = _tail_shape(params.fitness_dist)
     thr = _tail_shape(params.threshold_dist)
-    if fit is None or thr is None:
-        return ("unknown", None)
     if fit[0] == "power" and thr[0] == "power":
         return ("power", thr[1] / fit[1])
     if fit[0] == "exp" and thr[0] == "exp":
@@ -528,7 +449,7 @@ def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float
             return ("superpolynomial", None)
         if k_thr < k_fit:
             return ("subpolynomial", None)
-        return ("power", (s_fit / s_thr) ** k_fit)
+        return ("power", _pow(s_fit / s_thr, k_fit))
     if fit[0] == "exp":
         # Power-law threshold survival at an exponential-type quantile
         # decays only logarithmically in u.
@@ -538,21 +459,17 @@ def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float
     return ("superpolynomial", None)
 
 
-def exact_verdict(params: ModelParams) -> Optional[str]:
+def exact_verdict(params: ModelParams) -> str:
     """Extinction-count criterion decided by composed_survival_exponent.
 
     Finite for a power exponent above 1 or superpolynomial decay,
-    infinite otherwise; None for tabulated laws, which have no exact
-    exponent.  Apply it to params.swapped() for the limit-count side.
+    infinite otherwise.  Apply it to params.swapped() for the
+    limit-count side.
     """
     kind, gamma = composed_survival_exponent(params)
     if kind == "power":
         return VERDICT_FINITE if gamma > 1.0 else VERDICT_INFINITE
-    if kind == "superpolynomial":
-        return VERDICT_FINITE
-    if kind == "subpolynomial":
-        return VERDICT_INFINITE
-    return None
+    return VERDICT_FINITE if kind == "superpolynomial" else VERDICT_INFINITE
 
 
 @dataclass(frozen=True)
@@ -595,10 +512,10 @@ class ClassificationReport:
 def classify(params: ModelParams) -> ClassificationReport:
     """Recurrence and limit-count verdicts with supporting integrals.
 
-    Built-in family pairs are decided by the exact decay exponent of the
-    survival composition; otherwise the numeric three-way verdict of the
-    dyadic-panel quadrature decides.  The numeric integrals are always
-    attached as evidence.  This is classify_many of one point.
+    The verdicts are exact_verdict of both sides, from the tail class of
+    the mark pair; the four criterion integrals and their evidence are
+    attached.  method is "NumericCauchy" when a law is tabulated and
+    "AnalyticExponent" otherwise.  This is classify_many of one point.
     """
     return classify_many([params])[0]
 
@@ -606,10 +523,10 @@ def classify(params: ModelParams) -> ClassificationReport:
 def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
     """classify of every point of a batch, in one array pass.
 
-    The four criterion integrals of all points are rows of the same
-    padded node arrays, read by one vectorised copy of the panel rules.
-    The mass-density integral and C(h) depend only on the mark pair (the
-    rate prefactor multiplies value and evidence afterwards), so points
+    The four criterion integrals of all points are rows of shared node
+    arrays (see _criterion_integrals).  The mass-density integral and
+    C(h) depend only on the mark pair (the rate prefactor multiplies
+    value and evidence afterwards), so points
     that differ only in their rates share them; the count exponents keep
     one row per point and side.  Each report equals classify of its
     point bit for bit, and the first point, in order, that classify
@@ -633,30 +550,14 @@ def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
 def _report(
     params: ModelParams, swapped: ModelParams, base_m, base_n, phi_inf, phi_bar_inf
 ) -> ClassificationReport:
-    m_analytic = exact_verdict(params)
-    n_analytic = exact_verdict(swapped)
-
     e_m = _scaled(_checked(base_m), params.lambda_extinct / params.lambda_birth)
     e_n = _scaled(_checked(base_n), swapped.lambda_extinct / swapped.lambda_birth)
     phi_inf = _checked(phi_inf)
     phi_bar_inf = _checked(phi_bar_inf)
-
-    def resolve(analytic: Optional[str], numeric: ImproperIntegral, side: str) -> str:
-        if analytic is None:
-            return numeric.verdict
-        if numeric.verdict != VERDICT_INCONCLUSIVE and numeric.verdict != analytic:
-            raise CriteriaError(
-                f"{side}: analytic verdict {analytic} contradicts numeric {numeric.verdict}"
-            )
-        return analytic
-
-    m_verdict = resolve(m_analytic, e_m, "extinction-count criterion")
-    n_verdict = resolve(n_analytic, e_n, "birth-count criterion")
-    method = (
-        "AnalyticExponent" if m_analytic is not None and n_analytic is not None else "NumericCauchy"
-    )
-    recurrence = RECURRENCE_LABEL[m_verdict]
-    limit_count = LIMIT_COUNT_LABEL[n_verdict]
+    tabulated = any(isinstance(d, TabulatedQuantile) for d in (params.fitness_dist, params.threshold_dist))
+    method = "NumericCauchy" if tabulated else "AnalyticExponent"
+    recurrence = RECURRENCE_LABEL[exact_verdict(params)]
+    limit_count = LIMIT_COUNT_LABEL[exact_verdict(swapped)]
     integrals = CriterionIntegrals(
         e_m=e_m.value,
         e_n=e_n.value,

@@ -29,7 +29,6 @@ from .criteria import (  # noqa: F401
     classify_many,
     expected_extinction_count,
     exponential_closed_forms,
-    hazard_breaks,
     hazard_weighted_integral,
     hazard_weighted_integral_xspace,
     laplace_extinction_count,
@@ -402,11 +401,8 @@ def check_quadrature(ctx: SuiteContext) -> CheckResult:
             fitness_dist=fitness,
             threshold_dist=threshold,
         )
-        # The ladder's per-step mass density exp(h - H_thr(H_fit^-1(h))).
-        h_side = hazard_weighted_integral(
-            lambda h: np.exp(h - threshold.hazard_transform_array(fitness.inverse_hazard_array(h))),
-            breaks=hazard_breaks(params),
-        )
+        # The integral of the ladder's per-step mass density exp(h - H_thr(H_fit^-1(h))).
+        h_side = hazard_weighted_integral(params)
 
         def ratio(x: float) -> float:
             denom = fitness.survival(x)

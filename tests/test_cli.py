@@ -373,7 +373,7 @@ def test_benchmark_tracer_wraps_the_cli(tmp_path, transient_params, monkeypatch)
     finally:
         tr.restore()
     stops = json.loads((out / "summary.json").read_text())["diagnostics"]["stop_reasons"]
-    assert set(stops) <= {"tail_bound", "quiet"} and sum(stops.values()) == 20
+    assert set(stops) <= {"tail_bound"} and sum(stops.values()) == 20
     assert tr.stats["cli.main"][0] == 2
     # The stream hook counted the events through len(stream.events).
     events = json.loads((sim / "summary.json").read_text())["events"]

@@ -10,20 +10,12 @@ from scipy import stats
 
 from threshold_gms import criteria
 from threshold_gms.criteria import (
-    _COMPLETION_MIN_PANELS,
-    _DIVERGENCE_RUN,
     _LN2,
     _MAX_REFINEMENTS,
-    _PANEL_ATOL,
-    _RATIO_RTOL,
     CriteriaError,
     GammaLaw,
-    ImproperIntegral,
     NegBinomLaw,
     _criterion_integrals,
-    _panel_nodes,
-    _panel_sums,
-    _read_panels,
     classify,
     classify_many,
     _integrands,
@@ -60,6 +52,16 @@ def _composition(params, h):
 
 
 HAZARDS = np.array([0.0, 0.36, 1.6, 9.2, 27.6])
+
+
+# exp(1) fitness against a threshold law with kinks at fitness hazards 1,
+# 48 and 53, nearly flat from 1 to 48: most of its mass lies past h = 48.
+PROBE = ModelParams(
+    1.0,
+    1.0,
+    Exponential(1.0),
+    TabulatedQuantile(((1.0, 0.0), (1e-22, 1.0), (1e-22 * (1.0 - 1e-9), 48.0), (1e-22 * math.exp(-10.0), 53.0))),
+)
 
 
 def test_composed_survival_exponential_pair_is_a_power():
@@ -162,156 +164,82 @@ def test_exponent_dominated_by_expected_count():
 
 
 def test_hazard_weighted_integral_of_identity():
-    # u = e^-h: the integral of u/u over (0, 1] is that of e^-h over [0, inf).
-    res = hazard_weighted_integral(lambda h: np.exp(-h))
+    # exp(1)/exp(2): C(h) = 2h, so the mass density is e^-h, whose integral is 1.
+    res = hazard_weighted_integral(exp_params(1.0, 2.0))
     assert res.is_finite
-    assert res.value == pytest.approx(1.0, rel=1e-8)
+    assert res.value == pytest.approx(1.0, rel=1e-15)
 
 
 def test_hazard_weighted_integral_of_constant_diverges():
-    res = hazard_weighted_integral(lambda h: 0.5)
+    # exp(1)/exp(1): C(h) = h, so the mass density is 1 on [0, inf).
+    res = hazard_weighted_integral(exp_params(1.0, 1.0))
     assert res.is_infinite
+    assert res.evidence == pytest.approx((_LN2, 2 * _LN2), rel=1e-15)
 
 
-def test_hazard_weighted_integral_log_divergence_is_inconclusive():
-    # 1/(1 + h) diverges only logarithmically: the panel trend is neither
-    # clearly summable nor clearly growing.
-    res = hazard_weighted_integral(lambda h: 1.0 / (1.0 + h))
+def test_hazard_weighted_integral_slow_superpolynomial_tail_is_inconclusive():
+    """exp(1)/Weibull(1.05): e^(h - h^1.05) is summable, but its secant bound is still near 1 after all panels."""
+    res = hazard_weighted_integral(ModelParams(1.0, 1.0, Exponential(1.0), Weibull(1.05, 1.0)))
     assert res.verdict == "inconclusive"
     assert res.value is None
+    # n* = 1 (no kink past h = 0), then _MAX_REFINEMENTS panels.
+    assert len(res.evidence) == 1 + _MAX_REFINEMENTS
 
 
-def test_hazard_weighted_integral_evaluates_past_panel_ten_only_when_needed():
-    """The integrand sees panels 0.._DIVERGENCE_RUN first, and the rest only if no rule stopped there."""
-    h, _, panel = _panel_nodes(())
-    first = int(np.count_nonzero(panel <= _DIVERGENCE_RUN)) * h.shape[1]
+def test_hazard_weighted_integral_evaluates_only_the_panels_it_reads(monkeypatch):
+    """The integrand sees the nodes of panels 0 .. n (the last panel read) and no other."""
+    seen = []
+
+    def recording(keys, sides, h):
+        seen.append(h)
+        return _integrands(keys, sides, h)
+
+    monkeypatch.setattr(criteria, "_integrands", recording)
     cases = {
-        "tail at panel 7": (lambda h: np.exp(-h), [first]),
-        "divergence at panel 10": (lambda h: 0.5, [first]),
-        "inconclusive": (lambda h: 1.0 / (1.0 + h), [first, h.size - first]),
+        # A power pair reads through n*, the first panel that starts past its last kink.
+        "exp(1)/exp(2), no kink": (exp_params(1.0, 2.0), 2),
+        "probe, last kink at 53": (PROBE, 78),
+        # A superpolynomial pair reads on until its secant bound is below _TAIL_ATOL.
+        "exp(1)/Weibull(2, 1)": (ModelParams(1.0, 1.0, Exponential(1.0), Weibull(2.0, 1.0)), 10),
     }
-    for label, (integrand, want) in cases.items():
-        seen = []
+    for label, (params, panels) in cases.items():
+        seen.clear()
+        res = hazard_weighted_integral(params)
+        assert len(res.evidence) == panels, label
+        nodes = np.concatenate([h.ravel() for h in seen])
+        assert (panels - 1) * _LN2 < nodes.max() < panels * _LN2, label
 
-        def counting(h, integrand=integrand, seen=seen):
-            seen.append(h.size)
-            return integrand(h)
 
-        hazard_weighted_integral(counting)
-        assert seen == want, label
+@dataclass(frozen=True)
+class HoleyThreshold(Exponential):
+    """Exponential threshold law whose hazard is NaN on the levels [lo, hi)."""
+
+    lo: float = 0.0
+    hi: float = 0.0
+
+    def hazard_transform_array(self, x):
+        return np.where((x >= self.lo) & (x < self.hi), np.nan, super().hazard_transform_array(x))
 
 
 def test_hazard_weighted_integral_rejects_bad_integrand():
-    with pytest.raises(CriteriaError):
-        hazard_weighted_integral(lambda h: -1.0)
-    with pytest.raises(CriteriaError):
-        hazard_weighted_integral(lambda h: math.nan)
+    """A non-finite panel among those a row reads raises CriteriaError, in every front."""
+    # exp(1) fitness: levels are hazards, so the hole lies in panel 1 = [ln2, 2 ln2].
+    params = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 1.0, 1.2))
+    message = f"^panel \\[{_LN2}, {2 * _LN2}\\] evaluated to nan$"
+    fronts = (hazard_weighted_integral, expected_extinction_count, lambda p: extinction_count_exponent(p, 1.0), classify)
+    for front in fronts:
+        with pytest.raises(CriteriaError, match=message):
+            front(params)
 
 
-def _geometric_tail_reference(panels):
-    if len(panels) < _COMPLETION_MIN_PANELS:
-        return None
-    p3, p2, p1, p0 = panels[-4:]
-    if not p3 > 0.0 or not p2 > 0.0 or not p1 > 0.0 or not p0 > 0.0:
-        return None
-    q0 = p0 / p1
-    q1 = p1 / p2
-    q2 = p2 / p3
-    if q0 >= 0.999:
-        return None
-    if abs(q0 - q1) > _RATIO_RTOL * q0 or abs(q1 - q2) > _RATIO_RTOL * q0:
-        return None
-    return p0 * q0 / (1.0 - q0)
-
-
-def _read_panels_reference(pieces):
-    """The scalar panel loop: one row, read panel by panel until a rule fires."""
-    panels = []
-    partial = []
-    nondecreasing = 0
-    quiet = 0
-    prev = None
-    for n, piece in enumerate(pieces):
-        if not math.isfinite(piece) or piece < -1e-9:
-            raise CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {piece}")
-        piece = max(piece, 0.0)
-        panels.append(piece)
-        partial.append(math.fsum(panels))
-        if prev is not None and piece >= prev * (1.0 - 1e-12):
-            nondecreasing += 1
-        elif prev is not None:
-            nondecreasing = 0
-        if nondecreasing >= _DIVERGENCE_RUN and piece > _PANEL_ATOL:
-            return ImproperIntegral("infinite", math.inf, tuple(partial))
-        tail = _geometric_tail_reference(panels)
-        if tail is not None:
-            return ImproperIntegral("finite", math.fsum(panels) + tail, tuple(partial))
-        quiet = quiet + 1 if piece < _PANEL_ATOL else 0
-        if quiet >= 2 and n >= 2:
-            return ImproperIntegral("finite", math.fsum(panels), tuple(partial))
-        prev = piece
-    return ImproperIntegral("inconclusive", None, tuple(partial))
-
-
-def _panel_rows():
-    n = np.arange(_MAX_REFINEMENTS, dtype=float)
-    geometric = 0.5**n
-    rows = {
-        "geometric tail": geometric,
-        "divergence": np.full(_MAX_REFINEMENTS, 0.25),
-        "growth": 1.0 + n,
-        "quiet": np.concatenate([[1.0, 0.3], np.full(_MAX_REFINEMENTS - 2, 1e-12)]),
-        "quiet at once": np.zeros(_MAX_REFINEMENTS),
-        "slightly negative clamps to quiet": np.concatenate(
-            [[1.0, -1e-12], np.full(_MAX_REFINEMENTS - 2, -5e-10)]
-        ),
-        # Panels 6 and 7 are both quiet and 4..7 decay by exactly 1/2: the tail wins.
-        "tail and quiet at one panel": 1.5e-10 * 0.5 ** (n - 5),
-        "never stops": 1.0 / (1.0 + n),
-        "decay then plateau": np.maximum(0.5**n, 1e-3),
-        "nan after stop": np.where(n == 20, np.nan, geometric),
-        "negative after stop": np.where(n == 30, -1.0, np.full(_MAX_REFINEMENTS, 0.25)),
-        "nan before stop": np.where(n == 3, np.nan, geometric),
-        "negative before stop": np.where(n == 5, -1e-3, geometric),
-        "inf at panel 0": np.where(n == 0, np.inf, geometric),
-        "bad at the stopping panel": np.where(n == 7, -np.inf, geometric),
-    }
-    rng = np.random.default_rng(2024)
-    for i in range(40):
-        ratio = rng.uniform(0.2, 1.05)
-        noise = np.exp(rng.normal(0.0, rng.choice([0.0, 1e-6, 1e-3, 0.3]), _MAX_REFINEMENTS))
-        row = rng.uniform(1e-12, 2.0) * ratio**n * noise
-        if i % 5 == 0:
-            row[rng.integers(0, _MAX_REFINEMENTS)] = rng.choice([np.nan, -1.0, 0.0, np.inf])
-        if i % 7 == 0:
-            row[rng.integers(0, _MAX_REFINEMENTS, 3)] = 0.0
-        rows[f"random {i}"] = row
-    return rows
-
-
-def test_vectorised_panel_rules_match_the_scalar_loop():
-    rows = _panel_rows()
-    got = _read_panels(np.stack(list(rows.values())))
-    verdicts = set()
-    for (label, row), result in zip(rows.items(), got):
-        try:
-            want = _read_panels_reference(row.tolist())
-        except CriteriaError as exc:
-            assert isinstance(result, CriteriaError), label
-            assert str(result) == str(exc), label
-            verdicts.add("error")
-            continue
-        assert isinstance(result, ImproperIntegral), label
-        assert result.verdict == want.verdict, label
-        assert result.value == want.value or (result.value is None and want.value is None), label
-        assert result.evidence == want.evidence, label
-        verdicts.add(result.verdict)
-    assert verdicts == {"finite", "infinite", "inconclusive", "error"}
-    named = dict(zip(rows, got))
-    assert len(named["tail and quiet at one panel"].evidence) == 8
-    assert named["tail and quiet at one panel"].value > named["tail and quiet at one panel"].evidence[-1]
-    assert named["nan after stop"].is_finite and named["negative after stop"].is_infinite
-    assert str(named["nan before stop"]).endswith("evaluated to nan")
+def test_bad_panels_raise_only_where_a_row_reads():
+    """A NaN past the panels a row reads is never evaluated; one inside them fails that row only."""
+    past = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 20.0, 30.0))
+    inside = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 1.0, 1.2))
+    got = _criterion_integrals([(past, None), (inside, None), (past, 0.0), (inside, 0.0)])
+    assert got[0].value == pytest.approx(1.0, rel=1e-15)
+    assert got[2].value == pytest.approx(math.log(2.0), rel=1e-15)
+    assert str(got[1]) == str(got[3]) == f"panel [{_LN2}, {2 * _LN2}] evaluated to nan"
 
 
 def test_xspace_integral_matches_hspace():
@@ -321,11 +249,7 @@ def test_xspace_integral_matches_hspace():
     ]
     for fitness, threshold, expected in cases:
         params = ModelParams(1.0, 1.0, fitness, threshold)
-
-        def mass_density(h):
-            return np.exp(h - threshold.hazard_transform_array(fitness.inverse_hazard_array(h)))
-
-        h_side = hazard_weighted_integral(mass_density)
+        h_side = hazard_weighted_integral(params)
 
         def ratio(x):
             denom = fitness.survival(x)
@@ -344,6 +268,17 @@ KINKED_TABULATED_STEEP = TabulatedQuantile(
 )
 
 
+def _xspace(integrand, fitness, kinks, upper=math.inf):
+    """Level-space integral of integrand against the fitness hazard density up to upper, split at the kink levels."""
+    edges = [fitness.support_lower, *sorted(k for k in kinks if fitness.support_lower < k < upper), upper]
+    def weighted(x):
+        return integrand(x) * fitness.hazard_density(x)
+
+    return math.fsum(
+        criteria.quad(weighted, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500)[0] for lo, hi in zip(edges, edges[1:])
+    )
+
+
 @pytest.mark.parametrize(
     "fitness, threshold",
     [
@@ -359,12 +294,11 @@ KINKED_TABULATED_STEEP = TabulatedQuantile(
 def test_hspace_integrals_resolve_kinks_and_the_endpoint(fitness, threshold):
     """Hazard-space panels split at kinks and graded at h = 0 match level-space quadrature.
 
-    e_m is compared whole.  Both are also compared panel-wise, through
-    the partial integral over the first eight panels (h < 8 ln2, past
-    every kink here): phi's geometric-tail completion is accurate only to
-    the ratio tolerance, which is not what this test measures.
+    e_m and phi_inf are compared whole, and through the partial integral
+    over the panels read (past every kink here).
     """
     params = ModelParams(1.0, 1.0, fitness, threshold)
+    kinks = np.concatenate([fitness.kink_levels(), threshold.kink_levels()]).tolist()
 
     def ratio(x):
         s_fit = fitness.survival(x)
@@ -377,12 +311,10 @@ def test_hspace_integrals_resolve_kinks_and_the_endpoint(fitness, threshold):
     e_m = expected_extinction_count(params)
     phi = extinction_count_exponent(params, math.inf)
     assert e_m.is_finite and phi.is_finite
-    assert e_m.value == pytest.approx(hazard_weighted_integral_xspace(ratio, fitness), rel=1e-9)
-    upper = fitness.inverse_hazard(8 * math.log(2.0))
     for res, integrand in ((e_m, ratio), (phi, exponent_integrand)):
-        assert len(res.evidence) >= 8
-        x_partial = hazard_weighted_integral_xspace(integrand, fitness, upper)
-        assert res.evidence[7] == pytest.approx(x_partial, rel=1e-9)
+        assert res.value == pytest.approx(_xspace(integrand, fitness, kinks), rel=1e-9)
+        upper = fitness.inverse_hazard(len(res.evidence) * _LN2)
+        assert res.evidence[-1] == pytest.approx(_xspace(integrand, fitness, kinks, upper), rel=1e-9)
     if isinstance(threshold, Pareto):
         assert e_m.value == pytest.approx(8.0, rel=1e-12)
 
@@ -401,6 +333,10 @@ def test_composed_survival_exponent_table():
     assert composed_survival_exponent(pareto) == ("power", 1.5)
     weib = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
     assert composed_survival_exponent(weib) == ("power", 4.0)
+    # gamma = (1e200)^2 overflows to inf: a power pair all the same, not an OverflowError.
+    extreme = ModelParams(1.0, 1.0, Weibull(2.0, 1e100), Weibull(2.0, 1e-100))
+    assert composed_survival_exponent(extreme) == ("power", math.inf)
+    assert (classify(extreme).recurrence, classify(extreme).limit_count) == ("Transient", "Infinite")
     steeper = ModelParams(1.0, 1.0, Weibull(1.0, 1.0), Weibull(2.0, 1.0))
     assert composed_survival_exponent(steeper) == ("superpolynomial", None)
     flatter = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(1.0, 1.0))
@@ -409,9 +345,14 @@ def test_composed_survival_exponent_table():
     assert composed_survival_exponent(mixed) == ("subpolynomial", None)
     mixed_rev = ModelParams(1.0, 1.0, Pareto(1.0, 3.0), Exponential(1.0))
     assert composed_survival_exponent(mixed_rev) == ("superpolynomial", None)
+    # A tabulated law's log-linear tail is exponential at the rate of its last segment, here ln 2.
     grid = TabulatedQuantile(grid=((1.0, 0.0), (0.5, 1.0)))
     tab = ModelParams(1.0, 1.0, grid, Exponential(1.0))
-    assert composed_survival_exponent(tab) == ("unknown", None)
+    assert composed_survival_exponent(tab) == ("power", pytest.approx(1.0 / math.log(2.0), rel=1e-15))
+    assert composed_survival_exponent(ModelParams(1.0, 1.0, grid, grid)) == ("power", 1.0)
+    assert composed_survival_exponent(ModelParams(1.0, 1.0, grid, Pareto(1.0, 3.0))) == ("subpolynomial", None)
+    assert composed_survival_exponent(ModelParams(1.0, 1.0, Pareto(1.0, 3.0), grid)) == ("superpolynomial", None)
+    assert composed_survival_exponent(ModelParams(1.0, 1.0, grid, Weibull(2.0, 1.0))) == ("superpolynomial", None)
 
 
 def test_classify_exponential_examples():
@@ -507,107 +448,95 @@ def test_classify_many_matches_classify_bit_for_bit():
 
 
 def test_classify_many_rows_match_the_one_row_integral():
-    """Each batch row equals hazard_weighted_integral of its integrand written out."""
+    """Each batch row equals the one-row front of its side, bit for bit."""
     points = _mixed_batch()
     for params, report in zip(points, classify_many(points)):
-        for side, swapped in (("e_m", params), ("e_n", params.swapped())):
-            fit, thr = swapped.fitness_dist, swapped.threshold_dist
-
-            def comp(h, fit=fit, thr=thr):
-                return thr.hazard_transform_array(fit.inverse_hazard_array(h))
-
-            breaks = hazard_breaks(swapped)
-            base = hazard_weighted_integral(lambda h: np.exp(h - comp(h)), breaks)
-            prefactor = swapped.lambda_extinct / swapped.lambda_birth
-            assert report.integrals.evidence[side] == tuple(prefactor * e for e in base.evidence)
-            log_r = math.log(swapped.lambda_birth) - math.log(swapped.lambda_extinct)
-            phi = hazard_weighted_integral(lambda h: 1.0 / (1.0 + np.exp(log_r + comp(h) - h)), breaks)
-            phi_side = "phi_inf" if side == "e_m" else "phi_bar_inf"
+        for side, phi_side, swapped in (("e_m", "phi_inf", params), ("e_n", "phi_bar_inf", params.swapped())):
+            assert report.integrals.evidence[side] == expected_extinction_count(swapped).evidence
+            assert getattr(report.integrals, side) == expected_extinction_count(swapped).value
+            phi = extinction_count_exponent(swapped, math.inf)
             assert report.integrals.evidence[phi_side] == phi.evidence
             assert getattr(report.integrals, phi_side) == phi.value
 
 
-def _on_panels(h, panels):
-    """Mask of the hazards h that lie in the given dyadic panels."""
-    return np.isin(np.floor(h / _LN2), panels)
+def test_probe_mass_integral_matches_quad_split_at_its_kinks():
+    """e_m of the probe is 2.7878518894; no panel rule may end it before its last kink."""
+    threshold = PROBE.threshold_dist
+    assert hazard_breaks(PROBE) == (1.0, 48.0, 53.0)
+    density = lambda h: math.exp(h - threshold.hazard_transform(h))  # noqa: E731
+    edges = [0.0, 1.0, 48.0, 53.0, math.inf]
+    pieces = [criteria.quad(density, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500)[0] for lo, hi in zip(edges, edges[1:])]
+    want = math.fsum(pieces)
+    assert want == pytest.approx(2.7878518894, rel=1e-10)
+    report = classify(PROBE)
+    assert report.integrals.e_m == pytest.approx(want, rel=1e-9)
+    assert (report.recurrence, report.limit_count, report.method) == ("Transient", "Infinite", "NumericCauchy")
+    # Panels 0 .. 77: panel 77 = [53.37, 54.06] is the first to start past h = 53.
+    assert len(report.integrals.evidence["e_m"]) == 78
 
 
-def _halved_from(h, *panels):
-    """exp(-h), halved from the start of each of the given dyadic panels on."""
-    return np.exp(-h) * 0.5 ** sum(h >= n * _LN2 for n in panels)
+def test_exponential_grid_integrals_match_the_closed_forms():
+    """On bench_criteria's GRID every finite integral is within 1e-12 of the negative binomial laws, none None."""
+    bench = _bench_criteria()
+    for params, report in zip(bench.GRID, classify_many(bench.GRID)):
+        for name, want in bench.exact_integrals(params).items():
+            got = getattr(report.integrals, name)
+            if math.isinf(want):
+                assert got == math.inf, (params, name)
+            else:
+                assert got == pytest.approx(want, rel=1e-12), (params, name)
+    accuracy = bench.accuracy()
+    assert accuracy["none_on_finite_sides"] == 0
+    assert max(accuracy["max_rel_error"].values()) < 1e-12
 
 
-# Mass densities g(h) of the rows of the two-pass tests, with the panel
-# at which the rules stop each.  A halving at panel k breaks the run of
-# equal panel ratios that the geometric tail needs at panels k .. k + 2,
-# and a step down at panel k resets the run of non-decreasing panels
-# that divergence needs, so it fires at k + 10.
-TWO_PASS_DENSITIES = {
-    "tail at 9": (lambda h: _halved_from(h, 6), 9),
-    "tail at 11": (lambda h: _halved_from(h, 5, 8), 11),
-    "tail at 12": (lambda h: _halved_from(h, 5, 7, 9), 12),
-    "divergence at 10": (lambda h: np.full_like(h, 0.5), 10),
-    "divergence at 11": (lambda h: 0.5 + (h < _LN2), 11),
-    "divergence at 12": (lambda h: 0.5 + (h < 2 * _LN2), 12),
-    "inconclusive": (lambda h: 1.0 / (1.0 + h), 59),
-    "nan after the stop in pass 1": (lambda h: np.where(_on_panels(h, [8, 9]), np.nan, np.exp(-h)), 7),
-    "nan after the stop in pass 2": (lambda h: np.where(_on_panels(h, [20]), np.nan, np.full_like(h, 0.5)), 10),
-    "inf after the stop in pass 2": (lambda h: np.where(_on_panels(h, [11]), np.inf, _halved_from(h, 6)), 9),
-    "nan in pass 2 before the stop": (lambda h: np.where(_on_panels(h, [30]), np.nan, 1.0 / (1.0 + h)), 30),
-}
+@pytest.mark.parametrize(
+    "fitness, threshold, want",
+    [
+        # ln2 below the support edge at h = ln 3, then log1p(3) / (1.5 - 1).
+        (Pareto(1.0, 1.0), Pareto(3.0, 1.5), 5.0 * math.log(2.0)),
+        (KINKED_TABULATED, Exponential(1.0), None),
+    ],
+)
+def test_count_exponent_past_the_last_kink_is_exact(fitness, threshold, want):
+    """phi_inf of a power pair matches the level-space integral to 1e-10: its tail past the last kink is closed-form."""
+    params = ModelParams(1.0, 1.0, fitness, threshold)
+    kinks = np.concatenate([fitness.kink_levels(), threshold.kink_levels()]).tolist()
+
+    def exponent_integrand(x):
+        s_fit, s_thr = fitness.survival(x), threshold.survival(x)
+        return s_thr / (s_fit + s_thr) if s_thr > 0.0 else 0.0
+
+    phi = extinction_count_exponent(params, math.inf)
+    assert phi.value == pytest.approx(_xspace(exponent_integrand, fitness, kinks), rel=1e-10)
+    if want is not None:
+        assert phi.value == pytest.approx(want, rel=1e-14)
 
 
-@dataclass(frozen=True)
-class DensityThreshold(Exponential):
-    """Threshold law whose composition with an exp(1) fitness law has mass density TWO_PASS_DENSITIES[label]."""
-
-    label: str = ""
-
-    def hazard_transform_array(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return x - np.log(TWO_PASS_DENSITIES[self.label][0](x))
-
-
-def _all_panel_reference(params, log_r):
-    """One criterion row on all _MAX_REFINEMENTS panels, read by _read_panels."""
-    h, w, panel = _panel_nodes(hazard_breaks(params))
-    with np.errstate(over="ignore", invalid="ignore"):
-        comp = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
-        if log_r is None:
-            values = np.exp(h - comp)
-        else:
-            values = 1.0 / (1.0 + np.exp(log_r + comp - h))
-        return _read_panels(_panel_sums(values[None], w, panel))[0]
+POWER_PAIRS = [
+    (Exponential(1.0), Exponential(2.5)),
+    (Weibull(2.0, 1.0), Weibull(2.0, 0.7)),
+    (Pareto(1.0, 1.0), Pareto(3.0, 1.5)),
+    (KINKED_TABULATED, Exponential(1.0)),
+    (Exponential(0.7), KINKED_TABULATED_STEEP),
+    (KINKED_TABULATED, KINKED_TABULATED_STEEP),
+    (Weibull(1.0, 2.0), KINKED_TABULATED),
+    (PROBE.threshold_dist, Exponential(1.0)),
+]
 
 
-def test_two_pass_reader_matches_all_panels_bit_for_bit():
-    """Rows stopped in either pass, and bad panels past or before a stop, read as on all 60 panels."""
-    density_rows = [
-        (ModelParams(lb, 1.0, Exponential(1.0), DensityThreshold(1.0, label)), log_r)
-        for label in TWO_PASS_DENSITIES
-        for lb, log_r in ((1.0, None), (2.0, None), (1.0, math.log(0.01)))
-    ]
-    # Mixed pairs: node arrays with and without breaks, mass-density and
-    # count-exponent rows, repeated rows.
-    mixed = [
-        (params, log_r)
-        for params in _mixed_batch()[::3]
-        for log_r in (None, 0.0, math.log(1.3 / 0.7))
-    ]
-    rows = density_rows + mixed + density_rows[:4]
-    got = _criterion_integrals(rows)
-    assert len(got) == len(rows)
-    for (params, log_r), result in zip(rows, got):
-        want = _all_panel_reference(params, log_r)
-        if isinstance(want, CriteriaError):
-            assert isinstance(result, CriteriaError) and str(result) == str(want)
-            continue
-        assert result == want
-        if log_r is None and isinstance(params.threshold_dist, DensityThreshold):
-            label = params.threshold_dist.label
-            assert len(result.evidence) == TWO_PASS_DENSITIES[label][1] + 1, label
-    error = got[[p.threshold_dist for p, _ in rows].index(DensityThreshold(1.0, "nan in pass 2 before the stop"))]
-    assert str(error) == f"panel [{30 * _LN2}, {31 * _LN2}] evaluated to nan"
+@pytest.mark.parametrize("fitness, threshold", POWER_PAIRS)
+def test_composition_is_linear_past_the_last_kink(fitness, threshold):
+    """For a power pair C(h) = gamma h + c past h* = max(hazard_breaks), with gamma from the tail shapes."""
+    params = ModelParams(1.0, 1.0, fitness, threshold)
+    kind, gamma = composed_survival_exponent(params)
+    assert kind == "power"
+    h_star = max(hazard_breaks(params), default=0.0)
+    h = h_star + np.array([1e-9, 0.5, 3.0, 11.0, 40.0])
+    slopes = np.diff(criteria._composition(params, h)) / np.diff(h)
+    np.testing.assert_allclose(slopes[1:], gamma, rtol=1e-12)
+    # The first step starts 1e-9 past h*: its slope is gamma to the rounding of C over 1e-9.
+    np.testing.assert_allclose(slopes[0], gamma, rtol=1e-5)
 
 
 # Arguments x = log r + C(h) - h of the count-exponent logistic: a grid
@@ -643,11 +572,16 @@ def _logaddexp_integrands(keys, sides, h):
     return np.stack(rows)
 
 
-def test_classify_many_matches_the_logaddexp_integrand_on_the_bench_grid(monkeypatch):
-    """On bench_criteria's GRID, verdicts and evidence lengths equal the logaddexp form's, values to 1e-13."""
+def _bench_criteria():
     spec = importlib.util.spec_from_file_location("bench_criteria", ROOT / "scripts" / "bench_criteria.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_classify_many_matches_the_logaddexp_integrand_on_the_bench_grid(monkeypatch):
+    """On bench_criteria's GRID, verdicts and evidence lengths equal the logaddexp form's, values to 1e-13."""
+    bench = _bench_criteria()
     got = classify_many(bench.GRID)
     monkeypatch.setattr(criteria, "_integrands", _logaddexp_integrands)
     want = classify_many(bench.GRID)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from threshold_gms import ladders
+from threshold_gms import ladders, montecarlo
 from threshold_gms.criteria import classify, hazard_breaks
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
@@ -563,6 +563,23 @@ def test_kinked_tabulated_ladder_mean_matches_the_quadrature():
     assert ladder_diagnostics(result)["stop_reasons"] == {"tail_bound": 20_000}
     summary = result.summary
     assert abs(summary.mean - 2.78785) < 3.0 * summary.se
+
+
+def test_tabulated_fitness_against_a_pareto_threshold_walks_no_ladder(monkeypatch):
+    """An exponential tail against a Pareto tail: C is concave, the mass diverges, every row is a sentinel.
+
+    Walked, such a ladder could meet the secant bound falsely; the exact
+    tail exponent screens the plan before any walk.
+    """
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a divergent plan walked a ladder")
+
+    monkeypatch.setattr(montecarlo, "sample_ladder_blocks", no_walk)
+    params = ModelParams(1.0, 1.0, TABULATED_FIT, Pareto(1.0, 3.0))
+    result = run(ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=params, replications=50, base_seed=5))
+    assert np.all(np.isinf(result.samples)) and np.all(np.isinf(result.aux["mass"]))
+    assert ladder_diagnostics(result)["stop_reasons"] == {"divergent": 50}
 
 
 FINITE_PAIRS = {

@@ -48,6 +48,9 @@ def test_scripts_and_readme_example_run():
     assert all(ms > 0.0 for ms in bench["grid_ms"].values())
     assert sorted(bench["integrand_us"]) == ["count_exponent", "mass_density"]
     assert all(us > 0.0 for us in bench["integrand_us"].values())
+    assert sorted(bench["accuracy"]["max_rel_error"]) == ["e_m", "e_n", "phi_bar_inf", "phi_inf"]
+    assert max(bench["accuracy"]["max_rel_error"].values()) < 1e-12
+    assert bench["accuracy"]["none_on_finite_sides"] == 0
     # README: importing the package loads no scipy module.
     assert bench["scipy_modules_after_import"] == 0
 
