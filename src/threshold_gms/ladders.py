@@ -21,7 +21,9 @@ Every step of every ladder is therefore a running sum of exponentials,
 and sample_ladder_blocks walks several blocks of ladders in lockstep with
 numpy, each block on its own generator and in the draw order it would
 take alone.  sample_ladder_block is that walk with one block, and the
-one-ladder samplers are a block of one row.
+one-ladder samplers are a block of one row.  The threshold ladder is the
+fitness ladder of params.swapped(), walked after one look-back gap
+(sample_first_gaps) drawn from the same generator.
 
 Ladders are infinite objects; one fixed rule (MAX_STEPS, TAIL_TOLERANCE)
 truncates them once a bound on the remaining mass is negligible.  With
@@ -31,20 +33,23 @@ exp(s - C(s)) over s > h_k.  Where C is convex from h_{k-1} on, its
 secant slope over the last step bounds every later slope, so that mass
 is at most (opposing rate / event rate) * exp(d_k) * E_k / (d_{k-1} - d_k)
 with d = h - C(h); every built-in pair is linear or convex past its last
-kink, or divergent.  Only a ladder stopped by that bound counts as
-finite: one cut at MAX_STEPS or by float overflow reports the
-"effectively infinite" sentinel rather than a silently truncated number.
+kink, or divergent.  The divergent pairs, whose concave C could meet the
+bound falsely, never reach the walk: sample_ladder_blocks reads
+criteria.exact_verdict first and stops every row of such a pair as
+"divergent".  Only a ladder stopped by the bound counts as finite: one
+cut at MAX_STEPS or by float overflow reports the "effectively infinite"
+sentinel rather than a silently truncated number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .criteria import hazard_breaks
+from .criteria import VERDICT_INFINITE, exact_verdict, hazard_breaks
 from .distributions import ModelParams
 
 EFFECTIVELY_INFINITE = math.inf
@@ -52,7 +57,7 @@ EFFECTIVELY_INFINITE = math.inf
 STOP_MAX_STEPS = "max_steps"
 STOP_TAIL_BOUND = "tail_bound"  # the mass died out: the only finite stop
 STOP_OVERFLOW = "overflow"
-STOP_DIVERGENT = "divergent"  # no ladder was walked: the exact tail exponent declares the mass divergent
+STOP_DIVERGENT = "divergent"  # no ladder was walked: exact_verdict declares the mass divergent
 STOP_REASONS = (STOP_TAIL_BOUND, STOP_MAX_STEPS, STOP_OVERFLOW, STOP_DIVERGENT)
 
 # Round k of a walk takes min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows) steps
@@ -186,16 +191,14 @@ class LadderBlock:
     row ended (an index into STOP_REASONS, named by stop_reason), mass[i]
     sums the opposing-stream masses of its kept steps and tail[i] is the
     secant tail bound at its last record (nan unless the row stopped by
-    it).  first_gap holds the look-back gaps of
-    threshold ladders (None for fitness ladders); steps holds each row's
-    (value, gap, mass) arrays when they were kept.
+    it).  steps holds each row's (value, gap, mass) arrays when they were
+    kept.
     """
 
     depth: np.ndarray
     stop_code: np.ndarray
     mass: np.ndarray
     tail: np.ndarray
-    first_gap: Optional[np.ndarray] = None
     steps: Optional[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = None
 
     @property
@@ -366,43 +369,28 @@ def sample_ladder_blocks(
     params: ModelParams,
     rngs: Sequence[np.random.Generator],
     rows: int,
-    threshold: bool = False,
     keep_steps: bool = False,
 ) -> LadderBlock:
-    """Draw `rows` independent ladders from each generator, all blocks walked together.
+    """Draw `rows` independent fitness ladders from each generator, all blocks walked together.
 
-    The forward fitness ladder carries the extinction stream's mass; with
-    threshold=True the backward threshold ladder carries the birth
-    stream's mass, and each block draws its look-back gaps first, one per
-    row.  Rows b * rows to (b + 1) * rows - 1 depend only on rngs[b] and
-    `rows`: they are sample_ladder_block(params, rngs[b], rows, ...) bit
-    for bit, whatever other blocks walk beside them.
+    Each ladder carries the extinction stream's mass; the threshold ladder
+    is this walk of params.swapped().  Rows b * rows to (b + 1) * rows - 1
+    depend only on rngs[b] and `rows`: they are
+    sample_ladder_block(params, rngs[b], rows, ...) bit for bit, whatever
+    other blocks walk beside them.  Where exact_verdict declares the mass
+    infinite nothing is drawn: every row stops as "divergent" with depth 0,
+    mass 0 and tail nan (and empty steps when kept).
     """
-    if threshold:
-        gaps = np.concatenate([sample_first_gaps(params, rng, rows) for rng in rngs])
-        return replace(_walk_blocks(params.swapped(), rngs, rows, keep_steps), first_gap=gaps)
-    return _walk_blocks(params, rngs, rows, keep_steps)
-
-
-def unwalked_blocks(
-    params: ModelParams,
-    rngs: Sequence[np.random.Generator],
-    rows: int,
-    threshold: bool = False,
-) -> LadderBlock:
-    """sample_ladder_blocks where the exact tail exponent declares the mass divergent: no ladder is walked.
-
-    Every row has depth 0, mass 0, tail nan and stop reason
-    STOP_DIVERGENT.  With threshold=True each block still draws its
-    look-back gaps, the draws sample_ladder_blocks would make first.
-    """
+    if exact_verdict(params) != VERDICT_INFINITE:
+        return _walk_blocks(params, rngs, rows, keep_steps)
     total = len(rngs) * rows
+    empty = np.empty(0)
     return LadderBlock(
         depth=np.zeros(total, dtype=np.int64),
         stop_code=np.full(total, _DIVERGENT_CODE, dtype=np.int8),
         mass=np.zeros(total),
         tail=np.full(total, math.nan),
-        first_gap=np.concatenate([sample_first_gaps(params, rng, rows) for rng in rngs]) if threshold else None,
+        steps=((empty, empty, empty),) * total if keep_steps else None,
     )
 
 
@@ -410,7 +398,6 @@ def sample_ladder_block(
     params: ModelParams,
     rng: np.random.Generator,
     rows: int,
-    threshold: bool = False,
     keep_steps: bool = False,
 ) -> LadderBlock:
     """Draw `rows` independent ladders from one generator: sample_ladder_blocks with one block.
@@ -418,7 +405,18 @@ def sample_ladder_block(
     Results depend only on the generator and `rows`, never on how many
     rows a caller then reads.
     """
-    return sample_ladder_blocks(params, [rng], rows, threshold, keep_steps)
+    return sample_ladder_blocks(params, [rng], rows, keep_steps)
+
+
+def _one_ladder(cls, block: LadderBlock, **extra):
+    """Row 0 of a block walked with its steps kept, as a FitnessLadder or ThresholdLadder."""
+    return cls(
+        steps=block.ladder_steps(0),
+        truncated_at=int(block.depth[0]),
+        tail_bound=block.tail_bound(0),
+        stop_reason=str(block.stop_reason[0]),
+        **extra,
+    )
 
 
 def sample_fitness_ladder(params: ModelParams, rng: np.random.Generator) -> FitnessLadder:
@@ -428,30 +426,18 @@ def sample_fitness_ladder(params: ModelParams, rng: np.random.Generator) -> Fitn
     exponentials; each gap is exponential at rate lambda_birth * fitness
     survival at the record.
     """
-    block = sample_ladder_block(params, rng, 1, keep_steps=True)
-    return FitnessLadder(
-        steps=block.ladder_steps(0),
-        truncated_at=int(block.depth[0]),
-        tail_bound=block.tail_bound(0),
-        stop_reason=str(block.stop_reason[0]),
-    )
+    return _one_ladder(FitnessLadder, sample_ladder_block(params, rng, 1, keep_steps=True))
 
 
 def sample_threshold_ladder(params: ModelParams, rng: np.random.Generator) -> ThresholdLadder:
-    """Draw the backward threshold-record ladder: a block of one row, steps kept.
+    """Draw the backward threshold-record ladder: one look-back gap, then a one-row walk of params.swapped().
 
     The look-back gap to the most recent extinction is exponential at
     the extinction rate; records then mirror the fitness ladder with the
     roles of the two streams exchanged.
     """
-    block = sample_ladder_block(params, rng, 1, threshold=True, keep_steps=True)
-    return ThresholdLadder(
-        steps=block.ladder_steps(0),
-        first_gap=float(block.first_gap[0]),
-        truncated_at=int(block.depth[0]),
-        tail_bound=block.tail_bound(0),
-        stop_reason=str(block.stop_reason[0]),
-    )
+    gap = float(sample_first_gaps(params, rng, 1)[0])
+    return _one_ladder(ThresholdLadder, sample_ladder_block(params.swapped(), rng, 1, keep_steps=True), first_gap=gap)
 
 
 def extinction_mass(ladder: FitnessLadder) -> LadderMass:
@@ -567,13 +553,15 @@ def populate_limit_config(
 def sample_limit_config(
     params: ModelParams, rng: np.random.Generator
 ) -> Union[LimitConfigSample, float]:
-    """One draw of the long-run configuration.
+    """One draw of the long-run configuration, in sample_threshold_ladder's draw order.
 
     Returns EFFECTIVELY_INFINITE when the birth mass over the sampled
-    ladder did not die out (infinite limit-count regime).
+    ladder did not die out (infinite limit-count regime) or the band-0
+    mass lambda_birth * first_gap is past the float range, as run does.
     """
-    ladder = sample_threshold_ladder(params, rng)
-    if masses_effectively_infinite(ladder.stop_reason):
+    gap = float(sample_first_gaps(params, rng, 1)[0])
+    block = sample_ladder_block(params.swapped(), rng, 1, keep_steps=True)
+    if not (block.finite[0] and math.isfinite(params.lambda_birth * gap)):
         return EFFECTIVELY_INFINITE
-    return populate_limit_config(ladder, params, rng)
+    return populate_limit_config(_one_ladder(ThresholdLadder, block, first_gap=gap), params, rng)
 

@@ -11,15 +11,15 @@ extinction-count task carries each ladder's mass in
 RunResult.aux["mass"], so a single run serves both the count and the
 mass checks.
 
-A ladder task whose regime the exact tail exponent of the built-in
-families declares divergent walks no ladder: its blocks come from
-ladders.unwalked_blocks, every row stopped as "divergent", and take the
-same path to samples and auxiliaries as walked blocks.  Every other
-replication is finite only if its ladder stopped by the tail bound of
-the one truncation rule of the ladders module (MAX_STEPS,
-TAIL_TOLERANCE), which each plan's to_json records.  Each ladder
-replication's stop reason, depth and tail bound ride along in
-RunResult.aux.
+The limit task walks the count task's ladder of params.swapped(), after
+each block's look-back gaps.  Where the exact tail exponent declares a
+walked pair divergent, ladders.sample_ladder_blocks walks nothing and
+stops every row as "divergent"; such blocks take the same path to
+samples and auxiliaries as walked ones.  Every other replication is
+finite only if its ladder stopped by the tail bound of the one
+truncation rule of the ladders module (MAX_STEPS, TAIL_TOLERANCE), which
+each plan's to_json records.  Each ladder replication's stop reason,
+depth and tail bound ride along in RunResult.aux.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import VERDICT_INFINITE, exact_verdict
 from .distributions import ModelParams, _as_float, _encode_float
 # The one-ladder functions are not called here; perfbench/tracing.py wraps
 # them under this module's names, so they stay importable from it.
@@ -42,11 +41,11 @@ from .ladders import (  # noqa: F401
     masses_effectively_infinite,
     populate_limit_config,
     sample_extinction_count,
+    sample_first_gaps,
     sample_fitness_ladder,
     sample_ladder_blocks,
     sample_threshold_ladder,
     stop_rule_json,
-    unwalked_blocks,
 )
 # The one-window functions (evolve, generate_stream, last_empty_time,
 # species_count_at) are not called here; perfbench/tracing.py wraps them
@@ -201,16 +200,7 @@ class RunResult:
         return summarize(self.samples)
 
 
-def _regime_diverges(plan: ReplicationPlan) -> bool:
-    """Whether the exact tail exponent declares the plan's ladder mass divergent."""
-    if plan.task == TASK_EXTINCTION_COUNT:
-        return exact_verdict(plan.params) == VERDICT_INFINITE
-    if plan.task == TASK_LIMIT_CONFIG:
-        return exact_verdict(plan.params.swapped()) == VERDICT_INFINITE
-    return False
-
-
-def _ladder_group(plan: ReplicationPlan, blocks: range, diverges: bool) -> dict[str, np.ndarray]:
+def _ladder_group(plan: ReplicationPlan, blocks: range) -> dict[str, np.ndarray]:
     """Samples and auxiliaries of the BLOCK replications of each block in `blocks`, walked together.
 
     Each block draws from its own stream in the order it would alone:
@@ -220,7 +210,9 @@ def _ladder_group(plan: ReplicationPlan, blocks: range, diverges: bool) -> dict[
     params = plan.params
     limit = plan.task == TASK_LIMIT_CONFIG
     size = BLOCK * len(rngs)
-    block = (unwalked_blocks if diverges else sample_ladder_blocks)(params, rngs, BLOCK, threshold=limit)
+    if limit:
+        gaps = np.concatenate([sample_first_gaps(params, rng, BLOCK) for rng in rngs])
+    block = sample_ladder_blocks(params.swapped() if limit else params, rngs, BLOCK)
     finite = block.finite
     mass = np.where(finite, block.mass, 0.0)
     out = {"stop_reason": block.stop_reason, "depth": block.depth, "tail": block.tail}
@@ -230,7 +222,7 @@ def _ladder_group(plan: ReplicationPlan, blocks: range, diverges: bool) -> dict[
         # lambda_birth * gap overflows only past the float range: such a
         # row is a sentinel, and its band-0 count is drawn with mean 0.
         with np.errstate(over="ignore"):
-            band0 = params.lambda_birth * block.first_gap
+            band0 = params.lambda_birth * gaps
         band0_finite = np.isfinite(band0)
         band0_mean = np.where(band0_finite, band0, 0.0)
         finite = finite & band0_finite
@@ -281,11 +273,7 @@ def run(plan: ReplicationPlan) -> RunResult:
     n = plan.replications
     blocks = -(-n // BLOCK)
     if plan.task in _LADDER_TASKS:
-        diverges = _regime_diverges(plan)
-        parts = [
-            _ladder_group(plan, range(g, min(g + LADDER_GROUP, blocks)), diverges)
-            for g in range(0, blocks, LADDER_GROUP)
-        ]
+        parts = [_ladder_group(plan, range(g, min(g + LADDER_GROUP, blocks))) for g in range(0, blocks, LADDER_GROUP)]
     else:
         parts = [_forward_block(plan, b) for b in range(blocks)]
     columns = {k: np.concatenate([part[k] for part in parts])[:n] for k in parts[0]}

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from threshold_gms import ladders, montecarlo
-from threshold_gms.criteria import classify, hazard_breaks
+from threshold_gms import ladders
+from threshold_gms.criteria import VERDICT_INFINITE, classify, exact_verdict, hazard_breaks
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
     EFFECTIVELY_INFINITE,
@@ -23,6 +23,7 @@ from threshold_gms.ladders import (
     masses_effectively_infinite,
     populate_limit_config,
     sample_extinction_count,
+    sample_first_gaps,
     sample_fitness_ladder,
     sample_ladder_block,
     sample_ladder_blocks,
@@ -192,17 +193,21 @@ def test_window_count_matches_pairwise_scan():
 
 
 def test_threshold_ladder_structure():
-    block = sample_ladder_block(FINITE_EXAMPLE, replication_rng(27), 3000, threshold=True, keep_steps=True)
+    rng = replication_rng(27)
+    gaps = sample_first_gaps(FINITE_EXAMPLE, rng, 3000)
+    block = sample_ladder_block(FINITE_EXAMPLE.swapped(), rng, 3000, keep_steps=True)
     for values, _, _ in block.steps:
         assert values.tolist() == sorted(values.tolist())
     rate = FINITE_EXAMPLE.lambda_extinct
-    res = stats.kstest(block.first_gap, lambda x: 1.0 - np.exp(-rate * x))
+    res = stats.kstest(gaps, lambda x: 1.0 - np.exp(-rate * x))
     assert res.pvalue > 0.001
 
 
 def test_threshold_records_follow_threshold_law():
+    rng = replication_rng(28)
+    sample_first_gaps(FINITE_EXAMPLE, rng, 4000)
     with max_steps(1):
-        block = sample_ladder_block(FINITE_EXAMPLE, replication_rng(28), 4000, threshold=True, keep_steps=True)
+        block = sample_ladder_block(FINITE_EXAMPLE.swapped(), rng, 4000, keep_steps=True)
     firsts = np.array([values[0] for values, _, _ in block.steps])
     rate = FINITE_EXAMPLE.threshold_dist.rate
     res = stats.kstest(firsts, lambda x: 1.0 - np.exp(-rate * x))
@@ -304,13 +309,43 @@ def test_masses_effectively_infinite_rules():
     assert not masses_effectively_infinite("tail_bound")
     assert masses_effectively_infinite("max_steps")
     assert masses_effectively_infinite("overflow")
-    # a boundary ladder never dies out: it is cut at max_steps and reported infinite
-    boundary = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.0))
+    assert masses_effectively_infinite("divergent")
+    # a ladder near the boundary dies out too slowly: it is cut at max_steps and reported infinite
+    near = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05))
     rng = replication_rng(37, 0, 0)
-    with max_steps(2000):
-        ladder = sample_fitness_ladder(boundary, rng)
+    with max_steps(90):
+        ladder = sample_fitness_ladder(near, rng)
     assert ladder.stop_reason == "max_steps"
     assert sample_extinction_count(ladder, rng) == EFFECTIVELY_INFINITE
+
+
+def test_band0_mass_past_the_float_range_gives_a_sentinel_configuration():
+    """A look-back gap at extinction rate 1e-310 is inf: the band-0 mass is past the float range, as in run."""
+    params = ModelParams(1.0, 1e-310, Exponential(2.0), Exponential(1.0))
+    assert sample_limit_config(params, replication_rng(1)) == EFFECTIVELY_INFINITE
+
+
+DIVERGENT_PAIRS = {  # exact_verdict calls each infinite; a walked ladder could meet its secant bound falsely
+    "exp/Pareto": ModelParams(1.0, 1.0, Exponential(1.0), Pareto(1.0, 30.0)),
+    "Weibull/Weibull": ModelParams(1.0, 1.0, Weibull(1.0, 1.0), Weibull(0.9, 0.2)),
+    "exp/Weibull": ModelParams(1.0, 1.0, Exponential(1.0), Weibull(0.5, 0.01)),
+}
+
+
+@pytest.mark.parametrize("case", DIVERGENT_PAIRS)
+def test_every_sampler_reports_a_divergent_pair_as_divergent(case):
+    """No public sampler returns a finite mass or configuration for a pair whose mass diverges."""
+    params = DIVERGENT_PAIRS[case]
+    assert exact_verdict(params) == VERDICT_INFINITE
+    block = sample_ladder_block(params, replication_rng(5), 2000)
+    assert set(block.stop_reason) == {"divergent"} and not block.depth.any()
+    for i in range(20):
+        for ladder in (
+            sample_fitness_ladder(params, replication_rng(5, i, 0)),
+            sample_threshold_ladder(params.swapped(), replication_rng(5, i, 0)),
+        ):
+            assert (ladder.stop_reason, ladder.truncated_at) == ("divergent", 0)
+        assert sample_limit_config(params.swapped(), replication_rng(5, i, 0)) == EFFECTIVELY_INFINITE
 
 
 def test_huge_ladder_mass_still_gives_a_count():
@@ -420,7 +455,9 @@ PARITY_CASES = {  # name: (params, MAX_STEPS, stop reason)
     "overflow at the record": (
         ModelParams(1.0, 1.0, Pareto(1.0, 0.05), Pareto(1.0, 0.06)), ladders.MAX_STEPS, "overflow"
     ),
-    "overflow of the mass": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(0.5)), ladders.MAX_STEPS, "overflow"),
+    "overflow of the mass": (
+        ModelParams(1e-300, 1e300, Exponential(1.0), Exponential(2.0)), ladders.MAX_STEPS, "overflow"
+    ),
 }
 
 
@@ -477,13 +514,21 @@ class WidthLog:
         return self.rng.exponential(*args)
 
 
+def walk_side(params, rngs, rows, threshold, keep_steps=False):
+    """(look-back gaps, block): threshold ladders are each generator's gaps, then the walk of params.swapped()."""
+    if not threshold:
+        return None, sample_ladder_blocks(params, rngs, rows, keep_steps)
+    gaps = np.concatenate([sample_first_gaps(params, rng, rows) for rng in rngs])
+    return gaps, sample_ladder_blocks(params.swapped(), rngs, rows, keep_steps)
+
+
 GROUP_CASES = {
     "tail_bound": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0)), False, None),
     "tail_bound, threshold side": (ModelParams(1.0, 1.0, Exponential(2.0), Exponential(1.0)), True, None),
     "tail_bound, Weibull": (ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 1.05 ** -0.5)), False, None),
     "tail_bound, Pareto": (ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.05)), False, None),
-    "overflow": (ModelParams(1.0, 1.0, Exponential(2.0), Exponential(1.0)), False, None),
-    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.0)), False, 90),
+    "overflow": (ModelParams(1.0, 1.0, Pareto(1.0, 0.01), Pareto(1.0, 0.0105)), False, None),
+    "max_steps": (ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05)), False, 90),
 }
 
 
@@ -494,21 +539,19 @@ def test_blocks_walked_together_match_each_block_walked_alone(case):
     rows, blocks = 96, 5
     with max_steps(steps or ladders.MAX_STEPS):
         logs = [WidthLog(replication_rng(31, b, 1)) for b in range(blocks)]
-        together = sample_ladder_blocks(params, logs, rows, threshold=threshold, keep_steps=True)
-        lean = sample_ladder_blocks(params, [replication_rng(31, b, 1) for b in range(blocks)], rows, threshold)
-        alone = [
-            sample_ladder_block(params, replication_rng(31, b, 1), rows, threshold, keep_steps=True)
-            for b in range(blocks)
-        ]
+        gaps, together = walk_side(params, logs, rows, threshold, keep_steps=True)
+        lean_gaps, lean = walk_side(params, [replication_rng(31, b, 1) for b in range(blocks)], rows, threshold)
+        alone_gaps, alone = zip(*(
+            walk_side(params, [replication_rng(31, b, 1)], rows, threshold, keep_steps=True) for b in range(blocks)
+        ))
     assert case.split(",")[0] in set(together.stop_reason)
     assert together.finite.tolist() == [reason == "tail_bound" for reason in together.stop_reason.tolist()]
-    for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):
-        want = [getattr(block, field) for block in alone]
-        if threshold or field != "first_gap":
-            want = np.concatenate(want).tobytes()
-            assert getattr(together, field).tobytes() == want and getattr(lean, field).tobytes() == want
-        else:
-            assert together.first_gap is None and lean.first_gap is None
+    for field in ("depth", "stop_reason", "mass", "tail"):
+        want = np.concatenate([getattr(block, field) for block in alone]).tobytes()
+        assert getattr(together, field).tobytes() == want and getattr(lean, field).tobytes() == want
+    if threshold:
+        want = np.concatenate(alone_gaps).tobytes()
+        assert gaps.tobytes() == want and lean_gaps.tobytes() == want
     assert lean.steps is None
     for b, block in enumerate(alone):
         for row in range(rows):
@@ -575,7 +618,7 @@ def test_tabulated_fitness_against_a_pareto_threshold_walks_no_ladder(monkeypatc
     def no_walk(*args, **kwargs):
         raise AssertionError("a divergent plan walked a ladder")
 
-    monkeypatch.setattr(montecarlo, "sample_ladder_blocks", no_walk)
+    monkeypatch.setattr(ladders, "_walk_blocks", no_walk)
     params = ModelParams(1.0, 1.0, TABULATED_FIT, Pareto(1.0, 3.0))
     result = run(ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=params, replications=50, base_seed=5))
     assert np.all(np.isinf(result.samples)) and np.all(np.isinf(result.aux["mass"]))
@@ -630,14 +673,17 @@ extreme_rates = st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300])
     seed=st.integers(0, 2**32),
 )
 def test_block_sampler_at_extreme_parameters(fitness, threshold, lam_b, lam_e, backward, seed):
-    """No hang, no NaN let through, byte-identical reruns."""
+    """No hang, no NaN let through, no finite row of a divergent pair, byte-identical reruns."""
     params = ModelParams(lam_b, lam_e, fitness, threshold)
+    if backward:
+        params = params.swapped()
     with max_steps(2000):
-        a, b = (sample_ladder_block(params, replication_rng(seed, 0, 0), 8, threshold=backward) for _ in range(2))
+        a, b = (sample_ladder_block(params, replication_rng(seed, 0, 0), 8) for _ in range(2))
     assert not np.isnan(a.mass).any() and np.all(a.mass >= 0.0)
     assert np.all((a.depth >= 0) & (a.depth <= 2000))
     assert set(a.stop_reason) <= set(STOP_REASONS)
     assert np.all(a.mass[a.finite] < math.inf)
-    for field in ("depth", "stop_reason", "mass", "tail", "first_gap"):
-        x, y = getattr(a, field), getattr(b, field)
-        assert (x is None and y is None) or x.tobytes() == y.tobytes()
+    if exact_verdict(params) == VERDICT_INFINITE:
+        assert not a.finite.any()
+    for field in ("depth", "stop_reason", "mass", "tail"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()

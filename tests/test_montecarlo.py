@@ -10,7 +10,7 @@ from scipy import stats
 import threshold_gms.montecarlo as montecarlo
 from threshold_gms import ladders
 from threshold_gms.distributions import Exponential, ModelParams, TabulatedQuantile, Weibull
-from threshold_gms.ladders import _poisson, sample_ladder_block
+from threshold_gms.ladders import _poisson, sample_first_gaps, sample_ladder_block
 from threshold_gms.montecarlo import (
     BLOCK,
     LADDER_GROUP,
@@ -393,10 +393,9 @@ def test_divergent_regime_walks_no_ladder(monkeypatch):
     limit_plan = ReplicationPlan(
         task=TASK_LIMIT_CONFIG, params=TRANSIENT_EXAMPLE, replications=30, base_seed=12
     )
-    with mock.patch.object(ladders, "MAX_STEPS", 1):
-        walked = sample_ladder_block(TRANSIENT_EXAMPLE, replication_rng(12, 0, 2), BLOCK, threshold=True)
-    walked = walked.first_gap[:30] * TRANSIENT_EXAMPLE.lambda_birth
-    monkeypatch.setattr(montecarlo, "sample_ladder_blocks", no_walk)
+    walked = sample_first_gaps(TRANSIENT_EXAMPLE, replication_rng(12, 0, 2), BLOCK)
+    walked = walked[:30] * TRANSIENT_EXAMPLE.lambda_birth
+    monkeypatch.setattr(ladders, "_walk_blocks", no_walk)
     counts = run(
         ReplicationPlan(
             task=TASK_EXTINCTION_COUNT, params=FINITE_EXAMPLE, replications=30, base_seed=12
@@ -427,12 +426,14 @@ def ladder_run_block_by_block(plan):
     parts = []
     for b in range(-(-plan.replications // BLOCK)):
         rng = replication_rng(plan.base_seed, b, montecarlo._TASK_SALTS[plan.task])
-        block = sample_ladder_block(plan.params, rng, BLOCK, threshold=limit)
+        if limit:
+            gaps = sample_first_gaps(plan.params, rng, BLOCK)
+        block = sample_ladder_block(plan.params.swapped() if limit else plan.params, rng, BLOCK)
         finite = block.finite
         mass = np.where(finite, block.mass, 0.0)
         part = {"stop_reason": block.stop_reason, "depth": block.depth, "tail": block.tail}
         if limit:
-            band0 = plan.params.lambda_birth * block.first_gap
+            band0 = plan.params.lambda_birth * gaps
             n0, n_above = _poisson(rng, band0), _poisson(rng, mass)
             part.update(
                 samples=np.where(finite, n0 + n_above, math.inf),
