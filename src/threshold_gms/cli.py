@@ -4,6 +4,10 @@ Commands compute everything first and only then create the output
 directory, so a bad configuration never leaves partial files behind.
 Every command also writes a manifest.json from which the run can be
 reproduced exactly; nothing in the outputs depends on wall-clock time.
+Each output is a new file (process.open_new_file): whatever has its name,
+a file or a symlink or a hard link, is removed first and never written
+through, and nothing is fsynced.  An old file is neither truncated nor
+renamed over, because ext4 flushes a file on close() in both cases.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .process import (
     evolve,
     generate_stream,
     last_empty_time,
+    open_new_file,
     read_initial_csv,
     species_count_at,
     write_trace_csv,
@@ -44,8 +49,9 @@ from .validation import CHECK_NAMES, SuiteConfig, SuiteContext, format_result, r
 DEFAULT_SEED = 123456789
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_json(path: Path, obj) -> None:
+    with open_new_file(path) as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_cell(v: float) -> str:
@@ -66,7 +72,7 @@ def _write_manifest(out_dir: Path, command: str, arguments: dict, outputs: Seque
         "outputs": sorted(outputs),
         "package": {"name": "threshold-gms", "version": __version__},
     }
-    (out_dir / "manifest.json").write_text(_dump_json(manifest))
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_params(path: str) -> ModelParams:
@@ -104,7 +110,7 @@ def _cmd_simulate(args) -> int:
     else:
         write_trace_json(trace, out / "trace.json")
         outputs.append("trace.json")
-    (out / "summary.json").write_text(_dump_json(summary))
+    _write_json(out / "summary.json", summary)
     _write_manifest(
         out,
         "simulate",
@@ -157,7 +163,7 @@ def _cmd_classify(args) -> int:
         payload = {"params": params.to_json(), "report": report.to_json()}
         out = _out_dir(args)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "classification.json").write_text(_dump_json(payload))
+        _write_json(out / "classification.json", payload)
         _write_manifest(out, "classify", {"params": params.to_json()}, ["classification.json", "manifest.json"])
         return 0
 
@@ -191,7 +197,7 @@ def _cmd_classify(args) -> int:
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "phase_map.csv", "w", newline="") as handle:
+    with open_new_file(out / "phase_map.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             [
@@ -252,7 +258,7 @@ def _cmd_ladder(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = ["summary.json", "manifest.json"]
     if args.format == "csv":
-        with open(out / "samples.csv", "w", newline="") as handle:
+        with open_new_file(out / "samples.csv") as handle:
             writer = csv.writer(handle)
             writer.writerow(["rep", *(header for header, _, _ in columns)])
             for i, row in enumerate(zip(*values)):
@@ -260,14 +266,14 @@ def _cmd_ladder(args) -> int:
         outputs.append("samples.csv")
     else:
         payload = {key: [_encode_float(float(v)) for v in column] for (_, key, _), column in zip(columns, values)}
-        (out / "samples.json").write_text(_dump_json(payload))
+        _write_json(out / "samples.json", payload)
         outputs.append("samples.json")
     summary = {
         "plan": plan.to_json(),
         "summary": result.summary.to_json(),
         "diagnostics": ladder_diagnostics(result),
     }
-    (out / "summary.json").write_text(_dump_json(summary))
+    _write_json(out / "summary.json", summary)
     _write_manifest(
         out,
         args.command,
@@ -293,7 +299,7 @@ def _cmd_validate(args) -> int:
     payload = [
         {"name": r.name, "passed": r.passed, "details": r.details} for r in results
     ]
-    (out / "validation.json").write_text(_dump_json({"checks": payload}))
+    _write_json(out / "validation.json", {"checks": payload})
     _write_manifest(
         out,
         "validate",

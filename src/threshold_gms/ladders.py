@@ -76,6 +76,11 @@ TAIL_TOLERANCE = 1e-9
 # Smallest Poisson mean drawn from the normal approximation.
 POISSON_NORMAL_FROM = 1e18
 
+# Most species one limit configuration may hold: the species are drawn one
+# by one, so a larger configuration is refused before any is drawn.  The
+# same budget as the forward route's process.MAX_WINDOW_EVENTS.
+MAX_SPECIES = 1 << 24
+
 
 class LadderError(ValueError):
     """Invalid ladder structure or sampler arguments."""
@@ -525,7 +530,8 @@ def populate_limit_config(
     The band below the first record carries unrestricted fitness draws;
     band k carries draws conditioned above record k.  A band whose mass
     reaches POISSON_NORMAL_FROM, far too many species to draw one by
-    one, is refused before anything is drawn.
+    one, is refused before anything is drawn; bands whose Poisson counts
+    sum past MAX_SPECIES are refused after the counts, before any species.
     """
     fit = params.fitness_dist
     masses = np.array(birth_mass(ladder, params).per_step)
@@ -537,6 +543,12 @@ def populate_limit_config(
             "too many species to draw one by one"
         )
     counts = rng.poisson(masses)
+    total = sum(counts.tolist())
+    if total > MAX_SPECIES:
+        raise LadderError(
+            f"the configuration has {total} species, past the species budget of {MAX_SPECIES} "
+            "(MAX_SPECIES); lower the birth rate or raise the extinction rate"
+        )
     n0 = int(counts[0])
     species = [fit.sample(rng) for _ in range(n0)]
     n_above = 0

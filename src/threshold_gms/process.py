@@ -33,6 +33,7 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -587,10 +588,25 @@ def _segment_rows(trace: PathTrace, lo: int, hi: int, layout: _TraceLayout) -> s
     return "".join(pieces)
 
 
+def open_new_file(path):
+    """Open `path` for writing text as a new file, never rewriting an old one in place.
+
+    Whatever has that name, a file or a symlink or a hard link, is
+    removed first, and the name is then created with "x"; nothing is
+    fsynced.  Neither a truncate nor a rename over the old file: ext4
+    starts writeback on close() of a file truncated and rewritten, and
+    on a rename over an existing file, which stalls a rerun into the
+    same directory for tens of milliseconds per file on a busy disk.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return open(path, "x", encoding="utf-8", newline="")
+
+
 def _write_trace(trace: PathTrace, path, layout: _TraceLayout) -> None:
     """The event log in one layout, SEGMENT_EVENTS rows at a time, each segment one join and one write."""
     n = len(trace.stream)
-    with open(path, "w", encoding="ascii", newline="") as handle:
+    with open_new_file(path) as handle:
         handle.write(layout.head if n else layout.empty)
         for lo in range(0, n, SEGMENT_EVENTS):
             # A call of its own, so that a segment's texts are freed before the next segment's are made.

@@ -465,6 +465,65 @@ def test_validate_reports_scipy_set_up_apart(tmp_path, capsys):
     assert timings == ["set-up", "count-law"]
 
 
+# Two runs of each command into one --out: the first run's arguments, then different ones.
+RERUNS = {
+    "simulate": (
+        ["simulate", "--params", "TRANSIENT", "--horizon", "15", "--seed", "5"],
+        ["simulate", "--params", "TRANSIENT", "--horizon", "12", "--seed", "6"],
+    ),
+    "classify-params": (["classify", "--params", "TRANSIENT"], ["classify", "--params", "FINITE"]),
+    "classify-grid": (
+        ["classify", "--grid", "alpha_fitness=1,2;alpha_threshold=1"],
+        ["classify", "--grid", "alpha_fitness=0.5;alpha_threshold=1,2"],
+    ),
+    "ladder-mc": (
+        ["ladder-mc", "--params", "TRANSIENT", "--reps", "40", "--seed", "1"],
+        ["ladder-mc", "--params", "FINITE", "--reps", "30", "--seed", "2"],
+    ),
+    "limit-mc": (
+        ["limit-mc", "--params", "FINITE", "--reps", "40", "--seed", "1"],
+        ["limit-mc", "--params", "FINITE", "--reps", "30", "--seed", "2"],
+    ),
+    "validate": (
+        ["validate", "--only", "phase-map", "--reps", "1000"],
+        ["validate", "--only", "phase-map", "--reps", "2000", "--seed", "5"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RERUNS)
+def test_reruns_write_new_files_and_never_rewrite_old_ones(tmp_path, case, transient_params, finite_params):
+    """A hard link to a first run's output keeps the first run's bytes; the name holds the second run's."""
+    names = {"TRANSIENT": transient_params, "FINITE": finite_params}
+    first, second = ([names.get(a, a) for a in argv] for argv in RERUNS[case])
+    out = tmp_path / "out"
+    assert cli.main(first + ["--out", str(out)]) == 0
+    first_files = read_dir(out)
+    side = tmp_path / "side"
+    side.mkdir()
+    for name in first_files:
+        os.link(out / name, side / name)
+    assert cli.main(second + ["--out", str(out)]) == 0
+    assert read_dir(side) == first_files
+    fresh = tmp_path / "fresh"
+    assert cli.main(second + ["--out", str(fresh)]) == 0
+    assert read_dir(out) == read_dir(fresh) != first_files
+    assert cli.main(second + ["--out", str(out)]) == 0
+    assert read_dir(out) == read_dir(fresh)
+
+
+def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_params):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"kept")
+    out = tmp_path / "cls"
+    out.mkdir()
+    (out / "classification.json").symlink_to(target)
+    assert cli.main(["classify", "--params", transient_params, "--out", str(out)]) == 0
+    assert target.read_bytes() == b"kept"
+    assert not (out / "classification.json").is_symlink()
+    assert json.loads((out / "classification.json").read_text())["report"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

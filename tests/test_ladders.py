@@ -366,6 +366,24 @@ def test_huge_band_mass_is_refused_by_name():
         sample_limit_config(huge, replication_rng(1))
 
 
+def test_configuration_past_the_species_budget_is_refused_at_once():
+    """A band-0 mass near 4.6e14 is under POISSON_NORMAL_FROM, so only the species budget stops its draws."""
+    probe = ModelParams(5.1e-197, 1.1e-211, Weibull(0.124, 1.4e17), Pareto(2.96e66, 0.61))
+    with pytest.raises(LadderError, match=r"has \d+ species, past the species budget of 16777216"):
+        sample_limit_config(probe, replication_rng(0))
+
+
+def test_species_budget_admits_exactly_its_count():
+    """A configuration of exactly MAX_SPECIES species is drawn as before; one more is refused by its count."""
+    sample = sample_limit_config(FINITE_EXAMPLE, replication_rng(33))
+    assert sample.total > 0
+    with mock.patch.object(ladders, "MAX_SPECIES", sample.total):
+        assert sample_limit_config(FINITE_EXAMPLE, replication_rng(33)) == sample
+    with mock.patch.object(ladders, "MAX_SPECIES", sample.total - 1):
+        with pytest.raises(LadderError, match=rf"has {sample.total} species"):
+            sample_limit_config(FINITE_EXAMPLE, replication_rng(33))
+
+
 def test_pareto_levels_overflow_into_a_sentinel():
     """Pareto levels e^(h/index) overflow near h = 709 * index, before a slowly dying mass meets its bound."""
     near = ModelParams(1.0, 1.0, Pareto(1.0, 1.0), Pareto(1.0, 1.02))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 from unittest import mock
 
@@ -631,6 +632,20 @@ def test_trace_csv_slices_write_the_one_shot_rows(tmp_path):
     assert path.read_bytes() == _one_shot_trace_csv(trace).encode()
     write_trace_csv(evolve(Configuration(), _stream([], horizon=1.0)), path)
     assert path.read_bytes() == b"time,kind,mark,count_after\r\n"
+
+
+def test_trace_writer_makes_a_new_file_each_time(tmp_path):
+    """A second write to one path leaves a hard link to the first file with the first trace's bytes."""
+    path = tmp_path / "trace.csv"
+    first = evolve(Configuration(), generate_stream(PARAMS, 30.0, replication_rng(38)))
+    second = evolve(Configuration(), generate_stream(PARAMS, 20.0, replication_rng(39)))
+    write_trace_csv(first, path)
+    os.link(path, tmp_path / "first.csv")
+    write_trace_csv(second, path)
+    assert (tmp_path / "first.csv").read_bytes() == _one_shot_trace_csv(first).encode()
+    assert path.read_bytes() == _one_shot_trace_csv(second).encode() != _one_shot_trace_csv(first).encode()
+    write_trace_csv(second, path)
+    assert path.read_bytes() == _one_shot_trace_csv(second).encode()
 
 
 # Around the edges of the range where Ryu's notation matches repr's, and at the ends of the doubles.
