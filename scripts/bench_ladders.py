@@ -5,7 +5,10 @@
 Each figure is the best of ``--repeat`` timed ``run()`` calls, in
 microseconds per replication.  ``us_per_step`` divides the same best
 time of each ladder case by the ladder steps its run walked (the sum of
-``aux["depth"]``): the cost per ladder step.  The shallow ladder pairs
+``aux["depth"]``): the cost per ladder step.  ``minor_faults`` gives,
+per ladder case, the ``ru_minflt`` change over its timed runs, taken
+after one untimed warm run: pages the walk faults in afresh, 0 once it
+keeps its workspace.  The shallow ladder pairs
 are the acceptance suite's (exp(1)/exp(2) for the count task,
 exp(2)/exp(1) for the limit task); the deep pairs sit at gamma = 1.05,
 where ladders are about 500 steps deep.  The forward tasks use the
@@ -79,14 +82,20 @@ def main() -> None:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
         "us_per_rep": {},
         "us_per_step": {},
+        "minor_faults": {},
     }
     for label, (task, fit, thr, reps, window) in CASES.items():
         plan = ReplicationPlan(task=task, params=ModelParams(1.0, 1.0, fit, thr), replications=reps,
                                base_seed=20261018, **window)
+        ladder = task in ("extinction_count", "limit_config")
+        if ladder:
+            steps = int(run(plan).aux["depth"].sum())
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         seconds = best_of(args.repeat, lambda: run(plan))
         out["us_per_rep"][label] = round(1e6 * seconds / reps, 2)
-        if task in ("extinction_count", "limit_config"):
-            out["us_per_step"][label] = round(1e6 * seconds / int(run(plan).aux["depth"].sum()), 4)
+        if ladder:
+            out["minor_faults"][label] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            out["us_per_step"][label] = round(1e6 * seconds / steps, 4)
     out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
     path_params = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0))
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,7 +7,9 @@ reproduced exactly; nothing in the outputs depends on wall-clock time.
 Each output is a new file (process.open_new_file): whatever has its name,
 a file or a symlink or a hard link, is removed first and never written
 through, and nothing is fsynced.  An old file is neither truncated nor
-renamed over, because ext4 flushes a file on close() in both cases.
+renamed over, because ext4 flushes a file on close() in both cases.  A
+command with --format removes its output in the other format, which an
+earlier run may have left, so --out holds exactly the manifest's outputs.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ def _write_manifest(out_dir: Path, command: str, arguments: dict, outputs: Seque
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _remove_other_format(out_dir: Path, stem: str, fmt: str) -> None:
+    """Remove stem's file in the format not written this run: csv for json, json for csv."""
+    (out_dir / f"{stem}.{'json' if fmt == 'csv' else 'csv'}").unlink(missing_ok=True)
+
+
 def _load_params(path: str) -> ModelParams:
     payload = json.loads(Path(path).read_text())
     return model_params_from_json(payload)
@@ -110,6 +117,7 @@ def _cmd_simulate(args) -> int:
     else:
         write_trace_json(trace, out / "trace.json")
         outputs.append("trace.json")
+    _remove_other_format(out, "trace", args.format)
     _write_json(out / "summary.json", summary)
     _write_manifest(
         out,
@@ -268,6 +276,7 @@ def _cmd_ladder(args) -> int:
         payload = {key: [_encode_float(float(v)) for v in column] for (_, key, _), column in zip(columns, values)}
         _write_json(out / "samples.json", payload)
         outputs.append("samples.json")
+    _remove_other_format(out, "samples", args.format)
     summary = {
         "plan": plan.to_json(),
         "summary": result.summary.to_json(),

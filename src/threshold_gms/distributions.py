@@ -10,7 +10,9 @@ underflow.
 The cumulative hazard and its inverse also come in array forms
 (``hazard_transform_array``, ``inverse_hazard_array``) for the block
 ladder sampler: they check nothing per element and return inf where the
-float range overflows.  The scalar forms check their argument once and
+float range overflows.  Given ``out``, an array of the argument's shape,
+they write the same values there, by the same operations in the same
+order, and return it.  The scalar forms check their argument once and
 call them.
 """
 
@@ -93,6 +95,14 @@ def _pow(base: float, exponent: float) -> float:
         return math.inf
 
 
+def _into(out, value):
+    """value, copied into out when one is given: the array forms that cannot compute in place."""
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
+
+
 def _check_hazard(h) -> float:
     h = _as_float(h, "h")
     if not h >= 0.0:
@@ -129,11 +139,11 @@ class DistributionSpec(ABC):
         """inf{x : survival(x) <= u} for u in (0, 1]; u == 1 gives support_lower."""
 
     @abstractmethod
-    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+    def hazard_transform_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Cumulative hazard -log(survival(x)) of levels x >= 0 (inf allowed), unchecked; inf on overflow."""
 
     @abstractmethod
-    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+    def inverse_hazard_array(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Levels whose cumulative hazards are h >= 0, unchecked; inf past the float range."""
 
     def hazard_transform(self, x) -> float:
@@ -210,13 +220,13 @@ class Exponential(DistributionSpec):
         u = _check_survival_prob(u)
         return -math.log(u) / self.rate
 
-    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+    def hazard_transform_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.rate * x
+            return np.multiply(self.rate, x, out=out)
 
-    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+    def inverse_hazard_array(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return h / self.rate
+            return np.divide(h, self.rate, out=out)
 
     def hazard_density(self, x) -> float:
         _check_level(x, 0.0)
@@ -258,13 +268,22 @@ class Weibull(DistributionSpec):
             raise DistributionError(f"quantile overflow at survival level {u}")
         return value
 
-    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+    # Powers go through the ** operator, in place where out is given: numpy
+    # maps some exponents (2, 0.5, ...) to their own ufuncs there, not np.power.
+    def hazard_transform_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return (x / self.scale) ** self.shape
+            y = np.divide(x, self.scale, out=out)
+            y **= self.shape
+            return y
 
-    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+    def inverse_hazard_array(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.scale * h ** (1.0 / self.shape)
+            if out is None:
+                y = h ** (1.0 / self.shape)
+            else:
+                y = _into(out, h)
+                y **= 1.0 / self.shape
+            return np.multiply(self.scale, y, out=out)
 
     def hazard_density(self, x) -> float:
         x = _check_level(x, 0.0)
@@ -318,13 +337,18 @@ class Pareto(DistributionSpec):
             raise DistributionError(f"quantile overflow at survival level {u}")
         return value
 
-    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+    def hazard_transform_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.index * np.log(np.maximum(x, self.minimum) / self.minimum)
+            y = np.maximum(x, self.minimum, out=out)
+            y = np.divide(y, self.minimum, out=out)
+            y = np.log(y, out=out)
+            return np.multiply(self.index, y, out=out)
 
-    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+    def inverse_hazard_array(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.minimum * np.exp(h / self.index)
+            y = np.divide(h, self.index, out=out)
+            y = np.exp(y, out=out)
+            return np.multiply(self.minimum, y, out=out)
 
     def hazard_density(self, x) -> float:
         x = _as_float(x, "x")
@@ -413,19 +437,19 @@ class TabulatedQuantile(DistributionSpec):
             return float(np.interp(u, self._us_rev, self._xs_rev))
         return float(self._xs[-1] + (math.log(u) - self._log_us[-1]) / self._tail_slope)
 
-    def hazard_transform_array(self, x: np.ndarray) -> np.ndarray:
+    def hazard_transform_array(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Below the grid interp clamps to survival 1, so the hazard is 0 there.
         xs, last = self._xs, self._log_us[-1]
         with np.errstate(over="ignore"):
             tail = -(last + self._tail_slope * (x - xs[-1]))
-        return np.where(x <= xs[-1], 0.0 - np.log(np.interp(x, xs, self._us)), tail)
+        return _into(out, np.where(x <= xs[-1], 0.0 - np.log(np.interp(x, xs, self._us)), tail))
 
-    def inverse_hazard_array(self, h: np.ndarray) -> np.ndarray:
+    def inverse_hazard_array(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         last = self._log_us[-1]
         inside = np.interp(np.exp(-h), self._us_rev, self._xs_rev)
         with np.errstate(over="ignore"):
             tail = self._xs[-1] + (h + last) / -self._tail_slope
-        return np.where(h <= -last, inside, tail)
+        return _into(out, np.where(h <= -last, inside, tail))
 
     def hazard_density(self, x) -> float:
         x = _as_float(x, "x")

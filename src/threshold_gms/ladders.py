@@ -23,7 +23,9 @@ numpy, each block on its own generator and in the draw order it would
 take alone.  sample_ladder_block is that walk with one block, and the
 one-ladder samplers are a block of one row.  The threshold ladder is the
 fitness ladder of params.swapped(), walked after one look-back gap
-(sample_first_gaps) drawn from the same generator.
+(sample_first_gaps) drawn from the same generator.  A walk draws and
+computes each chunk of steps in place, in five float arrays that each
+thread keeps from walk to walk, so a warm walk takes no fresh pages.
 
 Ladders are infinite objects; one fixed rule (MAX_STEPS, TAIL_TOLERANCE)
 truncates them once a bound on the remaining mass is negligible.  With
@@ -44,6 +46,7 @@ sentinel rather than a silently truncated number.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -66,6 +69,14 @@ STOP_REASONS = (STOP_TAIL_BOUND, STOP_MAX_STEPS, STOP_OVERFLOW, STOP_DIVERGENT)
 # walked together hold at most k * CHUNK_CELLS cells per array.
 FIRST_CHUNK = 32
 CHUNK_CELLS = 8192
+
+# Ladder blocks the Monte Carlo tasks walk together.  Each thread keeps the
+# five float arrays of a walk's chunk between walks, grown on demand up to
+# LADDER_GROUP * CHUNK_CELLS cells each (2.6 MB for all five), so no round
+# pays fresh pages; a larger chunk gets arrays of its own.
+LADDER_GROUP = 8
+_WORKSPACE_CELLS = LADDER_GROUP * CHUNK_CELLS
+_workspace = threading.local()
 
 # The truncation rule of every ladder.  A walk stops at step k when k
 # reaches MAX_STEPS, or when the secant bound on the expected remaining
@@ -229,6 +240,17 @@ _TAIL_CODE, _MAX_STEPS_CODE, _OVERFLOW_CODE, _DIVERGENT_CODE = range(len(STOP_RE
 _REASON_NAMES = np.array(STOP_REASONS)  # "<U10", the width of the longest name
 
 
+def _chunk_arrays(rows: int, c: int) -> np.ndarray:
+    """Five (rows, c) float arrays, uninitialised: this thread's kept workspace, or fresh past its cap."""
+    cells = rows * c
+    if cells > _WORKSPACE_CELLS:
+        return np.empty((5, rows, c))
+    kept = getattr(_workspace, "arrays", None)
+    if kept is None or kept.shape[1] < cells:
+        kept = _workspace.arrays = np.empty((5, cells))
+    return kept[:, :cells].reshape(5, rows, c)
+
+
 def _walk_blocks(
     params: ModelParams,
     rngs: Sequence[np.random.Generator],
@@ -244,7 +266,10 @@ def _walk_blocks(
     min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, MAX_STEPS - steps walked)
     steps per row in every block, a width set by k and `rows` alone.  Each
     block draws, for its rows still walking, unit exponentials (hazard
-    increments) and G (gap factors) in one call.  The row's hazards h_k are
+    increments), then G (gap factors), each call written into the chunk's
+    arrays: the stream one (2, rows, c) call would give.  The chunk's
+    arrays are this thread's kept workspace (_chunk_arrays), so kept steps
+    are copied out of it.  The row's hazards h_k are
     the running sums of the increments, its records H^-1(h_k), d_k = h_k -
     H_opp(record_k) (d before the first record is -H_opp(H^-1(0))) and its
     step masses (opp_rate/mark_rate) * G * exp(d_k), taken in log form so
@@ -280,11 +305,12 @@ def _walk_blocks(
         walked += c
         width *= 2
         # Each block draws its walking rows' chunk from its own generator, stacked in block order.
-        hs, g = np.empty((2, active.size, c))
+        hs, g, level, drop, m = _chunk_arrays(active.size, c)
         o = 0
         for b, n in enumerate(np.bincount(active // rows, minlength=blocks).tolist()):
             if n:
-                hs[o : o + n], g[o : o + n] = rngs[b].standard_exponential((2, n, c))
+                rngs[b].standard_exponential(out=hs[o : o + n])
+                rngs[b].standard_exponential(out=g[o : o + n])
                 o += n
         # In-place updates below keep the chunk's working set to the five arrays
         # hs, g, level, m and drop: m holds d, then the mass; drop holds H_opp,
@@ -293,9 +319,9 @@ def _walk_blocks(
         # with the next row's start, and column 0 is then set from the carry.
         hs[:, 0] += h
         np.cumsum(hs, axis=1, out=hs)
-        level = mark_dist.inverse_hazard_array(hs)
-        drop = opp_dist.hazard_transform_array(level)
-        m = hs - drop
+        mark_dist.inverse_hazard_array(hs, out=level)
+        opp_dist.hazard_transform_array(level, out=drop)
+        np.subtract(hs, drop, out=m)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             np.subtract(m.reshape(-1)[:-1], m.reshape(-1)[1:], out=drop.reshape(-1)[1:])
             np.subtract(d, m[:, 0], out=drop[:, 0])
@@ -336,9 +362,10 @@ def _walk_blocks(
         with np.errstate(over="ignore"):
             mass[active] += m.sum(axis=1)
         depth[active] += take
-        if keep_steps:
+        if keep_steps:  # the next chunk overwrites level and m
+            level_kept, m_kept = level.copy(), m.copy()
             for i, r in enumerate(active.tolist()):
-                kept[r].append((level[i, : take[i]], gap[i, : take[i]], m[i, : take[i]]))
+                kept[r].append((level_kept[i, : take[i]], gap[i, : take[i]], m_kept[i, : take[i]]))
         going = ~hit
         active, h, d = active[going], hs[going, -1], d[going]
     steps = None

@@ -35,6 +35,7 @@ from .distributions import ModelParams, _as_float, _encode_float
 # them under this module's names, so they stay importable from it.
 from .ladders import (  # noqa: F401
     EFFECTIVELY_INFINITE,
+    LADDER_GROUP,
     _poisson,
     birth_mass,
     extinction_mass,
@@ -84,10 +85,6 @@ _LADDER_TASKS = (TASK_EXTINCTION_COUNT, TASK_LIMIT_CONFIG)
 
 # Replications per block of every task; one RNG stream per block.
 BLOCK = 128
-
-# Ladder blocks walked together: up to LADDER_GROUP * ladders.CHUNK_CELLS
-# (row, step) cells per array of the walk, 8 * 8192 for 8 blocks of 128.
-LADDER_GROUP = 8
 
 # Pooling floor of the chi-square checks: every pooled bin's expected count reaches it.
 MIN_EXPECTED = 5.0

@@ -512,6 +512,30 @@ def test_reruns_write_new_files_and_never_rewrite_old_ones(tmp_path, case, trans
     assert read_dir(out) == read_dir(fresh)
 
 
+FORMAT_COMMANDS = {
+    "simulate": ["simulate", "--params", "TRANSIENT", "--horizon", "12", "--seed", "6"],
+    "ladder-mc": ["ladder-mc", "--params", "TRANSIENT", "--reps", "30", "--seed", "2"],
+    "limit-mc": ["limit-mc", "--params", "FINITE", "--reps", "30", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("formats", [("csv", "json"), ("json", "csv")])
+@pytest.mark.parametrize("case", FORMAT_COMMANDS)
+def test_a_rerun_in_the_other_format_leaves_only_the_manifest_outputs(tmp_path, case, formats, transient_params, finite_params):
+    """The other format's output of an earlier run is removed, and no other file is."""
+    names = {"TRANSIENT": transient_params, "FINITE": finite_params}
+    argv = [names.get(a, a) for a in FORMAT_COMMANDS[case]] + ["--out", str(tmp_path / "out")]
+    for fmt in formats:
+        assert cli.main(argv + ["--format", fmt]) == 0
+        listing = sorted(os.listdir(tmp_path / "out"))
+        assert listing == json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
+    (tmp_path / "out" / "notes.txt").write_text("kept")
+    assert cli.main(argv + ["--format", formats[0]]) == 0
+    outputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
+    assert sorted(os.listdir(tmp_path / "out")) == sorted([*outputs, "notes.txt"])
+    assert len(outputs) == 3 and any(name.endswith("." + formats[0]) for name in outputs)
+
+
 def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_params):
     target = tmp_path / "target.json"
     target.write_bytes(b"kept")

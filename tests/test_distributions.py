@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.integrate import quad
 
@@ -317,3 +318,28 @@ def test_array_forms_match_the_survival_function(dist):
     got = [dist.survival(x) for x in dist.inverse_hazard_array(hazards)]
     assert got == pytest.approx(np.exp(-hazards).tolist(), rel=1e-9)
     assert math.copysign(1.0, dist.hazard_transform(0.0)) == 1.0
+
+
+# Families whose array forms overflow inside the float range, and the Weibull
+# shapes whose powers numpy maps to square, sqrt and reciprocal.
+overflowing_dists = st.one_of(
+    st.builds(Exponential, st.sampled_from([1e-300, 1e300])),
+    st.builds(Weibull, st.sampled_from([0.01, 0.5, 1.0, 2.0, 4.0]), st.floats(0.1, 10.0)),
+    st.builds(Pareto, st.floats(0.5, 2.0), st.floats(1e-6, 0.05)),
+)
+array_args = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+    elements=st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.floats(0.0, 1e308), st.just(math.inf)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dist=st.one_of(any_dist, tabulated_dists, overflowing_dists), x=array_args)
+def test_array_forms_write_into_out_bit_for_bit(dist, x):
+    """Given out, each array form writes there the bytes it returns without it, and returns out."""
+    for form in (dist.inverse_hazard_array, dist.hazard_transform_array):
+        want = form(x)
+        out = np.full_like(x, np.nan)
+        assert form(x, out=out) is out
+        assert out.tobytes() == want.tobytes()

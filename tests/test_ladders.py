@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +37,7 @@ from threshold_gms.ladders import (
 )
 from threshold_gms.montecarlo import (
     TASK_EXTINCTION_COUNT,
+    TASK_LIMIT_CONFIG,
     ReplicationPlan,
     gof_chi_square,
     gof_ks,
@@ -405,17 +411,18 @@ def test_extinction_mass_matches_direct_sum(lam, idx):
 
 
 class FixedDraws:
-    """Generator stand-in for a one-row block: serves fixed hazard increments and gap factors."""
+    """Generator stand-in for a one-row block: serves fixed hazard increments, then gap factors, each chunk."""
 
     def __init__(self, increments, gap_factors):
-        self.e, self.g = list(increments), list(gap_factors)
+        self.queues = [list(increments), list(gap_factors)]
+        self.calls = 0
 
-    def standard_exponential(self, size):
-        _, rows, c = size
-        assert rows == 1 and c <= len(self.e)
-        e, self.e = self.e[:c], self.e[c:]
-        g, self.g = self.g[:c], self.g[c:]
-        return np.array([[e], [g]])
+    def standard_exponential(self, *, out):
+        rows, c = out.shape
+        queue = self.queues[self.calls % 2]  # increments on a chunk's first call, gap factors on its second
+        assert rows == 1 and c <= len(queue)
+        out[0], queue[:] = queue[:c], queue[c:]
+        self.calls += 1
 
 
 def reference_ladder(params, increments, gap_factors):
@@ -524,9 +531,9 @@ class WidthLog:
     def __init__(self, rng):
         self.rng, self.widths = rng, []
 
-    def standard_exponential(self, size):
-        self.widths.append(size[2])
-        return self.rng.standard_exponential(size)
+    def standard_exponential(self, *, out):
+        self.widths.append(out.shape[1])
+        return self.rng.standard_exponential(out=out)
 
     def exponential(self, *args):
         return self.rng.exponential(*args)
@@ -575,16 +582,95 @@ def test_blocks_walked_together_match_each_block_walked_alone(case):
         for row in range(rows):
             for mine, theirs in zip(together.steps[b * rows + row], block.steps[row]):
                 assert mine.tobytes() == theirs.tobytes()
-    # In round k every block that draws takes c_k = min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, steps left).
+    # In round k every block that draws takes c_k = min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, steps left),
+    # in two draws of that width: the hazard increments, then the gap factors.
+    assert all(log.widths[::2] == log.widths[1::2] for log in logs)
+    widths = [log.widths[::2] for log in logs]
     schedule, walked, cap = [], 0, ladders.CHUNK_CELLS // rows
-    for k in range(max(len(log.widths) for log in logs)):
+    for k in range(max(map(len, widths))):
         schedule.append(min(ladders.FIRST_CHUNK * 2**k, cap, (steps or ladders.MAX_STEPS) - walked))
         walked += schedule[-1]
-    assert all(log.widths == schedule[: len(log.widths)] for log in logs)
+    assert all(w == schedule[: len(w)] for w in widths)
     if steps:  # ladders cut at MAX_STEPS end on the steps left
         assert walked == steps
     if case == "tail_bound, Weibull":  # deep ladders reach the width cap
         assert cap in schedule
+
+
+def test_two_draws_into_views_are_the_stream_of_one_stacked_draw():
+    """The walk's draw contract: increments, then gap factors, each written into an (n, c) view, are one (2, n, c) draw."""
+    for n, c in ((1, 32), (128, 64), (96, 85)):
+        want = replication_rng(4242, 3, 1)
+        stacked = want.standard_exponential((2, n, c))
+        rng = replication_rng(4242, 3, 1)
+        hs, g = np.empty((n + 3, c)), np.empty((n + 3, c))
+        rng.standard_exponential(out=hs[2 : n + 2])
+        rng.standard_exponential(out=g[2 : n + 2])
+        assert hs[2 : n + 2].tobytes() == stacked[0].tobytes() and g[2 : n + 2].tobytes() == stacked[1].tobytes()
+        assert rng.standard_exponential(7).tobytes() == want.standard_exponential(7).tobytes()
+
+
+def run_bytes(result):
+    return [result.samples.tobytes()] + [np.asarray(result.aux[k]).tobytes() for k in sorted(result.aux)]
+
+
+def test_walks_on_two_threads_match_serial_walks():
+    """Each thread walks in its own kept workspace: concurrent walks give the serial bytes, kept steps included."""
+    plans = [
+        ReplicationPlan(task=TASK_EXTINCTION_COUNT, params=TRANSIENT_EXAMPLE, replications=2000, base_seed=8),
+        ReplicationPlan(task=TASK_LIMIT_CONFIG, params=TRANSIENT_EXAMPLE.swapped(), replications=2000, base_seed=9),
+    ]
+    deep = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05))  # about 500 steps: many chunks per row
+    rows = 48
+
+    def walk(b):
+        return sample_ladder_blocks(deep, [replication_rng(61, b, 1), replication_rng(61, b + 1, 1)], rows, keep_steps=True)
+
+    def work(i):
+        return [run_bytes(run(plans[i])) for _ in range(3)], walk(2 * i)
+
+    serial = [run_bytes(run(plan)) for plan in plans]
+    with ThreadPoolExecutor(2) as pool:
+        together = list(pool.map(work, range(2)))
+    for i, (runs, block) in enumerate(together):
+        assert all(got == serial[i] for got in runs)
+        alone = [sample_ladder_block(deep, replication_rng(61, b, 1), rows, keep_steps=True) for b in (2 * i, 2 * i + 1)]
+        assert block.depth.tobytes() == np.concatenate([a.depth for a in alone]).tobytes()
+        # FIRST_CHUNK * (1 + 2) steps fill two chunks: deeper rows kept steps from at least three.
+        assert (block.depth > 3 * ladders.FIRST_CHUNK).sum() > rows
+        for r in range(2 * rows):
+            for mine, theirs in zip(block.steps[r], alone[r // rows].steps[r % rows]):
+                assert mine.tobytes() == theirs.tobytes()
+
+
+def test_a_chunk_past_the_kept_workspace_gets_arrays_of_its_own():
+    """More blocks than LADDER_GROUP walk chunks past the workspace's cap: still each block's own walk, cap kept."""
+    deep = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(1.05))
+    blocks = ladders.LADDER_GROUP + 2  # the 64-step chunks of 10 blocks of 128 rows hold 81 920 cells
+    together = sample_ladder_blocks(deep, [replication_rng(5, b, 1) for b in range(blocks)], 128)
+    alone = [sample_ladder_block(deep, replication_rng(5, b, 1), 128) for b in range(blocks)]
+    for field in ("depth", "stop_code", "mass", "tail"):
+        assert getattr(together, field).tobytes() == np.concatenate([getattr(a, field) for a in alone]).tobytes()
+    assert ladders._workspace.arrays.shape[1] <= ladders.LADDER_GROUP * ladders.CHUNK_CELLS
+
+
+def test_a_warm_count_run_takes_no_fresh_pages():
+    """The walk keeps its chunk arrays between runs, so a second 4000-replication run faults in almost no page."""
+    script = "\n".join([
+        "import resource",
+        "from threshold_gms.distributions import Exponential, ModelParams",
+        "from threshold_gms.montecarlo import ReplicationPlan, run",
+        "params = ModelParams(1.0, 1.0, Exponential(1.0), Exponential(2.0))",
+        "plan = ReplicationPlan(task='extinction_count', params=params, replications=4000, base_seed=4242)",
+        "run(plan)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "run(plan)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 128
 
 
 TABULATED_FIT = TabulatedQuantile(tuple((math.exp(-x), x) for x in (0.0, 0.5, 1.0, 2.0)))

@@ -37,6 +37,8 @@ def test_scripts_and_readme_example_run():
     bench = json.loads(outputs["bench_ladders"][0])
     assert len(bench["us_per_rep"]) == 8 and bench["simulate_s"] > 0.0
     assert len(bench["us_per_step"]) == 6 and all(us > 0.0 for us in bench["us_per_step"].values())
+    assert sorted(bench["minor_faults"]) == sorted(bench["us_per_step"])
+    assert all(isinstance(n, int) and n >= 0 for n in bench["minor_faults"].values())
     assert bench["peak_rss_mb"] > 0.0
     assert sorted(bench["simulate_ms"]) == ["evolve", "generate_stream", "write_trace_csv", "write_trace_json"]
     assert all(ms > 0.0 for ms in bench["simulate_ms"].values())
