@@ -9,8 +9,12 @@ so that no call shares marks, and with them a composition, with
 another.  ``grid_ms`` is the best of ``--repeat`` classifications of a
 400-point grid shaped like the benchmark's criteria sweep (10 x 10
 exponential rates from 0.5 to 3, lambda_birth in {1, 1.3},
-lambda_extinct in {1, 0.7}), once point by point through ``classify``
-and once in one ``classify_many`` call.  ``integrand_us`` is the best
+lambda_extinct in {1, 0.7}), point by point through ``classify``, in one
+``classify_many`` call, and (``cli``) as the benchmark runs it: one
+in-process ``cli.main(["classify", "--grid", ...])`` that writes
+phase_map.csv into a temporary directory.  ``grid_40k_s`` is one such
+``classify --grid`` call on a 200 x 200 grid of exponential rates from
+0.5 to 3 (40 000 points), run once.  ``integrand_us`` is the best
 per-node time, in microseconds, of forming the mass-density and the
 count-exponent integrand rows (composition included) on one chunk of the
 nodes of panel 0 of the breakless node array, one GRID mark pair per
@@ -40,6 +44,7 @@ import time
 
 import numpy as np
 
+from threshold_gms import cli
 from threshold_gms.criteria import _integrands, _panel_nodes, classify, classify_many, exponential_closed_forms
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import BLOCK_CHUNK_CELLS
@@ -70,6 +75,10 @@ GRID = [
     for l_birth in (1.0, 1.3)
     for l_ext in (1.0, 0.7)
 ]
+_ALPHAS = ",".join(map(repr, GRID_ALPHAS))
+GRID_SPEC = f"alpha_fitness={_ALPHAS};alpha_threshold={_ALPHAS};lambda_birth=1,1.3;lambda_extinct=1,0.7"
+_ALPHAS_200 = ",".join(repr(float(a)) for a in np.linspace(0.5, 3.0, 200))
+GRID_40K_SPEC = f"alpha_fitness={_ALPHAS_200};alpha_threshold={_ALPHAS_200}"
 
 _IMPORT = "import time; t = time.perf_counter(); import threshold_gms.cli; print(time.perf_counter() - t)"
 _SCIPY = "import sys, threshold_gms.cli; print(sum(m.startswith('scipy') for m in sys.modules))"
@@ -86,15 +95,15 @@ def best_of(repeat: int, fn) -> float:
 
 def integrand_us(repeat: int) -> dict[str, float]:
     """Best per-node microseconds of each integrand kind on one chunk of panel 0's nodes."""
-    _, h, _, panel = _panel_nodes(())
-    nodes = h[panel == 0]
+    grid = _panel_nodes(())
+    nodes = grid.h[grid.panel == 0]
     rows = BLOCK_CHUNK_CELLS // nodes.size
     # Every fourth GRID point starts a new mark pair, all at lambda_birth = lambda_extinct = 1.
     sides = GRID[::4][:rows]
+    take = list(range(rows))
     out = {}
-    for kind, log_r in (("mass_density", None), ("count_exponent", 0.0)):
-        keys = [(i, log_r) for i in range(rows)]
-        seconds = best_of(repeat, lambda: _integrands(keys, sides, nodes))
+    for kind, log_r in (("mass_density", np.empty(0)), ("count_exponent", np.zeros(rows))):
+        seconds = best_of(repeat, lambda: _integrands(sides, take, log_r, nodes))
         out[kind] = round(1e6 * seconds / (rows * nodes.size), 5)
     return out
 
@@ -137,10 +146,18 @@ def main() -> None:
         classify(ModelParams(1.0, 1.0, *marks(1.0)))
         points = iter([ModelParams(1.0, 1.0, *marks(1.0 + 1e-6 * (k + 1))) for k in range(args.repeat)])
         out["classify_ms"][label] = round(1e3 * best_of(args.repeat, lambda: classify(next(points))), 3)
-    out["grid_ms"] = {
-        "classify": round(1e3 * best_of(args.repeat, lambda: [classify(p) for p in GRID]), 1),
-        "classify_many": round(1e3 * best_of(args.repeat, lambda: classify_many(GRID)), 1),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        grid_out = os.path.join(tmp, "grid")
+
+        def cli_grid(spec: str) -> None:
+            cli.main(["classify", "--grid", spec, "--out", grid_out])
+
+        out["grid_ms"] = {
+            "classify": round(1e3 * best_of(args.repeat, lambda: [classify(p) for p in GRID]), 1),
+            "classify_many": round(1e3 * best_of(args.repeat, lambda: classify_many(GRID)), 1),
+            "cli": round(1e3 * best_of(args.repeat, lambda: cli_grid(GRID_SPEC)), 1),
+        }
+        out["grid_40k_s"] = round(best_of(1, lambda: cli_grid(GRID_40K_SPEC)), 3)
 
     out["integrand_us"] = integrand_us(args.repeat)
     out["accuracy"] = accuracy()

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .criteria import classify, classify_many
-from .distributions import ModelParams, _encode_float, model_params_from_json
+from .criteria import classify, classify_columns
+from .distributions import Exponential, ModelParams, _encode_float, model_params_from_json
 from .montecarlo import (
     ReplicationPlan,
     TASK_EXTINCTION_COUNT,
@@ -49,6 +49,10 @@ from .streams import replication_rng
 from .validation import CHECK_NAMES, SuiteConfig, SuiteContext, format_result, run_suite
 
 DEFAULT_SEED = 123456789
+
+# Most points one classify --grid may hold, the product of its axis
+# lengths: a larger grid is refused after parsing, before any law is built.
+MAX_GRID_POINTS = 1 << 20
 
 
 def _write_json(path: Path, obj) -> None:
@@ -156,12 +160,17 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
             raise ValueError(f"grid requires {required!r}")
     grid.setdefault("lambda_birth", [1.0])
     grid.setdefault("lambda_extinct", [1.0])
+    points = math.prod(len(values) for values in grid.values())
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"the grid has {points} points, past the grid budget of {MAX_GRID_POINTS} (MAX_GRID_POINTS)")
     return grid
 
 
-def _cmd_classify(args) -> int:
-    from .distributions import Exponential
+def _phase_cell(v: Optional[float]) -> str:
+    return "" if v is None else ("inf" if math.isinf(v) else repr(float(v)))
 
+
+def _cmd_classify(args) -> int:
     if bool(args.params) == bool(args.grid):
         raise ValueError("classify needs exactly one of --params or --grid")
 
@@ -176,32 +185,12 @@ def _cmd_classify(args) -> int:
         return 0
 
     grid = _parse_grid(args.grid)
-    combos = list(
-        product(grid["alpha_fitness"], grid["alpha_threshold"], grid["lambda_birth"], grid["lambda_extinct"])
-    )
-    points = [
-        ModelParams(
-            lambda_birth=l_birth,
-            lambda_extinct=l_ext,
-            fitness_dist=Exponential(a_fit),
-            threshold_dist=Exponential(a_thr),
-        )
-        for a_fit, a_thr, l_birth, l_ext in combos
-    ]
-    rows = [
-        (
-            *combo,
-            report.recurrence,
-            report.limit_count,
-            report.method,
-            report.null_recurrent_like,
-            report.integrals.e_m,
-            report.integrals.e_n,
-            report.integrals.phi_inf,
-            report.integrals.phi_bar_inf,
-        )
-        for combo, report in zip(combos, classify_many(points))
-    ]
+    fitness = [Exponential(a) for a in grid["alpha_fitness"]]
+    threshold = [Exponential(a) for a in grid["alpha_threshold"]]
+    rates = list(product(grid["lambda_birth"], grid["lambda_extinct"]))
+    points = product(range(len(fitness)), range(len(fitness), len(fitness) + len(threshold)), range(len(rates)))
+    columns = classify_columns(fitness + threshold, rates, list(points))
+    combos = product(grid["alpha_fitness"], grid["alpha_threshold"], grid["lambda_birth"], grid["lambda_extinct"])
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,12 +212,27 @@ def _cmd_classify(args) -> int:
                 "phi_bar_inf",
             ]
         )
-        for row in rows:
-            cells = [repr(float(v)) for v in row[:4]]
-            cells.extend([row[4], row[5], row[6], str(row[7]).lower()])
-            for v in row[8:]:
-                cells.append("" if v is None else ("inf" if math.isinf(v) else repr(float(v))))
-            writer.writerow(cells)
+        writer.writerows(
+            [
+                *map(repr, combo),
+                recurrence,
+                limit_count,
+                method,
+                "true" if null_recurrent_like else "false",
+                *map(_phase_cell, values),
+            ]
+            for combo, recurrence, limit_count, method, null_recurrent_like, *values in zip(
+                combos,
+                columns.recurrence,
+                columns.limit_count,
+                columns.method,
+                columns.null_recurrent_like,
+                columns.e_m,
+                columns.e_n,
+                columns.phi_inf,
+                columns.phi_bar_inf,
+            )
+        )
     _write_manifest(out, "classify", {"grid": args.grid}, ["phase_map.csv", "manifest.json"])
     return 0
 

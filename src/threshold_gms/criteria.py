@@ -20,12 +20,18 @@ evaluated once, on dyadic panels [n ln2, (n+1) ln2] of Gauss-Legendre
 nodes through the first panel that starts past h*.  Past that panel a
 power pair's C is exactly linear, so the row is finished in closed form;
 a superpolynomial pair's C is convex, so the row reads on until the
-secant bound on the rest is negligible.  classify_many evaluates every
-integral of a batch of points as rows of shared node arrays, in chunks
-of bounded size; C(h) and the mass-density integral depend only on the
-mark pair, so points that differ only in their rates share them.
-classify is the batch of one point, hazard_weighted_integral the one
-mass-density row.
+secant bound on the rest is negligible.
+
+A batch is classified as columns (classify_columns).  Each distinct mark
+pair among the points and their role swaps holds one column of rows: its
+mass-density row, which depends on the pair alone (the rate prefactor
+scales it afterwards), and one count-exponent row per distinct log r of
+the points' rates.  All rows of a pair are read at once (_row_read) and
+evaluated as rows of shared node arrays, in chunks of bounded size that
+take C(h) once per pair in them; the verdicts and the method are taken
+once per pair.  classify_many builds its reports from the columns, and
+classify --grid writes its phase map from them.  classify is the batch
+of one point, hazard_weighted_integral the one mass-density row.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +55,7 @@ from .distributions import (
     _as_float,
     _encode_float,
     _pow,
+    check_rates,
 )
 from .process import BLOCK_CHUNK_CELLS
 
@@ -110,31 +118,39 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _PANEL0_BREAKS = _LN2 * 2.0 ** -np.arange(1.0, 21.0)
 
 
-@lru_cache(maxsize=64)
-def _panel_nodes(breaks: tuple[float, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Panel n* of the breaks, and the quadrature nodes h, their weights and the dyadic panel of each sub-panel row.
+class _Nodes(NamedTuple):
+    """The quadrature grid of one breaks tuple (see _panel_nodes)."""
 
-    The grid holds the panels through n* and _MAX_REFINEMENTS more, at
-    most _MAX_PANELS.  The dyadic panels are split at every break inside
-    them, and each sub-panel gets its own Gauss-Legendre rule.  The
-    arrays are read-only, so one node array can be shared by every
-    integral over the same panels.
+    first: int  # panel n*, the first that starts past the last break
+    h: np.ndarray  # nodes, one row per sub-panel
+    w: np.ndarray  # their weights
+    panel: np.ndarray  # the dyadic panel of each sub-panel row
+    edges: np.ndarray  # the dyadic panel edges 0, ln2, ..., the grid's top
+
+
+@lru_cache(maxsize=64)
+def _panel_nodes(breaks: tuple[float, ...]) -> _Nodes:
+    """The quadrature grid of the breaks: the dyadic panels through n* and _MAX_REFINEMENTS more.
+
+    The grid holds at most _MAX_PANELS panels.  The dyadic panels are
+    split at every break inside them, and each sub-panel gets its own
+    Gauss-Legendre rule.  The arrays are read-only, so one node array can
+    be shared by every integral over the same panels.
     """
     first = min(int(max(breaks, default=0.0) // _LN2) + 1, _MAX_PANELS)
     count = min(first + _MAX_REFINEMENTS, _MAX_PANELS)
     top = count * _LN2
     inner = np.asarray(breaks, dtype=float)
-    edges = np.unique(
-        np.concatenate([_LN2 * np.arange(count + 1), _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]])
-    )
+    dyadic = _LN2 * np.arange(count + 1)
+    edges = np.unique(np.concatenate([dyadic, _PANEL0_BREAKS, inner[(inner > 0.0) & (inner < top)]]))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     h = mid[:, None] + half[:, None] * _GL_NODES
     w = half[:, None] * _GL_WEIGHTS
     panel = np.minimum(mid // _LN2, count - 1).astype(np.intp)
-    for a in (h, w, panel):
+    for a in (h, w, panel, dyadic):
         a.flags.writeable = False
-    return first, h, w, panel
+    return _Nodes(first, h, w, panel, dyadic)
 
 
 def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndarray:
@@ -150,64 +166,63 @@ def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndar
     return np.bincount(index, weights=sums, minlength=rows * count).reshape(rows, count)
 
 
-def _row_read(kind: str, gamma: Optional[float], d: np.ndarray, first: int, log_r: Optional[float]) -> tuple:
-    """Last panel a row reads, its verdict, and its rest: the integral past that panel, or inf or None.
+def _row_read(kind: str, gamma: Optional[float], d: np.ndarray, first: int, log_r: np.ndarray) -> tuple:
+    """Last panel each row of one mark pair reads, its verdict, and its rest: the integral past that panel, inf or NaN.
 
-    d = h - C(h) on the panel edges 0, ln2, ..., the grid's top.  With
-    F(y) = e^y for a mass-density row and log1p(e^y / r) for a
-    count-exponent row, the integral of the row's integrand past an edge
-    b where d falls at least at slope s is at most F(d(b)) / s, with
-    equality where d falls at exactly s.  Past the last kink a power
-    pair's d falls at exactly gamma - 1 (a divergent row for gamma <= 1),
-    a subpolynomial pair's d grows (divergent), and a superpolynomial
-    pair's d is concave, so its secant slope over panel n bounds every
-    later slope: the row stops at the first panel n >= n* whose bound
-    F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below _TAIL_ATOL, or where
-    C has overflowed to inf, and drops the rest.  A row that cannot finish
-    within the grid is inconclusive.  The rest of a finite row is added to
-    its panels; a divergent row's rest is its value inf, an inconclusive
-    row's None.  Callers ignore overflow and invalid floating-point errors.
+    log_r holds the pair's rows: NaN first for its mass-density row, then
+    the count-exponent rows' log r.  d = h - C(h) on the panel edges 0,
+    ln2, ..., the grid's top.  With F(y) = e^y for a mass-density row and
+    log1p(e^y / r) for a count-exponent row, the integral of the row's
+    integrand past an edge b where d falls at least at slope s is at most
+    F(d(b)) / s, with equality where d falls at exactly s.  Past the last
+    kink a power pair's d falls at exactly gamma - 1 (divergent rows for
+    gamma <= 1), a subpolynomial pair's d grows (divergent), and a
+    superpolynomial pair's d is concave, so its secant slope over panel n
+    bounds every later slope: a row stops at the first panel n >= n*
+    whose bound F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below
+    _TAIL_ATOL, or where C has overflowed to inf, and drops the rest.  A
+    row that cannot finish within the grid is inconclusive, with rest
+    NaN.  The rest of a finite row is added to its panels; a divergent
+    row's rest is its value inf.  Returns the three as lists over the
+    rows.  Callers ignore overflow and invalid floating-point errors.
     """
-    last = d.size - 2
+    rows, top = log_r.size, d.size - 2
     if kind == "subpolynomial" or (kind == "power" and not gamma > 1.0):
-        return min(first, last), VERDICT_INFINITE, math.inf
-    if first > last:
-        return last, VERDICT_INCONCLUSIVE, None
-    def f(y):
-        return np.exp(y) if log_r is None else np.logaddexp(0.0, y - log_r)
-
+        return [min(first, top)] * rows, [VERDICT_INFINITE] * rows, [math.inf] * rows
+    if first > top:
+        return [top] * rows, [VERDICT_INCONCLUSIVE] * rows, [math.nan] * rows
+    # F of the bound on the rows' edges: e^y on the mass-density row, which
+    # comes first, and log1p(e^y / r) on the others.
+    n_base = int(math.isnan(log_r[0])) if rows else 0
     if kind == "power":
-        return first, VERDICT_FINITE, float(f(d[first + 1])) / (gamma - 1.0)
+        y = d[first + 1]
+        rest = [float(np.exp(y))] if n_base else []
+        if rows > n_base:
+            rest += np.logaddexp(0.0, y - log_r[n_base:]).tolist()
+        return [first] * rows, [VERDICT_FINITE] * rows, [f / (gamma - 1.0) for f in rest]
     a, b = d[first:-1], d[first + 1 :]
-    done = np.isneginf(b) | (f(b) * _LN2 < _TAIL_ATOL * (a - b))
-    if done.any():
-        return first + int(done.argmax()), VERDICT_FINITE, 0.0
-    return last, VERDICT_INCONCLUSIVE, None
+    bound = np.logaddexp(0.0, b - log_r[:, None])
+    bound[:n_base] = np.exp(b)
+    done = np.isneginf(b) | (bound * _LN2 < _TAIL_ATOL * (a - b))
+    ends = done.any(axis=1).tolist()
+    lasts = [first + n if end else top for n, end in zip(done.argmax(axis=1).tolist(), ends)]
+    verdicts = [VERDICT_FINITE if end else VERDICT_INCONCLUSIVE for end in ends]
+    return lasts, verdicts, [0.0 if end else math.nan for end in ends]
 
 
-def _row_result(pieces: np.ndarray, verdict: str, rest: Optional[float]):
-    """The ImproperIntegral of a row's panel integrals and _row_read's rest, or the CriteriaError of a bad panel.
+class _Rows(NamedTuple):
+    """Criterion rows as columns: per row its verdict, value and evidence, or the CriteriaError of a bad panel."""
 
-    The evidence holds the exactly rounded partial sums of the panels.
-    """
-    bad = ~np.isfinite(pieces)
-    if bad.any():
-        n = int(bad.argmax())
-        return CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {pieces[n]}")
-    panels = pieces.tolist()
-    partial = tuple([math.fsum(panels[: i + 1]) for i in range(len(panels))])
-    value = rest
-    if verdict == VERDICT_FINITE:
-        value = math.fsum([*panels, rest])
-        if not math.isfinite(value):
-            return CriteriaError(f"tail past h = {len(panels) * _LN2} evaluated to {rest}")
-    return ImproperIntegral(verdict, value, partial)
+    verdict: list
+    value: list
+    evidence: list
+    error: list
 
-
-def _checked(result):
-    if isinstance(result, CriteriaError):
-        raise result
-    return result
+    def integral(self, row: int) -> ImproperIntegral:
+        """The ImproperIntegral of a row; raises the row's CriteriaError."""
+        if self.error[row] is not None:
+            raise self.error[row]
+        return ImproperIntegral(self.verdict[row], self.value[row], self.evidence[row])
 
 
 def hazard_weighted_integral(params: ModelParams) -> ImproperIntegral:
@@ -219,7 +234,7 @@ def hazard_weighted_integral(params: ModelParams) -> ImproperIntegral:
     fitness law.  It is the mass-density row of classify, without the
     rate prefactor of expected_extinction_count.
     """
-    return _checked(_criterion_integrals([(params, None)])[0])
+    return _criterion_integrals([params], [composed_survival_exponent(params)], [[math.nan]]).integral(0)
 
 
 def hazard_weighted_integral_xspace(
@@ -261,110 +276,125 @@ def _composition(params: ModelParams, h: np.ndarray) -> np.ndarray:
     return params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
 
 
-def _integrands(keys: list, sides: list[ModelParams], h: np.ndarray) -> np.ndarray:
-    """Integrand rows of criterion row keys, mass-density rows first, on the nodes h.
+def _integrands(sides: Sequence[ModelParams], take: Sequence[int], log_r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Integrand rows on the nodes h: row i is of the mark pair sides[take[i]].
 
-    C(h) = H_thr(H_fit^-1(h)) is taken once per mark pair among the keys,
-    copied to the pair's other rows, and turned into each row's integrand
-    in place, which keeps one array of the rows' size alive besides the
-    weighted one.  A count-exponent row is the logistic 1/(1 + e^x) of
-    x = log r + C(h) - h, formed by vector exp, add and reciprocal: where
-    e^x overflows to inf the value is 0, the integrand's limit, and a NaN
-    stays NaN, so no inf/inf arises and a bad panel is still reported.
+    The first len(take) - log_r.size rows are mass-density rows; the others
+    are count-exponent rows, with the log r of log_r in order.  take
+    numbers the pairs in the order of their first row.  C(h) =
+    H_thr(H_fit^-1(h)) is taken once per pair and gathered to the rows in
+    one take, then turned into each row's integrand in place.  A
+    count-exponent row is the logistic 1/(1 + e^x) of x = C(h) + log r -
+    h, formed by vector exp, add and reciprocal: where e^x overflows to
+    inf the value is 0, the integrand's limit, and a NaN stays NaN, so no
+    inf/inf arises and a bad panel is still reported.
     """
-    n_base = sum(log_r is None for _, log_r in keys)
-    log_r = np.array([log_r for _, log_r in keys[n_base:]])
-    values = np.empty((len(keys),) + h.shape)
-    first: dict = {}
-    for i, (pair, _) in enumerate(keys):
-        j = first.setdefault(pair, i)
-        if j < i:
-            values[i] = values[j]
-        else:
-            values[i] = _composition(sides[pair], h)
+    values = np.empty((len(sides),) + h.shape)
+    for composition, params in zip(values, sides):
+        composition[...] = _composition(params, h)
+    if len(take) != len(sides):
+        values = values.take(take, axis=0)
+    n_base = len(take) - log_r.size
     base, exponent = values[:n_base], values[n_base:]
-    np.exp(np.subtract(h, base, out=base), out=base)
-    exponent += log_r[:, None, None]
-    exponent -= h
-    np.exp(exponent, out=exponent)
-    exponent += 1.0
-    np.reciprocal(exponent, out=exponent)
+    if n_base:
+        np.exp(np.subtract(h, base, out=base), out=base)
+    if log_r.size:
+        exponent += log_r.reshape((-1,) + (1,) * h.ndim)
+        exponent -= h
+        np.exp(exponent, out=exponent)
+        exponent += 1.0
+        np.reciprocal(exponent, out=exponent)
     return values
 
 
-def _criterion_integrals(rows: Sequence[tuple[ModelParams, Optional[float]]]) -> list:
-    """Criterion integrals of one side each, one row per distinct (mark pair, log r).
+def _criterion_integrals(
+    sides: Sequence[ModelParams], shapes: Sequence[tuple], columns: Sequence[Collection[float]]
+) -> _Rows:
+    """Criterion integrals of distinct rows, given per mark pair as a column of log r.
 
-    A row (params, None) is the integral of the ladder's per-step mass
-    density exp(h - C(h)), without its rate prefactor; a row
-    (params, log_r) the count exponent's integrand 1/(1 + r exp(C(h) - h)),
-    formed as the logistic of log r + C(h) - h (see _integrands), so that
-    it never forms inf/inf.  Only the mark pair of params and log_r
-    enter, so equal rows are evaluated once.  _row_read decides from the
+    shapes[p] is composed_survival_exponent of the mark pair sides[p]
+    (any object with fitness_dist and threshold_dist), and columns[p]
+    holds the pair's rows: NaN first for its mass-density row, the
+    integral of the ladder's per-step mass density exp(h - C(h)) without
+    its rate prefactor, then one log r per count-exponent row, the
+    integral of 1/(1 + r exp(C(h) - h)), formed as the logistic of
+    log r + C(h) - h (see _integrands), so that it never forms inf/inf.
+    _row_read decides, once per pair, from the
     pair's tail class and C on the panel edges which panels each row
     reads; rows that read the same panels of the same node array are
     evaluated together, in chunks of at most BLOCK_CHUNK_CELLS nodes that
-    take C(h) once per pair in them.  Returns per row an ImproperIntegral
-    or the CriteriaError of a bad panel.
+    take C(h) once per pair in them.  Returns the rows in column order,
+    pair after pair.
     """
-    first: dict = {}
-    sides: list[ModelParams] = []
-    keys = []
-    for params, log_r in rows:
-        pair = first.setdefault((params.fitness_dist, params.threshold_dist), len(first))
-        if pair == len(sides):
-            sides.append(params)
-        keys.append((pair, log_r))
-    breaks = [hazard_breaks(params) for params in sides]
-    shapes = [composed_survival_exponent(params) for params in sides]
-    edge_d: dict = {}
-    reads: dict[tuple, list] = {}
-    ends = {}
-    results: dict = {}
+    log_r = np.array([*chain.from_iterable(columns)], dtype=float)
+    pair_of_row: list[int] = []
+    verdicts: list = []
+    rests: list = []
+    # Rows that read the same panels of one node array, by (breaks, last
+    # panel): the mass-density rows, then the count-exponent rows.
+    reads: dict[tuple, tuple[list, list]] = {}
+    # The node arrays of the call, one per distinct breaks tuple, however
+    # many more than _panel_nodes keeps.
+    grids: dict[tuple, _Nodes] = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for key in dict.fromkeys(keys):
-            pair, log_r = key
-            n_star, _, _, panel = _panel_nodes(breaks[pair])
-            if pair not in edge_d:
-                edges = _LN2 * np.arange(panel[-1] + 2.0)
-                edge_d[pair] = edges - _composition(sides[pair], edges)
-            last, verdict, rest = _row_read(*shapes[pair], edge_d[pair], n_star, log_r)
-            ends[key] = (verdict, rest)
-            reads.setdefault((breaks[pair], last), []).append(key)
-        for (group_breaks, last), members in reads.items():
-            _, h, w, panel = _panel_nodes(group_breaks)
-            nodes = int(np.searchsorted(panel, last, side="right"))
-            h, w, panel = h[:nodes], w[:nodes], panel[:nodes]
-            # Mass-density rows first, as _integrands takes them.
-            members.sort(key=lambda key: key[1] is not None)
+        for p, (params, shape) in enumerate(zip(sides, shapes)):
+            row = len(pair_of_row)
+            column = log_r[row : row + len(columns[p])]
+            breaks = hazard_breaks(params)
+            if breaks not in grids:
+                grids[breaks] = _panel_nodes(breaks)
+            nodes = grids[breaks]
+            d = _composition(params, nodes.edges)
+            np.subtract(nodes.edges, d, out=d)
+            lasts, verdict, rest = _row_read(*shape, d, nodes.first, column)
+            # Every row but a NaN first one is a count-exponent row.
+            counts = not math.isnan(column[0])
+            for r, last in zip(range(row, row + column.size), lasts):
+                reads.setdefault((breaks, last), ([], []))[r > row or counts].append(r)
+            pair_of_row += [p] * column.size
+            verdicts += verdict
+            rests += rest
+        value: list = [None] * log_r.size
+        evidence: list = [None] * log_r.size
+        error: list = [None] * log_r.size
+        for (breaks, last), (mass_rows, count_rows) in reads.items():
+            nodes = grids[breaks]
+            stop = int(np.searchsorted(nodes.panel, last, side="right"))
+            h, w, panel = nodes.h[:stop], nodes.w[:stop], nodes.panel[:stop]
+            members = mass_rows + count_rows
             step = max(BLOCK_CHUNK_CELLS // h.size, 1)
-            pieces = np.concatenate(
-                [
-                    _panel_sums(_integrands(members[start : start + step], sides, h), w, panel)
-                    for start in range(0, len(members), step)
-                ]
-            )
-            for key, row in zip(members, pieces):
-                results[key] = _row_result(row, *ends[key])
-    return [results[key] for key in keys]
+            for start in range(0, len(members), step):
+                chunk = members[start : start + step]
+                chunk_pairs: dict = {}
+                take = [chunk_pairs.setdefault(pair_of_row[r], len(chunk_pairs)) for r in chunk]
+                chunk_sides = [sides[p] for p in chunk_pairs]
+                counts = log_r.take(chunk[max(len(mass_rows) - start, 0) :])
+                pieces = _panel_sums(_integrands(chunk_sides, take, counts, h), w, panel)
+                bad = ~np.isfinite(pieces)
+                for i, (row, panels, is_bad) in enumerate(zip(chunk, pieces.tolist(), bad.any(axis=1).tolist())):
+                    if is_bad:
+                        n = int(bad[i].argmax())
+                        error[row] = CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {panels[n]}")
+                        continue
+                    evidence[row] = tuple([math.fsum(panels[: k + 1]) for k in range(len(panels))])
+                    if verdicts[row] != VERDICT_FINITE:
+                        value[row] = None if verdicts[row] == VERDICT_INCONCLUSIVE else math.inf
+                        continue
+                    value[row] = math.fsum([*panels, rests[row]])
+                    if not math.isfinite(value[row]):
+                        error[row] = CriteriaError(f"tail past h = {len(panels) * _LN2} evaluated to {rests[row]}")
+    return _Rows(verdicts, value, evidence, error)
 
 
-def _scaled(base: ImproperIntegral, prefactor: float) -> ImproperIntegral:
-    """base with its finite value and its evidence trail multiplied by prefactor."""
-    value = base.value
-    if value is not None and math.isfinite(value):
-        value *= prefactor
-    return ImproperIntegral(
-        verdict=base.verdict,
-        value=value,
-        evidence=tuple(prefactor * e for e in base.evidence),
-    )
+def _scaled(value: Optional[float], prefactor: float) -> Optional[float]:
+    """value times prefactor where it is finite; None and inf are kept."""
+    return value * prefactor if value is not None and math.isfinite(value) else value
 
 
-def _log_r(params: ModelParams, t: float) -> float:
+def _log_r(lambda_birth: float, lambda_extinct: float, t: float) -> float:
     """log r of the count exponent at argument t, r = lambda_birth / ((1 - e^-t) lambda_extinct)."""
     shrink = 1.0 if math.isinf(t) else -math.expm1(-t)
-    return math.log(params.lambda_birth) - math.log(shrink) - math.log(params.lambda_extinct)
+    return math.log(lambda_birth) - math.log(shrink) - math.log(lambda_extinct)
 
 
 def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
@@ -375,7 +405,9 @@ def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
     finite exactly in the transient regime.  The prefactor is applied to
     both the value and the evidence trail.
     """
-    return _scaled(hazard_weighted_integral(params), params.lambda_extinct / params.lambda_birth)
+    base = hazard_weighted_integral(params)
+    prefactor = params.lambda_extinct / params.lambda_birth
+    return ImproperIntegral(base.verdict, _scaled(base.value, prefactor), tuple(prefactor * e for e in base.evidence))
 
 
 def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
@@ -395,7 +427,8 @@ def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
         raise CriteriaError(str(exc)) from None
     if not t > 0.0:
         raise CriteriaError(f"t must be positive (math.inf allowed), got {t}")
-    return _checked(_criterion_integrals([(params, _log_r(params, t))])[0])
+    log_r = _log_r(params.lambda_birth, params.lambda_extinct, t)
+    return _criterion_integrals([params], [composed_survival_exponent(params)], [[log_r]]).integral(0)
 
 
 def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
@@ -466,7 +499,11 @@ def exact_verdict(params: ModelParams) -> str:
     infinite otherwise.  Apply it to params.swapped() for the
     limit-count side.
     """
-    kind, gamma = composed_survival_exponent(params)
+    return _shape_verdict(*composed_survival_exponent(params))
+
+
+def _shape_verdict(kind: str, gamma: Optional[float]) -> str:
+    """exact_verdict of the tail class (kind, gamma) of composed_survival_exponent."""
     if kind == "power":
         return VERDICT_FINITE if gamma > 1.0 else VERDICT_INFINITE
     return VERDICT_FINITE if kind == "superpolynomial" else VERDICT_INFINITE
@@ -521,62 +558,163 @@ def classify(params: ModelParams) -> ClassificationReport:
 
 
 def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
-    """classify of every point of a batch, in one array pass.
+    """classify of every point of a batch, in one array pass (see classify_columns).
 
-    The four criterion integrals of all points are rows of shared node
-    arrays (see _criterion_integrals).  The mass-density integral and
-    C(h) depend only on the mark pair (the rate prefactor multiplies
-    value and evidence afterwards), so points
-    that differ only in their rates share them; the count exponents keep
-    one row per point and side.  Each report equals classify of its
-    point bit for bit, and the first point, in order, that classify
-    would refuse raises the same CriteriaError.
+    Each report equals classify of its point bit for bit, and the first
+    point, in order, that classify would refuse raises the same
+    CriteriaError.
     """
-    sides = [(params, params.swapped()) for params in points]
-    rows = []
-    for params, swapped in sides:
-        rows += [
-            (params, None),
-            (swapped, None),
-            (params, _log_r(params, math.inf)),
-            (swapped, _log_r(swapped, math.inf)),
-        ]
-    integrals = _criterion_integrals(rows)
-    return [
-        _report(params, swapped, *integrals[4 * i : 4 * i + 4]) for i, (params, swapped) in enumerate(sides)
+    rates: dict = {}
+    index = [
+        (2 * i, 2 * i + 1, rates.setdefault((params.lambda_birth, params.lambda_extinct), len(rates)))
+        for i, params in enumerate(points)
     ]
+    laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
+    batch = _classify_batch(laws, list(rates), index)
+    evidence = batch.rows.evidence
+    reports = []
+    for fields, point in zip(_point_fields(batch), batch.points):
+        recurrence, limit_count, method, null_recurrent_like, e_m, e_n, phi_inf, phi_bar_inf = fields
+        _, _, row_m, row_n, row_phi, row_phi_bar, prefactor_m, prefactor_n = point
+        trails = {
+            "e_m": tuple(prefactor_m * e for e in evidence[row_m]),
+            "e_n": tuple(prefactor_n * e for e in evidence[row_n]),
+            "phi_inf": evidence[row_phi],
+            "phi_bar_inf": evidence[row_phi_bar],
+        }
+        integrals = CriterionIntegrals(e_m, e_n, phi_inf, phi_bar_inf, trails)
+        reports.append(ClassificationReport(recurrence, limit_count, method, integrals, null_recurrent_like))
+    return reports
 
 
-def _report(
-    params: ModelParams, swapped: ModelParams, base_m, base_n, phi_inf, phi_bar_inf
-) -> ClassificationReport:
-    e_m = _scaled(_checked(base_m), params.lambda_extinct / params.lambda_birth)
-    e_n = _scaled(_checked(base_n), swapped.lambda_extinct / swapped.lambda_birth)
-    phi_inf = _checked(phi_inf)
-    phi_bar_inf = _checked(phi_bar_inf)
-    tabulated = any(isinstance(d, TabulatedQuantile) for d in (params.fitness_dist, params.threshold_dist))
-    method = "NumericCauchy" if tabulated else "AnalyticExponent"
-    recurrence = RECURRENCE_LABEL[exact_verdict(params)]
-    limit_count = LIMIT_COUNT_LABEL[exact_verdict(swapped)]
-    integrals = CriterionIntegrals(
-        e_m=e_m.value,
-        e_n=e_n.value,
-        phi_inf=phi_inf.value,
-        phi_bar_inf=phi_bar_inf.value,
-        evidence={
-            "e_m": e_m.evidence,
-            "e_n": e_n.evidence,
-            "phi_inf": phi_inf.evidence,
-            "phi_bar_inf": phi_bar_inf.evidence,
-        },
-    )
-    return ClassificationReport(
-        recurrence=recurrence,
-        limit_count=limit_count,
-        method=method,
-        integrals=integrals,
-        null_recurrent_like=(recurrence == "Recurrent" and limit_count == "Infinite"),
-    )
+class ClassificationColumns(NamedTuple):
+    """classify of a batch of points as columns: per point the fields of its report but the evidence."""
+
+    recurrence: list[str]
+    limit_count: list[str]
+    method: list[str]
+    null_recurrent_like: list[bool]
+    e_m: list[Optional[float]]
+    e_n: list[Optional[float]]
+    phi_inf: list[Optional[float]]
+    phi_bar_inf: list[Optional[float]]
+
+
+def classify_columns(
+    laws: Sequence[DistributionSpec],
+    rates: Sequence[tuple[float, float]],
+    points: Sequence[tuple[int, int, int]],
+) -> ClassificationColumns:
+    """classify of a batch of points, each given as indices (fitness law, threshold law, rates).
+
+    A point (f, t, k) has the marks laws[f] / laws[t] and the rates
+    (lambda_birth, lambda_extinct) = rates[k].  Each distinct mark pair
+    among the points and their role swaps is one side of the criterion
+    rows (_criterion_integrals): its mass-density row, which the rate
+    prefactors scale afterwards, and one count-exponent row per distinct
+    log r.  Each distinct rate pair gives its two log r and prefactors
+    once; exact_verdict and the method are taken once per pair.  The
+    values equal those of classify of each point bit for bit, and the
+    first point, in order, that classify would refuse raises the same
+    CriteriaError.
+    """
+    for law in laws:
+        if not isinstance(law, DistributionSpec):
+            raise DistributionError(f"a mark law must be a DistributionSpec, got {type(law).__name__}")
+    batch = _classify_batch(laws, [check_rates(*pair) for pair in rates], points)
+    fields = [list(field) for field in zip(*_point_fields(batch))] or [[] for _ in ClassificationColumns._fields]
+    return ClassificationColumns(*fields)
+
+
+class _Marks(NamedTuple):
+    """A mark pair: what the criterion rows read of a ModelParams."""
+
+    fitness_dist: DistributionSpec
+    threshold_dist: DistributionSpec
+
+
+class _Batch(NamedTuple):
+    """A batch of points keyed to its mark pairs and read.
+
+    rows holds the criterion rows; pairs per mark pair its exact_verdict
+    and method; points per point its pairs m (the point's) and n (its
+    role swap's), its rows of e_m, e_n, phi_inf and phi_bar_inf, and the
+    rate prefactors of e_m and e_n.
+    """
+
+    rows: _Rows
+    pairs: list[tuple[str, str]]
+    points: list[tuple[int, int, int, int, int, int, float, float]]
+
+
+def _classify_batch(
+    laws: Sequence[DistributionSpec], rates: Sequence[tuple[float, float]], points: Sequence[tuple[int, int, int]]
+) -> _Batch:
+    """The batch of classify_columns, its rates already checked; raises the first bad point's CriteriaError."""
+    unique: dict = {}
+    law_id = [unique.setdefault(law, len(unique)) for law in laws]
+    laws = list(unique)
+    per_rate = [(_log_r(lb, le, math.inf), _log_r(le, lb, math.inf), le / lb, lb / le) for lb, le in rates]
+    pair_id: dict = {}
+    sides: list[_Marks] = []
+    # Per pair: its log r, by position; position 0 is the mass-density row.
+    columns: list[dict] = []
+
+    def side(fit: int, thr: int) -> int:
+        p = pair_id.get((fit, thr))
+        if p is None:
+            p = pair_id[fit, thr] = len(sides)
+            sides.append(_Marks(laws[fit], laws[thr]))
+            columns.append({math.nan: 0})
+        return p
+
+    keyed = []
+    for f, t, k in points:
+        f, t = law_id[f], law_id[t]
+        m, n = side(f, t), side(t, f)
+        log_r_m, log_r_n = per_rate[k][:2]
+        column_m, column_n = columns[m], columns[n]
+        c_m, c_n = column_m.setdefault(log_r_m, len(column_m)), column_n.setdefault(log_r_n, len(column_n))
+        keyed.append((m, n, c_m, c_n, k))
+    shapes = [composed_survival_exponent(marks) for marks in sides]
+    rows = _criterion_integrals(sides, shapes, columns) if sides else _Rows([], [], [], [])
+    offset = [0, *accumulate(len(column) for column in columns)]
+    batch_points = [
+        (m, n, offset[m], offset[n], offset[m] + c_m, offset[n] + c_n, *per_rate[k][2:]) for m, n, c_m, c_n, k in keyed
+    ]
+    if rows.error.count(None) < len(rows.error):
+        for point in batch_points:
+            for row in point[2:6]:
+                if rows.error[row] is not None:
+                    raise rows.error[row]
+    pairs = [
+        (
+            _shape_verdict(*shape),
+            "NumericCauchy"
+            if isinstance(marks.fitness_dist, TabulatedQuantile) or isinstance(marks.threshold_dist, TabulatedQuantile)
+            else "AnalyticExponent",
+        )
+        for marks, shape in zip(sides, shapes)
+    ]
+    return _Batch(rows, pairs, batch_points)
+
+
+def _point_fields(batch: _Batch):
+    """Per point of the batch: recurrence, limit_count, method, null_recurrent_like, e_m, e_n, phi_inf, phi_bar_inf."""
+    value, pairs = batch.rows.value, batch.pairs
+    for m, n, row_m, row_n, row_phi, row_phi_bar, prefactor_m, prefactor_n in batch.points:
+        (verdict_m, method), (verdict_n, _) = pairs[m], pairs[n]
+        recurrence, limit_count = RECURRENCE_LABEL[verdict_m], LIMIT_COUNT_LABEL[verdict_n]
+        yield (
+            recurrence,
+            limit_count,
+            method,
+            recurrence == "Recurrent" and limit_count == "Infinite",
+            _scaled(value[row_m], prefactor_m),
+            _scaled(value[row_n], prefactor_n),
+            value[row_phi],
+            value[row_phi_bar],
+        )
 
 
 @dataclass(frozen=True)

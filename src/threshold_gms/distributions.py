@@ -518,6 +518,17 @@ def distribution_from_json(obj) -> DistributionSpec:
     return TabulatedQuantile(grid=obj["grid"])
 
 
+def check_rates(lambda_birth, lambda_extinct) -> tuple[float, float]:
+    """The birth and extinction rates as floats; DistributionError unless both are positive and finite."""
+    lb = _as_float(lambda_birth, "lambda_birth")
+    le = _as_float(lambda_extinct, "lambda_extinct")
+    if not 0.0 < lb < math.inf:
+        raise DistributionError(f"lambda_birth must be positive and finite, got {lb}")
+    if not 0.0 < le < math.inf:
+        raise DistributionError(f"lambda_extinct must be positive and finite, got {le}")
+    return lb, le
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Birth/extinction rates and the two mark laws of the species process."""
@@ -528,12 +539,7 @@ class ModelParams:
     threshold_dist: DistributionSpec
 
     def __post_init__(self) -> None:
-        lb = _as_float(self.lambda_birth, "lambda_birth")
-        le = _as_float(self.lambda_extinct, "lambda_extinct")
-        if not 0.0 < lb < math.inf:
-            raise DistributionError(f"lambda_birth must be positive and finite, got {lb}")
-        if not 0.0 < le < math.inf:
-            raise DistributionError(f"lambda_extinct must be positive and finite, got {le}")
+        lb, le = check_rates(self.lambda_birth, self.lambda_extinct)
         if not isinstance(self.fitness_dist, DistributionSpec):
             raise DistributionError("fitness_dist must be a DistributionSpec")
         if not isinstance(self.threshold_dist, DistributionSpec):

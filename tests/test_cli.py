@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from threshold_gms import cli
 from threshold_gms.criteria import classify
+from threshold_gms.distributions import Exponential, ModelParams
 from threshold_gms.ladders import TAIL_TOLERANCE
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
@@ -169,15 +171,64 @@ def test_classify_grid_phase_map(tmp_path):
     assert read_dir(out) == read_dir(out2)
 
 
-def test_classify_grid_matches_per_point_classify(tmp_path, monkeypatch):
-    grid = "alpha_fitness=0.5,1,1.7,2.5;alpha_threshold=0.5,1,1.7,2.5;lambda_birth=1,1.3;lambda_extinct=1,0.7"
-    batch = tmp_path / "batch"
-    assert cli.main(["classify", "--grid", grid, "--out", str(batch)]) == 0
-    monkeypatch.setattr(cli, "classify_many", lambda points: [classify(p) for p in points])
-    per_point = tmp_path / "per-point"
-    assert cli.main(["classify", "--grid", grid, "--out", str(per_point)]) == 0
-    assert read_dir(batch) == read_dir(per_point)
-    assert len((batch / "phase_map.csv").read_text().splitlines()) == 65
+def test_classify_grid_matches_per_point_classify(tmp_path):
+    """Every phase_map.csv row equals classify of its point, value for value.
+
+    The grid repeats the fitness rate 1 and holds the diagonal (boundary)
+    points alpha_fitness = alpha_threshold, where both sides diverge.
+    """
+    alphas = [0.5, 1.0, 1.7, 2.5, 1.0]
+    grid = "alpha_fitness=0.5,1,1.7,2.5,1;alpha_threshold=0.5,1,1.7,2.5;lambda_birth=1,1.3;lambda_extinct=1,0.7"
+    out = tmp_path / "grid"
+    assert cli.main(["classify", "--grid", grid, "--out", str(out)]) == 0
+    with open(out / "phase_map.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    points = list(itertools.product(alphas, alphas[:4], (1.0, 1.3), (1.0, 0.7)))
+    assert len(rows) == len(points) == 80
+    diagonal = 0
+    for row, (a_fit, a_thr, l_birth, l_ext) in zip(rows, points):
+        report = classify(ModelParams(l_birth, l_ext, Exponential(a_fit), Exponential(a_thr)))
+        assert [float(row[k]) for k in ("alpha_fitness", "alpha_threshold", "lambda_birth", "lambda_extinct")] == [
+            a_fit,
+            a_thr,
+            l_birth,
+            l_ext,
+        ]
+        assert (row["recurrence"], row["limit_count"], row["method"]) == (
+            report.recurrence,
+            report.limit_count,
+            report.method,
+        )
+        assert row["null_recurrent_like"] == str(report.null_recurrent_like).lower()
+        for name in ("e_m", "e_n", "phi_inf", "phi_bar_inf"):
+            want = getattr(report.integrals, name)
+            assert (None if row[name] == "" else float(row[name])) == want, (row, name)
+        diagonal += a_fit == a_thr
+        if a_fit == a_thr:
+            assert row["null_recurrent_like"] == "true" and row["e_m"] == row["e_n"] == "inf"
+    assert diagonal == 5 * 4
+
+
+def test_classify_grid_past_the_point_budget_is_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    """1025 x 1024 alpha values make 1 049 600 points, past MAX_GRID_POINTS: exit 2 before any law or point is built."""
+    assert cli.MAX_GRID_POINTS == 1 << 20
+
+    def never(*args, **kwargs):
+        raise AssertionError("a grid law or point was built")
+
+    for name in ("Exponential", "ModelParams", "classify_columns"):
+        monkeypatch.setattr(cli, name, never)
+    axis = ",".join(str(k) for k in range(1, 1026))
+    out = tmp_path / "never"
+    argv = ["classify", "--grid", f"alpha_fitness={axis};alpha_threshold={axis[: axis.rindex(',')]}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "1049600 points" in err and f"grid budget of {1 << 20}" in err
+    # A grid of exactly MAX_GRID_POINTS points is within the budget.
+    square = ",".join(str(k) for k in range(1, 1025))
+    grid = cli._parse_grid(f"alpha_fitness={square};alpha_threshold={square}")
+    assert len(grid["alpha_fitness"]) * len(grid["alpha_threshold"]) == cli.MAX_GRID_POINTS
 
 
 def _src_env() -> dict:
@@ -571,6 +622,9 @@ def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_p
         ["validate", "--seed", "-3", "--only", "phase-map"],
         # More expected events than the window budget: refused before drawing, not at allocation.
         ["simulate", "--params", "PARAMS", "--horizon", "1e8"],
+        # A grid's rates and mark laws are checked as a ModelParams checks them.
+        ["classify", "--grid", "alpha_fitness=1;alpha_threshold=2;lambda_birth=1,0"],
+        ["classify", "--grid", "alpha_fitness=1,-1;alpha_threshold=2"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

@@ -3,15 +3,22 @@ import importlib.util
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from threshold_gms import criteria
 from threshold_gms.criteria import (
     _LN2,
     _MAX_REFINEMENTS,
+    _TAIL_ATOL,
+    VERDICT_FINITE,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_INFINITE,
     CriteriaError,
     GammaLaw,
     NegBinomLaw,
@@ -48,7 +55,7 @@ def exp_params(a_fit, a_thr, l_birth=1.0, l_ext=1.0):
 def _composition(params, h):
     """C(h) = H_thr(H_fit^-1(h)), read off the mass-density row exp(h - C(h)) that _integrands evaluates."""
     h = np.asarray(h, dtype=float)[None, :]
-    return (h - np.log(_integrands([(0, None)], [params], h)[0]))[0]
+    return (h - np.log(_integrands([params], [0], np.empty(0), h)[0]))[0]
 
 
 HAZARDS = np.array([0.0, 0.36, 1.6, 9.2, 27.6])
@@ -190,9 +197,9 @@ def test_hazard_weighted_integral_evaluates_only_the_panels_it_reads(monkeypatch
     """The integrand sees the nodes of panels 0 .. n (the last panel read) and no other."""
     seen = []
 
-    def recording(keys, sides, h):
+    def recording(sides, take, log_r, h):
         seen.append(h)
-        return _integrands(keys, sides, h)
+        return _integrands(sides, take, log_r, h)
 
     monkeypatch.setattr(criteria, "_integrands", recording)
     cases = {
@@ -236,10 +243,12 @@ def test_bad_panels_raise_only_where_a_row_reads():
     """A NaN past the panels a row reads is never evaluated; one inside them fails that row only."""
     past = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 20.0, 30.0))
     inside = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 1.0, 1.2))
-    got = _criterion_integrals([(past, None), (inside, None), (past, 0.0), (inside, 0.0)])
-    assert got[0].value == pytest.approx(1.0, rel=1e-15)
-    assert got[2].value == pytest.approx(math.log(2.0), rel=1e-15)
-    assert str(got[1]) == str(got[3]) == f"panel [{_LN2}, {2 * _LN2}] evaluated to nan"
+    shapes = [composed_survival_exponent(past), composed_survival_exponent(inside)]
+    got = _criterion_integrals([past, inside], shapes, [[math.nan, 0.0], [math.nan, 0.0]])
+    assert got.error[:2] == [None, None]
+    assert got.value[0] == pytest.approx(1.0, rel=1e-15)
+    assert got.value[1] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert str(got.error[2]) == str(got.error[3]) == f"panel [{_LN2}, {2 * _LN2}] evaluated to nan"
 
 
 def test_xspace_integral_matches_hspace():
@@ -432,6 +441,98 @@ def _mixed_batch():
     return points + points[:3]
 
 
+def _scalar_row_read(kind: str, gamma: Optional[float], d: np.ndarray, first: int, log_r: Optional[float]) -> tuple:
+    """Last panel a row reads, its verdict, and its rest: the integral past that panel, or inf or None.
+
+    d = h - C(h) on the panel edges 0, ln2, ..., the grid's top.  With
+    F(y) = e^y for a mass-density row and log1p(e^y / r) for a
+    count-exponent row, the integral of the row's integrand past an edge
+    b where d falls at least at slope s is at most F(d(b)) / s, with
+    equality where d falls at exactly s.  Past the last kink a power
+    pair's d falls at exactly gamma - 1 (a divergent row for gamma <= 1),
+    a subpolynomial pair's d grows (divergent), and a superpolynomial
+    pair's d is concave, so its secant slope over panel n bounds every
+    later slope: the row stops at the first panel n >= n* whose bound
+    F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below _TAIL_ATOL, or where
+    C has overflowed to inf, and drops the rest.  A row that cannot finish
+    within the grid is inconclusive.  The rest of a finite row is added to
+    its panels; a divergent row's rest is its value inf, an inconclusive
+    row's None.  Callers ignore overflow and invalid floating-point errors.
+    """
+    last = d.size - 2
+    if kind == "subpolynomial" or (kind == "power" and not gamma > 1.0):
+        return min(first, last), VERDICT_INFINITE, math.inf
+    if first > last:
+        return last, VERDICT_INCONCLUSIVE, None
+    def f(y):
+        return np.exp(y) if log_r is None else np.logaddexp(0.0, y - log_r)
+
+    if kind == "power":
+        return first, VERDICT_FINITE, float(f(d[first + 1])) / (gamma - 1.0)
+    a, b = d[first:-1], d[first + 1 :]
+    done = np.isneginf(b) | (f(b) * _LN2 < _TAIL_ATOL * (a - b))
+    if done.any():
+        return first + int(done.argmax()), VERDICT_FINITE, 0.0
+    return last, VERDICT_INCONCLUSIVE, None
+
+
+# The mark pairs of _mixed_batch and their swaps, PROBE, an inconclusive
+# superpolynomial pair, and two divergent ones (gamma = 1, subpolynomial).
+READ_PAIRS = list(
+    dict.fromkeys(
+        [ModelParams(1.0, 1.0, p.fitness_dist, p.threshold_dist) for p in _mixed_batch()]
+        + [ModelParams(1.0, 1.0, p.threshold_dist, p.fitness_dist) for p in _mixed_batch()]
+        + [
+            PROBE,
+            ModelParams(1.0, 1.0, Exponential(1.0), Weibull(1.05, 1.0)),
+            exp_params(1.0, 1.0),
+            ModelParams(1.0, 1.0, Exponential(1.0), Pareto(1.0, 1.0)),
+        ]
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.sampled_from(READ_PAIRS),
+    mass=st.booleans(),
+    log_r=st.lists(st.floats(min_value=-800.0, max_value=800.0), max_size=6),
+)
+def test_vector_row_read_matches_the_scalar_read_bit_for_bit(pair, mass, log_r):
+    """_row_read of a pair's column of log r gives each row's last panel, verdict and rest of the scalar read."""
+    column = [math.nan] * mass + log_r
+    assume(column)
+    nodes = criteria._panel_nodes(hazard_breaks(pair))
+    d = nodes.edges - criteria._composition(pair, nodes.edges)
+    shape = composed_survival_exponent(pair)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lasts, verdicts, rests = criteria._row_read(*shape, d, nodes.first, np.array(column))
+        want = [_scalar_row_read(*shape, d, nodes.first, None if math.isnan(x) else x) for x in column]
+    assert len(lasts) == len(verdicts) == len(rests) == len(column)
+    for (last, verdict, rest), got in zip(want, zip(lasts, verdicts, rests)):
+        assert got[:2] == (last, verdict)
+        assert float(got[2]).hex() == (float("nan") if rest is None else rest).hex()
+
+
+def test_classify_many_raises_the_first_bad_point_in_order():
+    """A batch with bad-panel points among good ones raises the CriteriaError of the first, as classify does."""
+    holes = [
+        ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 1.0, 1.2)),
+        ModelParams(1.3, 0.7, Exponential(1.0), HoleyThreshold(2.0, 0.1, 0.2)),
+    ]
+    messages = []
+    for params in holes:
+        with pytest.raises(CriteriaError) as single:
+            classify(params)
+        messages.append(str(single.value))
+    assert messages[0] != messages[1]
+    good = _mixed_batch()[:5]
+    for first, second in ((0, 1), (1, 0)):
+        with pytest.raises(CriteriaError) as batch:
+            classify_many(good[:2] + [holes[first]] + good[2:] + [holes[second]])
+        assert str(batch.value) == messages[first]
+
+
 def test_classify_many_matches_classify_bit_for_bit():
     points = _mixed_batch()
     # The exponential and Weibull rows share one node array and fill
@@ -445,6 +546,36 @@ def test_classify_many_matches_classify_bit_for_bit():
         assert report == single
         assert report.to_json() == single.to_json()
     assert classify_many([]) == []
+
+
+def test_classify_columns_match_the_reports_and_check_their_inputs():
+    points = _mixed_batch()
+    laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
+    rates = [(params.lambda_birth, params.lambda_extinct) for params in points]
+    columns = criteria.classify_columns(laws, rates, [(2 * i, 2 * i + 1, i) for i in range(len(points))])
+    reports = classify_many(points)
+    for field in ("recurrence", "limit_count", "method", "null_recurrent_like"):
+        assert getattr(columns, field) == [getattr(report, field) for report in reports], field
+    for field in ("e_m", "e_n", "phi_inf", "phi_bar_inf"):
+        assert getattr(columns, field) == [getattr(report.integrals, field) for report in reports], field
+    with pytest.raises(DistributionError, match="DistributionSpec"):
+        criteria.classify_columns([1.0, laws[1]], rates[:1], [(0, 1, 0)])
+    with pytest.raises(DistributionError, match="^lambda_birth must be positive and finite, got 0.0$"):
+        criteria.classify_columns(laws[:2], [(0.0, 1.0)], [(0, 1, 0)])
+
+
+def test_classify_many_builds_each_node_array_once():
+    """A batch with more distinct breaks than _panel_nodes caches builds each node array once, and matches classify."""
+    points = [
+        ModelParams(1.0, 1.0, TabulatedQuantile(grid=((1.0, 0.0), (0.5, 1.0 + 0.01 * k))), Exponential(2.0))
+        for k in range(100)
+    ]
+    breaks = {hazard_breaks(marks) for params in points for marks in (params, params.swapped())}
+    assert len(breaks) > criteria._panel_nodes.cache_info().maxsize
+    criteria._panel_nodes.cache_clear()
+    reports = classify_many(points)
+    assert criteria._panel_nodes.cache_info().misses == len(breaks)
+    assert reports == [classify(params) for params in points]
 
 
 def test_classify_many_rows_match_the_one_row_integral():
@@ -551,7 +682,7 @@ def test_count_integrand_matches_a_40_digit_logistic():
     # At h = 0 an exp(1)/exp(1) pair has C(h) = 0, so the row's x is its log r, exactly.
     params = exp_params(1.0, 1.0)
     with np.errstate(over="ignore"):
-        got = _integrands([(0, x) for x in LOGISTIC_X.tolist()], [params], np.zeros((1, 1)))[:, 0, 0]
+        got = _integrands([params], [0] * LOGISTIC_X.size, LOGISTIC_X, np.zeros((1, 1)))[:, 0, 0]
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         exact = [1 / (1 + decimal.Decimal(x).exp()) for x in LOGISTIC_X.tolist()]
@@ -562,13 +693,14 @@ def test_count_integrand_matches_a_40_digit_logistic():
                 assert 0.0 <= value <= 1e-300, x
 
 
-def _logaddexp_integrands(keys, sides, h):
+def _logaddexp_integrands(sides, take, log_r, h):
     """Integrand rows of _integrands, with the count rows taken as exp(-logaddexp(0, x))."""
     rows = []
-    for pair, log_r in keys:
+    keys = [None] * (len(take) - log_r.size) + log_r.tolist()
+    for pair, x in zip(take, keys):
         params = sides[pair]
         comp = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
-        rows.append(np.exp(h - comp) if log_r is None else np.exp(-np.logaddexp(0.0, log_r + comp - h)))
+        rows.append(np.exp(h - comp) if x is None else np.exp(-np.logaddexp(0.0, x + comp - h)))
     return np.stack(rows)
 
 

@@ -46,8 +46,9 @@ def test_scripts_and_readme_example_run():
     assert all(ms > 0.0 for ms in bench["gof_ms"].values())
     bench = json.loads(outputs["bench_criteria"][0])
     assert len(bench["classify_ms"]) == 9 and all(ms > 0.0 for ms in bench["classify_ms"].values())
-    assert sorted(bench["grid_ms"]) == ["classify", "classify_many"]
+    assert sorted(bench["grid_ms"]) == ["classify", "classify_many", "cli"]
     assert all(ms > 0.0 for ms in bench["grid_ms"].values())
+    assert bench["grid_40k_s"] > 0.0
     assert sorted(bench["integrand_us"]) == ["count_exponent", "mass_density"]
     assert all(us > 0.0 for us in bench["integrand_us"].values())
     assert sorted(bench["accuracy"]["max_rel_error"]) == ["e_m", "e_n", "phi_bar_inf", "phi_inf"]
