@@ -10,11 +10,14 @@ another.  ``grid_ms`` is the best of ``--repeat`` classifications of a
 400-point grid shaped like the benchmark's criteria sweep (10 x 10
 exponential rates from 0.5 to 3, lambda_birth in {1, 1.3},
 lambda_extinct in {1, 0.7}), point by point through ``classify``, in one
-``classify_many`` call, and (``cli``) as the benchmark runs it: one
-in-process ``cli.main(["classify", "--grid", ...])`` that writes
-phase_map.csv into a temporary directory.  ``grid_40k_s`` is one such
-``classify --grid`` call on a 200 x 200 grid of exponential rates from
-0.5 to 3 (40 000 points), run once.  ``integrand_us`` is the best
+``classify_many`` call, in one ``classify_columns`` call (the grid's
+values only, as ``classify --grid`` reads them, without its CSV), and
+(``cli``) as the benchmark runs it: one in-process
+``cli.main(["classify", "--grid", ...])`` that writes phase_map.csv into
+a temporary directory.  ``grid_40k_s`` is one such ``classify --grid``
+call on a 200 x 200 grid of exponential rates from 0.5 to 3 (40 000
+points), run once in a fresh child process, and ``grid_40k_peak_mb`` the
+peak resident memory (ru_maxrss) of that process.  ``integrand_us`` is the best
 per-node time, in microseconds, of forming the mass-density and the
 count-exponent integrand rows (composition included) on one chunk of the
 nodes of panel 0 of the breakless node array, one GRID mark pair per
@@ -41,11 +44,19 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import product
 
 import numpy as np
 
 from threshold_gms import cli
-from threshold_gms.criteria import _integrands, _panel_nodes, classify, classify_many, exponential_closed_forms
+from threshold_gms.criteria import (
+    _integrands,
+    _panel_nodes,
+    classify,
+    classify_columns,
+    classify_many,
+    exponential_closed_forms,
+)
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import BLOCK_CHUNK_CELLS
 
@@ -80,8 +91,23 @@ GRID_SPEC = f"alpha_fitness={_ALPHAS};alpha_threshold={_ALPHAS};lambda_birth=1,1
 _ALPHAS_200 = ",".join(repr(float(a)) for a in np.linspace(0.5, 3.0, 200))
 GRID_40K_SPEC = f"alpha_fitness={_ALPHAS_200};alpha_threshold={_ALPHAS_200}"
 
+# GRID as classify_columns takes it: the fitness laws, then the threshold laws, and the rate pairs.
+GRID_LAWS = [Exponential(a) for a in GRID_ALPHAS] * 2
+GRID_RATES = list(product((1.0, 1.3), (1.0, 0.7)))
+GRID_POINTS = list(product(range(len(GRID_ALPHAS)), range(len(GRID_ALPHAS), len(GRID_LAWS)), range(len(GRID_RATES))))
+
 _IMPORT = "import time; t = time.perf_counter(); import threshold_gms.cli; print(time.perf_counter() - t)"
 _SCIPY = "import sys, threshold_gms.cli; print(sum(m.startswith('scipy') for m in sys.modules))"
+# One classify --grid of the spec in argv[1], in a fresh process: its seconds and the process's peak RSS in MB.
+_GRID_CHILD = """
+import json, resource, sys, tempfile, time
+from threshold_gms import cli
+with tempfile.TemporaryDirectory() as tmp:
+    t = time.perf_counter()
+    cli.main(["classify", "--grid", sys.argv[1], "--out", tmp + "/grid"])
+    seconds = time.perf_counter() - t
+print(json.dumps([seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
 
 
 def best_of(repeat: int, fn) -> float:
@@ -155,15 +181,21 @@ def main() -> None:
         out["grid_ms"] = {
             "classify": round(1e3 * best_of(args.repeat, lambda: [classify(p) for p in GRID]), 1),
             "classify_many": round(1e3 * best_of(args.repeat, lambda: classify_many(GRID)), 1),
+            "classify_columns": round(
+                1e3 * best_of(args.repeat, lambda: classify_columns(GRID_LAWS, GRID_RATES, GRID_POINTS)), 1
+            ),
             "cli": round(1e3 * best_of(args.repeat, lambda: cli_grid(GRID_SPEC)), 1),
         }
-        out["grid_40k_s"] = round(best_of(1, lambda: cli_grid(GRID_40K_SPEC)), 3)
 
     out["integrand_us"] = integrand_us(args.repeat)
     out["accuracy"] = accuracy()
 
-    def python(code: str) -> str:
-        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    def python(code: str, *argv: str) -> str:
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True).stdout
+
+    seconds, peak_mb = json.loads(python(_GRID_CHILD, GRID_40K_SPEC))
+    out["grid_40k_s"] = round(seconds, 3)
+    out["grid_40k_peak_mb"] = round(peak_mb, 1)
 
     out["import_s"] = round(min(float(python(_IMPORT)) for _ in range(args.repeat)), 4)
     out["scipy_modules_after_import"] = int(python(_SCIPY))

@@ -166,8 +166,8 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
     return grid
 
 
-def _phase_cell(v: Optional[float]) -> str:
-    return "" if v is None else ("inf" if math.isinf(v) else repr(float(v)))
+# The axes of a grid, in the order of phase_map.csv's first columns and of its points.
+_GRID_AXES = ("alpha_fitness", "alpha_threshold", "lambda_birth", "lambda_extinct")
 
 
 def _cmd_classify(args) -> int:
@@ -190,49 +190,28 @@ def _cmd_classify(args) -> int:
     rates = list(product(grid["lambda_birth"], grid["lambda_extinct"]))
     points = product(range(len(fitness)), range(len(fitness), len(fitness) + len(threshold)), range(len(rates)))
     columns = classify_columns(fitness + threshold, rates, list(points))
-    combos = product(grid["alpha_fitness"], grid["alpha_threshold"], grid["lambda_birth"], grid["lambda_extinct"])
+    # Each axis value is formatted once; the points are their product, in order.
+    combos = product(*([repr(v) for v in grid[axis]] for axis in _GRID_AXES))
+    fields = zip(
+        columns.recurrence,
+        columns.limit_count,
+        columns.method,
+        ["true" if flag else "false" for flag in columns.null_recurrent_like],
+        columns.e_m,
+        columns.e_n,
+        columns.phi_inf,
+        columns.phi_bar_inf,
+    )
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     with open_new_file(out / "phase_map.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            [
-                "alpha_fitness",
-                "alpha_threshold",
-                "lambda_birth",
-                "lambda_extinct",
-                "recurrence",
-                "limit_count",
-                "method",
-                "null_recurrent_like",
-                "e_m",
-                "e_n",
-                "phi_inf",
-                "phi_bar_inf",
-            ]
+            [*_GRID_AXES, "recurrence", "limit_count", "method", "null_recurrent_like", "e_m", "e_n", "phi_inf", "phi_bar_inf"]
         )
-        writer.writerows(
-            [
-                *map(repr, combo),
-                recurrence,
-                limit_count,
-                method,
-                "true" if null_recurrent_like else "false",
-                *map(_phase_cell, values),
-            ]
-            for combo, recurrence, limit_count, method, null_recurrent_like, *values in zip(
-                combos,
-                columns.recurrence,
-                columns.limit_count,
-                columns.method,
-                columns.null_recurrent_like,
-                columns.e_m,
-                columns.e_n,
-                columns.phi_inf,
-                columns.phi_bar_inf,
-            )
-        )
+        # csv writes None as an empty cell and a float as its repr, inf as "inf".
+        writer.writerows(combo + cells for combo, cells in zip(combos, fields))
     _write_manifest(out, "classify", {"grid": args.grid}, ["phase_map.csv", "manifest.json"])
     return 0
 

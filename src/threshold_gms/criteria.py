@@ -27,11 +27,20 @@ pair among the points and their role swaps holds one column of rows: its
 mass-density row, which depends on the pair alone (the rate prefactor
 scales it afterwards), and one count-exponent row per distinct log r of
 the points' rates.  All rows of a pair are read at once (_row_read) and
-evaluated as rows of shared node arrays, in chunks of bounded size that
-take C(h) once per pair in them; the verdicts and the method are taken
-once per pair.  classify_many builds its reports from the columns, and
-classify --grid writes its phase map from them.  classify is the batch
-of one point, hazard_weighted_integral the one mass-density row.
+evaluated as rows of shared node arrays, in chunks of bounded size; the
+verdicts and the method are taken once per pair.  C(h) of the
+exponential pairs among them is taken in one call with the rates as
+columns (_compositions), on the panel edges and each chunk of nodes,
+with the bits of one call per pair.
+
+classify_many and the one-row fronts read every row with its evidence.
+classify_columns reads values only: no evidence, and the count-exponent
+rows of a divergent pair take inf from the verdict unevaluated, while
+its mass-density row, which turns non-finite wherever they could, is
+still evaluated, so it raises the CriteriaError that classify raises.
+classify --grid writes its phase map from these columns.  classify is
+the batch of one point, hazard_weighted_integral the one mass-density
+row.
 """
 
 from __future__ import annotations
@@ -166,17 +175,23 @@ def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndar
     return np.bincount(index, weights=sums, minlength=rows * count).reshape(rows, count)
 
 
-def _row_read(kind: str, gamma: Optional[float], d: np.ndarray, first: int, log_r: np.ndarray) -> tuple:
+def _reads_edges(kind: str, gamma: Optional[float], first: int) -> bool:
+    """Whether _row_read of a pair of this tail class and panel n* reads its edge array d."""
+    return (kind == "superpolynomial" or (kind == "power" and gamma > 1.0)) and first < _MAX_PANELS
+
+
+def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first: int, log_r: np.ndarray) -> tuple:
     """Last panel each row of one mark pair reads, its verdict, and its rest: the integral past that panel, inf or NaN.
 
     log_r holds the pair's rows: NaN first for its mass-density row, then
     the count-exponent rows' log r.  d = h - C(h) on the panel edges 0,
-    ln2, ..., the grid's top.  With F(y) = e^y for a mass-density row and
-    log1p(e^y / r) for a count-exponent row, the integral of the row's
-    integrand past an edge b where d falls at least at slope s is at most
-    F(d(b)) / s, with equality where d falls at exactly s.  Past the last
-    kink a power pair's d falls at exactly gamma - 1 (divergent rows for
-    gamma <= 1), a subpolynomial pair's d grows (divergent), and a
+    ln2, ..., the grid's top, or None where _reads_edges is false.  With
+    F(y) = e^y for a mass-density row and log1p(e^y / r) for a
+    count-exponent row, the integral of the row's integrand past an edge
+    b where d falls at least at slope s is at most F(d(b)) / s, with
+    equality where d falls at exactly s.  Past the last kink a power
+    pair's d falls at exactly gamma - 1 (divergent rows for gamma <= 1),
+    a subpolynomial pair's d grows (divergent), and a
     superpolynomial pair's d is concave, so its secant slope over panel n
     bounds every later slope: a row stops at the first panel n >= n*
     whose bound F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below
@@ -186,7 +201,7 @@ def _row_read(kind: str, gamma: Optional[float], d: np.ndarray, first: int, log_
     row's rest is its value inf.  Returns the three as lists over the
     rows.  Callers ignore overflow and invalid floating-point errors.
     """
-    rows, top = log_r.size, d.size - 2
+    rows, top = log_r.size, min(first + _MAX_REFINEMENTS, _MAX_PANELS) - 1
     if kind == "subpolynomial" or (kind == "power" and not gamma > 1.0):
         return [min(first, top)] * rows, [VERDICT_INFINITE] * rows, [math.inf] * rows
     if first > top:
@@ -276,22 +291,61 @@ def _composition(params: ModelParams, h: np.ndarray) -> np.ndarray:
     return params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
 
 
+# Fewer exponential pairs than this are taken one call at a time: two
+# stacked cost about what two calls cost.
+_STACK_MIN = 3
+
+
+def _is_exponential(marks: ModelParams) -> bool:
+    """Whether both laws of the mark pair are Exponential, by exact type, so a subclass is never taken for its base.
+
+    Such a pair's kinks are its two support edges 0, at hazard 0, so its
+    hazard_breaks are ().
+    """
+    return type(marks.fitness_dist) is Exponential and type(marks.threshold_dist) is Exponential
+
+
+def _compositions(sides: Sequence[ModelParams], h: np.ndarray) -> np.ndarray:
+    """C(h) of every pair of sides on the hazards h, one row each, with the bits of _composition.
+
+    When _STACK_MIN or more of the pairs are exponential, those are taken
+    in one call (Exponential.composition_rows); every other pair in one
+    call of its own.
+    """
+    stacked = [p for p, marks in enumerate(sides) if _is_exponential(marks)] if len(sides) >= _STACK_MIN else []
+    if len(stacked) < _STACK_MIN:
+        stacked = []
+    else:
+        rows = Exponential.composition_rows(
+            [sides[p].fitness_dist.rate for p in stacked], [sides[p].threshold_dist.rate for p in stacked], h
+        )
+        if len(stacked) == len(sides):
+            return rows
+    values = np.empty((len(sides),) + h.shape)
+    if stacked:
+        values[stacked] = rows
+    taken = set(stacked)
+    for p, marks in enumerate(sides):
+        if p not in taken:
+            values[p] = _composition(marks, h)
+    return values
+
+
 def _integrands(sides: Sequence[ModelParams], take: Sequence[int], log_r: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Integrand rows on the nodes h: row i is of the mark pair sides[take[i]].
 
     The first len(take) - log_r.size rows are mass-density rows; the others
     are count-exponent rows, with the log r of log_r in order.  take
     numbers the pairs in the order of their first row.  C(h) =
-    H_thr(H_fit^-1(h)) is taken once per pair and gathered to the rows in
-    one take, then turned into each row's integrand in place.  A
-    count-exponent row is the logistic 1/(1 + e^x) of x = C(h) + log r -
-    h, formed by vector exp, add and reciprocal: where e^x overflows to
-    inf the value is 0, the integrand's limit, and a NaN stays NaN, so no
-    inf/inf arises and a bad panel is still reported.
+    H_thr(H_fit^-1(h)) is taken once per pair (_compositions) and
+    gathered to the rows in one take, then turned into each row's
+    integrand in place.  A count-exponent row is the logistic
+    1/(1 + e^x) of x = C(h) + log r - h, formed by vector exp, add and
+    reciprocal: where e^x overflows to inf the value is 0, the
+    integrand's limit, and a NaN stays NaN, so no inf/inf arises and a
+    bad panel is still reported.
     """
-    values = np.empty((len(sides),) + h.shape)
-    for composition, params in zip(values, sides):
-        composition[...] = _composition(params, h)
+    values = _compositions(sides, h)
     if len(take) != len(sides):
         values = values.take(take, axis=0)
     n_base = len(take) - log_r.size
@@ -307,8 +361,34 @@ def _integrands(sides: Sequence[ModelParams], take: Sequence[int], log_r: np.nda
     return values
 
 
+def _edge_drops(sides: Sequence[ModelParams], pairs: Sequence[int], nodes_of: Sequence[_Nodes]):
+    """d = h - C(h) on the panel edges of each of the pairs, in order, C taken for a chunk of pairs at once.
+
+    Every edge array is a prefix of the longest, the dyadic edges 0, ln2,
+    ..., so a chunk of at most BLOCK_CHUNK_CELLS edges takes C(h) on that
+    one (_compositions) and each pair reads its own prefix.  One pair
+    alone takes C on its own edges: the chunk's array handling costs a
+    one-row front about a tenth of its call.
+    """
+    if not pairs:
+        return
+    if len(pairs) == 1:
+        edges = nodes_of[pairs[0]].edges
+        d = _composition(sides[pairs[0]], edges)
+        yield np.subtract(edges, d, out=d)
+        return
+    edges = max((nodes_of[p].edges for p in pairs), key=len)
+    step = max(BLOCK_CHUNK_CELLS // edges.size, 1)
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start : start + step]
+        d = _compositions([sides[p] for p in chunk], edges)
+        np.subtract(edges, d, out=d)
+        for p, drop in zip(chunk, d):
+            yield drop[: nodes_of[p].edges.size]
+
+
 def _criterion_integrals(
-    sides: Sequence[ModelParams], shapes: Sequence[tuple], columns: Sequence[Collection[float]]
+    sides: Sequence[ModelParams], shapes: Sequence[tuple], columns: Sequence[Collection[float]], evidence: bool = True
 ) -> _Rows:
     """Criterion integrals of distinct rows, given per mark pair as a column of log r.
 
@@ -319,44 +399,61 @@ def _criterion_integrals(
     its rate prefactor, then one log r per count-exponent row, the
     integral of 1/(1 + r exp(C(h) - h)), formed as the logistic of
     log r + C(h) - h (see _integrands), so that it never forms inf/inf.
-    _row_read decides, once per pair, from the
-    pair's tail class and C on the panel edges which panels each row
-    reads; rows that read the same panels of the same node array are
-    evaluated together, in chunks of at most BLOCK_CHUNK_CELLS nodes that
-    take C(h) once per pair in them.  Returns the rows in column order,
-    pair after pair.
+    _row_read decides, once per pair, from the pair's tail class and C on
+    the panel edges (taken only where it reads them, _edge_drops) which
+    panels each row reads; rows that read the same panels of the same
+    node array are evaluated together, in chunks of at most
+    BLOCK_CHUNK_CELLS nodes that take C(h) of the pairs in them together
+    (_compositions).
+
+    Without evidence the read is values only: no evidence is built, and
+    the count-exponent rows of a divergent pair that has a mass-density
+    row take their value inf from the verdict, unevaluated.  Such a row
+    is the logistic of x = C(h) + log r - h, in [0, 1] wherever C(h) is
+    not NaN, so its panels are finite unless C(h) is NaN on one of its
+    nodes; there the pair's mass-density row, which reads the same
+    panels, is NaN too, and it is still evaluated, so the batch that
+    checks a point's mass-density rows before its count-exponent rows
+    (_classify_batch) raises the same CriteriaError in both reads.
+    Returns the rows in column order, pair after pair.
     """
     log_r = np.array([*chain.from_iterable(columns)], dtype=float)
-    pair_of_row: list[int] = []
+    starts = [0, *accumulate(len(column) for column in columns)]
+    pair_of_row = [p for p, column in enumerate(columns) for _ in column]
     verdicts: list = []
     rests: list = []
+    value: list = [None] * log_r.size
+    trails: list = [None] * log_r.size
+    error: list = [None] * log_r.size
     # Rows that read the same panels of one node array, by (breaks, last
     # panel): the mass-density rows, then the count-exponent rows.
     reads: dict[tuple, tuple[list, list]] = {}
     # The node arrays of the call, one per distinct breaks tuple, however
     # many more than _panel_nodes keeps.
     grids: dict[tuple, _Nodes] = {}
+    breaks_of = [() if _is_exponential(marks) else hazard_breaks(marks) for marks in sides]
+    for breaks in breaks_of:
+        if breaks not in grids:
+            grids[breaks] = _panel_nodes(breaks)
+    nodes_of = [grids[breaks] for breaks in breaks_of]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for p, (params, shape) in enumerate(zip(sides, shapes)):
-            row = len(pair_of_row)
-            column = log_r[row : row + len(columns[p])]
-            breaks = hazard_breaks(params)
-            if breaks not in grids:
-                grids[breaks] = _panel_nodes(breaks)
-            nodes = grids[breaks]
-            d = _composition(params, nodes.edges)
-            np.subtract(nodes.edges, d, out=d)
-            lasts, verdict, rest = _row_read(*shape, d, nodes.first, column)
-            # Every row but a NaN first one is a count-exponent row.
-            counts = not math.isnan(column[0])
-            for r, last in zip(range(row, row + column.size), lasts):
-                reads.setdefault((breaks, last), ([], []))[r > row or counts].append(r)
-            pair_of_row += [p] * column.size
+        reading = [_reads_edges(*shape, nodes.first) for shape, nodes in zip(shapes, nodes_of)]
+        drops = _edge_drops(sides, [p for p, reads_d in enumerate(reading) if reads_d], nodes_of)
+        for p, (shape, breaks, nodes, reads_d) in enumerate(zip(shapes, breaks_of, nodes_of, reading)):
+            row, end = starts[p], starts[p + 1]
+            d = next(drops) if reads_d else None
+            lasts, verdict, rest = _row_read(*shape, d, nodes.first, log_r[row:end])
             verdicts += verdict
             rests += rest
-        value: list = [None] * log_r.size
-        evidence: list = [None] * log_r.size
-        error: list = [None] * log_r.size
+            # Every row but a NaN first one is a count-exponent row.
+            counts = not math.isnan(log_r[row])
+            if not (evidence or counts) and verdict[0] == VERDICT_INFINITE:
+                value[row + 1 : end] = [math.inf] * (end - row - 1)
+                lasts = lasts[:1]
+            for r, last in zip(range(row, end), lasts):
+                reads.setdefault((breaks, last), ([], []))[r > row or counts].append(r)
+        # The last chunk of edge drops is freed before any row is evaluated.
+        d = drops = None
         for (breaks, last), (mass_rows, count_rows) in reads.items():
             nodes = grids[breaks]
             stop = int(np.searchsorted(nodes.panel, last, side="right"))
@@ -376,14 +473,15 @@ def _criterion_integrals(
                         n = int(bad[i].argmax())
                         error[row] = CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {panels[n]}")
                         continue
-                    evidence[row] = tuple([math.fsum(panels[: k + 1]) for k in range(len(panels))])
+                    if evidence:
+                        trails[row] = tuple([math.fsum(panels[: k + 1]) for k in range(len(panels))])
                     if verdicts[row] != VERDICT_FINITE:
                         value[row] = None if verdicts[row] == VERDICT_INCONCLUSIVE else math.inf
                         continue
                     value[row] = math.fsum([*panels, rests[row]])
                     if not math.isfinite(value[row]):
                         error[row] = CriteriaError(f"tail past h = {len(panels) * _LN2} evaluated to {rests[row]}")
-    return _Rows(verdicts, value, evidence, error)
+    return _Rows(verdicts, value, trails, error)
 
 
 def _scaled(value: Optional[float], prefactor: float) -> Optional[float]:
@@ -570,7 +668,7 @@ def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
         for i, params in enumerate(points)
     ]
     laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
-    batch = _classify_batch(laws, list(rates), index)
+    batch = _classify_batch(laws, list(rates), index, evidence=True)
     evidence = batch.rows.evidence
     reports = []
     for fields, point in zip(_point_fields(batch), batch.points):
@@ -621,7 +719,7 @@ def classify_columns(
     for law in laws:
         if not isinstance(law, DistributionSpec):
             raise DistributionError(f"a mark law must be a DistributionSpec, got {type(law).__name__}")
-    batch = _classify_batch(laws, [check_rates(*pair) for pair in rates], points)
+    batch = _classify_batch(laws, [check_rates(*pair) for pair in rates], points, evidence=False)
     fields = [list(field) for field in zip(*_point_fields(batch))] or [[] for _ in ClassificationColumns._fields]
     return ClassificationColumns(*fields)
 
@@ -648,9 +746,15 @@ class _Batch(NamedTuple):
 
 
 def _classify_batch(
-    laws: Sequence[DistributionSpec], rates: Sequence[tuple[float, float]], points: Sequence[tuple[int, int, int]]
+    laws: Sequence[DistributionSpec],
+    rates: Sequence[tuple[float, float]],
+    points: Sequence[tuple[int, int, int]],
+    evidence: bool,
 ) -> _Batch:
-    """The batch of classify_columns, its rates already checked; raises the first bad point's CriteriaError."""
+    """The batch of classify_columns, its rates already checked, its rows read with or without evidence.
+
+    Raises the first bad point's CriteriaError.
+    """
     unique: dict = {}
     law_id = [unique.setdefault(law, len(unique)) for law in laws]
     laws = list(unique)
@@ -677,7 +781,7 @@ def _classify_batch(
         c_m, c_n = column_m.setdefault(log_r_m, len(column_m)), column_n.setdefault(log_r_n, len(column_n))
         keyed.append((m, n, c_m, c_n, k))
     shapes = [composed_survival_exponent(marks) for marks in sides]
-    rows = _criterion_integrals(sides, shapes, columns) if sides else _Rows([], [], [], [])
+    rows = _criterion_integrals(sides, shapes, columns, evidence) if sides else _Rows([], [], [], [])
     offset = [0, *accumulate(len(column) for column in columns)]
     batch_points = [
         (m, n, offset[m], offset[n], offset[m] + c_m, offset[n] + c_n, *per_rate[k][2:]) for m, n, c_m, c_n, k in keyed

@@ -228,6 +228,20 @@ class Exponential(DistributionSpec):
         with np.errstate(over="ignore"):
             return np.divide(h, self.rate, out=out)
 
+    @staticmethod
+    def composition_rows(fitness_rates: Sequence[float], threshold_rates: Sequence[float], h: np.ndarray) -> np.ndarray:
+        """H_thr(H_fit^-1(h)) of exponential pairs on the hazards h, one row per pair, given their two rates.
+
+        Row i has the bits of Exponential(threshold_rates[i])'s
+        hazard_transform_array of Exponential(fitness_rates[i])'s
+        inverse_hazard_array(h): the same divide and multiply, with the
+        rates as columns.
+        """
+        shape = (-1,) + (1,) * np.ndim(h)
+        with np.errstate(over="ignore"):
+            rows = np.divide(h, np.reshape(fitness_rates, shape))
+            return np.multiply(np.reshape(threshold_rates, shape), rows, out=rows)
+
     def hazard_density(self, x) -> float:
         _check_level(x, 0.0)
         return self.rate
@@ -509,6 +523,11 @@ def distribution_from_json(obj) -> DistributionSpec:
             if key not in obj:
                 raise DistributionError(f"{family} spec requires {key!r}")
         return cls(**{key: obj[key] for key in keys})
+    # The one tail a tabulated law has, which to_json writes.
+    if obj.get("tail", "log-linear") != "log-linear":
+        raise DistributionError(f"tabulated 'tail' must be 'log-linear', got {obj['tail']!r}")
+    if "csv" in obj and "grid" in obj:
+        raise DistributionError("tabulated spec takes one of 'grid' or 'csv', not both")
     if "csv" in obj:
         if not isinstance(obj["csv"], str):
             raise DistributionError(f"tabulated 'csv' must be a file path, got {obj['csv']!r}")

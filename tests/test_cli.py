@@ -625,10 +625,16 @@ def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_p
         # A grid's rates and mark laws are checked as a ModelParams checks them.
         ["classify", "--grid", "alpha_fitness=1;alpha_threshold=2;lambda_birth=1,0"],
         ["classify", "--grid", "alpha_fitness=1,-1;alpha_threshold=2"],
+        # A tabulated law with a tail it does not have would be read with its log-linear one.
+        ["classify", "--params", "TAIL_PARAMS"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):
-    argv = [a if a != "PARAMS" else transient_params for a in argv]
+    tail = tmp_path / "tail.json"
+    threshold = {"family": "tabulated", "grid": [[1.0, 0.0], [0.5, 1.0]], "tail": "nope"}
+    tail.write_text(json.dumps({**TRANSIENT_EXAMPLE.to_json(), "threshold_dist": threshold}))
+    paths = {"PARAMS": transient_params, "TAIL_PARAMS": str(tail)}
+    argv = [paths.get(a, a) for a in argv]
     out = tmp_path / "never"
     code = cli.main(argv + ["--out", str(out)])
     assert code == 2

@@ -1,6 +1,7 @@
 import decimal
 import importlib.util
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -562,6 +563,100 @@ def test_classify_columns_match_the_reports_and_check_their_inputs():
         criteria.classify_columns([1.0, laws[1]], rates[:1], [(0, 1, 0)])
     with pytest.raises(DistributionError, match="^lambda_birth must be positive and finite, got 0.0$"):
         criteria.classify_columns(laws[:2], [(0.0, 1.0)], [(0, 1, 0)])
+
+
+def _columns(points):
+    """classify_columns of the points, each given its own two laws and rates."""
+    laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
+    rates = [(params.lambda_birth, params.lambda_extinct) for params in points]
+    return criteria.classify_columns(laws, rates, [(2 * i, 2 * i + 1, i) for i in range(len(points))])
+
+
+def test_classify_columns_raise_the_error_classify_raises():
+    """A divergent row with a NaN in a panel it would read raises in the values-only read too, first bad point first."""
+    # gamma = 0.5: each point's e_m pair diverges; the holes lie in panels 1 and 0.
+    holes = [
+        ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(0.5, 1.0, 1.2)),
+        ModelParams(1.3, 0.7, Exponential(1.0), HoleyThreshold(0.5, 0.1, 0.2)),
+    ]
+    assert [criteria.exact_verdict(params) for params in holes] == [VERDICT_INFINITE] * 2
+    with pytest.raises(CriteriaError, match=f"^panel \\[{_LN2}, {2 * _LN2}\\] evaluated to nan$"):
+        classify(holes[0])
+    messages = []
+    for params in holes:
+        with pytest.raises(CriteriaError) as single:
+            classify(params)
+        with pytest.raises(CriteriaError) as columns:
+            _columns([params])
+        assert str(columns.value) == str(single.value)
+        messages.append(str(single.value))
+    assert messages[0] != messages[1]
+    good = _mixed_batch()
+    for first, second in ((0, 1), (1, 0)):
+        with pytest.raises(CriteriaError) as batch:
+            _columns(good[:3] + [holes[first]] + good[3:] + [holes[second]])
+        assert str(batch.value) == messages[first]
+
+
+def test_classify_columns_evaluate_no_count_row_of_a_divergent_pair(monkeypatch):
+    """On bench_criteria's GRID the values-only read evaluates the rows of the finite pairs and the divergent pairs' mass rows."""
+    bench = _bench_criteria()
+    seen = []
+
+    def recording(sides, take, log_r, h):
+        keys = [None] * (len(take) - log_r.size) + log_r.tolist()
+        seen.extend((sides[p], key) for p, key in zip(take, keys))
+        return _integrands(sides, take, log_r, h)
+
+    monkeypatch.setattr(criteria, "_integrands", recording)
+    classify_many(bench.GRID)
+    with_evidence = Counter(seen)
+    seen.clear()
+    _columns(bench.GRID)
+    values_only = Counter(seen)
+    assert len(with_evidence) == 800 and set(with_evidence.values()) == {1}
+    kept = Counter(
+        {row: n for row, n in with_evidence.items() if row[1] is None or criteria.exact_verdict(row[0]) == VERDICT_FINITE}
+    )
+    assert values_only == kept
+    # 45 of the 100 mark pairs are finite, with 8 rows each; of the 55
+    # divergent pairs' 440 rows, only their 55 mass-density rows are read.
+    assert len(kept) == 360 + 55
+
+
+@pytest.mark.parametrize("cells", [1, 5000])
+def test_chunk_size_changes_no_bit(monkeypatch, cells):
+    """Every chunking of the edges and rows gives the bits of the default one, in both reads."""
+    points = _mixed_batch() + _bench_criteria().GRID
+    reports, columns = classify_many(points), _columns(points)
+    monkeypatch.setattr(criteria, "BLOCK_CHUNK_CELLS", cells)
+    assert repr(classify_many(points)) == repr(reports)
+    assert repr(_columns(points)) == repr(columns)
+
+
+def test_stacked_compositions_match_one_call_per_pair():
+    """C(h) of exponential pairs taken as columns has the bits of one call per pair, among other pairs."""
+    marks = [
+        (Exponential(0.7), Exponential(2.3)),
+        (Pareto(1.0, 1.3), Pareto(2.5, 0.9)),
+        (Exponential(1.9), Exponential(0.45)),
+        (Weibull(2.0, 1.0), Weibull(2.0, 0.5)),
+        (Exponential(1.0), Pareto(1.5, 2.0)),
+        (Exponential(1.0), HoleyThreshold(0.5, 1.0, 1.2)),
+        (PROBE.threshold_dist, Exponential(1.0)),
+        (Exponential(3.1), Exponential(1.0)),
+    ]
+    sides = [ModelParams(1.0, 1.0, fit, thr) for fit, thr in marks]
+    stacked = [params for params in sides if criteria._is_exponential(params)]
+    # The subclass HoleyThreshold is not taken for an Exponential.
+    assert len(stacked) == 3
+    assert {hazard_breaks(params) for params in stacked} == {()}
+    nodes = criteria._panel_nodes((1.0, 48.0, 53.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in (sides, stacked):
+            for h in (nodes.edges, nodes.h):
+                want = np.stack([criteria._composition(params, h) for params in group])
+                assert criteria._compositions(group, h).tobytes() == want.tobytes()
 
 
 def test_classify_many_builds_each_node_array_once():

@@ -205,6 +205,42 @@ def test_json_spec_missing_a_key_is_refused_by_name(spec, message):
     assert str(err.value) == message
 
 
+TABULATED_GRID = [[1.0, 0.0], [0.5, 1.0], [0.125, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (
+            {"family": "tabulated", "grid": TABULATED_GRID, "tail": "nope"},
+            "tabulated 'tail' must be 'log-linear', got 'nope'",
+        ),
+        (
+            {"family": "tabulated", "grid": TABULATED_GRID, "tail": None},
+            "tabulated 'tail' must be 'log-linear', got None",
+        ),
+        (
+            {"family": "tabulated", "grid": TABULATED_GRID, "csv": "grid.csv"},
+            "tabulated spec takes one of 'grid' or 'csv', not both",
+        ),
+    ],
+)
+def test_tabulated_spec_the_code_would_misread_is_refused_by_field(spec, message):
+    """A tail other than the log-linear one, or a grid next to a CSV, is refused, not silently read another way."""
+    with pytest.raises(DistributionError) as err:
+        distribution_from_json(spec)
+    assert str(err.value) == message
+
+
+def test_tabulated_spec_reads_its_log_linear_tail_and_its_csv(tmp_path):
+    """The tail that to_json writes reads back, and a CSV alone gives the law of its rows."""
+    dist = TabulatedQuantile(tuple(map(tuple, TABULATED_GRID)))
+    assert distribution_from_json({"family": "tabulated", "grid": TABULATED_GRID, "tail": "log-linear"}) == dist
+    path = tmp_path / "grid.csv"
+    path.write_text("survival,level\n" + "".join(f"{u},{x}\n" for u, x in TABULATED_GRID))
+    assert distribution_from_json({"family": "tabulated", "csv": str(path), "tail": "log-linear"}) == dist
+
+
 def test_model_params_round_trip_and_swap():
     params = ModelParams(2.0, 3.0, Exponential(1.0), Pareto(1.0, 2.0))
     clone = model_params_from_json(json.dumps(params.to_json()))
