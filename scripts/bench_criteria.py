@@ -1,6 +1,6 @@
 """Seconds spent classifying, importing and starting the CLI, as one JSON object.
 
-    PYTHONPATH=src python3 scripts/bench_criteria.py [--repeat 5]
+    PYTHONPATH=src python3 scripts/bench_criteria.py [--repeat 5] [--grid-side 200]
 
 ``classify_ms`` is the best of ``--repeat`` in-process ``classify`` calls
 per family pair, in milliseconds, after one warm-up call; each call
@@ -15,9 +15,10 @@ values only, as ``classify --grid`` reads them, without its CSV), and
 (``cli``) as the benchmark runs it: one in-process
 ``cli.main(["classify", "--grid", ...])`` that writes phase_map.csv into
 a temporary directory.  ``grid_40k_s`` is one such ``classify --grid``
-call on a 200 x 200 grid of exponential rates from 0.5 to 3 (40 000
-points), run once in a fresh child process, and ``grid_40k_peak_mb`` the
-peak resident memory (ru_maxrss) of that process.  ``integrand_us`` is the best
+call on a ``--grid-side`` x ``--grid-side`` grid of exponential rates
+from 0.5 to 3 (by default 200 x 200, 40 000 points), run once in a fresh
+child process, and ``grid_40k_peak_mb`` the peak resident memory
+(ru_maxrss) of that process; ``grid_side`` echoes the side.  ``integrand_us`` is the best
 per-node time, in microseconds, of forming the mass-density and the
 count-exponent integrand rows (composition included) on one chunk of the
 nodes of panel 0 of the breakless node array, one GRID mark pair per
@@ -88,8 +89,13 @@ GRID = [
 ]
 _ALPHAS = ",".join(map(repr, GRID_ALPHAS))
 GRID_SPEC = f"alpha_fitness={_ALPHAS};alpha_threshold={_ALPHAS};lambda_birth=1,1.3;lambda_extinct=1,0.7"
-_ALPHAS_200 = ",".join(repr(float(a)) for a in np.linspace(0.5, 3.0, 200))
-GRID_40K_SPEC = f"alpha_fitness={_ALPHAS_200};alpha_threshold={_ALPHAS_200}"
+
+
+def square_grid_spec(side: int) -> str:
+    """A classify --grid spec of side x side exponential rates from 0.5 to 3."""
+    alphas = ",".join(repr(float(a)) for a in np.linspace(0.5, 3.0, side))
+    return f"alpha_fitness={alphas};alpha_threshold={alphas}"
+
 
 # GRID as classify_columns takes it: the fitness laws, then the threshold laws, and the rate pairs.
 GRID_LAWS = [Exponential(a) for a in GRID_ALPHAS] * 2
@@ -163,6 +169,7 @@ def accuracy() -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--grid-side", type=int, default=200, help="side of the square grid timed in a child process")
     args = ap.parse_args()
     out = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
@@ -193,7 +200,8 @@ def main() -> None:
     def python(code: str, *argv: str) -> str:
         return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True).stdout
 
-    seconds, peak_mb = json.loads(python(_GRID_CHILD, GRID_40K_SPEC))
+    seconds, peak_mb = json.loads(python(_GRID_CHILD, square_grid_spec(args.grid_side)))
+    out["grid_side"] = args.grid_side
     out["grid_40k_s"] = round(seconds, 3)
     out["grid_40k_peak_mb"] = round(peak_mb, 1)
 

@@ -26,6 +26,9 @@ one goodness-of-fit test at n = 100 000 on seeded samples of the
 acceptance suite's laws: the chi-square of NegBin(1, 1/2) counts, the
 KS test of unit exponential masses against Gamma(1, 1), and the
 two-sample chi-square of two NegBin(2, 1/2) samples of 100 000 each.
+``cli_ms`` holds the best milliseconds of one in-process ``ladder-mc``
+(exp(1)/exp(2)) and ``limit-mc`` (exp(2)/exp(1)) at ``CLI_REPS``
+replications in each ``--format``: the run and every output it writes.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ CASES = {
 }
 SIMULATE_HORIZON = 20000.0
 GOF_N = 100_000
+CLI_REPS = 10_000
+CLI_PAIRS = {"ladder-mc": (Exponential(1.0), Exponential(2.0)), "limit-mc": (Exponential(2.0), Exponential(1.0))}
 
 
 def best_of(repeat: int, fn) -> float:
@@ -115,6 +120,15 @@ def main() -> None:
             "write_trace_json": lambda: write_trace_json(trace, os.path.join(tmp, "trace.json")),
         }
         out["simulate_ms"] = {name: round(1e3 * best_of(args.repeat, fn), 3) for name, fn in layers.items()}
+        out["cli_ms"] = {}
+        for command, marks in CLI_PAIRS.items():
+            pair = os.path.join(tmp, f"{command}.json")
+            with open(pair, "w") as handle:
+                json.dump(ModelParams(1.0, 1.0, *marks).to_json(), handle)
+            for fmt in ("csv", "json"):
+                argv = [command, "--params", pair, "--seed", "7", "--reps", str(CLI_REPS), "--format", fmt,
+                        "--out", os.path.join(tmp, command)]
+                out["cli_ms"][f"{command}/{fmt}"] = round(1e3 * best_of(args.repeat, lambda: cli.main(argv)), 3)
     rng = np.random.default_rng(20261018)
     counts, masses = rng.negative_binomial(1, 0.5, GOF_N), rng.exponential(1.0, GOF_N)
     a, b = rng.negative_binomial(2, 0.5, GOF_N), rng.negative_binomial(2, 0.5, GOF_N)

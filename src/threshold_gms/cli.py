@@ -4,18 +4,20 @@ Commands compute everything first and only then create the output
 directory, so a bad configuration never leaves partial files behind.
 Every command also writes a manifest.json from which the run can be
 reproduced exactly; nothing in the outputs depends on wall-clock time.
-Each output is a new file (process.open_new_file): whatever has its name,
+Each output is a new file (output.open_new_file): whatever has its name,
 a file or a symlink or a hard link, is removed first and never written
 through, and nothing is fsynced.  An old file is neither truncated nor
 renamed over, because ext4 flushes a file on close() in both cases.  A
 command with --format removes its output in the other format, which an
 earlier run may have left, so --out holds exactly the manifest's outputs.
+Every output's text comes from the output module: JSON documents as
+json.dumps(indent=2, sort_keys=True) writes them, tables as csv.writer or
+json.dumps would, with every column formatted at once.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -23,6 +25,8 @@ import sys
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .criteria import classify, classify_columns
@@ -34,12 +38,20 @@ from .montecarlo import (
     ladder_diagnostics,
     run,
 )
+from .output import (
+    csv_cells,
+    csv_layout,
+    number_texts,
+    optional_float_texts,
+    write_json,
+    write_json_columns,
+    write_rows,
+)
 from .process import (
     Configuration,
     evolve,
     generate_stream,
     last_empty_time,
-    open_new_file,
     read_initial_csv,
     species_count_at,
     write_trace_csv,
@@ -55,22 +67,6 @@ DEFAULT_SEED = 123456789
 MAX_GRID_POINTS = 1 << 20
 
 
-def _write_json(path: Path, obj) -> None:
-    with open_new_file(path) as handle:
-        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _csv_cell(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return ""
-    if math.isinf(v):
-        return "inf"
-    if v.is_integer():
-        return str(int(v))
-    return repr(v)
-
-
 def _write_manifest(out_dir: Path, command: str, arguments: dict, outputs: Sequence[str]) -> None:
     manifest = {
         "command": command,
@@ -78,7 +74,7 @@ def _write_manifest(out_dir: Path, command: str, arguments: dict, outputs: Seque
         "outputs": sorted(outputs),
         "package": {"name": "threshold-gms", "version": __version__},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _remove_other_format(out_dir: Path, stem: str, fmt: str) -> None:
@@ -122,7 +118,7 @@ def _cmd_simulate(args) -> int:
         write_trace_json(trace, out / "trace.json")
         outputs.append("trace.json")
     _remove_other_format(out, "trace", args.format)
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     _write_manifest(
         out,
         "simulate",
@@ -168,6 +164,9 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 
 # The axes of a grid, in the order of phase_map.csv's first columns and of its points.
 _GRID_AXES = ("alpha_fitness", "alpha_threshold", "lambda_birth", "lambda_extinct")
+_PHASE_MAP = csv_layout(
+    [*_GRID_AXES, "recurrence", "limit_count", "method", "null_recurrent_like", "e_m", "e_n", "phi_inf", "phi_bar_inf"]
+)
 
 
 def _cmd_classify(args) -> int:
@@ -180,7 +179,7 @@ def _cmd_classify(args) -> int:
         payload = {"params": params.to_json(), "report": report.to_json()}
         out = _out_dir(args)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "classification.json", payload)
+        write_json(out / "classification.json", payload)
         _write_manifest(out, "classify", {"params": params.to_json()}, ["classification.json", "manifest.json"])
         return 0
 
@@ -190,28 +189,26 @@ def _cmd_classify(args) -> int:
     rates = list(product(grid["lambda_birth"], grid["lambda_extinct"]))
     points = product(range(len(fitness)), range(len(fitness), len(fitness) + len(threshold)), range(len(rates)))
     columns = classify_columns(fitness + threshold, rates, list(points))
-    # Each axis value is formatted once; the points are their product, in order.
-    combos = product(*([repr(v) for v in grid[axis]] for axis in _GRID_AXES))
-    fields = zip(
-        columns.recurrence,
-        columns.limit_count,
-        columns.method,
-        ["true" if flag else "false" for flag in columns.null_recurrent_like],
-        columns.e_m,
-        columns.e_n,
-        columns.phi_inf,
-        columns.phi_bar_inf,
-    )
+    # Each axis value is formatted once; the points are their product, in
+    # order, so row i holds value (i // step) % len(axis) of each axis.
+    axes = [np.array([repr(v) for v in grid[axis]], dtype=object) for axis in _GRID_AXES]
+    steps = [math.prod(len(texts) for texts in axes[j + 1 :]) for j in range(len(axes))]
+    integrals = (columns.e_m, columns.e_n, columns.phi_inf, columns.phi_bar_inf)
+
+    def fields(lo: int, hi: int):
+        rows = np.arange(lo, hi)
+        return (
+            *(texts[rows // step % len(texts)].tolist() for texts, step in zip(axes, steps)),
+            columns.recurrence[lo:hi],
+            columns.limit_count[lo:hi],
+            columns.method[lo:hi],
+            ["true" if flag else "false" for flag in columns.null_recurrent_like[lo:hi]],
+            *(optional_float_texts(values[lo:hi]) for values in integrals),
+        )
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    with open_new_file(out / "phase_map.csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [*_GRID_AXES, "recurrence", "limit_count", "method", "null_recurrent_like", "e_m", "e_n", "phi_inf", "phi_bar_inf"]
-        )
-        # csv writes None as an empty cell and a float as its repr, inf as "inf".
-        writer.writerows(combo + cells for combo, cells in zip(combos, fields))
+    write_rows(out / "phase_map.csv", _PHASE_MAP, len(columns.method), fields)
     _write_manifest(out, "classify", {"grid": args.grid}, ["phase_map.csv", "manifest.json"])
     return 0
 
@@ -249,15 +246,17 @@ def _cmd_ladder(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = ["summary.json", "manifest.json"]
     if args.format == "csv":
-        with open_new_file(out / "samples.csv") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["rep", *(header for header, _, _ in columns)])
-            for i, row in enumerate(zip(*values)):
-                writer.writerow([i, *map(_csv_cell, row)])
+        layout = csv_layout(["rep", *(header for header, _, _ in columns)])
+        write_rows(
+            out / "samples.csv",
+            layout,
+            plan.replications,
+            lambda lo, hi: (number_texts(np.arange(lo, hi)), *(csv_cells(column[lo:hi]) for column in values)),
+        )
         outputs.append("samples.csv")
     else:
-        payload = {key: [_encode_float(float(v)) for v in column] for (_, key, _), column in zip(columns, values)}
-        _write_json(out / "samples.json", payload)
+        keyed = {key: column for (_, key, _), column in zip(columns, values)}
+        write_json_columns(out / "samples.json", keyed)
         outputs.append("samples.json")
     _remove_other_format(out, "samples", args.format)
     summary = {
@@ -265,7 +264,7 @@ def _cmd_ladder(args) -> int:
         "summary": result.summary.to_json(),
         "diagnostics": ladder_diagnostics(result),
     }
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     _write_manifest(
         out,
         args.command,
@@ -291,7 +290,7 @@ def _cmd_validate(args) -> int:
     payload = [
         {"name": r.name, "passed": r.passed, "details": r.details} for r in results
     ]
-    _write_json(out / "validation.json", {"checks": payload})
+    write_json(out / "validation.json", {"checks": payload})
     _write_manifest(
         out,
         "validate",

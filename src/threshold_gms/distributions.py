@@ -506,6 +506,16 @@ _PARAMETRIC = {
     "pareto": (Pareto, ("minimum", "index")),
 }
 _FAMILIES = {*_PARAMETRIC, "tabulated"}
+# The keys a tabulated spec may carry: its table (one of grid or csv) and its tail.
+_TABULATED_KEYS = ("family", "grid", "csv", "tail")
+_PARAMS_KEYS = ("lambda_birth", "lambda_extinct", "fitness_dist", "threshold_dist")
+
+
+def _refuse_unknown_keys(obj: dict, allowed, what: str) -> None:
+    """DistributionError naming the first key of obj, in sorted order, that `what` does not read."""
+    unknown = sorted((key for key in obj if key not in allowed), key=str)
+    if unknown:
+        raise DistributionError(f"{what} takes no key {unknown[0]!r}; its keys are {list(allowed)}")
 
 
 def distribution_from_json(obj) -> DistributionSpec:
@@ -519,10 +529,12 @@ def distribution_from_json(obj) -> DistributionSpec:
         raise DistributionError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     if family in _PARAMETRIC:
         cls, keys = _PARAMETRIC[family]
+        _refuse_unknown_keys(obj, ("family", *keys), f"{family} spec")
         for key in keys:
             if key not in obj:
                 raise DistributionError(f"{family} spec requires {key!r}")
         return cls(**{key: obj[key] for key in keys})
+    _refuse_unknown_keys(obj, _TABULATED_KEYS, "tabulated spec")
     # The one tail a tabulated law has, which to_json writes.
     if obj.get("tail", "log-linear") != "log-linear":
         raise DistributionError(f"tabulated 'tail' must be 'log-linear', got {obj['tail']!r}")
@@ -590,7 +602,8 @@ def model_params_from_json(obj) -> ModelParams:
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise DistributionError(f"params must be an object, got {type(obj)}")
-    for key in ("lambda_birth", "lambda_extinct", "fitness_dist", "threshold_dist"):
+    _refuse_unknown_keys(obj, _PARAMS_KEYS, "params object")
+    for key in _PARAMS_KEYS:
         if key not in obj:
             raise DistributionError(f"params object requires {key!r}")
     return ModelParams(

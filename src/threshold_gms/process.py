@@ -33,12 +33,12 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .distributions import DistributionError, ModelParams, _as_float, _read_numeric_csv
+from .output import Layout, float_texts, number_texts, write_rows
 
 BIRTH = "birth"
 EXTINCTION = "extinction"
@@ -492,135 +492,63 @@ def last_empty_time(trace: PathTrace) -> Optional[float]:
     return float(stream.times[found[-1]]) if found.size else None
 
 
-def _number_texts(values) -> list[str]:
-    """The JSON text of every number, from one call to orjson."""
-    import orjson
-
-    body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-    return body.split(",") if body else []
-
-
-def _float_texts(values) -> list[str]:
-    """repr(float(v)) of every value, from one call to orjson's Ryu formatter.
-
-    Ryu gives the same shortest round-trip digits as repr; only its
-    notation differs, outside [1e-4, 1e16) in magnitude (5.58e-6 against
-    5.58e-06, 0.000015 against 1.5e-05, 1e16 against 1e+16), so the
-    non-zero values there, and the non-finite ones, keep repr.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)  # orjson refuses strided arrays
-    texts = _number_texts(values)
-    size = np.abs(values)
-    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0.0)).tolist():
-        texts[i] = repr(float(values[i]))
-    return texts
-
-
-# The fields of a trace row, as they stand in a _TraceLayout's row.
+# The fields of a trace row, as they stand in a trace layout's row.
 _TIME, _KIND, _MARK, _COUNT = range(4)
 
-
-@dataclass(frozen=True)
-class _TraceLayout:
-    """The text a trace format puts around the fields of its rows.
-
-    A file is ``head``, then every row as ``row`` with each field
-    (_TIME, _KIND, _MARK, _COUNT) replaced by the row's text, each row
-    followed by ``sep`` but the last, which ``tail`` follows.  The
-    kind's text is ``kinds[0]`` for an extinction and ``kinds[1]`` for a
-    birth, with the constant text on both sides of it folded in.  A
-    stream with no events is the file ``empty``.
-    """
-
-    head: str
-    row: tuple
-    sep: str
-    tail: str
-    kinds: tuple[str, str]
-    empty: str
-
-
-# The rows csv.writer would write: no field needs quoting.
-_CSV = _TraceLayout(
-    head="time,kind,mark,count_after\r\n",
-    row=(_TIME, _KIND, _MARK, ",", _COUNT),
-    sep="\r\n",
-    tail="\r\n",
-    kinds=(",extinction,", ",birth,"),
-    empty="time,kind,mark,count_after\r\n",
-)
-
-# json.dumps({"events": [...]}, indent=2, sort_keys=True) + "\n", with each
-# event's keys in sorted order: count_after, kind, mark, time.
-_JSON = _TraceLayout(
-    head='{\n  "events": [\n    {\n      "count_after": ',
-    row=(_COUNT, _KIND, _MARK, ',\n      "time": ', _TIME),
-    sep='\n    },\n    {\n      "count_after": ',
-    tail="\n    }\n  ]\n}\n",
-    kinds=(',\n      "kind": "extinction",\n      "mark": ', ',\n      "kind": "birth",\n      "mark": '),
-    empty='{\n  "events": []\n}\n',
-)
+# Each trace format's layout and the texts of the kind field, for an
+# extinction and for a birth, with the constant text on both sides of it
+# folded in.  csv: the rows csv.writer would write, no field needing
+# quoting.  json: json.dumps({"events": [...]}, indent=2, sort_keys=True)
+# + "\n", with each event's keys in sorted order: count_after, kind,
+# mark, time.
+_TRACE_FORMATS = {
+    "csv": (
+        Layout(
+            head="time,kind,mark,count_after\r\n",
+            row=(_TIME, _KIND, _MARK, ",", _COUNT),
+            sep="\r\n",
+            tail="\r\n",
+            empty="time,kind,mark,count_after\r\n",
+        ),
+        (",extinction,", ",birth,"),
+    ),
+    "json": (
+        Layout(
+            head='{\n  "events": [\n    {\n      "count_after": ',
+            row=(_COUNT, _KIND, _MARK, ',\n      "time": ', _TIME),
+            sep='\n    },\n    {\n      "count_after": ',
+            tail="\n    }\n  ]\n}\n",
+            empty='{\n  "events": []\n}\n',
+        ),
+        (',\n      "kind": "extinction",\n      "mark": ', ',\n      "kind": "birth",\n      "mark": '),
+    ),
+}
 
 
-def _segment_rows(trace: PathTrace, lo: int, hi: int, layout: _TraceLayout) -> str:
-    """Rows lo to hi of the event log in one layout, as one join of a list of pieces.
+def _write_trace(trace: PathTrace, path, fmt: str) -> None:
+    """The event log in one format, SEGMENT_EVENTS rows at a time (output.write_rows)."""
+    layout, kind_texts = _TRACE_FORMATS[fmt]
+    stream, kinds = trace.stream, np.array(kind_texts, dtype=object)
 
-    The list holds the row's constant pieces, row after row, and each
-    field's column of texts goes in by one slice assignment.  The pieces
-    are str, not bytes: bytes.join takes an 80-byte buffer view of every
-    piece, 2 MB for a segment's 24 576 pieces.
-    """
-    stream = trace.stream
-    fields = (
-        _float_texts(stream.times[lo:hi]),
-        np.array(layout.kinds, dtype=object)[stream.birth[lo:hi].view(np.uint8)].tolist(),
-        _float_texts(stream.marks[lo:hi]),
-        _number_texts(trace.counts_after[lo:hi]),
-    )
-    width = len(layout.row) + 1
-    pieces = [None if isinstance(item, int) else item for item in layout.row] + [layout.sep]
-    pieces *= hi - lo
-    for j, item in enumerate(layout.row):
-        if isinstance(item, int):
-            pieces[j::width] = fields[item]
-    if hi == len(stream):
-        pieces[-1] = layout.tail
-    return "".join(pieces)
+    def fields(lo: int, hi: int):
+        return (
+            float_texts(stream.times[lo:hi]),
+            kinds[stream.birth[lo:hi].view(np.uint8)].tolist(),
+            float_texts(stream.marks[lo:hi]),
+            number_texts(trace.counts_after[lo:hi]),
+        )
 
-
-def open_new_file(path):
-    """Open `path` for writing text as a new file, never rewriting an old one in place.
-
-    Whatever has that name, a file or a symlink or a hard link, is
-    removed first, and the name is then created with "x"; nothing is
-    fsynced.  Neither a truncate nor a rename over the old file: ext4
-    starts writeback on close() of a file truncated and rewritten, and
-    on a rename over an existing file, which stalls a rerun into the
-    same directory for tens of milliseconds per file on a busy disk.
-    """
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    return open(path, "x", encoding="utf-8", newline="")
-
-
-def _write_trace(trace: PathTrace, path, layout: _TraceLayout) -> None:
-    """The event log in one layout, SEGMENT_EVENTS rows at a time, each segment one join and one write."""
-    n = len(trace.stream)
-    with open_new_file(path) as handle:
-        handle.write(layout.head if n else layout.empty)
-        for lo in range(0, n, SEGMENT_EVENTS):
-            # A call of its own, so that a segment's texts are freed before the next segment's are made.
-            handle.write(_segment_rows(trace, lo, min(lo + SEGMENT_EVENTS, n), layout))
+    write_rows(path, layout, len(stream), fields, SEGMENT_EVENTS)
 
 
 def write_trace_csv(trace: PathTrace, path) -> None:
     """Event log as CSV columns (time, kind, mark, count_after)."""
-    _write_trace(trace, path, _CSV)
+    _write_trace(trace, path, "csv")
 
 
 def write_trace_json(trace: PathTrace, path) -> None:
     """Event log as json.dumps({"events": [{count_after, kind, mark, time}, ...]}, indent=2, sort_keys=True) + "\n"."""
-    _write_trace(trace, path, _JSON)
+    _write_trace(trace, path, "json")
 
 
 def read_initial_csv(path) -> Configuration:

@@ -403,7 +403,10 @@ def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
 
 
 def test_cli_import_leaves_orjson_unloaded():
-    """Only write_trace_csv and write_trace_json need orjson, so it loads on the first trace, not with the CLI."""
+    """Every output's text comes from orjson (threshold_gms.output).
+
+    So orjson loads on the first output of any command, not with the CLI.
+    """
     code = "import sys, threshold_gms.cli; print('orjson' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == "False"
@@ -627,13 +630,28 @@ def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_p
         ["classify", "--grid", "alpha_fitness=1,-1;alpha_threshold=2"],
         # A tabulated law with a tail it does not have would be read with its log-linear one.
         ["classify", "--params", "TAIL_PARAMS"],
+        # A key the family or the params object does not read would be dropped silently.
+        ["classify", "--params", "EXP_SHAPE_PARAMS"],
+        ["classify", "--params", "WEIBULL_RATE_PARAMS"],
+        ["classify", "--params", "PARETO_MIN_PARAMS"],
+        ["classify", "--params", "TABULATED_EXTRA_PARAMS"],
+        ["ladder-mc", "--params", "LAMBDA_TYPO_PARAMS", "--reps", "10"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):
-    tail = tmp_path / "tail.json"
-    threshold = {"family": "tabulated", "grid": [[1.0, 0.0], [0.5, 1.0]], "tail": "nope"}
-    tail.write_text(json.dumps({**TRANSIENT_EXAMPLE.to_json(), "threshold_dist": threshold}))
-    paths = {"PARAMS": transient_params, "TAIL_PARAMS": str(tail)}
+    grid = [[1.0, 0.0], [0.5, 1.0]]
+    bad = {
+        "TAIL_PARAMS": {"threshold_dist": {"family": "tabulated", "grid": grid, "tail": "nope"}},
+        "EXP_SHAPE_PARAMS": {"fitness_dist": {"family": "exponential", "rate": 1, "shape": 3}},
+        "WEIBULL_RATE_PARAMS": {"fitness_dist": {"family": "weibull", "shape": 2.0, "scale": 1.0, "rate": 1.0}},
+        "PARETO_MIN_PARAMS": {"threshold_dist": {"family": "pareto", "minimum": 1.0, "index": 2.0, "min": 1.0}},
+        "TABULATED_EXTRA_PARAMS": {"threshold_dist": {"family": "tabulated", "grid": grid, "extra": 1}},
+        "LAMBDA_TYPO_PARAMS": {"lambda_typo": 2.0},
+    }
+    paths = {"PARAMS": transient_params}
+    for name, change in bad.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps({**TRANSIENT_EXAMPLE.to_json(), **change}))
     argv = [paths.get(a, a) for a in argv]
     out = tmp_path / "never"
     code = cli.main(argv + ["--out", str(out)])

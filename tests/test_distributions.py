@@ -232,6 +232,48 @@ def test_tabulated_spec_the_code_would_misread_is_refused_by_field(spec, message
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (
+            {"family": "exponential", "rate": 1, "shape": 3},
+            "exponential spec takes no key 'shape'; its keys are ['family', 'rate']",
+        ),
+        (
+            {"family": "weibull", "shape": 2.0, "scale": 1.0, "rate": 1.0},
+            "weibull spec takes no key 'rate'; its keys are ['family', 'shape', 'scale']",
+        ),
+        (
+            {"family": "pareto", "minimum": 1.0, "index": 2.0, "min": 1.0},
+            "pareto spec takes no key 'min'; its keys are ['family', 'minimum', 'index']",
+        ),
+        (
+            {"family": "tabulated", "grid": TABULATED_GRID, "extra": 1, "zzz": 2},
+            "tabulated spec takes no key 'extra'; its keys are ['family', 'grid', 'csv', 'tail']",
+        ),
+    ],
+)
+def test_spec_key_the_family_does_not_read_is_refused_by_name(spec, message):
+    """A key no family reads (a typo, or another family's parameter) is refused, not dropped."""
+    with pytest.raises(DistributionError) as err:
+        distribution_from_json(spec)
+    assert str(err.value) == message
+
+
+def test_params_key_the_object_does_not_read_is_refused_by_name():
+    exp1 = {"family": "exponential", "rate": 1.0}
+    obj = {"lambda_birth": 1.0, "lambda_extinct": 1.0, "fitness_dist": exp1, "threshold_dist": exp1}
+    model_params_from_json(obj)
+    with pytest.raises(DistributionError) as err:
+        model_params_from_json({**obj, "lambda_typo": 2.0})
+    assert str(err.value) == (
+        "params object takes no key 'lambda_typo'; "
+        "its keys are ['lambda_birth', 'lambda_extinct', 'fitness_dist', 'threshold_dist']"
+    )
+    with pytest.raises(DistributionError, match="^exponential spec takes no key 'scale'"):
+        model_params_from_json({**obj, "threshold_dist": {**exp1, "scale": 1.0}})
+
+
 def test_tabulated_spec_reads_its_log_linear_tail_and_its_csv(tmp_path):
     """The tail that to_json writes reads back, and a CSV alone gives the law of its rows."""
     dist = TabulatedQuantile(tuple(map(tuple, TABULATED_GRID)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_gms import process
+from threshold_gms import output, process
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import (
     Configuration,
@@ -668,16 +668,16 @@ FLOAT_PANEL = [
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
 def test_float_texts_are_the_reprs(values):
-    assert process._float_texts(np.array(values, dtype=np.float64)) == [repr(v) for v in values]
+    assert output.float_texts(np.array(values, dtype=np.float64)) == [repr(v) for v in values]
 
 
 def test_float_texts_on_a_fixed_panel():
     values = np.array(FLOAT_PANEL)
-    assert process._float_texts(values) == [repr(v) for v in FLOAT_PANEL]
+    assert output.float_texts(values) == [repr(v) for v in FLOAT_PANEL]
     strided = np.repeat(values, 2)[::2]
     assert not strided.flags.c_contiguous
-    assert process._float_texts(strided) == [repr(v) for v in FLOAT_PANEL]
-    assert process._float_texts(np.array([])) == []
+    assert output.float_texts(strided) == [repr(v) for v in FLOAT_PANEL]
+    assert output.float_texts(np.array([])) == []
 
 
 def _one_shot_trace_json(trace):

@@ -15,7 +15,8 @@ def test_scripts_and_readme_example_run():
     commands = {
         "limit_law_demo": ["scripts/limit_law_demo.py", "--reps", "1000", "--forward-reps", "1000"],
         "bench_ladders": ["scripts/bench_ladders.py", "--repeat", "1"],
-        "bench_criteria": ["scripts/bench_criteria.py", "--repeat", "1"],
+        # A 20 x 20 grid: the default 200 x 200 one costs seconds of Tier-1 time.
+        "bench_criteria": ["scripts/bench_criteria.py", "--repeat", "1", "--grid-side", "20"],
     }
     procs = {
         name: subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env, text=True,
@@ -44,11 +45,13 @@ def test_scripts_and_readme_example_run():
     assert all(ms > 0.0 for ms in bench["simulate_ms"].values())
     assert sorted(bench["gof_ms"]) == ["chi_square", "ks", "two_sample"]
     assert all(ms > 0.0 for ms in bench["gof_ms"].values())
+    assert sorted(bench["cli_ms"]) == ["ladder-mc/csv", "ladder-mc/json", "limit-mc/csv", "limit-mc/json"]
+    assert all(ms > 0.0 for ms in bench["cli_ms"].values())
     bench = json.loads(outputs["bench_criteria"][0])
     assert len(bench["classify_ms"]) == 9 and all(ms > 0.0 for ms in bench["classify_ms"].values())
     assert sorted(bench["grid_ms"]) == ["classify", "classify_columns", "classify_many", "cli"]
     assert all(ms > 0.0 for ms in bench["grid_ms"].values())
-    assert bench["grid_40k_s"] > 0.0
+    assert bench["grid_40k_s"] > 0.0 and bench["grid_side"] == 20
     assert bench["grid_40k_peak_mb"] > 0.0
     assert sorted(bench["integrand_us"]) == ["count_exponent", "mass_density"]
     assert all(us > 0.0 for us in bench["integrand_us"].values())
