@@ -6,7 +6,11 @@
 per family pair, in milliseconds, after one warm-up call; each call
 scales one parameter of the fitness law by its own factor 1 + 1e-6 k,
 so that no call shares marks, and with them a composition, with
-another.  ``grid_ms`` is the best of ``--repeat`` classifications of a
+another.  ``front_ms`` is, the same way, the best of ``--repeat`` calls of
+each one-row front (``expected_extinction_count``,
+``extinction_count_exponent`` at t = inf and ``laplace_extinction_count``
+at t = 1) on the exp(1)/exp(2) and weibull(2,1)/weibull(2,0.5) pairs.
+``grid_ms`` is the best of ``--repeat`` classifications of a
 400-point grid shaped like the benchmark's criteria sweep (10 x 10
 exponential rates from 0.5 to 3, lambda_birth in {1, 1.3},
 lambda_extinct in {1, 0.7}), point by point through ``classify``, in one
@@ -56,7 +60,10 @@ from threshold_gms.criteria import (
     classify,
     classify_columns,
     classify_many,
+    expected_extinction_count,
     exponential_closed_forms,
+    extinction_count_exponent,
+    laplace_extinction_count,
 )
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import BLOCK_CHUNK_CELLS
@@ -79,6 +86,13 @@ PAIRS = {
     "tabulated(12)/tabulated(12)": lambda s: (_tabulated(s, 12, 6.0), _tabulated(0.6, 12, 6.0)),
     "tabulated(400)/exp(2)": lambda s: (_tabulated(s, 400, 20.7), Exponential(2.0)),
 }
+# The one-row fronts, as functions of the params, and the pairs they are timed on.
+FRONTS = {
+    "expected_extinction_count": expected_extinction_count,
+    "extinction_count_exponent": lambda params: extinction_count_exponent(params, math.inf),
+    "laplace_extinction_count": lambda params: laplace_extinction_count(params, 1.0),
+}
+FRONT_PAIRS = ("exp(1)/exp(2)", "weibull(2,1)/weibull(2,0.5)")
 GRID_ALPHAS = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 3.0)
 GRID = [
     ModelParams(l_birth, l_ext, Exponential(a_fit), Exponential(a_thr))
@@ -166,6 +180,13 @@ def accuracy() -> dict:
     return {"max_rel_error": worst, "none_on_finite_sides": nones}
 
 
+def fresh_ms(repeat: int, fn, marks) -> float:
+    """Best milliseconds of repeat calls of fn, after one warm-up call, each on its own marks (see classify_ms)."""
+    fn(ModelParams(1.0, 1.0, *marks(1.0)))
+    points = iter([ModelParams(1.0, 1.0, *marks(1.0 + 1e-6 * (k + 1))) for k in range(repeat)])
+    return round(1e3 * best_of(repeat, lambda: fn(next(points))), 3)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
@@ -176,9 +197,11 @@ def main() -> None:
         "classify_ms": {},
     }
     for label, marks in PAIRS.items():
-        classify(ModelParams(1.0, 1.0, *marks(1.0)))
-        points = iter([ModelParams(1.0, 1.0, *marks(1.0 + 1e-6 * (k + 1))) for k in range(args.repeat)])
-        out["classify_ms"][label] = round(1e3 * best_of(args.repeat, lambda: classify(next(points))), 3)
+        out["classify_ms"][label] = fresh_ms(args.repeat, classify, marks)
+    out["front_ms"] = {
+        name: {label: fresh_ms(args.repeat, front, PAIRS[label]) for label in FRONT_PAIRS}
+        for name, front in FRONTS.items()
+    }
     with tempfile.TemporaryDirectory() as tmp:
         grid_out = os.path.join(tmp, "grid")
 

@@ -33,14 +33,14 @@ exponential pairs among them is taken in one call with the rates as
 columns (_compositions), on the panel edges and each chunk of nodes,
 with the bits of one call per pair.
 
-classify_many and the one-row fronts read every row with its evidence.
-classify_columns reads values only: no evidence, and the count-exponent
-rows of a divergent pair take inf from the verdict unevaluated, while
-its mass-density row, which turns non-finite wherever they could, is
-still evaluated, so it raises the CriteriaError that classify raises.
-classify --grid writes its phase map from these columns.  classify is
-the batch of one point, hazard_weighted_integral the one mass-density
-row.
+Every front reads its rows this one way.  The count-exponent rows of a
+divergent pair take inf from the verdict unevaluated, while its
+mass-density row, which turns non-finite wherever they could, is still
+evaluated, so a bad panel raises its CriteriaError.  Each row keeps the
+number of panels it read and its tail, the value it took for h past
+them.  classify --grid writes its phase map from the columns; classify
+is the batch of one point, hazard_weighted_integral the one
+mass-density row.
 """
 
 from __future__ import annotations
@@ -92,13 +92,16 @@ class ImproperIntegral:
     """Outcome of one improper integral on h in [0, inf).
 
     value is the finite integral, math.inf for a divergent one, or None
-    when the verdict is inconclusive.  evidence holds the partial
-    integrals over the panels read and is non-decreasing.
+    when the verdict is inconclusive.  The read covers the first panels
+    dyadic panels, h in [0, panels ln2], and takes tail for h past them:
+    a power pair's closed form, 0.0 where a superpolynomial row stopped,
+    math.inf for a divergent row, None for an inconclusive one.
     """
 
     verdict: str
     value: Optional[float]
-    evidence: tuple[float, ...]
+    panels: int
+    tail: Optional[float]
 
     @property
     def is_finite(self) -> bool:
@@ -181,7 +184,7 @@ def _reads_edges(kind: str, gamma: Optional[float], first: int) -> bool:
 
 
 def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first: int, log_r: np.ndarray) -> tuple:
-    """Last panel each row of one mark pair reads, its verdict, and its rest: the integral past that panel, inf or NaN.
+    """Last panel each row of one mark pair reads, its verdict, and its rest: the integral past that panel, inf or None.
 
     log_r holds the pair's rows: NaN first for its mass-density row, then
     the count-exponent rows' log r.  d = h - C(h) on the panel edges 0,
@@ -197,7 +200,7 @@ def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first:
     whose bound F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below
     _TAIL_ATOL, or where C has overflowed to inf, and drops the rest.  A
     row that cannot finish within the grid is inconclusive, with rest
-    NaN.  The rest of a finite row is added to its panels; a divergent
+    None.  The rest of a finite row is added to its panels; a divergent
     row's rest is its value inf.  Returns the three as lists over the
     rows.  Callers ignore overflow and invalid floating-point errors.
     """
@@ -205,7 +208,7 @@ def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first:
     if kind == "subpolynomial" or (kind == "power" and not gamma > 1.0):
         return [min(first, top)] * rows, [VERDICT_INFINITE] * rows, [math.inf] * rows
     if first > top:
-        return [top] * rows, [VERDICT_INCONCLUSIVE] * rows, [math.nan] * rows
+        return [top] * rows, [VERDICT_INCONCLUSIVE] * rows, [None] * rows
     # F of the bound on the rows' edges: e^y on the mass-density row, which
     # comes first, and log1p(e^y / r) on the others.
     n_base = int(math.isnan(log_r[0])) if rows else 0
@@ -222,22 +225,23 @@ def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first:
     ends = done.any(axis=1).tolist()
     lasts = [first + n if end else top for n, end in zip(done.argmax(axis=1).tolist(), ends)]
     verdicts = [VERDICT_FINITE if end else VERDICT_INCONCLUSIVE for end in ends]
-    return lasts, verdicts, [0.0 if end else math.nan for end in ends]
+    return lasts, verdicts, [0.0 if end else None for end in ends]
 
 
 class _Rows(NamedTuple):
-    """Criterion rows as columns: per row its verdict, value and evidence, or the CriteriaError of a bad panel."""
+    """Criterion rows as columns: per row the fields of its ImproperIntegral, or the CriteriaError of a bad panel."""
 
     verdict: list
     value: list
-    evidence: list
+    panels: list
+    tail: list
     error: list
 
     def integral(self, row: int) -> ImproperIntegral:
         """The ImproperIntegral of a row; raises the row's CriteriaError."""
         if self.error[row] is not None:
             raise self.error[row]
-        return ImproperIntegral(self.verdict[row], self.value[row], self.evidence[row])
+        return ImproperIntegral(self.verdict[row], self.value[row], self.panels[row], self.tail[row])
 
 
 def hazard_weighted_integral(params: ModelParams) -> ImproperIntegral:
@@ -388,7 +392,7 @@ def _edge_drops(sides: Sequence[ModelParams], pairs: Sequence[int], nodes_of: Se
 
 
 def _criterion_integrals(
-    sides: Sequence[ModelParams], shapes: Sequence[tuple], columns: Sequence[Collection[float]], evidence: bool = True
+    sides: Sequence[ModelParams], shapes: Sequence[tuple], columns: Sequence[Collection[float]]
 ) -> _Rows:
     """Criterion integrals of distinct rows, given per mark pair as a column of log r.
 
@@ -406,35 +410,31 @@ def _criterion_integrals(
     BLOCK_CHUNK_CELLS nodes that take C(h) of the pairs in them together
     (_compositions).
 
-    Without evidence the read is values only: no evidence is built, and
-    the count-exponent rows of a divergent pair that has a mass-density
+    The count-exponent rows of a divergent pair that has a mass-density
     row take their value inf from the verdict, unevaluated.  Such a row
     is the logistic of x = C(h) + log r - h, in [0, 1] wherever C(h) is
     not NaN, so its panels are finite unless C(h) is NaN on one of its
     nodes; there the pair's mass-density row, which reads the same
-    panels, is NaN too, and it is still evaluated, so the batch that
-    checks a point's mass-density rows before its count-exponent rows
-    (_classify_batch) raises the same CriteriaError in both reads.
-    Returns the rows in column order, pair after pair.
+    panels, is NaN too, and it is still evaluated, so a batch that
+    checks a point's mass-density rows first (_point_fields) raises the
+    CriteriaError that evaluating every row would.  Returns the rows,
+    each with its panels and tail, in column order, pair after pair.
     """
     log_r = np.array([*chain.from_iterable(columns)], dtype=float)
     starts = [0, *accumulate(len(column) for column in columns)]
     pair_of_row = [p for p, column in enumerate(columns) for _ in column]
     verdicts: list = []
-    rests: list = []
-    value: list = [None] * log_r.size
-    trails: list = [None] * log_r.size
+    panels: list = []
+    tails: list = []
+    value: list = []
     error: list = [None] * log_r.size
     # Rows that read the same panels of one node array, by (breaks, last
     # panel): the mass-density rows, then the count-exponent rows.
     reads: dict[tuple, tuple[list, list]] = {}
+    breaks_of = [() if _is_exponential(marks) else hazard_breaks(marks) for marks in sides]
     # The node arrays of the call, one per distinct breaks tuple, however
     # many more than _panel_nodes keeps.
-    grids: dict[tuple, _Nodes] = {}
-    breaks_of = [() if _is_exponential(marks) else hazard_breaks(marks) for marks in sides]
-    for breaks in breaks_of:
-        if breaks not in grids:
-            grids[breaks] = _panel_nodes(breaks)
+    grids = {breaks: _panel_nodes(breaks) for breaks in dict.fromkeys(breaks_of)}
     nodes_of = [grids[breaks] for breaks in breaks_of]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         reading = [_reads_edges(*shape, nodes.first) for shape, nodes in zip(shapes, nodes_of)]
@@ -442,13 +442,14 @@ def _criterion_integrals(
         for p, (shape, breaks, nodes, reads_d) in enumerate(zip(shapes, breaks_of, nodes_of, reading)):
             row, end = starts[p], starts[p + 1]
             d = next(drops) if reads_d else None
-            lasts, verdict, rest = _row_read(*shape, d, nodes.first, log_r[row:end])
+            lasts, verdict, tail = _row_read(*shape, d, nodes.first, log_r[row:end])
             verdicts += verdict
-            rests += rest
+            tails += tail
+            panels += [last + 1 for last in lasts]
+            value += tail  # the value of a row that is not finite: inf or None
             # Every row but a NaN first one is a count-exponent row.
             counts = not math.isnan(log_r[row])
-            if not (evidence or counts) and verdict[0] == VERDICT_INFINITE:
-                value[row + 1 : end] = [math.inf] * (end - row - 1)
+            if not counts and verdict[0] == VERDICT_INFINITE:
                 lasts = lasts[:1]
             for r, last in zip(range(row, end), lasts):
                 reads.setdefault((breaks, last), ([], []))[r > row or counts].append(r)
@@ -468,25 +469,28 @@ def _criterion_integrals(
                 counts = log_r.take(chunk[max(len(mass_rows) - start, 0) :])
                 pieces = _panel_sums(_integrands(chunk_sides, take, counts, h), w, panel)
                 bad = ~np.isfinite(pieces)
-                for i, (row, panels, is_bad) in enumerate(zip(chunk, pieces.tolist(), bad.any(axis=1).tolist())):
+                for i, (row, sums, is_bad) in enumerate(zip(chunk, pieces.tolist(), bad.any(axis=1).tolist())):
                     if is_bad:
                         n = int(bad[i].argmax())
-                        error[row] = CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {panels[n]}")
+                        error[row] = CriteriaError(f"panel [{n * _LN2}, {(n + 1) * _LN2}] evaluated to {sums[n]}")
                         continue
-                    if evidence:
-                        trails[row] = tuple([math.fsum(panels[: k + 1]) for k in range(len(panels))])
-                    if verdicts[row] != VERDICT_FINITE:
-                        value[row] = None if verdicts[row] == VERDICT_INCONCLUSIVE else math.inf
-                        continue
-                    value[row] = math.fsum([*panels, rests[row]])
-                    if not math.isfinite(value[row]):
-                        error[row] = CriteriaError(f"tail past h = {len(panels) * _LN2} evaluated to {rests[row]}")
-    return _Rows(verdicts, value, trails, error)
+                    if verdicts[row] == VERDICT_FINITE:
+                        value[row] = math.fsum([*sums, tails[row]])
+                        if not math.isfinite(value[row]):
+                            error[row] = CriteriaError(f"tail past h = {len(sums) * _LN2} evaluated to {tails[row]}")
+    return _Rows(verdicts, value, panels, tails, error)
 
 
-def _scaled(value: Optional[float], prefactor: float) -> Optional[float]:
-    """value times prefactor where it is finite; None and inf are kept."""
-    return value * prefactor if value is not None and math.isfinite(value) else value
+def _scaled(value: Optional[float], prefactor: float, name: str, rates: tuple) -> Optional[float]:
+    """value of the integral name times its rate prefactor where it is finite; None and inf are kept.
+
+    A finite value that the prefactor takes past the float range raises CriteriaError.
+    """
+    if value is None or not math.isfinite(value):
+        return value
+    if not math.isfinite(value * prefactor):
+        raise CriteriaError(f"{name} = {value} times its rate prefactor overflows at (lambda_birth, lambda_extinct) = {rates}")
+    return value * prefactor
 
 
 def _log_r(lambda_birth: float, lambda_extinct: float, t: float) -> float:
@@ -500,12 +504,15 @@ def expected_extinction_count(params: ModelParams) -> ImproperIntegral:
 
     Equals (lambda_extinct / lambda_birth) times the integral of the
     ladder's per-step mass density exp(h - C(h)) over h in [0, inf);
-    finite exactly in the transient regime.  The prefactor is applied to
-    both the value and the evidence trail.
+    finite exactly in the transient regime.  The prefactor scales both
+    the value and the tail; a finite value that it scales past the float
+    range raises CriteriaError.
     """
     base = hazard_weighted_integral(params)
+    rates = (params.lambda_birth, params.lambda_extinct)
     prefactor = params.lambda_extinct / params.lambda_birth
-    return ImproperIntegral(base.verdict, _scaled(base.value, prefactor), tuple(prefactor * e for e in base.evidence))
+    value = _scaled(base.value, prefactor, "e_m", rates)
+    return ImproperIntegral(base.verdict, value, base.panels, _scaled(base.tail, prefactor, "e_m", rates))
 
 
 def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
@@ -609,13 +616,13 @@ def _shape_verdict(kind: str, gamma: Optional[float]) -> str:
 
 @dataclass(frozen=True)
 class CriterionIntegrals:
-    """Numeric values and evidence trails of the four criterion integrals."""
+    """Numeric values of the four criterion integrals, and reads: per integral, by name, (panels, tail) of its row."""
 
     e_m: Optional[float]
     e_n: Optional[float]
     phi_inf: Optional[float]
     phi_bar_inf: Optional[float]
-    evidence: dict[str, tuple[float, ...]]
+    reads: dict[str, tuple[int, Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -629,18 +636,14 @@ class ClassificationReport:
     null_recurrent_like: bool
 
     def to_json(self) -> dict:
+        integrals = self.integrals
         return {
             "recurrence": self.recurrence,
             "limit_count": self.limit_count,
             "method": self.method,
             "null_recurrent_like": self.null_recurrent_like,
-            "integrals": {
-                "e_m": _encode_float(self.integrals.e_m),
-                "e_n": _encode_float(self.integrals.e_n),
-                "phi_inf": _encode_float(self.integrals.phi_inf),
-                "phi_bar_inf": _encode_float(self.integrals.phi_bar_inf),
-            },
-            "evidence": {k: list(v) for k, v in self.integrals.evidence.items()},
+            "integrals": {name: _encode_float(getattr(integrals, name)) for name in integrals.reads},
+            "reads": {name: {"panels": n, "tail": _encode_float(tail)} for name, (n, tail) in integrals.reads.items()},
         }
 
 
@@ -648,7 +651,7 @@ def classify(params: ModelParams) -> ClassificationReport:
     """Recurrence and limit-count verdicts with supporting integrals.
 
     The verdicts are exact_verdict of both sides, from the tail class of
-    the mark pair; the four criterion integrals and their evidence are
+    the mark pair; the four criterion integrals and their reads are
     attached.  method is "NumericCauchy" when a law is tabulated and
     "AnalyticExponent" otherwise.  This is classify_many of one point.
     """
@@ -668,25 +671,26 @@ def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
         for i, params in enumerate(points)
     ]
     laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
-    batch = _classify_batch(laws, list(rates), index, evidence=True)
-    evidence = batch.rows.evidence
+    batch = _classify_batch(laws, list(rates), index)
+    panels, tails = batch.rows.panels, batch.rows.tail
     reports = []
     for fields, point in zip(_point_fields(batch), batch.points):
-        recurrence, limit_count, method, null_recurrent_like, e_m, e_n, phi_inf, phi_bar_inf = fields
-        _, _, row_m, row_n, row_phi, row_phi_bar, prefactor_m, prefactor_n = point
-        trails = {
-            "e_m": tuple(prefactor_m * e for e in evidence[row_m]),
-            "e_n": tuple(prefactor_n * e for e in evidence[row_n]),
-            "phi_inf": evidence[row_phi],
-            "phi_bar_inf": evidence[row_phi_bar],
+        recurrence, limit_count, method, null_recurrent_like, *values = fields
+        _, _, row_m, row_n, row_phi, row_phi_bar, k = point
+        rates, prefactor_m, prefactor_n = batch.rates[k]
+        reads = {
+            "e_m": (panels[row_m], _scaled(tails[row_m], prefactor_m, "e_m", rates)),
+            "e_n": (panels[row_n], _scaled(tails[row_n], prefactor_n, "e_n", rates)),
+            "phi_inf": (panels[row_phi], tails[row_phi]),
+            "phi_bar_inf": (panels[row_phi_bar], tails[row_phi_bar]),
         }
-        integrals = CriterionIntegrals(e_m, e_n, phi_inf, phi_bar_inf, trails)
+        integrals = CriterionIntegrals(*values, reads)
         reports.append(ClassificationReport(recurrence, limit_count, method, integrals, null_recurrent_like))
     return reports
 
 
 class ClassificationColumns(NamedTuple):
-    """classify of a batch of points as columns: per point the fields of its report but the evidence."""
+    """classify of a batch of points as columns: per point the fields of its report but the reads."""
 
     recurrence: list[str]
     limit_count: list[str]
@@ -719,7 +723,7 @@ def classify_columns(
     for law in laws:
         if not isinstance(law, DistributionSpec):
             raise DistributionError(f"a mark law must be a DistributionSpec, got {type(law).__name__}")
-    batch = _classify_batch(laws, [check_rates(*pair) for pair in rates], points, evidence=False)
+    batch = _classify_batch(laws, [check_rates(*pair) for pair in rates], points)
     fields = [list(field) for field in zip(*_point_fields(batch))] or [[] for _ in ClassificationColumns._fields]
     return ClassificationColumns(*fields)
 
@@ -735,30 +739,26 @@ class _Batch(NamedTuple):
     """A batch of points keyed to its mark pairs and read.
 
     rows holds the criterion rows; pairs per mark pair its exact_verdict
-    and method; points per point its pairs m (the point's) and n (its
-    role swap's), its rows of e_m, e_n, phi_inf and phi_bar_inf, and the
-    rate prefactors of e_m and e_n.
+    and method; rates per rate pair (lambda_birth, lambda_extinct) and
+    the prefactors of e_m and e_n; points per point its pairs m (the
+    point's) and n (its role swap's), its rows of e_m, e_n, phi_inf and
+    phi_bar_inf, and its rate pair.
     """
 
     rows: _Rows
     pairs: list[tuple[str, str]]
-    points: list[tuple[int, int, int, int, int, int, float, float]]
+    rates: list[tuple[tuple[float, float], float, float]]
+    points: list[tuple[int, int, int, int, int, int, int]]
 
 
 def _classify_batch(
-    laws: Sequence[DistributionSpec],
-    rates: Sequence[tuple[float, float]],
-    points: Sequence[tuple[int, int, int]],
-    evidence: bool,
+    laws: Sequence[DistributionSpec], rates: Sequence[tuple[float, float]], points: Sequence[tuple[int, int, int]]
 ) -> _Batch:
-    """The batch of classify_columns, its rates already checked, its rows read with or without evidence.
-
-    Raises the first bad point's CriteriaError.
-    """
+    """The batch of classify_columns, its rates already checked, its rows read."""
     unique: dict = {}
     law_id = [unique.setdefault(law, len(unique)) for law in laws]
     laws = list(unique)
-    per_rate = [(_log_r(lb, le, math.inf), _log_r(le, lb, math.inf), le / lb, lb / le) for lb, le in rates]
+    log_rs = [(_log_r(lb, le, math.inf), _log_r(le, lb, math.inf)) for lb, le in rates]
     pair_id: dict = {}
     sides: list[_Marks] = []
     # Per pair: its log r, by position; position 0 is the mass-density row.
@@ -776,37 +776,36 @@ def _classify_batch(
     for f, t, k in points:
         f, t = law_id[f], law_id[t]
         m, n = side(f, t), side(t, f)
-        log_r_m, log_r_n = per_rate[k][:2]
+        log_r_m, log_r_n = log_rs[k]
         column_m, column_n = columns[m], columns[n]
         c_m, c_n = column_m.setdefault(log_r_m, len(column_m)), column_n.setdefault(log_r_n, len(column_n))
         keyed.append((m, n, c_m, c_n, k))
     shapes = [composed_survival_exponent(marks) for marks in sides]
-    rows = _criterion_integrals(sides, shapes, columns, evidence) if sides else _Rows([], [], [], [])
+    rows = _criterion_integrals(sides, shapes, columns) if sides else _Rows([], [], [], [], [])
     offset = [0, *accumulate(len(column) for column in columns)]
-    batch_points = [
-        (m, n, offset[m], offset[n], offset[m] + c_m, offset[n] + c_n, *per_rate[k][2:]) for m, n, c_m, c_n, k in keyed
-    ]
-    if rows.error.count(None) < len(rows.error):
-        for point in batch_points:
-            for row in point[2:6]:
-                if rows.error[row] is not None:
-                    raise rows.error[row]
-    pairs = [
-        (
-            _shape_verdict(*shape),
-            "NumericCauchy"
-            if isinstance(marks.fitness_dist, TabulatedQuantile) or isinstance(marks.threshold_dist, TabulatedQuantile)
-            else "AnalyticExponent",
-        )
-        for marks, shape in zip(sides, shapes)
-    ]
-    return _Batch(rows, pairs, batch_points)
+    batch_points = [(m, n, offset[m], offset[n], offset[m] + c_m, offset[n] + c_n, k) for m, n, c_m, c_n, k in keyed]
+    pairs = []
+    for marks, shape in zip(sides, shapes):
+        tabulated = any(isinstance(law, TabulatedQuantile) for law in marks)
+        pairs.append((_shape_verdict(*shape), "NumericCauchy" if tabulated else "AnalyticExponent"))
+    return _Batch(rows, pairs, [((lb, le), le / lb, lb / le) for lb, le in rates], batch_points)
 
 
 def _point_fields(batch: _Batch):
-    """Per point of the batch: recurrence, limit_count, method, null_recurrent_like, e_m, e_n, phi_inf, phi_bar_inf."""
-    value, pairs = batch.rows.value, batch.pairs
-    for m, n, row_m, row_n, row_phi, row_phi_bar, prefactor_m, prefactor_n in batch.points:
+    """Per point of the batch: recurrence, limit_count, method, null_recurrent_like, e_m, e_n, phi_inf, phi_bar_inf.
+
+    A point raises its first bad row's CriteriaError (e_m, e_n, phi_inf,
+    phi_bar_inf), then that of an overflowing e_m or e_n (_scaled), so
+    the first bad point raises what classify of it alone raises.
+    """
+    value, error, pairs, rates = batch.rows.value, batch.rows.error, batch.pairs, batch.rates
+    errors = error.count(None) < len(error)
+    for m, n, row_m, row_n, row_phi, row_phi_bar, k in batch.points:
+        if errors:
+            for row in (row_m, row_n, row_phi, row_phi_bar):
+                if error[row] is not None:
+                    raise error[row]
+        pair, prefactor_m, prefactor_n = rates[k]
         (verdict_m, method), (verdict_n, _) = pairs[m], pairs[n]
         recurrence, limit_count = RECURRENCE_LABEL[verdict_m], LIMIT_COUNT_LABEL[verdict_n]
         yield (
@@ -814,8 +813,8 @@ def _point_fields(batch: _Batch):
             limit_count,
             method,
             recurrence == "Recurrent" and limit_count == "Infinite",
-            _scaled(value[row_m], prefactor_m),
-            _scaled(value[row_n], prefactor_n),
+            _scaled(value[row_m], prefactor_m, "e_m", pair),
+            _scaled(value[row_n], prefactor_n, "e_n", pair),
             value[row_phi],
             value[row_phi_bar],
         )

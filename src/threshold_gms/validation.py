@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -521,11 +522,14 @@ def check_properties(ctx: SuiteContext) -> CheckResult:
             if len(runs) == 2 and runs[0] != runs[1]:
                 nondeterministic.append(f"{argv[0]} outputs differ between reruns")
         # One process-level rerun: a fresh interpreter must reproduce the
-        # in-process bytes (hash seeds, import-time state).
+        # in-process bytes (hash seeds, import-time state).  It imports the
+        # package this one imported, found on sys.path or not.
         argv = commands[1]
         out_dir = tmp / f"{argv[0]}-subprocess"
         cmd = [sys.executable, "-m", "threshold_gms.cli", *argv, "--out", str(out_dir)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        path = [str(Path(__file__).resolve().parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         if proc.returncode != 0:
             nondeterministic.append(f"{argv[0]} subprocess exited {proc.returncode}: {proc.stderr.strip()[:200]}")
         elif _dir_bytes(out_dir) != _dir_bytes(tmp / f"{argv[0]}-0"):

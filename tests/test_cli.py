@@ -236,6 +236,17 @@ def _src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
+def test_properties_check_passes_with_the_package_only_on_sys_path(tmp_path):
+    """validate's fresh-interpreter rerun finds the package that the running one imported from sys.path."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from threshold_gms import cli; sys.exit(cli.main(sys.argv[2:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["validate", "--only", "properties", "--out", str(tmp_path / "val")]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS properties" in proc.stdout
+
+
 def test_cached_parser_matches_a_fresh_process(tmp_path, transient_params, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--version"])
@@ -636,6 +647,8 @@ def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_p
         ["classify", "--params", "PARETO_MIN_PARAMS"],
         ["classify", "--params", "TABULATED_EXTRA_PARAMS"],
         ["ladder-mc", "--params", "LAMBDA_TYPO_PARAMS", "--reps", "10"],
+        # A finite e_m that its rate prefactor takes past the float range has no value to write.
+        ["classify", "--grid", "alpha_fitness=1;alpha_threshold=2;lambda_birth=1e-300;lambda_extinct=1e300"],
     ],
 )
 def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys):

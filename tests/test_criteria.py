@@ -92,7 +92,9 @@ def test_expected_extinction_count_worked_value():
     res = expected_extinction_count(TRANSIENT_EXAMPLE)
     assert res.is_finite
     assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert list(res.evidence) == sorted(res.evidence)
+    # Panels 0 and 1 hold 1 - e^(-2 ln2) = 3/4 of the integral of e^-h; the closed-form tail the rest.
+    assert res.panels == 2
+    assert res.tail == pytest.approx(0.25, rel=1e-15)
 
 
 def test_expected_extinction_count_rate_prefactor():
@@ -104,8 +106,7 @@ def test_expected_extinction_count_divergent():
     res = expected_extinction_count(FINITE_EXAMPLE)
     assert res.is_infinite
     assert res.value == math.inf
-    assert list(res.evidence) == sorted(res.evidence)
-    assert res.evidence[-1] > res.evidence[0]
+    assert (res.panels, res.tail) == (2, math.inf)
 
 
 def test_expected_birth_count_mirrors_swap():
@@ -182,7 +183,8 @@ def test_hazard_weighted_integral_of_constant_diverges():
     # exp(1)/exp(1): C(h) = h, so the mass density is 1 on [0, inf).
     res = hazard_weighted_integral(exp_params(1.0, 1.0))
     assert res.is_infinite
-    assert res.evidence == pytest.approx((_LN2, 2 * _LN2), rel=1e-15)
+    # A divergent row reads through n* = 1 and takes inf for the rest.
+    assert (res.panels, res.tail) == (2, math.inf)
 
 
 def test_hazard_weighted_integral_slow_superpolynomial_tail_is_inconclusive():
@@ -191,7 +193,8 @@ def test_hazard_weighted_integral_slow_superpolynomial_tail_is_inconclusive():
     assert res.verdict == "inconclusive"
     assert res.value is None
     # n* = 1 (no kink past h = 0), then _MAX_REFINEMENTS panels.
-    assert len(res.evidence) == 1 + _MAX_REFINEMENTS
+    assert res.panels == 1 + _MAX_REFINEMENTS
+    assert res.tail is None
 
 
 def test_hazard_weighted_integral_evaluates_only_the_panels_it_reads(monkeypatch):
@@ -213,7 +216,7 @@ def test_hazard_weighted_integral_evaluates_only_the_panels_it_reads(monkeypatch
     for label, (params, panels) in cases.items():
         seen.clear()
         res = hazard_weighted_integral(params)
-        assert len(res.evidence) == panels, label
+        assert res.panels == panels, label
         nodes = np.concatenate([h.ravel() for h in seen])
         assert (panels - 1) * _LN2 < nodes.max() < panels * _LN2, label
 
@@ -238,6 +241,26 @@ def test_hazard_weighted_integral_rejects_bad_integrand():
     for front in fronts:
         with pytest.raises(CriteriaError, match=message):
             front(params)
+
+
+def test_a_finite_verdict_never_reports_an_infinite_value():
+    """A finite e_m or e_n that its rate prefactor takes past the float range raises, in every front, first point first."""
+    transient = ModelParams(1e-300, 1e300, Exponential(1.0), Exponential(2.0))
+    finite = ModelParams(1e300, 1e-300, Exponential(2.0), Exponential(1.0))
+    rates = r"at \(lambda_birth, lambda_extinct\) = \(1e-300, 1e\+300\)$"
+    for front in (classify, lambda params: _columns([params]), expected_extinction_count):
+        with pytest.raises(CriteriaError, match=f"^e_m = .* times its rate prefactor overflows {rates}"):
+            front(transient)
+    for front in (classify, lambda params: _columns([params])):
+        with pytest.raises(CriteriaError, match=r"^e_n = .* overflows at .* = \(1e\+300, 1e-300\)$"):
+            front(finite)
+    with pytest.raises(CriteriaError, match=f"^e_m = .* {rates}"):
+        expected_extinction_count(finite.swapped())
+    # The overflowing point comes before a bad-panel one: its error is raised, as classify of it alone raises it.
+    hole = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 1.0, 1.2))
+    for batch in (classify_many, _columns):
+        with pytest.raises(CriteriaError, match=f"^e_m .* {rates}"):
+            batch([exp_params(1.0, 2.0), transient, hole])
 
 
 def test_bad_panels_raise_only_where_a_row_reads():
@@ -305,7 +328,7 @@ def test_hspace_integrals_resolve_kinks_and_the_endpoint(fitness, threshold):
     """Hazard-space panels split at kinks and graded at h = 0 match level-space quadrature.
 
     e_m and phi_inf are compared whole, and through the partial integral
-    over the panels read (past every kink here).
+    over the panels read (past every kink here): the value less its tail.
     """
     params = ModelParams(1.0, 1.0, fitness, threshold)
     kinks = np.concatenate([fitness.kink_levels(), threshold.kink_levels()]).tolist()
@@ -323,8 +346,8 @@ def test_hspace_integrals_resolve_kinks_and_the_endpoint(fitness, threshold):
     assert e_m.is_finite and phi.is_finite
     for res, integrand in ((e_m, ratio), (phi, exponent_integrand)):
         assert res.value == pytest.approx(_xspace(integrand, fitness, kinks), rel=1e-9)
-        upper = fitness.inverse_hazard(len(res.evidence) * _LN2)
-        assert res.evidence[-1] == pytest.approx(_xspace(integrand, fitness, kinks, upper), rel=1e-9)
+        upper = fitness.inverse_hazard(res.panels * _LN2)
+        assert res.value - res.tail == pytest.approx(_xspace(integrand, fitness, kinks, upper), rel=1e-9)
     if isinstance(threshold, Pareto):
         assert e_m.value == pytest.approx(8.0, rel=1e-12)
 
@@ -415,8 +438,11 @@ def test_classify_report_json_shape():
     payload = classify(TRANSIENT_EXAMPLE).to_json()
     assert payload["recurrence"] == "Transient"
     assert payload["integrals"]["e_n"] == "inf"
-    assert set(payload["evidence"]) == {"e_m", "e_n", "phi_inf", "phi_bar_inf"}
-    assert all(isinstance(v, list) for v in payload["evidence"].values())
+    assert "evidence" not in payload
+    assert set(payload["reads"]) == {"e_m", "e_n", "phi_inf", "phi_bar_inf"}
+    assert all(set(read) == {"panels", "tail"} and type(read["panels"]) is int for read in payload["reads"].values())
+    assert payload["reads"]["e_m"] == {"panels": 2, "tail": pytest.approx(0.25, rel=1e-15)}
+    assert payload["reads"]["e_n"] == {"panels": 2, "tail": "inf"}
 
 
 def _mixed_batch():
@@ -512,7 +538,7 @@ def test_vector_row_read_matches_the_scalar_read_bit_for_bit(pair, mass, log_r):
     assert len(lasts) == len(verdicts) == len(rests) == len(column)
     for (last, verdict, rest), got in zip(want, zip(lasts, verdicts, rests)):
         assert got[:2] == (last, verdict)
-        assert float(got[2]).hex() == (float("nan") if rest is None else rest).hex()
+        assert got[2] is None if rest is None else float(got[2]).hex() == rest.hex()
 
 
 def test_classify_many_raises_the_first_bad_point_in_order():
@@ -599,34 +625,40 @@ def test_classify_columns_raise_the_error_classify_raises():
 
 
 def test_classify_columns_evaluate_no_count_row_of_a_divergent_pair(monkeypatch):
-    """On bench_criteria's GRID the values-only read evaluates the rows of the finite pairs and the divergent pairs' mass rows."""
+    """On bench_criteria's GRID every front evaluates the rows of the finite pairs and the divergent pairs' mass rows."""
     bench = _bench_criteria()
     seen = []
 
     def recording(sides, take, log_r, h):
         keys = [None] * (len(take) - log_r.size) + log_r.tolist()
-        seen.extend((sides[p], key) for p, key in zip(take, keys))
+        seen.extend((sides[p].fitness_dist, sides[p].threshold_dist, key) for p, key in zip(take, keys))
         return _integrands(sides, take, log_r, h)
 
-    monkeypatch.setattr(criteria, "_integrands", recording)
-    classify_many(bench.GRID)
-    with_evidence = Counter(seen)
-    seen.clear()
-    _columns(bench.GRID)
-    values_only = Counter(seen)
-    assert len(with_evidence) == 800 and set(with_evidence.values()) == {1}
-    kept = Counter(
-        {row: n for row, n in with_evidence.items() if row[1] is None or criteria.exact_verdict(row[0]) == VERDICT_FINITE}
-    )
-    assert values_only == kept
+    # The GRID's rows: per side of each point, its mass-density row and its count-exponent row at log r.
+    rows = set()
+    for params in bench.GRID:
+        for side in (params, params.swapped()):
+            log_r = criteria._log_r(side.lambda_birth, side.lambda_extinct, math.inf)
+            rows |= {(side.fitness_dist, side.threshold_dist, key) for key in (None, log_r)}
+    assert len(rows) == 800
+    kept = {row for row in rows if row[2] is None or criteria.exact_verdict(ModelParams(1.0, 1.0, *row[:2])) == VERDICT_FINITE}
     # 45 of the 100 mark pairs are finite, with 8 rows each; of the 55
     # divergent pairs' 440 rows, only their 55 mass-density rows are read.
     assert len(kept) == 360 + 55
+    monkeypatch.setattr(criteria, "_integrands", recording)
+    for batch in (classify_many, _columns):
+        seen.clear()
+        batch(bench.GRID)
+        assert Counter(seen) == Counter(kept), batch
+    seen.clear()
+    for params in bench.GRID:
+        classify(params)
+    assert set(seen) == kept
 
 
 @pytest.mark.parametrize("cells", [1, 5000])
 def test_chunk_size_changes_no_bit(monkeypatch, cells):
-    """Every chunking of the edges and rows gives the bits of the default one, in both reads."""
+    """Every chunking of the edges and rows gives the bits of the default one, in the reports and the columns."""
     points = _mixed_batch() + _bench_criteria().GRID
     reports, columns = classify_many(points), _columns(points)
     monkeypatch.setattr(criteria, "BLOCK_CHUNK_CELLS", cells)
@@ -678,10 +710,11 @@ def test_classify_many_rows_match_the_one_row_integral():
     points = _mixed_batch()
     for params, report in zip(points, classify_many(points)):
         for side, phi_side, swapped in (("e_m", "phi_inf", params), ("e_n", "phi_bar_inf", params.swapped())):
-            assert report.integrals.evidence[side] == expected_extinction_count(swapped).evidence
-            assert getattr(report.integrals, side) == expected_extinction_count(swapped).value
+            e_m = expected_extinction_count(swapped)
+            assert report.integrals.reads[side] == (e_m.panels, e_m.tail)
+            assert getattr(report.integrals, side) == e_m.value
             phi = extinction_count_exponent(swapped, math.inf)
-            assert report.integrals.evidence[phi_side] == phi.evidence
+            assert report.integrals.reads[phi_side] == (phi.panels, phi.tail)
             assert getattr(report.integrals, phi_side) == phi.value
 
 
@@ -698,7 +731,7 @@ def test_probe_mass_integral_matches_quad_split_at_its_kinks():
     assert report.integrals.e_m == pytest.approx(want, rel=1e-9)
     assert (report.recurrence, report.limit_count, report.method) == ("Transient", "Infinite", "NumericCauchy")
     # Panels 0 .. 77: panel 77 = [53.37, 54.06] is the first to start past h = 53.
-    assert len(report.integrals.evidence["e_m"]) == 78
+    assert report.integrals.reads["e_m"][0] == 78
 
 
 def test_exponential_grid_integrals_match_the_closed_forms():
@@ -807,7 +840,7 @@ def _bench_criteria():
 
 
 def test_classify_many_matches_the_logaddexp_integrand_on_the_bench_grid(monkeypatch):
-    """On bench_criteria's GRID, verdicts and evidence lengths equal the logaddexp form's, values to 1e-13."""
+    """On bench_criteria's GRID, verdicts and panels read equal the logaddexp form's, values and tails to 1e-13."""
     bench = _bench_criteria()
     got = classify_many(bench.GRID)
     monkeypatch.setattr(criteria, "_integrands", _logaddexp_integrands)
@@ -818,10 +851,10 @@ def test_classify_many_matches_the_logaddexp_integrand_on_the_bench_grid(monkeyp
             oracle.limit_count,
             oracle.method,
         ), params
-        for name, evidence in report.integrals.evidence.items():
-            expected = oracle.integrals.evidence[name]
-            assert len(evidence) == len(expected), (params, name)
-            assert evidence == pytest.approx(expected, rel=1e-13, abs=0.0), (params, name)
+        for name, (panels, tail) in report.integrals.reads.items():
+            expected_panels, expected = oracle.integrals.reads[name]
+            assert panels == expected_panels, (params, name)
+            assert tail == pytest.approx(expected, rel=1e-13, abs=0.0), (params, name)
             value, expected = getattr(report.integrals, name), getattr(oracle.integrals, name)
             assert (value is None) == (expected is None), (params, name)
             if value is not None:
