@@ -9,7 +9,11 @@ so that no call shares marks, and with them a composition, with
 another.  ``front_ms`` is, the same way, the best of ``--repeat`` calls of
 each one-row front (``expected_extinction_count``,
 ``extinction_count_exponent`` at t = inf and ``laplace_extinction_count``
-at t = 1) on the exp(1)/exp(2) and weibull(2,1)/weibull(2,0.5) pairs.
+at t = 1) on the exp(1)/exp(2) and weibull(2,1)/weibull(2,0.5) pairs,
+each call on fresh params; ``front_reused_ms`` times the same calls on
+one ``ModelParams`` object reused across them, after one warm-up call
+on it, so that the pair's kinks and tail class kept by ``params.marks``
+are reused.
 ``grid_ms`` is the best of ``--repeat`` classifications of a
 400-point grid shaped like the benchmark's criteria sweep (10 x 10
 exponential rates from 0.5 to 3, lambda_birth in {1, 1.3},
@@ -25,9 +29,9 @@ child process, and ``grid_40k_peak_mb`` the peak resident memory
 (ru_maxrss) of that process; ``grid_side`` echoes the side.  ``integrand_us`` is the best
 per-node time, in microseconds, of forming the mass-density and the
 count-exponent integrand rows (composition included) on one chunk of the
-nodes of panel 0 of the breakless node array, one GRID mark pair per
-row.  ``accuracy.max_rel_error`` holds, per criterion integral, the
-largest relative error over GRID against the exponential closed forms
+nodes of panel 0 of the breakless node array, one GRID mark pair
+(``MarkPair``) per row.  ``accuracy.max_rel_error`` holds, per criterion
+integral, the largest relative error over GRID against the exponential closed forms
 (the negative binomial mean for e_m and e_n, -r log(1 - p) for phi_inf
 and phi_bar_inf), and ``accuracy.none_on_finite_sides`` the number of
 GRID values that are None where the closed form is finite.
@@ -145,7 +149,7 @@ def integrand_us(repeat: int) -> dict[str, float]:
     nodes = grid.h[grid.panel == 0]
     rows = BLOCK_CHUNK_CELLS // nodes.size
     # Every fourth GRID point starts a new mark pair, all at lambda_birth = lambda_extinct = 1.
-    sides = GRID[::4][:rows]
+    sides = [params.marks for params in GRID[::4][:rows]]
     take = list(range(rows))
     out = {}
     for kind, log_r in (("mass_density", np.empty(0)), ("count_exponent", np.zeros(rows))):
@@ -187,6 +191,13 @@ def fresh_ms(repeat: int, fn, marks) -> float:
     return round(1e3 * best_of(repeat, lambda: fn(next(points))), 3)
 
 
+def reused_ms(repeat: int, fn, marks) -> float:
+    """Best milliseconds of repeat calls of fn on one ModelParams of the marks, after one warm-up call on it."""
+    params = ModelParams(1.0, 1.0, *marks(1.0))
+    fn(params)
+    return round(1e3 * best_of(repeat, lambda: fn(params)), 3)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
@@ -198,10 +209,11 @@ def main() -> None:
     }
     for label, marks in PAIRS.items():
         out["classify_ms"][label] = fresh_ms(args.repeat, classify, marks)
-    out["front_ms"] = {
-        name: {label: fresh_ms(args.repeat, front, PAIRS[label]) for label in FRONT_PAIRS}
-        for name, front in FRONTS.items()
-    }
+    for key, timed in (("front_ms", fresh_ms), ("front_reused_ms", reused_ms)):
+        out[key] = {
+            name: {label: timed(args.repeat, front, PAIRS[label]) for label in FRONT_PAIRS}
+            for name, front in FRONTS.items()
+        }
     with tempfile.TemporaryDirectory() as tmp:
         grid_out = os.path.join(tmp, "grid")
 

@@ -14,8 +14,8 @@ integral gives the mean number of birth marks above the threshold
 ladder (finite iff the long-run configuration is finite).
 
 Whether an integral is finite, and how it behaves past the last kink h*
-of its mark pair, depend only on the pair's tail class
-(composed_survival_exponent), which also gives the verdicts.  Each row is
+of its mark pair, depend only on the pair's tail class (MarkPair.tail),
+which also gives the verdicts (MarkPair.finite).  Each row is
 evaluated once, on dyadic panels [n ln2, (n+1) ln2] of Gauss-Legendre
 nodes through the first panel that starts past h*.  Past that panel a
 power pair's C is exactly linear, so the row is finished in closed form;
@@ -30,8 +30,8 @@ the points' rates.  All rows of a pair are read at once (_row_read) and
 evaluated as rows of shared node arrays, in chunks of bounded size; the
 verdicts and the method are taken once per pair.  C(h) of the
 exponential pairs among them is taken in one call with the rates as
-columns (_compositions), on the panel edges and each chunk of nodes,
-with the bits of one call per pair.
+columns (MarkPair.compose_rows), on the panel edges and each chunk of
+nodes, with the bits of one call per pair.
 
 Every front reads its rows this one way.  The count-exponent rows of a
 divergent pair take inf from the verdict unevaluated, while its
@@ -57,13 +57,11 @@ from .distributions import (
     DistributionError,
     DistributionSpec,
     Exponential,
+    MarkPair,
     ModelParams,
-    Pareto,
     TabulatedQuantile,
-    Weibull,
     _as_float,
     _encode_float,
-    _pow,
     check_rates,
 )
 from .process import BLOCK_CHUNK_CELLS
@@ -178,23 +176,18 @@ def _panel_sums(values: np.ndarray, w: np.ndarray, panel: np.ndarray) -> np.ndar
     return np.bincount(index, weights=sums, minlength=rows * count).reshape(rows, count)
 
 
-def _reads_edges(kind: str, gamma: Optional[float], first: int) -> bool:
-    """Whether _row_read of a pair of this tail class and panel n* reads its edge array d."""
-    return (kind == "superpolynomial" or (kind == "power" and gamma > 1.0)) and first < _MAX_PANELS
-
-
-def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first: int, log_r: np.ndarray) -> tuple:
-    """Last panel each row of one mark pair reads, its verdict, and its rest: the integral past that panel, inf or None.
+def _row_read(marks: MarkPair, d: Optional[np.ndarray], first: int, log_r: np.ndarray) -> tuple:
+    """Last panel each row of the mark pair reads, its verdict, and its rest: the integral past that panel, inf or None.
 
     log_r holds the pair's rows: NaN first for its mass-density row, then
     the count-exponent rows' log r.  d = h - C(h) on the panel edges 0,
-    ln2, ..., the grid's top, or None where _reads_edges is false.  With
-    F(y) = e^y for a mass-density row and log1p(e^y / r) for a
-    count-exponent row, the integral of the row's integrand past an edge
-    b where d falls at least at slope s is at most F(d(b)) / s, with
-    equality where d falls at exactly s.  Past the last kink a power
-    pair's d falls at exactly gamma - 1 (divergent rows for gamma <= 1),
-    a subpolynomial pair's d grows (divergent), and a
+    ln2, ..., the grid's top, or None unless the pair is finite and first
+    is below _MAX_PANELS.  With F(y) = e^y for a mass-density row and
+    log1p(e^y / r) for a count-exponent row, the integral of the row's
+    integrand past an edge b where d falls at least at slope s is at most
+    F(d(b)) / s, with equality where d falls at exactly s.  Past the last
+    kink a power pair's d falls at exactly gamma - 1 (divergent rows for
+    gamma <= 1), a subpolynomial pair's d grows (divergent), and a
     superpolynomial pair's d is concave, so its secant slope over panel n
     bounds every later slope: a row stops at the first panel n >= n*
     whose bound F(d(a_{n+1})) ln2 / (d(a_n) - d(a_{n+1})) is below
@@ -205,13 +198,14 @@ def _row_read(kind: str, gamma: Optional[float], d: Optional[np.ndarray], first:
     rows.  Callers ignore overflow and invalid floating-point errors.
     """
     rows, top = log_r.size, min(first + _MAX_REFINEMENTS, _MAX_PANELS) - 1
-    if kind == "subpolynomial" or (kind == "power" and not gamma > 1.0):
+    if not marks.finite:
         return [min(first, top)] * rows, [VERDICT_INFINITE] * rows, [math.inf] * rows
     if first > top:
         return [top] * rows, [VERDICT_INCONCLUSIVE] * rows, [None] * rows
     # F of the bound on the rows' edges: e^y on the mass-density row, which
     # comes first, and log1p(e^y / r) on the others.
     n_base = int(math.isnan(log_r[0])) if rows else 0
+    kind, gamma = marks.tail
     if kind == "power":
         y = d[first + 1]
         rest = [float(np.exp(y))] if n_base else []
@@ -253,7 +247,7 @@ def hazard_weighted_integral(params: ModelParams) -> ImproperIntegral:
     fitness law.  It is the mass-density row of classify, without the
     rate prefactor of expected_extinction_count.
     """
-    return _criterion_integrals([params], [composed_survival_exponent(params)], [[math.nan]]).integral(0)
+    return _criterion_integrals([params.marks], [[math.nan]]).integral(0)
 
 
 def hazard_weighted_integral_xspace(
@@ -279,69 +273,13 @@ def hazard_weighted_integral_xspace(
     return value
 
 
-def hazard_breaks(params: ModelParams) -> tuple[float, ...]:
-    """Fitness hazards in (0, inf) where the composition C(h) has a kink.
-
-    These are the kink levels of both laws (support edges, tabulated
-    nodes) mapped through the fitness hazard, sorted.
-    """
-    fit = params.fitness_dist
-    levels = np.concatenate([fit.kink_levels(), params.threshold_dist.kink_levels()])
-    return tuple(sorted({h for h in fit.hazard_transform_array(levels).tolist() if 0.0 < h < math.inf}))
-
-
-def _composition(params: ModelParams, h: np.ndarray) -> np.ndarray:
-    """C(h) = H_thr(H_fit^-1(h)) on the hazards h."""
-    return params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
-
-
-# Fewer exponential pairs than this are taken one call at a time: two
-# stacked cost about what two calls cost.
-_STACK_MIN = 3
-
-
-def _is_exponential(marks: ModelParams) -> bool:
-    """Whether both laws of the mark pair are Exponential, by exact type, so a subclass is never taken for its base.
-
-    Such a pair's kinks are its two support edges 0, at hazard 0, so its
-    hazard_breaks are ().
-    """
-    return type(marks.fitness_dist) is Exponential and type(marks.threshold_dist) is Exponential
-
-
-def _compositions(sides: Sequence[ModelParams], h: np.ndarray) -> np.ndarray:
-    """C(h) of every pair of sides on the hazards h, one row each, with the bits of _composition.
-
-    When _STACK_MIN or more of the pairs are exponential, those are taken
-    in one call (Exponential.composition_rows); every other pair in one
-    call of its own.
-    """
-    stacked = [p for p, marks in enumerate(sides) if _is_exponential(marks)] if len(sides) >= _STACK_MIN else []
-    if len(stacked) < _STACK_MIN:
-        stacked = []
-    else:
-        rows = Exponential.composition_rows(
-            [sides[p].fitness_dist.rate for p in stacked], [sides[p].threshold_dist.rate for p in stacked], h
-        )
-        if len(stacked) == len(sides):
-            return rows
-    values = np.empty((len(sides),) + h.shape)
-    if stacked:
-        values[stacked] = rows
-    taken = set(stacked)
-    for p, marks in enumerate(sides):
-        if p not in taken:
-            values[p] = _composition(marks, h)
-    return values
-
-
-def _integrands(sides: Sequence[ModelParams], take: Sequence[int], log_r: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _integrands(sides: Sequence[MarkPair], take: Sequence[int], log_r: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Integrand rows on the nodes h: row i is of the mark pair sides[take[i]].
 
     The first len(take) - log_r.size rows are mass-density rows; the others
     are count-exponent rows, with the log r of log_r in order.  take
     numbers the pairs in the order of their first row.  C(h) =
-    H_thr(H_fit^-1(h)) is taken once per pair (_compositions) and
+    H_thr(H_fit^-1(h)) is taken once per pair (MarkPair.compose_rows) and
     gathered to the rows in one take, then turned into each row's
     integrand in place.  A count-exponent row is the logistic
     1/(1 + e^x) of x = C(h) + log r - h, formed by vector exp, add and
@@ -349,7 +287,7 @@ def _integrands(sides: Sequence[ModelParams], take: Sequence[int], log_r: np.nda
     integrand's limit, and a NaN stays NaN, so no inf/inf arises and a
     bad panel is still reported.
     """
-    values = _compositions(sides, h)
+    values = MarkPair.compose_rows(sides, h)
     if len(take) != len(sides):
         values = values.take(take, axis=0)
     n_base = len(take) - log_r.size
@@ -365,50 +303,47 @@ def _integrands(sides: Sequence[ModelParams], take: Sequence[int], log_r: np.nda
     return values
 
 
-def _edge_drops(sides: Sequence[ModelParams], pairs: Sequence[int], nodes_of: Sequence[_Nodes]):
+def _edge_drops(sides: Sequence[MarkPair], pairs: Sequence[int], nodes_of: Sequence[_Nodes]):
     """d = h - C(h) on the panel edges of each of the pairs, in order, C taken for a chunk of pairs at once.
 
     Every edge array is a prefix of the longest, the dyadic edges 0, ln2,
     ..., so a chunk of at most BLOCK_CHUNK_CELLS edges takes C(h) on that
-    one (_compositions) and each pair reads its own prefix.  One pair
-    alone takes C on its own edges: the chunk's array handling costs a
-    one-row front about a tenth of its call.
+    one (MarkPair.compose_rows) and each pair reads its own prefix.  One
+    pair alone takes C on its own edges (MarkPair.compose): the chunk's
+    array handling costs a one-row front about a tenth of its call.
     """
     if not pairs:
         return
     if len(pairs) == 1:
         edges = nodes_of[pairs[0]].edges
-        d = _composition(sides[pairs[0]], edges)
+        d = sides[pairs[0]].compose(edges)
         yield np.subtract(edges, d, out=d)
         return
     edges = max((nodes_of[p].edges for p in pairs), key=len)
     step = max(BLOCK_CHUNK_CELLS // edges.size, 1)
     for start in range(0, len(pairs), step):
         chunk = pairs[start : start + step]
-        d = _compositions([sides[p] for p in chunk], edges)
+        d = MarkPair.compose_rows([sides[p] for p in chunk], edges)
         np.subtract(edges, d, out=d)
         for p, drop in zip(chunk, d):
             yield drop[: nodes_of[p].edges.size]
 
 
-def _criterion_integrals(
-    sides: Sequence[ModelParams], shapes: Sequence[tuple], columns: Sequence[Collection[float]]
-) -> _Rows:
+def _criterion_integrals(sides: Sequence[MarkPair], columns: Sequence[Collection[float]]) -> _Rows:
     """Criterion integrals of distinct rows, given per mark pair as a column of log r.
 
-    shapes[p] is composed_survival_exponent of the mark pair sides[p]
-    (any object with fitness_dist and threshold_dist), and columns[p]
-    holds the pair's rows: NaN first for its mass-density row, the
-    integral of the ladder's per-step mass density exp(h - C(h)) without
-    its rate prefactor, then one log r per count-exponent row, the
-    integral of 1/(1 + r exp(C(h) - h)), formed as the logistic of
-    log r + C(h) - h (see _integrands), so that it never forms inf/inf.
+    columns[p] holds the rows of the mark pair sides[p]: NaN first for
+    its mass-density row, the integral of the ladder's per-step mass
+    density exp(h - C(h)) without its rate prefactor, then one log r per
+    count-exponent row, the integral of 1/(1 + r exp(C(h) - h)), formed
+    as the logistic of log r + C(h) - h (see _integrands), so that it
+    never forms inf/inf.
     _row_read decides, once per pair, from the pair's tail class and C on
     the panel edges (taken only where it reads them, _edge_drops) which
     panels each row reads; rows that read the same panels of the same
     node array are evaluated together, in chunks of at most
     BLOCK_CHUNK_CELLS nodes that take C(h) of the pairs in them together
-    (_compositions).
+    (MarkPair.compose_rows).
 
     The count-exponent rows of a divergent pair that has a mass-density
     row take their value inf from the verdict, unevaluated.  Such a row
@@ -431,18 +366,18 @@ def _criterion_integrals(
     # Rows that read the same panels of one node array, by (breaks, last
     # panel): the mass-density rows, then the count-exponent rows.
     reads: dict[tuple, tuple[list, list]] = {}
-    breaks_of = [() if _is_exponential(marks) else hazard_breaks(marks) for marks in sides]
+    breaks_of = [marks.breaks for marks in sides]
     # The node arrays of the call, one per distinct breaks tuple, however
     # many more than _panel_nodes keeps.
     grids = {breaks: _panel_nodes(breaks) for breaks in dict.fromkeys(breaks_of)}
     nodes_of = [grids[breaks] for breaks in breaks_of]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reading = [_reads_edges(*shape, nodes.first) for shape, nodes in zip(shapes, nodes_of)]
+        reading = [marks.finite and nodes.first < _MAX_PANELS for marks, nodes in zip(sides, nodes_of)]
         drops = _edge_drops(sides, [p for p, reads_d in enumerate(reading) if reads_d], nodes_of)
-        for p, (shape, breaks, nodes, reads_d) in enumerate(zip(shapes, breaks_of, nodes_of, reading)):
+        for p, (marks, breaks, nodes, reads_d) in enumerate(zip(sides, breaks_of, nodes_of, reading)):
             row, end = starts[p], starts[p + 1]
             d = next(drops) if reads_d else None
-            lasts, verdict, tail = _row_read(*shape, d, nodes.first, log_r[row:end])
+            lasts, verdict, tail = _row_read(marks, d, nodes.first, log_r[row:end])
             verdicts += verdict
             tails += tail
             panels += [last + 1 for last in lasts]
@@ -533,7 +468,7 @@ def extinction_count_exponent(params: ModelParams, t) -> ImproperIntegral:
     if not t > 0.0:
         raise CriteriaError(f"t must be positive (math.inf allowed), got {t}")
     log_r = _log_r(params.lambda_birth, params.lambda_extinct, t)
-    return _criterion_integrals([params], [composed_survival_exponent(params)], [[log_r]]).integral(0)
+    return _criterion_integrals([params.marks], [[log_r]]).integral(0)
 
 
 def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
@@ -548,70 +483,6 @@ def laplace_extinction_count(params: ModelParams, t) -> Optional[float]:
     if res.is_infinite:
         return 0.0
     return None
-
-
-def _tail_shape(dist: DistributionSpec) -> tuple:
-    """Canonical tail description: ("exp", shape, scale) or ("power", index).
-
-    A tabulated law's log-linear tail past its last node is an
-    exponential one, at the rate of its last segment.
-    """
-    if isinstance(dist, Exponential):
-        return ("exp", 1.0, 1.0 / dist.rate)
-    if isinstance(dist, Weibull):
-        return ("exp", dist.shape, dist.scale)
-    if isinstance(dist, Pareto):
-        return ("power", dist.index)
-    if isinstance(dist, TabulatedQuantile):
-        return ("exp", 1.0, -1.0 / dist._tail_slope)
-    raise CriteriaError(f"no tail shape for {type(dist).__name__}")
-
-
-def composed_survival_exponent(params: ModelParams) -> tuple[str, Optional[float]]:
-    """Decay class of the composed survival S_thr(S_fit^-1(u)) near u = 0.
-
-    Returns ("power", gamma) when the composition behaves like a
-    constant times u**gamma, ("superpolynomial", None) when it decays
-    faster than any power, and ("subpolynomial", None) when slower.
-    For a power pair C(h) = gamma h + c holds exactly past the last
-    kink (hazard_breaks); for a superpolynomial pair C is convex there.
-    """
-    fit = _tail_shape(params.fitness_dist)
-    thr = _tail_shape(params.threshold_dist)
-    if fit[0] == "power" and thr[0] == "power":
-        return ("power", thr[1] / fit[1])
-    if fit[0] == "exp" and thr[0] == "exp":
-        _, k_fit, s_fit = fit
-        _, k_thr, s_thr = thr
-        if k_thr > k_fit:
-            return ("superpolynomial", None)
-        if k_thr < k_fit:
-            return ("subpolynomial", None)
-        return ("power", _pow(s_fit / s_thr, k_fit))
-    if fit[0] == "exp":
-        # Power-law threshold survival at an exponential-type quantile
-        # decays only logarithmically in u.
-        return ("subpolynomial", None)
-    # Exponential-type threshold survival at a power-growing quantile
-    # decays faster than any power of u.
-    return ("superpolynomial", None)
-
-
-def exact_verdict(params: ModelParams) -> str:
-    """Extinction-count criterion decided by composed_survival_exponent.
-
-    Finite for a power exponent above 1 or superpolynomial decay,
-    infinite otherwise.  Apply it to params.swapped() for the
-    limit-count side.
-    """
-    return _shape_verdict(*composed_survival_exponent(params))
-
-
-def _shape_verdict(kind: str, gamma: Optional[float]) -> str:
-    """exact_verdict of the tail class (kind, gamma) of composed_survival_exponent."""
-    if kind == "power":
-        return VERDICT_FINITE if gamma > 1.0 else VERDICT_INFINITE
-    return VERDICT_FINITE if kind == "superpolynomial" else VERDICT_INFINITE
 
 
 @dataclass(frozen=True)
@@ -650,8 +521,8 @@ class ClassificationReport:
 def classify(params: ModelParams) -> ClassificationReport:
     """Recurrence and limit-count verdicts with supporting integrals.
 
-    The verdicts are exact_verdict of both sides, from the tail class of
-    the mark pair; the four criterion integrals and their reads are
+    The verdicts are MarkPair.finite of both sides, from the tail class
+    of the mark pair; the four criterion integrals and their reads are
     attached.  method is "NumericCauchy" when a law is tabulated and
     "AnalyticExponent" otherwise.  This is classify_many of one point.
     """
@@ -715,7 +586,7 @@ def classify_columns(
     rows (_criterion_integrals): its mass-density row, which the rate
     prefactors scale afterwards, and one count-exponent row per distinct
     log r.  Each distinct rate pair gives its two log r and prefactors
-    once; exact_verdict and the method are taken once per pair.  The
+    once; the verdict and the method are taken once per pair.  The
     values equal those of classify of each point bit for bit, and the
     first point, in order, that classify would refuse raises the same
     CriteriaError.
@@ -728,18 +599,11 @@ def classify_columns(
     return ClassificationColumns(*fields)
 
 
-class _Marks(NamedTuple):
-    """A mark pair: what the criterion rows read of a ModelParams."""
-
-    fitness_dist: DistributionSpec
-    threshold_dist: DistributionSpec
-
-
 class _Batch(NamedTuple):
     """A batch of points keyed to its mark pairs and read.
 
-    rows holds the criterion rows; pairs per mark pair its exact_verdict
-    and method; rates per rate pair (lambda_birth, lambda_extinct) and
+    rows holds the criterion rows; pairs per mark pair its verdict and
+    method; rates per rate pair (lambda_birth, lambda_extinct) and
     the prefactors of e_m and e_n; points per point its pairs m (the
     point's) and n (its role swap's), its rows of e_m, e_n, phi_inf and
     phi_bar_inf, and its rate pair.
@@ -760,7 +624,7 @@ def _classify_batch(
     laws = list(unique)
     log_rs = [(_log_r(lb, le, math.inf), _log_r(le, lb, math.inf)) for lb, le in rates]
     pair_id: dict = {}
-    sides: list[_Marks] = []
+    sides: list[MarkPair] = []
     # Per pair: its log r, by position; position 0 is the mass-density row.
     columns: list[dict] = []
 
@@ -768,7 +632,7 @@ def _classify_batch(
         p = pair_id.get((fit, thr))
         if p is None:
             p = pair_id[fit, thr] = len(sides)
-            sides.append(_Marks(laws[fit], laws[thr]))
+            sides.append(MarkPair(laws[fit], laws[thr]))
             columns.append({math.nan: 0})
         return p
 
@@ -780,14 +644,13 @@ def _classify_batch(
         column_m, column_n = columns[m], columns[n]
         c_m, c_n = column_m.setdefault(log_r_m, len(column_m)), column_n.setdefault(log_r_n, len(column_n))
         keyed.append((m, n, c_m, c_n, k))
-    shapes = [composed_survival_exponent(marks) for marks in sides]
-    rows = _criterion_integrals(sides, shapes, columns) if sides else _Rows([], [], [], [], [])
+    rows = _criterion_integrals(sides, columns) if sides else _Rows([], [], [], [], [])
     offset = [0, *accumulate(len(column) for column in columns)]
     batch_points = [(m, n, offset[m], offset[n], offset[m] + c_m, offset[n] + c_n, k) for m, n, c_m, c_n, k in keyed]
     pairs = []
-    for marks, shape in zip(sides, shapes):
-        tabulated = any(isinstance(law, TabulatedQuantile) for law in marks)
-        pairs.append((_shape_verdict(*shape), "NumericCauchy" if tabulated else "AnalyticExponent"))
+    for marks in sides:
+        tabulated = isinstance(marks.fitness, TabulatedQuantile) or isinstance(marks.threshold, TabulatedQuantile)
+        pairs.append((VERDICT_FINITE if marks.finite else VERDICT_INFINITE, "NumericCauchy" if tabulated else "AnalyticExponent"))
     return _Batch(rows, pairs, [((lb, le), le / lb, lb / le) for lb, le in rates], batch_points)
 
 

@@ -23,7 +23,8 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -163,6 +164,10 @@ class DistributionSpec(ABC):
         return np.array([self.support_lower])
 
     @abstractmethod
+    def tail_shape(self) -> tuple:
+        """The survival tail's class: ("exp", shape, scale) for exp(-(x/scale)^shape), ("power", index) for x^-index."""
+
+    @abstractmethod
     def to_json(self) -> dict:
         """JSON-serializable description of this law."""
 
@@ -228,23 +233,12 @@ class Exponential(DistributionSpec):
         with np.errstate(over="ignore"):
             return np.divide(h, self.rate, out=out)
 
-    @staticmethod
-    def composition_rows(fitness_rates: Sequence[float], threshold_rates: Sequence[float], h: np.ndarray) -> np.ndarray:
-        """H_thr(H_fit^-1(h)) of exponential pairs on the hazards h, one row per pair, given their two rates.
-
-        Row i has the bits of Exponential(threshold_rates[i])'s
-        hazard_transform_array of Exponential(fitness_rates[i])'s
-        inverse_hazard_array(h): the same divide and multiply, with the
-        rates as columns.
-        """
-        shape = (-1,) + (1,) * np.ndim(h)
-        with np.errstate(over="ignore"):
-            rows = np.divide(h, np.reshape(fitness_rates, shape))
-            return np.multiply(np.reshape(threshold_rates, shape), rows, out=rows)
-
     def hazard_density(self, x) -> float:
         _check_level(x, 0.0)
         return self.rate
+
+    def tail_shape(self) -> tuple:
+        return ("exp", 1.0, 1.0 / self.rate)
 
     def to_json(self) -> dict:
         return {"family": "exponential", "rate": self.rate}
@@ -306,6 +300,9 @@ class Weibull(DistributionSpec):
                 raise DistributionError("hazard density diverges at 0 for shape < 1")
             return 0.0 if self.shape > 1.0 else 1.0 / self.scale
         return (self.shape / self.scale) * (x / self.scale) ** (self.shape - 1.0)
+
+    def tail_shape(self) -> tuple:
+        return ("exp", self.shape, self.scale)
 
     def to_json(self) -> dict:
         return {"family": "weibull", "shape": self.shape, "scale": self.scale}
@@ -372,6 +369,9 @@ class Pareto(DistributionSpec):
             return 0.0
         return self.index / x
 
+    def tail_shape(self) -> tuple:
+        return ("power", self.index)
+
     def to_json(self) -> dict:
         return {"family": "pareto", "minimum": self.minimum, "index": self.index}
 
@@ -422,8 +422,15 @@ class TabulatedQuantile(DistributionSpec):
         object.__setattr__(self, "_us_rev", us[::-1].copy())
         object.__setattr__(self, "_xs_rev", xs[::-1].copy())
         # Tail slope of log-survival per unit level, taken from the last segment.
-        slope = (self._log_us[-1] - self._log_us[-2]) / (xs[-1] - xs[-2])
-        object.__setattr__(self, "_tail_slope", float(slope))
+        with np.errstate(over="ignore"):
+            slope = float((self._log_us[-1] - self._log_us[-2]) / (xs[-1] - xs[-2]))
+        # The tail's scale, -1 / slope, must be finite too: a subnormal slope's overflows.
+        if not (math.isfinite(slope) and slope < 0.0 and math.isfinite(1.0 / slope)):
+            raise DistributionError(
+                f"the last grid segment, levels {xs[-2]} to {xs[-1]}, gives the log-linear tail slope {slope}; "
+                "it must be finite and negative, with a finite reciprocal"
+            )
+        object.__setattr__(self, "_tail_slope", slope)
 
     @property
     def support_lower(self) -> float:
@@ -483,6 +490,10 @@ class TabulatedQuantile(DistributionSpec):
         """Every grid node: interpolation and the log-linear tail join there."""
         return self._xs.copy()
 
+    def tail_shape(self) -> tuple:
+        """The log-linear tail past the last node is exponential, at the rate of the last segment."""
+        return ("exp", 1.0, -1.0 / self._tail_slope)
+
     def to_json(self) -> dict:
         return {
             "family": "tabulated",
@@ -525,7 +536,7 @@ def distribution_from_json(obj) -> DistributionSpec:
     if not isinstance(obj, dict):
         raise DistributionError(f"distribution spec must be an object, got {type(obj)}")
     family = obj.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise DistributionError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     if family in _PARAMETRIC:
         cls, keys = _PARAMETRIC[family]
@@ -560,6 +571,109 @@ def check_rates(lambda_birth, lambda_extinct) -> tuple[float, float]:
     return lb, le
 
 
+# Fewer exponential pairs than this are composed one call at a time: two
+# stacked cost about what two calls cost.
+_STACK_MIN = 3
+
+
+@dataclass(frozen=True)
+class MarkPair:
+    """The two mark laws of a record ladder: the fitness law it climbs and the threshold law read against it.
+
+    compose gives C(h) = H_thr(H_fit^-1(h)), the threshold hazard at the
+    fitness level whose hazard is h.  The pair's kinks (breaks) and its
+    tail class (tail) are taken once per pair and kept; swapped() is the
+    pair of the other ladder, with the roles exchanged.
+    """
+
+    fitness: DistributionSpec
+    threshold: DistributionSpec
+
+    def compose(self, h: np.ndarray) -> np.ndarray:
+        """C(h) on the hazards h, unchecked; inf past the float range."""
+        return self.threshold.hazard_transform_array(self.fitness.inverse_hazard_array(h))
+
+    def swapped(self) -> "MarkPair":
+        return MarkPair(self.threshold, self.fitness)
+
+    def _exponential(self) -> bool:
+        """Whether both laws are Exponential by exact type, so a subclass is never taken for its base."""
+        return type(self.fitness) is Exponential and type(self.threshold) is Exponential
+
+    @cached_property
+    def breaks(self) -> tuple[float, ...]:
+        """Fitness hazards in (0, inf) where C has a kink, sorted.
+
+        These are the kink levels of both laws (support edges, tabulated
+        nodes) mapped through the fitness hazard.  An exponential pair's
+        kinks are its two support edges 0, at hazard 0, so it skips that
+        work and has none.
+        """
+        if self._exponential():
+            return ()
+        levels = np.concatenate([self.fitness.kink_levels(), self.threshold.kink_levels()])
+        return tuple(sorted({h for h in self.fitness.hazard_transform_array(levels).tolist() if 0.0 < h < math.inf}))
+
+    @cached_property
+    def tail(self) -> tuple[str, Optional[float]]:
+        """Decay class of the composed survival S_thr(S_fit^-1(u)) near u = 0, from the laws' tail shapes.
+
+        ("power", gamma) when the composition behaves like a constant
+        times u**gamma, ("superpolynomial", None) when it decays faster
+        than any power, and ("subpolynomial", None) when slower.  For a
+        power pair C(h) = gamma h + c holds exactly past the last kink
+        (breaks); for a superpolynomial pair C is convex there.
+        """
+        fit, thr = self.fitness.tail_shape(), self.threshold.tail_shape()
+        if fit[0] == "power" and thr[0] == "power":
+            return ("power", thr[1] / fit[1])
+        if fit[0] == "exp" and thr[0] == "exp":
+            _, k_fit, s_fit = fit
+            _, k_thr, s_thr = thr
+            if k_thr > k_fit:
+                return ("superpolynomial", None)
+            if k_thr < k_fit:
+                return ("subpolynomial", None)
+            return ("power", _pow(s_fit / s_thr, k_fit))
+        # Power-law threshold survival at an exponential-type quantile decays
+        # only logarithmically in u; exponential-type threshold survival at a
+        # power-growing quantile decays faster than any power of u.
+        return ("subpolynomial", None) if fit[0] == "exp" else ("superpolynomial", None)
+
+    @property
+    def finite(self) -> bool:
+        """Whether the integral of exp(h - C(h)) over h in [0, inf) converges: a power tail above 1, or superpolynomial."""
+        kind, gamma = self.tail
+        return kind == "superpolynomial" or (kind == "power" and gamma > 1.0)
+
+    @staticmethod
+    def compose_rows(pairs: Sequence["MarkPair"], h: np.ndarray) -> np.ndarray:
+        """C(h) of every pair on the hazards h, one row each, with the bits of its compose.
+
+        When _STACK_MIN or more of the pairs are exponential, those are
+        taken in one call: the divide and multiply of their compose, with
+        the rates as columns.  Every other pair takes one call of its own.
+        """
+        stacked = [p for p, marks in enumerate(pairs) if marks._exponential()] if len(pairs) >= _STACK_MIN else []
+        if len(stacked) < _STACK_MIN:
+            stacked = []
+        else:
+            shape = (-1,) + (1,) * np.ndim(h)
+            with np.errstate(over="ignore"):
+                rows = np.divide(h, np.reshape([pairs[p].fitness.rate for p in stacked], shape))
+                rows = np.multiply(np.reshape([pairs[p].threshold.rate for p in stacked], shape), rows, out=rows)
+            if len(stacked) == len(pairs):
+                return rows
+        values = np.empty((len(pairs),) + h.shape)
+        if stacked:
+            values[stacked] = rows
+        taken = set(stacked)
+        for p, marks in enumerate(pairs):
+            if p not in taken:
+                values[p] = marks.compose(h)
+        return values
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Birth/extinction rates and the two mark laws of the species process."""
@@ -586,6 +700,11 @@ class ModelParams:
             fitness_dist=self.threshold_dist,
             threshold_dist=self.fitness_dist,
         )
+
+    @cached_property
+    def marks(self) -> MarkPair:
+        """The mark pair of the fitness ladder, kept with the parameters."""
+        return MarkPair(self.fitness_dist, self.threshold_dist)
 
     def to_json(self) -> dict:
         return {

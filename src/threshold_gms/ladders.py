@@ -36,11 +36,11 @@ secant slope over the last step bounds every later slope, so that mass
 is at most (opposing rate / event rate) * exp(d_k) * E_k / (d_{k-1} - d_k)
 with d = h - C(h); every built-in pair is linear or convex past its last
 kink, or divergent.  The divergent pairs, whose concave C could meet the
-bound falsely, never reach the walk: sample_ladder_blocks reads
-criteria.exact_verdict first and stops every row of such a pair as
-"divergent".  Only a ladder stopped by the bound counts as finite: one
-cut at MAX_STEPS or by float overflow reports the "effectively infinite"
-sentinel rather than a silently truncated number.
+bound falsely, never reach the walk: sample_ladder_blocks reads the tail
+class of params.marks first (MarkPair.finite) and stops every row of a
+divergent pair as "divergent".  Only a ladder stopped by the bound counts
+as finite: one cut at MAX_STEPS or by float overflow reports the
+"effectively infinite" sentinel rather than a silently truncated number.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .criteria import VERDICT_INFINITE, exact_verdict, hazard_breaks
 from .distributions import ModelParams
 
 EFFECTIVELY_INFINITE = math.inf
@@ -60,7 +59,7 @@ EFFECTIVELY_INFINITE = math.inf
 STOP_MAX_STEPS = "max_steps"
 STOP_TAIL_BOUND = "tail_bound"  # the mass died out: the only finite stop
 STOP_OVERFLOW = "overflow"
-STOP_DIVERGENT = "divergent"  # no ladder was walked: exact_verdict declares the mass divergent
+STOP_DIVERGENT = "divergent"  # no ladder was walked: the mark pair's tail class makes the mass divergent
 STOP_REASONS = (STOP_TAIL_BOUND, STOP_MAX_STEPS, STOP_OVERFLOW, STOP_DIVERGENT)
 
 # Round k of a walk takes min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows) steps
@@ -260,9 +259,9 @@ def _walk_blocks(
     """Walk `rows` record ladders of params' fitness law per generator, in cumulative-hazard space.
 
     The marks are params.fitness_dist at rate lambda_birth and the
-    opposing stream params.threshold_dist at rate lambda_extinct (the
-    threshold ladder walks params.swapped()).  Block b, rows b * rows to
-    (b + 1) * rows - 1, draws from rngs[b] alone.  Round k takes c =
+    opposing stream params.threshold_dist at rate lambda_extinct, the
+    pair params.marks (the threshold ladder walks params.swapped()).
+    Block b, rows b * rows to (b + 1) * rows - 1, draws from rngs[b] alone.  Round k takes c =
     min(FIRST_CHUNK * 2^k, CHUNK_CELLS // rows, MAX_STEPS - steps walked)
     steps per row in every block, a width set by k and `rows` alone.  Each
     block draws, for its rows still walking, unit exponentials (hazard
@@ -271,8 +270,8 @@ def _walk_blocks(
     arrays are this thread's kept workspace (_chunk_arrays), so kept steps
     are copied out of it.  The row's hazards h_k are
     the running sums of the increments, its records H^-1(h_k), d_k = h_k -
-    H_opp(record_k) (d before the first record is -H_opp(H^-1(0))) and its
-    step masses (opp_rate/mark_rate) * G * exp(d_k), taken in log form so
+    H_opp(record_k) (d before the first record is -C(0), the pair's
+    compose at 0) and its step masses (opp_rate/mark_rate) * G * exp(d_k), taken in log form so
     that no inf - inf or 0 * inf can arise.  The blocks' draws stack along
     the row axis and share one pass of the arithmetic, which is elementwise
     or per row, so no row depends on the blocks walking beside it.  A row
@@ -280,15 +279,16 @@ def _walk_blocks(
     of precedence: the record overflows (the step is not kept), the mass
     is inf, the tail bound (opp_rate/mark_rate) * exp(d_k) * E_k / (d_{k-1}
     - d_k) with E_k = h_k - h_{k-1} is below TAIL_TOLERANCE and h_{k-1} is
-    at or past the last kink of hazard_breaks(params), or the step is the
+    at or past the last of the pair's breaks, or the step is the
     MAX_STEPS-th.  Multiplied through by G the bound test reads E_k * mass
     < TAIL_TOLERANCE * (d_{k-1} - d_k) * G, so it takes no exp or log of
     its own; a NaN there (d = -inf on both sides: no mass is left) meets it.
     """
-    mark_dist, opp_dist, mark_rate = params.fitness_dist, params.threshold_dist, params.lambda_birth
+    marks, mark_rate = params.marks, params.lambda_birth
+    mark_dist, opp_dist = marks.fitness, marks.threshold
     log_ratio = math.log(params.lambda_extinct) - math.log(mark_rate)
-    h_kink = max(hazard_breaks(params), default=0.0)
-    d_start = -float(opp_dist.hazard_transform_array(mark_dist.inverse_hazard_array(np.float64(0.0))))
+    h_kink = max(marks.breaks, default=0.0)
+    d_start = -float(marks.compose(np.float64(0.0)))
     blocks = len(rngs)
     total = blocks * rows
     depth = np.zeros(total, dtype=np.int64)
@@ -409,11 +409,12 @@ def sample_ladder_blocks(
     is this walk of params.swapped().  Rows b * rows to (b + 1) * rows - 1
     depend only on rngs[b] and `rows`: they are
     sample_ladder_block(params, rngs[b], rows, ...) bit for bit, whatever
-    other blocks walk beside them.  Where exact_verdict declares the mass
-    infinite nothing is drawn: every row stops as "divergent" with depth 0,
-    mass 0 and tail nan (and empty steps when kept).
+    other blocks walk beside them.  Where the tail class of params.marks
+    makes the mass infinite (MarkPair.finite is false) nothing is drawn:
+    every row stops as "divergent" with depth 0, mass 0 and tail nan (and
+    empty steps when kept).
     """
-    if exact_verdict(params) != VERDICT_INFINITE:
+    if params.marks.finite:
         return _walk_blocks(params, rngs, rows, keep_steps)
     total = len(rngs) * rows
     empty = np.empty(0)

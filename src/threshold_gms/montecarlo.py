@@ -12,8 +12,8 @@ RunResult.aux["mass"], so a single run serves both the count and the
 mass checks.
 
 The limit task walks the count task's ladder of params.swapped(), after
-each block's look-back gaps.  Where the exact tail exponent declares a
-walked pair divergent, ladders.sample_ladder_blocks walks nothing and
+each block's look-back gaps.  Where the tail class of the walked mark
+pair makes it divergent, ladders.sample_ladder_blocks walks nothing and
 stops every row as "divergent"; such blocks take the same path to
 samples and auxiliaries as walked ones.  Every other replication is
 finite only if its ladder stopped by the tail bound of the one

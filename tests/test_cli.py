@@ -647,6 +647,11 @@ def test_an_output_symlink_is_replaced_not_written_through(tmp_path, transient_p
         ["classify", "--params", "PARETO_MIN_PARAMS"],
         ["classify", "--params", "TABULATED_EXTRA_PARAMS"],
         ["ladder-mc", "--params", "LAMBDA_TYPO_PARAMS", "--reps", "10"],
+        # A tabulated tail slope of -inf or -0.0 has no tail class; a family that is not a string names none.
+        ["classify", "--params", "INF_SLOPE_PARAMS"],
+        ["ladder-mc", "--params", "FLAT_TAIL_PARAMS", "--reps", "10"],
+        ["simulate", "--params", "INF_SLOPE_PARAMS", "--horizon", "5"],
+        ["classify", "--params", "LIST_FAMILY_PARAMS"],
         # A finite e_m that its rate prefactor takes past the float range has no value to write.
         ["classify", "--grid", "alpha_fitness=1;alpha_threshold=2;lambda_birth=1e-300;lambda_extinct=1e300"],
     ],
@@ -660,6 +665,9 @@ def test_errors_leave_no_output_behind(tmp_path, argv, transient_params, capsys)
         "PARETO_MIN_PARAMS": {"threshold_dist": {"family": "pareto", "minimum": 1.0, "index": 2.0, "min": 1.0}},
         "TABULATED_EXTRA_PARAMS": {"threshold_dist": {"family": "tabulated", "grid": grid, "extra": 1}},
         "LAMBDA_TYPO_PARAMS": {"lambda_typo": 2.0},
+        "INF_SLOPE_PARAMS": {"threshold_dist": {"family": "tabulated", "grid": [[1.0, 0.0], [0.5, 5e-324]]}},
+        "FLAT_TAIL_PARAMS": {"threshold_dist": {"family": "tabulated", "grid": [[1.0, 0.0], [1.0 - 2.0**-53, 1.7e308]]}},
+        "LIST_FAMILY_PARAMS": {"fitness_dist": {"family": ["exponential"], "rate": 1}},
     }
     paths = {"PARAMS": transient_params}
     for name, change in bad.items():

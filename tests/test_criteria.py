@@ -27,11 +27,9 @@ from threshold_gms.criteria import (
     classify,
     classify_many,
     _integrands,
-    composed_survival_exponent,
     expected_extinction_count,
     exponential_closed_forms,
     extinction_count_exponent,
-    hazard_breaks,
     hazard_weighted_integral,
     hazard_weighted_integral_xspace,
     laplace_extinction_count,
@@ -39,6 +37,7 @@ from threshold_gms.criteria import (
 from threshold_gms.distributions import (
     DistributionError,
     Exponential,
+    MarkPair,
     ModelParams,
     Pareto,
     TabulatedQuantile,
@@ -56,7 +55,7 @@ def exp_params(a_fit, a_thr, l_birth=1.0, l_ext=1.0):
 def _composition(params, h):
     """C(h) = H_thr(H_fit^-1(h)), read off the mass-density row exp(h - C(h)) that _integrands evaluates."""
     h = np.asarray(h, dtype=float)[None, :]
-    return (h - np.log(_integrands([params], [0], np.empty(0), h)[0]))[0]
+    return (h - np.log(_integrands([params.marks], [0], np.empty(0), h)[0]))[0]
 
 
 HAZARDS = np.array([0.0, 0.36, 1.6, 9.2, 27.6])
@@ -267,8 +266,7 @@ def test_bad_panels_raise_only_where_a_row_reads():
     """A NaN past the panels a row reads is never evaluated; one inside them fails that row only."""
     past = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 20.0, 30.0))
     inside = ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(2.0, 1.0, 1.2))
-    shapes = [composed_survival_exponent(past), composed_survival_exponent(inside)]
-    got = _criterion_integrals([past, inside], shapes, [[math.nan, 0.0], [math.nan, 0.0]])
+    got = _criterion_integrals([past.marks, inside.marks], [[math.nan, 0.0], [math.nan, 0.0]])
     assert got.error[:2] == [None, None]
     assert got.value[0] == pytest.approx(1.0, rel=1e-15)
     assert got.value[1] == pytest.approx(math.log(2.0), rel=1e-15)
@@ -360,32 +358,32 @@ def test_expected_count_closed_form_exponential_weibull():
 
 
 def test_composed_survival_exponent_table():
-    assert composed_survival_exponent(exp_params(1.0, 2.0)) == ("power", 2.0)
-    assert composed_survival_exponent(exp_params(2.0, 1.0)) == ("power", 0.5)
+    assert exp_params(1.0, 2.0).marks.tail == ("power", 2.0)
+    assert exp_params(2.0, 1.0).marks.tail == ("power", 0.5)
     pareto = ModelParams(1.0, 1.0, Pareto(1.0, 2.0), Pareto(1.0, 3.0))
-    assert composed_survival_exponent(pareto) == ("power", 1.5)
+    assert pareto.marks.tail == ("power", 1.5)
     weib = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
-    assert composed_survival_exponent(weib) == ("power", 4.0)
+    assert weib.marks.tail == ("power", 4.0)
     # gamma = (1e200)^2 overflows to inf: a power pair all the same, not an OverflowError.
     extreme = ModelParams(1.0, 1.0, Weibull(2.0, 1e100), Weibull(2.0, 1e-100))
-    assert composed_survival_exponent(extreme) == ("power", math.inf)
+    assert extreme.marks.tail == ("power", math.inf)
     assert (classify(extreme).recurrence, classify(extreme).limit_count) == ("Transient", "Infinite")
     steeper = ModelParams(1.0, 1.0, Weibull(1.0, 1.0), Weibull(2.0, 1.0))
-    assert composed_survival_exponent(steeper) == ("superpolynomial", None)
+    assert steeper.marks.tail == ("superpolynomial", None)
     flatter = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(1.0, 1.0))
-    assert composed_survival_exponent(flatter) == ("subpolynomial", None)
+    assert flatter.marks.tail == ("subpolynomial", None)
     mixed = ModelParams(1.0, 1.0, Exponential(1.0), Pareto(1.0, 3.0))
-    assert composed_survival_exponent(mixed) == ("subpolynomial", None)
+    assert mixed.marks.tail == ("subpolynomial", None)
     mixed_rev = ModelParams(1.0, 1.0, Pareto(1.0, 3.0), Exponential(1.0))
-    assert composed_survival_exponent(mixed_rev) == ("superpolynomial", None)
+    assert mixed_rev.marks.tail == ("superpolynomial", None)
     # A tabulated law's log-linear tail is exponential at the rate of its last segment, here ln 2.
     grid = TabulatedQuantile(grid=((1.0, 0.0), (0.5, 1.0)))
     tab = ModelParams(1.0, 1.0, grid, Exponential(1.0))
-    assert composed_survival_exponent(tab) == ("power", pytest.approx(1.0 / math.log(2.0), rel=1e-15))
-    assert composed_survival_exponent(ModelParams(1.0, 1.0, grid, grid)) == ("power", 1.0)
-    assert composed_survival_exponent(ModelParams(1.0, 1.0, grid, Pareto(1.0, 3.0))) == ("subpolynomial", None)
-    assert composed_survival_exponent(ModelParams(1.0, 1.0, Pareto(1.0, 3.0), grid)) == ("superpolynomial", None)
-    assert composed_survival_exponent(ModelParams(1.0, 1.0, grid, Weibull(2.0, 1.0))) == ("superpolynomial", None)
+    assert tab.marks.tail == ("power", pytest.approx(1.0 / math.log(2.0), rel=1e-15))
+    assert ModelParams(1.0, 1.0, grid, grid).marks.tail == ("power", 1.0)
+    assert ModelParams(1.0, 1.0, grid, Pareto(1.0, 3.0)).marks.tail == ("subpolynomial", None)
+    assert ModelParams(1.0, 1.0, Pareto(1.0, 3.0), grid).marks.tail == ("superpolynomial", None)
+    assert ModelParams(1.0, 1.0, grid, Weibull(2.0, 1.0)).marks.tail == ("superpolynomial", None)
 
 
 def test_classify_exponential_examples():
@@ -529,12 +527,11 @@ def test_vector_row_read_matches_the_scalar_read_bit_for_bit(pair, mass, log_r):
     """_row_read of a pair's column of log r gives each row's last panel, verdict and rest of the scalar read."""
     column = [math.nan] * mass + log_r
     assume(column)
-    nodes = criteria._panel_nodes(hazard_breaks(pair))
-    d = nodes.edges - criteria._composition(pair, nodes.edges)
-    shape = composed_survival_exponent(pair)
+    nodes = criteria._panel_nodes(pair.marks.breaks)
+    d = nodes.edges - pair.marks.compose(nodes.edges)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lasts, verdicts, rests = criteria._row_read(*shape, d, nodes.first, np.array(column))
-        want = [_scalar_row_read(*shape, d, nodes.first, None if math.isnan(x) else x) for x in column]
+        lasts, verdicts, rests = criteria._row_read(pair.marks, d, nodes.first, np.array(column))
+        want = [_scalar_row_read(*pair.marks.tail, d, nodes.first, None if math.isnan(x) else x) for x in column]
     assert len(lasts) == len(verdicts) == len(rests) == len(column)
     for (last, verdict, rest), got in zip(want, zip(lasts, verdicts, rests)):
         assert got[:2] == (last, verdict)
@@ -605,7 +602,7 @@ def test_classify_columns_raise_the_error_classify_raises():
         ModelParams(1.0, 1.0, Exponential(1.0), HoleyThreshold(0.5, 1.0, 1.2)),
         ModelParams(1.3, 0.7, Exponential(1.0), HoleyThreshold(0.5, 0.1, 0.2)),
     ]
-    assert [criteria.exact_verdict(params) for params in holes] == [VERDICT_INFINITE] * 2
+    assert [params.marks.finite for params in holes] == [False] * 2
     with pytest.raises(CriteriaError, match=f"^panel \\[{_LN2}, {2 * _LN2}\\] evaluated to nan$"):
         classify(holes[0])
     messages = []
@@ -631,7 +628,7 @@ def test_classify_columns_evaluate_no_count_row_of_a_divergent_pair(monkeypatch)
 
     def recording(sides, take, log_r, h):
         keys = [None] * (len(take) - log_r.size) + log_r.tolist()
-        seen.extend((sides[p].fitness_dist, sides[p].threshold_dist, key) for p, key in zip(take, keys))
+        seen.extend((sides[p].fitness, sides[p].threshold, key) for p, key in zip(take, keys))
         return _integrands(sides, take, log_r, h)
 
     # The GRID's rows: per side of each point, its mass-density row and its count-exponent row at log r.
@@ -641,7 +638,7 @@ def test_classify_columns_evaluate_no_count_row_of_a_divergent_pair(monkeypatch)
             log_r = criteria._log_r(side.lambda_birth, side.lambda_extinct, math.inf)
             rows |= {(side.fitness_dist, side.threshold_dist, key) for key in (None, log_r)}
     assert len(rows) == 800
-    kept = {row for row in rows if row[2] is None or criteria.exact_verdict(ModelParams(1.0, 1.0, *row[:2])) == VERDICT_FINITE}
+    kept = {row for row in rows if row[2] is None or MarkPair(*row[:2]).finite}
     # 45 of the 100 mark pairs are finite, with 8 rows each; of the 55
     # divergent pairs' 440 rows, only their 55 mass-density rows are read.
     assert len(kept) == 360 + 55
@@ -678,17 +675,17 @@ def test_stacked_compositions_match_one_call_per_pair():
         (PROBE.threshold_dist, Exponential(1.0)),
         (Exponential(3.1), Exponential(1.0)),
     ]
-    sides = [ModelParams(1.0, 1.0, fit, thr) for fit, thr in marks]
-    stacked = [params for params in sides if criteria._is_exponential(params)]
+    sides = [MarkPair(fit, thr) for fit, thr in marks]
+    stacked = [pair for pair in sides if pair._exponential()]
     # The subclass HoleyThreshold is not taken for an Exponential.
     assert len(stacked) == 3
-    assert {hazard_breaks(params) for params in stacked} == {()}
+    assert {pair.breaks for pair in stacked} == {()}
     nodes = criteria._panel_nodes((1.0, 48.0, 53.0))
     with np.errstate(over="ignore", invalid="ignore"):
         for group in (sides, stacked):
             for h in (nodes.edges, nodes.h):
-                want = np.stack([criteria._composition(params, h) for params in group])
-                assert criteria._compositions(group, h).tobytes() == want.tobytes()
+                want = np.stack([pair.compose(h) for pair in group])
+                assert MarkPair.compose_rows(group, h).tobytes() == want.tobytes()
 
 
 def test_classify_many_builds_each_node_array_once():
@@ -697,7 +694,7 @@ def test_classify_many_builds_each_node_array_once():
         ModelParams(1.0, 1.0, TabulatedQuantile(grid=((1.0, 0.0), (0.5, 1.0 + 0.01 * k))), Exponential(2.0))
         for k in range(100)
     ]
-    breaks = {hazard_breaks(marks) for params in points for marks in (params, params.swapped())}
+    breaks = {side.marks.breaks for params in points for side in (params, params.swapped())}
     assert len(breaks) > criteria._panel_nodes.cache_info().maxsize
     criteria._panel_nodes.cache_clear()
     reports = classify_many(points)
@@ -721,7 +718,7 @@ def test_classify_many_rows_match_the_one_row_integral():
 def test_probe_mass_integral_matches_quad_split_at_its_kinks():
     """e_m of the probe is 2.7878518894; no panel rule may end it before its last kink."""
     threshold = PROBE.threshold_dist
-    assert hazard_breaks(PROBE) == (1.0, 48.0, 53.0)
+    assert PROBE.marks.breaks == (1.0, 48.0, 53.0)
     density = lambda h: math.exp(h - threshold.hazard_transform(h))  # noqa: E731
     edges = [0.0, 1.0, 48.0, 53.0, math.inf]
     pieces = [criteria.quad(density, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500)[0] for lo, hi in zip(edges, edges[1:])]
@@ -786,13 +783,13 @@ POWER_PAIRS = [
 
 @pytest.mark.parametrize("fitness, threshold", POWER_PAIRS)
 def test_composition_is_linear_past_the_last_kink(fitness, threshold):
-    """For a power pair C(h) = gamma h + c past h* = max(hazard_breaks), with gamma from the tail shapes."""
-    params = ModelParams(1.0, 1.0, fitness, threshold)
-    kind, gamma = composed_survival_exponent(params)
+    """For a power pair C(h) = gamma h + c past h* = max(breaks), with gamma from the tail shapes."""
+    marks = MarkPair(fitness, threshold)
+    kind, gamma = marks.tail
     assert kind == "power"
-    h_star = max(hazard_breaks(params), default=0.0)
+    h_star = max(marks.breaks, default=0.0)
     h = h_star + np.array([1e-9, 0.5, 3.0, 11.0, 40.0])
-    slopes = np.diff(criteria._composition(params, h)) / np.diff(h)
+    slopes = np.diff(marks.compose(h)) / np.diff(h)
     np.testing.assert_allclose(slopes[1:], gamma, rtol=1e-12)
     # The first step starts 1e-9 past h*: its slope is gamma to the rounding of C over 1e-9.
     np.testing.assert_allclose(slopes[0], gamma, rtol=1e-5)
@@ -810,7 +807,7 @@ def test_count_integrand_matches_a_40_digit_logistic():
     # At h = 0 an exp(1)/exp(1) pair has C(h) = 0, so the row's x is its log r, exactly.
     params = exp_params(1.0, 1.0)
     with np.errstate(over="ignore"):
-        got = _integrands([params], [0] * LOGISTIC_X.size, LOGISTIC_X, np.zeros((1, 1)))[:, 0, 0]
+        got = _integrands([params.marks], [0] * LOGISTIC_X.size, LOGISTIC_X, np.zeros((1, 1)))[:, 0, 0]
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         exact = [1 / (1 + decimal.Decimal(x).exp()) for x in LOGISTIC_X.tolist()]
@@ -826,8 +823,8 @@ def _logaddexp_integrands(sides, take, log_r, h):
     rows = []
     keys = [None] * (len(take) - log_r.size) + log_r.tolist()
     for pair, x in zip(take, keys):
-        params = sides[pair]
-        comp = params.threshold_dist.hazard_transform_array(params.fitness_dist.inverse_hazard_array(h))
+        marks = sides[pair]
+        comp = marks.threshold.hazard_transform_array(marks.fitness.inverse_hazard_array(h))
         rows.append(np.exp(h - comp) if x is None else np.exp(-np.logaddexp(0.0, x + comp - h)))
     return np.stack(rows)
 

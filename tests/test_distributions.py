@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 from threshold_gms.distributions import (
     DistributionError,
     Exponential,
+    MarkPair,
     ModelParams,
     Pareto,
     TabulatedQuantile,
@@ -113,6 +115,32 @@ def test_tabulated_grid_validation():
         TabulatedQuantile(((1.0, 0.0), (1.0, 1.0)))
     with pytest.raises(DistributionError):
         TabulatedQuantile(((1.0, 0.0),))
+
+
+@pytest.mark.parametrize(
+    "grid, slope",
+    [
+        # The last segment is 5e-324 wide: its slope ln(1/2) / 5e-324 overflows to -inf.
+        (((1.0, 0.0), (0.5, 5e-324)), "-inf"),
+        # Survival falls by 2^-53 over 1.7e308: the slope underflows to -0.0, a flat tail.
+        (((1.0, 0.0), (1.0 - 2.0**-53, 1.7e308)), "-0.0"),
+        # Over 1e300 the slope is subnormal, and the tail's scale -1 / slope overflows to inf.
+        (((1.0, 0.0), (1.0 - 2.0**-53, 1e300)), "-1.110223e-316"),
+    ],
+)
+def test_tabulated_tail_slope_must_be_finite_and_negative(grid, slope):
+    """A last segment whose log-survival slope is not finite and negative, or has no finite reciprocal, is refused by name."""
+    message = "^" + re.escape(f"the last grid segment, levels {grid[0][1]} to {grid[1][1]}, gives the log-linear tail slope {slope};")
+    with pytest.raises(DistributionError, match=message):
+        TabulatedQuantile(grid)
+    with pytest.raises(DistributionError, match=message):
+        distribution_from_json({"family": "tabulated", "grid": [list(row) for row in grid]})
+
+
+@pytest.mark.parametrize("family", [["exponential"], {"name": "exponential"}])
+def test_a_family_that_is_not_a_string_is_an_unknown_family(family):
+    with pytest.raises(DistributionError, match="^" + re.escape(f"unknown family {family!r}; expected one of")):
+        distribution_from_json({"family": family, "rate": 1.0})
 
 
 def test_tabulated_from_csv(tmp_path):
@@ -291,6 +319,23 @@ def test_model_params_round_trip_and_swap():
     assert swapped.lambda_birth == 3.0
     assert swapped.fitness_dist == Pareto(1.0, 2.0)
     assert swapped.swapped() == params
+
+
+@pytest.mark.parametrize(
+    "fitness, threshold",
+    [
+        (Exponential(1.0), Exponential(2.0)),
+        (Weibull(2.0, 1.0), Weibull(1.5, 0.5)),
+        (Pareto(1.0, 1.0), Pareto(2.0, 3.0)),
+        (TabulatedQuantile(((1.0, 0.0), (0.5, 1.0))), TabulatedQuantile(((1.0, 0.0), (0.25, 2.0)))),
+    ],
+)
+def test_swapped_params_carry_the_swapped_mark_pair(fitness, threshold):
+    params = ModelParams(2.0, 3.0, fitness, threshold)
+    assert params.marks == MarkPair(fitness, threshold)
+    assert params.swapped().marks == params.marks.swapped() == MarkPair(threshold, fitness)
+    assert hash(params.swapped().marks) == hash(params.marks.swapped())
+    assert params.marks is params.marks
 
 
 def test_model_params_validation():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from threshold_gms import ladders
-from threshold_gms.criteria import VERDICT_INFINITE, classify, exact_verdict, hazard_breaks
+from threshold_gms.criteria import classify, expected_extinction_count, laplace_extinction_count
 from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.ladders import (
     EFFECTIVELY_INFINITE,
@@ -331,18 +331,35 @@ def test_band0_mass_past_the_float_range_gives_a_sentinel_configuration():
     assert sample_limit_config(params, replication_rng(1)) == EFFECTIVELY_INFINITE
 
 
-DIVERGENT_PAIRS = {  # exact_verdict calls each infinite; a walked ladder could meet its secant bound falsely
+DIVERGENT_PAIRS = {  # each pair's marks are not finite; a walked ladder could meet its secant bound falsely
     "exp/Pareto": ModelParams(1.0, 1.0, Exponential(1.0), Pareto(1.0, 30.0)),
     "Weibull/Weibull": ModelParams(1.0, 1.0, Weibull(1.0, 1.0), Weibull(0.9, 0.2)),
     "exp/Weibull": ModelParams(1.0, 1.0, Exponential(1.0), Weibull(0.5, 0.01)),
 }
 
 
+def test_the_criteria_and_the_walk_share_one_pair_of_kinks(monkeypatch):
+    """The one-row fronts and the ladder walk of one ModelParams take each law's kink levels once, through params.marks."""
+    params = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
+    calls = []
+    kink_levels = Weibull.kink_levels
+
+    def counting(dist):
+        calls.append(dist)
+        return kink_levels(dist)
+
+    monkeypatch.setattr(Weibull, "kink_levels", counting)
+    expected_extinction_count(params)
+    laplace_extinction_count(params, 1.0)
+    sample_ladder_block(params, replication_rng(5), 4)
+    assert sorted(map(id, calls)) == sorted([id(params.fitness_dist), id(params.threshold_dist)])
+
+
 @pytest.mark.parametrize("case", DIVERGENT_PAIRS)
 def test_every_sampler_reports_a_divergent_pair_as_divergent(case):
     """No public sampler returns a finite mass or configuration for a pair whose mass diverges."""
     params = DIVERGENT_PAIRS[case]
-    assert exact_verdict(params) == VERDICT_INFINITE
+    assert not params.marks.finite
     block = sample_ladder_block(params, replication_rng(5), 2000)
     assert set(block.stop_reason) == {"divergent"} and not block.depth.any()
     for i in range(20):
@@ -435,7 +452,7 @@ def reference_ladder(params, increments, gap_factors):
     """
     mark, opp = params.fitness_dist, params.threshold_dist
     ratio = params.lambda_extinct / params.lambda_birth
-    h_kink = max(hazard_breaks(params), default=0.0)
+    h_kink = max(params.marks.breaks, default=0.0)
     masses, h, d = [], 0.0, -opp.hazard_transform(mark.inverse_hazard(0.0))
     for e, g in zip(increments, gap_factors):
         h_prev, d_prev, h = h, d, h + e
@@ -787,7 +804,7 @@ def test_block_sampler_at_extreme_parameters(fitness, threshold, lam_b, lam_e, b
     assert np.all((a.depth >= 0) & (a.depth <= 2000))
     assert set(a.stop_reason) <= set(STOP_REASONS)
     assert np.all(a.mass[a.finite] < math.inf)
-    if exact_verdict(params) == VERDICT_INFINITE:
+    if not params.marks.finite:
         assert not a.finite.any()
     for field in ("depth", "stop_reason", "mass", "tail"):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()

@@ -50,9 +50,10 @@ def test_scripts_and_readme_example_run():
     bench = json.loads(outputs["bench_criteria"][0])
     assert len(bench["classify_ms"]) == 9 and all(ms > 0.0 for ms in bench["classify_ms"].values())
     fronts = ["expected_extinction_count", "extinction_count_exponent", "laplace_extinction_count"]
-    assert sorted(bench["front_ms"]) == fronts
-    for ms in bench["front_ms"].values():
-        assert sorted(ms) == ["exp(1)/exp(2)", "weibull(2,1)/weibull(2,0.5)"] and min(ms.values()) > 0.0
+    for key in ("front_ms", "front_reused_ms"):
+        assert sorted(bench[key]) == fronts
+        for ms in bench[key].values():
+            assert sorted(ms) == ["exp(1)/exp(2)", "weibull(2,1)/weibull(2,0.5)"] and min(ms.values()) > 0.0
     assert sorted(bench["grid_ms"]) == ["classify", "classify_columns", "classify_many", "cli"]
     assert all(ms > 0.0 for ms in bench["grid_ms"].values())
     assert bench["grid_40k_s"] > 0.0 and bench["grid_side"] == 20
