@@ -12,21 +12,25 @@ each one-row front (``expected_extinction_count``,
 at t = 1) on the exp(1)/exp(2) and weibull(2,1)/weibull(2,0.5) pairs,
 each call on fresh params; ``front_reused_ms`` times the same calls on
 one ``ModelParams`` object reused across them, after one warm-up call
-on it, so that the pair's kinks and tail class kept by ``params.marks``
-are reused.
+on it, so that the pair's kinks and tail class, set when ``params.marks``
+is made, are reused.
 ``grid_ms`` is the best of ``--repeat`` classifications of a
 400-point grid shaped like the benchmark's criteria sweep (10 x 10
 exponential rates from 0.5 to 3, lambda_birth in {1, 1.3},
 lambda_extinct in {1, 0.7}), point by point through ``classify``, in one
-``classify_many`` call, in one ``classify_columns`` call (the grid's
-values only, as ``classify --grid`` reads them, without its CSV), and
+``classify_many`` call, in one ``classify_columns`` call on the grid's
+mark pairs, made beforehand (the grid's values only, as ``classify
+--grid`` reads them, without its CSV), and
 (``cli``) as the benchmark runs it: one in-process
 ``cli.main(["classify", "--grid", ...])`` that writes phase_map.csv into
 a temporary directory.  ``grid_40k_s`` is one such ``classify --grid``
 call on a ``--grid-side`` x ``--grid-side`` grid of exponential rates
 from 0.5 to 3 (by default 200 x 200, 40 000 points), run once in a fresh
 child process, and ``grid_40k_peak_mb`` the peak resident memory
-(ru_maxrss) of that process; ``grid_side`` echoes the side.  ``integrand_us`` is the best
+(ru_maxrss) of that process; ``grid_side`` echoes the side.  ``pair_bytes`` is the
+traced memory (tracemalloc) per mark pair of that grid's pairs, built
+in this process as ``classify --grid`` builds them, one law object per
+rate, with their kinks and tail class read.  ``integrand_us`` is the best
 per-node time, in microseconds, of forming the mass-density and the
 count-exponent integrand rows (composition included) on one chunk of the
 nodes of panel 0 of the breakless node array, one GRID mark pair
@@ -53,6 +57,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -69,7 +74,7 @@ from threshold_gms.criteria import (
     extinction_count_exponent,
     laplace_extinction_count,
 )
-from threshold_gms.distributions import Exponential, ModelParams, Pareto, TabulatedQuantile, Weibull
+from threshold_gms.distributions import Exponential, MarkPair, ModelParams, Pareto, TabulatedQuantile, Weibull
 from threshold_gms.process import BLOCK_CHUNK_CELLS
 
 
@@ -115,10 +120,12 @@ def square_grid_spec(side: int) -> str:
     return f"alpha_fitness={alphas};alpha_threshold={alphas}"
 
 
-# GRID as classify_columns takes it: the fitness laws, then the threshold laws, and the rate pairs.
-GRID_LAWS = [Exponential(a) for a in GRID_ALPHAS] * 2
+# GRID as classify_columns takes it: its mark pairs (one law object per rate), the rate pairs, and the
+# points as (pair, rates).
+_GRID_LAWS = [Exponential(a) for a in GRID_ALPHAS]
+GRID_PAIRS = [MarkPair(fit, thr) for fit in _GRID_LAWS for thr in _GRID_LAWS]
 GRID_RATES = list(product((1.0, 1.3), (1.0, 0.7)))
-GRID_POINTS = list(product(range(len(GRID_ALPHAS)), range(len(GRID_ALPHAS), len(GRID_LAWS)), range(len(GRID_RATES))))
+GRID_POINTS = list(product(range(len(GRID_PAIRS)), range(len(GRID_RATES))))
 
 _IMPORT = "import time; t = time.perf_counter(); import threshold_gms.cli; print(time.perf_counter() - t)"
 _SCIPY = "import sys, threshold_gms.cli; print(sum(m.startswith('scipy') for m in sys.modules))"
@@ -156,6 +163,21 @@ def integrand_us(repeat: int) -> dict[str, float]:
         seconds = best_of(repeat, lambda: _integrands(sides, take, log_r, nodes))
         out[kind] = round(1e6 * seconds / (rows * nodes.size), 5)
     return out
+
+
+def pair_bytes(side: int) -> float:
+    """Traced bytes per mark pair of the side x side grid of square_grid_spec, built as classify --grid builds them."""
+    laws = [Exponential(float(a)) for a in np.linspace(0.5, 3.0, side)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = [MarkPair(fit, thr) for fit in laws for thr in laws]
+        for marks in pairs:
+            marks.breaks, marks.tail  # both facts read, as the criteria read them
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return round(used / len(pairs), 1)
 
 
 def exact_integrals(params: ModelParams) -> dict[str, float]:
@@ -203,6 +225,9 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--grid-side", type=int, default=200, help="side of the square grid timed in a child process")
     args = ap.parse_args()
+    # Taken first: the float and tuple free lists that the timed calls below
+    # fill would hand the pairs' tail tuples memory that tracemalloc never sees.
+    bytes_per_pair = pair_bytes(args.grid_side)
     out = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
         "classify_ms": {},
@@ -224,7 +249,7 @@ def main() -> None:
             "classify": round(1e3 * best_of(args.repeat, lambda: [classify(p) for p in GRID]), 1),
             "classify_many": round(1e3 * best_of(args.repeat, lambda: classify_many(GRID)), 1),
             "classify_columns": round(
-                1e3 * best_of(args.repeat, lambda: classify_columns(GRID_LAWS, GRID_RATES, GRID_POINTS)), 1
+                1e3 * best_of(args.repeat, lambda: classify_columns(GRID_PAIRS, GRID_RATES, GRID_POINTS)), 1
             ),
             "cli": round(1e3 * best_of(args.repeat, lambda: cli_grid(GRID_SPEC)), 1),
         }
@@ -239,6 +264,7 @@ def main() -> None:
     out["grid_side"] = args.grid_side
     out["grid_40k_s"] = round(seconds, 3)
     out["grid_40k_peak_mb"] = round(peak_mb, 1)
+    out["pair_bytes"] = bytes_per_pair
 
     out["import_s"] = round(min(float(python(_IMPORT)) for _ in range(args.repeat)), 4)
     out["scipy_modules_after_import"] = int(python(_SCIPY))

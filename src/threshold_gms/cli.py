@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import classify, classify_columns
-from .distributions import Exponential, ModelParams, _encode_float, model_params_from_json
+from .distributions import Exponential, MarkPair, ModelParams, _encode_float, model_params_from_json
 from .montecarlo import (
     ReplicationPlan,
     TASK_EXTINCTION_COUNT,
@@ -186,9 +186,9 @@ def _cmd_classify(args) -> int:
     grid = _parse_grid(args.grid)
     fitness = [Exponential(a) for a in grid["alpha_fitness"]]
     threshold = [Exponential(a) for a in grid["alpha_threshold"]]
+    pairs = [MarkPair(fit, thr) for fit in fitness for thr in threshold]
     rates = list(product(grid["lambda_birth"], grid["lambda_extinct"]))
-    points = product(range(len(fitness)), range(len(fitness), len(fitness) + len(threshold)), range(len(rates)))
-    columns = classify_columns(fitness + threshold, rates, list(points))
+    columns = classify_columns(pairs, rates, list(product(range(len(pairs)), range(len(rates)))))
     # Each axis value is formatted once; the points are their product, in
     # order, so row i holds value (i // step) % len(axis) of each axis.
     axes = [np.array([repr(v) for v in grid[axis]], dtype=object) for axis in _GRID_AXES]

@@ -22,8 +22,9 @@ power pair's C is exactly linear, so the row is finished in closed form;
 a superpolynomial pair's C is convex, so the row reads on until the
 secant bound on the rest is negligible.
 
-A batch is classified as columns (classify_columns).  Each distinct mark
-pair among the points and their role swaps holds one column of rows: its
+A batch is classified as columns (classify_columns), a point being a
+mark pair and its rates.  Each distinct mark pair among the points and
+their role swaps holds one column of rows: its
 mass-density row, which depends on the pair alone (the rate prefactor
 scales it afterwards), and one count-exponent row per distinct log r of
 the points' rates.  All rows of a pair are read at once (_row_read) and
@@ -308,16 +309,9 @@ def _edge_drops(sides: Sequence[MarkPair], pairs: Sequence[int], nodes_of: Seque
 
     Every edge array is a prefix of the longest, the dyadic edges 0, ln2,
     ..., so a chunk of at most BLOCK_CHUNK_CELLS edges takes C(h) on that
-    one (MarkPair.compose_rows) and each pair reads its own prefix.  One
-    pair alone takes C on its own edges (MarkPair.compose): the chunk's
-    array handling costs a one-row front about a tenth of its call.
+    one (MarkPair.compose_rows) and each pair reads its own prefix.
     """
     if not pairs:
-        return
-    if len(pairs) == 1:
-        edges = nodes_of[pairs[0]].edges
-        d = sides[pairs[0]].compose(edges)
-        yield np.subtract(edges, d, out=d)
         return
     edges = max((nodes_of[p].edges for p in pairs), key=len)
     step = max(BLOCK_CHUNK_CELLS // edges.size, 1)
@@ -532,17 +526,16 @@ def classify(params: ModelParams) -> ClassificationReport:
 def classify_many(points: Sequence[ModelParams]) -> list[ClassificationReport]:
     """classify of every point of a batch, in one array pass (see classify_columns).
 
-    Each report equals classify of its point bit for bit, and the first
-    point, in order, that classify would refuse raises the same
-    CriteriaError.
+    Each point brings its own pair, params.marks.  Each report equals
+    classify of its point bit for bit, and the first point, in order,
+    that classify would refuse raises the same CriteriaError.
     """
     rates: dict = {}
     index = [
-        (2 * i, 2 * i + 1, rates.setdefault((params.lambda_birth, params.lambda_extinct), len(rates)))
+        (i, rates.setdefault((params.lambda_birth, params.lambda_extinct), len(rates)))
         for i, params in enumerate(points)
     ]
-    laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
-    batch = _classify_batch(laws, list(rates), index)
+    batch = _classify_batch([params.marks for params in points], list(rates), index)
     panels, tails = batch.rows.panels, batch.rows.tail
     reports = []
     for fields, point in zip(_point_fields(batch), batch.points):
@@ -574,13 +567,13 @@ class ClassificationColumns(NamedTuple):
 
 
 def classify_columns(
-    laws: Sequence[DistributionSpec],
+    pairs: Sequence[MarkPair],
     rates: Sequence[tuple[float, float]],
-    points: Sequence[tuple[int, int, int]],
+    points: Sequence[tuple[int, int]],
 ) -> ClassificationColumns:
-    """classify of a batch of points, each given as indices (fitness law, threshold law, rates).
+    """classify of a batch of points, each given as indices (mark pair, rates).
 
-    A point (f, t, k) has the marks laws[f] / laws[t] and the rates
+    A point (i, k) has the mark pair pairs[i] and the rates
     (lambda_birth, lambda_extinct) = rates[k].  Each distinct mark pair
     among the points and their role swaps is one side of the criterion
     rows (_criterion_integrals): its mass-density row, which the rate
@@ -591,10 +584,7 @@ def classify_columns(
     first point, in order, that classify would refuse raises the same
     CriteriaError.
     """
-    for law in laws:
-        if not isinstance(law, DistributionSpec):
-            raise DistributionError(f"a mark law must be a DistributionSpec, got {type(law).__name__}")
-    batch = _classify_batch(laws, [check_rates(*pair) for pair in rates], points)
+    batch = _classify_batch(pairs, [check_rates(*pair) for pair in rates], points)
     fields = [list(field) for field in zip(*_point_fields(batch))] or [[] for _ in ClassificationColumns._fields]
     return ClassificationColumns(*fields)
 
@@ -616,30 +606,36 @@ class _Batch(NamedTuple):
 
 
 def _classify_batch(
-    laws: Sequence[DistributionSpec], rates: Sequence[tuple[float, float]], points: Sequence[tuple[int, int, int]]
+    pairs: Sequence[MarkPair], rates: Sequence[tuple[float, float]], points: Sequence[tuple[int, int]]
 ) -> _Batch:
-    """The batch of classify_columns, its rates already checked, its rows read."""
-    unique: dict = {}
-    law_id = [unique.setdefault(law, len(unique)) for law in laws]
-    laws = list(unique)
+    """The batch of classify_columns, its rates already checked, its rows read.
+
+    The sides are keyed by (fitness, threshold).  Every point's own pair
+    is registered first, as given; then each point's role swap reuses
+    the side of an equal pair already there, and only a missing one is
+    built (MarkPair.swapped).
+    """
     log_rs = [(_log_r(lb, le, math.inf), _log_r(le, lb, math.inf)) for lb, le in rates]
-    pair_id: dict = {}
+    side_of: dict = {}
     sides: list[MarkPair] = []
+    # Per pair that a point uses: its side m, then (m, n) with n its role swap's side.
+    own = dict.fromkeys(i for i, _ in points)
+    for i in own:
+        marks = pairs[i]
+        own[i] = side_of.setdefault((marks.fitness, marks.threshold), len(sides))
+        if own[i] == len(sides):
+            sides.append(marks)
+    for i, m in own.items():
+        marks = pairs[i]
+        n = side_of.setdefault((marks.threshold, marks.fitness), len(sides))
+        if n == len(sides):
+            sides.append(marks.swapped())
+        own[i] = (m, n)
     # Per pair: its log r, by position; position 0 is the mass-density row.
-    columns: list[dict] = []
-
-    def side(fit: int, thr: int) -> int:
-        p = pair_id.get((fit, thr))
-        if p is None:
-            p = pair_id[fit, thr] = len(sides)
-            sides.append(MarkPair(laws[fit], laws[thr]))
-            columns.append({math.nan: 0})
-        return p
-
+    columns: list[dict] = [{math.nan: 0} for _ in sides]
     keyed = []
-    for f, t, k in points:
-        f, t = law_id[f], law_id[t]
-        m, n = side(f, t), side(t, f)
+    for i, k in points:
+        m, n = own[i]
         log_r_m, log_r_n = log_rs[k]
         column_m, column_n = columns[m], columns[n]
         c_m, c_n = column_m.setdefault(log_r_m, len(column_m)), column_n.setdefault(log_r_n, len(column_n))
@@ -647,11 +643,11 @@ def _classify_batch(
     rows = _criterion_integrals(sides, columns) if sides else _Rows([], [], [], [], [])
     offset = [0, *accumulate(len(column) for column in columns)]
     batch_points = [(m, n, offset[m], offset[n], offset[m] + c_m, offset[n] + c_n, k) for m, n, c_m, c_n, k in keyed]
-    pairs = []
+    verdicts = []
     for marks in sides:
         tabulated = isinstance(marks.fitness, TabulatedQuantile) or isinstance(marks.threshold, TabulatedQuantile)
-        pairs.append((VERDICT_FINITE if marks.finite else VERDICT_INFINITE, "NumericCauchy" if tabulated else "AnalyticExponent"))
-    return _Batch(rows, pairs, [((lb, le), le / lb, lb / le) for lb, le in rates], batch_points)
+        verdicts.append((VERDICT_FINITE if marks.finite else VERDICT_INFINITE, "NumericCauchy" if tabulated else "AnalyticExponent"))
+    return _Batch(rows, verdicts, [((lb, le), le / lb, lb / le) for lb, le in rates], batch_points)
 
 
 def _point_fields(batch: _Batch):

@@ -22,8 +22,7 @@ import csv
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -576,18 +575,44 @@ def check_rates(lambda_birth, lambda_extinct) -> tuple[float, float]:
 _STACK_MIN = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkPair:
     """The two mark laws of a record ladder: the fitness law it climbs and the threshold law read against it.
 
     compose gives C(h) = H_thr(H_fit^-1(h)), the threshold hazard at the
-    fitness level whose hazard is h.  The pair's kinks (breaks) and its
-    tail class (tail) are taken once per pair and kept; swapped() is the
-    pair of the other ladder, with the roles exchanged.
+    fitness level whose hazard is h.  A pair is checked when it is made,
+    and its kinks (breaks) and its tail class (tail) are set then, once;
+    swapped() is the pair of the other ladder, with the roles exchanged.
     """
 
     fitness: DistributionSpec
     threshold: DistributionSpec
+    # Fitness hazards in (0, inf) where C has a kink, sorted: the kink
+    # levels of both laws (support edges, tabulated nodes) mapped through
+    # the fitness hazard.  An exponential pair's kinks are its two support
+    # edges 0, at hazard 0, so it skips that work and has none.
+    breaks: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    # Decay class of the composed survival S_thr(S_fit^-1(u)) near u = 0,
+    # from the laws' tail shapes: ("power", gamma) when it behaves like a
+    # constant times u**gamma, ("superpolynomial", None) when it decays
+    # faster than any power, and ("subpolynomial", None) when slower.  For
+    # a power pair C(h) = gamma h + c holds exactly past the last kink; for
+    # a superpolynomial pair C is convex there.
+    tail: tuple[str, Optional[float]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for role in ("fitness", "threshold"):
+            law = getattr(self, role)
+            if not isinstance(law, DistributionSpec):
+                raise DistributionError(f"the {role} law must be a DistributionSpec, got {type(law).__name__}")
+        if self._exponential():
+            breaks = ()
+        else:
+            levels = np.concatenate([self.fitness.kink_levels(), self.threshold.kink_levels()])
+            hazards = self.fitness.hazard_transform_array(levels).tolist()
+            breaks = tuple(sorted({h for h in hazards if 0.0 < h < math.inf}))
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "tail", self._tail())
 
     def compose(self, h: np.ndarray) -> np.ndarray:
         """C(h) on the hazards h, unchecked; inf past the float range."""
@@ -600,30 +625,8 @@ class MarkPair:
         """Whether both laws are Exponential by exact type, so a subclass is never taken for its base."""
         return type(self.fitness) is Exponential and type(self.threshold) is Exponential
 
-    @cached_property
-    def breaks(self) -> tuple[float, ...]:
-        """Fitness hazards in (0, inf) where C has a kink, sorted.
-
-        These are the kink levels of both laws (support edges, tabulated
-        nodes) mapped through the fitness hazard.  An exponential pair's
-        kinks are its two support edges 0, at hazard 0, so it skips that
-        work and has none.
-        """
-        if self._exponential():
-            return ()
-        levels = np.concatenate([self.fitness.kink_levels(), self.threshold.kink_levels()])
-        return tuple(sorted({h for h in self.fitness.hazard_transform_array(levels).tolist() if 0.0 < h < math.inf}))
-
-    @cached_property
-    def tail(self) -> tuple[str, Optional[float]]:
-        """Decay class of the composed survival S_thr(S_fit^-1(u)) near u = 0, from the laws' tail shapes.
-
-        ("power", gamma) when the composition behaves like a constant
-        times u**gamma, ("superpolynomial", None) when it decays faster
-        than any power, and ("subpolynomial", None) when slower.  For a
-        power pair C(h) = gamma h + c holds exactly past the last kink
-        (breaks); for a superpolynomial pair C is convex there.
-        """
+    def _tail(self) -> tuple[str, Optional[float]]:
+        """The tail class of the pair (see tail)."""
         fit, thr = self.fitness.tail_shape(), self.threshold.tail_shape()
         if fit[0] == "power" and thr[0] == "power":
             return ("power", thr[1] / fit[1])
@@ -676,21 +679,23 @@ class MarkPair:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Birth/extinction rates and the two mark laws of the species process."""
+    """Birth/extinction rates and the two mark laws of the species process.
+
+    marks is the mark pair of the fitness ladder, made, and so checked,
+    with the parameters.
+    """
 
     lambda_birth: float
     lambda_extinct: float
     fitness_dist: DistributionSpec
     threshold_dist: DistributionSpec
+    marks: MarkPair = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         lb, le = check_rates(self.lambda_birth, self.lambda_extinct)
-        if not isinstance(self.fitness_dist, DistributionSpec):
-            raise DistributionError("fitness_dist must be a DistributionSpec")
-        if not isinstance(self.threshold_dist, DistributionSpec):
-            raise DistributionError("threshold_dist must be a DistributionSpec")
         object.__setattr__(self, "lambda_birth", lb)
         object.__setattr__(self, "lambda_extinct", le)
+        object.__setattr__(self, "marks", MarkPair(self.fitness_dist, self.threshold_dist))
 
     def swapped(self) -> "ModelParams":
         """Role-swapped parameters: births and extinctions trade places."""
@@ -700,11 +705,6 @@ class ModelParams:
             fitness_dist=self.threshold_dist,
             threshold_dist=self.fitness_dist,
         )
-
-    @cached_property
-    def marks(self) -> MarkPair:
-        """The mark pair of the fitness ladder, kept with the parameters."""
-        return MarkPair(self.fitness_dist, self.threshold_dist)
 
     def to_json(self) -> dict:
         return {

@@ -574,25 +574,24 @@ def test_classify_many_matches_classify_bit_for_bit():
 
 def test_classify_columns_match_the_reports_and_check_their_inputs():
     points = _mixed_batch()
-    laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
+    pairs = [params.marks for params in points]
     rates = [(params.lambda_birth, params.lambda_extinct) for params in points]
-    columns = criteria.classify_columns(laws, rates, [(2 * i, 2 * i + 1, i) for i in range(len(points))])
+    columns = criteria.classify_columns(pairs, rates, [(i, i) for i in range(len(points))])
     reports = classify_many(points)
     for field in ("recurrence", "limit_count", "method", "null_recurrent_like"):
         assert getattr(columns, field) == [getattr(report, field) for report in reports], field
     for field in ("e_m", "e_n", "phi_inf", "phi_bar_inf"):
         assert getattr(columns, field) == [getattr(report.integrals, field) for report in reports], field
     with pytest.raises(DistributionError, match="DistributionSpec"):
-        criteria.classify_columns([1.0, laws[1]], rates[:1], [(0, 1, 0)])
+        criteria.classify_columns([MarkPair(1.0, pairs[0].threshold)], rates[:1], [(0, 0)])
     with pytest.raises(DistributionError, match="^lambda_birth must be positive and finite, got 0.0$"):
-        criteria.classify_columns(laws[:2], [(0.0, 1.0)], [(0, 1, 0)])
+        criteria.classify_columns(pairs[:1], [(0.0, 1.0)], [(0, 0)])
 
 
 def _columns(points):
-    """classify_columns of the points, each given its own two laws and rates."""
-    laws = [law for params in points for law in (params.fitness_dist, params.threshold_dist)]
+    """classify_columns of the points, each given its own mark pair and rates."""
     rates = [(params.lambda_birth, params.lambda_extinct) for params in points]
-    return criteria.classify_columns(laws, rates, [(2 * i, 2 * i + 1, i) for i in range(len(points))])
+    return criteria.classify_columns([params.marks for params in points], rates, [(i, i) for i in range(len(points))])
 
 
 def test_classify_columns_raise_the_error_classify_raises():
@@ -700,6 +699,39 @@ def test_classify_many_builds_each_node_array_once():
     reports = classify_many(points)
     assert criteria._panel_nodes.cache_info().misses == len(breaks)
     assert reports == [classify(params) for params in points]
+
+
+def test_classify_many_of_a_point_and_its_swap_makes_no_pair(monkeypatch):
+    """A point and its role swap bring both sides of the batch, so classify_many takes no law's kink levels."""
+    params = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
+    points = [params, params.swapped()]
+    calls = []
+    kink_levels = Weibull.kink_levels
+    monkeypatch.setattr(Weibull, "kink_levels", lambda dist: calls.append(dist) or kink_levels(dist))
+    reports = classify_many(points)
+    assert calls == []
+    assert reports == [classify(p) for p in points]
+
+
+def test_classify_columns_take_the_given_pairs_as_sides(monkeypatch):
+    """Each given pair is its own side, an equal one given later reuses it, and only a missing swap is made."""
+    seen = []
+
+    def recording(sides, columns):
+        seen.extend(sides)
+        return _criterion_integrals(sides, columns)
+
+    pairs = [
+        MarkPair(Exponential(1.0), Exponential(2.0)),
+        MarkPair(Exponential(2.0), Exponential(1.0)),
+        MarkPair(Exponential(1.0), Exponential(2.0)),
+        MarkPair(Weibull(2.0, 1.0), Exponential(1.0)),
+    ]
+    want = criteria.classify_columns(pairs, [(1.0, 1.3)], [(i, 0) for i in range(4)])
+    monkeypatch.setattr(criteria, "_criterion_integrals", recording)
+    assert criteria.classify_columns(pairs, [(1.0, 1.3)], [(i, 0) for i in range(4)]) == want
+    assert [id(side) for side in seen[:3]] == [id(pairs[0]), id(pairs[1]), id(pairs[3])]
+    assert seen[3:] == [pairs[3].swapped()]
 
 
 def test_classify_many_rows_match_the_one_row_integral():

@@ -338,6 +338,20 @@ def test_swapped_params_carry_the_swapped_mark_pair(fitness, threshold):
     assert params.marks is params.marks
 
 
+def test_a_mark_pair_is_checked_and_keeps_its_facts_in_slots():
+    """A pair refuses a law that is not a DistributionSpec by its role; its kinks and tail class are slots."""
+    with pytest.raises(DistributionError, match="^the fitness law must be a DistributionSpec, got float$"):
+        MarkPair(1.0, Exponential(1.0))
+    with pytest.raises(DistributionError, match="^the threshold law must be a DistributionSpec, got str$"):
+        MarkPair(Exponential(1.0), "x")
+    with pytest.raises(DistributionError, match="^the threshold law must be a DistributionSpec, got float$"):
+        ModelParams(1.0, 1.0, Exponential(1.0), 2.0)
+    marks = MarkPair(Weibull(2.0, 1.0), Weibull(2.0, 0.5))
+    assert not hasattr(marks, "__dict__")
+    assert marks.breaks == () and marks.tail == ("power", 4.0)
+    assert marks == MarkPair(Weibull(2.0, 1.0), Weibull(2.0, 0.5)) and "tail" not in repr(marks)
+
+
 def test_model_params_validation():
     with pytest.raises(DistributionError):
         ModelParams(0.0, 1.0, Exponential(1.0), Exponential(1.0))

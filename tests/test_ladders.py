@@ -340,7 +340,6 @@ DIVERGENT_PAIRS = {  # each pair's marks are not finite; a walked ladder could m
 
 def test_the_criteria_and_the_walk_share_one_pair_of_kinks(monkeypatch):
     """The one-row fronts and the ladder walk of one ModelParams take each law's kink levels once, through params.marks."""
-    params = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
     calls = []
     kink_levels = Weibull.kink_levels
 
@@ -349,6 +348,7 @@ def test_the_criteria_and_the_walk_share_one_pair_of_kinks(monkeypatch):
         return kink_levels(dist)
 
     monkeypatch.setattr(Weibull, "kink_levels", counting)
+    params = ModelParams(1.0, 1.0, Weibull(2.0, 1.0), Weibull(2.0, 0.5))
     expected_extinction_count(params)
     laplace_extinction_count(params, 1.0)
     sample_ladder_block(params, replication_rng(5), 4)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from threshold_gms import cli, output
 from threshold_gms.criteria import classify_columns
-from threshold_gms.distributions import Exponential, _encode_float
+from threshold_gms.distributions import Exponential, MarkPair, _encode_float
 from threshold_gms.montecarlo import ReplicationPlan, run
 from threshold_gms.validation import FINITE_EXAMPLE, TRANSIENT_EXAMPLE
 
@@ -297,10 +297,9 @@ def test_phase_map_is_the_csv_writer_bytes(tmp_path):
     }
     spec = ";".join(f"{axis}={','.join(map(repr, values))}" for axis, values in grid.items())
     assert cli.main(["classify", "--grid", spec, "--out", str(tmp_path / "grid")]) == 0
-    a_fit, a_thr = grid["alpha_fitness"], grid["alpha_threshold"]
+    pairs = [MarkPair(Exponential(a), Exponential(b)) for a in grid["alpha_fitness"] for b in grid["alpha_threshold"]]
     rates = list(product(grid["lambda_birth"], grid["lambda_extinct"]))
-    points = list(product(range(len(a_fit)), range(len(a_fit), len(a_fit) + len(a_thr)), range(len(rates))))
-    columns = classify_columns([Exponential(a) for a in a_fit + a_thr], rates, points)
+    columns = classify_columns(pairs, rates, list(product(range(len(pairs)), range(len(rates)))))
     flags = ["true" if flag else "false" for flag in columns.null_recurrent_like]
     rows = [list(cli._PHASE_MAP.head.strip().split(","))]
     rows += [
